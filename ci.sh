@@ -10,31 +10,28 @@
 #   4. a release build of the whole workspace
 #   5. the full test suite
 #   6. the index tests again with `paranoid` audits after every mutation
-#   7. the observability smoke benchmark (regenerates BENCH_kmst.json and
-#      fails if any metrics counter stays zero across the workload)
-#   8. the batch-execution smoke benchmark (2 workers x 2 shards;
-#      regenerates BENCH_throughput.json and fails on executor
-#      nondeterminism, dead cross-shard pruning, or spurious degradation)
-#   9. the chaos smoke test in release mode (seeded fault injection:
+#   7. the index shootout smoke (every substrate's answers equal the
+#      exact scan, or the bin exits nonzero)
+#   8. the chaos smoke test in release mode (seeded fault injection:
 #      quiet schedule must be bit-identical, noisy schedule must stay
 #      honest — no panics, balanced ledgers, named shard failures)
-#  10. the server smoke test in release mode (real TCP loopback: a k-MST
+#   9. the server smoke test in release mode (real TCP loopback: a k-MST
 #      answer, a malformed frame answered with a typed error, honest
 #      stats counters, and a graceful drain on an ephemeral port)
-#  11. the serving smoke benchmark (concurrent pipelined loopback
-#      clients; regenerates BENCH_serve.json and fails on pass-to-pass
-#      nondeterminism, counter drift, dead admission control, a cold
-#      answer cache, or steady throughput below 520 qps)
-#  12. the durability smoke benchmark (real files + fsync; regenerates
-#      BENCH_wal.json and fails on a group-commit breakdown, an inexact
-#      replay, lost or mangled objects after recovery, or a checkpoint
-#      that fails to truncate the replay work)
-#  13. the replication smoke benchmark (a live primary/replica pair over
-#      loopback TCP; regenerates BENCH_repl.json and fails on a p99
-#      replication lag over the gate, a catch-up that does not converge
-#      bit-identically, a missed failover, or a write accepted with no
-#      primary), followed by an offline --verify-store sweep of a
-#      freshly written durable store
+#  10. the repo benchmark's own gate: benchmark/ is a separate workspace
+#      that `cargo build --workspace` never compiles, so this is the only
+#      gate that catches a crate-API rename breaking it. Builds it
+#      offline, runs its tests, then one smoke run of all four workloads
+#      (every sampled answer must equal scan_kmst); output stays under
+#      benchmark/out/
+#  11. the replication smoke benchmark (a live primary/replica pair over
+#      loopback TCP; the report goes to target/repl_bench.json; fails on
+#      a p99 replication lag over the gate, a catch-up that does not
+#      converge bit-identically, a missed failover, or a write accepted
+#      with no primary)
+#  12. an offline --verify-store sweep of a freshly written durable store
+#  13. `git status --porcelain` reads as it did before the run: no tracked
+#      file modified, no new file left behind
 #
 # Each gate prints its wall time so slow gates are easy to spot.
 set -euo pipefail
@@ -50,6 +47,16 @@ gate() {
     "$@"
     echo "    [$label: $((SECONDS - t0))s]"
 }
+
+# The tree as the run found it: which paths differ from HEAD (or are
+# new), and a checksum of how — so the last gate also works on a tree
+# with uncommitted edits. Outside a git checkout there is nothing to compare.
+tree_state() {
+    git rev-parse --is-inside-work-tree >/dev/null 2>&1 || return 0
+    git status --porcelain
+    git diff HEAD | cksum
+}
+tree_before=$(tree_state)
 
 gate "cargo fmt --check" cargo fmt --check
 
@@ -73,15 +80,9 @@ gate "cargo test --workspace" cargo test -q --workspace
 gate "cargo test -p mst-index --features paranoid" \
     cargo test -q -p mst-index --features paranoid
 
-gate "observability smoke bench (BENCH_kmst.json)" \
-    cargo run --release -q -p mst-bench --bin kmst_profile -- --smoke
-
 gate "index shootout smoke (R-tree / TB-tree / Metric tree agree with the scan)" \
     cargo run --release -q -p mst-bench --bin index_comparison -- \
     --objects 16 --samples 200 --queries 6 --k 2 --seed 11
-
-gate "batch executor smoke bench (BENCH_throughput.json)" \
-    cargo run --release -q -p mst-bench --bin throughput -- --smoke
 
 gate "chaos smoke (seeded fault injection)" \
     cargo test -q --release --test chaos chaos_smoke
@@ -89,13 +90,15 @@ gate "chaos smoke (seeded fault injection)" \
 gate "server smoke (TCP loopback, malformed frame, stats, drain)" \
     cargo test -q --release -p mst-serve --test loopback server_smoke
 
-gate "serving smoke bench (BENCH_serve.json, >= 520 qps steady)" \
-    cargo run --release -q -p mst-bench --bin serve -- --smoke --min-qps 520
+repo_benchmark() {
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+    bash benchmark/run.sh run --smoke
+}
+gate "repo benchmark (benchmark/: offline build, own tests, smoke run of all four workloads)" \
+    repo_benchmark
 
-gate "durability smoke bench (BENCH_wal.json, fsynced group commit + recovery)" \
-    cargo run --release -q -p mst-bench --bin wal -- --smoke
-
-gate "replication smoke bench (BENCH_repl.json, max-lag + failover gates)" \
+gate "replication smoke bench (target/repl_bench.json, max-lag + failover gates)" \
     cargo run --release -q -p mst-bench --bin repl -- --smoke
 
 # Seed a durable store (the server checkpoints the seed before it prints
@@ -120,5 +123,18 @@ verify_store_smoke() {
 }
 gate "offline store verification (mst-serve --verify-store)" \
     verify_store_smoke
+
+# Everything a run writes is ignored or outside the tree: a gate that
+# regenerates a committed artefact, or drops a new file, shows here.
+clean_tree() {
+    local after
+    after=$(tree_state)
+    if [[ "$after" != "$tree_before" ]]; then
+        echo "ci.sh: the run changed the working tree:" >&2
+        diff <(echo "$tree_before") <(echo "$after") >&2 || true
+        return 1
+    fi
+}
+gate "git status --porcelain (the run left the tree as it found it)" clean_tree
 
 echo "ci.sh: all gates passed"

@@ -1,11 +1,12 @@
-//! Emits `BENCH_repl.json`: steady-state replication lag, catch-up
-//! throughput after a replica outage, and client failover time, over a
-//! real primary/replica pair on loopback TCP with file-backed stores.
+//! Measures steady-state replication lag, catch-up throughput after a
+//! replica outage, and client failover time, over a real primary/replica
+//! pair on loopback TCP with file-backed stores. The report goes under
+//! `target/`: it is a liveness record of one run, not a tracked number.
 //!
 //! Usage: `cargo run -p mst-bench --release --bin repl --
 //! [--smoke] [--objects 150] [--samples 200] [--shards 4] [--bursts 30]
 //! [--burst-size 8] [--backlog 400] [--rotate-kib 256] [--seed 29]
-//! [--out BENCH_repl.json]`
+//! [--out target/repl_bench.json]`
 //!
 //! `--smoke` selects the small CI configuration. The process exits
 //! non-zero when [`ReplReport::validate`] trips: a burst that never
@@ -42,9 +43,12 @@ fn main() {
         cfg.objects, cfg.samples, cfg.shards, cfg.bursts, cfg.burst_size, cfg.backlog,
     );
     let report = repl_bench(&cfg);
-    let out = args.get("out", String::from("BENCH_repl.json"));
+    let out = std::path::PathBuf::from(args.get("out", String::from("target/repl_bench.json")));
+    if let Some(dir) = out.parent() {
+        std::fs::create_dir_all(dir).expect("create report directory");
+    }
     std::fs::write(&out, report.to_json()).expect("write report");
-    eprintln!("[repl] wrote {out}");
+    eprintln!("[repl] wrote {}", out.display());
     let failures = report.validate();
     if !failures.is_empty() {
         for f in &failures {

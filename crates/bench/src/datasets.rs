@@ -5,7 +5,7 @@
 //! append-at-the-tip design assumes.
 
 use mst_datagen::{GstdConfig, TrucksConfig};
-use mst_index::{LeafEntry, MetricTree, Rtree3D, TbTree};
+use mst_index::{LeafEntry, Rtree3D, TbTree};
 use mst_search::TrajectoryStore;
 use mst_trajectory::Trajectory;
 
@@ -16,25 +16,15 @@ pub enum IndexKind {
     Rtree3D,
     /// The trajectory-bundle tree.
     TbTree,
-    /// The whole-trajectory metric (ball) tree.
-    Metric,
 }
 
 impl IndexKind {
-    /// Display label used in tables ("3D R-tree" / "TB-tree" /
-    /// "Metric tree").
+    /// Display label used in tables ("3D R-tree" / "TB-tree").
     pub fn label(&self) -> &'static str {
         match self {
             IndexKind::Rtree3D => "3D R-tree",
             IndexKind::TbTree => "TB-tree",
-            IndexKind::Metric => "Metric tree",
         }
-    }
-
-    /// Every kind, in reporting order (the paper's two MBB substrates
-    /// first, then the metric tree extension).
-    pub fn all() -> [IndexKind; 3] {
-        [IndexKind::Rtree3D, IndexKind::TbTree, IndexKind::Metric]
     }
 }
 
@@ -144,17 +134,6 @@ pub fn build_tbtree(store: &TrajectoryStore) -> TbTree {
     let mut idx = TbTree::new();
     for e in temporal_entries(store) {
         idx.insert(e).expect("temporal order satisfies the TB-tree");
-    }
-    idx
-}
-
-/// Builds a metric tree over the store (temporal insertion order; the
-/// ball directory itself is built lazily on the first k-MST query).
-pub fn build_metric(store: &TrajectoryStore) -> MetricTree {
-    let mut idx = MetricTree::new();
-    for e in temporal_entries(store) {
-        idx.insert(e)
-            .expect("temporal order satisfies the metric tree");
     }
     idx
 }

@@ -1,4 +1,6 @@
-//! The experiment implementations, one per paper table/figure.
+//! The experiment implementations, one per paper table/figure, plus the
+//! replication bench (the one service measurement `benchmark/` has no
+//! workload for).
 
 mod ablation;
 mod buffer_sweep;
@@ -6,12 +8,8 @@ mod figure10;
 mod figure8;
 mod figure9;
 mod index_comparison;
-mod kmst_profile;
 mod repl;
-mod serve;
 mod table2;
-mod throughput;
-mod wal;
 
 pub use ablation::{ablation, AblationConfig};
 pub use buffer_sweep::{buffer_sweep, BufferSweepConfig};
@@ -19,12 +17,8 @@ pub use figure10::{figure10, Figure10Config};
 pub use figure8::figure8;
 pub use figure9::{figure9, Figure9Config};
 pub use index_comparison::{index_comparison, IndexComparisonConfig};
-pub use kmst_profile::{kmst_profile, KmstProfileConfig, KmstProfileReport};
 pub use repl::{
     repl_bench, CatchUpPhase, FailoverPhase, LagPhase, ReplBenchConfig, ReplReport,
     MAX_FAILOVER_MS, MAX_LAG_P99_MS,
 };
-pub use serve::{serve_bench, OverloadPhase, ServeConfig, ServeReport, SteadyPhase};
 pub use table2::{table2, Table2Config};
-pub use throughput::{throughput, ThroughputConfig, ThroughputPoint, ThroughputReport};
-pub use wal::{wal_bench, IngestPhase, RecoveryPhase, WalBenchConfig, WalReport};

@@ -4,7 +4,9 @@
 //! throughput after an outage, and client failover time when the
 //! primary dies.
 //!
-//! Emits `BENCH_repl.json`. [`ReplReport::validate`] is the CI
+//! The one service bench `benchmark/` did not replace: replication lag,
+//! catch-up rate and failover time have no metric there, and the lag and
+//! failover gates below have no test. [`ReplReport::validate`] is the CI
 //! tripwire:
 //!
 //! * **the replica keeps up** — every ingest burst must become visible
@@ -168,7 +170,7 @@ pub struct FailoverPhase {
     pub write_refused_without_primary: bool,
 }
 
-/// The full replication report (`BENCH_repl.json`).
+/// The full replication report.
 #[derive(Debug, Clone)]
 pub struct ReplReport {
     /// The configuration that produced this report.
@@ -503,7 +505,7 @@ fn start_replica(
 }
 
 impl ReplReport {
-    /// Renders the report as a JSON document (`BENCH_repl.json`).
+    /// Renders the report as a JSON document.
     pub fn to_json(&self) -> String {
         let c = &self.config;
         let l = &self.lag;

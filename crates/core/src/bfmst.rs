@@ -1,11 +1,10 @@
 //! BFMSTSearch: the best-first k-Most-Similar-Trajectory algorithm
 //! (Section 4, Figure 7 of the paper).
 //!
-//! The algorithm consumes any [`CandidateSource`] — a priority stream of
-//! candidate segment groups in increasing lower-bound order (for the MBB
-//! substrates, `MINDIST(Q, N)`: the distance-browsing strategy of Hjaltason
-//! & Samet) — incrementally assembling candidate trajectories from the
-//! segment entries it encounters:
+//! The algorithm consumes an [`MbbDescent`] — a priority stream of
+//! candidate segment groups in increasing `MINDIST(Q, N)` order (the
+//! distance-browsing strategy of Hjaltason & Samet) — incrementally
+//! assembling candidate trajectories from the segment entries it encounters:
 //!
 //! * each candidate keeps the DISSIM enclosure of its retrieved pieces plus
 //!   its OPTDISSIM / PESDISSIM speed-dependent bounds ([`crate::bounds`]);
@@ -31,7 +30,7 @@ use mst_index::TrajectoryIndex;
 use mst_trajectory::{Segment, TimeInterval, Trajectory, TrajectoryId};
 
 use crate::bounds::Candidate;
-use crate::descent::{CandidateSource, MbbDescent};
+use crate::descent::MbbDescent;
 use crate::dissim::{dissim_between_traced, piece, Dissim, Integration};
 use crate::metrics::{PruningBound, QueryMetrics};
 use crate::share::BoundShare;
@@ -159,28 +158,11 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     if period.is_instant() {
         return Ok(SearchReport::default());
     }
-    let q = query.clip(period)?;
+    let q = &query.clip(period)?;
+    // The envelope slope both speed-dependent bounds use.
     let vmax = index.max_speed() + q.max_speed();
-    let mut source = MbbDescent::new(index, &q, period, metrics);
-    bfmst_search_source(&mut source, store, &q, period, config, vmax, share, metrics)
-}
+    let mut source = MbbDescent::new(index, q, period, metrics);
 
-/// The substrate-agnostic core of [`bfmst_search`]: consumes any
-/// [`CandidateSource`] whose groups arrive in non-decreasing lower-bound
-/// order. `q` must already be clipped to `period`, and `vmax` is the sum of
-/// the query's and the substrate's maximum speeds (the envelope slope both
-/// speed-dependent bounds use).
-#[allow(clippy::too_many_arguments)]
-pub fn bfmst_search_source<S: CandidateSource, M: QueryMetrics, B: BoundShare>(
-    source: &mut S,
-    store: &TrajectoryStore,
-    q: &Trajectory,
-    period: &TimeInterval,
-    config: &MstConfig,
-    vmax: f64,
-    share: &B,
-    metrics: &mut M,
-) -> Result<SearchReport> {
     let mut report = SearchReport::default();
     let span = period.duration();
     let merge_eps = span.max(1.0) * 1e-9;

@@ -1,25 +1,19 @@
-//! The substrate-agnostic candidate/filter seam between a trajectory index
-//! and the best-first search algorithms.
+//! The MBB descent under the best-first search algorithms.
 //!
-//! BFMST and the historical NN search used to be hard-wired to the
-//! MBB-specific descent: they owned the MINDIST priority queue, read pages,
-//! and pushed child entries themselves, so every new index substrate meant
-//! forking the search loop. This module inverts that coupling: a substrate
-//! produces a [`CandidateSource`] — a priority stream of
-//! `(lower_bound, candidate group)` items — and the search algorithms
-//! consume it generically. [`MbbDescent`] reimplements the classic R-tree /
-//! TB-tree MINDIST descent in these terms, event-for-event identical to the
-//! pre-refactor inlined loops (the same heap pushes, pops, node reads, and
-//! buffer traffic in the same order), so answers and profiles are
-//! bit-identical. The metric substrate provides its own whole-trajectory
-//! search instead (see [`crate::substrate`]): its triangle-inequality
-//! bounds apply to complete trajectories, not segment groups, so it
-//! overrides the search rather than the source.
+//! BFMST and the historical NN search share one traversal: a priority
+//! stream of `(lower_bound, candidate group)` items in non-decreasing
+//! lower-bound order. [`MbbDescent`] is that stream for every
+//! [`TrajectoryIndex`] — the classic R-tree / TB-tree MINDIST descent, owning
+//! the priority queue, the node reads and the child pushes so the search
+//! loops hold none of them. The metric substrate does not come through
+//! here: its triangle-inequality bounds apply to complete trajectories, not
+//! segment groups, so it overrides the whole search (see
+//! [`crate::substrate`]).
 //!
 //! The protocol is two-phase because heuristic 2 must be able to terminate
-//! a search *without* paying for the node read: [`CandidateSource::pop`]
+//! a search *without* paying for the node read: [`MbbDescent::pop`]
 //! surfaces the next item's lower bound (one heap pop); only if the search
-//! decides to proceed does [`CandidateSource::expand`] fetch the item —
+//! decides to proceed does [`MbbDescent::expand`] fetch the item —
 //! descending one internal node or yielding a leaf's segment entries.
 
 use std::cmp::Reverse;
@@ -32,7 +26,7 @@ use mst_trajectory::{TimeInterval, Trajectory};
 use crate::metrics::QueryMetrics;
 use crate::Result;
 
-/// One group of candidate segment entries yielded by a source, keyed by a
+/// One group of candidate segment entries yielded by a descent, keyed by a
 /// sound lower bound on the spatial distance between the query and every
 /// entry in the group over the query period.
 #[derive(Debug, Clone)]
@@ -44,34 +38,6 @@ pub struct SegmentGroup {
     /// The segment entries, in the substrate's natural storage order (the
     /// consumer applies whatever ordering its plane sweep needs).
     pub entries: Vec<LeafEntry>,
-}
-
-/// A priority stream of candidate segment groups, produced by an index
-/// substrate and consumed generically by the best-first searches.
-///
-/// Protocol: call [`CandidateSource::pop`] to surface the next item's lower
-/// bound, then either abandon the item (termination — its content is never
-/// fetched) or call [`CandidateSource::expand`] exactly once to fetch it.
-/// `expand` without a preceding un-expanded `pop` yields `Ok(None)`.
-pub trait CandidateSource {
-    /// Pops the next item off the priority queue and returns its lower
-    /// bound, or `None` when the stream is exhausted. Reports one heap pop.
-    fn pop<M: QueryMetrics>(&mut self, metrics: &mut M) -> Option<f64>;
-
-    /// Fetches the item surfaced by the last [`CandidateSource::pop`]:
-    /// either descends one internal step (enqueueing finer-grained items;
-    /// returns `Ok(None)`) or yields a leaf-level [`SegmentGroup`].
-    fn expand<M: QueryMetrics>(&mut self, metrics: &mut M) -> Result<Option<SegmentGroup>>;
-
-    /// Number of items still enqueued (excluding a popped, un-expanded
-    /// head) — the unit count a terminating search discards unvisited.
-    fn pending(&self) -> u64;
-
-    /// Items fetched so far (internal steps plus leaf groups).
-    fn nodes_visited(&self) -> u64;
-
-    /// Leaf groups among them.
-    fn leaves_visited(&self) -> u64;
 }
 
 /// A queue element: node page keyed by its MINDIST from the query.
@@ -97,9 +63,14 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-/// The classic MBB descent as a [`CandidateSource`]: a best-first MINDIST
-/// traversal of any [`TrajectoryIndex`] (the distance-browsing strategy of
-/// Hjaltason & Samet), yielding each leaf's entries as one group.
+/// The classic MBB descent: a best-first MINDIST traversal of any
+/// [`TrajectoryIndex`] (the distance-browsing strategy of Hjaltason &
+/// Samet), yielding each leaf's entries as one group.
+///
+/// Protocol: call [`MbbDescent::pop`] to surface the next item's lower
+/// bound, then either abandon the item (termination — its content is never
+/// fetched) or call [`MbbDescent::expand`] exactly once to fetch it.
+/// `expand` without a preceding un-expanded `pop` yields `Ok(None)`.
 #[derive(Debug)]
 pub struct MbbDescent<'a, I: TrajectoryIndex> {
     index: &'a mut I,
@@ -138,17 +109,20 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
             leaves_visited: 0,
         }
     }
-}
 
-impl<I: TrajectoryIndex> CandidateSource for MbbDescent<'_, I> {
-    fn pop<M: QueryMetrics>(&mut self, metrics: &mut M) -> Option<f64> {
+    /// Pops the next item off the priority queue and returns its lower
+    /// bound, or `None` when the stream is exhausted. Reports one heap pop.
+    pub fn pop<M: QueryMetrics>(&mut self, metrics: &mut M) -> Option<f64> {
         let Reverse(head) = self.heap.pop()?;
         metrics.heap_pop();
         self.head = Some(head);
         Some(head.mindist)
     }
 
-    fn expand<M: QueryMetrics>(&mut self, metrics: &mut M) -> Result<Option<SegmentGroup>> {
+    /// Fetches the item surfaced by the last [`MbbDescent::pop`]: either
+    /// descends one internal step (enqueueing finer-grained items; returns
+    /// `Ok(None)`) or yields a leaf-level [`SegmentGroup`].
+    pub fn expand<M: QueryMetrics>(&mut self, metrics: &mut M) -> Result<Option<SegmentGroup>> {
         let Some(head) = self.head.take() else {
             return Ok(None);
         };
@@ -177,15 +151,19 @@ impl<I: TrajectoryIndex> CandidateSource for MbbDescent<'_, I> {
         }
     }
 
-    fn pending(&self) -> u64 {
+    /// Number of items still enqueued (excluding a popped, un-expanded
+    /// head) — the unit count a terminating search discards unvisited.
+    pub fn pending(&self) -> u64 {
         self.heap.len() as u64
     }
 
-    fn nodes_visited(&self) -> u64 {
+    /// Items fetched so far (internal steps plus leaf groups).
+    pub fn nodes_visited(&self) -> u64 {
         self.nodes_visited
     }
 
-    fn leaves_visited(&self) -> u64 {
+    /// Leaf groups among them.
+    pub fn leaves_visited(&self) -> u64 {
         self.leaves_visited
     }
 }

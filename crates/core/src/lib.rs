@@ -42,16 +42,16 @@ pub mod substrate;
 pub mod time_relaxed;
 mod topk;
 
-pub use bfmst::{bfmst_search, bfmst_search_source, MstConfig, SearchReport};
+pub use bfmst::{bfmst_search, MstConfig, SearchReport};
 pub use database::MovingObjectDatabase;
-pub use descent::{CandidateSource, MbbDescent, SegmentGroup};
+pub use descent::{MbbDescent, SegmentGroup};
 pub use dissim::{Dissim, Integration};
 pub use merge::{merge_shard_matches, merge_shard_nn, merge_shard_range, merge_shard_segments};
 pub use metrics::{
     CandidateCounters, MetricsSink, NoopSink, PruningBound, PruningCounters, QueryMetrics,
     QueryProfile,
 };
-pub use nn::{nearest_trajectories, nearest_trajectories_source, NnMatch, NnOutcome};
+pub use nn::{nearest_trajectories, NnMatch, NnOutcome};
 pub use options::{canonical_f64_bits, OptionsKey, QueryOptions, Substrate};
 pub use query::{
     KmstQuery, KmstSpec, KnnQuery, KnnSegmentsQuery, KnnSpec, Query, RangeQuery, RangeSpec,

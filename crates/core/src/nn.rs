@@ -10,8 +10,8 @@
 //! next group's lower bound exceeds the current k-th best approach
 //! distance.
 //!
-//! Like [`crate::bfmst`], the search consumes any
-//! [`CandidateSource`] and has a single generic entry point; pass
+//! Like [`crate::bfmst`], the search consumes an [`MbbDescent`] and has a
+//! single generic entry point; pass
 //! [`NoShare`](crate::share::NoShare) / [`NoopSink`](crate::metrics::NoopSink)
 //! for a plain isolated, untraced query.
 
@@ -21,7 +21,7 @@ use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
 use std::collections::HashMap;
 
-use crate::descent::{CandidateSource, MbbDescent};
+use crate::descent::MbbDescent;
 use crate::metrics::{PruningBound, QueryMetrics};
 use crate::share::BoundShare;
 use crate::{Result, SearchError};
@@ -75,22 +75,9 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             valid: (query.start_time(), query.end_time()),
         });
     }
-    let q = query.clip(period)?;
-    let mut source = MbbDescent::new(index, &q, period, metrics);
-    nearest_trajectories_source(&mut source, &q, period, k, share, metrics)
-}
+    let q = &query.clip(period)?;
+    let mut source = MbbDescent::new(index, q, period, metrics);
 
-/// The substrate-agnostic core of [`nearest_trajectories`]: consumes any
-/// [`CandidateSource`] whose groups arrive in non-decreasing lower-bound
-/// order. `q` must already be clipped to `period`.
-pub fn nearest_trajectories_source<S: CandidateSource, M: QueryMetrics, B: BoundShare>(
-    source: &mut S,
-    q: &Trajectory,
-    period: &TimeInterval,
-    k: usize,
-    share: &B,
-    metrics: &mut M,
-) -> Result<NnOutcome> {
     let mut outcome = NnOutcome::default();
     // Best approach found so far, per trajectory.
     let mut best: HashMap<TrajectoryId, (f64, f64)> = HashMap::new();

@@ -206,29 +206,41 @@ fn check_against_baseline<I: TrajectoryIndex + Send + KmstSubstrate>(
 }
 
 /// Tentpole observability: with multiple shards, the cross-shard bound
-/// actually prunes — visible in the merged profile's `SharedKth` ledger.
+/// actually prunes — visible in the merged profile's `SharedKth` ledger,
+/// on every substrate the executor serves.
 /// One worker makes the schedule deterministic: the query's home-cluster
 /// shard runs first and publishes a tight bound for the far shard.
 #[test]
 fn cross_shard_bound_sharing_prunes_on_the_second_shard() {
+    fn check<I: TrajectoryIndex + Send + KmstSubstrate>(
+        what: &str,
+        db: &ShardedDatabase<I>,
+        fleet: &[(TrajectoryId, Trajectory)],
+    ) {
+        let period = TimeInterval::new(0.0, 29.0).expect("period");
+        let q = &fleet[0].1;
+        let batch = vec![BatchQuery::kmst(Query::kmst(q).k(3).during(&period)).expect("spec")];
+        let outcome = BatchExecutor::new().workers(1).run(db, batch);
+        let query = outcome.outcomes[0].as_ref().expect("query ok");
+        let pruning = &query.profile.pruning;
+        assert!(
+            pruning.shared_kth_evals > 0,
+            "{what}: the far shard never observed a tighter shared bound: {pruning:?}"
+        );
+        assert!(
+            pruning.shared_kth_prunes > 0,
+            "{what}: the shared bound never pruned anything the local bound would not have: \
+             {pruning:?}"
+        );
+        assert!(query.profile.is_consistent());
+    }
     let fleet = fleet(24, 30);
-    let period = TimeInterval::new(0.0, 29.0).expect("period");
-    let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
-
-    let q = &fleet[0].1;
-    let batch = vec![BatchQuery::kmst(Query::kmst(q).k(3).during(&period)).expect("spec")];
-    let outcome = BatchExecutor::new().workers(1).run(&db, batch);
-    let query = outcome.outcomes[0].as_ref().expect("query ok");
-    let pruning = &query.profile.pruning;
-    assert!(
-        pruning.shared_kth_evals > 0,
-        "the far shard never observed a tighter shared bound: {pruning:?}"
-    );
-    assert!(
-        pruning.shared_kth_prunes > 0,
-        "the shared bound never pruned anything the local bound would not have: {pruning:?}"
-    );
-    assert!(query.profile.is_consistent());
+    let rtree = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
+    check("rtree", &rtree, &fleet);
+    let tbtree = ShardedDatabase::with_tbtree(2, fleet.clone()).expect("shard build");
+    check("tbtree", &tbtree, &fleet);
+    let metric = ShardedDatabase::with_metric(2, fleet.clone()).expect("shard build");
+    check("metric", &metric, &fleet);
 }
 
 /// Satellite: a zero deadline degrades every query gracefully — flagged,

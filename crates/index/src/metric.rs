@@ -33,7 +33,7 @@ use std::collections::{HashMap, HashSet};
 use mst_prng::Rng;
 use mst_trajectory::{Mbb, Trajectory, TrajectoryId};
 
-use crate::metrics::MetricsSink;
+use crate::metrics::{MetricsSink, NoopSink};
 use crate::persist::{Image, ImageKind};
 use crate::traits::Pager;
 use crate::{
@@ -216,7 +216,7 @@ impl MetricTree {
         // 2. Page layer: append to the trajectory's tip leaf, or start a
         //    new chained leaf and rebuild the MBB directory over it.
         if let Some(&tip) = self.tips.get(&entry.traj) {
-            let mut node = self.pager.read_node(tip)?;
+            let mut node = self.read_node(tip)?;
             let Node::Leaf { entries, .. } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page: tip,
@@ -248,7 +248,7 @@ impl MetricTree {
         let new_leaf = self.pager.allocate_node(&new_leaf_node)?;
         self.num_entries += 1;
         if let Some(prev) = prev_tip {
-            let mut prev_node = self.pager.read_node(prev)?;
+            let mut prev_node = self.read_node(prev)?;
             if let Node::Leaf { next, .. } = &mut prev_node {
                 *next = Some(new_leaf);
             }
@@ -323,7 +323,7 @@ impl MetricTree {
     /// Propagates an updated leaf MBB to the root.
     fn refresh_ancestors(&mut self, mut child: PageId, mut child_mbb: Mbb) -> Result<()> {
         while let Some(&parent) = self.parents.get(&child) {
-            let mut node = self.pager.read_node(parent)?;
+            let mut node = self.read_node(parent)?;
             let Node::Internal { entries, .. } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page: parent,
@@ -693,7 +693,7 @@ impl MetricTree {
                         "leaf chain of {traj} contains a cycle at {page:?}"
                     )));
                 }
-                let node = pager.read_node(page)?;
+                let node = pager.read_node_traced(page, &mut NoopSink)?;
                 let Node::Leaf {
                     entries: es,
                     owner,
@@ -840,10 +840,6 @@ impl crate::TrajectoryIndexWrite for MetricTree {
 impl TrajectoryIndex for MetricTree {
     fn root(&self) -> Option<PageId> {
         self.root
-    }
-
-    fn read_node(&mut self, page: PageId) -> Result<Node> {
-        self.pager.read_node(page)
     }
 
     fn read_node_traced<S: MetricsSink>(&mut self, page: PageId, sink: &mut S) -> Result<Node> {

@@ -88,14 +88,14 @@ impl Rtree3D {
         // Descend to the best leaf, remembering the path.
         let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.height as usize);
         let mut current = root;
-        while let Node::Internal { entries, .. } = self.pager.read_node(current)? {
+        while let Node::Internal { entries, .. } = self.read_node(current)? {
             let idx = choose_subtree(&entries, &entry.mbb());
             path.push((current, idx));
             current = entries[idx].child;
         }
 
         // Insert into the leaf, splitting on overflow.
-        let mut leaf = self.pager.read_node(current)?;
+        let mut leaf = self.read_node(current)?;
         let Node::Leaf { entries, .. } = &mut leaf else {
             return Err(IndexError::CorruptNode {
                 page: current,
@@ -135,7 +135,7 @@ impl Rtree3D {
 
         // Walk back up: refresh the child MBB, absorb any split.
         for &(page, child_idx) in path.iter().rev() {
-            let mut node = self.pager.read_node(page)?;
+            let mut node = self.read_node(page)?;
             let Node::Internal { level, entries } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page,
@@ -175,7 +175,7 @@ impl Rtree3D {
 
         // Root split: grow the tree by one level.
         if let Some(new_entry) = split {
-            let old_root_mbb = self.pager.read_node(root)?.mbb();
+            let old_root_mbb = self.read_node(root)?.mbb();
             let new_root = Node::Internal {
                 level: self.height,
                 entries: vec![
@@ -359,7 +359,7 @@ impl Rtree3D {
             return Ok(false);
         };
 
-        let mut node = self.pager.read_node(leaf_page)?;
+        let mut node = self.read_node(leaf_page)?;
         let Node::Leaf { entries, .. } = &mut node else {
             return Err(IndexError::CorruptNode {
                 page: leaf_page,
@@ -388,7 +388,7 @@ impl Rtree3D {
         seq: u32,
         path: &mut Vec<(PageId, usize)>,
     ) -> Result<Option<PageId>> {
-        match self.pager.read_node(page)? {
+        match self.read_node(page)? {
             Node::Leaf { entries, .. } => {
                 if entries.iter().any(|e| e.traj == traj && e.seq == seq) {
                     Ok(Some(page))
@@ -421,7 +421,7 @@ impl Rtree3D {
     ) -> Result<()> {
         let mut orphans: Vec<LeafEntry> = Vec::new();
         for &(parent_page, child_idx) in path.iter().rev() {
-            let mut parent = self.pager.read_node(parent_page)?;
+            let mut parent = self.read_node(parent_page)?;
             let Node::Internal { entries, .. } = &mut parent else {
                 return Err(IndexError::CorruptNode {
                     page: parent_page,
@@ -468,7 +468,7 @@ impl Rtree3D {
                         self.root = Some(only);
                         self.height -= 1;
                         child_page = only;
-                        child_node = self.pager.read_node(only)?;
+                        child_node = self.read_node(only)?;
                     }
                     _ => break,
                 },
@@ -493,7 +493,7 @@ impl Rtree3D {
             Node::Leaf { entries, .. } => out.extend(entries.iter().copied()),
             Node::Internal { entries, .. } => {
                 for e in entries {
-                    let child = self.pager.read_node(e.child)?;
+                    let child = self.read_node(e.child)?;
                     self.harvest(&child, out)?;
                     self.pager.free_node(e.child)?;
                 }
@@ -541,10 +541,6 @@ impl crate::TrajectoryIndexWrite for Rtree3D {
 impl TrajectoryIndex for Rtree3D {
     fn root(&self) -> Option<PageId> {
         self.root
-    }
-
-    fn read_node(&mut self, page: PageId) -> Result<Node> {
-        self.pager.read_node(page)
     }
 
     fn read_node_traced<S: crate::metrics::MetricsSink>(

@@ -238,11 +238,6 @@ impl<I: TrajectoryIndex> TrajectoryIndex for IndexReader<'_, I> {
         self.snapshot.root
     }
 
-    fn read_node(&mut self, page: PageId) -> Result<Node> {
-        let mut guard = self.shared.lock()?;
-        guard.read_node(page)
-    }
-
     fn read_node_traced<S: MetricsSink>(&mut self, page: PageId, sink: &mut S) -> Result<Node> {
         let mut guard = self.shared.lock()?;
         guard.read_node_traced(page, sink)

@@ -101,7 +101,7 @@ impl StrTree {
         // Trajectory preservation: join the predecessor's leaf if it has
         // room.
         if let Some(&tip) = self.tips.get(&entry.traj) {
-            let mut node = self.pager.read_node(tip)?;
+            let mut node = self.read_node(tip)?;
             if let Node::Leaf { entries, .. } = &mut node {
                 if entries.len() < LEAF_CAPACITY {
                     entries.push(entry);
@@ -116,13 +116,13 @@ impl StrTree {
         // Fallback: classic R-tree descent.
         let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.height as usize);
         let mut current = root;
-        while let Node::Internal { entries, .. } = self.pager.read_node(current)? {
+        while let Node::Internal { entries, .. } = self.read_node(current)? {
             let idx = choose_subtree(&entries, &entry.mbb());
             path.push((current, idx));
             current = entries[idx].child;
         }
 
-        let mut leaf = self.pager.read_node(current)?;
+        let mut leaf = self.read_node(current)?;
         let Node::Leaf { entries, .. } = &mut leaf else {
             return Err(IndexError::CorruptNode {
                 page: current,
@@ -165,7 +165,7 @@ impl StrTree {
 
         // Propagate upwards along the descent path.
         for &(page, child_idx) in path.iter().rev() {
-            let mut node = self.pager.read_node(page)?;
+            let mut node = self.read_node(page)?;
             let Node::Internal { level, entries } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page,
@@ -216,7 +216,7 @@ impl StrTree {
         }
 
         if let Some(new_entry) = split {
-            let old_root_mbb = self.pager.read_node(root)?.mbb();
+            let old_root_mbb = self.read_node(root)?.mbb();
             let new_root = Node::Internal {
                 level: self.height,
                 entries: vec![
@@ -261,7 +261,7 @@ impl StrTree {
     /// Propagates an updated child MBB to the root via the parent map.
     fn refresh_ancestors(&mut self, mut child: PageId, mut child_mbb: Mbb) -> Result<()> {
         while let Some(&parent) = self.parents.get(&child) {
-            let mut node = self.pager.read_node(parent)?;
+            let mut node = self.read_node(parent)?;
             let Node::Internal { entries, .. } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page: parent,
@@ -380,10 +380,6 @@ impl TrajectoryIndexWrite for StrTree {
 impl TrajectoryIndex for StrTree {
     fn root(&self) -> Option<PageId> {
         self.root
-    }
-
-    fn read_node(&mut self, page: PageId) -> Result<Node> {
-        self.pager.read_node(page)
     }
 
     fn read_node_traced<S: crate::metrics::MetricsSink>(
@@ -506,7 +502,7 @@ mod tests {
                 rtree.insert(e).unwrap();
             }
         }
-        let spread = |idx: &mut dyn TrajectoryIndex| -> f64 {
+        fn spread<I: TrajectoryIndex>(idx: &mut I) -> f64 {
             let mut leaves: HashMap<TrajectoryId, HashSet<PageId>> = HashMap::new();
             let mut stack = vec![idx.root().unwrap()];
             while let Some(page) = stack.pop() {
@@ -522,7 +518,7 @@ mod tests {
                 }
             }
             leaves.values().map(|s| s.len() as f64).sum::<f64>() / leaves.len() as f64
-        };
+        }
         let s_spread = spread(&mut strtree);
         let r_spread = spread(&mut rtree);
         assert!(

@@ -89,7 +89,7 @@ impl TbTree {
         self.max_speed = self.max_speed.max(entry.segment.speed());
 
         if let Some(&tip) = self.tips.get(&entry.traj) {
-            let mut node = self.pager.read_node(tip)?;
+            let mut node = self.read_node(tip)?;
             let Node::Leaf { entries, .. } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page: tip,
@@ -128,7 +128,7 @@ impl TbTree {
         let new_leaf = self.pager.allocate_node(&new_leaf_node)?;
         self.num_entries += 1;
         if let Some(prev) = prev_tip {
-            let mut prev_node = self.pager.read_node(prev)?;
+            let mut prev_node = self.read_node(prev)?;
             if let Node::Leaf { next, .. } = &mut prev_node {
                 *next = Some(new_leaf);
             }
@@ -148,7 +148,7 @@ impl TbTree {
 
         if self.height == 1 {
             // The root is itself a leaf: grow a directory level.
-            let root_mbb = self.pager.read_node(root)?.mbb();
+            let root_mbb = self.read_node(root)?.mbb();
             let new_root = Node::Internal {
                 level: 1,
                 entries: vec![
@@ -174,7 +174,7 @@ impl TbTree {
         let mut path: Vec<PageId> = Vec::with_capacity(self.height as usize);
         let mut current = root;
         loop {
-            let node = self.pager.read_node(current)?;
+            let node = self.read_node(current)?;
             let Node::Internal { level, entries } = &node else {
                 return Err(IndexError::CorruptNode {
                     page: current,
@@ -203,7 +203,7 @@ impl TbTree {
             mbb: leaf_mbb,
         };
         for (depth, &page) in path.iter().enumerate().rev() {
-            let mut node = self.pager.read_node(page)?;
+            let mut node = self.read_node(page)?;
             let Node::Internal { level, entries } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page,
@@ -231,7 +231,7 @@ impl TbTree {
             };
             if depth == 0 {
                 // The root itself was full: grow the tree.
-                let old_root_mbb = self.pager.read_node(page)?.mbb();
+                let old_root_mbb = self.read_node(page)?.mbb();
                 let new_root = Node::Internal {
                     level: *level + 1,
                     entries: vec![
@@ -262,7 +262,7 @@ impl TbTree {
         mut child_mbb: mst_trajectory::Mbb,
     ) -> Result<()> {
         while let Some(&parent) = self.parents.get(&child) {
-            let mut node = self.pager.read_node(parent)?;
+            let mut node = self.read_node(parent)?;
             let Node::Internal { entries, .. } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page: parent,
@@ -312,7 +312,7 @@ impl TbTree {
         let mut out = Vec::new();
         let mut cursor = self.tips.get(&id).copied();
         while let Some(page) = cursor {
-            let node = self.pager.read_node(page)?;
+            let node = self.read_node(page)?;
             let Node::Leaf { entries, prev, .. } = node else {
                 return Err(IndexError::CorruptNode {
                     page,
@@ -338,7 +338,7 @@ impl TbTree {
         let mut out = Vec::new();
         let mut cursor = self.tips.get(&id).copied();
         while let Some(page) = cursor {
-            let node = self.pager.read_node(page)?;
+            let node = self.read_node(page)?;
             let Node::Leaf { entries, prev, .. } = node else {
                 return Err(IndexError::CorruptNode {
                     page,
@@ -479,10 +479,6 @@ impl crate::TrajectoryIndexWrite for TbTree {
 impl TrajectoryIndex for TbTree {
     fn root(&self) -> Option<PageId> {
         self.root
-    }
-
-    fn read_node(&mut self, page: PageId) -> Result<Node> {
-        self.pager.read_node(page)
     }
 
     fn read_node_traced<S: crate::metrics::MetricsSink>(

@@ -98,14 +98,9 @@ impl Pager {
 
     /// Reads and decodes the node stored in `page`. The frame stays pinned
     /// for the duration of the decode, so the buffer audits see every node
-    /// access and a decode can never race an eviction.
-    pub fn read_node(&mut self, page: PageId) -> Result<Node> {
-        self.read_node_traced(page, &mut NoopSink)
-    }
-
-    /// [`Pager::read_node`] with observability: the buffer hit/miss, the
-    /// decoded byte count, and the node access (tagged with the node's tree
-    /// level) are reported to `sink`.
+    /// access and a decode can never race an eviction. The buffer hit/miss,
+    /// the decoded byte count, and the node access (tagged with the node's
+    /// tree level) are reported to `sink`.
     pub fn read_node_traced<S: MetricsSink>(&mut self, page: PageId, sink: &mut S) -> Result<Node> {
         self.node_reads += 1;
         let decoded = {
@@ -145,7 +140,7 @@ impl Pager {
     }
 
     /// Buffer-manager audit: LRU bookkeeping consistent and no leaked pins.
-    /// The pager pins only inside [`Pager::read_node`], so between calls the
+    /// The pager pins only inside [`Pager::read_node_traced`], so between calls the
     /// pool must be fully unpinned.
     pub fn audit(&self) -> std::result::Result<(), String> {
         self.pool.audit_idle()
@@ -160,22 +155,15 @@ pub trait TrajectoryIndex {
     fn root(&self) -> Option<PageId>;
 
     /// Fetches and decodes a node (counts one logical read; physical I/O
-    /// depends on the buffer).
-    fn read_node(&mut self, page: PageId) -> Result<Node>;
+    /// depends on the buffer), reporting the buffer hit/miss, the decoded
+    /// byte count and the node access (tagged with the node's level) to
+    /// `sink`. The one way to read a node: every implementation supplies
+    /// this and nothing else.
+    fn read_node_traced<S: MetricsSink>(&mut self, page: PageId, sink: &mut S) -> Result<Node>;
 
-    /// [`TrajectoryIndex::read_node`] with observability: reports the node
-    /// access (tagged with the node's level) to `sink`. Implementations
-    /// backed by a buffer pool override this to also report the buffer
-    /// hit/miss and the decoded byte count; the default reports the access
-    /// alone. (`Self: Sized` keeps the trait object-safe — trait objects
-    /// fall back to the untraced [`TrajectoryIndex::read_node`].)
-    fn read_node_traced<S: MetricsSink>(&mut self, page: PageId, sink: &mut S) -> Result<Node>
-    where
-        Self: Sized,
-    {
-        let node = self.read_node(page)?;
-        sink.node_access(node.level());
-        Ok(node)
+    /// [`TrajectoryIndex::read_node_traced`] with nobody listening.
+    fn read_node(&mut self, page: PageId) -> Result<Node> {
+        self.read_node_traced(page, &mut NoopSink)
     }
 
     /// Number of pages the index occupies.
@@ -241,10 +229,7 @@ pub trait TrajectoryIndex {
     /// All segments whose MBB intersects `window` — the classic 3D range
     /// query the substrate also serves (the paper's premise is that the
     /// *same* index answers both traditional and similarity queries).
-    fn range_query(&mut self, window: &Mbb) -> Result<Vec<LeafEntry>>
-    where
-        Self: Sized,
-    {
+    fn range_query(&mut self, window: &Mbb) -> Result<Vec<LeafEntry>> {
         self.range_query_traced(window, &mut NoopSink)
     }
 
@@ -254,10 +239,7 @@ pub trait TrajectoryIndex {
         &mut self,
         window: &Mbb,
         sink: &mut S,
-    ) -> Result<Vec<LeafEntry>>
-    where
-        Self: Sized,
-    {
+    ) -> Result<Vec<LeafEntry>> {
         let mut out = Vec::new();
         let Some(root) = self.root() else {
             return Ok(out);

@@ -181,6 +181,7 @@ fn multiplexed_clients_get_bit_identical_answers() {
     assert_eq!(stats.counters.queries_completed, 32);
     assert_eq!(stats.counters.queries_degraded, 0);
     assert_eq!(stats.counters.malformed_frames, 0);
+    assert_eq!(stats.counters.invalid_queries, 0);
     // The shared knn/segments/range queries overlap across the 8
     // connections, so the coalescer must have executed fewer than 32.
     assert!(stats.counters.queries_admitted <= 32);

@@ -131,9 +131,11 @@ impl DistanceTrinomial {
     /// distance.
     #[inline]
     pub fn is_constant(&self) -> bool {
-        // Scale-aware test: `a` has units of speed^2; compare against the
-        // magnitude of the other coefficients to stay unit-safe.
-        self.a <= EPS * (self.a + self.b.abs() + self.c + 1.0)
+        // Purely relative test: all three coefficients scale with the square
+        // of the coordinate unit, so the verdict is the same in a unit square
+        // and a 1000 x 1000 world. Identical motion at zero distance (all
+        // zero) is constant by `<=`.
+        self.a <= EPS * (self.a + self.b.abs() + self.c)
     }
 
     /// Exact definite integral of `D(t)` over `[u, v]` (absolute times),
@@ -158,9 +160,11 @@ impl DistanceTrinomial {
         let tu = u - self.origin;
         let tv = v - self.origin;
         // Relative discriminant threshold: disc has units of a*c, so compare
-        // against that scale.
+        // against that scale and nothing absolute. A floor here would call a
+        // near-parallel pair in small coordinates "crossing" and integrate a
+        // V through zero where the distance never leaves sqrt(c).
         let scale = (4.0 * a * self.c.abs()).max(self.b * self.b);
-        if disc <= EPS * (scale + 1.0) {
+        if disc <= EPS * scale {
             // D(tau) = sqrt(a) * |tau + b/(2a)|: integrate the absolute
             // linear function analytically.
             let h = self.b / (2.0 * a);
@@ -409,6 +413,50 @@ mod tests {
         assert!(bound.is_finite());
         let err = d.integral_trapezoid(0.0, 2.0) - d.integral_exact(0.0, 2.0);
         assert!(err.abs() <= bound + 1e-12);
+    }
+
+    #[test]
+    fn near_parallel_pair_at_unit_square_scale_is_not_a_crossing() {
+        // GSTD's native scale: two objects 0.053 apart whose velocities
+        // differ by 7e-6 a step (S0250 x 500, objects 72 and 5 at step 301).
+        // `4ac - b^2` is 5.7e-13 — small in absolute terms, five orders of
+        // magnitude above zero relative to `4ac`.
+        let d = DistanceTrinomial::from_coefficients(5.1e-11, 1.7e-8, 2.8e-3, 0.0);
+        assert!(!d.is_constant());
+        let exact = d.integral_exact(0.0, 1.0);
+        let oracle = simpson(|t| d.eval(t), 0.0, 1.0, 30);
+        assert!(
+            (exact - oracle).abs() < 1e-9 * oracle,
+            "exact={exact} oracle={oracle}"
+        );
+        assert!((exact - 0.0530).abs() < 1e-3, "exact={exact}");
+    }
+
+    #[test]
+    fn exact_integral_lies_in_the_lemma1_interval_at_every_coordinate_scale() {
+        // The same near-parallel and skew motions in a 1e-3, unit and 1e3
+        // wide world: the bounds that prune and the closed form that ranks
+        // must agree, whatever unit the coordinates are in.
+        let motions = [
+            ((0.5, 0.5, 0.5005, 0.5), (0.5, 0.5529, 0.500507, 0.552901)),
+            ((0.1, 0.1, 0.4, 0.2), (0.3, 0.0, 0.0, 0.3)),
+        ];
+        for scale in [1e-3, 1.0, 1e3] {
+            for ((px0, py0, px1, py1), (qx0, qy0, qx1, qy1)) in motions {
+                let p = seg(0.0, px0 * scale, py0 * scale, 1.0, px1 * scale, py1 * scale);
+                let q = seg(0.0, qx0 * scale, qy0 * scale, 1.0, qx1 * scale, qy1 * scale);
+                let d = DistanceTrinomial::between(&p, &q).unwrap();
+                let exact = d.integral_exact(0.0, 1.0);
+                let trap = d.integral_trapezoid(0.0, 1.0);
+                let bound = d.trapezoid_error_bound(0.0, 1.0);
+                let slack = 1e-12 * trap;
+                assert!(
+                    trap - bound - slack <= exact && exact <= trap + slack,
+                    "scale={scale}: exact={exact} outside [{}, {trap}]",
+                    trap - bound
+                );
+            }
+        }
     }
 
     #[test]

@@ -516,7 +516,8 @@ mod tests {
         db.apply(&[insert(3)]).unwrap();
         drop(db);
 
-        let back = DurableDatabase::<Rtree3D, _>::open(store, WalConfig::default()).unwrap();
+        let mut back =
+            DurableDatabase::<Rtree3D, _>::open(store.clone(), WalConfig::default()).unwrap();
         assert_eq!(
             back.stats().replayed_records,
             1,
@@ -524,6 +525,14 @@ mod tests {
         );
         assert_eq!(back.database().num_objects(), 3);
         assert_eq!(back.applied_lsn(), 3);
+
+        // A reopen right after a checkpoint has nothing left to replay.
+        back.checkpoint().unwrap();
+        drop(back);
+        let again = DurableDatabase::<Rtree3D, _>::open(store, WalConfig::default()).unwrap();
+        assert_eq!(again.stats().replayed_records, 0);
+        assert_eq!(again.database().num_objects(), 3);
+        assert_eq!(again.applied_lsn(), 3);
     }
 
     #[test]

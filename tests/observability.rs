@@ -4,10 +4,13 @@
 //! and attaching a sink must never change a single result bit.
 
 use mst::datagen::GstdConfig;
-use mst::index::{LeafEntry, Rtree3D, TbTree, TrajectoryIndex};
+use mst::index::{
+    LeafEntry, MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex, TrajectoryIndexWrite,
+};
 use mst::search::{
     bfmst_search, scan_kmst, scan_kmst_traced, time_relaxed_kmst, time_relaxed_kmst_traced,
-    Integration, MstConfig, NoShare, NoopSink, QueryProfile, TimeRelaxedConfig, TrajectoryStore,
+    Integration, KmstSubstrate, MstConfig, NoShare, NoopSink, QueryProfile, TimeRelaxedConfig,
+    TrajectoryStore,
 };
 use mst::trajectory::{TimeInterval, TrajectoryId};
 
@@ -21,7 +24,8 @@ fn gstd_store(objects: usize, samples: usize, seed: u64) -> TrajectoryStore {
     TrajectoryStore::from_trajectories(data)
 }
 
-fn build_both(store: &TrajectoryStore) -> (Rtree3D, TbTree) {
+/// Feeds every segment of `store` to `index` in arrival (start-time) order.
+fn build<I: TrajectoryIndexWrite>(mut index: I, store: &TrajectoryStore) -> I {
     let mut entries: Vec<LeafEntry> = Vec::new();
     for (id, t) in store.iter() {
         for (seq, segment) in t.segments().enumerate() {
@@ -33,13 +37,14 @@ fn build_both(store: &TrajectoryStore) -> (Rtree3D, TbTree) {
         }
     }
     entries.sort_by(|a, b| a.segment.start().t.total_cmp(&b.segment.start().t));
-    let mut rtree = Rtree3D::new();
-    let mut tbtree = TbTree::new();
     for e in entries {
-        rtree.insert(e).unwrap();
-        tbtree.insert(e).unwrap();
+        index.insert_entry(e).unwrap();
     }
-    (rtree, tbtree)
+    index
+}
+
+fn build_both(store: &TrajectoryStore) -> (Rtree3D, TbTree) {
+    (build(Rtree3D::new(), store), build(TbTree::new(), store))
 }
 
 fn dissim_bits(matches: &[mst::search::MstMatch]) -> Vec<(TrajectoryId, u64)> {
@@ -49,16 +54,21 @@ fn dissim_bits(matches: &[mst::search::MstMatch]) -> Vec<(TrajectoryId, u64)> {
         .collect()
 }
 
-/// The candidate ledger balances (`seen == pruned + refined + pending`)
-/// for every query of a seeded workload, on both index substrates, with
-/// both heuristics on and off.
-#[test]
-fn candidate_ledger_balances_on_both_substrates() {
-    for seed in [3u64, 19] {
-        let store = gstd_store(30, 180, seed);
-        let (mut rtree, mut tbtree) = build_both(&store);
-        for qi in 0..6u64 {
-            let period = TimeInterval::new(10.0, 160.0).unwrap();
+/// Runs the ledger workload of one seed on one substrate: six queries over
+/// two windows, heuristics on and off, every per-query ledger balanced.
+/// Returns the counters summed over the workload.
+fn ledger_workload<I: KmstSubstrate>(
+    label: &str,
+    index: &mut I,
+    store: &TrajectoryStore,
+    seed: u64,
+) -> QueryProfile {
+    let mut total = QueryProfile::new();
+    // The second, shorter window is there for the TB-tree: only on it does
+    // heuristic 2 fire while candidates are still pending.
+    for qi in 0..6u64 {
+        for (from, to) in [(10.0, 160.0), (60.0, 105.0)] {
+            let period = TimeInterval::new(from, to).unwrap();
             let q = store.get(TrajectoryId(qi)).unwrap().clip(&period).unwrap();
             for config in [
                 MstConfig::k(3),
@@ -68,21 +78,99 @@ fn candidate_ledger_balances_on_both_substrates() {
                     ..MstConfig::k(3)
                 },
             ] {
-                let mut pr = QueryProfile::new();
-                bfmst_search(&mut rtree, &store, &q, &period, &config, &NoShare, &mut pr).unwrap();
+                let mut p = QueryProfile::new();
+                index
+                    .kmst_search(store, &q, &period, &config, &NoShare, &mut p)
+                    .unwrap();
                 assert!(
-                    pr.is_consistent(),
-                    "rtree seed {seed} q {qi}: seen {} != {} pruned + {} refined + {} pending",
-                    pr.candidates.seen,
-                    pr.candidates.pruned,
-                    pr.candidates.refined,
-                    pr.candidates.pending
+                    p.is_consistent(),
+                    "{label} seed {seed} q {qi}: seen {} != {} pruned + {} refined + {} pending",
+                    p.candidates.seen,
+                    p.candidates.pruned,
+                    p.candidates.refined,
+                    p.candidates.pending
                 );
-                let mut pt = QueryProfile::new();
-                bfmst_search(&mut tbtree, &store, &q, &period, &config, &NoShare, &mut pt).unwrap();
-                assert!(pt.is_consistent(), "tbtree seed {seed} q {qi}");
+                total.merge(&p);
             }
         }
+    }
+    total
+}
+
+/// A counter that stays zero over a whole workload is a disconnected
+/// instrumentation hook.
+fn assert_live(label: &str, seed: u64, counters: &[(&str, u64)]) {
+    for (name, value) in counters {
+        assert!(*value > 0, "{label} seed {seed}: counter `{name}` is dead");
+    }
+}
+
+/// The candidate ledger balances (`seen == pruned + refined + pending`)
+/// for every query of a seeded workload, on every index substrate, with
+/// both heuristics on and off — and summed over the workload each
+/// substrate shows the counter classes its search is built from: the
+/// paper's MINDIST-family heuristics on the MBB trees, the
+/// triangle-inequality bound on the metric tree.
+#[test]
+fn candidate_ledger_balances_on_both_substrates() {
+    fn mbb_tree<I: KmstSubstrate>(label: &str, index: &mut I, store: &TrajectoryStore, seed: u64) {
+        let t = ledger_workload(label, index, store, seed);
+        assert_live(
+            label,
+            seed,
+            &[
+                ("heap_pushes", t.heap_pushes),
+                ("heap_pops", t.heap_pops),
+                ("node_accesses", t.nodes_accessed()),
+                ("buffer_hits", t.buffer_hits),
+                ("buffer_misses", t.buffer_misses),
+                ("bytes_decoded", t.bytes_decoded),
+                ("piece_evals", t.piece_evals()),
+                ("ldd_evals", t.pruning.ldd_evals),
+                ("opt_dissim_evals", t.pruning.opt_dissim_evals),
+                ("pes_dissim_evals", t.pruning.pes_dissim_evals),
+                ("opt_dissim_inc_evals", t.pruning.opt_dissim_inc_evals),
+                ("min_dissim_inc_evals", t.pruning.min_dissim_inc_evals),
+                (
+                    "prunes",
+                    t.candidates.pruned
+                        + t.pruning.opt_dissim_prunes
+                        + t.pruning.opt_dissim_inc_prunes
+                        + t.pruning.min_dissim_inc_prunes,
+                ),
+            ],
+        );
+    }
+    for seed in [3u64, 19] {
+        let store = gstd_store(30, 180, seed);
+        let (mut rtree, mut tbtree) = build_both(&store);
+        mbb_tree("rtree", &mut rtree, &store, seed);
+        mbb_tree("tbtree", &mut tbtree, &store, seed);
+        mbb_tree("strtree", &mut build(StrTree::new(), &store), &store, seed);
+        // The metric substrate never computes MBB bounds; its ledger lives
+        // in the triangle-inequality counters, its refinements are always
+        // exact, and its I/O shows up as leaf-chain reads.
+        let t = ledger_workload(
+            "metric",
+            &mut build(MetricTree::new(), &store),
+            &store,
+            seed,
+        );
+        assert_live(
+            "metric",
+            seed,
+            &[
+                ("heap_pushes", t.heap_pushes),
+                ("heap_pops", t.heap_pops),
+                ("node_accesses", t.nodes_accessed()),
+                ("buffer_misses", t.buffer_misses),
+                ("bytes_decoded", t.bytes_decoded),
+                ("exact_piece_evals", t.exact_piece_evals),
+                ("triangle_ineq_evals", t.pruning.triangle_ineq_evals),
+                ("triangle_ineq_prunes", t.pruning.triangle_ineq_prunes),
+                ("candidates_refined", t.candidates.refined),
+            ],
+        );
     }
 }
 
