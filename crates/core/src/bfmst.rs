@@ -260,6 +260,16 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
                 std::collections::hash_map::Entry::Vacant(v) => {
                     metrics.candidate_seen();
+                    // An object that does not cover the period can never
+                    // complete, yet its PESDISSIM key would tighten the kth
+                    // threshold and then vanish from the answer. (An id the
+                    // store does not know keeps its MissingTrajectory path.)
+                    if store.get(e.traj).is_some_and(|t| !t.covers(period)) {
+                        rejected.insert(e.traj);
+                        report.candidates_rejected += 1;
+                        metrics.candidate_pruned();
+                        continue;
+                    }
                     v.insert(Candidate::new(e.traj, merge_eps))
                 }
             };

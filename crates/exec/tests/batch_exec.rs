@@ -408,15 +408,16 @@ fn fault_injection_on_missing_shard_is_a_config_error() {
 /// on its first physical read, microseconds in, well before the
 /// deadline), then the healthy shard-1 job, whose multi-millisecond
 /// search observes the deadline expiring mid-traversal. The deadline is
-/// swept upward so a slow-to-start or fast-to-search machine still finds
-/// a window where both causes fire.
+/// swept upward from well under a release-mode search of this fleet, so
+/// a slow-to-start or fast-to-search machine, in either build profile,
+/// still finds a window where both causes fire.
 #[test]
 fn deadline_and_shard_fault_report_both_causes() {
     let fleet = fleet(64, 150);
     let period = TimeInterval::new(0.0, 149.0).expect("period");
     let q = &fleet[1].1;
 
-    for deadline_us in [4_000u64, 16_000, 64_000] {
+    for deadline_us in [250u64, 1_000, 4_000, 16_000, 64_000] {
         // Fresh database per attempt: quarantine from the previous round
         // must not leak into the next.
         let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");

@@ -11,17 +11,28 @@
 //!   size, at most 1000 pages);
 //! * [`Node`] — byte-serialized leaf/internal nodes; each leaf entry is one
 //!   trajectory *segment* `(trajectory id, sequence number, 3D line)`;
-//! * [`Rtree3D`] — a Guttman-style 3D (x, y, t) R-tree with quadratic split;
-//! * [`TbTree`] — the trajectory-bundle tree of Pfoser et al. (VLDB 2000):
-//!   leaves contain segments of a single trajectory, connected in a doubly
-//!   linked list, appended at the right-most path;
-//! * [`StrTree`] — Pfoser et al.'s spatio-temporal R-tree: R-tree structure
-//!   with trajectory-preserving insertion (the middle ground);
+//! * [`PagedTree`] — the one tree core under every substrate: metadata,
+//!   tip and parent maps, the Guttman descent with quadratic-split
+//!   propagation, tip appends and chained leaves, ancestor MBB upkeep,
+//!   audits, images, and the single [`TrajectoryIndex`] implementation. A
+//!   substrate is an [`InsertionPolicy`] over it — where a new segment
+//!   goes, plus whatever state is its own:
+//!   * [`Rtree3D`] — a Guttman-style 3D (x, y, t) R-tree: always the
+//!     least-enlargement descent; also deletion and STR bulk loading;
+//!   * [`StrTree`] — Pfoser et al.'s spatio-temporal R-tree: a segment
+//!     joins its predecessor's leaf while there is room, else descends
+//!     (the middle ground);
+//!   * [`TbTree`] — the trajectory-bundle tree of Pfoser et al. (VLDB
+//!     2000): single-trajectory leaves in a doubly linked list, attached
+//!     along the right-most path;
+//!   * [`MetricTree`] — TB-style leaf chains under a rebuilt directory,
+//!     plus an in-memory ball-partitioning directory over whole
+//!     trajectories;
 //! * [`mindist`] — the exact minimum distance between a (moving-point) query
 //!   trajectory and a node MBB over their temporal overlap, following
 //!   Frentzos et al.'s nearest-neighbour work that the paper builds on;
-//! * [`TrajectoryIndex`] — the read interface the search algorithm consumes,
-//!   implemented by both trees.
+//! * [`TrajectoryIndex`] / [`TrajectoryIndexWrite`] — the read interface
+//!   the search algorithm consumes and the write interface ingest uses.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -42,20 +53,22 @@ pub mod shared;
 mod strtree;
 mod tbtree;
 mod traits;
+mod tree;
 mod validate;
 
 pub use buffer::{BufferPool, BufferStats, LruCache};
 pub use fault::{FaultConfig, FaultInjector, FaultStats, FaultableStore, PageIo};
 pub use knn::{knn_segments, knn_segments_traced, KnnMatch};
-pub use metric::{BallKind, BallNode, MetricTree};
-pub use metrics::{MetricsSink, NoopSink, SharedSink};
+pub use metric::{BallKind, BallNode, MetricPolicy, MetricTree};
+pub use metrics::{MetricsSink, NoopSink};
 pub use node::{InternalEntry, LeafEntry, Node, INTERNAL_CAPACITY, LEAF_CAPACITY};
 pub use pagestore::{DiskStats, PageId, PageStore, PAGE_SIZE};
-pub use rtree::Rtree3D;
+pub use rtree::{Rtree3D, RtreePolicy};
 pub use shared::{ConcurrentIndex, IndexReader};
-pub use strtree::StrTree;
-pub use tbtree::TbTree;
+pub use strtree::{StrPolicy, StrTree};
+pub use tbtree::{TbPolicy, TbTree};
 pub use traits::{IndexStats, TrajectoryIndex, TrajectoryIndexWrite};
+pub use tree::{InsertionPolicy, PagedTree};
 pub use validate::{check_invariants, InvariantReport};
 
 /// Why an allocated page cannot be served (see

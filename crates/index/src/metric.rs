@@ -9,7 +9,7 @@
 //! * **Page layer** — segments live in single-trajectory leaf chains
 //!   exactly like the TB-tree's (owner + doubly linked leaf list), under a
 //!   wholesale-rebuilt MBB directory, so the tree is a full
-//!   [`TrajectoryIndex`]: range queries, the generic MBB descent, the
+//!   [`crate::TrajectoryIndex`]: range queries, the generic MBB descent, the
 //!   structural validator, and snapshots all work unchanged. Candidate
 //!   refinement reads chain pages through the buffer pool, so the metric
 //!   search pays honest I/O for every trajectory it cannot prune.
@@ -33,13 +33,10 @@ use std::collections::{HashMap, HashSet};
 use mst_prng::Rng;
 use mst_trajectory::{Mbb, Trajectory, TrajectoryId};
 
-use crate::metrics::{MetricsSink, NoopSink};
-use crate::persist::{Image, ImageKind};
-use crate::traits::Pager;
-use crate::{
-    IndexError, IndexStats, InternalEntry, LeafEntry, Node, PageId, PageStore, Result,
-    TrajectoryIndex, INTERNAL_CAPACITY, LEAF_CAPACITY, PAGE_SIZE,
-};
+use crate::metrics::MetricsSink;
+use crate::persist::ImageKind;
+use crate::tree::{sorted_pairs, InsertionPolicy, PagedTree, TreeCore};
+use crate::{IndexError, InternalEntry, LeafEntry, Node, PageId, Result, INTERNAL_CAPACITY};
 
 /// Fixed seed of the pivot-selection PRNG: every build over the same
 /// population picks the same pivots, keeping searches reproducible.
@@ -84,15 +81,19 @@ pub struct BallNode {
 }
 
 /// The ball-partitioning metric tree.
-pub struct MetricTree {
-    pager: Pager,
-    root: Option<PageId>,
-    height: u8,
-    /// Current tip leaf of each trajectory's chain.
-    tips: HashMap<TrajectoryId, PageId>,
-    /// Parent page of every node (root absent); used to keep directory
-    /// MBBs tight as tip leaves grow.
-    parents: HashMap<PageId, PageId>,
+pub type MetricTree = PagedTree<MetricPolicy>;
+
+/// The metric tree's policy and state. Segments must arrive in temporal
+/// order and be contiguous per trajectory (each starts exactly where the
+/// previous one ended): the metric layer computes whole-trajectory
+/// distances, so a gap would make the cached trajectory — and with it
+/// every stored distance — undefined. Placement is the TB-tree's tip
+/// append and chained leaf, under an MBB directory rebuilt wholesale
+/// whenever a leaf appears. Point deletes would leave the cached
+/// trajectories (and every stored ball distance) inconsistent, so the
+/// substrate declares itself delete-free.
+#[derive(Debug, Default)]
+pub struct MetricPolicy {
     /// Every leaf page in creation order with its current MBB — the input
     /// of the wholesale directory rebuild.
     leaf_index: Vec<(PageId, Mbb)>,
@@ -108,69 +109,15 @@ pub struct MetricTree {
     balls: Vec<BallNode>,
     ball_root: Option<usize>,
     balls_dirty: bool,
-    num_entries: u64,
-    max_speed: f64,
 }
 
-impl MetricTree {
-    /// Creates an empty tree.
-    pub fn new() -> Self {
-        MetricTree {
-            pager: Pager::new(),
-            root: None,
-            height: 0,
-            tips: HashMap::new(),
-            parents: HashMap::new(),
-            leaf_index: Vec::new(),
-            leaf_pos: HashMap::new(),
-            directory_pages: Vec::new(),
-            samples: HashMap::new(),
-            trajectories: HashMap::new(),
-            balls: Vec::new(),
-            ball_root: None,
-            balls_dirty: false,
-            num_entries: 0,
-            max_speed: 0.0,
-        }
-    }
+impl InsertionPolicy for MetricPolicy {
+    const KIND: ImageKind = ImageKind::MetricTree;
+    const NAME: &'static str = "metric";
+    const CHAINED_LEAVES: bool = true;
+    const PERSISTS_PARENTS: bool = false;
 
-    /// Inserts one trajectory segment.
-    ///
-    /// Segments of one trajectory must arrive in temporal order and be
-    /// contiguous (each segment starts exactly where the previous one
-    /// ended): the metric layer computes whole-trajectory distances, so a
-    /// gap would make the cached trajectory — and with it every stored
-    /// distance — undefined. Violations are a typed
-    /// [`IndexError::BadInsert`] with the structure unchanged.
-    pub fn insert(&mut self, entry: LeafEntry) -> Result<()> {
-        self.insert_impl(entry)?;
-        self.paranoid_audit("insert");
-        Ok(())
-    }
-
-    /// Audit hook behind the `paranoid` feature: re-validates the page
-    /// structure and buffer accounting after a mutation, with the I/O
-    /// counters snapshot-restored so measurements stay comparable.
-    #[cfg(feature = "paranoid")]
-    fn paranoid_audit(&mut self, op: &str) {
-        let disk = self.pager.store.stats();
-        let buf = self.pager.pool.stats();
-        let reads = self.pager.node_reads;
-        let failure = crate::check_invariants(self).err();
-        self.pager.store.set_stats(disk);
-        self.pager.pool.set_stats(buf);
-        self.pager.node_reads = reads;
-        if let Some(reason) = failure {
-            let _ = &reason;
-            debug_assert!(false, "paranoid audit after {op}: {reason}");
-        }
-    }
-
-    #[cfg(not(feature = "paranoid"))]
-    #[inline(always)]
-    fn paranoid_audit(&mut self, _op: &str) {}
-
-    fn insert_impl(&mut self, entry: LeafEntry) -> Result<()> {
+    fn insert(&mut self, core: &mut TreeCore, entry: LeafEntry) -> Result<()> {
         // 1. Validate continuity against the cached samples and extend
         //    them, before any page mutates — a rejected insert leaves the
         //    tree exactly as it was.
@@ -210,72 +157,96 @@ impl MetricTree {
                 )));
             }
         }
-        self.max_speed = self.max_speed.max(entry.segment.speed());
         self.balls_dirty = true;
 
         // 2. Page layer: append to the trajectory's tip leaf, or start a
         //    new chained leaf and rebuild the MBB directory over it.
-        if let Some(&tip) = self.tips.get(&entry.traj) {
-            let mut node = self.read_node(tip)?;
-            let Node::Leaf { entries, .. } = &mut node else {
-                return Err(IndexError::CorruptNode {
-                    page: tip,
-                    reason: "tip is not a leaf".into(),
-                });
-            };
-            if entries.len() < LEAF_CAPACITY {
-                entries.push(entry);
-                self.num_entries += 1;
-                let mbb = node.mbb();
-                self.pager.write_node(tip, &node)?;
-                if let Some(&pos) = self.leaf_pos.get(&tip) {
-                    if let Some(slot) = self.leaf_index.get_mut(pos) {
-                        slot.1 = mbb;
-                    }
+        if let Some((tip, mbb)) = core.append_to_tip(entry, |_| Ok(()))? {
+            if let Some(&pos) = self.leaf_pos.get(&tip) {
+                if let Some(slot) = self.leaf_index.get_mut(pos) {
+                    slot.1 = mbb;
                 }
-                return self.refresh_ancestors(tip, mbb);
             }
+            return Ok(());
         }
-
-        let prev_tip = self.tips.get(&entry.traj).copied();
-        let traj = entry.traj;
-        let new_leaf_node = Node::Leaf {
-            entries: vec![entry],
-            owner: Some(traj),
-            prev: prev_tip,
-            next: None,
-        };
-        let new_leaf = self.pager.allocate_node(&new_leaf_node)?;
-        self.num_entries += 1;
-        if let Some(prev) = prev_tip {
-            let mut prev_node = self.read_node(prev)?;
-            if let Node::Leaf { next, .. } = &mut prev_node {
-                *next = Some(new_leaf);
-            }
-            self.pager.write_node(prev, &prev_node)?;
-        }
-        self.tips.insert(traj, new_leaf);
-        self.leaf_pos.insert(new_leaf, self.leaf_index.len());
-        self.leaf_index.push((new_leaf, new_leaf_node.mbb()));
-        self.rebuild_directory()
+        let (leaf, mbb) = core.start_chained_leaf(entry)?;
+        self.leaf_pos.insert(leaf, self.leaf_index.len());
+        self.leaf_index.push((leaf, mbb));
+        self.rebuild_directory(core)
     }
 
-    /// Rebuilds the MBB directory wholesale over `leaf_index` (called when
-    /// a new leaf appears — every ~[`LEAF_CAPACITY`] inserts).
-    fn rebuild_directory(&mut self) -> Result<()> {
-        for page in std::mem::take(&mut self.directory_pages) {
-            self.pager.free_node(page)?;
+    /// The image's leaf chains are walked and every segment re-inserted in
+    /// `(trajectory, sequence)` order into a fresh tree: the derived state
+    /// (cached trajectories, leaf index, directory) is rebuilt from first
+    /// principles, so a structurally inconsistent image is rejected rather
+    /// than trusted.
+    fn restore(mut image: TreeCore) -> Result<(TreeCore, Self)> {
+        let mut entries: Vec<LeafEntry> = Vec::new();
+        for (traj, tip) in sorted_pairs(&image.tips) {
+            let mut cursor = Some(tip);
+            let mut seen: HashSet<PageId> = HashSet::new();
+            while let Some(page) = cursor {
+                if !seen.insert(page) {
+                    return Err(IndexError::Persist(format!(
+                        "leaf chain of {traj} contains a cycle at {page:?}"
+                    )));
+                }
+                let Node::Leaf {
+                    entries: es,
+                    owner,
+                    prev,
+                    ..
+                } = image.read_node(page)?
+                else {
+                    return Err(IndexError::Persist(format!(
+                        "leaf chain of {traj} points at an internal node"
+                    )));
+                };
+                if owner != Some(traj) {
+                    return Err(IndexError::Persist(format!(
+                        "leaf chain of {traj} crosses into a leaf owned by {owner:?}"
+                    )));
+                }
+                entries.extend(es);
+                cursor = prev;
+            }
         }
-        self.parents.clear();
+        if u64::try_from(entries.len()).unwrap_or(u64::MAX) != image.num_entries {
+            return Err(IndexError::Persist(format!(
+                "image advertises {} entries but its chains hold {}",
+                image.num_entries,
+                entries.len()
+            )));
+        }
+        entries.sort_by(|a, b| a.traj.cmp(&b.traj).then(a.seq.cmp(&b.seq)));
+        let mut core = TreeCore::new();
+        let mut policy = MetricPolicy::default();
+        for e in entries {
+            policy
+                .insert(&mut core, e)
+                .map_err(|err| IndexError::Persist(format!("image replay: {err}")))?;
+        }
+        Ok((core, policy))
+    }
+}
+
+impl MetricPolicy {
+    /// Rebuilds the MBB directory wholesale over `leaf_index` (called when
+    /// a new leaf appears — every ~[`crate::LEAF_CAPACITY`] inserts).
+    fn rebuild_directory(&mut self, core: &mut TreeCore) -> Result<()> {
+        for page in std::mem::take(&mut self.directory_pages) {
+            core.pager.free_node(page)?;
+        }
+        core.parents.clear();
         match self.leaf_index.as_slice() {
             [] => {
-                self.root = None;
-                self.height = 0;
+                core.root = None;
+                core.height = 0;
                 return Ok(());
             }
             [(page, _)] => {
-                self.root = Some(*page);
-                self.height = 1;
+                core.root = Some(*page);
+                core.height = 1;
                 return Ok(());
             }
             _ => {}
@@ -293,10 +264,10 @@ impl MetricTree {
                     level,
                     entries: chunk.to_vec(),
                 };
-                let page = self.pager.allocate_node(&node)?;
+                let page = core.pager.allocate_node(&node)?;
                 self.directory_pages.push(page);
                 for e in chunk {
-                    self.parents.insert(e.child, page);
+                    core.parents.insert(e.child, page);
                 }
                 next.push(InternalEntry {
                     child: page,
@@ -304,8 +275,8 @@ impl MetricTree {
                 });
             }
             if let [root] = next.as_slice() {
-                self.root = Some(root.child);
-                self.height = level + 1;
+                core.root = Some(root.child);
+                core.height = level + 1;
                 return Ok(());
             }
             level_entries = next;
@@ -319,63 +290,17 @@ impl MetricTree {
             };
         }
     }
+}
 
-    /// Propagates an updated leaf MBB to the root.
-    fn refresh_ancestors(&mut self, mut child: PageId, mut child_mbb: Mbb) -> Result<()> {
-        while let Some(&parent) = self.parents.get(&child) {
-            let mut node = self.read_node(parent)?;
-            let Node::Internal { entries, .. } = &mut node else {
-                return Err(IndexError::CorruptNode {
-                    page: parent,
-                    reason: "parent map points at a leaf".into(),
-                });
-            };
-            let slot = entries
-                .iter_mut()
-                .find(|e| e.child == child)
-                .ok_or_else(|| IndexError::CorruptNode {
-                    page: parent,
-                    reason: "parent does not reference child".into(),
-                })?;
-            if *slot
-                == (InternalEntry {
-                    child,
-                    mbb: child_mbb,
-                })
-            {
-                break;
-            }
-            slot.mbb = child_mbb;
-            let mbb = node.mbb();
-            self.pager.write_node(parent, &node)?;
-            child = parent;
-            child_mbb = mbb;
-        }
-        Ok(())
-    }
-
-    /// Inserts every segment of `trajectory` under `id`.
-    pub fn insert_trajectory(&mut self, id: TrajectoryId, trajectory: &Trajectory) -> Result<()> {
-        for (seq, segment) in trajectory.segments().enumerate() {
-            let seq = u32::try_from(seq)
-                .map_err(|_| IndexError::BadInsert(format!("segment count {seq} exceeds u32")))?;
-            self.insert(LeafEntry {
-                traj: id,
-                seq,
-                segment,
-            })?;
-        }
-        Ok(())
-    }
-
+impl MetricTree {
     /// Number of whole trajectories the tree holds.
     pub fn num_trajectories(&self) -> usize {
-        self.trajectories.len()
+        self.policy.trajectories.len()
     }
 
     /// The ids of every indexed trajectory, ascending.
     pub fn trajectory_ids(&self) -> Vec<TrajectoryId> {
-        let mut ids: Vec<TrajectoryId> = self.trajectories.keys().copied().collect();
+        let mut ids: Vec<TrajectoryId> = self.policy.trajectories.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -385,27 +310,27 @@ impl MetricTree {
     /// [`MetricTree::assemble_trajectory_traced`] instead, so candidate
     /// I/O stays honest.
     pub fn cached_trajectory(&self, id: TrajectoryId) -> Option<&Trajectory> {
-        self.trajectories.get(&id)
+        self.policy.trajectories.get(&id)
     }
 
     /// Root of the ball directory, when built and non-empty.
     pub fn ball_root(&self) -> Option<usize> {
-        self.ball_root
+        self.policy.ball_root
     }
 
     /// A ball-directory node by index.
     pub fn ball(&self, idx: usize) -> Option<&BallNode> {
-        self.balls.get(idx)
+        self.policy.balls.get(idx)
     }
 
     /// Number of ball-directory nodes.
     pub fn ball_count(&self) -> usize {
-        self.balls.len()
+        self.policy.balls.len()
     }
 
     /// True when a mutation has invalidated the ball directory.
     pub fn directory_stale(&self) -> bool {
-        self.balls_dirty
+        self.policy.balls_dirty
     }
 
     /// Builds (or rebuilds, after mutations) the ball directory using
@@ -419,24 +344,24 @@ impl MetricTree {
         E: std::fmt::Display,
         F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
     {
-        if !self.balls_dirty {
+        if !self.policy.balls_dirty {
             return Ok(());
         }
-        self.balls.clear();
-        self.ball_root = None;
+        self.policy.balls.clear();
+        self.policy.ball_root = None;
         let ids = self.trajectory_ids();
         if !ids.is_empty() {
             let mut rng = Rng::seed_from(PIVOT_SEED);
             let root = build_ball(
-                &self.trajectories,
-                &mut self.balls,
+                &self.policy.trajectories,
+                &mut self.policy.balls,
                 &ids,
                 &mut rng,
                 &mut dist,
             )?;
-            self.ball_root = root;
+            self.policy.ball_root = root;
         }
-        self.balls_dirty = false;
+        self.policy.balls_dirty = false;
         #[cfg(feature = "paranoid")]
         {
             if let Err(reason) = self.check_ball_invariants(&mut dist) {
@@ -462,24 +387,28 @@ impl MetricTree {
         E: std::fmt::Display,
         F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
     {
-        if self.balls_dirty {
+        if self.policy.balls_dirty {
             return Err("ball directory is stale: mutations since the last build".into());
         }
-        let Some(root) = self.ball_root else {
-            if self.trajectories.is_empty() {
+        let Some(root) = self.policy.ball_root else {
+            if self.policy.trajectories.is_empty() {
                 return Ok(());
             }
             return Err("tree holds trajectories but the ball directory is empty".into());
         };
         let mut covered: HashSet<TrajectoryId> = HashSet::new();
         self.audit_ball(root, &mut covered, &mut dist)?;
-        if covered.len() != self.trajectories.len()
-            || !self.trajectories.keys().all(|id| covered.contains(id))
+        if covered.len() != self.policy.trajectories.len()
+            || !self
+                .policy
+                .trajectories
+                .keys()
+                .all(|id| covered.contains(id))
         {
             return Err(format!(
                 "ball leaves cover {} trajectories but the tree holds {}",
                 covered.len(),
-                self.trajectories.len()
+                self.policy.trajectories.len()
             ));
         }
         Ok(())
@@ -497,10 +426,10 @@ impl MetricTree {
         E: std::fmt::Display,
         F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
     {
-        let Some(node) = self.balls.get(idx) else {
+        let Some(node) = self.policy.balls.get(idx) else {
             return Err(format!("ball index {idx} out of bounds"));
         };
-        let Some(pivot_t) = self.trajectories.get(&node.pivot) else {
+        let Some(pivot_t) = self.policy.trajectories.get(&node.pivot) else {
             return Err(format!("ball {idx} pivots on unknown {}", node.pivot));
         };
         let subtree: Vec<TrajectoryId> = match &node.kind {
@@ -514,7 +443,7 @@ impl MetricTree {
                     if !covered.insert(id) {
                         return Err(format!("{id} appears in more than one ball leaf"));
                     }
-                    let Some(t) = self.trajectories.get(&id) else {
+                    let Some(t) = self.policy.trajectories.get(&id) else {
                         return Err(format!("ball leaf {idx} lists unknown {id}"));
                     };
                     let d = dist(pivot_t, t).map_err(|e| format!("distance oracle: {e}"))?;
@@ -535,7 +464,7 @@ impl MetricTree {
             ));
         }
         for id in &subtree {
-            let Some(t) = self.trajectories.get(id) else {
+            let Some(t) = self.policy.trajectories.get(id) else {
                 return Err(format!("ball {idx} subtree lists unknown {id}"));
             };
             let d = dist(pivot_t, t).map_err(|e| format!("distance oracle: {e}"))?;
@@ -558,7 +487,7 @@ impl MetricTree {
         id: TrajectoryId,
         sink: &mut S,
     ) -> Result<Option<Trajectory>> {
-        let Some(&tip) = self.tips.get(&id) else {
+        let Some(&tip) = self.core.tips.get(&id) else {
             return Ok(None);
         };
         let mut entries: Vec<LeafEntry> = Vec::new();
@@ -571,7 +500,7 @@ impl MetricTree {
                     reason: "leaf chain contains a cycle".into(),
                 });
             }
-            let node = self.pager.read_node_traced(page, sink)?;
+            let node = self.core.pager.read_node_traced(page, sink)?;
             let Node::Leaf {
                 entries: es, prev, ..
             } = node
@@ -615,124 +544,6 @@ impl MetricTree {
                 page: tip,
                 reason: format!("chain of {id} does not assemble: {err}"),
             })
-    }
-
-    /// Flushes dirty buffered pages to the page store.
-    pub fn flush(&mut self) -> Result<()> {
-        self.pager.pool.flush(&mut self.pager.store)
-    }
-
-    /// Serializes the whole index into `writer` with LSN 0 — use
-    /// [`MetricTree::save_lsn`] when the tree lives under a write-ahead
-    /// log.
-    pub fn save<W: std::io::Write>(&mut self, writer: W) -> Result<()> {
-        self.save_lsn(writer, 0)
-    }
-
-    /// Serializes the whole index, stamping the image with the log
-    /// sequence number it is consistent through. Only the page layer is
-    /// persisted — the ball directory is derived state and is rebuilt by
-    /// the first search after loading.
-    pub fn save_lsn<W: std::io::Write>(&mut self, writer: W, lsn: u64) -> Result<()> {
-        self.flush()?;
-        let mut tips: Vec<(TrajectoryId, PageId)> =
-            self.tips.iter().map(|(t, p)| (*t, *p)).collect();
-        tips.sort();
-        let image = Image {
-            kind: ImageKind::MetricTree,
-            lsn,
-            root: self.root,
-            height: self.height,
-            entries: self.num_entries,
-            max_speed: self.max_speed,
-            pages: self.pager.store.raw_pages().map(Box::from).collect(),
-            free_list: self.pager.store.free_list().to_vec(),
-            tips,
-            parents: Vec::new(),
-        };
-        image.write_to(writer)
-    }
-
-    /// Saves the index to a file.
-    pub fn save_to_path<P: AsRef<std::path::Path>>(&mut self, path: P) -> Result<()> {
-        let file = std::fs::File::create(path).map_err(|e| IndexError::Persist(e.to_string()))?;
-        self.save(std::io::BufWriter::new(file))
-    }
-
-    /// Reconstructs an index from a persisted image.
-    pub fn load<R: std::io::Read>(reader: R) -> Result<Self> {
-        Ok(Self::load_lsn(reader)?.0)
-    }
-
-    /// Reconstructs an index from a persisted image, also returning the
-    /// log sequence number the image is consistent through.
-    ///
-    /// The image's leaf chains are walked and every segment re-inserted in
-    /// `(trajectory, sequence)` order: the derived state (cached
-    /// trajectories, leaf index, directory) is rebuilt from first
-    /// principles, so a structurally inconsistent image is rejected rather
-    /// than trusted.
-    pub fn load_lsn<R: std::io::Read>(reader: R) -> Result<(Self, u64)> {
-        let image = Image::read_from(reader)?;
-        if image.kind != ImageKind::MetricTree {
-            return Err(IndexError::Persist(
-                "image does not hold a metric tree".into(),
-            ));
-        }
-        let lsn = image.lsn;
-        let expected_entries = image.entries;
-        let store = PageStore::from_raw(image.pages, image.free_list);
-        let mut pager = Pager::from_store(store);
-        let mut entries: Vec<LeafEntry> = Vec::new();
-        for (traj, tip) in &image.tips {
-            let mut cursor = Some(*tip);
-            let mut seen: HashSet<PageId> = HashSet::new();
-            while let Some(page) = cursor {
-                if !seen.insert(page) {
-                    return Err(IndexError::Persist(format!(
-                        "leaf chain of {traj} contains a cycle at {page:?}"
-                    )));
-                }
-                let node = pager.read_node_traced(page, &mut NoopSink)?;
-                let Node::Leaf {
-                    entries: es,
-                    owner,
-                    prev,
-                    ..
-                } = node
-                else {
-                    return Err(IndexError::Persist(format!(
-                        "leaf chain of {traj} points at an internal node"
-                    )));
-                };
-                if owner != Some(*traj) {
-                    return Err(IndexError::Persist(format!(
-                        "leaf chain of {traj} crosses into a leaf owned by {owner:?}"
-                    )));
-                }
-                entries.extend(es);
-                cursor = prev;
-            }
-        }
-        if u64::try_from(entries.len()).unwrap_or(u64::MAX) != expected_entries {
-            return Err(IndexError::Persist(format!(
-                "image advertises {expected_entries} entries but its chains hold {}",
-                entries.len()
-            )));
-        }
-        entries.sort_by(|a, b| a.traj.cmp(&b.traj).then(a.seq.cmp(&b.seq)));
-        let mut tree = MetricTree::new();
-        for e in entries {
-            tree.insert_impl(e)
-                .map_err(|err| IndexError::Persist(format!("image replay: {err}")))?;
-        }
-        Ok((tree, lsn))
-    }
-
-    /// Loads an index from a file.
-    pub fn load_from_path<P: AsRef<std::path::Path>>(path: P) -> Result<Self> {
-        let file = std::fs::File::open(path).map_err(|e| IndexError::Persist(e.to_string()))?;
-        Self::load(std::io::BufReader::new(file))
     }
 }
 
@@ -793,18 +604,12 @@ where
     Ok(Some(balls.len() - 1))
 }
 
-impl Default for MetricTree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 impl MetricTree {
     /// Test-only: inflate or shrink a ball's covering radius, bypassing
     /// every invariant — used by the negative audit tests.
     pub(crate) fn corrupt_ball_radius_for_tests(&mut self, idx: usize, radius: f64) {
-        if let Some(b) = self.balls.get_mut(idx) {
+        if let Some(b) = self.policy.balls.get_mut(idx) {
             b.radius = radius;
         }
     }
@@ -814,103 +619,19 @@ impl MetricTree {
         if let Some(BallNode {
             kind: BallKind::Leaf { members },
             ..
-        }) = self.balls.get_mut(idx)
+        }) = self.policy.balls.get_mut(idx)
         {
             if let Some(m) = members.get_mut(pos) {
                 m.1 = d;
             }
         }
     }
-
-    /// Test-only: overwrite a node's page, bypassing every invariant.
-    pub(crate) fn corrupt_node_for_tests(&mut self, page: PageId, node: &Node) -> Result<()> {
-        self.pager.write_node(page, node)
-    }
-}
-
-impl crate::TrajectoryIndexWrite for MetricTree {
-    fn insert_entry(&mut self, entry: LeafEntry) -> Result<()> {
-        self.insert(entry)
-    }
-    // delete_entry keeps the refusing default: point deletes would leave
-    // the cached trajectories (and with them every stored ball distance)
-    // inconsistent, so the substrate declares itself delete-free.
-}
-
-impl TrajectoryIndex for MetricTree {
-    fn root(&self) -> Option<PageId> {
-        self.root
-    }
-
-    fn read_node_traced<S: MetricsSink>(&mut self, page: PageId, sink: &mut S) -> Result<Node> {
-        self.pager.read_node_traced(page, sink)
-    }
-
-    fn num_pages(&self) -> usize {
-        self.pager.store.num_pages()
-    }
-
-    fn num_entries(&self) -> u64 {
-        self.num_entries
-    }
-
-    fn height(&self) -> u8 {
-        self.height
-    }
-
-    fn max_speed(&self) -> f64 {
-        self.max_speed
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            pages: self.pager.store.num_pages(),
-            size_bytes: self.pager.store.num_pages() * PAGE_SIZE,
-            height: self.height,
-            entries: self.num_entries,
-            node_reads: self.pager.node_reads,
-            disk: self.pager.store.stats(),
-            buffer: self.pager.pool.stats(),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        self.pager.reset_stats();
-    }
-
-    fn clear_buffer(&mut self) -> Result<()> {
-        self.pager.clear_buffer()
-    }
-
-    fn set_buffer_capacity(&mut self, capacity: Option<usize>) -> Result<()> {
-        self.pager.set_fixed_capacity(capacity)
-    }
-
-    fn set_fault_injection(&mut self, config: Option<crate::fault::FaultConfig>) -> Result<()> {
-        self.pager.set_fault_injection(config);
-        Ok(())
-    }
-
-    fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.pager.store.fault_stats()
-    }
-
-    fn leaf_chain_tips(&self) -> Vec<(TrajectoryId, PageId)> {
-        let mut tips: Vec<(TrajectoryId, PageId)> =
-            self.tips.iter().map(|(&t, &p)| (t, p)).collect();
-        tips.sort_unstable();
-        tips
-    }
-
-    fn audit_buffer(&self) -> std::result::Result<(), String> {
-        self.pager.audit()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check_invariants;
+    use crate::{check_invariants, TrajectoryIndex};
     use mst_trajectory::{SamplePoint, Segment, TimeInterval};
     use std::convert::Infallible;
 
@@ -1004,11 +725,11 @@ mod tests {
         t.ensure_directory(|a, b| start_dist(a, b)).unwrap();
         assert!(t.ball_count() > 1, "20 trajectories split past one bucket");
         t.check_ball_invariants(|a, b| start_dist(a, b)).unwrap();
-        let first: Vec<BallNode> = t.balls.clone();
+        let first: Vec<BallNode> = t.policy.balls.clone();
         // Rebuild from scratch: identical directory.
-        t.balls_dirty = true;
+        t.policy.balls_dirty = true;
         t.ensure_directory(|a, b| start_dist(a, b)).unwrap();
-        assert_eq!(t.balls, first);
+        assert_eq!(t.policy.balls, first);
         // A mutation marks it stale; the audit notices.
         let extra = traj(100.0, 3);
         t.insert_trajectory(TrajectoryId(90), &extra).unwrap();
@@ -1119,7 +840,7 @@ mod tests {
         }
         // The rebuilt ball directory over the same population is identical.
         loaded.ensure_directory(|a, b| start_dist(a, b)).unwrap();
-        assert_eq!(loaded.balls, t.balls);
+        assert_eq!(loaded.policy.balls, t.policy.balls);
         // The loaded tree keeps accepting inserts.
         let more = traj(500.0, 4);
         loaded.insert_trajectory(TrajectoryId(50), &more).unwrap();

@@ -63,172 +63,6 @@ pub struct NoopSink;
 
 impl MetricsSink for NoopSink {}
 
-/// A lock-free, thread-shareable [`MetricsSink`] over atomic counters.
-///
-/// The trait takes `&mut self` so single-threaded sinks stay plain structs,
-/// but a concurrent executor wants many workers feeding one ledger. The
-/// trick: `SharedSink` records through `&self` internally, and the crate
-/// provides `impl MetricsSink for &SharedSink` — each worker holds its own
-/// `&SharedSink` copy (which it can borrow `&mut`) while all copies target
-/// the same atomics. Per-level node accesses are histogrammed up to
-/// [`SharedSink::LEVELS`] levels; deeper accesses saturate into the last
-/// bucket (trees here are far shallower in practice).
-#[derive(Debug, Default)]
-pub struct SharedSink {
-    node_accesses: [std::sync::atomic::AtomicU64; SharedSink::LEVELS],
-    buffer_hits: std::sync::atomic::AtomicU64,
-    buffer_misses: std::sync::atomic::AtomicU64,
-    bytes_decoded: std::sync::atomic::AtomicU64,
-    heap_pushes: std::sync::atomic::AtomicU64,
-    heap_pops: std::sync::atomic::AtomicU64,
-    io_retries: std::sync::atomic::AtomicU64,
-    checksum_failures: std::sync::atomic::AtomicU64,
-    pages_quarantined: std::sync::atomic::AtomicU64,
-}
-
-/// A plain-struct snapshot of a [`SharedSink`]'s counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedSinkSnapshot {
-    /// Node accesses histogrammed by tree level (index 0 = leaves).
-    pub node_accesses: [u64; SharedSink::LEVELS],
-    /// Buffer pool hits.
-    pub buffer_hits: u64,
-    /// Buffer pool misses.
-    pub buffer_misses: u64,
-    /// Bytes handed to the node decoder.
-    pub bytes_decoded: u64,
-    /// Best-first heap pushes.
-    pub heap_pushes: u64,
-    /// Best-first heap pops.
-    pub heap_pops: u64,
-    /// Physical reads retried after a retryable fault.
-    pub io_retries: u64,
-    /// Pages that failed checksum verification on fetch.
-    pub checksum_failures: u64,
-    /// Pages quarantined after exhausting their retry budget.
-    pub pages_quarantined: u64,
-}
-
-impl SharedSinkSnapshot {
-    /// Total node accesses across all levels.
-    pub fn total_node_accesses(&self) -> u64 {
-        self.node_accesses.iter().sum()
-    }
-}
-
-impl SharedSink {
-    /// Number of per-level node-access buckets.
-    pub const LEVELS: usize = 16;
-
-    /// A zeroed sink.
-    pub fn new() -> Self {
-        SharedSink::default()
-    }
-
-    fn record_node_access(&self, level: u8) {
-        let idx = (level as usize).min(SharedSink::LEVELS - 1);
-        self.node_accesses[idx].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Reads all counters. Relaxed ordering: the snapshot is a statistical
-    /// summary, not a synchronisation point; take it after workers joined
-    /// for exact totals.
-    pub fn snapshot(&self) -> SharedSinkSnapshot {
-        use std::sync::atomic::Ordering::Relaxed;
-        let mut node_accesses = [0u64; SharedSink::LEVELS];
-        for (slot, counter) in node_accesses.iter_mut().zip(self.node_accesses.iter()) {
-            *slot = counter.load(Relaxed);
-        }
-        SharedSinkSnapshot {
-            node_accesses,
-            buffer_hits: self.buffer_hits.load(Relaxed),
-            buffer_misses: self.buffer_misses.load(Relaxed),
-            bytes_decoded: self.bytes_decoded.load(Relaxed),
-            heap_pushes: self.heap_pushes.load(Relaxed),
-            heap_pops: self.heap_pops.load(Relaxed),
-            io_retries: self.io_retries.load(Relaxed),
-            checksum_failures: self.checksum_failures.load(Relaxed),
-            pages_quarantined: self.pages_quarantined.load(Relaxed),
-        }
-    }
-}
-
-impl MetricsSink for SharedSink {
-    fn node_access(&mut self, level: u8) {
-        self.record_node_access(level);
-    }
-    fn buffer_hit(&mut self) {
-        self.buffer_hits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn buffer_miss(&mut self) {
-        self.buffer_misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn bytes_decoded(&mut self, n: u64) {
-        self.bytes_decoded
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn heap_push(&mut self) {
-        self.heap_pushes
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn heap_pop(&mut self) {
-        self.heap_pops
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn io_retry(&mut self) {
-        self.io_retries
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn io_checksum_failure(&mut self) {
-        self.checksum_failures
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn io_quarantine(&mut self) {
-        self.pages_quarantined
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-impl MetricsSink for &SharedSink {
-    fn node_access(&mut self, level: u8) {
-        self.record_node_access(level);
-    }
-    fn buffer_hit(&mut self) {
-        self.buffer_hits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn buffer_miss(&mut self) {
-        self.buffer_misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn bytes_decoded(&mut self, n: u64) {
-        self.bytes_decoded
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn heap_push(&mut self) {
-        self.heap_pushes
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn heap_pop(&mut self) {
-        self.heap_pops
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn io_retry(&mut self) {
-        self.io_retries
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn io_checksum_failure(&mut self) {
-        self.checksum_failures
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn io_quarantine(&mut self) {
-        self.pages_quarantined
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
 impl<S: MetricsSink + ?Sized> MetricsSink for &mut S {
     fn node_access(&mut self, level: u8) {
         (**self).node_access(level);
@@ -342,49 +176,5 @@ mod tests {
     #[test]
     fn noop_sink_accepts_every_event() {
         drive(&mut NoopSink);
-    }
-
-    #[test]
-    fn shared_sink_records_through_shared_references() {
-        let sink = SharedSink::new();
-        drive(&mut &sink);
-        drive(&mut &sink);
-        let snap = sink.snapshot();
-        assert_eq!(snap.total_node_accesses(), 4);
-        assert_eq!(snap.node_accesses[0], 2);
-        assert_eq!(snap.node_accesses[2], 2);
-        assert_eq!((snap.buffer_hits, snap.buffer_misses), (2, 2));
-        assert_eq!(snap.bytes_decoded, 8192);
-        assert_eq!((snap.heap_pushes, snap.heap_pops), (4, 2));
-        assert_eq!(snap.io_retries, 4);
-        assert_eq!(snap.checksum_failures, 2);
-        assert_eq!(snap.pages_quarantined, 2);
-    }
-
-    #[test]
-    fn shared_sink_sums_across_threads() {
-        let sink = SharedSink::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        drive(&mut &sink);
-                    }
-                });
-            }
-        });
-        let snap = sink.snapshot();
-        assert_eq!(snap.total_node_accesses(), 800);
-        assert_eq!(snap.heap_pushes, 800);
-    }
-
-    #[test]
-    fn deep_levels_saturate_into_the_last_bucket() {
-        let sink = SharedSink::new();
-        let mut by_ref = &sink;
-        by_ref.node_access(200);
-        by_ref.node_access(255);
-        let snap = sink.snapshot();
-        assert_eq!(snap.node_accesses[SharedSink::LEVELS - 1], 2);
     }
 }

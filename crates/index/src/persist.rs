@@ -1,10 +1,10 @@
 //! Single-file persistence for the index structures.
 //!
-//! Both trees serialize into the same framed binary image:
+//! Every substrate serializes into the same framed binary image:
 //!
 //! ```text
 //! magic   "MSTIDX02"                       8 bytes
-//! kind    u8 (0 = 3D R-tree, 1 = TB-tree, 2 = STR-tree)
+//! kind    u8 (0 = 3D R-tree, 1 = TB-tree, 2 = STR-tree, 3 = metric tree)
 //! lsn     u64  (log sequence number the image is consistent through)
 //! root    u32 (PageId::NONE for empty)
 //! height  u8
@@ -12,8 +12,8 @@
 //! vmax    f64
 //! pages   u64  (total allocated slots, including freed)
 //! free    u32 count, then that many u32 page ids
-//! tips    u32 count, then (u64 traj, u32 page) pairs   (TB-tree only)
-//! parents u32 count, then (u32 child, u32 parent) pairs (TB-tree only)
+//! tips    u32 count, then (u64 traj, u32 page) pairs   (empty for the R-tree)
+//! parents u32 count, then (u32 child, u32 parent) pairs (TB- and STR-tree)
 //! data    pages × 4096 raw bytes
 //! ```
 //!
@@ -31,7 +31,9 @@ use std::io::{Read, Write};
 
 use mst_trajectory::TrajectoryId;
 
-use crate::{IndexError, PageId, Result, PAGE_SIZE};
+use crate::traits::Pager;
+use crate::tree::{sorted_pairs, TreeCore};
+use crate::{IndexError, PageId, PageStore, Result, PAGE_SIZE};
 
 const MAGIC: &[u8; 8] = b"MSTIDX02";
 
@@ -48,8 +50,7 @@ pub enum ImageKind {
     MetricTree,
 }
 
-/// Everything needed to reconstruct a tree (internal representation shared
-/// by both save paths).
+/// Everything needed to reconstruct a tree.
 pub(crate) struct Image {
     pub kind: ImageKind,
     /// Log sequence number this image is consistent through (0 when the
@@ -70,6 +71,41 @@ fn io_err(e: std::io::Error) -> IndexError {
 }
 
 impl Image {
+    /// The image of `core` as its page store stands (flush first), stamped
+    /// with `kind` and `lsn`. The one place a tree becomes an image.
+    pub(crate) fn capture(core: &TreeCore, kind: ImageKind, lsn: u64, with_parents: bool) -> Image {
+        Image {
+            kind,
+            lsn,
+            root: core.root,
+            height: core.height,
+            entries: core.num_entries,
+            max_speed: core.max_speed,
+            pages: core.pager.store.raw_pages().map(Box::from).collect(),
+            free_list: core.pager.store.free_list().to_vec(),
+            tips: sorted_pairs(&core.tips),
+            parents: if with_parents {
+                sorted_pairs(&core.parents)
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// Rebuilds the page store behind a cold buffer and hands back the
+    /// tree the image describes.
+    pub(crate) fn into_core(self) -> TreeCore {
+        TreeCore {
+            pager: Pager::from_store(PageStore::from_raw(self.pages, self.free_list)),
+            root: self.root,
+            height: self.height,
+            num_entries: self.entries,
+            max_speed: self.max_speed,
+            tips: self.tips.into_iter().collect(),
+            parents: self.parents.into_iter().collect(),
+        }
+    }
+
     pub(crate) fn write_to<W: Write>(&self, mut w: W) -> Result<()> {
         let mut header = Vec::with_capacity(64);
         header.extend_from_slice(MAGIC);

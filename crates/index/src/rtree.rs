@@ -6,192 +6,69 @@
 //! line segments. Insertion descends by least volume enlargement and
 //! resolves overflows with the quadratic split.
 
-use mst_trajectory::{Mbb, Trajectory, TrajectoryId};
+use mst_trajectory::{Mbb, TrajectoryId};
 
-use crate::persist::{Image, ImageKind};
-use crate::traits::Pager;
+use crate::persist::ImageKind;
+use crate::tree::{DescentHooks, InsertionPolicy, PagedTree, TreeCore};
 use crate::{
-    IndexError, IndexStats, InternalEntry, LeafEntry, Node, PageId, PageStore, Result,
-    TrajectoryIndex, INTERNAL_CAPACITY, LEAF_CAPACITY, PAGE_SIZE,
+    IndexError, InternalEntry, LeafEntry, Node, PageId, Result, TrajectoryIndexWrite,
+    INTERNAL_CAPACITY, LEAF_CAPACITY,
 };
 
 /// Minimum fill fraction enforced by the quadratic split.
 pub(crate) const MIN_FILL_RATIO: f64 = 0.4;
 
 /// A Guttman-style 3D R-tree storing one entry per trajectory segment.
-pub struct Rtree3D {
-    pager: Pager,
-    root: Option<PageId>,
-    height: u8,
-    num_entries: u64,
-    max_speed: f64,
+pub type Rtree3D = PagedTree<RtreePolicy>;
+
+/// The 3D R-tree's policy: every segment goes down the least-enlargement
+/// descent, with no tip or parent bookkeeping; point deletes condense the
+/// tree à la Guttman.
+#[derive(Debug, Default)]
+pub struct RtreePolicy;
+
+impl DescentHooks for RtreePolicy {}
+
+impl InsertionPolicy for RtreePolicy {
+    const KIND: ImageKind = ImageKind::Rtree3D;
+    const NAME: &'static str = "rtree";
+    const SUPPORTS_DELETE: bool = true;
+
+    fn insert(&mut self, core: &mut TreeCore, entry: LeafEntry) -> Result<()> {
+        core.insert_by_descent::<RtreePolicy>(entry)
+    }
+
+    fn delete(&mut self, core: &mut TreeCore, traj: TrajectoryId, seq: u32) -> Result<bool> {
+        let Some(root) = core.root else {
+            return Ok(false);
+        };
+        let mut path: Vec<(PageId, usize)> = Vec::new();
+        let Some(leaf_page) = find_leaf(core, root, traj, seq, &mut path)? else {
+            return Ok(false);
+        };
+
+        let mut node = core.read_node(leaf_page)?;
+        let Node::Leaf { entries, .. } = &mut node else {
+            return Err(IndexError::CorruptNode {
+                page: leaf_page,
+                reason: "find_leaf returned a non-leaf page".into(),
+            });
+        };
+        let Some(idx) = entries.iter().position(|e| e.traj == traj && e.seq == seq) else {
+            return Err(IndexError::CorruptNode {
+                page: leaf_page,
+                reason: "leaf lost the matched entry between lookup and delete".into(),
+            });
+        };
+        entries.remove(idx);
+        core.num_entries -= 1;
+        core.pager.write_node(leaf_page, &node)?;
+        condense(core, leaf_page, node, path)?;
+        Ok(true)
+    }
 }
 
 impl Rtree3D {
-    /// Creates an empty tree.
-    pub fn new() -> Self {
-        Rtree3D {
-            pager: Pager::new(),
-            root: None,
-            height: 0,
-            num_entries: 0,
-            max_speed: 0.0,
-        }
-    }
-
-    /// Inserts one trajectory segment.
-    pub fn insert(&mut self, entry: LeafEntry) -> Result<()> {
-        self.insert_impl(entry)?;
-        self.paranoid_audit("insert");
-        Ok(())
-    }
-
-    /// Audit hook behind the `paranoid` feature: re-validates the whole
-    /// tree and the buffer accounting after a mutating operation. The I/O
-    /// counters are snapshot-restored around the audit so measurements stay
-    /// comparable with unaudited runs.
-    #[cfg(feature = "paranoid")]
-    fn paranoid_audit(&mut self, op: &str) {
-        let disk = self.pager.store.stats();
-        let buf = self.pager.pool.stats();
-        let reads = self.pager.node_reads;
-        let failure = crate::check_invariants(self).err();
-        self.pager.store.set_stats(disk);
-        self.pager.pool.set_stats(buf);
-        self.pager.node_reads = reads;
-        if let Some(reason) = failure {
-            let _ = &reason;
-            debug_assert!(false, "paranoid audit after {op}: {reason}");
-        }
-    }
-
-    #[cfg(not(feature = "paranoid"))]
-    #[inline(always)]
-    fn paranoid_audit(&mut self, _op: &str) {}
-
-    fn insert_impl(&mut self, entry: LeafEntry) -> Result<()> {
-        self.max_speed = self.max_speed.max(entry.segment.speed());
-        self.num_entries += 1;
-
-        let Some(root) = self.root else {
-            let node = Node::Leaf {
-                entries: vec![entry],
-                owner: None,
-                prev: None,
-                next: None,
-            };
-            self.root = Some(self.pager.allocate_node(&node)?);
-            self.height = 1;
-            return Ok(());
-        };
-
-        // Descend to the best leaf, remembering the path.
-        let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.height as usize);
-        let mut current = root;
-        while let Node::Internal { entries, .. } = self.read_node(current)? {
-            let idx = choose_subtree(&entries, &entry.mbb());
-            path.push((current, idx));
-            current = entries[idx].child;
-        }
-
-        // Insert into the leaf, splitting on overflow.
-        let mut leaf = self.read_node(current)?;
-        let Node::Leaf { entries, .. } = &mut leaf else {
-            return Err(IndexError::CorruptNode {
-                page: current,
-                reason: "descent ended on an internal node".into(),
-            });
-        };
-        entries.push(entry);
-        let mut updated_mbb; // MBB of the child we just modified
-        let mut split: Option<InternalEntry> = None;
-        if entries.len() > LEAF_CAPACITY {
-            let min_fill = (LEAF_CAPACITY as f64 * MIN_FILL_RATIO).ceil() as usize;
-            let items: Vec<(Mbb, LeafEntry)> = entries.iter().map(|e| (e.mbb(), *e)).collect();
-            let (a, b) = quadratic_split(items, min_fill);
-            let node_a = Node::Leaf {
-                entries: a.into_iter().map(|(_, e)| e).collect(),
-                owner: None,
-                prev: None,
-                next: None,
-            };
-            let node_b = Node::Leaf {
-                entries: b.into_iter().map(|(_, e)| e).collect(),
-                owner: None,
-                prev: None,
-                next: None,
-            };
-            updated_mbb = node_a.mbb();
-            self.pager.write_node(current, &node_a)?;
-            let new_page = self.pager.allocate_node(&node_b)?;
-            split = Some(InternalEntry {
-                child: new_page,
-                mbb: node_b.mbb(),
-            });
-        } else {
-            updated_mbb = leaf.mbb();
-            self.pager.write_node(current, &leaf)?;
-        }
-
-        // Walk back up: refresh the child MBB, absorb any split.
-        for &(page, child_idx) in path.iter().rev() {
-            let mut node = self.read_node(page)?;
-            let Node::Internal { level, entries } = &mut node else {
-                return Err(IndexError::CorruptNode {
-                    page,
-                    reason: "path node is not internal".into(),
-                });
-            };
-            entries[child_idx].mbb = updated_mbb;
-            if let Some(new_entry) = split.take() {
-                entries.push(new_entry);
-                if entries.len() > INTERNAL_CAPACITY {
-                    let min_fill = (INTERNAL_CAPACITY as f64 * MIN_FILL_RATIO).ceil() as usize;
-                    let items: Vec<(Mbb, InternalEntry)> =
-                        entries.iter().map(|e| (e.mbb, *e)).collect();
-                    let (a, b) = quadratic_split(items, min_fill);
-                    let level = *level;
-                    let node_a = Node::Internal {
-                        level,
-                        entries: a.into_iter().map(|(_, e)| e).collect(),
-                    };
-                    let node_b = Node::Internal {
-                        level,
-                        entries: b.into_iter().map(|(_, e)| e).collect(),
-                    };
-                    updated_mbb = node_a.mbb();
-                    self.pager.write_node(page, &node_a)?;
-                    let new_page = self.pager.allocate_node(&node_b)?;
-                    split = Some(InternalEntry {
-                        child: new_page,
-                        mbb: node_b.mbb(),
-                    });
-                    continue;
-                }
-            }
-            updated_mbb = node.mbb();
-            self.pager.write_node(page, &node)?;
-        }
-
-        // Root split: grow the tree by one level.
-        if let Some(new_entry) = split {
-            let old_root_mbb = self.read_node(root)?.mbb();
-            let new_root = Node::Internal {
-                level: self.height,
-                entries: vec![
-                    InternalEntry {
-                        child: root,
-                        mbb: old_root_mbb,
-                    },
-                    new_entry,
-                ],
-            };
-            self.root = Some(self.pager.allocate_node(&new_root)?);
-            self.height += 1;
-        }
-        Ok(())
-    }
-
     /// Builds a tree bottom-up from a batch of entries with Sort-Tile-
     /// Recursive packing (Leutenegger et al.): leaves are filled to
     /// capacity along an x/y/t tiling, then each directory level is packed
@@ -203,8 +80,9 @@ impl Rtree3D {
         if entries.is_empty() {
             return Ok(tree);
         }
-        tree.num_entries = entries.len() as u64;
-        tree.max_speed = entries
+        let core = &mut tree.core;
+        core.num_entries = entries.len() as u64;
+        core.max_speed = entries
             .iter()
             .map(|e| e.segment.speed())
             .fold(0.0, f64::max);
@@ -222,10 +100,10 @@ impl Rtree3D {
                 next: None,
             };
             let mbb = node.mbb();
-            let page = tree.pager.allocate_node(&node)?;
+            let page = core.pager.allocate_node(&node)?;
             level_entries.push(InternalEntry { child: page, mbb });
         }
-        tree.height = 1;
+        core.height = 1;
 
         // Pack directory levels until one node remains.
         while level_entries.len() > 1 {
@@ -236,104 +114,19 @@ impl Rtree3D {
             let mut next: Vec<InternalEntry> = Vec::with_capacity(groups.len());
             for g in groups {
                 let node = Node::Internal {
-                    level: tree.height,
+                    level: core.height,
                     entries: g.into_iter().map(|(_, e)| e).collect(),
                 };
                 let mbb = node.mbb();
-                let page = tree.pager.allocate_node(&node)?;
+                let page = core.pager.allocate_node(&node)?;
                 next.push(InternalEntry { child: page, mbb });
             }
             level_entries = next;
-            tree.height += 1;
+            core.height += 1;
         }
-        tree.root = Some(level_entries[0].child);
+        core.root = Some(level_entries[0].child);
         tree.paranoid_audit("bulk_load");
         Ok(tree)
-    }
-
-    /// Inserts every segment of `trajectory` under `id` (sequence numbers
-    /// follow the segment order).
-    pub fn insert_trajectory(&mut self, id: TrajectoryId, trajectory: &Trajectory) -> Result<()> {
-        for (seq, segment) in trajectory.segments().enumerate() {
-            self.insert(LeafEntry {
-                traj: id,
-                seq: seq as u32,
-                segment,
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Flushes dirty buffered pages to the page store.
-    pub fn flush(&mut self) -> Result<()> {
-        self.pager.pool.flush(&mut self.pager.store)
-    }
-
-    /// Serializes the whole index into `writer` (dirty pages are flushed
-    /// first, so the image is a faithful snapshot). The image carries LSN 0
-    /// — use [`Rtree3D::save_lsn`] when the tree lives under a write-ahead
-    /// log.
-    pub fn save<W: std::io::Write>(&mut self, writer: W) -> Result<()> {
-        self.save_lsn(writer, 0)
-    }
-
-    /// Serializes the whole index into `writer`, stamping the image with
-    /// the log sequence number it is consistent through.
-    pub fn save_lsn<W: std::io::Write>(&mut self, writer: W, lsn: u64) -> Result<()> {
-        self.flush()?;
-        let image = Image {
-            kind: ImageKind::Rtree3D,
-            lsn,
-            root: self.root,
-            height: self.height,
-            entries: self.num_entries,
-            max_speed: self.max_speed,
-            pages: self.pager.store.raw_pages().map(Box::from).collect(),
-            free_list: self.pager.store.free_list().to_vec(),
-            tips: Vec::new(),
-            parents: Vec::new(),
-        };
-        image.write_to(writer)
-    }
-
-    /// Saves the index to a file.
-    pub fn save_to_path<P: AsRef<std::path::Path>>(&mut self, path: P) -> Result<()> {
-        let file = std::fs::File::create(path).map_err(|e| IndexError::Persist(e.to_string()))?;
-        self.save(std::io::BufWriter::new(file))
-    }
-
-    /// Reconstructs an index from a persisted image.
-    pub fn load<R: std::io::Read>(reader: R) -> Result<Self> {
-        Ok(Self::load_lsn(reader)?.0)
-    }
-
-    /// Reconstructs an index from a persisted image, also returning the log
-    /// sequence number the image is consistent through.
-    pub fn load_lsn<R: std::io::Read>(reader: R) -> Result<(Self, u64)> {
-        let image = Image::read_from(reader)?;
-        if image.kind != ImageKind::Rtree3D {
-            return Err(IndexError::Persist(
-                "image holds a TB-tree, not a 3D R-tree".into(),
-            ));
-        }
-        let lsn = image.lsn;
-        let store = PageStore::from_raw(image.pages, image.free_list);
-        Ok((
-            Rtree3D {
-                pager: Pager::from_store(store),
-                root: image.root,
-                height: image.height,
-                num_entries: image.entries,
-                max_speed: image.max_speed,
-            },
-            lsn,
-        ))
-    }
-
-    /// Loads an index from a file.
-    pub fn load_from_path<P: AsRef<std::path::Path>>(path: P) -> Result<Self> {
-        let file = std::fs::File::open(path).map_err(|e| IndexError::Persist(e.to_string()))?;
-        Self::load(std::io::BufReader::new(file))
     }
 
     /// Deletes one segment entry (matched by trajectory id + sequence
@@ -345,264 +138,130 @@ impl Rtree3D {
     /// `max_speed` is intentionally *not* recomputed — it remains a sound
     /// (if possibly loose) upper bound for the Vmax-based pruning metrics.
     pub fn delete(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
-        let deleted = self.delete_impl(traj, seq)?;
-        self.paranoid_audit("delete");
-        Ok(deleted)
+        self.delete_entry(traj, seq)
     }
+}
 
-    fn delete_impl(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
-        let Some(root) = self.root else {
-            return Ok(false);
-        };
-        let mut path: Vec<(PageId, usize)> = Vec::new();
-        let Some(leaf_page) = self.find_leaf(root, traj, seq, &mut path)? else {
-            return Ok(false);
-        };
-
-        let mut node = self.read_node(leaf_page)?;
-        let Node::Leaf { entries, .. } = &mut node else {
-            return Err(IndexError::CorruptNode {
-                page: leaf_page,
-                reason: "find_leaf returned a non-leaf page".into(),
-            });
-        };
-        let Some(idx) = entries.iter().position(|e| e.traj == traj && e.seq == seq) else {
-            return Err(IndexError::CorruptNode {
-                page: leaf_page,
-                reason: "leaf lost the matched entry between lookup and delete".into(),
-            });
-        };
-        entries.remove(idx);
-        self.num_entries -= 1;
-        self.pager.write_node(leaf_page, &node)?;
-        self.condense(leaf_page, node, path)?;
-        Ok(true)
-    }
-
-    /// Depth-first search for the leaf holding `(traj, seq)`, recording the
-    /// root-to-parent path of the match.
-    fn find_leaf(
-        &mut self,
-        page: PageId,
-        traj: TrajectoryId,
-        seq: u32,
-        path: &mut Vec<(PageId, usize)>,
-    ) -> Result<Option<PageId>> {
-        match self.read_node(page)? {
-            Node::Leaf { entries, .. } => {
-                if entries.iter().any(|e| e.traj == traj && e.seq == seq) {
-                    Ok(Some(page))
-                } else {
-                    Ok(None)
-                }
-            }
-            Node::Internal { entries, .. } => {
-                for (i, e) in entries.iter().enumerate() {
-                    path.push((page, i));
-                    if let Some(found) = self.find_leaf(e.child, traj, seq, path)? {
-                        return Ok(Some(found));
-                    }
-                    path.pop();
-                }
+/// Depth-first search for the leaf holding `(traj, seq)`, recording the
+/// root-to-parent path of the match.
+fn find_leaf(
+    core: &mut TreeCore,
+    page: PageId,
+    traj: TrajectoryId,
+    seq: u32,
+    path: &mut Vec<(PageId, usize)>,
+) -> Result<Option<PageId>> {
+    match core.read_node(page)? {
+        Node::Leaf { entries, .. } => {
+            if entries.iter().any(|e| e.traj == traj && e.seq == seq) {
+                Ok(Some(page))
+            } else {
                 Ok(None)
             }
         }
+        Node::Internal { entries, .. } => {
+            for (i, e) in entries.iter().enumerate() {
+                path.push((page, i));
+                if let Some(found) = find_leaf(core, e.child, traj, seq, path)? {
+                    return Ok(Some(found));
+                }
+                path.pop();
+            }
+            Ok(None)
+        }
+    }
+}
+
+/// Guttman's CondenseTree: walk the deletion path upward, dissolving
+/// underfull nodes (their leaf entries are reinserted afterwards) and
+/// tightening ancestor MBBs; then shrink the root while it has a single
+/// child.
+fn condense(
+    core: &mut TreeCore,
+    mut child_page: PageId,
+    mut child_node: Node,
+    path: Vec<(PageId, usize)>,
+) -> Result<()> {
+    let mut orphans: Vec<LeafEntry> = Vec::new();
+    for &(parent_page, child_idx) in path.iter().rev() {
+        let mut parent = core.read_node(parent_page)?;
+        let Node::Internal { entries, .. } = &mut parent else {
+            return Err(IndexError::CorruptNode {
+                page: parent_page,
+                reason: "deletion path holds a leaf above level 0".into(),
+            });
+        };
+        let min_fill = (child_node.capacity() as f64 * MIN_FILL_RATIO).ceil() as usize;
+        if child_node.len() < min_fill {
+            // Dissolve the child: harvest its leaf entries, free its
+            // pages, drop it from the parent.
+            harvest(core, &child_node, &mut orphans)?;
+            core.pager.free_node(child_page)?;
+            entries.remove(child_idx);
+        } else {
+            entries[child_idx].mbb = child_node.mbb();
+        }
+        core.pager.write_node(parent_page, &parent)?;
+        child_page = parent_page;
+        child_node = parent;
     }
 
-    /// Guttman's CondenseTree: walk the deletion path upward, dissolving
-    /// underfull nodes (their leaf entries are reinserted afterwards) and
-    /// tightening ancestor MBBs; then shrink the root while it has a single
-    /// child.
-    fn condense(
-        &mut self,
-        mut child_page: PageId,
-        mut child_node: Node,
-        path: Vec<(PageId, usize)>,
-    ) -> Result<()> {
-        let mut orphans: Vec<LeafEntry> = Vec::new();
-        for &(parent_page, child_idx) in path.iter().rev() {
-            let mut parent = self.read_node(parent_page)?;
-            let Node::Internal { entries, .. } = &mut parent else {
-                return Err(IndexError::CorruptNode {
-                    page: parent_page,
-                    reason: "deletion path holds a leaf above level 0".into(),
-                });
-            };
-            let min_fill = (child_node.capacity() as f64 * MIN_FILL_RATIO).ceil() as usize;
-            if child_node.len() < min_fill {
-                // Dissolve the child: harvest its leaf entries, free its
-                // pages, drop it from the parent.
-                self.harvest(&child_node, &mut orphans)?;
-                self.pager.free_node(child_page)?;
-                entries.remove(child_idx);
-            } else {
-                entries[child_idx].mbb = child_node.mbb();
+    // Shrink the root: empty leaf -> empty tree; single-child internal
+    // chains collapse.
+    loop {
+        match &child_node {
+            Node::Leaf { entries, .. } => {
+                if entries.is_empty() && orphans.is_empty() {
+                    core.pager.free_node(child_page)?;
+                    core.root = None;
+                    core.height = 0;
+                }
+                break;
             }
-            self.pager.write_node(parent_page, &parent)?;
-            child_page = parent_page;
-            child_node = parent;
-        }
-
-        // Shrink the root: empty leaf -> empty tree; single-child internal
-        // chains collapse.
-        loop {
-            match &child_node {
-                Node::Leaf { entries, .. } => {
-                    if entries.is_empty() && orphans.is_empty() {
-                        self.pager.free_node(child_page)?;
-                        self.root = None;
-                        self.height = 0;
-                    }
+            Node::Internal { entries, .. } => match entries.len() {
+                0 => {
+                    core.pager.free_node(child_page)?;
+                    core.root = None;
+                    core.height = 0;
                     break;
                 }
-                Node::Internal { entries, .. } => match entries.len() {
-                    0 => {
-                        self.pager.free_node(child_page)?;
-                        self.root = None;
-                        self.height = 0;
-                        break;
-                    }
-                    1 => {
-                        let only = entries[0].child;
-                        self.pager.free_node(child_page)?;
-                        self.root = Some(only);
-                        self.height -= 1;
-                        child_page = only;
-                        child_node = self.read_node(only)?;
-                    }
-                    _ => break,
-                },
-            }
-        }
-
-        // Reinsert what the dissolved nodes still held. `insert_impl`
-        // counts entries, so compensate; the unaudited path is deliberate —
-        // the tree is transiently inconsistent until the last orphan lands,
-        // and the delete wrapper audits the final state.
-        for e in orphans {
-            self.num_entries -= 1;
-            self.insert_impl(e)?;
-        }
-        Ok(())
-    }
-
-    /// Collects every leaf entry below `node` and frees the visited
-    /// descendant pages (the node's own page is freed by the caller).
-    fn harvest(&mut self, node: &Node, out: &mut Vec<LeafEntry>) -> Result<()> {
-        match node {
-            Node::Leaf { entries, .. } => out.extend(entries.iter().copied()),
-            Node::Internal { entries, .. } => {
-                for e in entries {
-                    let child = self.read_node(e.child)?;
-                    self.harvest(&child, out)?;
-                    self.pager.free_node(e.child)?;
+                1 => {
+                    let only = entries[0].child;
+                    core.pager.free_node(child_page)?;
+                    core.root = Some(only);
+                    core.height -= 1;
+                    child_page = only;
+                    child_node = core.read_node(only)?;
                 }
+                _ => break,
+            },
+        }
+    }
+
+    // Reinsert what the dissolved nodes still held. The descent counts
+    // entries, so compensate; the tree is transiently inconsistent until
+    // the last orphan lands, and the caller audits only the final state.
+    for e in orphans {
+        core.num_entries -= 1;
+        core.insert_by_descent::<RtreePolicy>(e)?;
+    }
+    Ok(())
+}
+
+/// Collects every leaf entry below `node` and frees the visited
+/// descendant pages (the node's own page is freed by the caller).
+fn harvest(core: &mut TreeCore, node: &Node, out: &mut Vec<LeafEntry>) -> Result<()> {
+    match node {
+        Node::Leaf { entries, .. } => out.extend(entries.iter().copied()),
+        Node::Internal { entries, .. } => {
+            for e in entries {
+                let child = core.read_node(e.child)?;
+                harvest(core, &child, out)?;
+                core.pager.free_node(e.child)?;
             }
         }
-        Ok(())
     }
-}
-
-impl Default for Rtree3D {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-impl Rtree3D {
-    /// Test-only: overwrite a node's page, bypassing every invariant — used
-    /// by the validator's negative tests to plant corruption.
-    pub(crate) fn corrupt_node_for_tests(&mut self, page: PageId, node: &Node) -> Result<()> {
-        self.pager.write_node(page, node)
-    }
-
-    /// Test-only: desynchronize the entry counter.
-    pub(crate) fn set_num_entries_for_tests(&mut self, n: u64) {
-        self.num_entries = n;
-    }
-
-    /// Test-only: pin a resident page and never unpin it (a simulated leak).
-    pub(crate) fn leak_pin_for_tests(&mut self, page: PageId) -> Result<()> {
-        self.pager.pool.pin(page)
-    }
-}
-
-impl crate::TrajectoryIndexWrite for Rtree3D {
-    fn insert_entry(&mut self, entry: LeafEntry) -> Result<()> {
-        self.insert(entry)
-    }
-
-    fn delete_entry(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
-        self.delete(traj, seq)
-    }
-}
-
-impl TrajectoryIndex for Rtree3D {
-    fn root(&self) -> Option<PageId> {
-        self.root
-    }
-
-    fn read_node_traced<S: crate::metrics::MetricsSink>(
-        &mut self,
-        page: PageId,
-        sink: &mut S,
-    ) -> Result<Node> {
-        self.pager.read_node_traced(page, sink)
-    }
-
-    fn num_pages(&self) -> usize {
-        self.pager.store.num_pages()
-    }
-
-    fn num_entries(&self) -> u64 {
-        self.num_entries
-    }
-
-    fn height(&self) -> u8 {
-        self.height
-    }
-
-    fn max_speed(&self) -> f64 {
-        self.max_speed
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            pages: self.pager.store.num_pages(),
-            size_bytes: self.pager.store.num_pages() * PAGE_SIZE,
-            height: self.height,
-            entries: self.num_entries,
-            node_reads: self.pager.node_reads,
-            disk: self.pager.store.stats(),
-            buffer: self.pager.pool.stats(),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        self.pager.reset_stats();
-    }
-
-    fn clear_buffer(&mut self) -> Result<()> {
-        self.pager.clear_buffer()
-    }
-
-    fn set_buffer_capacity(&mut self, capacity: Option<usize>) -> Result<()> {
-        self.pager.set_fixed_capacity(capacity)
-    }
-
-    fn set_fault_injection(&mut self, config: Option<crate::fault::FaultConfig>) -> Result<()> {
-        self.pager.set_fault_injection(config);
-        Ok(())
-    }
-
-    fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.pager.store.fault_stats()
-    }
-
-    fn audit_buffer(&self) -> std::result::Result<(), String> {
-        self.pager.audit()
-    }
+    Ok(())
 }
 
 /// Picks the child whose MBB needs the least volume enlargement to absorb
@@ -763,6 +422,7 @@ pub(crate) fn str_pack<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TrajectoryIndex, PAGE_SIZE};
     use mst_trajectory::{SamplePoint, Segment};
 
     fn seg(t0: f64, x0: f64, y0: f64, t1: f64, x1: f64, y1: f64) -> Segment {

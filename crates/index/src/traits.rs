@@ -1,5 +1,5 @@
-//! The read interface the MST search consumes, plus the shared pager that
-//! both trees use to move nodes through the buffer.
+//! The read and write interfaces the MST search and the ingest paths
+//! consume, plus the pager that moves nodes through the buffer.
 
 use mst_trajectory::{Mbb, TrajectoryId};
 
@@ -34,7 +34,7 @@ pub struct IndexStats {
     pub buffer: BufferStats,
 }
 
-/// Pages + buffer, shared by both tree implementations. The store is
+/// Pages + buffer, the I/O half of [`crate::tree::TreeCore`]. The store is
 /// wrapped in a [`FaultableStore`] so every physical I/O can be subjected
 /// to deterministic fault injection; with injection disabled (the
 /// default) the wrapper is a transparent pass-through.
@@ -284,10 +284,13 @@ pub trait TrajectoryIndexWrite: TrajectoryIndex {
     /// paths route deletes to substrates that can.
     fn delete_entry(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
         let _ = (traj, seq);
-        Err(IndexError::Persist(
-            "this index substrate does not support point deletes".to_string(),
-        ))
+        Err(delete_unsupported())
     }
+}
+
+/// The typed refusal of a point delete on a substrate that has none.
+pub(crate) fn delete_unsupported() -> IndexError {
+    IndexError::Persist("this index substrate does not support point deletes".to_string())
 }
 
 #[cfg(test)]

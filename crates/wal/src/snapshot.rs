@@ -15,18 +15,18 @@
 //! recovery suite assert replay-twice idempotence on image bits.
 //!
 //! [`DurableSubstrate`] is the seam that lets the codec stay generic
-//! over the index substrates: their `save_lsn`/`load_lsn` are
-//! inherent methods (each validates its own image kind), so the trait
-//! re-routes them, adds [`DurableSubstrate::fresh`] for bootstrapping an
-//! empty database, and declares whether the substrate can honor delete
-//! records ([`DurableSubstrate::SUPPORTS_DELETE`] — checked *before*
-//! logging, so the log never holds an op replay cannot apply).
+//! over the index substrates: it re-routes the tree's inherent
+//! `save_lsn`/`load_lsn` (which validate the image kind), adds
+//! [`DurableSubstrate::fresh`] for bootstrapping an empty database, and
+//! declares whether the substrate can honor delete records
+//! ([`DurableSubstrate::SUPPORTS_DELETE`] — checked *before* logging, so
+//! the log never holds an op replay cannot apply).
 
 use std::io::{Read, Write};
 
 use mst_exec::ShardedDatabase;
 use mst_index::checksum::fold_bytes;
-use mst_index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndexWrite};
+use mst_index::{InsertionPolicy, PagedTree, TrajectoryIndexWrite};
 use mst_search::{KmstSubstrate, TrajectoryStore};
 use mst_trajectory::{SamplePoint, Trajectory, TrajectoryId};
 
@@ -55,12 +55,18 @@ pub trait DurableSubstrate: TrajectoryIndexWrite + KmstSubstrate + Sized {
     fn load_image<R: Read>(reader: R) -> mst_index::Result<(Self, u64)>;
 }
 
-impl DurableSubstrate for Rtree3D {
-    const NAME: &'static str = "rtree";
-    const SUPPORTS_DELETE: bool = true;
+/// Every paged substrate is durable the same way: its policy declares the
+/// name and the delete capability next to the substrate itself, and the
+/// image methods are the tree's own.
+impl<P: InsertionPolicy> DurableSubstrate for PagedTree<P>
+where
+    PagedTree<P>: KmstSubstrate,
+{
+    const NAME: &'static str = P::NAME;
+    const SUPPORTS_DELETE: bool = P::SUPPORTS_DELETE;
 
     fn fresh() -> Self {
-        Rtree3D::new()
+        PagedTree::new()
     }
 
     fn save_image<W: Write>(&mut self, writer: W, lsn: u64) -> mst_index::Result<()> {
@@ -68,58 +74,7 @@ impl DurableSubstrate for Rtree3D {
     }
 
     fn load_image<R: Read>(reader: R) -> mst_index::Result<(Self, u64)> {
-        Rtree3D::load_lsn(reader)
-    }
-}
-
-impl DurableSubstrate for TbTree {
-    const NAME: &'static str = "tbtree";
-    const SUPPORTS_DELETE: bool = false;
-
-    fn fresh() -> Self {
-        TbTree::new()
-    }
-
-    fn save_image<W: Write>(&mut self, writer: W, lsn: u64) -> mst_index::Result<()> {
-        self.save_lsn(writer, lsn)
-    }
-
-    fn load_image<R: Read>(reader: R) -> mst_index::Result<(Self, u64)> {
-        TbTree::load_lsn(reader)
-    }
-}
-
-impl DurableSubstrate for StrTree {
-    const NAME: &'static str = "strtree";
-    const SUPPORTS_DELETE: bool = false;
-
-    fn fresh() -> Self {
-        StrTree::new()
-    }
-
-    fn save_image<W: Write>(&mut self, writer: W, lsn: u64) -> mst_index::Result<()> {
-        self.save_lsn(writer, lsn)
-    }
-
-    fn load_image<R: Read>(reader: R) -> mst_index::Result<(Self, u64)> {
-        StrTree::load_lsn(reader)
-    }
-}
-
-impl DurableSubstrate for MetricTree {
-    const NAME: &'static str = "metric";
-    const SUPPORTS_DELETE: bool = false;
-
-    fn fresh() -> Self {
-        MetricTree::new()
-    }
-
-    fn save_image<W: Write>(&mut self, writer: W, lsn: u64) -> mst_index::Result<()> {
-        self.save_lsn(writer, lsn)
-    }
-
-    fn load_image<R: Read>(reader: R) -> mst_index::Result<(Self, u64)> {
-        MetricTree::load_lsn(reader)
+        PagedTree::load_lsn(reader)
     }
 }
 
@@ -228,7 +183,7 @@ pub fn decode_snapshot<I: DurableSubstrate>(bytes: &[u8]) -> Result<(ShardedData
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mst_index::TrajectoryIndex;
+    use mst_index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex};
     use mst_trajectory::SamplePoint;
 
     fn traj(id: u64, n: usize) -> (TrajectoryId, Trajectory) {
@@ -301,9 +256,19 @@ mod tests {
 
     #[test]
     fn substrate_capabilities_are_declared() {
-        assert!(Rtree3D::SUPPORTS_DELETE);
-        assert!(!TbTree::SUPPORTS_DELETE);
-        assert!(!StrTree::SUPPORTS_DELETE);
+        assert_eq!(
+            [Rtree3D::NAME, TbTree::NAME, StrTree::NAME, MetricTree::NAME],
+            ["rtree", "tbtree", "strtree", "metric"]
+        );
+        assert_eq!(
+            [
+                Rtree3D::SUPPORTS_DELETE,
+                TbTree::SUPPORTS_DELETE,
+                StrTree::SUPPORTS_DELETE,
+                MetricTree::SUPPORTS_DELETE
+            ],
+            [true, false, false, false]
+        );
         assert_eq!(Rtree3D::fresh().num_entries(), 0);
     }
 }

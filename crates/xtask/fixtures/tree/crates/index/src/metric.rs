@@ -1,12 +1,8 @@
-//! Seeded: R1 (an expect), R8 (a discarded `Result`), and R2 (a lossy
-//! `as` cast) in the metric tree's snapshot codec scope.
+//! Seeded: R1 (an expect) and R8 (a discarded `Result`) in a substrate
+//! file of the library sweep.
 
 fn radius_of(rs: &[f64]) -> f64 {
     let r = rs.last().expect("non-empty");
     let _ = persist(rs);
     *r
-}
-
-fn encode_count(n: u64) -> u32 {
-    n as u32
 }

@@ -1,13 +1,16 @@
-//! Cross-substrate parity: the metric tree's exact DISSIM k-MST must be
-//! bit-identical to the linear-scan ground truth and to the R-tree BFMST
-//! answer — on both seeded datasets (Trucks-like and GSTD synthetic),
-//! through the single-index `Query` builder and through the sharded
-//! batch executor across 1/4 shards x 1/8 workers.
+//! Cross-substrate parity: every substrate's k-MST answer — the BFMST
+//! descent over the R-tree, STR-tree and TB-tree, the ball search over the
+//! metric tree — must be bit-identical to the linear-scan ground truth on
+//! three seeded stores (Trucks-like, GSTD synthetic, and a GSTD fleet with
+//! mixed lifetimes), through the single-index `Query` builder and through
+//! the sharded batch executor across 1/4 shards x 1/8 workers.
 
 use mst::datagen::{GstdConfig, TrucksConfig};
 use mst::exec::{BatchExecutor, BatchQuery, ShardedDatabase};
+use mst::index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndexWrite};
 use mst::search::{
-    scan_kmst, Integration, MovingObjectDatabase, MstMatch, Query, Substrate, TrajectoryStore,
+    scan_kmst, Integration, KmstSubstrate, MovingObjectDatabase, MstMatch, Query, Substrate,
+    TrajectoryStore,
 };
 use mst::trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
@@ -27,6 +30,34 @@ fn synthetic_store() -> TrajectoryStore {
         ..GstdConfig::paper_dataset(10, 7)
     }
     .generate();
+    TrajectoryStore::from_trajectories(trajs)
+}
+
+/// A GSTD fleet where two objects in three live only part of the common
+/// time span: every third object stops at 45 % of it, every third starts
+/// at 55 %. Neither kind covers the middle-half probe period of a
+/// full-lifetime query, so neither may appear in — or shape — its answer.
+fn mixed_lifetime_store() -> TrajectoryStore {
+    let trajs = GstdConfig {
+        num_objects: 40,
+        samples_per_object: 150,
+        ..GstdConfig::paper_dataset(40, 13)
+    }
+    .generate()
+    .into_iter()
+    .enumerate()
+    .map(|(i, t)| {
+        let (start, end) = (t.start_time(), t.end_time());
+        let at = |share: f64| start + (end - start) * share;
+        let lifetime = match i % 3 {
+            1 => TimeInterval::new(start, at(0.45)),
+            2 => TimeInterval::new(at(0.55), end),
+            _ => return t,
+        };
+        t.clip(&lifetime.expect("valid lifetime"))
+            .expect("clip to lifetime")
+    })
+    .collect();
     TrajectoryStore::from_trajectories(trajs)
 }
 
@@ -65,95 +96,119 @@ fn ground_truth(
         .collect()
 }
 
-/// Single-index parity on one dataset: scan == metric tree == R-tree,
-/// bit for bit, through the `Query` builder.
-fn check_single_index(name: &str, store: &TrajectoryStore) {
+/// One substrate, one index: scan == substrate, bit for bit, through the
+/// `Query` builder pinned to that substrate.
+fn check_single<I: TrajectoryIndexWrite + KmstSubstrate>(
+    name: &str,
+    store: &TrajectoryStore,
+    index: I,
+) {
     let wl = workload(store, 3);
     let truth = ground_truth(store, &wl);
-
-    let mut metric = MovingObjectDatabase::with_metric();
-    let mut rtree = MovingObjectDatabase::with_rtree();
+    let mut db = MovingObjectDatabase::new(index);
     for (id, t) in store.iter() {
-        metric.insert_trajectory(id, t).expect("metric insert");
-        rtree.insert_trajectory(id, t).expect("rtree insert");
+        db.insert_trajectory(id, t).expect("insert");
     }
-
     for (i, (q, period, k)) in wl.iter().enumerate() {
-        let m = Query::kmst(q)
+        let got = Query::kmst(q)
             .k(*k)
             .during(period)
-            .substrate(Substrate::Metric)
-            .run(&mut metric)
-            .expect("metric query");
-        let r = Query::kmst(q)
-            .k(*k)
-            .during(period)
-            .substrate(Substrate::Rtree)
-            .run(&mut rtree)
-            .expect("rtree query");
-        assert_eq!(bits(&m), truth[i], "{name} q{i}: metric vs scan");
-        assert_eq!(bits(&r), truth[i], "{name} q{i}: rtree vs scan");
+            .substrate(I::KIND)
+            .run(&mut db)
+            .expect("query");
+        assert_eq!(bits(&got), truth[i], "{name} q{i}: {:?} vs scan", I::KIND);
     }
 }
 
-/// Sharded parity on one dataset: every shard count x worker count cell
-/// reproduces the scan answer bit-for-bit on the metric substrate.
-fn check_sharded(name: &str, store: &TrajectoryStore) {
+/// Single-index parity on one dataset, on all four substrates.
+fn check_single_index(name: &str, store: &TrajectoryStore) {
+    check_single(name, store, Rtree3D::new());
+    check_single(name, store, StrTree::new());
+    check_single(name, store, TbTree::new());
+    check_single(name, store, MetricTree::new());
+}
+
+/// One substrate, sharded: every shard count x worker count cell
+/// reproduces the scan answer bit-for-bit.
+fn check_shards<I: TrajectoryIndexWrite + KmstSubstrate + Send + 'static>(
+    name: &str,
+    store: &TrajectoryStore,
+    make_index: fn() -> I,
+) {
     let wl = workload(store, 3);
     let truth = ground_truth(store, &wl);
     let fleet: Vec<(TrajectoryId, Trajectory)> =
         store.iter().map(|(id, t)| (id, t.clone())).collect();
 
     for shards in [1usize, 4] {
-        let db = ShardedDatabase::with_metric(shards, fleet.iter().cloned())
-            .expect("sharded metric build");
-        assert_eq!(db.substrate(), Substrate::Metric);
+        let db = ShardedDatabase::build(shards, make_index, fleet.iter().cloned())
+            .expect("sharded build");
+        assert_eq!(db.substrate(), I::KIND);
         for workers in [1usize, 8] {
             let batch: Vec<BatchQuery> = wl
                 .iter()
                 .map(|(q, period, k)| {
-                    BatchQuery::kmst(
-                        Query::kmst(q)
-                            .k(*k)
-                            .during(period)
-                            .substrate(Substrate::Metric),
-                    )
-                    .expect("kmst spec")
+                    BatchQuery::kmst(Query::kmst(q).k(*k).during(period).substrate(I::KIND))
+                        .expect("kmst spec")
                 })
                 .collect();
             let outcome = BatchExecutor::new().workers(workers).run(&db, batch);
-            assert_eq!(outcome.degraded_count(), 0, "{name} s={shards} w={workers}");
+            let cell = format!("{name} {:?} s={shards} w={workers}", I::KIND);
+            assert_eq!(outcome.degraded_count(), 0, "{cell}");
             for (i, want) in truth.iter().enumerate() {
                 let got = outcome.outcomes[i].as_ref().expect("query ok");
                 let matches = got.answer.as_kmst().expect("kmst answer");
-                assert_eq!(
-                    &bits(matches),
-                    want,
-                    "{name} s={shards} w={workers} q{i}: metric shard parity"
-                );
+                assert_eq!(&bits(matches), want, "{cell} q{i}: shard parity");
             }
         }
     }
 }
 
+/// Sharded parity on one dataset, on all four substrates.
+fn check_sharded(name: &str, store: &TrajectoryStore) {
+    check_shards(name, store, Rtree3D::new);
+    check_shards(name, store, StrTree::new);
+    check_shards(name, store, TbTree::new);
+    check_shards(name, store, MetricTree::new);
+}
+
 #[test]
-fn metric_tree_matches_scan_and_rtree_on_trucks() {
+fn every_substrate_matches_scan_on_trucks() {
     check_single_index("trucks", &trucks_store());
 }
 
 #[test]
-fn metric_tree_matches_scan_and_rtree_on_synthetic() {
+fn every_substrate_matches_scan_on_synthetic() {
     check_single_index("synthetic", &synthetic_store());
 }
 
 #[test]
-fn sharded_metric_tree_matches_scan_on_trucks() {
+fn every_sharded_substrate_matches_scan_on_trucks() {
     check_sharded("trucks", &trucks_store());
 }
 
 #[test]
-fn sharded_metric_tree_matches_scan_on_synthetic() {
+fn every_sharded_substrate_matches_scan_on_synthetic() {
     check_sharded("synthetic", &synthetic_store());
+}
+
+/// Partial-lifetime objects must neither enter an answer nor tighten its
+/// kth threshold on the way out (they never complete, but their
+/// pessimistic keys used to count).
+#[test]
+fn every_substrate_matches_scan_on_mixed_lifetimes() {
+    let store = mixed_lifetime_store();
+    let partial = store
+        .iter()
+        .filter(|(_, t)| t.duration() < 0.5 * store.get(TrajectoryId(0)).expect("t0").duration())
+        .count();
+    assert!(10 * partial >= 3 * store.len(), "{partial} partial objects");
+    check_single_index("mixed", &store);
+}
+
+#[test]
+fn every_sharded_substrate_matches_scan_on_mixed_lifetimes() {
+    check_sharded("mixed", &mixed_lifetime_store());
 }
 
 #[test]
