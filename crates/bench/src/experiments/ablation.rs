@@ -143,7 +143,7 @@ pub fn ablation(cfg: &AblationConfig) -> Table {
                     rtree.reset_stats();
                     let (ms, report) = time_ms(|| {
                         bfmst_search(
-                            &mut rtree,
+                            &rtree,
                             &store,
                             &q.query,
                             &q.period,

@@ -73,7 +73,7 @@ pub fn buffer_sweep(cfg: &BufferSweepConfig) -> Table {
         rtree.clear_buffer().expect("buffer clear");
         for q in queries.iter().take(3) {
             bfmst_search(
-                &mut rtree,
+                &rtree,
                 &store,
                 &q.query,
                 &q.period,
@@ -88,7 +88,7 @@ pub fn buffer_sweep(cfg: &BufferSweepConfig) -> Table {
         for q in &queries {
             let (ms, _) = time_ms(|| {
                 bfmst_search(
-                    &mut rtree,
+                    &rtree,
                     &store,
                     &q.query,
                     &q.period,

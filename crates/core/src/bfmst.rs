@@ -138,7 +138,7 @@ pub struct SearchReport {
 /// shared bound justifies are attributed to [`PruningBound::SharedKth`],
 /// keeping cross-shard pruning observable in the profile.
 pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
-    index: &mut I,
+    index: &I,
     store: &TrajectoryStore,
     query: &Trajectory,
     period: &TimeInterval,
@@ -450,7 +450,7 @@ mod tests {
 
     /// The collapsed entry point with the no-op defaults spelled out once.
     fn search<I: TrajectoryIndex>(
-        index: &mut I,
+        index: &I,
         store: &TrajectoryStore,
         query: &Trajectory,
         period: &TimeInterval,

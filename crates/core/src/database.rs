@@ -240,7 +240,7 @@ impl<I: TrajectoryIndexWrite> MovingObjectDatabase<I> {
         metrics: &mut M,
     ) -> Result<Vec<NnMatch>> {
         self.materialize();
-        let outcome = nearest_trajectories(&mut self.index, query, period, k, &NoShare, metrics)?;
+        let outcome = nearest_trajectories(&self.index, query, period, k, &NoShare, metrics)?;
         Ok(outcome.matches)
     }
 
@@ -254,7 +254,7 @@ impl<I: TrajectoryIndexWrite> MovingObjectDatabase<I> {
         metrics: &mut M,
     ) -> Result<Vec<KnnMatch>> {
         Ok(knn_segments_traced(
-            &mut self.index,
+            &self.index,
             location,
             window,
             k,

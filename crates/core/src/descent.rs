@@ -73,7 +73,7 @@ impl PartialOrd for QueueEntry {
 /// `expand` without a preceding un-expanded `pop` yields `Ok(None)`.
 #[derive(Debug)]
 pub struct MbbDescent<'a, I: TrajectoryIndex> {
-    index: &'a mut I,
+    index: &'a I,
     query: &'a Trajectory,
     period: &'a TimeInterval,
     heap: BinaryHeap<Reverse<QueueEntry>>,
@@ -86,7 +86,7 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
     /// Starts a descent of `index` for `query` (already clipped to
     /// `period`), seeding the queue with the root at bound zero.
     pub fn new<M: QueryMetrics>(
-        index: &'a mut I,
+        index: &'a I,
         query: &'a Trajectory,
         period: &'a TimeInterval,
         metrics: &mut M,
@@ -200,7 +200,7 @@ mod tests {
         let period = TimeInterval::new(0.0, 10.0).unwrap();
         let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
         let mut metrics = QueryProfile::new();
-        let mut src = MbbDescent::new(&mut idx, &q, &period, &mut metrics);
+        let mut src = MbbDescent::new(&idx, &q, &period, &mut metrics);
         let mut last = f64::NEG_INFINITY;
         let mut groups = 0;
         let mut entries = 0;
@@ -231,18 +231,18 @@ mod tests {
         let period = TimeInterval::new(0.0, 10.0).unwrap();
         let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
         let mut metrics = QueryProfile::new();
-        let mut src = MbbDescent::new(&mut idx, &q, &period, &mut metrics);
+        let mut src = MbbDescent::new(&idx, &q, &period, &mut metrics);
         assert!(src.expand(&mut metrics).unwrap().is_none());
         assert_eq!(src.nodes_visited(), 0);
     }
 
     #[test]
     fn empty_index_yields_nothing() {
-        let mut idx = Rtree3D::new();
+        let idx = Rtree3D::new();
         let period = TimeInterval::new(0.0, 10.0).unwrap();
         let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
         let mut metrics = QueryProfile::new();
-        let mut src = MbbDescent::new(&mut idx, &q, &period, &mut metrics);
+        let mut src = MbbDescent::new(&idx, &q, &period, &mut metrics);
         assert!(src.pop(&mut metrics).is_none());
         assert_eq!(metrics.heap_pushes, 0);
     }

@@ -59,7 +59,7 @@ pub struct NnOutcome {
 /// kth best distance upper-bounds the global kth, and every node farther
 /// than it is irrelevant on this shard too.
 pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
-    index: &mut I,
+    index: &I,
     query: &Trajectory,
     period: &TimeInterval,
     k: usize,
@@ -206,12 +206,7 @@ mod tests {
     use crate::TrajectoryStore;
     use mst_index::Rtree3D;
 
-    fn nn(
-        idx: &mut Rtree3D,
-        q: &Trajectory,
-        period: &TimeInterval,
-        k: usize,
-    ) -> Result<Vec<NnMatch>> {
+    fn nn(idx: &Rtree3D, q: &Trajectory, period: &TimeInterval, k: usize) -> Result<Vec<NnMatch>> {
         Ok(nearest_trajectories(idx, q, period, k, &NoShare, &mut NoopSink)?.matches)
     }
 
@@ -266,10 +261,10 @@ mod tests {
     #[test]
     fn matches_dense_sampling_oracle() {
         let store = zoo();
-        let mut idx = build(&store);
+        let idx = build(&store);
         let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
         let period = TimeInterval::new(0.0, 10.0).unwrap();
-        let got = nn(&mut idx, &q, &period, 4).unwrap();
+        let got = nn(&idx, &q, &period, 4).unwrap();
         let want = oracle(&store, &q, &period, 4);
         assert_eq!(got.len(), want.len());
         for (g, (wid, wd)) in got.iter().zip(&want) {
@@ -283,11 +278,11 @@ mod tests {
     #[test]
     fn reports_the_instant_of_closest_approach() {
         let store = zoo();
-        let mut idx = build(&store);
+        let idx = build(&store);
         // Trajectory 1 crosses the diagonal query near t = 5.
         let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
         let period = TimeInterval::new(0.0, 10.0).unwrap();
-        let got = nn(&mut idx, &q, &period, 1).unwrap();
+        let got = nn(&idx, &q, &period, 1).unwrap();
         assert_eq!(got[0].traj, TrajectoryId(1));
         assert!((got[0].time - 5.0).abs() < 0.2, "time {}", got[0].time);
         // Verify the reported distance is realized at the reported time.
@@ -302,15 +297,15 @@ mod tests {
     #[test]
     fn k_and_period_edge_cases() {
         let store = zoo();
-        let mut idx = build(&store);
+        let idx = build(&store);
         let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
         let period = TimeInterval::new(0.0, 10.0).unwrap();
-        assert!(nn(&mut idx, &q, &period, 0).unwrap().is_empty());
-        let all = nn(&mut idx, &q, &period, 100).unwrap();
+        assert!(nn(&idx, &q, &period, 0).unwrap().is_empty());
+        let all = nn(&idx, &q, &period, 100).unwrap();
         assert_eq!(all.len(), 4);
         // Query not covering the period errors.
         let bad = TimeInterval::new(0.0, 20.0).unwrap();
-        assert!(nn(&mut idx, &q, &bad, 1).is_err());
+        assert!(nn(&idx, &q, &bad, 1).is_err());
     }
 
     #[test]
@@ -332,7 +327,7 @@ mod tests {
         let q = store.get(TrajectoryId(30)).unwrap().clone();
         let period = TimeInterval::new(0.0, 50.0).unwrap();
         idx.reset_stats();
-        let got = nn(&mut idx, &q, &period, 1).unwrap();
+        let got = nn(&idx, &q, &period, 1).unwrap();
         assert_eq!(got[0].traj, TrajectoryId(30));
         assert_eq!(got[0].distance, 0.0);
         let reads = idx.stats().node_reads as usize;

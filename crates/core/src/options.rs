@@ -187,6 +187,20 @@ impl QueryOptions {
         self
     }
 
+    /// Refuses a query pinned to a substrate other than `actual`, the one
+    /// the database runs on. [`Substrate::Auto`] always passes. Every
+    /// query flavour calls this once before it touches the index — on the
+    /// single-index terminals and on each shard alike.
+    pub fn check_substrate(&self, actual: Substrate) -> crate::Result<()> {
+        if self.substrate != Substrate::Auto && self.substrate != actual {
+            return Err(crate::SearchError::SubstrateMismatch {
+                requested: self.substrate,
+                actual,
+            });
+        }
+        Ok(())
+    }
+
     /// The canonical identity of these options for caching and
     /// cross-connection deduplication: two option sets with the same key
     /// describe the same *answer*, so an answer computed for one may be

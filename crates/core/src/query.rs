@@ -259,13 +259,7 @@ impl<'a> KmstQuery<'a> {
         db: &mut MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<MstMatch>> {
-        let requested = self.options.substrate;
-        if requested != Substrate::Auto && requested != I::KIND {
-            return Err(SearchError::SubstrateMismatch {
-                requested,
-                actual: I::KIND,
-            });
-        }
+        self.options.check_substrate(I::KIND)?;
         db.run_kmst(self.query, &self.resolved_period(), &self.config, metrics)
     }
 
@@ -484,17 +478,18 @@ impl<'a> KnnQuery<'a> {
 
     /// Runs the query with observability: search events are fed into
     /// `metrics`.
-    pub fn run_traced<I: TrajectoryIndexWrite, M: QueryMetrics>(
+    pub fn run_traced<I: TrajectoryIndexWrite + KmstSubstrate, M: QueryMetrics>(
         &self,
         db: &mut MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<NnMatch>> {
+        self.options.check_substrate(I::KIND)?;
         let period = self.options.period.unwrap_or_else(|| self.query.time());
         db.run_knn(self.query, &period, self.options.k, metrics)
     }
 
     /// Runs the query. Observability hooks compile to nothing.
-    pub fn run<I: TrajectoryIndexWrite>(
+    pub fn run<I: TrajectoryIndexWrite + KmstSubstrate>(
         &self,
         db: &mut MovingObjectDatabase<I>,
     ) -> Result<Vec<NnMatch>> {
@@ -503,7 +498,7 @@ impl<'a> KnnQuery<'a> {
 
     /// Runs the query and returns the results together with a fresh
     /// [`QueryProfile`] of everything the search did.
-    pub fn profile<I: TrajectoryIndexWrite>(
+    pub fn profile<I: TrajectoryIndexWrite + KmstSubstrate>(
         &self,
         db: &mut MovingObjectDatabase<I>,
     ) -> Result<(Vec<NnMatch>, QueryProfile)> {
@@ -568,17 +563,18 @@ impl KnnSegmentsQuery {
 
     /// Runs the query with observability: search events are fed into
     /// `metrics`.
-    pub fn run_traced<I: TrajectoryIndexWrite, M: QueryMetrics>(
+    pub fn run_traced<I: TrajectoryIndexWrite + KmstSubstrate, M: QueryMetrics>(
         &self,
         db: &mut MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<KnnMatch>> {
+        self.options.check_substrate(I::KIND)?;
         let window = self.window()?;
         db.run_knn_segments(self.location, &window, self.options.k, metrics)
     }
 
     /// Runs the query. Observability hooks compile to nothing.
-    pub fn run<I: TrajectoryIndexWrite>(
+    pub fn run<I: TrajectoryIndexWrite + KmstSubstrate>(
         &self,
         db: &mut MovingObjectDatabase<I>,
     ) -> Result<Vec<KnnMatch>> {
@@ -587,7 +583,7 @@ impl KnnSegmentsQuery {
 
     /// Runs the query and returns the results together with a fresh
     /// [`QueryProfile`] of everything the search did.
-    pub fn profile<I: TrajectoryIndexWrite>(
+    pub fn profile<I: TrajectoryIndexWrite + KmstSubstrate>(
         &self,
         db: &mut MovingObjectDatabase<I>,
     ) -> Result<(Vec<KnnMatch>, QueryProfile)> {
@@ -630,16 +626,17 @@ impl<'a> RangeQuery<'a> {
 
     /// Runs the query with observability: node and buffer accesses are fed
     /// into `metrics`.
-    pub fn run_traced<I: TrajectoryIndexWrite, M: QueryMetrics>(
+    pub fn run_traced<I: TrajectoryIndexWrite + KmstSubstrate, M: QueryMetrics>(
         &self,
         db: &mut MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<LeafEntry>> {
+        self.options.check_substrate(I::KIND)?;
         db.run_range(self.window, metrics)
     }
 
     /// Runs the query. Observability hooks compile to nothing.
-    pub fn run<I: TrajectoryIndexWrite>(
+    pub fn run<I: TrajectoryIndexWrite + KmstSubstrate>(
         &self,
         db: &mut MovingObjectDatabase<I>,
     ) -> Result<Vec<LeafEntry>> {
@@ -648,7 +645,7 @@ impl<'a> RangeQuery<'a> {
 
     /// Runs the query and returns the results together with a fresh
     /// [`QueryProfile`] of the traversal's I/O behaviour.
-    pub fn profile<I: TrajectoryIndexWrite>(
+    pub fn profile<I: TrajectoryIndexWrite + KmstSubstrate>(
         &self,
         db: &mut MovingObjectDatabase<I>,
     ) -> Result<(Vec<LeafEntry>, QueryProfile)> {
@@ -777,6 +774,42 @@ mod tests {
         assert_eq!(spec.config.k, 5);
         assert_eq!(spec.options.k, 5);
         assert!(!spec.options.share_bound);
+    }
+
+    #[test]
+    fn a_foreign_substrate_pin_is_refused_by_every_flavour() {
+        let mut db = db_with_lines(3);
+        let q = db.trajectory(TrajectoryId(0)).unwrap();
+        let window = q.time();
+        let foreign = QueryOptions::new().k(1).substrate(Substrate::Metric);
+        let refused = |r: Result<()>| {
+            assert!(matches!(
+                r,
+                Err(SearchError::SubstrateMismatch {
+                    requested: Substrate::Metric,
+                    actual: Substrate::Rtree,
+                })
+            ));
+        };
+        refused(Query::kmst(&q).options(foreign).run(&mut db).map(drop));
+        refused(Query::knn(&q).options(foreign).run(&mut db).map(drop));
+        let segments = Query::knn_segments(Point::new(0.0, 0.0)).options(foreign.during(&window));
+        refused(segments.run(&mut db).map(drop));
+        let everything = Mbb::new(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9);
+        refused(
+            Query::range(&everything)
+                .options(foreign)
+                .run(&mut db)
+                .map(drop),
+        );
+        // The matching pin and `Auto` both answer.
+        let own = QueryOptions::new().substrate(Substrate::Rtree);
+        assert!(!Query::range(&everything)
+            .options(own)
+            .run(&mut db)
+            .unwrap()
+            .is_empty());
+        assert!(!Query::range(&everything).run(&mut db).unwrap().is_empty());
     }
 
     #[test]

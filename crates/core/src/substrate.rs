@@ -27,7 +27,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-use mst_index::{IndexReader, MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex};
+use mst_index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex};
 use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
 use crate::bfmst::{bfmst_search, MstConfig, SearchReport};
@@ -43,24 +43,20 @@ use crate::{MstMatch, Result, SearchError, TrajectoryStore};
 /// The default implementation runs the generic BFMST loop, which any
 /// [`TrajectoryIndex`] supports through its MBB descent; substrates with a
 /// richer pruning structure (the metric tree) override
-/// [`KmstSubstrate::kmst_search`] wholesale.
-pub trait KmstSubstrate: TrajectoryIndex + Sized {
+/// [`KmstSubstrate::kmst_search`] wholesale. Either way the search takes
+/// the index by `&self` and concurrent queries share one tree across
+/// worker threads — hence `Send + Sync`.
+pub trait KmstSubstrate: TrajectoryIndex + Sized + Send + Sync {
     /// Which [`Substrate`] selector this index satisfies — what
     /// [`crate::QueryOptions::substrate`] is validated against, and what
     /// answer caches key on.
     const KIND: Substrate;
 
-    /// True when the substrate's search needs exclusive access to the
-    /// concrete index (it reads state beyond the [`TrajectoryIndex`]
-    /// surface). Shared readers then run the whole per-shard search under
-    /// the shard lock instead of locking per node fetch.
-    const EXCLUSIVE_SEARCH: bool = false;
-
     /// Answers a k-MST query on this substrate. Contract: identical
     /// answers to the linear scan with exact integration (for exact
     /// configurations), identical answer *sets* across substrates.
     fn kmst_search<M: QueryMetrics, B: BoundShare>(
-        &mut self,
+        &self,
         store: &TrajectoryStore,
         query: &Trajectory,
         period: &TimeInterval,
@@ -86,10 +82,9 @@ impl KmstSubstrate for StrTree {
 
 impl KmstSubstrate for MetricTree {
     const KIND: Substrate = Substrate::Metric;
-    const EXCLUSIVE_SEARCH: bool = true;
 
     fn kmst_search<M: QueryMetrics, B: BoundShare>(
-        &mut self,
+        &self,
         store: &TrajectoryStore,
         query: &Trajectory,
         period: &TimeInterval,
@@ -98,34 +93,6 @@ impl KmstSubstrate for MetricTree {
         metrics: &mut M,
     ) -> Result<SearchReport> {
         metric_kmst_search(self, store, query, period, config, share, metrics)
-    }
-}
-
-/// Shared readers dispatch to the wrapped substrate's search. MBB
-/// substrates keep the per-node-fetch locking (jobs on one shard
-/// interleave); exclusive-search substrates take the shard lock for the
-/// whole query via [`IndexReader::with_exclusive`].
-impl<I: KmstSubstrate> KmstSubstrate for IndexReader<'_, I> {
-    const KIND: Substrate = I::KIND;
-    const EXCLUSIVE_SEARCH: bool = I::EXCLUSIVE_SEARCH;
-
-    fn kmst_search<M: QueryMetrics, B: BoundShare>(
-        &mut self,
-        store: &TrajectoryStore,
-        query: &Trajectory,
-        period: &TimeInterval,
-        config: &MstConfig,
-        share: &B,
-        metrics: &mut M,
-    ) -> Result<SearchReport> {
-        if I::EXCLUSIVE_SEARCH {
-            self.with_exclusive(|inner| {
-                inner.kmst_search(store, query, period, config, share, metrics)
-            })
-            .map_err(SearchError::Index)?
-        } else {
-            bfmst_search(self, store, query, period, config, share, metrics)
-        }
     }
 }
 
@@ -174,11 +141,14 @@ impl PartialOrd for BallQueueEntry {
 /// through the buffer pool, so the I/O cost of not pruning is real).
 /// Answers are exact regardless of `config.integration`; there is no
 /// trapezoid phase to post-process, so `exact_recomputations` stays 0.
+/// The tree's ball-directory lock is held from the first line to the last:
+/// metric searches of one tree run one at a time (chain-page reads take
+/// the pager mutex under it, per fetch).
 /// Cross-shard hints fold into both heuristics exactly as in BFMST, with
 /// prunes only the hint justifies attributed to
 /// [`PruningBound::SharedKth`].
 pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
-    tree: &mut MetricTree,
+    tree: &MetricTree,
     _store: &TrajectoryStore,
     query: &Trajectory,
     period: &TimeInterval,
@@ -199,7 +169,7 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
         return Ok(SearchReport::default());
     }
     let q = query.clip(period)?;
-    tree.ensure_directory(build_distance)?;
+    let directory = tree.directory(build_distance)?;
 
     let mut report = SearchReport::default();
     let mut upper = UpperKeys::new(config.k);
@@ -212,7 +182,7 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
     let mut pivot_dist: HashMap<TrajectoryId, f64> = HashMap::new();
 
     let mut heap: BinaryHeap<Reverse<BallQueueEntry>> = BinaryHeap::new();
-    if let Some(root) = tree.ball_root() {
+    if let Some(root) = directory.root() {
         heap.push(Reverse(BallQueueEntry {
             lb: 0.0,
             ball: root,
@@ -256,7 +226,7 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
             }
         }
 
-        let Some(node) = tree.ball(ball).cloned() else {
+        let Some(node) = directory.ball(ball) else {
             continue;
         };
         report.nodes_visited += 1;
@@ -274,10 +244,10 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
             metrics,
         )?;
 
-        match node.kind {
+        match &node.kind {
             mst_index::BallKind::Inner { near, far } => {
-                for child_idx in [near, far] {
-                    let Some(child) = tree.ball(child_idx).cloned() else {
+                for child_idx in [*near, *far] {
+                    let Some(child) = directory.ball(child_idx) else {
                         continue;
                     };
                     let d_c = pivot_distance(
@@ -305,7 +275,7 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
             }
             mst_index::BallKind::Leaf { members } => {
                 report.leaves_visited += 1;
-                for (id, dp) in members {
+                for &(id, dp) in members {
                     if done.contains(&id) {
                         continue;
                     }
@@ -387,7 +357,7 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
 /// linear scan, which never considers it either.
 #[allow(clippy::too_many_arguments)]
 fn pivot_distance<M: QueryMetrics, B: BoundShare>(
-    tree: &mut MetricTree,
+    tree: &MetricTree,
     q: &Trajectory,
     period: &TimeInterval,
     pivot: TrajectoryId,
@@ -469,7 +439,7 @@ mod tests {
 
     #[test]
     fn metric_knn_matches_the_linear_scan_bit_for_bit() {
-        let (store, mut tree) = dataset(24, 40);
+        let (store, tree) = dataset(24, 40);
         let period = TimeInterval::new(5.0, 35.0).unwrap();
         for qid in [0u64, 7, 19] {
             let query = store.get(TrajectoryId(qid)).unwrap().clone();
@@ -503,7 +473,7 @@ mod tests {
 
     #[test]
     fn metric_search_prunes_and_profiles_consistently() {
-        let (store, mut tree) = dataset(30, 40);
+        let (store, tree) = dataset(30, 40);
         let period = TimeInterval::new(0.0, 39.0).unwrap();
         let query = store.get(TrajectoryId(3)).unwrap().clone();
         let mut profile = QueryProfile::new();
@@ -537,7 +507,7 @@ mod tests {
 
     #[test]
     fn heuristics_off_still_exact_and_refines_everything() {
-        let (store, mut tree) = dataset(16, 30);
+        let (store, tree) = dataset(16, 30);
         let period = TimeInterval::new(0.0, 29.0).unwrap();
         let query = store.get(TrajectoryId(5)).unwrap().clone();
         let mut config = MstConfig::k(3);
@@ -560,7 +530,7 @@ mod tests {
 
     #[test]
     fn range_mode_and_edge_cases() {
-        let (store, mut tree) = dataset(12, 25);
+        let (store, tree) = dataset(12, 25);
         let period = TimeInterval::new(0.0, 24.0).unwrap();
         let query = store.get(TrajectoryId(0)).unwrap().clone();
         // k = 0: empty.
@@ -672,7 +642,7 @@ mod tests {
             )
             .unwrap();
         let direct = bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &query,
             &period,
@@ -686,7 +656,5 @@ mod tests {
         assert_eq!(TbTree::KIND, Substrate::TbTree);
         assert_eq!(StrTree::KIND, Substrate::StrTree);
         assert_eq!(MetricTree::KIND, Substrate::Metric);
-        assert!(MetricTree::EXCLUSIVE_SEARCH);
-        assert!(!Rtree3D::EXCLUSIVE_SEARCH);
     }
 }

@@ -13,10 +13,8 @@
 //!
 //! Each shard owns a complete vertical slice: its own index (3D R-tree,
 //! TB-tree, or metric tree) with its own private LRU buffer pool, and its own
-//! [`TrajectoryStore`] snapshot. Shards share nothing mutable, so P shards
-//! scale page caching and index traversal independently; within a shard,
-//! concurrent jobs serialize on node fetches through
-//! [`mst_index::ConcurrentIndex`].
+//! [`TrajectoryStore`]. Shards share nothing mutable, so P shards scale page
+//! caching and index traversal independently.
 //!
 //! Per-shard `Vmax`: each shard's index reports the maximum speed of *its*
 //! objects, which is at most the global `Vmax`. MINDIST expansion and
@@ -24,62 +22,148 @@
 //! (the paper's Lemma 2 argument needs only "no object in this index moves
 //! faster than `Vmax`", a per-shard fact).
 //!
-//! # Online ingest
+//! # Locking: one gate per shard
 //!
-//! Shards accept live mutations ([`ShardedDatabase::apply_op`]) without a
-//! global write lock. Each shard's trajectory store sits behind its own
-//! `RwLock`: query jobs hold the *read* half for their whole run, a
-//! writer takes the *write* half of **one** shard, applies the
-//! operation's segments to that shard's index, and publishes a new index
-//! snapshot generation ([`mst_index::ConcurrentIndex::apply`]) before
-//! releasing. Visibility is therefore whole-shard atomic: a query job
-//! either started before the commit (and computed its answer on the
-//! pre-ingest generation — root, `Vmax` and candidate set all from the
-//! old snapshot) or starts after it and sees the complete operation.
-//! Queries on the *other* shards are never blocked. Lock order is
-//! store → index everywhere (readers: store read lock, then per-fetch
-//! index locks; writers: store write lock, then the index lock inside
-//! `apply`).
+//! A shard is one reader–writer gate over `{index, store}`. Every search
+//! takes the index by `&self`, so query jobs hold the *read* half for their
+//! whole run and any number of them share a shard; the only thing they
+//! contend on is the index's internal pager mutex, taken per node fetch
+//! (`mst_index`'s `traits.rs`), and — metric tree only — its ball-directory
+//! lock, held for one whole search. A writer ([`ShardedDatabase::apply_op`],
+//! maintenance through [`ShardIndex::with`], a snapshot through
+//! [`Shard::write`]) takes the *write* half of **one** shard and mutates
+//! index and store together, lock-free below the gate. Visibility is
+//! therefore whole-shard atomic: a query job ran either entirely before an
+//! operation or entirely after it, never against half of one. Queries on
+//! the *other* shards are never blocked; queries on the same shard wait for
+//! the writer, and it for them.
+//!
+//! Lock order, everywhere: shard gate → directory lock → pager mutex.
+//! Nothing is acquired under the pager mutex, and no thread holds two
+//! shards' gates at once.
 
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use mst_index::{
-    knn_segments_traced, ConcurrentIndex, IndexError, KnnMatch, LeafEntry, MetricTree, Rtree3D,
-    TbTree, TrajectoryIndex, TrajectoryIndexWrite,
+    knn_segments_traced, IndexError, KnnMatch, LeafEntry, MetricTree, Rtree3D, TbTree,
+    TrajectoryIndex, TrajectoryIndexWrite,
 };
 use mst_search::{
     nearest_trajectories, BoundShare, KmstSpec, KmstSubstrate, KnnSpec, NnOutcome, QueryMetrics,
-    QueryOptions, RangeSpec, SearchError, SearchReport, SegmentsSpec, Substrate, TrajectoryStore,
+    RangeSpec, SearchReport, SegmentsSpec, Substrate, TrajectoryStore,
 };
 use mst_trajectory::{Trajectory, TrajectoryId};
 
 use crate::{ExecError, Result};
 
 /// One shard: a private index plus the trajectory store of the objects
-/// routed to it. The store's `RwLock` doubles as the shard's ingest
-/// visibility gate — see the module docs.
+/// routed to it, behind the shard's one gate — see the module docs.
 pub struct Shard<I> {
-    index: ConcurrentIndex<I>,
-    store: RwLock<TrajectoryStore>,
+    gate: RwLock<ShardState<I>>,
 }
 
-impl<I: TrajectoryIndex> Shard<I> {
-    /// Read access to the shard's trajectory store. The returned guard
-    /// blocks ingest on this shard while held — query paths hold it for
-    /// the whole job, giving whole-shard-atomic ingest visibility.
-    ///
-    /// A poisoned lock is recovered rather than propagated: the store's
-    /// mutations are slot-local (no multi-step invariants a mid-panic
-    /// writer can tear), and the paired *index* mutex poisons too, so a
-    /// genuinely torn shard still fails queries with a typed
-    /// `Poisoned` error from the node-fetch path.
-    pub fn store(&self) -> RwLockReadGuard<'_, TrajectoryStore> {
-        self.store.read().unwrap_or_else(PoisonError::into_inner)
+/// What a shard's gate protects; readers see it through [`Shard::read`].
+pub struct ShardState<I> {
+    /// The shard's index.
+    pub index: I,
+    /// The trajectories of the objects routed to this shard.
+    pub store: TrajectoryStore,
+}
+
+/// Names the gate in the [`IndexError::Poisoned`] a panicked writer leaves
+/// behind: index and store may disagree, so the shard refuses searches and
+/// further writes with that typed error.
+const GATE: &str = "shard gate";
+
+impl<I> Shard<I> {
+    fn new(index: I, store: TrajectoryStore) -> Self {
+        Shard {
+            gate: RwLock::new(ShardState { index, store }),
+        }
     }
 
-    /// The shard's index, wrapped for concurrent read access.
-    pub fn index(&self) -> &ConcurrentIndex<I> {
-        &self.index
+    /// The read half of the gate: index and store as of one instant, shared
+    /// with every other reader. Ingest on this shard waits while it is held.
+    pub fn read(&self) -> mst_index::Result<RwLockReadGuard<'_, ShardState<I>>> {
+        self.gate.read().map_err(IndexError::poisoned(GATE))
+    }
+
+    /// Runs `f` under the write half of the gate, index and store both
+    /// mutable: how ingest applies an operation, and how a snapshot reads a
+    /// consistent pair (saving an image flushes the index's buffer). The
+    /// caller keeps the two in step. A panic inside `f` poisons the gate.
+    pub fn write<R>(
+        &self,
+        f: impl FnOnce(&mut I, &mut TrajectoryStore) -> R,
+    ) -> mst_index::Result<R> {
+        let mut state = self.gate.write().map_err(IndexError::poisoned(GATE))?;
+        let ShardState { index, store } = &mut *state;
+        Ok(f(index, store))
+    }
+
+    /// The store for a plain lookup (object counts, one trajectory cloned
+    /// out). A poisoned gate is recovered here and only here: the store's
+    /// mutations are single map inserts and removes, each the last step of
+    /// its operation, so a torn shard's store is still a valid (if stale)
+    /// map — while every search and write on that shard keeps failing
+    /// through [`Shard::read`] / the write half.
+    fn peek(&self) -> RwLockReadGuard<'_, ShardState<I>> {
+        self.gate.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the shard's index, for maintenance between
+    /// batches (buffer sizing, stat resets, audits).
+    pub fn index(&self) -> ShardIndex<'_, I> {
+        ShardIndex(self)
+    }
+}
+
+/// The maintenance handle [`Shard::index`] returns.
+pub struct ShardIndex<'a, I>(&'a Shard<I>);
+
+impl<I> ShardIndex<'_, I> {
+    /// Runs `f` with the index mutable, under the write half of the
+    /// shard's gate: searches on this shard wait until it returns.
+    pub fn with<R>(&self, f: impl FnOnce(&mut I) -> R) -> mst_index::Result<R> {
+        self.0.write(|index, _| f(index))
+    }
+}
+
+impl<I: KmstSubstrate> Shard<I> {
+    /// Runs one k-MST query against this shard, folding `share` into the
+    /// pruning threshold (and publishing local kth improvements back).
+    /// The substrate's own search runs — BFMST descent on MBB substrates,
+    /// the ball search on the metric tree.
+    pub fn run_kmst<B: BoundShare, M: QueryMetrics>(
+        &self,
+        spec: &KmstSpec,
+        share: &B,
+        metrics: &mut M,
+    ) -> mst_search::Result<SearchReport> {
+        spec.options.check_substrate(I::KIND)?;
+        let state = self.read()?;
+        let period = spec.period();
+        state.index.kmst_search(
+            &state.store,
+            &spec.query,
+            &period,
+            &spec.config,
+            share,
+            metrics,
+        )
+    }
+
+    /// Runs one trajectory-kNN query against this shard.
+    pub fn run_knn<B: BoundShare, M: QueryMetrics>(
+        &self,
+        spec: &KnnSpec,
+        share: &B,
+        metrics: &mut M,
+    ) -> mst_search::Result<NnOutcome> {
+        spec.options.check_substrate(I::KIND)?;
+        let state = self.read()?;
+        let period = spec.period();
+        nearest_trajectories(&state.index, &spec.query, &period, spec.k(), share, metrics)
     }
 
     /// Runs one point-kNN (nearest segments) query against this shard.
@@ -90,10 +174,10 @@ impl<I: TrajectoryIndex> Shard<I> {
         spec: &SegmentsSpec,
         metrics: &mut M,
     ) -> mst_search::Result<Vec<KnnMatch>> {
-        let _store = self.store();
-        let mut reader = self.index.reader();
+        spec.options.check_substrate(I::KIND)?;
+        let state = self.read()?;
         Ok(knn_segments_traced(
-            &mut reader,
+            &state.index,
             spec.location,
             &spec.window,
             spec.options.k,
@@ -107,59 +191,10 @@ impl<I: TrajectoryIndex> Shard<I> {
         spec: &RangeSpec,
         metrics: &mut M,
     ) -> mst_search::Result<Vec<LeafEntry>> {
-        let _store = self.store();
-        let mut reader = self.index.reader();
-        Ok(reader.range_query_traced(&spec.window, metrics)?)
+        spec.options.check_substrate(I::KIND)?;
+        let state = self.read()?;
+        Ok(state.index.range_query_traced(&spec.window, metrics)?)
     }
-}
-
-impl<I: KmstSubstrate> Shard<I> {
-    /// Runs one k-MST query against this shard, folding `share` into the
-    /// pruning threshold (and publishing local kth improvements back).
-    /// The substrate's own search runs — BFMST descent on MBB substrates,
-    /// the ball search on the metric tree (under the whole-query shard
-    /// lock, see [`mst_search::KmstSubstrate::EXCLUSIVE_SEARCH`]).
-    pub fn run_kmst<B: BoundShare, M: QueryMetrics>(
-        &self,
-        spec: &KmstSpec,
-        share: &B,
-        metrics: &mut M,
-    ) -> mst_search::Result<SearchReport> {
-        check_substrate::<I>(&spec.options)?;
-        // Lock order: store read lock first, index (inside the reader's
-        // node fetches) second — same order as the ingest writer.
-        let store = self.store();
-        let mut reader = self.index.reader();
-        let period = spec.period();
-        reader.kmst_search(&store, &spec.query, &period, &spec.config, share, metrics)
-    }
-
-    /// Runs one trajectory-kNN query against this shard.
-    pub fn run_knn<B: BoundShare, M: QueryMetrics>(
-        &self,
-        spec: &KnnSpec,
-        share: &B,
-        metrics: &mut M,
-    ) -> mst_search::Result<NnOutcome> {
-        check_substrate::<I>(&spec.options)?;
-        let _store = self.store();
-        let mut reader = self.index.reader();
-        let period = spec.period();
-        nearest_trajectories(&mut reader, &spec.query, &period, spec.k(), share, metrics)
-    }
-}
-
-/// Validates a query's pinned [`Substrate`] against the shard's actual
-/// substrate. `Auto` always passes; any explicit pin must match.
-fn check_substrate<I: KmstSubstrate>(options: &QueryOptions) -> mst_search::Result<()> {
-    let requested = options.substrate;
-    if requested != Substrate::Auto && requested != I::KIND {
-        return Err(SearchError::SubstrateMismatch {
-            requested,
-            actual: I::KIND,
-        });
-    }
-    Ok(())
 }
 
 /// A trajectory database partitioned across P shards, each with its own
@@ -267,95 +302,80 @@ impl<I: TrajectoryIndexWrite> ShardedDatabase<I> {
                     .insert_entry(entry)
                     .map_err(mst_search::SearchError::Index)?;
             }
-            shards.push(Shard {
-                index: ConcurrentIndex::new(index),
-                store: RwLock::new(store),
-            });
+            shards.push(Shard::new(index, store));
         }
         Ok(ShardedDatabase { shards })
     }
 
-    /// Applies one online ingest operation to its home shard, under that
-    /// shard's write lock (other shards keep answering untouched). On
-    /// success returns the shard's new index snapshot generation — the
-    /// signal a serving layer uses to invalidate answer caches.
+    /// Applies one online ingest operation to its home shard, under the
+    /// write half of that shard's gate (other shards keep answering
+    /// untouched): searches on the shard see all of it or none of it.
     ///
     /// Failure mid-apply can leave the shard's index holding part of the
-    /// operation while the store does not (the index mutex is poisoned
-    /// only on panic, not on error). Durable deployments recover such
-    /// states by log replay; in-memory callers should treat the shard as
-    /// degraded.
+    /// operation while the store does not (the gate is poisoned only on
+    /// panic, not on error). Durable deployments recover such states by
+    /// log replay; in-memory callers should treat the shard as degraded.
     pub fn apply_op(&self, op: &IngestOp) -> Result<IngestOutcome> {
-        match op {
-            IngestOp::Insert { id, trajectory } => self.ingest_insert(*id, trajectory),
-            IngestOp::Delete { id } => self.ingest_delete(*id),
-        }
+        let shard = &self.shards[shard_index(op.id(), self.shards.len())];
+        shard
+            .write(|index, store| match op {
+                IngestOp::Insert { id, trajectory } => ingest_insert(index, store, *id, trajectory),
+                IngestOp::Delete { id } => ingest_delete(index, store, *id),
+            })
+            .map_err(mst_search::SearchError::Index)?
     }
+}
 
-    /// Inserts a *new* trajectory: every segment goes into the home
-    /// shard's index, then the store. Inserting an id that already exists
-    /// is a config error (delete it first) — silent replacement would
-    /// leave the old segments in substrates that cannot delete.
-    fn ingest_insert(&self, id: TrajectoryId, trajectory: &Trajectory) -> Result<IngestOutcome> {
-        if trajectory.num_segments() == 0 {
-            return Err(ExecError::Config("ingest of a segment-less trajectory"));
-        }
-        let shard = &self.shards[shard_index(id, self.shards.len())];
-        let mut store = write_store(shard)?;
-        if store.get(id).is_some() {
-            return Err(ExecError::Config(
-                "ingest insert of an id that already exists; delete it first",
-            ));
-        }
-        let ((), generation) = shard
-            .index
-            .apply(|index| {
-                for (seq, segment) in trajectory.segments().enumerate() {
-                    index.insert_entry(LeafEntry {
-                        traj: id,
-                        seq: seq as u32,
-                        segment,
-                    })?;
-                }
-                Ok(())
+/// Inserts a *new* trajectory: every segment goes into the home shard's
+/// index, then the store. Inserting an id that already exists is a config
+/// error (delete it first) — silent replacement would leave the old
+/// segments in substrates that cannot delete.
+fn ingest_insert<I: TrajectoryIndexWrite>(
+    index: &mut I,
+    store: &mut TrajectoryStore,
+    id: TrajectoryId,
+    trajectory: &Trajectory,
+) -> Result<IngestOutcome> {
+    if trajectory.num_segments() == 0 {
+        return Err(ExecError::Config("ingest of a segment-less trajectory"));
+    }
+    if store.get(id).is_some() {
+        return Err(ExecError::Config(
+            "ingest insert of an id that already exists; delete it first",
+        ));
+    }
+    for (seq, segment) in trajectory.segments().enumerate() {
+        index
+            .insert_entry(LeafEntry {
+                traj: id,
+                seq: seq as u32,
+                segment,
             })
             .map_err(mst_search::SearchError::Index)?;
-        store.insert(id, trajectory.clone());
-        Ok(IngestOutcome {
-            applied: true,
-            generation,
-        })
     }
+    store.insert(id, trajectory.clone());
+    Ok(IngestOutcome { applied: true })
+}
 
-    /// Deletes a trajectory and all its segment entries from its home
-    /// shard. Unknown ids report `applied: false` without touching
-    /// anything; substrates without point deletes (TB-tree, STR-tree)
-    /// surface the index's typed error.
-    fn ingest_delete(&self, id: TrajectoryId) -> Result<IngestOutcome> {
-        let shard = &self.shards[shard_index(id, self.shards.len())];
-        let mut store = write_store(shard)?;
-        let Some(existing) = store.get(id) else {
-            return Ok(IngestOutcome {
-                applied: false,
-                generation: shard.index.generation(),
-            });
-        };
-        let num_segments = existing.num_segments();
-        let ((), generation) = shard
-            .index
-            .apply(|index| {
-                for seq in 0..num_segments {
-                    index.delete_entry(id, seq as u32)?;
-                }
-                Ok(())
-            })
+/// Deletes a trajectory and all its segment entries from its home shard.
+/// Unknown ids report `applied: false` without touching anything;
+/// substrates without point deletes (TB-tree, STR-tree) surface the
+/// index's typed error.
+fn ingest_delete<I: TrajectoryIndexWrite>(
+    index: &mut I,
+    store: &mut TrajectoryStore,
+    id: TrajectoryId,
+) -> Result<IngestOutcome> {
+    let Some(existing) = store.get(id) else {
+        return Ok(IngestOutcome { applied: false });
+    };
+    for seq in 0..existing.num_segments() {
+        index
+            .delete_entry(id, seq as u32)
             .map_err(mst_search::SearchError::Index)?;
-        store.remove(id);
-        Ok(IngestOutcome {
-            applied: true,
-            generation,
-        })
     }
+    store.remove(id);
+    Ok(IngestOutcome { applied: true })
 }
 
 /// One online mutation, routed to the owning shard by
@@ -391,18 +411,6 @@ impl IngestOp {
 pub struct IngestOutcome {
     /// False only for a delete of an unknown id (a no-op).
     pub applied: bool,
-    /// The home shard's index snapshot generation after the operation.
-    pub generation: u64,
-}
-
-/// The write half of a shard's store lock, with poisoning mapped into the
-/// exec error space (xtask R7: never unwrap a lock).
-fn write_store<I>(shard: &Shard<I>) -> Result<std::sync::RwLockWriteGuard<'_, TrajectoryStore>> {
-    shard.store.write().map_err(|_| {
-        ExecError::Search(mst_search::SearchError::Index(IndexError::Poisoned(
-            "shard store".to_string(),
-        )))
-    })
 }
 
 impl<I: TrajectoryIndex> ShardedDatabase<I> {
@@ -422,10 +430,7 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
         Ok(ShardedDatabase {
             shards: parts
                 .into_iter()
-                .map(|(index, store)| Shard {
-                    index: ConcurrentIndex::new(index),
-                    store: RwLock::new(store),
-                })
+                .map(|(index, store)| Shard::new(index, store))
                 .collect(),
         })
     }
@@ -439,7 +444,7 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
     /// ingest running this is a momentary figure (each shard is read at
     /// its own instant).
     pub fn num_objects(&self) -> usize {
-        self.shards.iter().map(|s| s.store().len()).sum()
+        self.shards.iter().map(|s| s.peek().store.len()).sum()
     }
 
     /// The shard an object is routed to.
@@ -461,10 +466,12 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
         &self.shards
     }
 
-    /// A stored trajectory, cloned out of its home shard (the shard's
-    /// read lock is held only for the copy, never across caller code).
+    /// A stored trajectory, cloned out of its home shard (the gate's read
+    /// half is held only for the copy, never across caller code).
     pub fn trajectory(&self, id: TrajectoryId) -> Option<Trajectory> {
-        self.shards.get(self.shard_of(id))?.store().get(id).cloned()
+        let shard = self.shards.get(self.shard_of(id))?;
+        let found = shard.peek().store.get(id).cloned();
+        found
     }
 
     /// Sets every shard's buffer-pool capacity (`None` restores the
@@ -472,7 +479,7 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
     pub fn set_buffer_capacity(&self, capacity: Option<usize>) -> Result<()> {
         for shard in &self.shards {
             shard
-                .index
+                .index()
                 .with(|index| index.set_buffer_capacity(capacity))
                 .map_err(mst_search::SearchError::Index)?
                 .map_err(mst_search::SearchError::Index)?;
@@ -494,7 +501,7 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
             .get(shard)
             .ok_or(ExecError::Config("fault injection shard out of range"))?;
         shard
-            .index
+            .index()
             .with(|index| index.set_fault_injection(config))
             .map_err(mst_search::SearchError::Index)?
             .map_err(mst_search::SearchError::Index)?;
@@ -502,14 +509,10 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
     }
 
     /// The fault-injection counters of one shard's page store, if that
-    /// shard has an injector armed (and its lock is healthy).
+    /// shard has an injector armed (and its gate is healthy).
     pub fn fault_stats(&self, shard: usize) -> Option<mst_index::FaultStats> {
-        self.shards
-            .get(shard)?
-            .index
-            .with(|index| index.fault_stats())
-            .ok()
-            .flatten()
+        let state = self.shards.get(shard)?.read().ok()?;
+        state.index.fault_stats()
     }
 }
 
@@ -540,7 +543,7 @@ mod tests {
             let id = TrajectoryId(id);
             let home = db.shard_of(id);
             for (s, shard) in db.shards().iter().enumerate() {
-                assert_eq!(shard.store().get(id).is_some(), s == home);
+                assert_eq!(shard.read().unwrap().store.get(id).is_some(), s == home);
             }
             assert!(db.trajectory(id).is_some());
         }
@@ -552,7 +555,7 @@ mod tests {
             ShardedDatabase::with_rtree(2, (0..6u64).map(|id| traj(id, id as f64, 5))).unwrap();
         // 6 objects x 4 segments, split 3/3 by parity.
         for shard in db.shards() {
-            assert_eq!(shard.index().reader().num_entries(), 3 * 4);
+            assert_eq!(shard.read().unwrap().index.num_entries(), 3 * 4);
         }
     }
 
@@ -567,15 +570,14 @@ mod tests {
         let db =
             ShardedDatabase::with_tbtree(2, (0..4u64).map(|id| traj(id, id as f64, 6))).unwrap();
         for shard in db.shards() {
-            assert_eq!(shard.index().chain_tip_count(), 2);
+            assert_eq!(shard.read().unwrap().index.leaf_chain_tips().len(), 2);
         }
     }
 
     #[test]
-    fn ingest_insert_lands_on_the_home_shard_and_bumps_its_generation() {
+    fn ingest_insert_lands_on_the_home_shard() {
         let db =
             ShardedDatabase::with_rtree(2, (0..4u64).map(|id| traj(id, id as f64, 5))).unwrap();
-        let before: Vec<u64> = db.shards().iter().map(|s| s.index().generation()).collect();
         let (id, t) = traj(10, 99.0, 6);
         let outcome = db
             .apply_op(&IngestOp::Insert { id, trajectory: t })
@@ -584,16 +586,12 @@ mod tests {
         assert_eq!(db.num_objects(), 5);
         let home = db.shard_of(id);
         for (s, shard) in db.shards().iter().enumerate() {
-            if s == home {
-                assert_eq!(shard.index().generation(), before[s] + 1);
-                assert_eq!(shard.index().reader().num_entries(), 2 * 4 + 5);
-            } else {
-                assert_eq!(
-                    shard.index().generation(),
-                    before[s],
-                    "other shards untouched"
-                );
-            }
+            let grew = if s == home { 5 } else { 0 };
+            assert_eq!(
+                shard.read().unwrap().index.num_entries(),
+                2 * 4 + grew,
+                "only the home shard changes"
+            );
         }
         assert!(db.trajectory(id).is_some());
         // Double insert is refused, not silently replaced.
@@ -617,7 +615,7 @@ mod tests {
         assert!(outcome.applied);
         assert!(db.trajectory(id).is_none());
         assert_eq!(db.num_objects(), 3);
-        assert_eq!(db.shards()[home].index().reader().num_entries(), 4);
+        assert_eq!(db.shards()[home].read().unwrap().index.num_entries(), 4);
         // Deleting an unknown id is a no-op, not an error.
         let outcome = db.apply_op(&IngestOp::Delete { id }).unwrap();
         assert!(!outcome.applied);
@@ -638,18 +636,17 @@ mod tests {
     }
 
     #[test]
-    fn queries_started_before_an_ingest_commit_answer_on_the_old_generation() {
+    fn with_gives_exclusive_maintenance_access() {
         let db =
             ShardedDatabase::with_rtree(1, (0..3u64).map(|id| traj(id, id as f64, 5))).unwrap();
         let shard = &db.shards()[0];
-        // Pin a reader (as a query job does) before the ingest commits.
-        let reader = shard.index().reader();
-        let entries_before = reader.num_entries();
-        let (id, t) = traj(7, 50.0, 5);
-        db.apply_op(&IngestOp::Insert { id, trajectory: t })
-            .unwrap();
-        assert_eq!(reader.num_entries(), entries_before, "pinned generation");
-        assert_eq!(shard.index().reader().num_entries(), entries_before + 4);
+        let pages = shard.index().with(|tree| tree.num_pages()).expect("gate");
+        assert!(pages > 0);
+        shard
+            .index()
+            .with(|tree| tree.clear_buffer())
+            .expect("gate")
+            .expect("clear");
     }
 
     #[test]
@@ -657,7 +654,7 @@ mod tests {
         let db =
             ShardedDatabase::with_rtree(1, (0..5u64).map(|id| traj(id, id as f64, 4))).unwrap();
         assert_eq!(db.num_shards(), 1);
-        assert_eq!(db.shards()[0].store().len(), 5);
-        assert_eq!(db.shards()[0].index().reader().num_entries(), 5 * 3);
+        assert_eq!(db.shards()[0].read().unwrap().store.len(), 5);
+        assert_eq!(db.shards()[0].read().unwrap().index.num_entries(), 5 * 3);
     }
 }

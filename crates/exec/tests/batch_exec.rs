@@ -2,10 +2,18 @@
 //! headline guarantee: parallel, sharded execution changes *performance*,
 //! never *answers*.
 
-use mst_exec::{BatchExecutor, BatchQuery, QueryAnswer, ShardedDatabase};
-use mst_index::{FaultConfig, TrajectoryIndex, TrajectoryIndexWrite};
-use mst_search::{KmstSubstrate, MovingObjectDatabase, MstMatch, NnMatch, Query};
-use mst_trajectory::{SamplePoint, TimeInterval, Trajectory, TrajectoryId};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
+
+use mst_exec::{BatchExecutor, BatchQuery, ExecError, IngestOp, QueryAnswer, ShardedDatabase};
+use mst_index::{FaultConfig, IndexError, MetricsSink, TrajectoryIndex, TrajectoryIndexWrite};
+use mst_search::{
+    scan_kmst, Integration, KmstSubstrate, MovingObjectDatabase, MstMatch, NnMatch, NoShare,
+    NoopSink, Query, QueryMetrics, QueryOptions, SearchError, Substrate, TrajectoryStore,
+};
+use mst_trajectory::{Mbb, Point, SamplePoint, TimeInterval, Trajectory, TrajectoryId};
 
 /// A deterministic little fleet: even ids cluster near the origin lane,
 /// odd ids fan far out — so a query near the cluster finds tight matches
@@ -448,4 +456,246 @@ fn empty_batch_returns_no_outcomes() {
     let db = ShardedDatabase::with_rtree(2, fleet).expect("shard build");
     let outcome = BatchExecutor::new().workers(2).run(&db, Vec::new());
     assert!(outcome.outcomes.is_empty());
+}
+
+/// A query pinned to a substrate the database does not run on is refused
+/// with the typed error by every flavour, on every shard — not only by
+/// k-MST and trajectory-kNN.
+#[test]
+fn a_foreign_substrate_pin_is_refused_by_every_flavour() {
+    let fleet = fleet(8, 20);
+    let period = TimeInterval::new(0.0, 19.0).expect("period");
+    let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
+    let foreign = QueryOptions::new()
+        .k(2)
+        .during(&period)
+        .substrate(Substrate::Metric);
+    let q = &fleet[0].1;
+    let everything = Mbb::new(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9);
+    let batch = vec![
+        BatchQuery::kmst(Query::kmst(q).options(foreign)).expect("kmst spec"),
+        BatchQuery::knn(Query::knn(q).options(foreign)).expect("knn spec"),
+        BatchQuery::knn_segments(Query::knn_segments(Point::new(0.0, 0.0)).options(foreign))
+            .expect("segments spec"),
+        BatchQuery::range(Query::range(&everything).options(foreign)),
+    ];
+    let outcome = BatchExecutor::new().workers(2).run(&db, batch);
+    for (i, result) in outcome.outcomes.iter().enumerate() {
+        let query = result.as_ref().expect("degraded, not failed");
+        assert_eq!(query.failures.len(), 2, "query {i}: both shards refuse");
+        for failure in &query.failures {
+            assert!(
+                matches!(
+                    failure.error,
+                    SearchError::SubstrateMismatch {
+                        requested: Substrate::Metric,
+                        actual: Substrate::Rtree,
+                    }
+                ),
+                "query {i}: {failure}"
+            );
+        }
+    }
+    // Pinned to the substrate it runs on, the same batch answers.
+    let own = foreign.substrate(Substrate::Rtree);
+    let batch = vec![
+        BatchQuery::knn_segments(Query::knn_segments(Point::new(0.0, 0.0)).options(own))
+            .expect("segments spec"),
+        BatchQuery::range(Query::range(&everything).options(own)),
+    ];
+    let outcome = BatchExecutor::new().workers(2).run(&db, batch);
+    assert_eq!(outcome.degraded_count(), 0);
+}
+
+/// Marks "inside a search" at the first heap push — the shard gate's read
+/// half is held by then, the pager mutex is not — and waits there for a
+/// second reader to get as far.
+struct Meet<'a> {
+    inside: &'a AtomicUsize,
+    armed: bool,
+    met: bool,
+}
+
+impl MetricsSink for Meet<'_> {
+    fn heap_push(&mut self) {
+        if !std::mem::take(&mut self.armed) {
+            return;
+        }
+        self.inside.fetch_add(1, Ordering::SeqCst);
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while self.inside.load(Ordering::SeqCst) < 2 && Instant::now() < give_up {
+            std::thread::yield_now();
+        }
+        self.met = self.inside.load(Ordering::SeqCst) >= 2;
+    }
+}
+
+impl QueryMetrics for Meet<'_> {}
+
+/// A reader that dies mid-search: under the pager mutex (`bytes_decoded`
+/// fires during a node fetch) or, on the metric tree, under the directory
+/// lock (`heap_push` fires once the ball search holds it).
+struct Bomb {
+    in_fetch: bool,
+}
+
+impl MetricsSink for Bomb {
+    fn bytes_decoded(&mut self, _: u64) {
+        if self.in_fetch {
+            panic!("reader dies under the pager mutex");
+        }
+    }
+    fn heap_push(&mut self) {
+        if !self.in_fetch {
+            panic!("reader dies under the directory lock");
+        }
+    }
+}
+
+impl QueryMetrics for Bomb {}
+
+/// What one shard guarantees with readers and a writer on it at once:
+/// readers share it (two are inside a search at the same moment), every
+/// answer is the exact scan's over the store before or after some prefix
+/// of the writer's operations — never over half of one — and a reader that
+/// panics under the pager or directory lock turns into `Poisoned` errors
+/// for everyone after it, not into more panics.
+#[test]
+fn readers_share_a_shard_and_a_writer_is_seen_whole() {
+    const K: usize = 4;
+    let fleet = fleet(20, 30);
+    let period = TimeInterval::new(0.0, 29.0).expect("period");
+    let insert = |id: usize| IngestOp::Insert {
+        id: fleet[id].0,
+        trajectory: fleet[id].1.clone(),
+    };
+    let delete = |id: u64| IngestOp::Delete {
+        id: TrajectoryId(id),
+    };
+    // Even ids are the query's neighbours, so most operations move the
+    // answer; deleting 0 removes the query's own twin from the top.
+    let ops = [
+        insert(12),
+        delete(2),
+        insert(14),
+        delete(4),
+        insert(16),
+        delete(0),
+        insert(13),
+        insert(18),
+        delete(12),
+        insert(2),
+    ];
+    let query = fleet[0].1.clone();
+    let spec = Query::kmst(&query)
+        .k(K)
+        .during(&period)
+        .spec()
+        .expect("spec");
+
+    // The exact answer after every prefix of the operations.
+    let mut store = TrajectoryStore::new();
+    for (id, traj) in &fleet[..12] {
+        store.insert(*id, traj.clone());
+    }
+    let scan = |store: &TrajectoryStore| {
+        scan_kmst(store, &query, &period, K, Integration::Exact).expect("scan")
+    };
+    let mut expected = vec![scan(&store)];
+    for op in &ops {
+        match op {
+            IngestOp::Insert { id, trajectory } => store.insert(*id, trajectory.clone()),
+            IngestOp::Delete { id } => drop(store.remove(*id)),
+        }
+        expected.push(scan(&store));
+    }
+    let same = |got: &[MstMatch], want: &[MstMatch]| {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| g.traj == w.traj && g.dissim.to_bits() == w.dissim.to_bits())
+    };
+
+    let db = ShardedDatabase::with_rtree(1, fleet[..12].to_vec()).expect("shard build");
+    let shard = &db.shards()[0];
+    let inside = AtomicUsize::new(0);
+    let written = AtomicBool::new(false);
+    let start = Barrier::new(5);
+    std::thread::scope(|scope| {
+        for reader in 0..4 {
+            let (spec, expected, inside, written, start) =
+                (&spec, &expected, &inside, &written, &start);
+            scope.spawn(move || {
+                // Before the writer starts (a waiting writer would hold new
+                // readers back): readers 0 and 1 meet inside a search.
+                if reader < 2 {
+                    let mut meet = Meet {
+                        inside,
+                        armed: true,
+                        met: false,
+                    };
+                    let report = shard.run_kmst(spec, &NoShare, &mut meet).expect("search");
+                    assert!(meet.met, "two readers must be inside one shard at once");
+                    assert!(same(&report.matches, &expected[0]));
+                }
+                start.wait();
+                let mut prefix = 0;
+                loop {
+                    let last = written.load(Ordering::SeqCst);
+                    let report = shard
+                        .run_kmst(spec, &NoShare, &mut NoopSink)
+                        .expect("search");
+                    prefix = (prefix..expected.len())
+                        .find(|&p| same(&report.matches, &expected[p]))
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "reader {reader}: {:?} is the exact answer after no prefix \
+                                 of the operations at or past {prefix}",
+                                report.matches
+                            )
+                        });
+                    if last {
+                        assert!(same(&report.matches, &expected[expected.len() - 1]));
+                        break;
+                    }
+                }
+            });
+        }
+        start.wait();
+        for op in &ops {
+            assert!(db.apply_op(op).expect("apply").applied);
+        }
+        written.store(true, Ordering::SeqCst);
+    });
+
+    // A reader dies under the pager mutex: later searches and writes on the
+    // shard get the typed error.
+    let poisoned =
+        |r: mst_search::Result<_>| matches!(r, Err(SearchError::Index(IndexError::Poisoned(_))));
+    let mut bomb = Bomb { in_fetch: true };
+    let died = catch_unwind(AssertUnwindSafe(|| {
+        shard.run_kmst(&spec, &NoShare, &mut bomb)
+    }));
+    assert!(died.is_err());
+    assert!(poisoned(shard.run_kmst(&spec, &NoShare, &mut NoopSink)));
+    assert!(matches!(
+        db.apply_op(&insert(19)),
+        Err(ExecError::Search(SearchError::Index(IndexError::Poisoned(
+            _
+        ))))
+    ));
+    // The same under the metric tree's directory lock.
+    let metric = ShardedDatabase::with_metric(1, fleet[..12].to_vec()).expect("shard build");
+    let shard = &metric.shards()[0];
+    let report = shard
+        .run_kmst(&spec, &NoShare, &mut NoopSink)
+        .expect("search");
+    assert!(same(&report.matches, &expected[0]));
+    let mut bomb = Bomb { in_fetch: false };
+    let died = catch_unwind(AssertUnwindSafe(|| {
+        shard.run_kmst(&spec, &NoShare, &mut bomb)
+    }));
+    assert!(died.is_err());
+    assert!(poisoned(shard.run_kmst(&spec, &NoShare, &mut NoopSink)));
 }

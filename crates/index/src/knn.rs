@@ -62,7 +62,7 @@ impl PartialOrd for Prioritized {
 /// in ascending distance order, using best-first distance browsing (each
 /// node is visited only if it can still contain a better answer).
 pub fn knn_segments<I: TrajectoryIndex>(
-    index: &mut I,
+    index: &I,
     point: Point,
     window: &TimeInterval,
     k: usize,
@@ -75,7 +75,7 @@ pub fn knn_segments<I: TrajectoryIndex>(
 /// are the same code — [`knn_segments`] is this function instantiated with
 /// the [`NoopSink`].
 pub fn knn_segments_traced<I: TrajectoryIndex, S: MetricsSink>(
-    index: &mut I,
+    index: &I,
     point: Point,
     window: &TimeInterval,
     k: usize,
@@ -176,7 +176,7 @@ mod tests {
     }
 
     /// Brute-force oracle over all segments.
-    fn oracle(t: &mut Rtree3D, p: Point, w: &TimeInterval, k: usize) -> Vec<(TrajectoryId, f64)> {
+    fn oracle(t: &Rtree3D, p: Point, w: &TimeInterval, k: usize) -> Vec<(TrajectoryId, f64)> {
         let all = t
             .range_query(&mst_trajectory::Mbb::new(
                 -1e12, -1e12, -1e12, 1e12, 1e12, 1e12,
@@ -196,12 +196,12 @@ mod tests {
 
     #[test]
     fn knn_matches_brute_force() {
-        let mut t = grid_tree();
+        let t = grid_tree();
         let w = TimeInterval::new(0.0, 100.0).unwrap();
         for (px, py) in [(12.0, 33.0), (0.0, 0.0), (97.0, 97.0)] {
             let p = Point::new(px, py);
-            let got = knn_segments(&mut t, p, &w, 5).unwrap();
-            let want = oracle(&mut t, p, &w, 5);
+            let got = knn_segments(&t, p, &w, 5).unwrap();
+            let want = oracle(&t, p, &w, 5);
             assert_eq!(got.len(), 5);
             for (g, (_, wd)) in got.iter().zip(&want) {
                 assert!((g.distance - wd).abs() < 1e-9, "{} vs {wd}", g.distance);
@@ -215,14 +215,14 @@ mod tests {
 
     #[test]
     fn window_restricts_candidates() {
-        let mut t = grid_tree();
+        let t = grid_tree();
         // Segments start at t = i % 50, so [200, 300] excludes everything.
         let w = TimeInterval::new(200.0, 300.0).unwrap();
-        let got = knn_segments(&mut t, Point::new(1.0, 1.0), &w, 3).unwrap();
+        let got = knn_segments(&t, Point::new(1.0, 1.0), &w, 3).unwrap();
         assert!(got.is_empty());
         // A narrow window keeps only matching start times.
         let w = TimeInterval::new(10.0, 10.5).unwrap();
-        let got = knn_segments(&mut t, Point::new(1.0, 1.0), &w, 100).unwrap();
+        let got = knn_segments(&t, Point::new(1.0, 1.0), &w, 100).unwrap();
         assert!(!got.is_empty());
         for m in &got {
             assert!(m.entry.segment.time().overlaps(&w));
@@ -234,7 +234,7 @@ mod tests {
         let mut t = grid_tree();
         let w = TimeInterval::new(0.0, 100.0).unwrap();
         t.reset_stats();
-        knn_segments(&mut t, Point::new(50.0, 50.0), &w, 1).unwrap();
+        knn_segments(&t, Point::new(50.0, 50.0), &w, 1).unwrap();
         let reads = t.stats().node_reads;
         assert!(
             (reads as usize) < t.num_pages() / 2,
@@ -245,13 +245,13 @@ mod tests {
 
     #[test]
     fn k_zero_and_empty_tree() {
-        let mut t = grid_tree();
+        let t = grid_tree();
         let w = TimeInterval::new(0.0, 100.0).unwrap();
-        assert!(knn_segments(&mut t, Point::new(0.0, 0.0), &w, 0)
+        assert!(knn_segments(&t, Point::new(0.0, 0.0), &w, 0)
             .unwrap()
             .is_empty());
-        let mut empty = Rtree3D::new();
-        assert!(knn_segments(&mut empty, Point::new(0.0, 0.0), &w, 3)
+        let empty = Rtree3D::new();
+        assert!(knn_segments(&empty, Point::new(0.0, 0.0), &w, 3)
             .unwrap()
             .is_empty());
     }

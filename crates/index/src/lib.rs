@@ -33,6 +33,9 @@
 //!   Frentzos et al.'s nearest-neighbour work that the paper builds on;
 //! * [`TrajectoryIndex`] / [`TrajectoryIndexWrite`] — the read interface
 //!   the search algorithm consumes and the write interface ingest uses.
+//!   Reads take `&self`: the only state a fetch mutates — buffer pool, page
+//!   store, I/O counters — sits behind one mutex inside the tree's pager
+//!   (`shared.rs`), so any number of searches share a tree by reference.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -49,7 +52,7 @@ mod node;
 mod pagestore;
 pub mod persist;
 mod rtree;
-pub mod shared;
+mod shared;
 mod strtree;
 mod tbtree;
 mod traits;
@@ -59,12 +62,11 @@ mod validate;
 pub use buffer::{BufferPool, BufferStats, LruCache};
 pub use fault::{FaultConfig, FaultInjector, FaultStats, FaultableStore, PageIo};
 pub use knn::{knn_segments, knn_segments_traced, KnnMatch};
-pub use metric::{BallKind, BallNode, MetricPolicy, MetricTree};
+pub use metric::{BallDirectory, BallKind, BallNode, MetricPolicy, MetricTree};
 pub use metrics::{MetricsSink, NoopSink};
 pub use node::{InternalEntry, LeafEntry, Node, INTERNAL_CAPACITY, LEAF_CAPACITY};
 pub use pagestore::{DiskStats, PageId, PageStore, PAGE_SIZE};
 pub use rtree::{Rtree3D, RtreePolicy};
-pub use shared::{ConcurrentIndex, IndexReader};
 pub use strtree::{StrPolicy, StrTree};
 pub use tbtree::{TbPolicy, TbTree};
 pub use traits::{IndexStats, TrajectoryIndex, TrajectoryIndexWrite};
@@ -142,6 +144,14 @@ pub enum IndexError {
     /// unwrapping the lock (xtask rule R7), so one crashed worker degrades
     /// into an error the caller can report rather than a process abort.
     Poisoned(String),
+}
+
+impl IndexError {
+    /// Maps a poisoned lock into [`IndexError::Poisoned`] (xtask rule R7:
+    /// never unwrap a lock); `what` names the lock for the message.
+    pub fn poisoned<T>(what: &'static str) -> impl Fn(std::sync::PoisonError<T>) -> IndexError {
+        move |_| IndexError::Poisoned(what.to_string())
+    }
 }
 
 impl std::fmt::Display for IndexError {

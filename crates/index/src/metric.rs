@@ -22,13 +22,18 @@
 //!   list sorted ascending, so two builds over the same population are
 //!   identical — bit-for-bit reproducible searches.
 //!
-//! The ball directory is *metric-agnostic*: [`MetricTree::ensure_directory`]
+//! The ball directory is *metric-agnostic*: [`MetricTree::directory`]
 //! takes the distance oracle as a closure (the search layer passes exact
 //! DISSIM over the validity overlap), and the stored radii and member
 //! distances are only ever interpreted against that same oracle. The
-//! directory is rebuilt lazily on the first search after a mutation.
+//! directory is rebuilt lazily on the first search after a mutation —
+//! the one thing a metric search writes — so it sits behind its own lock
+//! and a search takes the tree by `&self`, holding that lock for the whole
+//! query. Lock order: directory lock, then the pager mutex of each chain
+//! page read.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, MutexGuard};
 
 use mst_prng::Rng;
 use mst_trajectory::{Mbb, Trajectory, TrajectoryId};
@@ -106,10 +111,19 @@ pub struct MetricPolicy {
     /// Assembled whole trajectories — revalidated on every insert, so
     /// query-time access never fails.
     trajectories: HashMap<TrajectoryId, Trajectory>,
-    balls: Vec<BallNode>,
-    ball_root: Option<usize>,
-    balls_dirty: bool,
+    directory: Mutex<BallDirectory>,
 }
+
+/// The ball layer: the directory nodes, its root, and whether a mutation
+/// has outdated them. Reached through [`MetricTree::directory`].
+#[derive(Debug, Default)]
+pub struct BallDirectory {
+    balls: Vec<BallNode>,
+    root: Option<usize>,
+    stale: bool,
+}
+
+const LOCK: &str = "ball directory";
 
 impl InsertionPolicy for MetricPolicy {
     const KIND: ImageKind = ImageKind::MetricTree;
@@ -157,7 +171,10 @@ impl InsertionPolicy for MetricPolicy {
                 )));
             }
         }
-        self.balls_dirty = true;
+        self.directory
+            .get_mut()
+            .map_err(IndexError::poisoned(LOCK))?
+            .stale = true;
 
         // 2. Page layer: append to the trajectory's tip leaf, or start a
         //    new chained leaf and rebuild the MBB directory over it.
@@ -196,7 +213,7 @@ impl InsertionPolicy for MetricPolicy {
                     owner,
                     prev,
                     ..
-                } = image.read_node(page)?
+                } = image.fetch_node(page)?
                 else {
                     return Err(IndexError::Persist(format!(
                         "leaf chain of {traj} points at an internal node"
@@ -235,7 +252,7 @@ impl MetricPolicy {
     /// a new leaf appears — every ~[`crate::LEAF_CAPACITY`] inserts).
     fn rebuild_directory(&mut self, core: &mut TreeCore) -> Result<()> {
         for page in std::mem::take(&mut self.directory_pages) {
-            core.pager.free_node(page)?;
+            core.pager.get_mut()?.free_node(page)?;
         }
         core.parents.clear();
         match self.leaf_index.as_slice() {
@@ -264,7 +281,7 @@ impl MetricPolicy {
                     level,
                     entries: chunk.to_vec(),
                 };
-                let page = core.pager.allocate_node(&node)?;
+                let page = core.pager.get_mut()?.allocate_node(&node)?;
                 self.directory_pages.push(page);
                 for e in chunk {
                     core.parents.insert(e.child, page);
@@ -313,63 +330,49 @@ impl MetricTree {
         self.policy.trajectories.get(&id)
     }
 
-    /// Root of the ball directory, when built and non-empty.
-    pub fn ball_root(&self) -> Option<usize> {
-        self.policy.ball_root
-    }
-
-    /// A ball-directory node by index.
-    pub fn ball(&self, idx: usize) -> Option<&BallNode> {
-        self.policy.balls.get(idx)
-    }
-
-    /// Number of ball-directory nodes.
-    pub fn ball_count(&self) -> usize {
-        self.policy.balls.len()
-    }
-
-    /// True when a mutation has invalidated the ball directory.
-    pub fn directory_stale(&self) -> bool {
-        self.policy.balls_dirty
-    }
-
-    /// Builds (or rebuilds, after mutations) the ball directory using
-    /// `dist` as the metric oracle. The oracle must be symmetric and
-    /// satisfy the triangle inequality on the population for the stored
-    /// radii to prune soundly; the search layer passes exact DISSIM over
-    /// the trajectories' validity overlap. A no-op when the directory is
-    /// current.
-    pub fn ensure_directory<E, F>(&mut self, mut dist: F) -> std::result::Result<(), E>
+    /// Locks the ball directory for one search, building it first (or
+    /// rebuilding, after mutations) with `dist` as the metric oracle. The
+    /// oracle must be symmetric and satisfy the triangle inequality on the
+    /// population for the stored radii to prune soundly; the search layer
+    /// passes exact DISSIM over the trajectories' validity overlap.
+    /// Searches of one tree serialise on this lock; a lock poisoned by a
+    /// panicking search surfaces as [`IndexError::Poisoned`].
+    pub fn directory<E, F>(
+        &self,
+        mut dist: F,
+    ) -> std::result::Result<MutexGuard<'_, BallDirectory>, E>
     where
-        E: std::fmt::Display,
+        E: std::fmt::Display + From<IndexError>,
         F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
     {
-        if !self.policy.balls_dirty {
-            return Ok(());
+        let mut dir = self
+            .policy
+            .directory
+            .lock()
+            .map_err(IndexError::poisoned(LOCK))?;
+        if !dir.stale {
+            return Ok(dir);
         }
-        self.policy.balls.clear();
-        self.policy.ball_root = None;
+        dir.balls.clear();
+        dir.root = None;
         let ids = self.trajectory_ids();
-        if !ids.is_empty() {
-            let mut rng = Rng::seed_from(PIVOT_SEED);
-            let root = build_ball(
-                &self.policy.trajectories,
-                &mut self.policy.balls,
-                &ids,
-                &mut rng,
-                &mut dist,
-            )?;
-            self.policy.ball_root = root;
-        }
-        self.policy.balls_dirty = false;
+        let mut rng = Rng::seed_from(PIVOT_SEED);
+        dir.root = build_ball(
+            &self.policy.trajectories,
+            &mut dir.balls,
+            &ids,
+            &mut rng,
+            &mut dist,
+        )?;
+        dir.stale = false;
         #[cfg(feature = "paranoid")]
         {
-            if let Err(reason) = self.check_ball_invariants(&mut dist) {
+            if let Err(reason) = dir.audit(&self.policy.trajectories, &mut dist) {
                 let _ = &reason;
                 debug_assert!(false, "paranoid ball audit after build: {reason}");
             }
         }
-        Ok(())
+        Ok(dir)
     }
 
     /// Audits the ball directory against the oracle that built it:
@@ -387,95 +390,12 @@ impl MetricTree {
         E: std::fmt::Display,
         F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
     {
-        if self.policy.balls_dirty {
-            return Err("ball directory is stale: mutations since the last build".into());
-        }
-        let Some(root) = self.policy.ball_root else {
-            if self.policy.trajectories.is_empty() {
-                return Ok(());
-            }
-            return Err("tree holds trajectories but the ball directory is empty".into());
-        };
-        let mut covered: HashSet<TrajectoryId> = HashSet::new();
-        self.audit_ball(root, &mut covered, &mut dist)?;
-        if covered.len() != self.policy.trajectories.len()
-            || !self
-                .policy
-                .trajectories
-                .keys()
-                .all(|id| covered.contains(id))
-        {
-            return Err(format!(
-                "ball leaves cover {} trajectories but the tree holds {}",
-                covered.len(),
-                self.policy.trajectories.len()
-            ));
-        }
-        Ok(())
-    }
-
-    /// Recursive arm of [`MetricTree::check_ball_invariants`]; returns the
-    /// subtree's trajectory ids via `covered`.
-    fn audit_ball<E, F>(
-        &self,
-        idx: usize,
-        covered: &mut HashSet<TrajectoryId>,
-        dist: &mut F,
-    ) -> std::result::Result<Vec<TrajectoryId>, String>
-    where
-        E: std::fmt::Display,
-        F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
-    {
-        let Some(node) = self.policy.balls.get(idx) else {
-            return Err(format!("ball index {idx} out of bounds"));
-        };
-        let Some(pivot_t) = self.policy.trajectories.get(&node.pivot) else {
-            return Err(format!("ball {idx} pivots on unknown {}", node.pivot));
-        };
-        let subtree: Vec<TrajectoryId> = match &node.kind {
-            BallKind::Inner { near, far } => {
-                let mut ids = self.audit_ball(*near, covered, dist)?;
-                ids.extend(self.audit_ball(*far, covered, dist)?);
-                ids
-            }
-            BallKind::Leaf { members } => {
-                for &(id, stored) in members {
-                    if !covered.insert(id) {
-                        return Err(format!("{id} appears in more than one ball leaf"));
-                    }
-                    let Some(t) = self.policy.trajectories.get(&id) else {
-                        return Err(format!("ball leaf {idx} lists unknown {id}"));
-                    };
-                    let d = dist(pivot_t, t).map_err(|e| format!("distance oracle: {e}"))?;
-                    if (d - stored).abs() > BALL_TOL {
-                        return Err(format!(
-                            "ball leaf {idx}: stored pivot distance {stored} for {id} \
-                             disagrees with the oracle ({d})"
-                        ));
-                    }
-                }
-                members.iter().map(|&(id, _)| id).collect()
-            }
-        };
-        if !subtree.contains(&node.pivot) {
-            return Err(format!(
-                "ball {idx}: pivot {} is not in its own subtree",
-                node.pivot
-            ));
-        }
-        for id in &subtree {
-            let Some(t) = self.policy.trajectories.get(id) else {
-                return Err(format!("ball {idx} subtree lists unknown {id}"));
-            };
-            let d = dist(pivot_t, t).map_err(|e| format!("distance oracle: {e}"))?;
-            if d > node.radius + BALL_TOL {
-                return Err(format!(
-                    "ball {idx}: {id} at distance {d} escapes the covering radius {}",
-                    node.radius
-                ));
-            }
-        }
-        Ok(subtree)
+        let dir = self
+            .policy
+            .directory
+            .lock()
+            .map_err(|_| format!("{LOCK} lock poisoned"))?;
+        dir.audit(&self.policy.trajectories, &mut dist)
     }
 
     /// Reassembles the whole trajectory of `id` by walking its leaf chain
@@ -483,7 +403,7 @@ impl MetricTree {
     /// so refinement I/O shows up in profiles exactly like the MBB
     /// substrates' leaf reads. Returns `None` for an unknown trajectory.
     pub fn assemble_trajectory_traced<S: MetricsSink>(
-        &mut self,
+        &self,
         id: TrajectoryId,
         sink: &mut S,
     ) -> Result<Option<Trajectory>> {
@@ -544,6 +464,115 @@ impl MetricTree {
                 page: tip,
                 reason: format!("chain of {id} does not assemble: {err}"),
             })
+    }
+}
+
+impl BallDirectory {
+    /// Root of the directory (`None` for an empty population).
+    pub fn root(&self) -> Option<usize> {
+        self.root
+    }
+
+    /// A directory node by index.
+    pub fn ball(&self, idx: usize) -> Option<&BallNode> {
+        self.balls.get(idx)
+    }
+
+    /// The body of [`MetricTree::check_ball_invariants`], over the
+    /// population `trajs` the directory was built from.
+    fn audit<E, F>(
+        &self,
+        trajs: &HashMap<TrajectoryId, Trajectory>,
+        dist: &mut F,
+    ) -> std::result::Result<(), String>
+    where
+        E: std::fmt::Display,
+        F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
+    {
+        if self.stale {
+            return Err("ball directory is stale: mutations since the last build".into());
+        }
+        let Some(root) = self.root else {
+            if trajs.is_empty() {
+                return Ok(());
+            }
+            return Err("tree holds trajectories but the ball directory is empty".into());
+        };
+        let mut covered: HashSet<TrajectoryId> = HashSet::new();
+        self.audit_ball(trajs, root, &mut covered, dist)?;
+        if covered.len() != trajs.len() || !trajs.keys().all(|id| covered.contains(id)) {
+            return Err(format!(
+                "ball leaves cover {} trajectories but the tree holds {}",
+                covered.len(),
+                trajs.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Recursive arm of [`BallDirectory::audit`]; returns the subtree's
+    /// trajectory ids via `covered`.
+    fn audit_ball<E, F>(
+        &self,
+        trajs: &HashMap<TrajectoryId, Trajectory>,
+        idx: usize,
+        covered: &mut HashSet<TrajectoryId>,
+        dist: &mut F,
+    ) -> std::result::Result<Vec<TrajectoryId>, String>
+    where
+        E: std::fmt::Display,
+        F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
+    {
+        let Some(node) = self.balls.get(idx) else {
+            return Err(format!("ball index {idx} out of bounds"));
+        };
+        let Some(pivot_t) = trajs.get(&node.pivot) else {
+            return Err(format!("ball {idx} pivots on unknown {}", node.pivot));
+        };
+        let subtree: Vec<TrajectoryId> = match &node.kind {
+            BallKind::Inner { near, far } => {
+                let mut ids = self.audit_ball(trajs, *near, covered, dist)?;
+                ids.extend(self.audit_ball(trajs, *far, covered, dist)?);
+                ids
+            }
+            BallKind::Leaf { members } => {
+                for &(id, stored) in members {
+                    if !covered.insert(id) {
+                        return Err(format!("{id} appears in more than one ball leaf"));
+                    }
+                    let Some(t) = trajs.get(&id) else {
+                        return Err(format!("ball leaf {idx} lists unknown {id}"));
+                    };
+                    let d = dist(pivot_t, t).map_err(|e| format!("distance oracle: {e}"))?;
+                    if (d - stored).abs() > BALL_TOL {
+                        return Err(format!(
+                            "ball leaf {idx}: stored pivot distance {stored} for {id} \
+                             disagrees with the oracle ({d})"
+                        ));
+                    }
+                }
+                members.iter().map(|&(id, _)| id).collect()
+            }
+        };
+        if !subtree.contains(&node.pivot) {
+            return Err(format!(
+                "ball {idx}: pivot {} is not in its own subtree",
+                node.pivot
+            ));
+        }
+        for id in &subtree {
+            let Some(t) = trajs.get(id) else {
+                return Err(format!("ball {idx} subtree lists unknown {id}"));
+            };
+            let d = dist(pivot_t, t).map_err(|e| format!("distance oracle: {e}"))?;
+            if d > node.radius + BALL_TOL {
+                return Err(format!(
+                    "ball {idx}: {id} at distance {d} escapes the covering radius {}",
+                    node.radius
+                ));
+            }
+        }
+        Ok(subtree)
     }
 }
 
@@ -609,17 +638,19 @@ impl MetricTree {
     /// Test-only: inflate or shrink a ball's covering radius, bypassing
     /// every invariant — used by the negative audit tests.
     pub(crate) fn corrupt_ball_radius_for_tests(&mut self, idx: usize, radius: f64) {
-        if let Some(b) = self.policy.balls.get_mut(idx) {
+        let dir = self.policy.directory.get_mut().unwrap();
+        if let Some(b) = dir.balls.get_mut(idx) {
             b.radius = radius;
         }
     }
 
     /// Test-only: bend a leaf member's stored pivot distance.
     pub(crate) fn corrupt_ball_member_for_tests(&mut self, idx: usize, pos: usize, d: f64) {
+        let dir = self.policy.directory.get_mut().unwrap();
         if let Some(BallNode {
             kind: BallKind::Leaf { members },
             ..
-        }) = self.policy.balls.get_mut(idx)
+        }) = dir.balls.get_mut(idx)
         {
             if let Some(m) = members.get_mut(pos) {
                 m.1 = d;
@@ -633,12 +664,11 @@ mod tests {
     use super::*;
     use crate::{check_invariants, TrajectoryIndex};
     use mst_trajectory::{SamplePoint, Segment, TimeInterval};
-    use std::convert::Infallible;
 
     /// A cheap deterministic metric for directory tests: distance between
     /// the trajectories' first sample points (a true metric on the test
     /// population, which has distinct starts).
-    fn start_dist(a: &Trajectory, b: &Trajectory) -> std::result::Result<f64, Infallible> {
+    fn start_dist(a: &Trajectory, b: &Trajectory) -> Result<f64> {
         let (pa, pb) = (a.position_at(a.start_time()), b.position_at(b.start_time()));
         match (pa, pb) {
             (Ok(x), Ok(y)) => Ok(x.distance(&y)),
@@ -675,10 +705,10 @@ mod tests {
 
     #[test]
     fn page_structure_validates_and_reconstructs() {
-        let mut t = build(5, 150);
+        let t = build(5, 150);
         assert_eq!(t.num_entries(), 750);
         assert_eq!(t.num_trajectories(), 5);
-        let report = check_invariants(&mut t).unwrap();
+        let report = check_invariants(&t).unwrap();
         assert!(report.leaves >= 15, "150 segments need >= 3 leaves each");
         let mut sink = crate::metrics::NoopSink;
         for id in 0..5 {
@@ -711,7 +741,7 @@ mod tests {
         };
         assert!(matches!(t.insert(bad), Err(IndexError::BadInsert(_))));
         assert_eq!(t.num_entries(), before);
-        check_invariants(&mut t).unwrap();
+        check_invariants(&t).unwrap();
         // The cached trajectory is untouched.
         assert_eq!(
             t.cached_trajectory(TrajectoryId(0)).unwrap().end_time(),
@@ -722,49 +752,62 @@ mod tests {
     #[test]
     fn ball_directory_is_deterministic_and_valid() {
         let mut t = build(20, 12);
-        t.ensure_directory(|a, b| start_dist(a, b)).unwrap();
-        assert!(t.ball_count() > 1, "20 trajectories split past one bucket");
-        t.check_ball_invariants(|a, b| start_dist(a, b)).unwrap();
-        let first: Vec<BallNode> = t.policy.balls.clone();
+        let first: Vec<BallNode> = {
+            let dir = t.directory(start_dist).unwrap();
+            assert!(dir.balls.len() > 1, "20 trajectories split past one bucket");
+            dir.balls.clone()
+        };
+        t.check_ball_invariants(start_dist).unwrap();
         // Rebuild from scratch: identical directory.
-        t.policy.balls_dirty = true;
-        t.ensure_directory(|a, b| start_dist(a, b)).unwrap();
-        assert_eq!(t.policy.balls, first);
+        t.policy.directory.get_mut().unwrap().stale = true;
+        assert_eq!(t.directory(start_dist).unwrap().balls, first);
         // A mutation marks it stale; the audit notices.
         let extra = traj(100.0, 3);
         t.insert_trajectory(TrajectoryId(90), &extra).unwrap();
-        assert!(t.directory_stale());
+        assert!(t.policy.directory.get_mut().unwrap().stale);
         assert!(t
-            .check_ball_invariants(|a, b| start_dist(a, b))
+            .check_ball_invariants(start_dist)
             .unwrap_err()
             .contains("stale"));
-        t.ensure_directory(|a, b| start_dist(a, b)).unwrap();
-        t.check_ball_invariants(|a, b| start_dist(a, b)).unwrap();
+        drop(t.directory(start_dist).unwrap());
+        t.check_ball_invariants(start_dist).unwrap();
+    }
+
+    #[test]
+    fn poisoned_directory_lock_surfaces_as_index_error() {
+        let t = build(8, 6);
+        let panicker = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _dir = t.directory(start_dist).unwrap();
+            panic!("poison the directory");
+        }));
+        assert!(panicker.is_err());
+        assert!(matches!(
+            t.directory(start_dist),
+            Err(IndexError::Poisoned(_))
+        ));
+        assert!(t.check_ball_invariants(start_dist).is_err());
     }
 
     #[test]
     fn shrunken_radius_is_detected() {
         let mut t = build(20, 12);
-        t.ensure_directory(|a, b| start_dist(a, b)).unwrap();
-        let root = t.ball_root().unwrap();
+        let root = t.directory(start_dist).unwrap().root().unwrap();
         t.corrupt_ball_radius_for_tests(root, 0.0);
-        let err = t
-            .check_ball_invariants(|a, b| start_dist(a, b))
-            .unwrap_err();
+        let err = t.check_ball_invariants(start_dist).unwrap_err();
         assert!(err.contains("escapes the covering radius"), "{err}");
     }
 
     #[test]
     fn bent_member_distance_is_detected() {
         let mut t = build(20, 12);
-        t.ensure_directory(|a, b| start_dist(a, b)).unwrap();
-        let leaf = (0..t.ball_count())
-            .find(|&i| matches!(t.ball(i).unwrap().kind, BallKind::Leaf { .. }))
-            .unwrap();
+        let leaf = {
+            let dir = t.directory(start_dist).unwrap();
+            (0..dir.balls.len())
+                .find(|&i| matches!(dir.ball(i).unwrap().kind, BallKind::Leaf { .. }))
+                .unwrap()
+        };
         t.corrupt_ball_member_for_tests(leaf, 0, 1e9);
-        let err = t
-            .check_ball_invariants(|a, b| start_dist(a, b))
-            .unwrap_err();
+        let err = t.check_ball_invariants(start_dist).unwrap_err();
         assert!(err.contains("disagrees with the oracle"), "{err}");
     }
 
@@ -813,7 +856,7 @@ mod tests {
 
     #[test]
     fn range_query_sees_everything() {
-        let mut t = build(4, 100);
+        let t = build(4, 100);
         let all = t
             .range_query(&Mbb::new(-1e12, -1e12, -1e12, 1e12, 1e12, 1e12))
             .unwrap();
@@ -823,7 +866,7 @@ mod tests {
     #[test]
     fn persistence_roundtrips_and_rejects_mismatches() {
         let mut t = build(6, 120);
-        t.ensure_directory(|a, b| start_dist(a, b)).unwrap();
+        drop(t.directory(start_dist).unwrap());
         let mut bytes = Vec::new();
         t.save_lsn(&mut bytes, 42).unwrap();
         let (mut loaded, lsn) = MetricTree::load_lsn(&bytes[..]).unwrap();
@@ -831,7 +874,7 @@ mod tests {
         assert_eq!(loaded.num_entries(), t.num_entries());
         assert_eq!(loaded.num_trajectories(), 6);
         assert_eq!(loaded.max_speed(), t.max_speed());
-        check_invariants(&mut loaded).unwrap();
+        check_invariants(&loaded).unwrap();
         for id in 0..6 {
             assert_eq!(
                 loaded.cached_trajectory(TrajectoryId(id)),
@@ -839,12 +882,14 @@ mod tests {
             );
         }
         // The rebuilt ball directory over the same population is identical.
-        loaded.ensure_directory(|a, b| start_dist(a, b)).unwrap();
-        assert_eq!(loaded.policy.balls, t.policy.balls);
+        assert_eq!(
+            loaded.directory(start_dist).unwrap().balls,
+            t.directory(start_dist).unwrap().balls
+        );
         // The loaded tree keeps accepting inserts.
         let more = traj(500.0, 4);
         loaded.insert_trajectory(TrajectoryId(50), &more).unwrap();
-        check_invariants(&mut loaded).unwrap();
+        check_invariants(&loaded).unwrap();
         // Other substrates' images are refused.
         let mut rtree = crate::Rtree3D::new();
         rtree
@@ -887,7 +932,7 @@ mod tests {
         t.insert_trajectory(TrajectoryId(9), &tr).unwrap();
         // 70 segments overflow one leaf (capacity 67): two leaves + root.
         assert_eq!(t.height(), 2);
-        check_invariants(&mut t).unwrap();
+        check_invariants(&t).unwrap();
         let window = TimeInterval::new(10.0, 20.0).unwrap();
         let hits = t
             .range_query(&Mbb::new(

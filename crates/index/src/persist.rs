@@ -31,7 +31,7 @@ use std::io::{Read, Write};
 
 use mst_trajectory::TrajectoryId;
 
-use crate::traits::Pager;
+use crate::shared::Pager;
 use crate::tree::{sorted_pairs, TreeCore};
 use crate::{IndexError, PageId, PageStore, Result, PAGE_SIZE};
 
@@ -74,6 +74,7 @@ impl Image {
     /// The image of `core` as its page store stands (flush first), stamped
     /// with `kind` and `lsn`. The one place a tree becomes an image.
     pub(crate) fn capture(core: &TreeCore, kind: ImageKind, lsn: u64, with_parents: bool) -> Image {
+        let io = core.pager.peek();
         Image {
             kind,
             lsn,
@@ -81,8 +82,8 @@ impl Image {
             height: core.height,
             entries: core.num_entries,
             max_speed: core.max_speed,
-            pages: core.pager.store.raw_pages().map(Box::from).collect(),
-            free_list: core.pager.store.free_list().to_vec(),
+            pages: io.store.raw_pages().map(Box::from).collect(),
+            free_list: io.store.free_list().to_vec(),
             tips: sorted_pairs(&core.tips),
             parents: if with_parents {
                 sorted_pairs(&core.parents)
@@ -323,19 +324,19 @@ mod roundtrip_tests {
         assert_eq!(loaded.height(), tree.height());
         assert_eq!(loaded.max_speed(), tree.max_speed());
         assert_eq!(loaded.num_pages(), tree.num_pages());
-        check_invariants(&mut loaded).unwrap();
+        check_invariants(&loaded).unwrap();
         // Every surviving entry is still reachable.
-        let all = |t: &mut Rtree3D| {
+        let all = |t: &Rtree3D| {
             let mut v = t
                 .range_query(&Mbb::new(-1e12, -1e12, -1e12, 1e12, 1e12, 1e12))
                 .unwrap();
             v.sort_by_key(|e| (e.traj, e.seq));
             v
         };
-        assert_eq!(all(&mut loaded), all(&mut tree));
+        assert_eq!(all(&loaded), all(&tree));
         // The loaded tree keeps working.
         loaded.insert(entry(9, 0, 500.0)).unwrap();
-        check_invariants(&mut loaded).unwrap();
+        check_invariants(&loaded).unwrap();
     }
 
     #[test]
@@ -350,7 +351,7 @@ mod roundtrip_tests {
         tree.save(&mut bytes).unwrap();
         let mut loaded = TbTree::load(&bytes[..]).unwrap();
         assert_eq!(loaded.num_entries(), 800);
-        check_invariants(&mut loaded).unwrap();
+        check_invariants(&loaded).unwrap();
         // Leaf-list reconstruction still works (tips survived).
         let segs = loaded.trajectory_segments(TrajectoryId(3)).unwrap();
         assert_eq!(segs.len(), 200);
@@ -360,7 +361,7 @@ mod roundtrip_tests {
             loaded.trajectory_segments(TrajectoryId(3)).unwrap().len(),
             201
         );
-        check_invariants(&mut loaded).unwrap();
+        check_invariants(&loaded).unwrap();
     }
 
     #[test]
@@ -379,19 +380,19 @@ mod roundtrip_tests {
         assert_eq!(loaded.height(), tree.height());
         assert_eq!(loaded.max_speed(), tree.max_speed());
         assert_eq!(loaded.num_pages(), tree.num_pages());
-        check_invariants(&mut loaded).unwrap();
+        check_invariants(&loaded).unwrap();
         // Every entry is still reachable, bit-identically.
-        let all = |t: &mut StrTree| {
+        let all = |t: &StrTree| {
             let mut v = t
                 .range_query(&Mbb::new(-1e12, -1e12, -1e12, 1e12, 1e12, 1e12))
                 .unwrap();
             v.sort_by_key(|e| (e.traj, e.seq));
             v
         };
-        assert_eq!(all(&mut loaded), all(&mut tree));
+        assert_eq!(all(&loaded), all(&tree));
         // The loaded tree keeps accepting inserts.
         loaded.insert(entry(9, 0, 500.0)).unwrap();
-        check_invariants(&mut loaded).unwrap();
+        check_invariants(&loaded).unwrap();
     }
 
     /// Truncating a saved STR-tree image at any depth is a clean
@@ -518,7 +519,7 @@ mod roundtrip_tests {
         let rot = data_start + root.index() * crate::PAGE_SIZE + 100;
         bytes[rot] ^= 0x10;
 
-        let mut loaded = Rtree3D::load(&bytes[..]).expect("structurally sound image loads");
+        let loaded = Rtree3D::load(&bytes[..]).expect("structurally sound image loads");
         let err = loaded.read_node(root).expect_err("rot must surface");
         match err {
             crate::IndexError::ChecksumMismatch {
@@ -562,7 +563,7 @@ mod roundtrip_tests {
         let data_start = bytes.len() - tree.num_pages() * crate::PAGE_SIZE;
         bytes[data_start + victim.index() * crate::PAGE_SIZE + 9] ^= 0x01;
 
-        let mut loaded = Rtree3D::load(&bytes[..]).expect("loads");
+        let loaded = Rtree3D::load(&bytes[..]).expect("loads");
         // The root still reads cleanly.
         loaded.read_node(root).expect("healthy page reads fine");
     }
@@ -577,9 +578,9 @@ mod roundtrip_tests {
             tree.insert(entry(1, s, f64::from(s))).unwrap();
         }
         tree.save_to_path(&path).unwrap();
-        let mut loaded = Rtree3D::load_from_path(&path).unwrap();
+        let loaded = Rtree3D::load_from_path(&path).unwrap();
         assert_eq!(loaded.num_entries(), 50);
-        check_invariants(&mut loaded).unwrap();
+        check_invariants(&loaded).unwrap();
         std::fs::remove_file(&path).ok();
     }
 }

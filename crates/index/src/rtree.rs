@@ -47,7 +47,7 @@ impl InsertionPolicy for RtreePolicy {
             return Ok(false);
         };
 
-        let mut node = core.read_node(leaf_page)?;
+        let mut node = core.fetch_node(leaf_page)?;
         let Node::Leaf { entries, .. } = &mut node else {
             return Err(IndexError::CorruptNode {
                 page: leaf_page,
@@ -62,7 +62,7 @@ impl InsertionPolicy for RtreePolicy {
         };
         entries.remove(idx);
         core.num_entries -= 1;
-        core.pager.write_node(leaf_page, &node)?;
+        core.pager.get_mut()?.write_node(leaf_page, &node)?;
         condense(core, leaf_page, node, path)?;
         Ok(true)
     }
@@ -100,7 +100,7 @@ impl Rtree3D {
                 next: None,
             };
             let mbb = node.mbb();
-            let page = core.pager.allocate_node(&node)?;
+            let page = core.pager.get_mut()?.allocate_node(&node)?;
             level_entries.push(InternalEntry { child: page, mbb });
         }
         core.height = 1;
@@ -118,7 +118,7 @@ impl Rtree3D {
                     entries: g.into_iter().map(|(_, e)| e).collect(),
                 };
                 let mbb = node.mbb();
-                let page = core.pager.allocate_node(&node)?;
+                let page = core.pager.get_mut()?.allocate_node(&node)?;
                 next.push(InternalEntry { child: page, mbb });
             }
             level_entries = next;
@@ -151,7 +151,7 @@ fn find_leaf(
     seq: u32,
     path: &mut Vec<(PageId, usize)>,
 ) -> Result<Option<PageId>> {
-    match core.read_node(page)? {
+    match core.fetch_node(page)? {
         Node::Leaf { entries, .. } => {
             if entries.iter().any(|e| e.traj == traj && e.seq == seq) {
                 Ok(Some(page))
@@ -184,7 +184,7 @@ fn condense(
 ) -> Result<()> {
     let mut orphans: Vec<LeafEntry> = Vec::new();
     for &(parent_page, child_idx) in path.iter().rev() {
-        let mut parent = core.read_node(parent_page)?;
+        let mut parent = core.fetch_node(parent_page)?;
         let Node::Internal { entries, .. } = &mut parent else {
             return Err(IndexError::CorruptNode {
                 page: parent_page,
@@ -196,12 +196,12 @@ fn condense(
             // Dissolve the child: harvest its leaf entries, free its
             // pages, drop it from the parent.
             harvest(core, &child_node, &mut orphans)?;
-            core.pager.free_node(child_page)?;
+            core.pager.get_mut()?.free_node(child_page)?;
             entries.remove(child_idx);
         } else {
             entries[child_idx].mbb = child_node.mbb();
         }
-        core.pager.write_node(parent_page, &parent)?;
+        core.pager.get_mut()?.write_node(parent_page, &parent)?;
         child_page = parent_page;
         child_node = parent;
     }
@@ -212,7 +212,7 @@ fn condense(
         match &child_node {
             Node::Leaf { entries, .. } => {
                 if entries.is_empty() && orphans.is_empty() {
-                    core.pager.free_node(child_page)?;
+                    core.pager.get_mut()?.free_node(child_page)?;
                     core.root = None;
                     core.height = 0;
                 }
@@ -220,18 +220,18 @@ fn condense(
             }
             Node::Internal { entries, .. } => match entries.len() {
                 0 => {
-                    core.pager.free_node(child_page)?;
+                    core.pager.get_mut()?.free_node(child_page)?;
                     core.root = None;
                     core.height = 0;
                     break;
                 }
                 1 => {
                     let only = entries[0].child;
-                    core.pager.free_node(child_page)?;
+                    core.pager.get_mut()?.free_node(child_page)?;
                     core.root = Some(only);
                     core.height -= 1;
                     child_page = only;
-                    child_node = core.read_node(only)?;
+                    child_node = core.fetch_node(only)?;
                 }
                 _ => break,
             },
@@ -255,9 +255,9 @@ fn harvest(core: &mut TreeCore, node: &Node, out: &mut Vec<LeafEntry>) -> Result
         Node::Leaf { entries, .. } => out.extend(entries.iter().copied()),
         Node::Internal { entries, .. } => {
             for e in entries {
-                let child = core.read_node(e.child)?;
+                let child = core.fetch_node(e.child)?;
                 harvest(core, &child, out)?;
-                core.pager.free_node(e.child)?;
+                core.pager.get_mut()?.free_node(e.child)?;
             }
         }
     }
@@ -481,7 +481,7 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(all.len(), n as usize);
-        crate::check_invariants(&mut t).unwrap();
+        crate::check_invariants(&t).unwrap();
     }
 
     #[test]
@@ -575,7 +575,7 @@ mod tests {
             deleted += 1;
         }
         assert_eq!(t.num_entries(), u64::from(n) - deleted);
-        crate::check_invariants(&mut t).unwrap();
+        crate::check_invariants(&t).unwrap();
         // Deleted entries are gone; survivors remain findable.
         let all = t
             .range_query(&Mbb::new(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9))
@@ -608,7 +608,7 @@ mod tests {
         assert_eq!(t.num_entries(), 0);
         assert!(t.root().is_none());
         assert_eq!(t.height(), 0);
-        crate::check_invariants(&mut t).unwrap();
+        crate::check_invariants(&t).unwrap();
         // Freed pages are recycled by fresh insertions.
         for i in 0..n {
             t.insert(entry(u64::from(i), 1, f64::from(i), f64::from(i % 9), 1.0))
@@ -620,7 +620,7 @@ mod tests {
             t.num_pages(),
             pages_full
         );
-        crate::check_invariants(&mut t).unwrap();
+        crate::check_invariants(&t).unwrap();
     }
 
     #[test]
@@ -647,7 +647,7 @@ mod tests {
             }
         }
         assert_eq!(t.num_entries() as usize, live.len());
-        crate::check_invariants(&mut t).unwrap();
+        crate::check_invariants(&t).unwrap();
     }
 
     #[test]
@@ -665,7 +665,7 @@ mod tests {
         let mut bulk = Rtree3D::bulk_load(entries.clone()).unwrap();
         assert_eq!(bulk.num_entries(), 3000);
         assert_eq!(bulk.max_speed(), incremental.max_speed());
-        crate::check_invariants(&mut bulk).unwrap();
+        crate::check_invariants(&bulk).unwrap();
         // Packing beats incremental construction on size.
         assert!(
             bulk.num_pages() < incremental.num_pages(),
@@ -684,25 +684,25 @@ mod tests {
         // A bulk-loaded tree keeps accepting inserts and deletes.
         bulk.insert(entry(99, 0, 5000.0, 1.0, 1.0)).unwrap();
         assert!(bulk.delete(TrajectoryId(99), 0).unwrap());
-        crate::check_invariants(&mut bulk).unwrap();
+        crate::check_invariants(&bulk).unwrap();
     }
 
     #[test]
     fn bulk_load_edge_cases() {
         let empty = Rtree3D::bulk_load(Vec::new()).unwrap();
         assert!(empty.root().is_none());
-        let mut single = Rtree3D::bulk_load(vec![entry(1, 0, 0.0, 0.0, 0.0)]).unwrap();
+        let single = Rtree3D::bulk_load(vec![entry(1, 0, 0.0, 0.0, 0.0)]).unwrap();
         assert_eq!(single.height(), 1);
         assert_eq!(single.num_entries(), 1);
-        crate::check_invariants(&mut single).unwrap();
+        crate::check_invariants(&single).unwrap();
         // Exactly one full leaf.
         let full: Vec<LeafEntry> = (0..LEAF_CAPACITY as u32)
             .map(|i| entry(1, i, f64::from(i), f64::from(i), 0.0))
             .collect();
-        let mut one_leaf = Rtree3D::bulk_load(full).unwrap();
+        let one_leaf = Rtree3D::bulk_load(full).unwrap();
         assert_eq!(one_leaf.height(), 1);
         assert_eq!(one_leaf.num_pages(), 1);
-        crate::check_invariants(&mut one_leaf).unwrap();
+        crate::check_invariants(&one_leaf).unwrap();
     }
 
     #[test]

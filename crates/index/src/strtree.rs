@@ -109,9 +109,9 @@ mod tests {
 
     #[test]
     fn holds_everything_and_passes_invariants() {
-        let mut t = build(8, 150);
+        let t = build(8, 150);
         assert_eq!(t.num_entries(), 1200);
-        crate::check_invariants(&mut t).unwrap();
+        crate::check_invariants(&t).unwrap();
         let all = t
             .range_query(&Mbb::new(-1e12, -1e12, -1e12, 1e12, 1e12, 1e12))
             .unwrap();
@@ -136,7 +136,7 @@ mod tests {
                 rtree.insert(e).unwrap();
             }
         }
-        fn spread<I: TrajectoryIndex>(idx: &mut I) -> f64 {
+        fn spread<I: TrajectoryIndex>(idx: &I) -> f64 {
             let mut leaves: HashMap<TrajectoryId, HashSet<PageId>> = HashMap::new();
             let mut stack = vec![idx.root().unwrap()];
             while let Some(page) = stack.pop() {
@@ -153,8 +153,8 @@ mod tests {
             }
             leaves.values().map(|s| s.len() as f64).sum::<f64>() / leaves.len() as f64
         }
-        let s_spread = spread(&mut strtree);
-        let r_spread = spread(&mut rtree);
+        let s_spread = spread(&strtree);
+        let r_spread = spread(&rtree);
         assert!(
             s_spread <= r_spread + 1e-9,
             "STR spread {s_spread} vs R-tree {r_spread}"
@@ -171,7 +171,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(t.num_entries(), 500);
-        crate::check_invariants(&mut t).unwrap();
+        crate::check_invariants(&t).unwrap();
         let all = t
             .range_query(&Mbb::new(-1e12, -1e12, -1e12, 1e12, 1e12, 1e12))
             .unwrap();
@@ -186,13 +186,13 @@ mod tests {
         t.save(&mut bytes).unwrap();
         let mut loaded = StrTree::load(&bytes[..]).unwrap();
         assert_eq!(loaded.num_entries(), 480);
-        crate::check_invariants(&mut loaded).unwrap();
+        crate::check_invariants(&loaded).unwrap();
         // Tips survived: appending continues trajectory-preserving.
         loaded
             .insert(entry(2, 120, 120.0, 48.0 + 100.0, 2.0))
             .unwrap();
         assert_eq!(loaded.num_entries(), 481);
-        crate::check_invariants(&mut loaded).unwrap();
+        crate::check_invariants(&loaded).unwrap();
     }
 
     #[test]

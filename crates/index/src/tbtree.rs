@@ -65,7 +65,7 @@ fn attach_leaf(core: &mut TreeCore, leaf: PageId, leaf_mbb: Mbb) -> Result<()> {
 
     if core.height == 1 {
         // The root is itself a leaf: grow a directory level.
-        let root_mbb = core.read_node(root)?.mbb();
+        let root_mbb = core.fetch_node(root)?.mbb();
         let new_root = Node::Internal {
             level: 1,
             entries: vec![
@@ -79,7 +79,7 @@ fn attach_leaf(core: &mut TreeCore, leaf: PageId, leaf_mbb: Mbb) -> Result<()> {
                 },
             ],
         };
-        let new_root_page = core.pager.allocate_node(&new_root)?;
+        let new_root_page = core.pager.get_mut()?.allocate_node(&new_root)?;
         core.parents.insert(root, new_root_page);
         core.parents.insert(leaf, new_root_page);
         core.root = Some(new_root_page);
@@ -91,7 +91,7 @@ fn attach_leaf(core: &mut TreeCore, leaf: PageId, leaf_mbb: Mbb) -> Result<()> {
     let mut path: Vec<PageId> = Vec::with_capacity(core.height as usize);
     let mut current = root;
     loop {
-        let node = core.read_node(current)?;
+        let node = core.fetch_node(current)?;
         let Node::Internal { level, entries } = &node else {
             return Err(IndexError::CorruptNode {
                 page: current,
@@ -120,7 +120,7 @@ fn attach_leaf(core: &mut TreeCore, leaf: PageId, leaf_mbb: Mbb) -> Result<()> {
         mbb: leaf_mbb,
     };
     for (depth, &page) in path.iter().enumerate().rev() {
-        let mut node = core.read_node(page)?;
+        let mut node = core.fetch_node(page)?;
         let Node::Internal { level, entries } = &mut node else {
             return Err(IndexError::CorruptNode {
                 page,
@@ -131,7 +131,7 @@ fn attach_leaf(core: &mut TreeCore, leaf: PageId, leaf_mbb: Mbb) -> Result<()> {
             entries.push(pending);
             core.parents.insert(pending.child, page);
             let mbb = node.mbb();
-            core.pager.write_node(page, &node)?;
+            core.pager.get_mut()?.write_node(page, &node)?;
             core.refresh_ancestors(page, mbb)?;
             return Ok(());
         }
@@ -140,7 +140,7 @@ fn attach_leaf(core: &mut TreeCore, leaf: PageId, leaf_mbb: Mbb) -> Result<()> {
             level: *level,
             entries: vec![pending],
         };
-        let sibling_page = core.pager.allocate_node(&sibling)?;
+        let sibling_page = core.pager.get_mut()?.allocate_node(&sibling)?;
         core.parents.insert(pending.child, sibling_page);
         pending = InternalEntry {
             child: sibling_page,
@@ -148,7 +148,7 @@ fn attach_leaf(core: &mut TreeCore, leaf: PageId, leaf_mbb: Mbb) -> Result<()> {
         };
         if depth == 0 {
             // The root itself was full: grow the tree.
-            let old_root_mbb = core.read_node(page)?.mbb();
+            let old_root_mbb = core.fetch_node(page)?.mbb();
             let new_root = Node::Internal {
                 level: *level + 1,
                 entries: vec![
@@ -159,7 +159,7 @@ fn attach_leaf(core: &mut TreeCore, leaf: PageId, leaf_mbb: Mbb) -> Result<()> {
                     pending,
                 ],
             };
-            let new_root_page = core.pager.allocate_node(&new_root)?;
+            let new_root_page = core.pager.get_mut()?.allocate_node(&new_root)?;
             core.parents.insert(page, new_root_page);
             core.parents.insert(pending.child, new_root_page);
             core.root = Some(new_root_page);
@@ -176,7 +176,7 @@ impl TbTree {
     /// Reconstructs all indexed segments of `id` by walking its leaf list
     /// backwards from the tip — the operation the TB-tree exists to make
     /// cheap.
-    pub fn trajectory_segments(&mut self, id: TrajectoryId) -> Result<Vec<LeafEntry>> {
+    pub fn trajectory_segments(&self, id: TrajectoryId) -> Result<Vec<LeafEntry>> {
         let mut out = Vec::new();
         let mut cursor = self.core.tips.get(&id).copied();
         while let Some(page) = cursor {
@@ -199,7 +199,7 @@ impl TbTree {
     /// trajectory retrieval" the TB-tree's linked leaves were designed for
     /// (no directory traversal at all).
     pub fn trajectory_window(
-        &mut self,
+        &self,
         id: TrajectoryId,
         window: &TimeInterval,
     ) -> Result<Vec<LeafEntry>> {
@@ -266,15 +266,15 @@ mod tests {
 
     #[test]
     fn leaves_stay_single_trajectory() {
-        let mut t = build(5, 200);
+        let t = build(5, 200);
         assert_eq!(t.num_entries(), 1000);
-        let report = crate::check_invariants(&mut t).unwrap();
+        let report = crate::check_invariants(&t).unwrap();
         assert!(report.leaves >= 15, "200 segments need >= 3 leaves each");
     }
 
     #[test]
     fn leaf_list_reconstructs_trajectories() {
-        let mut t = build(3, 150);
+        let t = build(3, 150);
         for id in 0..3 {
             let segs = t.trajectory_segments(TrajectoryId(id)).unwrap();
             assert_eq!(segs.len(), 150);
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn range_query_sees_everything() {
-        let mut t = build(4, 300);
+        let t = build(4, 300);
         let all = t
             .range_query(&Mbb::new(-1e12, -1e12, -1e12, 1e12, 1e12, 1e12))
             .unwrap();
@@ -316,9 +316,9 @@ mod tests {
     fn grows_multiple_levels() {
         // Enough leaves to overflow a level-1 node (capacity 78): 100
         // trajectories × 68 segments -> 100+ leaves.
-        let mut t = build(100, 68);
+        let t = build(100, 68);
         assert!(t.height() >= 3, "height {} too small", t.height());
-        crate::check_invariants(&mut t).unwrap();
+        crate::check_invariants(&t).unwrap();
     }
 
     #[test]
@@ -360,6 +360,6 @@ mod tests {
         assert_eq!(t.height(), 2);
         let segs = t.trajectory_segments(TrajectoryId(9)).unwrap();
         assert_eq!(segs.len(), 70);
-        crate::check_invariants(&mut t).unwrap();
+        crate::check_invariants(&t).unwrap();
     }
 }

@@ -1,13 +1,11 @@
 //! The read and write interfaces the MST search and the ingest paths
-//! consume, plus the pager that moves nodes through the buffer.
+//! consume (the pager that moves nodes through the buffer is `shared.rs`).
 
 use mst_trajectory::{Mbb, TrajectoryId};
 
-use crate::fault::{FaultConfig, FaultStats, FaultableStore};
+use crate::fault::{FaultConfig, FaultStats};
 use crate::metrics::{MetricsSink, NoopSink};
-use crate::{
-    BufferPool, BufferStats, DiskStats, IndexError, LeafEntry, Node, PageId, PageStore, Result,
-};
+use crate::{BufferStats, DiskStats, IndexError, LeafEntry, Node, PageId, Result};
 
 /// The paper's buffer sizing rule: 10% of the index size, capped at 1000
 /// pages (and floored at a handful so tiny indexes still run buffered).
@@ -34,122 +32,13 @@ pub struct IndexStats {
     pub buffer: BufferStats,
 }
 
-/// Pages + buffer, the I/O half of [`crate::tree::TreeCore`]. The store is
-/// wrapped in a [`FaultableStore`] so every physical I/O can be subjected
-/// to deterministic fault injection; with injection disabled (the
-/// default) the wrapper is a transparent pass-through.
-pub(crate) struct Pager {
-    pub store: FaultableStore,
-    pub pool: BufferPool,
-    pub node_reads: u64,
-    /// When set, pins the buffer to a fixed page count instead of the
-    /// paper's auto-sizing rule (used by the buffer-sweep ablation).
-    pub fixed_capacity: Option<usize>,
-}
-
-impl Pager {
-    pub fn new() -> Self {
-        Pager {
-            store: FaultableStore::new(),
-            pool: BufferPool::new(paper_buffer_capacity(0)),
-            node_reads: 0,
-            fixed_capacity: None,
-        }
-    }
-
-    /// Wraps a rebuilt store (persistence load path) with a cold buffer.
-    pub fn from_store(store: PageStore) -> Self {
-        let cap = paper_buffer_capacity(store.num_pages());
-        Pager {
-            store: FaultableStore::from_store(store),
-            pool: BufferPool::new(cap),
-            node_reads: 0,
-            fixed_capacity: None,
-        }
-    }
-
-    /// Enables (`Some`) or disables (`None`) deterministic fault injection
-    /// on the pager's physical I/O.
-    pub fn set_fault_injection(&mut self, config: Option<FaultConfig>) {
-        self.store.set_injection(config);
-    }
-
-    /// Pins (or, with `None`, un-pins) the buffer capacity.
-    pub fn set_fixed_capacity(&mut self, capacity: Option<usize>) -> Result<()> {
-        self.fixed_capacity = capacity;
-        let cap = capacity.unwrap_or_else(|| paper_buffer_capacity(self.store.num_pages()));
-        self.pool.set_capacity(cap, &mut self.store)
-    }
-
-    /// Allocates a page for `node` and writes it (through the buffer).
-    pub fn allocate_node(&mut self, node: &Node) -> Result<PageId> {
-        let id = self.store.allocate();
-        self.write_node(id, node)?;
-        // Grow the buffer with the index, per the paper's 10%/1000 rule
-        // (unless the caller pinned a capacity).
-        if self.fixed_capacity.is_none() {
-            let cap = paper_buffer_capacity(self.store.num_pages());
-            if cap != self.pool.capacity() {
-                self.pool.set_capacity(cap, &mut self.store)?;
-            }
-        }
-        Ok(id)
-    }
-
-    /// Reads and decodes the node stored in `page`. The frame stays pinned
-    /// for the duration of the decode, so the buffer audits see every node
-    /// access and a decode can never race an eviction. The buffer hit/miss,
-    /// the decoded byte count, and the node access (tagged with the node's
-    /// tree level) are reported to `sink`.
-    pub fn read_node_traced<S: MetricsSink>(&mut self, page: PageId, sink: &mut S) -> Result<Node> {
-        self.node_reads += 1;
-        let decoded = {
-            let bytes = self.pool.read_pinned_traced(&mut self.store, page, sink)?;
-            sink.bytes_decoded(bytes.len() as u64);
-            Node::decode(page, bytes)
-        };
-        self.pool.unpin(page)?;
-        if let Ok(node) = &decoded {
-            sink.node_access(node.level());
-        }
-        decoded
-    }
-
-    /// Encodes and writes `node` into `page`.
-    pub fn write_node(&mut self, page: PageId, node: &Node) -> Result<()> {
-        let bytes = node.encode();
-        self.pool.write(&mut self.store, page, &bytes)
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.node_reads = 0;
-        self.store.reset_stats();
-        self.pool.reset_stats();
-    }
-
-    /// Drops all cached pages so the next query starts cold.
-    pub fn clear_buffer(&mut self) -> Result<()> {
-        self.pool.clear(&mut self.store)
-    }
-
-    /// Frees a node's page (its bytes are dead; the buffer copy is
-    /// discarded, the page returns to the store's free list).
-    pub fn free_node(&mut self, page: PageId) -> Result<()> {
-        self.pool.discard(page);
-        self.store.free(page)
-    }
-
-    /// Buffer-manager audit: LRU bookkeeping consistent and no leaked pins.
-    /// The pager pins only inside [`Pager::read_node_traced`], so between calls the
-    /// pool must be fully unpinned.
-    pub fn audit(&self) -> std::result::Result<(), String> {
-        self.pool.audit_idle()
-    }
-}
-
 /// Read access to an R-tree-like trajectory index, as required by the
 /// best-first MST search: a root pointer, node fetches (with I/O
 /// accounting), and the metadata the bounds need (`max_speed`, sizes).
+/// Every read takes `&self` — the buffer a fetch moves pages through is
+/// synchronised inside the index — so any number of searches can share one
+/// tree; maintenance (`reset_stats`, buffer sizing, fault injection) takes
+/// `&mut self`.
 pub trait TrajectoryIndex {
     /// The root page, or `None` for an empty index.
     fn root(&self) -> Option<PageId>;
@@ -159,10 +48,10 @@ pub trait TrajectoryIndex {
     /// byte count and the node access (tagged with the node's level) to
     /// `sink`. The one way to read a node: every implementation supplies
     /// this and nothing else.
-    fn read_node_traced<S: MetricsSink>(&mut self, page: PageId, sink: &mut S) -> Result<Node>;
+    fn read_node_traced<S: MetricsSink>(&self, page: PageId, sink: &mut S) -> Result<Node>;
 
     /// [`TrajectoryIndex::read_node_traced`] with nobody listening.
-    fn read_node(&mut self, page: PageId) -> Result<Node> {
+    fn read_node(&self, page: PageId) -> Result<Node> {
         self.read_node_traced(page, &mut NoopSink)
     }
 
@@ -195,48 +84,32 @@ pub trait TrajectoryIndex {
     /// Enables (`Some(config)`) or disables (`None`) deterministic fault
     /// injection on the index's physical page I/O (chaos testing).
     /// Enabling replaces any previous schedule and resets its statistics.
-    /// The default is for index views without their own storage: disabling
-    /// is a no-op, enabling is an error rather than a silent lie.
-    fn set_fault_injection(&mut self, config: Option<FaultConfig>) -> Result<()> {
-        match config {
-            None => Ok(()),
-            Some(_) => Err(IndexError::Buffer(
-                "this index view has no fault-injectable page store".to_string(),
-            )),
-        }
-    }
+    fn set_fault_injection(&mut self, config: Option<FaultConfig>) -> Result<()>;
 
-    /// Counters of the injected faults, when fault injection is enabled.
-    /// `None` when injection is off or unsupported.
-    fn fault_stats(&self) -> Option<FaultStats> {
-        None
-    }
+    /// Counters of the injected faults; `None` when injection is off.
+    fn fault_stats(&self) -> Option<FaultStats>;
 
     /// For trajectory-preserving indexes (the TB-tree): each trajectory's
     /// tip leaf, the head of its backward leaf chain. Indexes without leaf
     /// chains return an empty list, which skips the chain validation in
     /// [`crate::check_invariants`].
-    fn leaf_chain_tips(&self) -> Vec<(TrajectoryId, PageId)> {
-        Vec::new()
-    }
+    fn leaf_chain_tips(&self) -> Vec<(TrajectoryId, PageId)>;
 
     /// Audits the buffer manager's bookkeeping (LRU consistency, leaked
-    /// pins). The default is a no-op for index views without a buffer.
-    fn audit_buffer(&self) -> std::result::Result<(), String> {
-        Ok(())
-    }
+    /// pins).
+    fn audit_buffer(&self) -> std::result::Result<(), String>;
 
     /// All segments whose MBB intersects `window` — the classic 3D range
     /// query the substrate also serves (the paper's premise is that the
     /// *same* index answers both traditional and similarity queries).
-    fn range_query(&mut self, window: &Mbb) -> Result<Vec<LeafEntry>> {
+    fn range_query(&self, window: &Mbb) -> Result<Vec<LeafEntry>> {
         self.range_query_traced(window, &mut NoopSink)
     }
 
     /// [`TrajectoryIndex::range_query`] with observability: every node
     /// visited during the traversal is reported to `sink`.
     fn range_query_traced<S: MetricsSink>(
-        &mut self,
+        &self,
         window: &Mbb,
         sink: &mut S,
     ) -> Result<Vec<LeafEntry>> {

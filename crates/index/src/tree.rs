@@ -22,7 +22,8 @@ use crate::fault::{FaultConfig, FaultStats};
 use crate::metrics::{MetricsSink, NoopSink};
 use crate::persist::{Image, ImageKind};
 use crate::rtree::{choose_subtree, quadratic_split, MIN_FILL_RATIO};
-use crate::traits::{delete_unsupported, Pager};
+use crate::shared::Pager;
+use crate::traits::delete_unsupported;
 use crate::{
     IndexError, IndexStats, InternalEntry, LeafEntry, Node, PageId, Result, TrajectoryIndex,
     TrajectoryIndexWrite, INTERNAL_CAPACITY, LEAF_CAPACITY, PAGE_SIZE,
@@ -126,9 +127,9 @@ impl TreeCore {
         }
     }
 
-    /// Fetches a node with nobody listening.
-    pub(crate) fn read_node(&mut self, page: PageId) -> Result<Node> {
-        self.pager.read_node_traced(page, &mut NoopSink)
+    /// Fetches a node on the write path: nobody listening, no locking.
+    pub(crate) fn fetch_node(&mut self, page: PageId) -> Result<Node> {
+        self.pager.get_mut()?.fetch_node(page, &mut NoopSink)
     }
 
     /// Accounts for a stored entry.
@@ -150,7 +151,7 @@ impl TreeCore {
                 prev: None,
                 next: None,
             };
-            let page = self.pager.allocate_node(&node)?;
+            let page = self.pager.get_mut()?.allocate_node(&node)?;
             self.root = Some(page);
             self.height = 1;
             H::landed(self, entry.traj, page);
@@ -160,12 +161,12 @@ impl TreeCore {
         // Descend to the best leaf, remembering the path.
         let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.height as usize);
         let mut page = root;
-        while let Node::Internal { entries, .. } = self.read_node(page)? {
+        while let Node::Internal { entries, .. } = self.fetch_node(page)? {
             let idx = choose_subtree(&entries, &entry.mbb());
             path.push((page, idx));
             page = entries[idx].child;
         }
-        let mut node = self.read_node(page)?;
+        let mut node = self.fetch_node(page)?;
         let Node::Leaf { entries, .. } = &mut node else {
             return Err(IndexError::CorruptNode {
                 page,
@@ -181,12 +182,12 @@ impl TreeCore {
         let split = loop {
             let (updated_mbb, split) = match split_overflow(&node) {
                 None => {
-                    self.pager.write_node(page, &node)?;
+                    self.pager.get_mut()?.write_node(page, &node)?;
                     (node.mbb(), None)
                 }
                 Some((node_a, node_b)) => {
-                    self.pager.write_node(page, &node_a)?;
-                    let new_page = self.pager.allocate_node(&node_b)?;
+                    self.pager.get_mut()?.write_node(page, &node_a)?;
+                    let new_page = self.pager.get_mut()?.allocate_node(&node_b)?;
                     match (&node_a, &node_b) {
                         (Node::Internal { entries: a, .. }, Node::Internal { entries: b, .. }) => {
                             for e in a {
@@ -208,7 +209,7 @@ impl TreeCore {
             let Some((parent, child_idx)) = path.pop() else {
                 break split;
             };
-            node = self.read_node(parent)?;
+            node = self.fetch_node(parent)?;
             let Node::Internal { entries, .. } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page: parent,
@@ -225,7 +226,7 @@ impl TreeCore {
 
         // Root split: grow the tree by one level.
         if let Some(sibling) = split {
-            let old_root_mbb = self.read_node(root)?.mbb();
+            let old_root_mbb = self.fetch_node(root)?.mbb();
             let new_root = Node::Internal {
                 level: self.height,
                 entries: vec![
@@ -236,7 +237,7 @@ impl TreeCore {
                     sibling,
                 ],
             };
-            let new_root_page = self.pager.allocate_node(&new_root)?;
+            let new_root_page = self.pager.get_mut()?.allocate_node(&new_root)?;
             H::adopted(self, root, new_root_page);
             H::adopted(self, sibling.child, new_root_page);
             self.root = Some(new_root_page);
@@ -258,7 +259,7 @@ impl TreeCore {
         let Some(&tip) = self.tips.get(&entry.traj) else {
             return Ok(None);
         };
-        let mut node = self.read_node(tip)?;
+        let mut node = self.fetch_node(tip)?;
         let Node::Leaf { entries, .. } = &mut node else {
             return Err(IndexError::CorruptNode {
                 page: tip,
@@ -272,7 +273,7 @@ impl TreeCore {
         entries.push(entry);
         self.count(&entry);
         let mbb = node.mbb();
-        self.pager.write_node(tip, &node)?;
+        self.pager.get_mut()?.write_node(tip, &node)?;
         self.refresh_ancestors(tip, mbb)?;
         Ok(Some((tip, mbb)))
     }
@@ -288,14 +289,14 @@ impl TreeCore {
             prev: prev_tip,
             next: None,
         };
-        let leaf = self.pager.allocate_node(&node)?;
+        let leaf = self.pager.get_mut()?.allocate_node(&node)?;
         self.count(&entry);
         if let Some(prev) = prev_tip {
-            let mut prev_node = self.read_node(prev)?;
+            let mut prev_node = self.fetch_node(prev)?;
             if let Node::Leaf { next, .. } = &mut prev_node {
                 *next = Some(leaf);
             }
-            self.pager.write_node(prev, &prev_node)?;
+            self.pager.get_mut()?.write_node(prev, &prev_node)?;
         }
         self.tips.insert(entry.traj, leaf);
         Ok((leaf, node.mbb()))
@@ -309,7 +310,7 @@ impl TreeCore {
         mut child_mbb: Mbb,
     ) -> Result<()> {
         while let Some(&parent) = self.parents.get(&child) {
-            let mut node = self.read_node(parent)?;
+            let mut node = self.fetch_node(parent)?;
             let Node::Internal { entries, .. } = &mut node else {
                 return Err(IndexError::CorruptNode {
                     page: parent,
@@ -328,7 +329,7 @@ impl TreeCore {
             }
             slot.mbb = child_mbb;
             let mbb = node.mbb();
-            self.pager.write_node(parent, &node)?;
+            self.pager.get_mut()?.write_node(parent, &node)?;
             child = parent;
             child_mbb = mbb;
         }
@@ -424,13 +425,16 @@ impl<P: InsertionPolicy> PagedTree<P> {
     /// comparable with unaudited runs.
     #[cfg(feature = "paranoid")]
     pub(crate) fn paranoid_audit(&mut self, op: &str) {
-        let disk = self.core.pager.store.stats();
-        let buf = self.core.pager.pool.stats();
-        let reads = self.core.pager.node_reads;
+        let Ok(io) = self.core.pager.get_mut() else {
+            return;
+        };
+        let (disk, buf, reads) = (io.store.stats(), io.pool.stats(), io.node_reads);
         let failure = crate::check_invariants(self).err();
-        self.core.pager.store.set_stats(disk);
-        self.core.pager.pool.set_stats(buf);
-        self.core.pager.node_reads = reads;
+        if let Ok(io) = self.core.pager.get_mut() {
+            io.store.set_stats(disk);
+            io.pool.set_stats(buf);
+            io.node_reads = reads;
+        }
         if let Some(reason) = failure {
             let _ = &reason;
             debug_assert!(false, "paranoid audit after {op}: {reason}");
@@ -443,7 +447,8 @@ impl<P: InsertionPolicy> PagedTree<P> {
 
     /// Flushes dirty buffered pages to the page store.
     pub fn flush(&mut self) -> Result<()> {
-        self.core.pager.pool.flush(&mut self.core.pager.store)
+        let io = self.core.pager.get_mut()?;
+        io.pool.flush(&mut io.store)
     }
 
     /// Serializes the whole index into `writer` (dirty pages are flushed
@@ -509,7 +514,7 @@ impl<P: InsertionPolicy> PagedTree<P> {
     /// Test-only: overwrite a node's page, bypassing every invariant — used
     /// by the validator's negative tests to plant corruption.
     pub(crate) fn corrupt_node_for_tests(&mut self, page: PageId, node: &Node) -> Result<()> {
-        self.core.pager.write_node(page, node)
+        self.core.pager.get_mut()?.write_node(page, node)
     }
 
     /// Test-only: desynchronize the entry counter.
@@ -519,7 +524,7 @@ impl<P: InsertionPolicy> PagedTree<P> {
 
     /// Test-only: pin a resident page and never unpin it (a simulated leak).
     pub(crate) fn leak_pin_for_tests(&mut self, page: PageId) -> Result<()> {
-        self.core.pager.pool.pin(page)
+        self.core.pager.get_mut()?.pool.pin(page)
     }
 }
 
@@ -540,12 +545,12 @@ impl<P: InsertionPolicy> TrajectoryIndex for PagedTree<P> {
         self.core.root
     }
 
-    fn read_node_traced<S: MetricsSink>(&mut self, page: PageId, sink: &mut S) -> Result<Node> {
+    fn read_node_traced<S: MetricsSink>(&self, page: PageId, sink: &mut S) -> Result<Node> {
         self.core.pager.read_node_traced(page, sink)
     }
 
     fn num_pages(&self) -> usize {
-        self.core.pager.store.num_pages()
+        self.core.pager.peek().store.num_pages()
     }
 
     fn num_entries(&self) -> u64 {
@@ -561,7 +566,7 @@ impl<P: InsertionPolicy> TrajectoryIndex for PagedTree<P> {
     }
 
     fn stats(&self) -> IndexStats {
-        let pager = &self.core.pager;
+        let pager = self.core.pager.peek();
         IndexStats {
             pages: pager.store.num_pages(),
             size_bytes: pager.store.num_pages() * PAGE_SIZE,
@@ -574,24 +579,27 @@ impl<P: InsertionPolicy> TrajectoryIndex for PagedTree<P> {
     }
 
     fn reset_stats(&mut self) {
-        self.core.pager.reset_stats();
+        // A poisoned pager refuses every read; its counters no longer matter.
+        if let Ok(io) = self.core.pager.get_mut() {
+            io.reset_stats();
+        }
     }
 
     fn clear_buffer(&mut self) -> Result<()> {
-        self.core.pager.clear_buffer()
+        self.core.pager.get_mut()?.clear_buffer()
     }
 
     fn set_buffer_capacity(&mut self, capacity: Option<usize>) -> Result<()> {
-        self.core.pager.set_fixed_capacity(capacity)
+        self.core.pager.get_mut()?.set_fixed_capacity(capacity)
     }
 
     fn set_fault_injection(&mut self, config: Option<FaultConfig>) -> Result<()> {
-        self.core.pager.set_fault_injection(config);
+        self.core.pager.get_mut()?.set_fault_injection(config);
         Ok(())
     }
 
     fn fault_stats(&self) -> Option<FaultStats> {
-        self.core.pager.store.fault_stats()
+        self.core.pager.peek().store.fault_stats()
     }
 
     fn leaf_chain_tips(&self) -> Vec<(TrajectoryId, PageId)> {

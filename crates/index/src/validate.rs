@@ -52,7 +52,7 @@ fn mbb_contains(outer: &Mbb, inner: &Mbb) -> bool {
 /// 7. the buffer manager's bookkeeping is consistent with no leaked pins.
 ///
 /// Returns a summary on success, or a description of the first violation.
-pub fn check_invariants<I: TrajectoryIndex>(index: &mut I) -> Result<InvariantReport, String> {
+pub fn check_invariants<I: TrajectoryIndex>(index: &I) -> Result<InvariantReport, String> {
     let mut report = InvariantReport::default();
     let Some(root) = index.root() else {
         if index.num_entries() != 0 {
@@ -164,7 +164,7 @@ pub fn check_invariants<I: TrajectoryIndex>(index: &mut I) -> Result<InvariantRe
 /// the chain, acyclicity, and that the chains cover exactly the owned
 /// leaves the tree walk found. No-op for indexes without leaf chains.
 fn check_leaf_chains<I: TrajectoryIndex>(
-    index: &mut I,
+    index: &I,
     owned_leaves: &HashMap<TrajectoryId, usize>,
 ) -> Result<(), String> {
     let tips = index.leaf_chain_tips();
@@ -268,7 +268,7 @@ mod tests {
             .expect("insert");
         }
         assert!(t.height() > 1, "corruption tests need a directory level");
-        check_invariants(&mut t).expect("freshly built tree is valid");
+        check_invariants(&t).expect("freshly built tree is valid");
         t
     }
 
@@ -281,7 +281,7 @@ mod tests {
                     .expect("insert");
             }
         }
-        check_invariants(&mut t).expect("freshly built tree is valid");
+        check_invariants(&t).expect("freshly built tree is valid");
         t
     }
 
@@ -298,7 +298,7 @@ mod tests {
         entries[0].mbb = Mbb::new(m.x_min, m.y_min, m.t_min, m.x_min, m.y_min, m.t_min);
         t.corrupt_node_for_tests(root, &Node::Internal { level, entries })
             .unwrap();
-        let err = check_invariants(&mut t).unwrap_err();
+        let err = check_invariants(&t).unwrap_err();
         assert!(err.contains("does not contain"), "{err}");
     }
 
@@ -319,7 +319,7 @@ mod tests {
             }],
         };
         t.corrupt_node_for_tests(victim, &fake).unwrap();
-        let err = check_invariants(&mut t).unwrap_err();
+        let err = check_invariants(&t).unwrap_err();
         assert!(err.contains("parent expects"), "{err}");
     }
 
@@ -352,7 +352,7 @@ mod tests {
             },
         )
         .unwrap();
-        let err = check_invariants(&mut t).unwrap_err();
+        let err = check_invariants(&t).unwrap_err();
         assert!(err.contains("foreign segments"), "{err}");
     }
 
@@ -361,13 +361,13 @@ mod tests {
         let mut t = multi_level_rtree();
         let n = t.num_entries();
         t.set_num_entries_for_tests(n + 1);
-        let err = check_invariants(&mut t).unwrap_err();
+        let err = check_invariants(&t).unwrap_err();
         assert!(err.contains("reports"), "{err}");
 
         let mut t = chained_tbtree();
         let n = t.num_entries();
         t.set_num_entries_for_tests(n - 1);
-        let err = check_invariants(&mut t).unwrap_err();
+        let err = check_invariants(&t).unwrap_err();
         assert!(err.contains("reports"), "{err}");
     }
 
@@ -399,7 +399,7 @@ mod tests {
             },
         )
         .unwrap();
-        let err = check_invariants(&mut t).unwrap_err();
+        let err = check_invariants(&t).unwrap_err();
         assert!(err.contains("next"), "{err}");
     }
 
@@ -425,7 +425,7 @@ mod tests {
             },
         )
         .unwrap();
-        let err = check_invariants(&mut t).unwrap_err();
+        let err = check_invariants(&t).unwrap_err();
         assert!(err.contains("cycle"), "{err}");
     }
 
@@ -435,14 +435,14 @@ mod tests {
         let root = t.root().expect("non-empty");
         t.read_node(root).expect("root is resident after this");
         t.leak_pin_for_tests(root).expect("root is resident");
-        let err = check_invariants(&mut t).unwrap_err();
+        let err = check_invariants(&t).unwrap_err();
         assert!(err.contains("leaked pin"), "{err}");
 
         let mut t = chained_tbtree();
         let root = t.root().expect("non-empty");
         t.read_node(root).expect("root is resident after this");
         t.leak_pin_for_tests(root).expect("root is resident");
-        let err = check_invariants(&mut t).unwrap_err();
+        let err = check_invariants(&t).unwrap_err();
         assert!(err.contains("leaked pin"), "{err}");
     }
 }

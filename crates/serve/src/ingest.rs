@@ -8,11 +8,13 @@
 //! this contract); the trait erases its `LogStore` type parameter so the
 //! mux stays generic over the index substrate only.
 //!
-//! Visibility is generation-based, inherited from the exec layer:
-//! applying an operation publishes a new index-snapshot generation per
-//! shard, queries already executing finish on the generation they
-//! pinned, and queries admitted after the ingest ack see the new state.
-//! No global write lock exists anywhere on this path.
+//! Visibility is whole-shard atomic, inherited from the exec layer
+//! (`mst_exec`'s `shard.rs`): each operation is applied under the write
+//! half of its home shard's gate, so a query job on that shard ran either
+//! entirely before the operation or entirely after it, and queries
+//! admitted after the ingest ack see the new state. The writer waits for
+//! the shard's running searches and they for it; no lock spans shards, so
+//! the other shards keep answering throughout.
 
 use mst_exec::IngestOp;
 use mst_wal::{DurableDatabase, DurableSubstrate, LogStore};

@@ -63,13 +63,6 @@ impl ClientPool {
         self.active.as_ref().map(|(i, _)| *i)
     }
 
-    fn endpoint_count(&self) -> usize {
-        // Dispatched through a local so the R10 lock-graph audit does
-        // not union this `len` with the job queue's locking `len`.
-        let endpoints: &[SocketAddr] = &self.endpoints;
-        endpoints.len()
-    }
-
     /// Sends a read request to the connected endpoint, failing over
     /// across the pool on transport errors. One full rotation with no
     /// endpoint answering surfaces the last transport error.
@@ -78,8 +71,8 @@ impl ClientPool {
         // One connect attempt per endpoint per rotation, a bounded
         // number of rotations: the pool never spins forever.
         let rotations = 2usize;
-        for _ in 0..rotations * self.endpoint_count() {
-            let (index, client) = match self.take_active() {
+        for _ in 0..rotations * self.endpoints.len() {
+            let (index, client) = match self.active.take() {
                 Some(active) => active,
                 None => match self.connect_next(&mut last) {
                     Some(active) => active,
@@ -116,7 +109,7 @@ impl ClientPool {
     pub fn write(&mut self, request: &Request) -> Result<Response, WireError> {
         // Reuse the live connection only if it already targets the
         // primary; otherwise park it and dial endpoint 0.
-        let client = match self.take_active() {
+        let client = match self.active.take() {
             Some((0, client)) => Some(client),
             Some(active) => {
                 self.active = Some(active);
@@ -137,17 +130,10 @@ impl ClientPool {
         }
     }
 
-    fn take_active(&mut self) -> Option<(usize, ServeClient)> {
-        // Dispatched through a local so the R10 lock-graph audit does
-        // not union this `Option::take` with same-named lock helpers.
-        let active = &mut self.active;
-        active.take()
-    }
-
     /// Dials the next endpoint in rotation order. `None` records the
     /// connect error and advances the cursor.
     fn connect_next(&mut self, last: &mut Option<WireError>) -> Option<(usize, ServeClient)> {
-        let index = self.cursor % self.endpoint_count();
+        let index = self.cursor % self.endpoints.len();
         self.cursor = index + 1;
         match ServeClient::connect_with_retry(self.endpoints[index], self.depth, &self.policy) {
             Ok(client) => Some((index, client)),

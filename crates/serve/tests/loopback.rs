@@ -8,7 +8,9 @@ use std::sync::Arc;
 
 use mst_datagen::{GstdConfig, SpeedDistribution};
 use mst_exec::ShardedDatabase;
-use mst_search::{MovingObjectDatabase, Query, QueryOptions};
+use mst_search::{
+    scan_kmst, Integration, MovingObjectDatabase, Query, QueryOptions, Substrate, TrajectoryStore,
+};
 use mst_serve::{
     ErrorCode, Request, Response, ServeClient, Server, ServerConfig, ServerHandle, VERSION,
 };
@@ -374,6 +376,130 @@ fn answer_cache_serves_repeats_bit_identically() {
     assert_eq!(stats.counters.cache_misses, 2, "first + different k");
     assert_eq!(stats.counters.queries_admitted, 2, "two real executions");
     assert_eq!(stats.counters.queries_completed, 4);
+    server.shutdown();
+}
+
+/// ROADMAP exactness part (2), on the served path: one trajectory stored
+/// under two ids (and a third, mirrored across the query's lane, at the
+/// same DISSIM), a strictly closer object, and further mirror pairs, so an
+/// equal-DISSIM tie sits at the kth position for most `k`. Every `k` is
+/// bit-equal to the exact scan on 1 and 2 shards (`id % 2` puts each tied
+/// pair on different shards, so the cross-shard merge breaks the ties),
+/// answer cache off and on.
+#[test]
+fn twins_and_ties_are_served_exactly_at_every_k() {
+    // The query runs along y = 0; `lane(y)` is its shape at offset y, so
+    // lane(y) and lane(-y) are at bit-equal DISSIM from it.
+    let lane = |y: f64, wobble: f64| {
+        let pts: Vec<(f64, f64, f64)> = (0..60)
+            .map(|i| {
+                let t = f64::from(i);
+                (t, t * 0.01, y * (1.0 + wobble * (t * 0.2).sin()))
+            })
+            .collect();
+        Trajectory::from_txy(&pts).expect("lane")
+    };
+    let query = lane(0.0, 0.0);
+    let fleet: Vec<(TrajectoryId, Trajectory)> = [
+        lane(0.02, 0.3),  // 0: twin ...
+        lane(0.01, 0.1),  // 1: strictly closer than the twins
+        lane(0.03, 0.2),  // 2: mirror pair ...
+        lane(-0.03, 0.2), // 3: ... of 2
+        lane(-0.05, 0.0), // 4
+        lane(0.02, 0.3),  // 5: ... of 0, the same trajectory
+        lane(0.05, 0.0),  // 6: mirror of 4
+        lane(-0.02, 0.3), // 7: mirror of the twins — a three-way tie
+        lane(0.08, 0.1),  // 8
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(id, t)| (TrajectoryId(id as u64), t))
+    .collect();
+    let mut store = TrajectoryStore::new();
+    for (id, t) in &fleet {
+        store.insert(*id, t.clone());
+    }
+    let period = query.time();
+    let all = scan_kmst(&store, &query, &period, fleet.len(), Integration::Exact).expect("scan");
+    let bits = |id: u64| {
+        let hit = all
+            .iter()
+            .find(|m| m.traj == TrajectoryId(id))
+            .expect("scanned");
+        hit.dissim.to_bits()
+    };
+    assert_eq!(all[0].traj, TrajectoryId(1), "the closer object leads");
+    assert_eq!(bits(0), bits(5), "twins tie");
+    assert_eq!(bits(0), bits(7), "and so does their mirror image");
+    assert_eq!(bits(2), bits(3));
+    assert_eq!(bits(4), bits(6));
+
+    for shards in [1, 2] {
+        for cache in [0, 32] {
+            let config = ServerConfig::new().workers(2).cache_capacity(cache);
+            let server = start_server(&fleet, shards, config);
+            let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+            // Twice, so the second pass is answered from the cache when on.
+            for pass in 0..2 {
+                for k in 1..=fleet.len() {
+                    let want =
+                        scan_kmst(&store, &query, &period, k, Integration::Exact).expect("scan");
+                    match client.kmst(&query, QueryOptions::new().k(k)).expect("kmst") {
+                        Response::Kmst { degraded, matches } => {
+                            assert!(!degraded);
+                            assert_eq!(
+                                matches, want,
+                                "{shards} shard(s), cache {cache}, pass {pass}, k {k}"
+                            );
+                        }
+                        other => panic!("expected Kmst, got {other:?}"),
+                    }
+                }
+            }
+            server.shutdown();
+        }
+    }
+}
+
+/// A query pinned to a substrate the server does not run on is refused by
+/// every shard whatever its flavour: the answer comes back degraded and
+/// empty, never computed on the wrong structure.
+#[test]
+fn a_foreign_substrate_pin_is_refused_by_every_flavour() {
+    let fleet = fleet(16, 5);
+    let server = start_server(&fleet, 2, ServerConfig::new().workers(2));
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let q = &fleet[3].1;
+    let window = q.time();
+    let everything = Mbb::new(0.0, 0.0, window.start(), 1.0, 1.0, window.start() + 10.0);
+    for (substrate, refused) in [(Substrate::Metric, true), (Substrate::Rtree, false)] {
+        let options = QueryOptions::new()
+            .k(3)
+            .during(&window)
+            .substrate(substrate);
+        let answers = [
+            client.kmst(q, options).expect("kmst"),
+            client.knn(q, options).expect("knn"),
+            client
+                .knn_segments(Point::new(0.5, 0.5), options)
+                .expect("segments"),
+            client.range(&everything, options).expect("range"),
+        ];
+        for answer in answers {
+            let (degraded, empty) = match &answer {
+                Response::Kmst { degraded, matches } => (*degraded, matches.is_empty()),
+                Response::Knn { degraded, matches } => (*degraded, matches.is_empty()),
+                Response::Segments { degraded, matches } => (*degraded, matches.is_empty()),
+                Response::Range { degraded, entries } => (*degraded, entries.is_empty()),
+                other => panic!("expected an answer, got {other:?}"),
+            };
+            assert_eq!(
+                (degraded, empty),
+                (refused, refused),
+                "{substrate:?}: {answer:?}"
+            );
+        }
+    }
     server.shutdown();
 }
 

@@ -25,7 +25,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mst_exec::{ExecError, IngestOp, IngestOutcome, ShardedDatabase};
-use mst_index::PAGE_SIZE;
 use mst_search::TrajectoryStore;
 
 use crate::record::{decode_frame, Decoded, WalRecord};
@@ -107,9 +106,6 @@ impl<I: DurableSubstrate, S: LogStore> DurableDatabase<I, S> {
                 apply_replayed(&db, &op)
                     .map_err(|e| WalError::Corrupt(format!("replay of lsn {lsn} failed: {e}")))?;
             }
-            // Physical page-image records carry their LSN in the chain
-            // but need no logical application: the snapshot plus the
-            // logical records already rebuild every page.
         }
         if report.tail != TailState::Clean {
             if let Some(segment) = report.tail_segment {
@@ -270,23 +266,6 @@ impl<I: DurableSubstrate, S: LogStore> DurableDatabase<I, S> {
             }
         }
         Ok(results)
-    }
-
-    /// Logs one physical page-image redo record (substrate-internal
-    /// maintenance that bypasses the logical lane). Durable when the
-    /// call returns — page images are rare enough to commit alone.
-    pub fn log_page_image(&mut self, shard: u32, page: u32, bytes: &[u8]) -> Result<u64> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(WalError::Config("a page image must be PAGE_SIZE bytes"));
-        }
-        let lsn = self.writer.append(&WalRecord::PageImage {
-            shard,
-            page,
-            bytes: bytes.into(),
-        })?;
-        self.writer.commit()?;
-        self.applied_lsn = lsn;
-        Ok(lsn)
     }
 
     /// Writes a snapshot consistent through everything applied so far
@@ -605,20 +584,6 @@ mod tests {
         assert!(!outcomes[0].applied);
         assert_eq!(db.stats().wal_appends, 0);
         assert_eq!(db.applied_lsn(), 0);
-    }
-
-    #[test]
-    fn page_image_records_replay_as_chain_links_only() {
-        let store = SimStore::new();
-        let mut db =
-            DurableDatabase::<Rtree3D, _>::create(store.clone(), WalConfig::default(), 1).unwrap();
-        db.apply(&[insert(1)]).unwrap();
-        db.log_page_image(0, 3, &vec![0x5A; PAGE_SIZE]).unwrap();
-        db.apply(&[insert(2)]).unwrap();
-        drop(db);
-        let back = DurableDatabase::<Rtree3D, _>::open(store, WalConfig::default()).unwrap();
-        assert_eq!(back.stats().replayed_records, 3);
-        assert_eq!(back.database().num_objects(), 2);
     }
 
     #[test]

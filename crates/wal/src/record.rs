@@ -9,20 +9,16 @@
 //!
 //! body(Insert,  kind 1) := id:u64 count:u32 (t:f64 x:f64 y:f64){count}
 //! body(Delete,  kind 2) := id:u64
-//! body(PageImage, kind 3) := shard:u32 page:u32 bytes[PAGE_SIZE]
 //! ```
 //!
 //! All integers and floats are little-endian. The checksum seals the
 //! *whole* payload — LSN included — so a record can never be replayed
 //! under a different sequence number than it was written with. `Insert`
 //! and `Delete` are the logical ingest operations
-//! ([`mst_exec::IngestOp`]); `PageImage` is a physical redo entry (one
-//! sealed page) for substrate-internal maintenance that bypasses the
-//! logical lane — the replayer surfaces it to the caller's redo hook.
+//! ([`mst_exec::IngestOp`]); any other kind byte decodes as corrupt.
 
 use mst_exec::IngestOp;
 use mst_index::checksum::fold_bytes;
-use mst_index::PAGE_SIZE;
 use mst_trajectory::{SamplePoint, Trajectory, TrajectoryId};
 
 use crate::{Result, WalError};
@@ -31,8 +27,8 @@ use crate::{Result, WalError};
 pub const FRAME_HEADER: usize = 8;
 
 /// Upper bound on one payload (defensive: a corrupt length prefix must
-/// not drive allocation). Generous next to real records — a `PageImage`
-/// payload is `9 + 8 + PAGE_SIZE` bytes.
+/// not drive allocation). Generous next to real records — an `Insert` of
+/// a 2000-sample trajectory is under 50 KiB.
 pub const MAX_PAYLOAD: usize = 1 << 22;
 
 /// One write-ahead log record (without its LSN, which frames carry).
@@ -50,15 +46,6 @@ pub enum WalRecord {
         /// The object's identity.
         id: TrajectoryId,
     },
-    /// Physical redo: the sealed image of one index page of one shard.
-    PageImage {
-        /// The shard whose page store the image belongs to.
-        shard: u32,
-        /// The page id within that store.
-        page: u32,
-        /// Exactly [`mst_index::PAGE_SIZE`] bytes.
-        bytes: Box<[u8]>,
-    },
 }
 
 impl WalRecord {
@@ -73,8 +60,9 @@ impl WalRecord {
         }
     }
 
-    /// The ingest operation a logical record replays as (`None` for
-    /// physical records). A logged `Insert` always came from a valid
+    /// The ingest operation a record replays as (`None` would be a record
+    /// with no logical effect; no such kind exists, so replay applies
+    /// every record). A logged `Insert` always came from a valid
     /// trajectory, so a points list [`Trajectory::new`] rejects is
     /// corruption that slipped past the checksum — reported, not replayed.
     pub fn to_op(&self) -> Result<Option<IngestOp>> {
@@ -89,7 +77,6 @@ impl WalRecord {
                 }))
             }
             WalRecord::Delete { id } => Ok(Some(IngestOp::Delete { id: *id })),
-            WalRecord::PageImage { .. } => Ok(None),
         }
     }
 
@@ -97,7 +84,6 @@ impl WalRecord {
         match self {
             WalRecord::Insert { .. } => 1,
             WalRecord::Delete { .. } => 2,
-            WalRecord::PageImage { .. } => 3,
         }
     }
 }
@@ -119,11 +105,6 @@ pub fn encode_frame(lsn: u64, record: &WalRecord) -> Vec<u8> {
         }
         WalRecord::Delete { id } => {
             payload.extend_from_slice(&id.0.to_le_bytes());
-        }
-        WalRecord::PageImage { shard, page, bytes } => {
-            payload.extend_from_slice(&shard.to_le_bytes());
-            payload.extend_from_slice(&page.to_le_bytes());
-            payload.extend_from_slice(bytes);
         }
     }
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
@@ -207,15 +188,6 @@ fn parse_payload(payload: &[u8]) -> Option<(u64, WalRecord)> {
         2 => WalRecord::Delete {
             id: TrajectoryId(cur.u64()?),
         },
-        3 => {
-            let shard = cur.u32()?;
-            let page = cur.u32()?;
-            if cur.remaining() != PAGE_SIZE {
-                return None;
-            }
-            let bytes: Box<[u8]> = cur.take(PAGE_SIZE)?.into();
-            WalRecord::PageImage { shard, page, bytes }
-        }
         _ => return None,
     };
     if cur.remaining() != 0 {
@@ -280,11 +252,6 @@ mod tests {
             WalRecord::Delete {
                 id: TrajectoryId(9),
             },
-            WalRecord::PageImage {
-                shard: 3,
-                page: 12,
-                bytes: vec![0xA5u8; PAGE_SIZE].into(),
-            },
         ];
         for (i, record) in records.iter().enumerate() {
             let frame = encode_frame(100 + i as u64, record);
@@ -300,6 +267,17 @@ mod tests {
                 }
                 other => panic!("expected a record, got {other:?}"),
             }
+        }
+        // A well-sealed frame of any other kind is corrupt, not a record:
+        // kind 3 (once a page image: shard, page, one page of bytes) and 0.
+        for (kind, body) in [(3u8, 8 + mst_index::PAGE_SIZE), (0, 8)] {
+            let mut payload = 7u64.to_le_bytes().to_vec();
+            payload.push(kind);
+            payload.resize(9 + body, 0xA5);
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&fold_bytes(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            assert_eq!(decode_frame(&frame), Decoded::Corrupt, "kind {kind}");
         }
     }
 
@@ -365,12 +343,5 @@ mod tests {
             id: TrajectoryId(5),
         };
         assert_eq!(WalRecord::from_op(&del).to_op().unwrap(), Some(del));
-
-        let physical = WalRecord::PageImage {
-            shard: 0,
-            page: 0,
-            bytes: vec![0u8; PAGE_SIZE].into(),
-        };
-        assert_eq!(physical.to_op().unwrap(), None);
     }
 }

@@ -79,33 +79,32 @@ where
 }
 
 /// Encodes the whole database as a snapshot consistent through `lsn`.
-/// Takes each shard's store read lock and index lock in turn (shard by
-/// shard, store before index — the global lock order), so it can run
-/// while other shards answer queries.
+/// Takes the write half of each shard's gate in turn (saving an image
+/// flushes the index's buffer), one shard at a time, so it can run while
+/// the other shards answer queries.
 pub fn encode_snapshot<I: DurableSubstrate>(db: &ShardedDatabase<I>, lsn: u64) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&lsn.to_le_bytes());
     out.extend_from_slice(&(db.num_shards() as u32).to_le_bytes());
     for shard in db.shards() {
-        let store = shard.store();
-        out.extend_from_slice(&(store.len() as u32).to_le_bytes());
-        for (id, traj) in store.iter() {
-            out.extend_from_slice(&id.0.to_le_bytes());
-            out.extend_from_slice(&(traj.points().len() as u32).to_le_bytes());
-            for p in traj.points() {
-                out.extend_from_slice(&p.t.to_le_bytes());
-                out.extend_from_slice(&p.x.to_le_bytes());
-                out.extend_from_slice(&p.y.to_le_bytes());
+        shard.write(|index, store| {
+            out.extend_from_slice(&(store.len() as u32).to_le_bytes());
+            for (id, traj) in store.iter() {
+                out.extend_from_slice(&id.0.to_le_bytes());
+                out.extend_from_slice(&(traj.points().len() as u32).to_le_bytes());
+                for p in traj.points() {
+                    out.extend_from_slice(&p.t.to_le_bytes());
+                    out.extend_from_slice(&p.x.to_le_bytes());
+                    out.extend_from_slice(&p.y.to_le_bytes());
+                }
             }
-        }
-        let mut image = Vec::new();
-        shard
-            .index()
-            .with(|index| index.save_image(&mut image, lsn))??;
-        out.extend_from_slice(&(image.len() as u64).to_le_bytes());
-        out.extend_from_slice(&image);
-        drop(store);
+            let mut image = Vec::new();
+            index.save_image(&mut image, lsn)?;
+            out.extend_from_slice(&(image.len() as u64).to_le_bytes());
+            out.extend_from_slice(&image);
+            Ok::<(), mst_index::IndexError>(())
+        })??;
     }
     out.extend_from_slice(&fold_bytes(&out).to_le_bytes());
     Ok(out)
@@ -207,8 +206,8 @@ mod tests {
         }
         for (a, b) in db.shards().iter().zip(back.shards()) {
             assert_eq!(
-                a.index().reader().num_entries(),
-                b.index().reader().num_entries()
+                a.read().unwrap().index.num_entries(),
+                b.read().unwrap().index.num_entries()
             );
         }
     }

@@ -38,7 +38,7 @@ use rules::durability::UnsyncedHandles;
 use rules::hygiene::{
     CrateRootAttrs, NoClocks, NoDeprecatedQueryCalls, NoFloatEquality, NoLossyCasts,
 };
-use rules::lock_order::LockOrder;
+use rules::lock_order::{LockOrder, LAYERS};
 use rules::panics::{NoLockUnwrap, NoPanics, NoResultDiscards, NoSocketUnwraps};
 use rules::threads::ThreadLifecycle;
 use rules::{Rule, WorkspaceRule};
@@ -84,16 +84,30 @@ fn apply(active: &[&dyn Rule], paths: &[PathBuf], out: &mut Vec<Violation>) {
 }
 
 /// The concurrency scope shared by the lock-order (R10) and
-/// atomic-ordering (R11) audits: the executor, the server, and the shared
-/// index wrapper — every file that holds a `Mutex` or an atomic.
-fn concurrency_scope(root: &Path) -> Vec<PathBuf> {
-    let mut paths = rs_files(&root.join("crates/exec/src"));
-    paths.extend(rs_files(&root.join("crates/serve/src")));
-    let shared = root.join("crates/index/src/shared.rs");
-    if shared.is_file() {
-        paths.push(shared);
-    }
-    paths
+/// atomic-ordering (R11) audits, derived from the source rather than kept
+/// by hand: every library file of the layered crates whose non-test code
+/// declares or uses a lock or an atomic — it names a `Mutex`, an `RwLock`
+/// or an `Atomic*` type, calls `.lock()`, or names a memory ordering. A
+/// lock that moves (the pager mutex, the metric tree's directory lock)
+/// takes the audits with it.
+fn concurrency_scope(root: &Path) -> Vec<SourceFile> {
+    const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+    let touches_shared_state = |file: &SourceFile| {
+        file.tokens.iter().any(|t| {
+            !file.in_test(t.line)
+                && t.ident().is_some_and(|w| {
+                    matches!(w, "Mutex" | "RwLock" | "lock")
+                        || w.starts_with("Atomic")
+                        || ORDERINGS.contains(&w)
+                })
+        })
+    };
+    LAYERS
+        .iter()
+        .flat_map(|krate| rs_files(&root.join("crates").join(krate).join("src")))
+        .filter_map(|path| lex(&path))
+        .filter(touches_shared_state)
+        .collect()
 }
 
 /// The rule → scope wiring for this repository, rooted at `root`.
@@ -204,13 +218,10 @@ fn run_check(root: &Path) -> Vec<Violation> {
         &mut out,
     );
 
-    // R10 + R11: the concurrency audits run over the executor, the
-    // server, and the shared index wrapper as one set (the lock graph is
-    // inter-procedural across files).
-    let conc: Vec<SourceFile> = concurrency_scope(root)
-        .iter()
-        .filter_map(|p| lex(p))
-        .collect();
+    // R10 + R11: the concurrency audits run over every file that holds a
+    // lock or an atomic, as one set (the lock graph is inter-procedural
+    // across files).
+    let conc = concurrency_scope(root);
     for file in &conc {
         AtomicOrdering.check(file, &mut out);
     }
@@ -227,12 +238,10 @@ fn run_check(root: &Path) -> Vec<Violation> {
 /// Extracts every atomic site in the concurrency scope, grouped by file.
 fn run_atomics(root: &Path) -> Vec<(PathBuf, Vec<AtomicSite>)> {
     let mut out = Vec::new();
-    for path in concurrency_scope(root) {
-        if let Some(file) = lex(&path) {
-            let found = sites(&file);
-            if !found.is_empty() {
-                out.push((path, found));
-            }
+    for file in concurrency_scope(root) {
+        let found = sites(&file);
+        if !found.is_empty() {
+            out.push((file.path, found));
         }
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -406,10 +415,15 @@ mod tests {
         // library set past `serve/src/mux.rs` fails here.
         assert!(hit("R11", "serve/src/mux.rs", 6), "{vs:#?}");
         assert!(hit("R12", "serve/src/mux.rs", 7), "{vs:#?}");
+        // The concurrency scope follows the locks: the metric tree's
+        // directory lock in the index crate and an atomic in the WAL
+        // crate are found by what the files use, not from a list.
+        assert!(hit("R10", "index/src/metric.rs", 14), "{vs:#?}");
+        assert!(hit("R11", "wal/src/io.rs", 14), "{vs:#?}");
         // The durability rule covers the WAL crate: dropping
         // `crates/wal/src` from the R13 scope fails here.
         assert!(hit("R13", "wal/src/io.rs", 6), "{vs:#?}");
-        assert_eq!(vs.len(), 20, "{vs:#?}");
+        assert_eq!(vs.len(), 22, "{vs:#?}");
         // The report comes back in canonical order.
         let mut sorted = vs.clone();
         report::sort(&mut sorted);
@@ -441,7 +455,7 @@ mod tests {
     #[test]
     fn atomics_inventory_lists_the_seeded_site() {
         let inventory = run_atomics(&tree());
-        assert_eq!(inventory.len(), 2, "{inventory:?}");
+        assert_eq!(inventory.len(), 3, "{inventory:?}");
         let (file, found) = &inventory[0];
         assert!(file.ends_with("index/src/shared.rs"));
         assert_eq!(found.len(), 1);
@@ -453,10 +467,24 @@ mod tests {
         assert!(file.ends_with("serve/src/mux.rs"));
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].op, "fetch_add");
+        // ... and so does the WAL crate, which no list ever named.
+        assert!(inventory[2].0.ends_with("wal/src/io.rs"));
         let js = atomics_json(&inventory);
         assert!(js.contains("\"op\": \"fetch_add\""), "{js}");
         assert!(js.contains("\"orderings\": [\"Relaxed\"]"), "{js}");
         assert_eq!(atomics_json(&[]), "[]");
+    }
+
+    #[test]
+    fn concurrency_scope_is_the_files_that_touch_shared_state() {
+        let stems: Vec<String> = concurrency_scope(&tree())
+            .iter()
+            .map(SourceFile::stem)
+            .collect();
+        // Lock calls, atomics and memory orderings pull a file in; the
+        // seeded codec, persist and server files use none and stay out,
+        // as does everything outside the layered crates.
+        assert_eq!(stems, ["metric", "shared", "queue", "io", "mux"]);
     }
 
     #[test]

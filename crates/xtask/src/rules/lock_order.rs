@@ -23,7 +23,10 @@
 //!   is live — directly, or through a call: each named call made while A
 //!   is held contributes A → L for every lock L in the callee's transitive
 //!   lock set (callees resolve by name across the whole scanned set; all
-//!   same-named functions are unioned). Only free calls, path calls
+//!   same-named functions are unioned — except that a call never resolves
+//!   *up* the crate layering of [`LAYERS`]: `mst-index` cannot call into
+//!   `mst-exec`, so a `Vec::push` in the index crate is not the job
+//!   queue's `push`). Only free calls, path calls
 //!   (`Type::helper(…)`), and method calls on `self` resolve; a method
 //!   call on a local (`stream.shutdown(…)`, `guard.items.len()`)
 //!   dispatches on a value the analysis cannot type, so matching it by
@@ -49,6 +52,28 @@ use crate::rules::WorkspaceRule;
 
 /// The whole-workspace lock-order rule.
 pub struct LockOrder;
+
+/// The crates the concurrency audits cover, in dependency order (each may
+/// depend only on those before it). Callee resolution respects it.
+pub const LAYERS: [&str; 5] = ["index", "core", "exec", "wal", "serve"];
+
+/// A file's position in [`LAYERS`], read off its `crates/<name>/` path
+/// component; `None` outside the layered crates.
+fn layer(file: &std::path::Path) -> Option<usize> {
+    let mut parts = file.components().map(|c| c.as_os_str());
+    parts.find(|c| *c == "crates")?;
+    let krate = parts.next()?;
+    LAYERS.iter().position(|l| krate == *l)
+}
+
+/// True unless calling from `caller`'s crate into `callee`'s would run
+/// against the dependency order.
+fn may_call(caller: &FnInfo, callee: &FnInfo) -> bool {
+    match (layer(&caller.file), layer(&callee.file)) {
+        (Some(from), Some(to)) => to <= from,
+        _ => true,
+    }
+}
 
 impl WorkspaceRule for LockOrder {
     fn id(&self) -> &'static str {
@@ -500,7 +525,7 @@ fn build_edges(fns: &[FnInfo]) -> BTreeMap<(String, String), (PathBuf, usize)> {
                     continue;
                 };
                 for &c in callees {
-                    if c == idx {
+                    if c == idx || !may_call(&fns[idx], &fns[c]) {
                         continue;
                     }
                     let add: Vec<String> = locksets[c]
@@ -540,7 +565,7 @@ fn build_edges(fns: &[FnInfo]) -> BTreeMap<(String, String), (PathBuf, usize)> {
             let Some(callees) = registry.get(call.callee.as_str()) else {
                 continue;
             };
-            for &c in callees {
+            for &c in callees.iter().filter(|&&c| may_call(f, &fns[c])) {
                 for lock in &locksets[c] {
                     for held in &call.held {
                         add(held, lock, &f.file, call.line);
@@ -747,6 +772,29 @@ mod tests {
         assert!(
             out2.iter().any(|v| v.message.contains("lock-order cycle")),
             "{out2:?}"
+        );
+    }
+
+    #[test]
+    fn calls_never_resolve_up_the_crate_layering() {
+        // The index crate cannot call into the executor: a `Vec::push`
+        // under the directory lock is not the job queue's locking `push`.
+        let queue = "fn push(q: &Q) { let g = q.inner.lock()?; relock(q); }";
+        let metric = "
+            fn relock(t: &T) { let d = t.directory.lock()?; touch(d); }
+            fn insert(&mut self) { let d = self.directory.lock()?; self.leaves.push(1); }
+        ";
+        let layered = check_files(&[
+            ("crates/exec/src/queue.rs", queue),
+            ("crates/index/src/metric.rs", metric),
+        ]);
+        assert!(layered.is_empty(), "{layered:?}");
+        // The same two files with no layering to go by resolve by bare
+        // name, and the phantom cycle appears.
+        let flat = check_files(&[("queue.rs", queue), ("metric.rs", metric)]);
+        assert!(
+            flat.iter().any(|v| v.message.contains("lock-order cycle")),
+            "{flat:?}"
         );
     }
 

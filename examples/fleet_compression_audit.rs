@@ -51,7 +51,7 @@ fn main() {
 
             // DISSIM via the index.
             let top = bfmst_search(
-                &mut index,
+                &index,
                 &store,
                 &compressed,
                 &period,

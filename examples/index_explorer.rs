@@ -45,12 +45,12 @@ fn main() {
         (
             "3D R-tree",
             rtree.stats(),
-            check_invariants(&mut rtree).unwrap(),
+            check_invariants(&rtree).unwrap(),
         ),
         (
             "TB-tree",
             tbtree.stats(),
-            check_invariants(&mut tbtree).unwrap(),
+            check_invariants(&tbtree).unwrap(),
         ),
     ] {
         println!(
@@ -92,7 +92,7 @@ fn main() {
         ("3D R-tree", {
             rtree.reset_stats();
             let r = bfmst_search(
-                &mut rtree,
+                &rtree,
                 &store,
                 &query,
                 &period,
@@ -106,7 +106,7 @@ fn main() {
         ("TB-tree", {
             tbtree.reset_stats();
             let r = bfmst_search(
-                &mut tbtree,
+                &tbtree,
                 &store,
                 &query,
                 &period,

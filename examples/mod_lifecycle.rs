@@ -115,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.index_mut().save_to_path(&idx_path)?;
     mst::datagen::io::save_to_path(&data_path, store.iter())?;
 
-    let mut reloaded = Rtree3D::load_from_path(&idx_path)?;
+    let reloaded = Rtree3D::load_from_path(&idx_path)?;
     let dataset = mst::datagen::io::load_from_path(&data_path)?;
     println!(
         "\npersisted and reloaded: {} pages, {} segments, {} trajectories",
@@ -129,7 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.insert(id, t);
     }
     let again = mst::search::bfmst_search(
-        &mut reloaded,
+        &reloaded,
         &snapshot,
         &q,
         &horizon,

@@ -50,7 +50,7 @@ fn main() {
 
     index.reset_stats();
     let report = bfmst_search(
-        &mut index,
+        &index,
         &store,
         &query,
         &period,

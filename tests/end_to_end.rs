@@ -44,9 +44,9 @@ fn gstd_pipeline_bfmst_equals_scan_for_many_settings() {
         }
         .generate();
         let store = TrajectoryStore::from_trajectories(data);
-        let (mut rtree, mut tbtree) = build_both(&store);
-        check_invariants(&mut rtree).unwrap();
-        check_invariants(&mut tbtree).unwrap();
+        let (rtree, tbtree) = build_both(&store);
+        check_invariants(&rtree).unwrap();
+        check_invariants(&tbtree).unwrap();
 
         for (k, (a, b)) in [
             (1usize, (0.0, 199.0)),
@@ -62,7 +62,7 @@ fn gstd_pipeline_bfmst_equals_scan_for_many_settings() {
                 .unwrap();
             let expected = ids(&scan_kmst(&store, &q, &period, k, Integration::Exact).unwrap());
             let r = bfmst_search(
-                &mut rtree,
+                &rtree,
                 &store,
                 &q,
                 &period,
@@ -72,7 +72,7 @@ fn gstd_pipeline_bfmst_equals_scan_for_many_settings() {
             )
             .unwrap();
             let t = bfmst_search(
-                &mut tbtree,
+                &tbtree,
                 &store,
                 &q,
                 &period,
@@ -91,12 +91,12 @@ fn gstd_pipeline_bfmst_equals_scan_for_many_settings() {
 fn trucks_pipeline_identifies_compressed_originals() {
     let fleet = TrucksConfig::small(15, 4).generate();
     let store = TrajectoryStore::from_trajectories(fleet.clone());
-    let (mut rtree, _) = build_both(&store);
+    let (rtree, _) = build_both(&store);
     let period = fleet[0].time();
     for qi in [0usize, 7, 14] {
         let compressed = mst::datagen::td_tr_fraction(&fleet[qi], 0.01);
         let got = bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &compressed,
             &period,
@@ -119,7 +119,7 @@ fn foreign_query_trajectory_works() {
     }
     .generate();
     let store = TrajectoryStore::from_trajectories(data);
-    let (mut rtree, mut tbtree) = build_both(&store);
+    let (rtree, tbtree) = build_both(&store);
     let period = TimeInterval::new(10.0, 60.0).unwrap();
     // A synthetic diagonal crossing the unit square.
     let q = mst::trajectory::Trajectory::from_txy(&[
@@ -130,7 +130,7 @@ fn foreign_query_trajectory_works() {
     .unwrap();
     let expected = ids(&scan_kmst(&store, &q, &period, 4, Integration::Exact).unwrap());
     let r = bfmst_search(
-        &mut rtree,
+        &rtree,
         &store,
         &q,
         &period,
@@ -140,7 +140,7 @@ fn foreign_query_trajectory_works() {
     )
     .unwrap();
     let t = bfmst_search(
-        &mut tbtree,
+        &tbtree,
         &store,
         &q,
         &period,
@@ -174,7 +174,7 @@ fn repeated_queries_are_deterministic_and_buffer_friendly() {
     rtree.clear_buffer().unwrap();
     rtree.reset_stats();
     let first = bfmst_search(
-        &mut rtree,
+        &rtree,
         &store,
         &q,
         &period,
@@ -187,7 +187,7 @@ fn repeated_queries_are_deterministic_and_buffer_friendly() {
 
     rtree.reset_stats();
     let second = bfmst_search(
-        &mut rtree,
+        &rtree,
         &store,
         &q,
         &period,
@@ -214,12 +214,12 @@ fn results_are_sorted_and_k_bounded() {
     }
     .generate();
     let store = TrajectoryStore::from_trajectories(data);
-    let (mut rtree, _) = build_both(&store);
+    let (rtree, _) = build_both(&store);
     let period = TimeInterval::new(0.0, 79.0).unwrap();
     let q = store.get(TrajectoryId(0)).unwrap().clone();
     for k in [1usize, 5, 29, 30, 100] {
         let got = bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &q,
             &period,
@@ -246,12 +246,12 @@ fn error_management_never_changes_the_winner_set() {
     }
     .generate();
     let store = TrajectoryStore::from_trajectories(data);
-    let (mut rtree, _) = build_both(&store);
+    let (rtree, _) = build_both(&store);
     let period = TimeInterval::new(5.0, 110.0).unwrap();
     for qi in 0..5u64 {
         let q = store.get(TrajectoryId(qi)).unwrap().clip(&period).unwrap();
         let approx = bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &q,
             &period,
@@ -266,7 +266,7 @@ fn error_management_never_changes_the_winner_set() {
             ..MstConfig::k(4)
         };
         let exact = bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &q,
             &period,
@@ -298,16 +298,7 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
     let theta = 0.5 * (scan[2].dissim + scan[3].dissim);
 
     let cfg = mst::search::MstConfig::within(20, theta);
-    let got = bfmst_search(
-        &mut rtree,
-        &store,
-        &q,
-        &period,
-        &cfg,
-        &NoShare,
-        &mut NoopSink,
-    )
-    .unwrap();
+    let got = bfmst_search(&rtree, &store, &q, &period, &cfg, &NoShare, &mut NoopSink).unwrap();
     assert_eq!(got.matches.len(), 3);
     assert_eq!(
         ids(&got.matches),
@@ -319,7 +310,7 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
 
     // A ceiling below the minimum yields an empty result set.
     let none = bfmst_search(
-        &mut rtree,
+        &rtree,
         &store,
         &q,
         &period,
@@ -333,7 +324,7 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
     // The ceiling must also reduce work relative to the unbounded query.
     rtree.reset_stats();
     let unbounded = bfmst_search(
-        &mut rtree,
+        &rtree,
         &store,
         &q,
         &period,
@@ -343,16 +334,7 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
     )
     .unwrap();
     rtree.reset_stats();
-    let bounded = bfmst_search(
-        &mut rtree,
-        &store,
-        &q,
-        &period,
-        &cfg,
-        &NoShare,
-        &mut NoopSink,
-    )
-    .unwrap();
+    let bounded = bfmst_search(&rtree, &store, &q, &period, &cfg, &NoShare, &mut NoopSink).unwrap();
     assert!(bounded.nodes_visited <= unbounded.nodes_visited);
 }
 
@@ -407,13 +389,13 @@ fn strtree_bfmst_equals_scan_too() {
     for (id, t) in store.iter() {
         strtree.insert_trajectory(id, t).unwrap();
     }
-    check_invariants(&mut strtree).unwrap();
+    check_invariants(&strtree).unwrap();
     for (k, (a, b)) in [(1usize, (0.0, 149.0)), (4, (30.0, 100.0))] {
         let period = TimeInterval::new(a, b).unwrap();
         let q = store.get(TrajectoryId(9)).unwrap().clip(&period).unwrap();
         let expected = ids(&scan_kmst(&store, &q, &period, k, Integration::Exact).unwrap());
         let got = bfmst_search(
-            &mut strtree,
+            &strtree,
             &store,
             &q,
             &period,
@@ -442,13 +424,13 @@ fn nearest_trajectories_consistent_with_dissim_on_parallel_lanes() {
         })
         .collect();
     let store = TrajectoryStore::from_trajectories(trajs);
-    let (mut rtree, _) = build_both(&store);
+    let (rtree, _) = build_both(&store);
     let period = TimeInterval::new(0.0, 60.0).unwrap();
     let q = store.get(TrajectoryId(6)).unwrap().clone();
-    let nn = mst::search::nearest_trajectories(&mut rtree, &q, &period, 5, &NoShare, &mut NoopSink)
-        .unwrap();
+    let nn =
+        mst::search::nearest_trajectories(&rtree, &q, &period, 5, &NoShare, &mut NoopSink).unwrap();
     let mst_res = bfmst_search(
-        &mut rtree,
+        &rtree,
         &store,
         &q,
         &period,
@@ -487,7 +469,7 @@ fn corrupted_index_image_fails_cleanly_not_by_panic() {
     let header_end = evil.len() - rtree.num_pages() * 4096;
     let victim = header_end + (rtree.num_pages() / 2) * 4096;
     evil[victim] = 0xFF;
-    if let Ok(mut loaded) = Rtree3D::load(&evil[..]) {
+    if let Ok(loaded) = Rtree3D::load(&evil[..]) {
         let period = TimeInterval::new(0.0, 79.0).unwrap();
         let q = store.get(TrajectoryId(0)).unwrap().clone();
         // Force a full traversal so the bad page is hit.
@@ -496,15 +478,7 @@ fn corrupted_index_image_fails_cleanly_not_by_panic() {
             use_heuristic2: false,
             ..MstConfig::k(8)
         };
-        let result = bfmst_search(
-            &mut loaded,
-            &store,
-            &q,
-            &period,
-            &cfg,
-            &NoShare,
-            &mut NoopSink,
-        );
+        let result = bfmst_search(&loaded, &store, &q, &period, &cfg, &NoShare, &mut NoopSink);
         assert!(result.is_err(), "query over a corrupt page must error");
     }
 }

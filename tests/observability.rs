@@ -59,7 +59,7 @@ fn dissim_bits(matches: &[mst::search::MstMatch]) -> Vec<(TrajectoryId, u64)> {
 /// Returns the counters summed over the workload.
 fn ledger_workload<I: KmstSubstrate>(
     label: &str,
-    index: &mut I,
+    index: &I,
     store: &TrajectoryStore,
     seed: u64,
 ) -> QueryProfile {
@@ -113,7 +113,7 @@ fn assert_live(label: &str, seed: u64, counters: &[(&str, u64)]) {
 /// triangle-inequality bound on the metric tree.
 #[test]
 fn candidate_ledger_balances_on_both_substrates() {
-    fn mbb_tree<I: KmstSubstrate>(label: &str, index: &mut I, store: &TrajectoryStore, seed: u64) {
+    fn mbb_tree<I: KmstSubstrate>(label: &str, index: &I, store: &TrajectoryStore, seed: u64) {
         let t = ledger_workload(label, index, store, seed);
         assert_live(
             label,
@@ -143,19 +143,14 @@ fn candidate_ledger_balances_on_both_substrates() {
     }
     for seed in [3u64, 19] {
         let store = gstd_store(30, 180, seed);
-        let (mut rtree, mut tbtree) = build_both(&store);
-        mbb_tree("rtree", &mut rtree, &store, seed);
-        mbb_tree("tbtree", &mut tbtree, &store, seed);
-        mbb_tree("strtree", &mut build(StrTree::new(), &store), &store, seed);
+        let (rtree, tbtree) = build_both(&store);
+        mbb_tree("rtree", &rtree, &store, seed);
+        mbb_tree("tbtree", &tbtree, &store, seed);
+        mbb_tree("strtree", &build(StrTree::new(), &store), &store, seed);
         // The metric substrate never computes MBB bounds; its ledger lives
         // in the triangle-inequality counters, its refinements are always
         // exact, and its I/O shows up as leaf-chain reads.
-        let t = ledger_workload(
-            "metric",
-            &mut build(MetricTree::new(), &store),
-            &store,
-            seed,
-        );
+        let t = ledger_workload("metric", &build(MetricTree::new(), &store), &store, seed);
         assert_live(
             "metric",
             seed,
@@ -179,14 +174,14 @@ fn candidate_ledger_balances_on_both_substrates() {
 #[test]
 fn counters_are_monotone_across_queries() {
     let store = gstd_store(20, 150, 5);
-    let (mut rtree, _) = build_both(&store);
+    let (rtree, _) = build_both(&store);
     let period = TimeInterval::new(0.0, 140.0).unwrap();
     let mut profile = QueryProfile::new();
     let mut last = QueryProfile::new();
     for qi in 0..5u64 {
         let q = store.get(TrajectoryId(qi)).unwrap().clip(&period).unwrap();
         bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &q,
             &period,
@@ -220,7 +215,7 @@ fn counters_are_monotone_across_queries() {
 /// termination flag must line up.
 #[test]
 fn profile_agrees_with_the_search_report() {
-    fn check<I: TrajectoryIndex>(label: &str, index: &mut I, store: &TrajectoryStore) {
+    fn check<I: TrajectoryIndex>(label: &str, index: &I, store: &TrajectoryStore) {
         let period = TimeInterval::new(20.0, 180.0).unwrap();
         for qi in 0..5u64 {
             let q = store.get(TrajectoryId(qi)).unwrap().clip(&period).unwrap();
@@ -263,9 +258,9 @@ fn profile_agrees_with_the_search_report() {
         }
     }
     let store = gstd_store(25, 200, 9);
-    let (mut rtree, mut tbtree) = build_both(&store);
-    check("rtree", &mut rtree, &store);
-    check("tbtree", &mut tbtree, &store);
+    let (rtree, tbtree) = build_both(&store);
+    check("rtree", &rtree, &store);
+    check("tbtree", &tbtree, &store);
 }
 
 /// Attaching a profile must not change any result: the traced and
@@ -274,13 +269,13 @@ fn profile_agrees_with_the_search_report() {
 #[test]
 fn tracing_never_changes_a_result_bit() {
     let store = gstd_store(25, 180, 27);
-    let (mut rtree, mut tbtree) = build_both(&store);
+    let (rtree, tbtree) = build_both(&store);
     let period = TimeInterval::new(5.0, 170.0).unwrap();
     for qi in [0u64, 8, 16, 24] {
         let q = store.get(TrajectoryId(qi)).unwrap().clip(&period).unwrap();
 
         let plain = bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &q,
             &period,
@@ -291,7 +286,7 @@ fn tracing_never_changes_a_result_bit() {
         .unwrap();
         let mut profile = QueryProfile::new();
         let traced = bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &q,
             &period,
@@ -303,7 +298,7 @@ fn tracing_never_changes_a_result_bit() {
         assert_eq!(dissim_bits(&plain.matches), dissim_bits(&traced.matches));
 
         let plain_tb = bfmst_search(
-            &mut tbtree,
+            &tbtree,
             &store,
             &q,
             &period,
@@ -314,7 +309,7 @@ fn tracing_never_changes_a_result_bit() {
         .unwrap();
         let mut ptb = QueryProfile::new();
         let traced_tb = bfmst_search(
-            &mut tbtree,
+            &tbtree,
             &store,
             &q,
             &period,

@@ -136,7 +136,7 @@ fn bfmst_equals_scan_on_random_datasets() {
             tbtree.insert_trajectory(id, t).unwrap();
         }
         let r = bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &q,
             &period,
@@ -146,7 +146,7 @@ fn bfmst_equals_scan_on_random_datasets() {
         )
         .unwrap();
         let t = bfmst_search(
-            &mut tbtree,
+            &tbtree,
             &store,
             &q,
             &period,
@@ -232,8 +232,8 @@ fn index_invariants_hold_after_random_insertions() {
             rtree.insert(e).unwrap();
             tbtree.insert(e).unwrap();
         }
-        check_invariants(&mut rtree).unwrap();
-        check_invariants(&mut tbtree).unwrap();
+        check_invariants(&rtree).unwrap();
+        check_invariants(&tbtree).unwrap();
         assert_eq!(rtree.num_entries(), tbtree.num_entries());
     });
 }
@@ -250,11 +250,11 @@ fn strtree_matches_rtree_query_results() {
             rtree.insert_trajectory(id, t).unwrap();
             strtree.insert_trajectory(id, t).unwrap();
         }
-        check_invariants(&mut strtree).unwrap();
+        check_invariants(&strtree).unwrap();
         let period = TimeInterval::new(0.0, 9.0).unwrap();
         let q = store.get(TrajectoryId(qi as u64)).unwrap().clone();
         let a = bfmst_search(
-            &mut rtree,
+            &rtree,
             &store,
             &q,
             &period,
@@ -264,7 +264,7 @@ fn strtree_matches_rtree_query_results() {
         )
         .unwrap();
         let b = bfmst_search(
-            &mut strtree,
+            &strtree,
             &store,
             &q,
             &period,
@@ -292,7 +292,7 @@ fn persistence_roundtrip_preserves_query_answers() {
         let period = TimeInterval::new(0.0, 7.0).unwrap();
         let q = store.get(TrajectoryId(qi as u64)).unwrap().clone();
         let before = bfmst_search(
-            &mut tree,
+            &tree,
             &store,
             &q,
             &period,
@@ -303,10 +303,10 @@ fn persistence_roundtrip_preserves_query_answers() {
         .unwrap();
         let mut bytes = Vec::new();
         tree.save(&mut bytes).unwrap();
-        let mut loaded = Rtree3D::load(&bytes[..]).unwrap();
-        check_invariants(&mut loaded).unwrap();
+        let loaded = Rtree3D::load(&bytes[..]).unwrap();
+        check_invariants(&loaded).unwrap();
         let after = bfmst_search(
-            &mut loaded,
+            &loaded,
             &store,
             &q,
             &period,
@@ -342,7 +342,7 @@ fn rtree_delete_then_query_is_consistent() {
             assert_eq!(deleted, was_present);
             removed.insert((id, seq));
         }
-        check_invariants(&mut tree).unwrap();
+        check_invariants(&tree).unwrap();
         let expected = 5 * 9 - removed.len() as u64;
         assert_eq!(tree.num_entries(), expected);
     });
@@ -361,7 +361,7 @@ fn knn_segments_matches_oracle() {
         }
         let window = TimeInterval::new(1.0, 6.0).unwrap();
         let point = mst::trajectory::Point::new(px, py);
-        let got = mst::index::knn_segments(&mut tree, point, &window, 4).unwrap();
+        let got = mst::index::knn_segments(&tree, point, &window, 4).unwrap();
         // Oracle: every indexed segment, clipped, measured directly.
         let mut all: Vec<f64> = Vec::new();
         for (_, t) in store.iter() {
