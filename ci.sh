@@ -18,19 +18,22 @@
 #   9. the server smoke test in release mode (real TCP loopback: a k-MST
 #      answer, a malformed frame answered with a typed error, honest
 #      stats counters, and a graceful drain on an ephemeral port)
-#  10. the repo benchmark's own gate: benchmark/ is a separate workspace
+#  10. the MINDIST bit-equality suite at its full release count (plan,
+#      stateless driver and unpruned reference agree to the bit on 240 000
+#      seeded triples; the debug run in gate 5 checks a tenth of that)
+#  11. the repo benchmark's own gate: benchmark/ is a separate workspace
 #      that `cargo build --workspace` never compiles, so this is the only
 #      gate that catches a crate-API rename breaking it. Builds it
 #      offline, runs its tests, then one smoke run of all four workloads
 #      (every sampled answer must equal scan_kmst); output stays under
 #      benchmark/out/
-#  11. the replication smoke benchmark (a live primary/replica pair over
+#  12. the replication smoke benchmark (a live primary/replica pair over
 #      loopback TCP; the report goes to target/repl_bench.json; fails on
 #      a p99 replication lag over the gate, a catch-up that does not
 #      converge bit-identically, a missed failover, or a write accepted
 #      with no primary)
-#  12. an offline --verify-store sweep of a freshly written durable store
-#  13. `git status --porcelain` reads as it did before the run: no tracked
+#  13. an offline --verify-store sweep of a freshly written durable store
+#  14. `git status --porcelain` reads as it did before the run: no tracked
 #      file modified, no new file left behind
 #
 # Each gate prints its wall time so slow gates are easy to spot.
@@ -89,6 +92,9 @@ gate "chaos smoke (seeded fault injection)" \
 
 gate "server smoke (TCP loopback, malformed frame, stats, drain)" \
     cargo test -q --release -p mst-serve --test loopback server_smoke
+
+gate "MINDIST bit-equality, full count (plan == stateless driver == reference)" \
+    cargo test -q --release -p mst-index mindist
 
 repo_benchmark() {
     cargo build --release --offline --manifest-path benchmark/Cargo.toml

@@ -19,7 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mst_index::mindist::trajectory_mbb_mindist;
+use mst_index::mindist::QueryMindist;
 use mst_index::{LeafEntry, Node, PageId, TrajectoryIndex};
 use mst_trajectory::{TimeInterval, Trajectory};
 
@@ -74,8 +74,9 @@ impl PartialOrd for QueueEntry {
 #[derive(Debug)]
 pub struct MbbDescent<'a, I: TrajectoryIndex> {
     index: &'a I,
-    query: &'a Trajectory,
-    period: &'a TimeInterval,
+    /// `MINDIST(query, ·)` over the period, planned once for the whole
+    /// descent: every child entry of every opened node is keyed by it.
+    plan: QueryMindist<'a>,
     heap: BinaryHeap<Reverse<QueueEntry>>,
     head: Option<QueueEntry>,
     nodes_visited: u64,
@@ -88,7 +89,7 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
     pub fn new<M: QueryMetrics>(
         index: &'a I,
         query: &'a Trajectory,
-        period: &'a TimeInterval,
+        period: &TimeInterval,
         metrics: &mut M,
     ) -> Self {
         let mut heap = BinaryHeap::new();
@@ -101,8 +102,7 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
         }
         MbbDescent {
             index,
-            query,
-            period,
+            plan: QueryMindist::new(query, period),
             heap,
             head: None,
             nodes_visited: 0,
@@ -138,7 +138,7 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
             }
             Node::Internal { entries, .. } => {
                 for e in entries {
-                    if let Some(mindist) = trajectory_mbb_mindist(self.query, &e.mbb, self.period) {
+                    if let Some(mindist) = self.plan.mindist(&e.mbb) {
                         self.heap.push(Reverse(QueueEntry {
                             mindist,
                             page: e.child,
@@ -173,7 +173,8 @@ mod tests {
     use super::*;
     use crate::metrics::QueryProfile;
     use crate::TrajectoryStore;
-    use mst_index::Rtree3D;
+    use mst_index::mindist::trajectory_mbb_mindist;
+    use mst_index::{Rtree3D, StrTree, TbTree};
 
     fn store() -> TrajectoryStore {
         let trajs: Vec<Trajectory> = (0..6)
@@ -245,5 +246,106 @@ mod tests {
         let mut src = MbbDescent::new(&idx, &q, &period, &mut metrics);
         assert!(src.pop(&mut metrics).is_none());
         assert_eq!(metrics.heap_pushes, 0);
+    }
+
+    /// The pop sequence of a full descent: `(bound bits, page)` per item.
+    fn pops_of_the_descent<I: TrajectoryIndex>(
+        idx: &I,
+        q: &Trajectory,
+        period: &TimeInterval,
+    ) -> Vec<(u64, PageId)> {
+        let mut metrics = QueryProfile::new();
+        let mut src = MbbDescent::new(idx, q, period, &mut metrics);
+        let mut pops = Vec::new();
+        while let Some(bound) = src.pop(&mut metrics) {
+            pops.push((bound.to_bits(), src.head.unwrap().page));
+            src.expand(&mut metrics).unwrap();
+        }
+        pops
+    }
+
+    /// The same walk keyed by the public stateless MINDIST, which
+    /// `mst-index` ties bit for bit to the unpruned reference loop.
+    fn pops_keyed_by_the_stateless_mindist<I: TrajectoryIndex>(
+        idx: &I,
+        q: &Trajectory,
+        period: &TimeInterval,
+    ) -> Vec<(u64, PageId)> {
+        let mut heap = BinaryHeap::new();
+        heap.extend(
+            idx.root()
+                .map(|page| Reverse(QueueEntry { mindist: 0.0, page })),
+        );
+        let mut pops = Vec::new();
+        while let Some(Reverse(head)) = heap.pop() {
+            pops.push((head.mindist.to_bits(), head.page));
+            if let Node::Internal { entries, .. } = idx.read_node(head.page).unwrap() {
+                heap.extend(entries.iter().filter_map(|e| {
+                    let mindist = trajectory_mbb_mindist(q, &e.mbb, period)?;
+                    Some(Reverse(QueueEntry {
+                        mindist,
+                        page: e.child,
+                    }))
+                }));
+            }
+        }
+        pops
+    }
+
+    #[test]
+    fn planned_descent_pops_exactly_what_the_stateless_mindist_would() {
+        // 30 wandering objects x 300 segments: three-level trees.
+        let data: Vec<Trajectory> = (0..30u32)
+            .map(|id| {
+                let phase = f64::from(id) * 0.7;
+                Trajectory::from_txy(
+                    &(0..=300)
+                        .map(|s| {
+                            let t = f64::from(s);
+                            (
+                                t + f64::from(id % 3) * 0.25,
+                                500.0 + 400.0 * (t * 0.011 + phase).sin() + 9.0 * (t * 0.9).cos(),
+                                500.0 + 400.0 * (t * 0.007 * f64::from(id + 1)).cos(),
+                            )
+                        })
+                        .collect::<Vec<_>>(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let (mut rtree, mut strtree, mut tbtree) = (Rtree3D::new(), StrTree::new(), TbTree::new());
+        for seq in 0..300 {
+            for (id, t) in data.iter().enumerate() {
+                let entry = LeafEntry {
+                    traj: mst_trajectory::TrajectoryId(id as u64),
+                    seq,
+                    segment: t.segment(seq as usize),
+                };
+                rtree.insert(entry).unwrap();
+                strtree.insert(entry).unwrap();
+                tbtree.insert(entry).unwrap();
+            }
+        }
+        for (object, share) in [(4usize, 0.01), (11, 0.25), (23, 1.0)] {
+            let whole = data[object].time();
+            let len = whole.duration() * share;
+            let start = whole.start() + (whole.duration() - len) * 0.4;
+            let period = TimeInterval::new(start, start + len).unwrap();
+            let q = data[object].clip(&period).unwrap();
+            let planned = [
+                pops_of_the_descent(&rtree, &q, &period),
+                pops_of_the_descent(&strtree, &q, &period),
+                pops_of_the_descent(&tbtree, &q, &period),
+            ];
+            let stateless = [
+                pops_keyed_by_the_stateless_mindist(&rtree, &q, &period),
+                pops_keyed_by_the_stateless_mindist(&strtree, &q, &period),
+                pops_keyed_by_the_stateless_mindist(&tbtree, &q, &period),
+            ];
+            for (got, want) in planned.iter().zip(&stateless) {
+                assert!(want.len() > 10, "a {share} query popped {}", want.len());
+                assert_eq!(got, want, "object {object}, {share} of its lifetime");
+            }
+        }
     }
 }

@@ -81,6 +81,10 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     let mut outcome = NnOutcome::default();
     // Best approach found so far, per trajectory.
     let mut best: HashMap<TrajectoryId, (f64, f64)> = HashMap::new();
+    // The kth smallest of `best` (infinite below k candidates), recomputed
+    // only after a group lowered an entry: nothing else can move it.
+    let mut local_kth = f64::INFINITY;
+    let mut kth_stale = false;
 
     while let Some(mindist) = source.pop(metrics) {
         // Cooperative cancellation (per-query deadlines).
@@ -93,17 +97,15 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         // shared bound, and the shared bound (the global kth, possibly
         // discovered on another shard) terminates this shard even before k
         // local candidates exist.
-        let local_kth = if best.len() >= k {
+        if kth_stale && best.len() >= k {
             let mut dists: Vec<f64> = best.values().map(|&(d, _)| d).collect();
             let (_, kth, _) = dists.select_nth_unstable_by(k - 1, f64::total_cmp);
-            let kth = *kth;
-            if kth.is_finite() {
-                share.publish_kth(kth);
+            local_kth = *kth;
+            if local_kth.is_finite() {
+                share.publish_kth(local_kth);
             }
-            kth
-        } else {
-            f64::INFINITY
-        };
+            kth_stale = false;
+        }
         let hint = share.kth_hint();
         if hint < local_kth {
             metrics.bound_evals(PruningBound::SharedKth, 1);
@@ -140,6 +142,7 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             };
             if approach.0 < slot.0 {
                 *slot = approach;
+                kth_stale = true;
             }
         }
     }
