@@ -33,7 +33,11 @@
 #      converge bit-identically, a missed failover, or a write accepted
 #      with no primary)
 #  13. an offline --verify-store sweep of a freshly written durable store
-#  14. `git status --porcelain` reads as it did before the run: no tracked
+#  14. the asserting examples, run in release: they are the library front
+#      door's only end-to-end users outside the test suites (each checks
+#      its own answers, runs under a second, and writes only under the
+#      system temp dir)
+#  15. `git status --porcelain` reads as it did before the run: no tracked
 #      file modified, no new file left behind
 #
 # Each gate prints its wall time so slow gates are easy to spot.
@@ -129,6 +133,16 @@ verify_store_smoke() {
 }
 gate "offline store verification (mst-serve --verify-store)" \
     verify_store_smoke
+
+# `cargo build --workspace` compiles the examples but nothing ran them.
+asserting_examples() {
+    local example
+    for example in quickstart mod_lifecycle sharded_batch index_explorer transit_planning; do
+        cargo run --release -q --example "$example" >/dev/null
+    done
+}
+gate "asserting examples (release: quickstart, mod_lifecycle, sharded_batch, index_explorer, transit_planning)" \
+    asserting_examples
 
 # Everything a run writes is ignored or outside the tree: a gate that
 # regenerates a committed artefact, or drops a new file, shows here.

@@ -5,8 +5,8 @@
 //! append-at-the-tip design assumes.
 
 use mst_datagen::{GstdConfig, TrucksConfig};
-use mst_index::{LeafEntry, Rtree3D, TbTree};
-use mst_search::TrajectoryStore;
+use mst_index::{Rtree3D, TbTree, TrajectoryIndexWrite};
+use mst_search::{arrival_order, TrajectoryStore};
 use mst_trajectory::Trajectory;
 
 /// The index structures under evaluation.
@@ -98,44 +98,25 @@ impl DatasetSpec {
     }
 }
 
-/// All segments of a store, sorted by start time (the MOD arrival order).
-pub fn temporal_entries(store: &TrajectoryStore) -> Vec<LeafEntry> {
-    let mut entries: Vec<LeafEntry> = Vec::with_capacity(store.total_segments() as usize);
-    for (id, t) in store.iter() {
-        for (seq, segment) in t.segments().enumerate() {
-            entries.push(LeafEntry {
-                traj: id,
-                seq: seq as u32,
-                segment,
-            });
-        }
+/// Builds `index` over the store, segments inserted in the MOD arrival
+/// order ([`arrival_order`]).
+fn build<I: TrajectoryIndexWrite>(mut index: I, store: &TrajectoryStore) -> I {
+    for e in arrival_order(store.iter()) {
+        index
+            .insert_entry(e)
+            .expect("arrival order inserts cleanly on every substrate");
     }
-    entries.sort_by(|a, b| {
-        a.segment
-            .start()
-            .t
-            .total_cmp(&b.segment.start().t)
-            .then(a.traj.cmp(&b.traj))
-    });
-    entries
+    index
 }
 
 /// Builds a 3D R-tree over the store (temporal insertion order).
 pub fn build_rtree(store: &TrajectoryStore) -> Rtree3D {
-    let mut idx = Rtree3D::new();
-    for e in temporal_entries(store) {
-        idx.insert(e).expect("valid segments insert cleanly");
-    }
-    idx
+    build(Rtree3D::new(), store)
 }
 
 /// Builds a TB-tree over the store (temporal insertion order).
 pub fn build_tbtree(store: &TrajectoryStore) -> TbTree {
-    let mut idx = TbTree::new();
-    for e in temporal_entries(store) {
-        idx.insert(e).expect("temporal order satisfies the TB-tree");
-    }
-    idx
+    build(TbTree::new(), store)
 }
 
 #[cfg(test)]
@@ -148,21 +129,6 @@ mod tests {
         let specs = DatasetSpec::paper_ladder(0.1, 1);
         let names: Vec<String> = specs.iter().map(|s| s.name()).collect();
         assert_eq!(names, ["S0010", "S0025", "S0050", "S0100"]);
-    }
-
-    #[test]
-    fn temporal_entries_are_sorted() {
-        let store = DatasetSpec::Synthetic {
-            objects: 5,
-            samples: 40,
-            seed: 3,
-        }
-        .build_store();
-        let entries = temporal_entries(&store);
-        assert_eq!(entries.len(), 5 * 39);
-        for w in entries.windows(2) {
-            assert!(w[0].segment.start().t <= w[1].segment.start().t);
-        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use mst_index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndexWrite};
 use mst_search::{KmstSubstrate, MstConfig, NoShare, QueryProfile, TrajectoryStore};
 
-use crate::datasets::{temporal_entries, DatasetSpec};
+use crate::datasets::DatasetSpec;
 use crate::metrics::{pruning_power, time_ms, Summary, Table};
 use crate::workload::sample_queries;
 
@@ -141,7 +141,7 @@ pub fn index_comparison(cfg: &IndexComparisonConfig) -> Table {
         seed: cfg.seed,
     }
     .build_store();
-    let entries = temporal_entries(&store);
+    let entries = mst_search::arrival_order(store.iter());
     let queries = sample_queries(&store, cfg.queries, cfg.length, cfg.seed ^ 0xC0);
 
     // Ground truth once (exact scan).

@@ -26,7 +26,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use mst_index::TrajectoryIndex;
+use mst_index::{LeafEntry, TrajectoryIndex};
 use mst_trajectory::{Segment, TimeInterval, Trajectory, TrajectoryId};
 
 use crate::bounds::Candidate;
@@ -238,13 +238,7 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         // Plane sweep over the group in temporal order (the TB-tree stores
         // leaves temporally sorted already; the R-tree needs the sort —
         // Figure 7, line 10).
-        entries.sort_by(|a, b| {
-            a.segment
-                .start()
-                .t
-                .total_cmp(&b.segment.start().t)
-                .then(a.traj.cmp(&b.traj))
-        });
+        entries.sort_by(LeafEntry::arrival_cmp);
         for e in entries {
             if rejected.contains(&e.traj) {
                 continue;
@@ -446,7 +440,7 @@ mod tests {
     use crate::metrics::NoopSink;
     use crate::scan::scan_kmst;
     use crate::share::NoShare;
-    use mst_index::{LeafEntry, Rtree3D, TbTree};
+    use mst_index::{Rtree3D, TbTree, TrajectoryIndexWrite};
 
     /// The collapsed entry point with the no-op defaults spelled out once.
     fn search<I: TrajectoryIndex>(
@@ -484,43 +478,12 @@ mod tests {
         TrajectoryStore::from_trajectories(trajs)
     }
 
-    fn build_rtree(store: &TrajectoryStore) -> Rtree3D {
-        let mut idx = Rtree3D::new();
-        // Insert interleaved in temporal order, as a MOD would.
-        let mut entries: Vec<LeafEntry> = Vec::new();
-        for (id, t) in store.iter() {
-            for (seq, segment) in t.segments().enumerate() {
-                entries.push(LeafEntry {
-                    traj: id,
-                    seq: seq as u32,
-                    segment,
-                });
-            }
+    /// Interleaved in temporal order, as a MOD would insert.
+    fn build<I: TrajectoryIndexWrite>(mut index: I, store: &TrajectoryStore) -> I {
+        for e in crate::arrival_order(store.iter()) {
+            index.insert_entry(e).unwrap();
         }
-        entries.sort_by(|a, b| a.segment.start().t.total_cmp(&b.segment.start().t));
-        for e in entries {
-            idx.insert(e).unwrap();
-        }
-        idx
-    }
-
-    fn build_tbtree(store: &TrajectoryStore) -> TbTree {
-        let mut idx = TbTree::new();
-        let mut entries: Vec<LeafEntry> = Vec::new();
-        for (id, t) in store.iter() {
-            for (seq, segment) in t.segments().enumerate() {
-                entries.push(LeafEntry {
-                    traj: id,
-                    seq: seq as u32,
-                    segment,
-                });
-            }
-        }
-        entries.sort_by(|a, b| a.segment.start().t.total_cmp(&b.segment.start().t));
-        for e in entries {
-            idx.insert(e).unwrap();
-        }
-        idx
+        index
     }
 
     fn query() -> Trajectory {
@@ -537,7 +500,7 @@ mod tests {
     #[test]
     fn matches_linear_scan_on_rtree() {
         let store = dataset();
-        let mut idx = build_rtree(&store);
+        let mut idx = build(Rtree3D::new(), &store);
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = query();
         for k in [1usize, 3, 5] {
@@ -555,7 +518,7 @@ mod tests {
     #[test]
     fn matches_linear_scan_on_tbtree() {
         let store = dataset();
-        let mut idx = build_tbtree(&store);
+        let mut idx = build(TbTree::new(), &store);
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = query();
         let expected = scan_kmst(&store, &q, &period, 4, Integration::Exact).unwrap();
@@ -568,7 +531,7 @@ mod tests {
     #[test]
     fn exact_mode_matches_scan_too() {
         let store = dataset();
-        let mut idx = build_rtree(&store);
+        let mut idx = build(Rtree3D::new(), &store);
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = query();
         let cfg = MstConfig {
@@ -589,7 +552,7 @@ mod tests {
     #[test]
     fn subperiod_queries_agree_with_scan() {
         let store = dataset();
-        let mut idx = build_rtree(&store);
+        let mut idx = build(Rtree3D::new(), &store);
         let q = query();
         for (a, b) in [(0.0, 5.0), (3.0, 11.0), (14.5, 20.0)] {
             let period = TimeInterval::new(a, b).unwrap();
@@ -606,7 +569,7 @@ mod tests {
     #[test]
     fn query_must_cover_period() {
         let store = dataset();
-        let mut idx = build_rtree(&store);
+        let mut idx = build(Rtree3D::new(), &store);
         let q = query();
         let period = TimeInterval::new(0.0, 30.0).unwrap();
         assert!(matches!(
@@ -618,7 +581,7 @@ mod tests {
     #[test]
     fn k_zero_and_empty_index() {
         let store = dataset();
-        let mut idx = build_rtree(&store);
+        let mut idx = build(Rtree3D::new(), &store);
         let q = query();
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let got = search(&mut idx, &store, &q, &period, &MstConfig::k(0)).unwrap();
@@ -636,7 +599,7 @@ mod tests {
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = query();
 
-        let mut idx_full = build_rtree(&store);
+        let mut idx_full = build(Rtree3D::new(), &store);
         let no_heuristics = MstConfig {
             use_heuristic1: false,
             use_heuristic2: false,
@@ -644,7 +607,7 @@ mod tests {
         };
         let baseline = search(&mut idx_full, &store, &q, &period, &no_heuristics).unwrap();
 
-        let mut idx = build_rtree(&store);
+        let mut idx = build(Rtree3D::new(), &store);
         let pruned = search(&mut idx, &store, &q, &period, &MstConfig::k(2)).unwrap();
 
         assert_eq!(
@@ -657,7 +620,7 @@ mod tests {
     #[test]
     fn self_query_returns_itself_with_zero_dissim() {
         let store = dataset();
-        let mut idx = build_rtree(&store);
+        let mut idx = build(Rtree3D::new(), &store);
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = store.get(TrajectoryId(5)).unwrap().clone();
         let got = search(&mut idx, &store, &q, &period, &MstConfig::k(1)).unwrap();

@@ -19,7 +19,11 @@
 //! * [`scan`] — the exact linear-scan k-MST used as ground truth and as the
 //!   pruning-power denominator;
 //! * [`TrajectoryStore`] — the moving-object dataset the index sits on top
-//!   of (needed for the exact post-processing step).
+//!   of (needed for the exact post-processing step);
+//! * [`MovingObjectDatabase`] — the engine: that store and one index, kept
+//!   in step, with the one runner per query flavour that the [`Query`]
+//!   builder's terminals, every shard of `mst-exec` and the shards
+//!   `mst-wal` recovers all go through.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -43,7 +47,7 @@ pub mod time_relaxed;
 mod topk;
 
 pub use bfmst::{bfmst_search, MstConfig, SearchReport};
-pub use database::MovingObjectDatabase;
+pub use database::{arrival_order, MovingObjectDatabase};
 pub use descent::{MbbDescent, SegmentGroup};
 pub use dissim::{Dissim, Integration};
 pub use merge::{merge_shard_matches, merge_shard_nn, merge_shard_range, merge_shard_segments};
@@ -96,6 +100,8 @@ pub enum SearchError {
     },
     /// A candidate referenced by the index is missing from the store.
     MissingTrajectory(TrajectoryId),
+    /// An insert named an id the database already holds (delete it first).
+    DuplicateTrajectory(TrajectoryId),
     /// A [`Query`] builder was run with a required parameter missing or an
     /// inconsistent combination of settings.
     MisconfiguredQuery(&'static str),
@@ -121,6 +127,9 @@ impl std::fmt::Display for SearchError {
             ),
             SearchError::MissingTrajectory(id) => {
                 write!(f, "trajectory {id} indexed but missing from the store")
+            }
+            SearchError::DuplicateTrajectory(id) => {
+                write!(f, "trajectory {id} already exists; delete it first")
             }
             SearchError::MisconfiguredQuery(what) => {
                 write!(f, "misconfigured query: {what}")

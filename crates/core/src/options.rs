@@ -188,9 +188,10 @@ impl QueryOptions {
     }
 
     /// Refuses a query pinned to a substrate other than `actual`, the one
-    /// the database runs on. [`Substrate::Auto`] always passes. Every
-    /// query flavour calls this once before it touches the index — on the
-    /// single-index terminals and on each shard alike.
+    /// the database runs on. [`Substrate::Auto`] always passes. Each of
+    /// [`MovingObjectDatabase`](crate::MovingObjectDatabase)'s four runners
+    /// calls this once before it touches the index — so the single-database
+    /// terminals and every shard are checked by the same line.
     pub fn check_substrate(&self, actual: Substrate) -> crate::Result<()> {
         if self.substrate != Substrate::Auto && self.substrate != actual {
             return Err(crate::SearchError::SubstrateMismatch {

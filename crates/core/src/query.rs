@@ -1,9 +1,9 @@
 //! The unified query builder — one front door to every query flavour.
 //!
-//! The database used to expose one entry point per query type
-//! (`most_similar`, `within_dissim`, `nearest_segments`, ...), each with its
-//! own positional-argument order and no way to observe what the search did.
-//! The [`Query`] builder replaces them all:
+//! A builder describes a query; [`MovingObjectDatabase`] runs it. Each
+//! terminal freezes the builder into its owned spec and hands it to the
+//! engine's runner for that flavour — the same runner every shard of a
+//! sharded database goes through:
 //!
 //! ```
 //! use mst_search::{MovingObjectDatabase, Query};
@@ -18,12 +18,12 @@
 //! let q = db.trajectory(TrajectoryId(0)).unwrap();
 //!
 //! // Plain k-MST over the query's own validity period.
-//! let top = Query::kmst(&q).k(2).run(&mut db)?;
+//! let top = Query::kmst(&q).k(2).run(&db)?;
 //! assert_eq!(top[0].traj, TrajectoryId(0));
 //!
 //! // The same query, profiled: every heap operation, node access, buffer
 //! // hit/miss, DISSIM piece evaluation and pruning decision is counted.
-//! let (top, profile) = Query::kmst(&q).k(2).profile(&mut db)?;
+//! let (top, profile) = Query::kmst(&q).k(2).profile(&db)?;
 //! assert_eq!(top.len(), 2);
 //! assert!(profile.nodes_accessed() > 0);
 //! assert!(profile.is_consistent());
@@ -46,7 +46,7 @@
 
 use core::time::Duration;
 
-use mst_index::{KnnMatch, LeafEntry, TrajectoryIndexWrite};
+use mst_index::{KnnMatch, LeafEntry};
 use mst_trajectory::{Mbb, Point, TimeInterval, Trajectory};
 
 use crate::bfmst::MstConfig;
@@ -54,8 +54,9 @@ use crate::dissim::Integration;
 use crate::metrics::{NoopSink, QueryMetrics, QueryProfile};
 use crate::nn::NnMatch;
 use crate::options::{QueryOptions, Substrate};
+use crate::share::NoShare;
 use crate::substrate::KmstSubstrate;
-use crate::time_relaxed::{TimeRelaxedConfig, TimeRelaxedMatch};
+use crate::time_relaxed::{time_relaxed_kmst_traced, TimeRelaxedConfig, TimeRelaxedMatch};
 use crate::{MovingObjectDatabase, MstMatch, Result, SearchError};
 
 /// Entry point of the builder API: one constructor per query flavour.
@@ -225,10 +226,6 @@ impl<'a> KmstQuery<'a> {
         }
     }
 
-    fn resolved_period(&self) -> TimeInterval {
-        self.options.period.unwrap_or_else(|| self.query.time())
-    }
-
     /// Freezes the builder into an owned, thread-shippable [`KmstSpec`]:
     /// the period resolved, the configuration fixed, and the query
     /// trajectory cloned out of the borrow. Batch executors collect specs
@@ -236,7 +233,7 @@ impl<'a> KmstQuery<'a> {
     /// trajectory does not cover the resolved period — the same check the
     /// search would make, surfaced before the batch is submitted.
     pub fn spec(&self) -> Result<KmstSpec> {
-        let period = self.resolved_period();
+        let period = self.options.period.unwrap_or_else(|| self.query.time());
         if !self.query.covers(&period) {
             return Err(SearchError::QueryOutsidePeriod {
                 period: (period.start(), period.end()),
@@ -254,28 +251,24 @@ impl<'a> KmstQuery<'a> {
 
     /// Runs the query with observability: search events are fed into
     /// `metrics`.
-    pub fn run_traced<I: TrajectoryIndexWrite + KmstSubstrate, M: QueryMetrics>(
+    pub fn run_traced<I: KmstSubstrate, M: QueryMetrics>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<MstMatch>> {
-        self.options.check_substrate(I::KIND)?;
-        db.run_kmst(self.query, &self.resolved_period(), &self.config, metrics)
+        Ok(db.run_kmst(&self.spec()?, &NoShare, metrics)?.matches)
     }
 
     /// Runs the query. Observability hooks compile to nothing.
-    pub fn run<I: TrajectoryIndexWrite + KmstSubstrate>(
-        &self,
-        db: &mut MovingObjectDatabase<I>,
-    ) -> Result<Vec<MstMatch>> {
+    pub fn run<I: KmstSubstrate>(&self, db: &MovingObjectDatabase<I>) -> Result<Vec<MstMatch>> {
         self.run_traced(db, &mut NoopSink)
     }
 
     /// Runs the query and returns the results together with a fresh
     /// [`QueryProfile`] of everything the search did.
-    pub fn profile<I: TrajectoryIndexWrite + KmstSubstrate>(
+    pub fn profile<I: KmstSubstrate>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
     ) -> Result<(Vec<MstMatch>, QueryProfile)> {
         let mut profile = QueryProfile::new();
         let matches = self.run_traced(db, &mut profile)?;
@@ -285,9 +278,9 @@ impl<'a> KmstQuery<'a> {
 
 /// An owned, fully resolved k-MST query, detached from the builder's
 /// borrows so it can be shipped to worker threads. Produced by
-/// [`KmstQuery::spec`]; consumed by batch executors, which run it against
-/// each shard with [`crate::bfmst::bfmst_search_shared`] and merge with
-/// [`crate::merge::merge_shard_matches`].
+/// [`KmstQuery::spec`]; consumed by [`MovingObjectDatabase::run_kmst`] —
+/// directly from the builder's terminals, once per shard from batch
+/// executors, which merge with [`crate::merge::merge_shard_matches`].
 #[derive(Debug, Clone)]
 pub struct KmstSpec {
     /// The query trajectory.
@@ -386,28 +379,25 @@ impl<'a> TimeRelaxedQuery<'a> {
 
     /// Runs the query with observability: search events are fed into
     /// `metrics`.
-    pub fn run_traced<I: TrajectoryIndexWrite, M: QueryMetrics>(
+    pub fn run_traced<I, M: QueryMetrics>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<TimeRelaxedMatch>> {
-        db.run_time_relaxed(self.query, &self.config, metrics)
+        time_relaxed_kmst_traced(db.store(), self.query, &self.config, metrics)
     }
 
     /// Runs the query. Observability hooks compile to nothing.
-    pub fn run<I: TrajectoryIndexWrite>(
-        &self,
-        db: &mut MovingObjectDatabase<I>,
-    ) -> Result<Vec<TimeRelaxedMatch>> {
+    pub fn run<I>(&self, db: &MovingObjectDatabase<I>) -> Result<Vec<TimeRelaxedMatch>> {
         self.run_traced(db, &mut NoopSink)
     }
 
     /// Runs the query and returns the results together with a fresh
     /// [`QueryProfile`]. The time-relaxed search scans the store rather than
     /// the index, so only candidate and piece-evaluation counters move.
-    pub fn profile<I: TrajectoryIndexWrite>(
+    pub fn profile<I>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
     ) -> Result<(Vec<TimeRelaxedMatch>, QueryProfile)> {
         let mut profile = QueryProfile::new();
         let matches = self.run_traced(db, &mut profile)?;
@@ -478,29 +468,24 @@ impl<'a> KnnQuery<'a> {
 
     /// Runs the query with observability: search events are fed into
     /// `metrics`.
-    pub fn run_traced<I: TrajectoryIndexWrite + KmstSubstrate, M: QueryMetrics>(
+    pub fn run_traced<I: KmstSubstrate, M: QueryMetrics>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<NnMatch>> {
-        self.options.check_substrate(I::KIND)?;
-        let period = self.options.period.unwrap_or_else(|| self.query.time());
-        db.run_knn(self.query, &period, self.options.k, metrics)
+        Ok(db.run_knn(&self.spec()?, &NoShare, metrics)?.matches)
     }
 
     /// Runs the query. Observability hooks compile to nothing.
-    pub fn run<I: TrajectoryIndexWrite + KmstSubstrate>(
-        &self,
-        db: &mut MovingObjectDatabase<I>,
-    ) -> Result<Vec<NnMatch>> {
+    pub fn run<I: KmstSubstrate>(&self, db: &MovingObjectDatabase<I>) -> Result<Vec<NnMatch>> {
         self.run_traced(db, &mut NoopSink)
     }
 
     /// Runs the query and returns the results together with a fresh
     /// [`QueryProfile`] of everything the search did.
-    pub fn profile<I: TrajectoryIndexWrite + KmstSubstrate>(
+    pub fn profile<I: KmstSubstrate>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
     ) -> Result<(Vec<NnMatch>, QueryProfile)> {
         let mut profile = QueryProfile::new();
         let matches = self.run_traced(db, &mut profile)?;
@@ -544,16 +529,12 @@ impl KnnSegmentsQuery {
         self
     }
 
-    fn window(&self) -> Result<TimeInterval> {
-        self.options.period.ok_or(SearchError::MisconfiguredQuery(
-            "a point-kNN query needs a time window: call .during(window)",
-        ))
-    }
-
     /// Freezes the builder into an owned, thread-shippable
     /// [`SegmentsSpec`]. Fails eagerly if no time window was given.
     pub fn spec(&self) -> Result<SegmentsSpec> {
-        let window = self.window()?;
+        let window = self.options.period.ok_or(SearchError::MisconfiguredQuery(
+            "a point-kNN query needs a time window: call .during(window)",
+        ))?;
         Ok(SegmentsSpec {
             location: self.location,
             window,
@@ -563,29 +544,24 @@ impl KnnSegmentsQuery {
 
     /// Runs the query with observability: search events are fed into
     /// `metrics`.
-    pub fn run_traced<I: TrajectoryIndexWrite + KmstSubstrate, M: QueryMetrics>(
+    pub fn run_traced<I: KmstSubstrate, M: QueryMetrics>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<KnnMatch>> {
-        self.options.check_substrate(I::KIND)?;
-        let window = self.window()?;
-        db.run_knn_segments(self.location, &window, self.options.k, metrics)
+        db.run_knn_segments(&self.spec()?, metrics)
     }
 
     /// Runs the query. Observability hooks compile to nothing.
-    pub fn run<I: TrajectoryIndexWrite + KmstSubstrate>(
-        &self,
-        db: &mut MovingObjectDatabase<I>,
-    ) -> Result<Vec<KnnMatch>> {
+    pub fn run<I: KmstSubstrate>(&self, db: &MovingObjectDatabase<I>) -> Result<Vec<KnnMatch>> {
         self.run_traced(db, &mut NoopSink)
     }
 
     /// Runs the query and returns the results together with a fresh
     /// [`QueryProfile`] of everything the search did.
-    pub fn profile<I: TrajectoryIndexWrite + KmstSubstrate>(
+    pub fn profile<I: KmstSubstrate>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
     ) -> Result<(Vec<KnnMatch>, QueryProfile)> {
         let mut profile = QueryProfile::new();
         let matches = self.run_traced(db, &mut profile)?;
@@ -626,28 +602,24 @@ impl<'a> RangeQuery<'a> {
 
     /// Runs the query with observability: node and buffer accesses are fed
     /// into `metrics`.
-    pub fn run_traced<I: TrajectoryIndexWrite + KmstSubstrate, M: QueryMetrics>(
+    pub fn run_traced<I: KmstSubstrate, M: QueryMetrics>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<LeafEntry>> {
-        self.options.check_substrate(I::KIND)?;
-        db.run_range(self.window, metrics)
+        db.run_range(&self.spec(), metrics)
     }
 
     /// Runs the query. Observability hooks compile to nothing.
-    pub fn run<I: TrajectoryIndexWrite + KmstSubstrate>(
-        &self,
-        db: &mut MovingObjectDatabase<I>,
-    ) -> Result<Vec<LeafEntry>> {
+    pub fn run<I: KmstSubstrate>(&self, db: &MovingObjectDatabase<I>) -> Result<Vec<LeafEntry>> {
         self.run_traced(db, &mut NoopSink)
     }
 
     /// Runs the query and returns the results together with a fresh
     /// [`QueryProfile`] of the traversal's I/O behaviour.
-    pub fn profile<I: TrajectoryIndexWrite + KmstSubstrate>(
+    pub fn profile<I: KmstSubstrate>(
         &self,
-        db: &mut MovingObjectDatabase<I>,
+        db: &MovingObjectDatabase<I>,
     ) -> Result<(Vec<LeafEntry>, QueryProfile)> {
         let mut profile = QueryProfile::new();
         let matches = self.run_traced(db, &mut profile)?;
@@ -674,20 +646,20 @@ mod tests {
 
     #[test]
     fn kmst_defaults_to_the_query_trajectorys_period() {
-        let mut db = db_with_lines(4);
+        let db = db_with_lines(4);
         let q = db.trajectory(TrajectoryId(1)).unwrap();
-        let explicit = Query::kmst(&q).k(3).during(&q.time()).run(&mut db).unwrap();
-        let defaulted = Query::kmst(&q).k(3).run(&mut db).unwrap();
+        let explicit = Query::kmst(&q).k(3).during(&q.time()).run(&db).unwrap();
+        let defaulted = Query::kmst(&q).k(3).run(&db).unwrap();
         assert_eq!(explicit, defaulted);
         assert_eq!(defaulted[0].traj, TrajectoryId(1));
     }
 
     #[test]
     fn knn_segments_without_a_window_is_a_configuration_error() {
-        let mut db = db_with_lines(2);
+        let db = db_with_lines(2);
         let err = Query::knn_segments(Point::new(0.0, 0.0))
             .k(1)
-            .run(&mut db)
+            .run(&db)
             .unwrap_err();
         assert!(matches!(err, SearchError::MisconfiguredQuery(_)));
         assert!(matches!(
@@ -699,12 +671,12 @@ mod tests {
     #[test]
     fn builders_are_plain_data() {
         // Copy + reuse: one configured query can run against many databases.
-        let mut a = db_with_lines(3);
-        let mut b = db_with_lines(3);
+        let a = db_with_lines(3);
+        let b = db_with_lines(3);
         let q = a.trajectory(TrajectoryId(0)).unwrap();
         let query = Query::kmst(&q).k(2);
-        let ra = query.run(&mut a).unwrap();
-        let rb = query.run(&mut b).unwrap();
+        let ra = query.run(&a).unwrap();
+        let rb = query.run(&b).unwrap();
         assert_eq!(ra, rb);
     }
 
@@ -778,7 +750,7 @@ mod tests {
 
     #[test]
     fn a_foreign_substrate_pin_is_refused_by_every_flavour() {
-        let mut db = db_with_lines(3);
+        let db = db_with_lines(3);
         let q = db.trajectory(TrajectoryId(0)).unwrap();
         let window = q.time();
         let foreign = QueryOptions::new().k(1).substrate(Substrate::Metric);
@@ -791,33 +763,33 @@ mod tests {
                 })
             ));
         };
-        refused(Query::kmst(&q).options(foreign).run(&mut db).map(drop));
-        refused(Query::knn(&q).options(foreign).run(&mut db).map(drop));
+        refused(Query::kmst(&q).options(foreign).run(&db).map(drop));
+        refused(Query::knn(&q).options(foreign).run(&db).map(drop));
         let segments = Query::knn_segments(Point::new(0.0, 0.0)).options(foreign.during(&window));
-        refused(segments.run(&mut db).map(drop));
+        refused(segments.run(&db).map(drop));
         let everything = Mbb::new(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9);
         refused(
             Query::range(&everything)
                 .options(foreign)
-                .run(&mut db)
+                .run(&db)
                 .map(drop),
         );
         // The matching pin and `Auto` both answer.
         let own = QueryOptions::new().substrate(Substrate::Rtree);
         assert!(!Query::range(&everything)
             .options(own)
-            .run(&mut db)
+            .run(&db)
             .unwrap()
             .is_empty());
-        assert!(!Query::range(&everything).run(&mut db).unwrap().is_empty());
+        assert!(!Query::range(&everything).run(&db).unwrap().is_empty());
     }
 
     #[test]
     fn profile_and_run_agree_on_results() {
-        let mut db = db_with_lines(5);
+        let db = db_with_lines(5);
         let q = db.trajectory(TrajectoryId(2)).unwrap();
-        let plain = Query::kmst(&q).k(4).run(&mut db).unwrap();
-        let (profiled, profile) = Query::kmst(&q).k(4).profile(&mut db).unwrap();
+        let plain = Query::kmst(&q).k(4).run(&db).unwrap();
+        let (profiled, profile) = Query::kmst(&q).k(4).profile(&db).unwrap();
         assert_eq!(plain, profiled);
         assert!(profile.is_consistent());
         assert!(profile.candidates.seen >= 4);

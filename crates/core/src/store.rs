@@ -21,11 +21,7 @@ impl TrajectoryStore {
 
     /// Builds a store assigning sequential ids `0..n` to the trajectories.
     pub fn from_trajectories(trajectories: Vec<Trajectory>) -> Self {
-        let mut store = TrajectoryStore::new();
-        for (i, t) in trajectories.into_iter().enumerate() {
-            store.insert(TrajectoryId(i as u64), t);
-        }
-        store
+        (0..).map(TrajectoryId).zip(trajectories).collect()
     }
 
     /// Inserts (or replaces) a trajectory under `id`.
@@ -41,6 +37,11 @@ impl TrajectoryStore {
     /// Looks up a trajectory.
     pub fn get(&self, id: TrajectoryId) -> Option<&Trajectory> {
         self.by_id.get(&id).map(|&i| &self.trajectories[i].1)
+    }
+
+    /// Looks up a trajectory for extension in place (a streaming append).
+    pub fn get_mut(&mut self, id: TrajectoryId) -> Option<&mut Trajectory> {
+        self.by_id.get(&id).map(|&i| &mut self.trajectories[i].1)
     }
 
     /// Removes a trajectory, returning it when it was present. The last
@@ -85,6 +86,18 @@ impl TrajectoryStore {
     /// Total number of segments across all trajectories.
     pub fn total_segments(&self) -> u64 {
         self.iter().map(|(_, t)| t.num_segments() as u64).sum()
+    }
+}
+
+impl FromIterator<(TrajectoryId, Trajectory)> for TrajectoryStore {
+    /// Collects a fleet into a store; a repeated id keeps its last
+    /// trajectory, as with [`TrajectoryStore::insert`].
+    fn from_iter<T: IntoIterator<Item = (TrajectoryId, Trajectory)>>(fleet: T) -> Self {
+        let mut store = TrajectoryStore::new();
+        for (id, trajectory) in fleet {
+            store.insert(id, trajectory);
+        }
+        store
     }
 }
 

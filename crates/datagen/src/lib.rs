@@ -14,10 +14,13 @@
 //!   trajectories (Figures 8–9).
 //! * [`io`] — plain-text dataset reading/writing (`id t x y` per line), so
 //!   real datasets in the Trucks format can be dropped in.
+//! * [`fixtures`] — the small seeded fleets the workspace's test suites
+//!   share (partial lifetimes, twins and DISSIM ties included).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod fixtures;
 pub mod gstd;
 pub mod io;
 pub mod tdtr;

@@ -232,30 +232,18 @@ pub(crate) fn run_shard_job<I: KmstSubstrate>(
     control: &QueryControl,
     profile: &mut QueryProfile,
 ) -> JobResult {
-    let result = match query {
-        BatchQuery::Kmst(spec) => shard
+    let result = shard.read().map_err(Into::into).and_then(|db| match query {
+        BatchQuery::Kmst(spec) => db
             .run_kmst(spec, control, profile)
             .map(|report| JobResult::Kmst(report.matches)),
-        BatchQuery::Knn(spec) => shard
+        BatchQuery::Knn(spec) => db
             .run_knn(spec, control, profile)
             .map(|outcome| JobResult::Knn(outcome.matches)),
-        BatchQuery::Segments(spec) => {
-            if control.poll_stop() {
-                Ok(JobResult::Segments(Vec::new()))
-            } else {
-                shard
-                    .run_knn_segments(spec, profile)
-                    .map(JobResult::Segments)
-            }
-        }
-        BatchQuery::Range(spec) => {
-            if control.poll_stop() {
-                Ok(JobResult::Range(Vec::new()))
-            } else {
-                shard.run_range(spec, profile).map(JobResult::Range)
-            }
-        }
-    };
+        BatchQuery::Segments(_) if control.poll_stop() => Ok(JobResult::Segments(Vec::new())),
+        BatchQuery::Segments(spec) => db.run_knn_segments(spec, profile).map(JobResult::Segments),
+        BatchQuery::Range(_) if control.poll_stop() => Ok(JobResult::Range(Vec::new())),
+        BatchQuery::Range(spec) => db.run_range(spec, profile).map(JobResult::Range),
+    });
     result.unwrap_or_else(JobResult::Failed)
 }
 

@@ -8,9 +8,9 @@
 //! touching the algorithms:
 //!
 //! * [`ShardedDatabase`] partitions trajectories by object across P
-//!   shards, each with its own index (3D R-tree or TB-tree) and private
-//!   LRU buffer pool, behind one reader–writer gate per shard (searches
-//!   share the read half; see [`shard`]).
+//!   shards, each one engine ([`mst_search::MovingObjectDatabase`]: its
+//!   own index and private LRU buffer pool, and its objects' store) behind
+//!   one reader–writer gate (searches share the read half; see [`shard`]).
 //! * [`BatchExecutor`] runs a fixed `std::thread` worker pool over a
 //!   bounded MPMC [`JobQueue`], decomposing each query into per-shard
 //!   jobs and merging the per-shard top-k lists into the global answer

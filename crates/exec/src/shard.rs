@@ -11,10 +11,13 @@
 //! independent shard searches whose per-shard top-k lists merge losslessly
 //! into the global answer ([`mst_search::merge_shard_matches`]).
 //!
-//! Each shard owns a complete vertical slice: its own index (3D R-tree,
-//! TB-tree, or metric tree) with its own private LRU buffer pool, and its own
-//! [`TrajectoryStore`]. Shards share nothing mutable, so P shards scale page
-//! caching and index traversal independently.
+//! Each shard owns a complete vertical slice: one engine
+//! ([`MovingObjectDatabase`] — its own index with its own private LRU
+//! buffer pool, and the store of the objects routed to it). Sharding adds
+//! the routing and the lock, nothing else: a shard is built by the engine's
+//! `build`, searched through the engine's `run_*` methods, written through
+//! its `insert_trajectory` / `delete`. Shards share nothing mutable, so P
+//! shards scale page caching and index traversal independently.
 //!
 //! Per-shard `Vmax`: each shard's index reports the maximum speed of *its*
 //! objects, which is at most the global `Vmax`. MINDIST expansion and
@@ -24,8 +27,8 @@
 //!
 //! # Locking: one gate per shard
 //!
-//! A shard is one reader–writer gate over `{index, store}`. Every search
-//! takes the index by `&self`, so query jobs hold the *read* half for their
+//! A shard is one reader–writer gate over its engine. Every search takes
+//! the engine by `&self`, so query jobs hold the *read* half for their
 //! whole run and any number of them share a shard; the only thing they
 //! contend on is the index's internal pager mutex, taken per node fetch
 //! (`mst_index`'s `traits.rs`), and — metric tree only — its ball-directory
@@ -44,30 +47,20 @@
 
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-use mst_index::{
-    knn_segments_traced, IndexError, KnnMatch, LeafEntry, MetricTree, Rtree3D, TbTree,
-    TrajectoryIndex, TrajectoryIndexWrite,
-};
+use mst_index::{IndexError, MetricTree, Rtree3D, TbTree, TrajectoryIndex, TrajectoryIndexWrite};
 use mst_search::{
-    nearest_trajectories, BoundShare, KmstSpec, KmstSubstrate, KnnSpec, NnOutcome, QueryMetrics,
-    RangeSpec, SearchReport, SegmentsSpec, Substrate, TrajectoryStore,
+    BoundShare, KmstSpec, KmstSubstrate, MovingObjectDatabase, QueryMetrics, SearchReport,
+    Substrate,
 };
 use mst_trajectory::{Trajectory, TrajectoryId};
 
 use crate::{ExecError, Result};
 
-/// One shard: a private index plus the trajectory store of the objects
-/// routed to it, behind the shard's one gate — see the module docs.
+/// One shard: the engine ([`MovingObjectDatabase`]: a private index plus the
+/// trajectory store of the objects routed here) behind the shard's one gate
+/// — see the module docs.
 pub struct Shard<I> {
-    gate: RwLock<ShardState<I>>,
-}
-
-/// What a shard's gate protects; readers see it through [`Shard::read`].
-pub struct ShardState<I> {
-    /// The shard's index.
-    pub index: I,
-    /// The trajectories of the objects routed to this shard.
-    pub store: TrajectoryStore,
+    gate: RwLock<MovingObjectDatabase<I>>,
 }
 
 /// Names the gate in the [`IndexError::Poisoned`] a panicked writer leaves
@@ -76,38 +69,32 @@ pub struct ShardState<I> {
 const GATE: &str = "shard gate";
 
 impl<I> Shard<I> {
-    fn new(index: I, store: TrajectoryStore) -> Self {
-        Shard {
-            gate: RwLock::new(ShardState { index, store }),
-        }
-    }
-
-    /// The read half of the gate: index and store as of one instant, shared
-    /// with every other reader. Ingest on this shard waits while it is held.
-    pub fn read(&self) -> mst_index::Result<RwLockReadGuard<'_, ShardState<I>>> {
+    /// The read half of the gate: the engine as of one instant, shared with
+    /// every other reader — every query flavour runs through its `run_*`
+    /// methods. Ingest on this shard waits while the guard is held.
+    pub fn read(&self) -> mst_index::Result<RwLockReadGuard<'_, MovingObjectDatabase<I>>> {
         self.gate.read().map_err(IndexError::poisoned(GATE))
     }
 
-    /// Runs `f` under the write half of the gate, index and store both
-    /// mutable: how ingest applies an operation, and how a snapshot reads a
-    /// consistent pair (saving an image flushes the index's buffer). The
-    /// caller keeps the two in step. A panic inside `f` poisons the gate.
+    /// Runs `f` under the write half of the gate: how ingest applies an
+    /// operation, and how a snapshot reads a consistent pair (saving an
+    /// image flushes the index's buffer). A panic inside `f` poisons the
+    /// gate.
     pub fn write<R>(
         &self,
-        f: impl FnOnce(&mut I, &mut TrajectoryStore) -> R,
+        f: impl FnOnce(&mut MovingObjectDatabase<I>) -> R,
     ) -> mst_index::Result<R> {
-        let mut state = self.gate.write().map_err(IndexError::poisoned(GATE))?;
-        let ShardState { index, store } = &mut *state;
-        Ok(f(index, store))
+        let mut db = self.gate.write().map_err(IndexError::poisoned(GATE))?;
+        Ok(f(&mut db))
     }
 
-    /// The store for a plain lookup (object counts, one trajectory cloned
-    /// out). A poisoned gate is recovered here and only here: the store's
-    /// mutations are single map inserts and removes, each the last step of
-    /// its operation, so a torn shard's store is still a valid (if stale)
-    /// map — while every search and write on that shard keeps failing
-    /// through [`Shard::read`] / the write half.
-    fn peek(&self) -> RwLockReadGuard<'_, ShardState<I>> {
+    /// The engine for a plain store lookup (object counts, one trajectory
+    /// cloned out). A poisoned gate is recovered here and only here: the
+    /// store's mutations are single map inserts and removes, each the last
+    /// step of its operation, so a torn shard's store is still a valid (if
+    /// stale) map — while every search and write on that shard keeps
+    /// failing through [`Shard::read`] / the write half.
+    fn peek(&self) -> RwLockReadGuard<'_, MovingObjectDatabase<I>> {
         self.gate.read().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -125,75 +112,20 @@ impl<I> ShardIndex<'_, I> {
     /// Runs `f` with the index mutable, under the write half of the
     /// shard's gate: searches on this shard wait until it returns.
     pub fn with<R>(&self, f: impl FnOnce(&mut I) -> R) -> mst_index::Result<R> {
-        self.0.write(|index, _| f(index))
+        self.0.write(|db| f(db.index_mut()))
     }
 }
 
 impl<I: KmstSubstrate> Shard<I> {
-    /// Runs one k-MST query against this shard, folding `share` into the
-    /// pruning threshold (and publishing local kth improvements back).
-    /// The substrate's own search runs — BFMST descent on MBB substrates,
-    /// the ball search on the metric tree.
+    /// Runs one k-MST query against this shard: the read half of the gate,
+    /// then the engine's [`MovingObjectDatabase::run_kmst`].
     pub fn run_kmst<B: BoundShare, M: QueryMetrics>(
         &self,
         spec: &KmstSpec,
         share: &B,
         metrics: &mut M,
     ) -> mst_search::Result<SearchReport> {
-        spec.options.check_substrate(I::KIND)?;
-        let state = self.read()?;
-        let period = spec.period();
-        state.index.kmst_search(
-            &state.store,
-            &spec.query,
-            &period,
-            &spec.config,
-            share,
-            metrics,
-        )
-    }
-
-    /// Runs one trajectory-kNN query against this shard.
-    pub fn run_knn<B: BoundShare, M: QueryMetrics>(
-        &self,
-        spec: &KnnSpec,
-        share: &B,
-        metrics: &mut M,
-    ) -> mst_search::Result<NnOutcome> {
-        spec.options.check_substrate(I::KIND)?;
-        let state = self.read()?;
-        let period = spec.period();
-        nearest_trajectories(&state.index, &spec.query, &period, spec.k(), share, metrics)
-    }
-
-    /// Runs one point-kNN (nearest segments) query against this shard.
-    /// Point-kNN has no cross-shard pruning threshold to share, so there
-    /// is no `BoundShare` parameter; the merge keeps the global k best.
-    pub fn run_knn_segments<M: QueryMetrics>(
-        &self,
-        spec: &SegmentsSpec,
-        metrics: &mut M,
-    ) -> mst_search::Result<Vec<KnnMatch>> {
-        spec.options.check_substrate(I::KIND)?;
-        let state = self.read()?;
-        Ok(knn_segments_traced(
-            &state.index,
-            spec.location,
-            &spec.window,
-            spec.options.k,
-            metrics,
-        )?)
-    }
-
-    /// Runs one 3D range query against this shard.
-    pub fn run_range<M: QueryMetrics>(
-        &self,
-        spec: &RangeSpec,
-        metrics: &mut M,
-    ) -> mst_search::Result<Vec<LeafEntry>> {
-        spec.options.check_substrate(I::KIND)?;
-        let state = self.read()?;
-        Ok(state.index.range_query_traced(&spec.window, metrics)?)
+        self.read()?.run_kmst(spec, share, metrics)
     }
 }
 
@@ -255,11 +187,10 @@ impl ShardedDatabase<MetricTree> {
 
 impl<I: TrajectoryIndexWrite> ShardedDatabase<I> {
     /// Partitions `trajectories` across `num_shards` indexes created by
-    /// `make_index`. Segments are inserted in global temporal order (by
-    /// segment start time, then object, then sequence), mimicking the
-    /// arrival order of a live position feed — the regime the TB-tree's
-    /// page-chaining is designed for — and making shard construction
-    /// deterministic for any input order.
+    /// `make_index`, each shard built by [`MovingObjectDatabase::build`] —
+    /// in the arrival order of a live position feed, the regime the
+    /// TB-tree's page-chaining is designed for, and deterministic for any
+    /// input order.
     pub fn build(
         num_shards: usize,
         make_index: impl Fn() -> I,
@@ -270,41 +201,15 @@ impl<I: TrajectoryIndexWrite> ShardedDatabase<I> {
                 "a sharded database needs at least one shard",
             ));
         }
-        let mut stores: Vec<TrajectoryStore> =
-            (0..num_shards).map(|_| TrajectoryStore::new()).collect();
-        let mut entries: Vec<Vec<LeafEntry>> = (0..num_shards).map(|_| Vec::new()).collect();
-        for (id, traj) in trajectories {
-            let shard = shard_index(id, num_shards);
-            for (seq, pair) in traj.points().windows(2).enumerate() {
-                let segment = mst_trajectory::Segment::new(pair[0], pair[1])
-                    .map_err(mst_search::SearchError::Trajectory)?;
-                entries[shard].push(LeafEntry {
-                    traj: id,
-                    seq: seq as u32,
-                    segment,
-                });
-            }
-            stores[shard].insert(id, traj);
+        let mut routed: Vec<Vec<(TrajectoryId, Trajectory)>> = vec![Vec::new(); num_shards];
+        for (id, trajectory) in trajectories {
+            routed[shard_index(id, num_shards)].push((id, trajectory));
         }
-        let mut shards = Vec::with_capacity(num_shards);
-        for (store, mut shard_entries) in stores.into_iter().zip(entries) {
-            shard_entries.sort_by(|a, b| {
-                a.segment
-                    .time()
-                    .start()
-                    .total_cmp(&b.segment.time().start())
-                    .then(a.traj.0.cmp(&b.traj.0))
-                    .then(a.seq.cmp(&b.seq))
-            });
-            let mut index = make_index();
-            for entry in shard_entries {
-                index
-                    .insert_entry(entry)
-                    .map_err(mst_search::SearchError::Index)?;
-            }
-            shards.push(Shard::new(index, store));
-        }
-        Ok(ShardedDatabase { shards })
+        let engines = routed
+            .into_iter()
+            .map(|fleet| MovingObjectDatabase::build(make_index(), fleet))
+            .collect::<mst_search::Result<_>>()?;
+        ShardedDatabase::from_shard_parts(engines)
     }
 
     /// Applies one online ingest operation to its home shard, under the
@@ -317,65 +222,16 @@ impl<I: TrajectoryIndexWrite> ShardedDatabase<I> {
     /// log replay; in-memory callers should treat the shard as degraded.
     pub fn apply_op(&self, op: &IngestOp) -> Result<IngestOutcome> {
         let shard = &self.shards[shard_index(op.id(), self.shards.len())];
-        shard
-            .write(|index, store| match op {
-                IngestOp::Insert { id, trajectory } => ingest_insert(index, store, *id, trajectory),
-                IngestOp::Delete { id } => ingest_delete(index, store, *id),
+        let applied = shard
+            .write(|db| match op {
+                IngestOp::Insert { id, trajectory } => {
+                    db.insert_trajectory(*id, trajectory).map(|()| true)
+                }
+                IngestOp::Delete { id } => db.delete(*id),
             })
-            .map_err(mst_search::SearchError::Index)?
+            .map_err(mst_search::SearchError::Index)??;
+        Ok(IngestOutcome { applied })
     }
-}
-
-/// Inserts a *new* trajectory: every segment goes into the home shard's
-/// index, then the store. Inserting an id that already exists is a config
-/// error (delete it first) — silent replacement would leave the old
-/// segments in substrates that cannot delete.
-fn ingest_insert<I: TrajectoryIndexWrite>(
-    index: &mut I,
-    store: &mut TrajectoryStore,
-    id: TrajectoryId,
-    trajectory: &Trajectory,
-) -> Result<IngestOutcome> {
-    if trajectory.num_segments() == 0 {
-        return Err(ExecError::Config("ingest of a segment-less trajectory"));
-    }
-    if store.get(id).is_some() {
-        return Err(ExecError::Config(
-            "ingest insert of an id that already exists; delete it first",
-        ));
-    }
-    for (seq, segment) in trajectory.segments().enumerate() {
-        index
-            .insert_entry(LeafEntry {
-                traj: id,
-                seq: seq as u32,
-                segment,
-            })
-            .map_err(mst_search::SearchError::Index)?;
-    }
-    store.insert(id, trajectory.clone());
-    Ok(IngestOutcome { applied: true })
-}
-
-/// Deletes a trajectory and all its segment entries from its home shard.
-/// Unknown ids report `applied: false` without touching anything;
-/// substrates without point deletes (TB-tree, STR-tree) surface the
-/// index's typed error.
-fn ingest_delete<I: TrajectoryIndexWrite>(
-    index: &mut I,
-    store: &mut TrajectoryStore,
-    id: TrajectoryId,
-) -> Result<IngestOutcome> {
-    let Some(existing) = store.get(id) else {
-        return Ok(IngestOutcome { applied: false });
-    };
-    for seq in 0..existing.num_segments() {
-        index
-            .delete_entry(id, seq as u32)
-            .map_err(mst_search::SearchError::Index)?;
-    }
-    store.remove(id);
-    Ok(IngestOutcome { applied: true })
 }
 
 /// One online mutation, routed to the owning shard by
@@ -414,25 +270,25 @@ pub struct IngestOutcome {
 }
 
 impl<I: TrajectoryIndex> ShardedDatabase<I> {
-    /// Reassembles a database from per-shard `(index, store)` parts in
-    /// routing order — the durable store's recovery path, where each
-    /// shard's index is loaded from a persisted image rather than
-    /// rebuilt. The caller is responsible for the parts actually being
-    /// consistent (store contents routed by `id % P`, index entries
-    /// matching the stores); [`mst_index::check_invariants`] plus the
-    /// recovery suite's answer comparisons are the safety net.
-    pub fn from_shard_parts(parts: Vec<(I, TrajectoryStore)>) -> Result<Self> {
-        if parts.is_empty() {
+    /// Reassembles a database from its per-shard engines, in routing order
+    /// — how [`ShardedDatabase::build`] finishes, and the durable store's
+    /// recovery path, where each shard's engine is
+    /// [`MovingObjectDatabase::from_parts`] of an index loaded from a
+    /// persisted image and the store decoded beside it. The caller is
+    /// responsible for the stores actually being routed by `id % P`.
+    pub fn from_shard_parts(engines: Vec<MovingObjectDatabase<I>>) -> Result<Self> {
+        if engines.is_empty() {
             return Err(ExecError::Config(
                 "a sharded database needs at least one shard",
             ));
         }
-        Ok(ShardedDatabase {
-            shards: parts
-                .into_iter()
-                .map(|(index, store)| Shard::new(index, store))
-                .collect(),
-        })
+        let shards = engines
+            .into_iter()
+            .map(|db| Shard {
+                gate: RwLock::new(db),
+            })
+            .collect();
+        Ok(ShardedDatabase { shards })
     }
 
     /// Number of shards.
@@ -444,7 +300,7 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
     /// ingest running this is a momentary figure (each shard is read at
     /// its own instant).
     pub fn num_objects(&self) -> usize {
-        self.shards.iter().map(|s| s.peek().store.len()).sum()
+        self.shards.iter().map(|s| s.peek().num_objects()).sum()
     }
 
     /// The shard an object is routed to.
@@ -469,9 +325,7 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
     /// A stored trajectory, cloned out of its home shard (the gate's read
     /// half is held only for the copy, never across caller code).
     pub fn trajectory(&self, id: TrajectoryId) -> Option<Trajectory> {
-        let shard = self.shards.get(self.shard_of(id))?;
-        let found = shard.peek().store.get(id).cloned();
-        found
+        self.shards.get(self.shard_of(id))?.peek().trajectory(id)
     }
 
     /// Sets every shard's buffer-pool capacity (`None` restores the
@@ -511,8 +365,8 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
     /// The fault-injection counters of one shard's page store, if that
     /// shard has an injector armed (and its gate is healthy).
     pub fn fault_stats(&self, shard: usize) -> Option<mst_index::FaultStats> {
-        let state = self.shards.get(shard)?.read().ok()?;
-        state.index.fault_stats()
+        let db = self.shards.get(shard)?.read().ok()?;
+        db.index().fault_stats()
     }
 }
 
@@ -543,7 +397,7 @@ mod tests {
             let id = TrajectoryId(id);
             let home = db.shard_of(id);
             for (s, shard) in db.shards().iter().enumerate() {
-                assert_eq!(shard.read().unwrap().store.get(id).is_some(), s == home);
+                assert_eq!(shard.read().unwrap().store().get(id).is_some(), s == home);
             }
             assert!(db.trajectory(id).is_some());
         }
@@ -555,7 +409,7 @@ mod tests {
             ShardedDatabase::with_rtree(2, (0..6u64).map(|id| traj(id, id as f64, 5))).unwrap();
         // 6 objects x 4 segments, split 3/3 by parity.
         for shard in db.shards() {
-            assert_eq!(shard.read().unwrap().index.num_entries(), 3 * 4);
+            assert_eq!(shard.read().unwrap().index().num_entries(), 3 * 4);
         }
     }
 
@@ -570,7 +424,7 @@ mod tests {
         let db =
             ShardedDatabase::with_tbtree(2, (0..4u64).map(|id| traj(id, id as f64, 6))).unwrap();
         for shard in db.shards() {
-            assert_eq!(shard.read().unwrap().index.leaf_chain_tips().len(), 2);
+            assert_eq!(shard.read().unwrap().index().leaf_chain_tips().len(), 2);
         }
     }
 
@@ -588,7 +442,7 @@ mod tests {
         for (s, shard) in db.shards().iter().enumerate() {
             let grew = if s == home { 5 } else { 0 };
             assert_eq!(
-                shard.read().unwrap().index.num_entries(),
+                shard.read().unwrap().index().num_entries(),
                 2 * 4 + grew,
                 "only the home shard changes"
             );
@@ -602,7 +456,12 @@ mod tests {
                 trajectory: again,
             })
             .expect_err("duplicate id");
-        assert!(matches!(err, ExecError::Config(_)));
+        assert!(matches!(
+            err,
+            ExecError::Search(mst_search::SearchError::DuplicateTrajectory(TrajectoryId(
+                10
+            )))
+        ));
     }
 
     #[test]
@@ -615,7 +474,7 @@ mod tests {
         assert!(outcome.applied);
         assert!(db.trajectory(id).is_none());
         assert_eq!(db.num_objects(), 3);
-        assert_eq!(db.shards()[home].read().unwrap().index.num_entries(), 4);
+        assert_eq!(db.shards()[home].read().unwrap().index().num_entries(), 4);
         // Deleting an unknown id is a no-op, not an error.
         let outcome = db.apply_op(&IngestOp::Delete { id }).unwrap();
         assert!(!outcome.applied);
@@ -654,7 +513,7 @@ mod tests {
         let db =
             ShardedDatabase::with_rtree(1, (0..5u64).map(|id| traj(id, id as f64, 4))).unwrap();
         assert_eq!(db.num_shards(), 1);
-        assert_eq!(db.shards()[0].read().unwrap().store.len(), 5);
-        assert_eq!(db.shards()[0].read().unwrap().index.num_entries(), 5 * 3);
+        assert_eq!(db.shards()[0].read().unwrap().store().len(), 5);
+        assert_eq!(db.shards()[0].read().unwrap().index().num_entries(), 5 * 3);
     }
 }

@@ -7,50 +7,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
+use mst_datagen::fixtures::{lane_fleet, mixed_lifetime_fleet, twins_fleet};
 use mst_exec::{BatchExecutor, BatchQuery, ExecError, IngestOp, QueryAnswer, ShardedDatabase};
-use mst_index::{FaultConfig, IndexError, MetricsSink, TrajectoryIndex, TrajectoryIndexWrite};
+use mst_index::{FaultConfig, IndexError, MetricsSink, Rtree3D, TbTree, TrajectoryIndex};
 use mst_search::{
     scan_kmst, Integration, KmstSubstrate, MovingObjectDatabase, MstMatch, NnMatch, NoShare,
     NoopSink, Query, QueryMetrics, QueryOptions, SearchError, Substrate, TrajectoryStore,
 };
-use mst_trajectory::{Mbb, Point, SamplePoint, TimeInterval, Trajectory, TrajectoryId};
-
-/// A deterministic little fleet: even ids cluster near the origin lane,
-/// odd ids fan far out — so a query near the cluster finds tight matches
-/// on one shard (under 2-way sharding) and prunable stragglers on the
-/// other.
-fn fleet(n: u64, points: usize) -> Vec<(TrajectoryId, Trajectory)> {
-    (0..n)
-        .map(|id| {
-            let (dx, dy) = if id % 2 == 0 {
-                (id as f64 * 0.25, 0.5 * id as f64)
-            } else {
-                (id as f64 * 3.0, 40.0 + 7.0 * id as f64)
-            };
-            let pts = (0..points)
-                .map(|i| {
-                    let t = i as f64;
-                    SamplePoint::new(t, t * 0.8 + dx, dy + t * 0.1)
-                })
-                .collect();
-            (
-                TrajectoryId(id),
-                Trajectory::new(pts).expect("valid fleet trajectory"),
-            )
-        })
-        .collect()
-}
-
-fn baseline_db<I: TrajectoryIndexWrite + KmstSubstrate>(
-    make: impl FnOnce() -> MovingObjectDatabase<I>,
-    fleet: &[(TrajectoryId, Trajectory)],
-) -> MovingObjectDatabase<I> {
-    let mut db = make();
-    for (id, traj) in fleet {
-        db.insert_trajectory(*id, traj).expect("baseline insert");
-    }
-    db
-}
+use mst_trajectory::{Mbb, Point, TimeInterval, Trajectory, TrajectoryId};
 
 /// The batch used throughout: a few k-MST queries (one with a range-MST
 /// ceiling) and a couple of kNN queries, all built with the ordinary
@@ -72,8 +36,8 @@ fn batch_for(fleet: &[(TrajectoryId, Trajectory)], period: &TimeInterval) -> Vec
     batch
 }
 
-fn baseline_answers<I: TrajectoryIndexWrite + KmstSubstrate>(
-    db: &mut MovingObjectDatabase<I>,
+fn baseline_answers<I: KmstSubstrate>(
+    db: &MovingObjectDatabase<I>,
     fleet: &[(TrajectoryId, Trajectory)],
     period: &TimeInterval,
 ) -> (Vec<Vec<MstMatch>>, Vec<Vec<NnMatch>>) {
@@ -142,13 +106,13 @@ fn assert_knn_identical(got: &[NnMatch], want: &[NnMatch], what: &str) {
 /// the unsharded database — on both index substrates.
 #[test]
 fn batch_execution_is_deterministic_across_workers_and_shards() {
-    let fleet = fleet(24, 30);
+    let fleet = lane_fleet(24, 30);
     let period = TimeInterval::new(0.0, 29.0).expect("period");
 
-    let mut rtree_base = baseline_db(MovingObjectDatabase::with_rtree, &fleet);
-    let rtree_want = baseline_answers(&mut rtree_base, &fleet, &period);
-    let mut tbtree_base = baseline_db(MovingObjectDatabase::with_tbtree, &fleet);
-    let tbtree_want = baseline_answers(&mut tbtree_base, &fleet, &period);
+    let rtree_base = MovingObjectDatabase::build(Rtree3D::new(), fleet.clone()).expect("baseline");
+    let rtree_want = baseline_answers(&rtree_base, &fleet, &period);
+    let tbtree_base = MovingObjectDatabase::build(TbTree::new(), fleet.clone()).expect("baseline");
+    let tbtree_want = baseline_answers(&tbtree_base, &fleet, &period);
     // The substrates agree with each other too — same exact values.
     for (r, t) in rtree_want.0.iter().zip(&tbtree_want.0) {
         assert_kmst_identical(r, t, "rtree vs tbtree baseline");
@@ -172,6 +136,68 @@ fn batch_execution_is_deterministic_across_workers_and_shards() {
             &tbtree_want,
             &format!("tbtree {what}"),
         );
+    }
+
+    // The same guarantee on the fleets built to break it — one trajectory
+    // under two ids and equal-DISSIM ties at the kth place (`id % 4` splits
+    // every tied pair across shards), objects alive for only part of the
+    // query period — against the exact scan.
+    let (twin_query, twins) = twins_fleet();
+    let twin_probes: Vec<_> = (1..=twins.len()).map(|k| (twin_query.clone(), k)).collect();
+    check_against_scan("twins", &twins, &twin_probes);
+
+    let mixed = mixed_lifetime_fleet(24, 120, 13);
+    let mixed_probes: Vec<_> = [0usize, 3, 6, 9]
+        .iter()
+        .map(|&i| {
+            let span = mixed[i].1.time();
+            let quarter = span.duration() * 0.25;
+            let middle = TimeInterval::new(span.start() + quarter, span.end() - quarter);
+            let q = mixed[i].1.clip(&middle.expect("period")).expect("clip");
+            (q, 5)
+        })
+        .collect();
+    check_against_scan("mixed lifetimes", &mixed, &mixed_probes);
+}
+
+/// k-MST probes `(query, k)` over the query's own period, through the
+/// executor on both substrates x {1, 4} shards x {1, 2, 8} workers, against
+/// `scan_kmst` over the same fleet.
+fn check_against_scan(
+    what: &str,
+    fleet: &[(TrajectoryId, Trajectory)],
+    probes: &[(Trajectory, usize)],
+) {
+    fn cell<I: TrajectoryIndex + Send + KmstSubstrate>(
+        what: &str,
+        db: &ShardedDatabase<I>,
+        probes: &[(Trajectory, usize)],
+        want: &[Vec<MstMatch>],
+    ) {
+        for workers in [1usize, 2, 8] {
+            let batch = probes
+                .iter()
+                .map(|(q, k)| BatchQuery::kmst(Query::kmst(q).k(*k)).expect("kmst spec"))
+                .collect();
+            let outcome = BatchExecutor::new().workers(workers).run(db, batch);
+            for (i, wanted) in want.iter().enumerate() {
+                let got = outcome.outcomes[i].as_ref().expect("kmst query ok");
+                assert!(!got.degraded, "{what}: probe {i} degraded");
+                let matches = got.answer.as_kmst().expect("kmst answer flavour");
+                assert_kmst_identical(matches, wanted, &format!("{what} probe {i} w={workers}"));
+            }
+        }
+    }
+    let store: TrajectoryStore = fleet.iter().cloned().collect();
+    let want: Vec<Vec<MstMatch>> = probes
+        .iter()
+        .map(|(q, k)| scan_kmst(&store, q, &q.time(), *k, Integration::Exact).expect("scan"))
+        .collect();
+    for shards in [1usize, 4] {
+        let rtree = ShardedDatabase::with_rtree(shards, fleet.to_vec()).expect("shard build");
+        cell(&format!("{what} rtree s={shards}"), &rtree, probes, &want);
+        let tbtree = ShardedDatabase::with_tbtree(shards, fleet.to_vec()).expect("shard build");
+        cell(&format!("{what} tbtree s={shards}"), &tbtree, probes, &want);
     }
 }
 
@@ -242,7 +268,7 @@ fn cross_shard_bound_sharing_prunes_on_the_second_shard() {
         );
         assert!(query.profile.is_consistent());
     }
-    let fleet = fleet(24, 30);
+    let fleet = lane_fleet(24, 30);
     let rtree = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
     check("rtree", &rtree, &fleet);
     let tbtree = ShardedDatabase::with_tbtree(2, fleet.clone()).expect("shard build");
@@ -255,7 +281,7 @@ fn cross_shard_bound_sharing_prunes_on_the_second_shard() {
 /// best-effort answers, balanced candidate ledger, no errors.
 #[test]
 fn expired_deadline_degrades_gracefully() {
-    let fleet = fleet(24, 30);
+    let fleet = lane_fleet(24, 30);
     let period = TimeInterval::new(0.0, 29.0).expect("period");
     let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
 
@@ -277,7 +303,7 @@ fn expired_deadline_degrades_gracefully() {
 /// A generous deadline changes nothing: same answers, nothing degraded.
 #[test]
 fn generous_deadline_is_invisible() {
-    let fleet = fleet(12, 20);
+    let fleet = lane_fleet(12, 20);
     let period = TimeInterval::new(0.0, 19.0).expect("period");
     let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
     let q = &fleet[0].1;
@@ -303,7 +329,7 @@ fn generous_deadline_is_invisible() {
 /// with DISSIM 0, whatever shard it lives on.
 #[test]
 fn every_object_finds_itself_first() {
-    let fleet = fleet(10, 15);
+    let fleet = lane_fleet(10, 15);
     let period = TimeInterval::new(0.0, 14.0).expect("period");
     let db = ShardedDatabase::with_tbtree(3, fleet.clone()).expect("shard build");
     let batch: Vec<BatchQuery> = fleet
@@ -340,7 +366,7 @@ fn break_shard<I: TrajectoryIndex>(db: &ShardedDatabase<I>, shard: usize) {
 /// balances.
 #[test]
 fn faulted_shard_degrades_query_instead_of_failing_it() {
-    let fleet = fleet(24, 30);
+    let fleet = lane_fleet(24, 30);
     let period = TimeInterval::new(0.0, 29.0).expect("period");
     let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
     break_shard(&db, 0);
@@ -402,7 +428,7 @@ fn faulted_shard_degrades_query_instead_of_failing_it() {
 /// error, not a panic.
 #[test]
 fn fault_injection_on_missing_shard_is_a_config_error() {
-    let fleet = fleet(4, 10);
+    let fleet = lane_fleet(4, 10);
     let db = ShardedDatabase::with_rtree(2, fleet).expect("shard build");
     let r = db.set_fault_injection(9, Some(FaultConfig::quiet(1)));
     assert!(matches!(r, Err(mst_exec::ExecError::Config(_))));
@@ -421,7 +447,7 @@ fn fault_injection_on_missing_shard_is_a_config_error() {
 /// still finds a window where both causes fire.
 #[test]
 fn deadline_and_shard_fault_report_both_causes() {
-    let fleet = fleet(64, 150);
+    let fleet = lane_fleet(64, 150);
     let period = TimeInterval::new(0.0, 149.0).expect("period");
     let q = &fleet[1].1;
 
@@ -452,7 +478,7 @@ fn deadline_and_shard_fault_report_both_causes() {
 /// An empty batch is a no-op, not an error.
 #[test]
 fn empty_batch_returns_no_outcomes() {
-    let fleet = fleet(4, 10);
+    let fleet = lane_fleet(4, 10);
     let db = ShardedDatabase::with_rtree(2, fleet).expect("shard build");
     let outcome = BatchExecutor::new().workers(2).run(&db, Vec::new());
     assert!(outcome.outcomes.is_empty());
@@ -463,7 +489,7 @@ fn empty_batch_returns_no_outcomes() {
 /// k-MST and trajectory-kNN.
 #[test]
 fn a_foreign_substrate_pin_is_refused_by_every_flavour() {
-    let fleet = fleet(8, 20);
+    let fleet = lane_fleet(8, 20);
     let period = TimeInterval::new(0.0, 19.0).expect("period");
     let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
     let foreign = QueryOptions::new()
@@ -563,7 +589,7 @@ impl QueryMetrics for Bomb {}
 #[test]
 fn readers_share_a_shard_and_a_writer_is_seen_whole() {
     const K: usize = 4;
-    let fleet = fleet(20, 30);
+    let fleet = lane_fleet(20, 30);
     let period = TimeInterval::new(0.0, 29.0).expect("period");
     let insert = |id: usize| IngestOp::Insert {
         id: fleet[id].0,

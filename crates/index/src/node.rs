@@ -20,7 +20,9 @@
 //! per internal node — matching the order of magnitude of the paper's
 //! indexes (4 KB pages over 3D line segments).
 
-use mst_trajectory::{Mbb, SamplePoint, Segment, TrajectoryId};
+use std::cmp::Ordering;
+
+use mst_trajectory::{Mbb, SamplePoint, Segment, Trajectory, TrajectoryId};
 
 use crate::codec::{Reader, Writer};
 use crate::{IndexError, PageId, Result, PAGE_SIZE};
@@ -53,6 +55,29 @@ impl LeafEntry {
     /// The 3D bounding box of the segment.
     pub fn mbb(&self) -> Mbb {
         self.segment.mbb()
+    }
+
+    /// Every segment of `trajectory` as the entry object `traj` indexes it
+    /// under, in sequence order.
+    pub fn of_trajectory(
+        traj: TrajectoryId,
+        trajectory: &Trajectory,
+    ) -> impl Iterator<Item = LeafEntry> + '_ {
+        (0..)
+            .zip(trajectory.segments())
+            .map(move |(seq, segment)| LeafEntry { traj, seq, segment })
+    }
+
+    /// The order a live position feed delivers segments in: by start time,
+    /// then object, then sequence. It is what the TB-tree's append-at-the-tip
+    /// design assumes, and being total it makes a build deterministic for
+    /// any input order.
+    #[inline]
+    pub fn arrival_cmp(&self, other: &LeafEntry) -> Ordering {
+        let (a, b) = (self.segment.start().t, other.segment.start().t);
+        a.total_cmp(&b)
+            .then(self.traj.cmp(&other.traj))
+            .then(self.seq.cmp(&other.seq))
     }
 }
 

@@ -8,28 +8,12 @@
 use std::io::Write;
 use std::sync::Arc;
 
-use mst_datagen::{GstdConfig, SpeedDistribution};
+use mst_datagen::fixtures::gstd_fleet;
 use mst_exec::ShardedDatabase;
 use mst_prng::Rng;
 use mst_search::QueryOptions;
 use mst_serve::{Request, Response, ServeClient, Server, ServerConfig};
-use mst_trajectory::{Trajectory, TrajectoryId};
-
-fn fleet(objects: usize, seed: u64) -> Vec<(TrajectoryId, Trajectory)> {
-    let config = GstdConfig {
-        num_objects: objects,
-        samples_per_object: 60,
-        time_step: 1.0,
-        speed: SpeedDistribution::lognormal_with_median(5.0e-3, 0.6),
-        seed,
-    };
-    config
-        .generate()
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| (TrajectoryId(u64::try_from(i).expect("small fleet")), t))
-        .collect()
-}
+use mst_trajectory::Trajectory;
 
 fn kmst_request(q: &Trajectory, k: usize) -> Request {
     Request::Kmst {
@@ -95,7 +79,7 @@ fn chaos_client(addr: std::net::SocketAddr, q: &Trajectory, rng: &mut Rng) {
 /// answers, and the server drains cleanly at the end.
 #[test]
 fn seeded_connection_kills_never_wedge_the_server() {
-    let base = fleet(16, 47);
+    let base = gstd_fleet(16, 60, 47);
     let q = base[2].1.clone();
     let db = ShardedDatabase::with_rtree(2, base.iter().cloned()).expect("build");
     let server = Server::start(
@@ -161,7 +145,7 @@ fn seeded_connection_kills_never_wedge_the_server() {
 /// flight completes without hanging.
 #[test]
 fn orphaned_inflight_queries_never_hang_the_drain() {
-    let base = fleet(14, 31);
+    let base = gstd_fleet(14, 60, 31);
     let q = base[0].1.clone();
     let db = ShardedDatabase::with_rtree(2, base.iter().cloned()).expect("build");
     let server = Server::start(

@@ -6,33 +6,17 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mst_datagen::{GstdConfig, SpeedDistribution};
+use mst_datagen::fixtures::{gstd_fleet, mixed_lifetime_fleet, twins_fleet};
 use mst_exec::IngestOp;
 use mst_index::{Rtree3D, TbTree};
-use mst_search::{MovingObjectDatabase, MstMatch, Query, QueryOptions};
+use mst_search::{scan_kmst, Integration, MstMatch, QueryOptions, TrajectoryStore};
 use mst_serve::{ErrorCode, Response, ServeClient, Server, ServerConfig, ServerHandle};
-use mst_trajectory::{Trajectory, TrajectoryId};
+use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 use mst_wal::{DurableDatabase, DurableSubstrate, FileStore, SimStore, WalConfig};
-
-fn fleet(objects: usize, seed: u64) -> Vec<(TrajectoryId, Trajectory)> {
-    let config = GstdConfig {
-        num_objects: objects,
-        samples_per_object: 80,
-        time_step: 1.0,
-        speed: SpeedDistribution::lognormal_with_median(5.0e-3, 0.6),
-        seed,
-    };
-    config
-        .generate()
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| (TrajectoryId(u64::try_from(i).expect("small fleet")), t))
-        .collect()
-}
 
 /// Extra trajectories to ingest online, ids disjoint from any fleet.
 fn extras(count: usize, seed: u64) -> Vec<(TrajectoryId, Trajectory)> {
-    fleet(count, seed)
+    gstd_fleet(count, 80, seed)
         .into_iter()
         .map(|(id, t)| (TrajectoryId(1000 + id.0), t))
         .collect()
@@ -65,17 +49,15 @@ fn start<I: DurableSubstrate + Send + 'static>(
     Server::start_durable(config, db).expect("start durable server")
 }
 
-/// The embedded ground truth for one kmst query over one object set.
+/// The ground truth for one kmst query over one object set: the exact
+/// scan, over the query's own period.
 fn baseline_kmst(
     objects: &[(TrajectoryId, Trajectory)],
     q: &Trajectory,
     k: usize,
 ) -> Vec<MstMatch> {
-    let mut db = MovingObjectDatabase::with_rtree();
-    for (id, t) in objects {
-        db.insert_trajectory(*id, t).expect("insert");
-    }
-    Query::kmst(q).k(k).run(&mut db).expect("baseline kmst")
+    let store: TrajectoryStore = objects.iter().cloned().collect();
+    scan_kmst(&store, q, &q.time(), k, Integration::Exact).expect("scan ground truth")
 }
 
 fn expect_kmst(response: Response) -> Vec<MstMatch> {
@@ -105,19 +87,42 @@ fn expect_error(response: Response) -> ErrorCode {
 /// Queries racing a background writer must always see a *consistent*
 /// state: every answer is bit-identical to the ground truth of some
 /// ingest prefix, and once the writer is done the answer is the full
-/// set's, exactly.
+/// set's, exactly — on a plain GSTD fleet, on one where the objects that
+/// arrive online include some alive for only part of the query period, and
+/// on one where they bring a twin and a mirror image of stored objects
+/// (equal-DISSIM ties at the kth place).
 #[test]
 fn queries_during_background_ingest_match_a_prefix_ground_truth() {
-    let base = fleet(24, 31);
-    let added = extras(8, 77);
+    let base = gstd_fleet(24, 80, 31);
     let q = base[3].1.clone();
+    check_prefix_ground_truth(base, extras(8, 77), q, 4);
 
+    let mut mixed = mixed_lifetime_fleet(24, 80, 31);
+    let span = mixed[3].1.time();
+    let quarter = span.duration() * 0.25;
+    let middle = TimeInterval::new(span.start() + quarter, span.end() - quarter);
+    let q = mixed[3].1.clip(&middle.expect("period")).expect("clip");
+    let online = mixed.split_off(16);
+    assert!(online.iter().any(|(_, t)| !t.covers(&q.time())));
+    check_prefix_ground_truth(mixed, online, q, 4);
+
+    let (q, mut twins) = twins_fleet();
+    let online = twins.split_off(4);
+    check_prefix_ground_truth(twins, online, q, 4);
+}
+
+fn check_prefix_ground_truth(
+    base: Vec<(TrajectoryId, Trajectory)>,
+    added: Vec<(TrajectoryId, Trajectory)>,
+    q: Trajectory,
+    k: usize,
+) {
     // Ground truth for every prefix: base alone, base + added[..1], ...
     let truths: Vec<Vec<MstMatch>> = (0..=added.len())
         .map(|n| {
             let mut objects = base.clone();
             objects.extend(added[..n].iter().cloned());
-            baseline_kmst(&objects, &q, 4)
+            baseline_kmst(&objects, &q, k)
         })
         .collect();
 
@@ -141,7 +146,7 @@ fn queries_during_background_ingest_match_a_prefix_ground_truth() {
     let mut observed_prefixes = std::collections::HashSet::new();
     loop {
         let done = writer.is_finished();
-        let matches = expect_kmst(client.kmst(&q, QueryOptions::new().k(4)).expect("kmst"));
+        let matches = expect_kmst(client.kmst(&q, QueryOptions::new().k(k)).expect("kmst"));
         let prefix = truths
             .iter()
             .position(|t| *t == matches)
@@ -154,13 +159,13 @@ fn queries_during_background_ingest_match_a_prefix_ground_truth() {
     writer.join().expect("writer thread");
 
     // With every ack delivered, the final answer is the full set's.
-    let final_matches = expect_kmst(client.kmst(&q, QueryOptions::new().k(4)).expect("kmst"));
+    let final_matches = expect_kmst(client.kmst(&q, QueryOptions::new().k(k)).expect("kmst"));
     assert_eq!(final_matches, truths[added.len()], "full-set ground truth");
 
     let stats = client.stats().expect("stats");
     assert_eq!(stats.counters.ingest_applied, added.len() as u64);
-    // 24 seed inserts + 8 online inserts, all logged.
-    assert!(stats.counters.wal_appends >= 32);
+    // Seed inserts and online inserts, all logged.
+    assert!(stats.counters.wal_appends >= (base.len() + added.len()) as u64);
     assert!(stats.counters.wal_fsyncs >= 1, "group commit fsynced");
     assert_eq!(stats.counters.queries_degraded, 0);
     server.shutdown();
@@ -170,7 +175,7 @@ fn queries_during_background_ingest_match_a_prefix_ground_truth() {
 /// answer cache.
 #[test]
 fn ingest_invalidates_the_answer_cache() {
-    let base = fleet(20, 9);
+    let base = gstd_fleet(20, 80, 9);
     let victim = base[5].0;
     let q = base[5].1.clone();
     let server = start(
@@ -220,7 +225,7 @@ fn restart_recovers_online_ingest_bit_identically() {
         std::env::temp_dir().join(format!("mst-serve-ingest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let base = fleet(18, 13);
+    let base = gstd_fleet(18, 80, 13);
     let added = extras(3, 55);
     let gone = base[2].0;
     let q = base[0].1.clone();
@@ -292,7 +297,7 @@ fn restart_recovers_online_ingest_bit_identically() {
 /// answer a typed `ReadOnly` error and queries keep working.
 #[test]
 fn read_only_servers_refuse_ingest_with_a_typed_error() {
-    let base = fleet(12, 3);
+    let base = gstd_fleet(12, 80, 3);
     let db = mst_exec::ShardedDatabase::with_rtree(2, base.iter().cloned()).expect("build");
     let server = Server::start(ServerConfig::new(), Arc::new(db)).expect("start");
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
@@ -328,7 +333,7 @@ fn read_only_servers_refuse_ingest_with_a_typed_error() {
 /// ack, and one bad operation never poisons its batch neighbours.
 #[test]
 fn per_op_semantics_and_substrate_refusals_over_the_wire() {
-    let base = fleet(10, 19);
+    let base = gstd_fleet(10, 80, 19);
     let server = start(durable::<Rtree3D>(&base, 1), ServerConfig::new());
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 

@@ -6,7 +6,7 @@
 use std::io::Write;
 use std::sync::Arc;
 
-use mst_datagen::{GstdConfig, SpeedDistribution};
+use mst_datagen::fixtures::{gstd_fleet, twins_fleet};
 use mst_exec::ShardedDatabase;
 use mst_search::{
     scan_kmst, Integration, MovingObjectDatabase, Query, QueryOptions, Substrate, TrajectoryStore,
@@ -15,24 +15,6 @@ use mst_serve::{
     ErrorCode, Request, Response, ServeClient, Server, ServerConfig, ServerHandle, VERSION,
 };
 use mst_trajectory::{Mbb, Point, Trajectory, TrajectoryId};
-
-fn fleet(objects: usize, seed: u64) -> Vec<(TrajectoryId, Trajectory)> {
-    // A scaled-down GSTD workload: enough structure to exercise every
-    // query flavour, small enough that the whole suite stays fast.
-    let config = GstdConfig {
-        num_objects: objects,
-        samples_per_object: 120,
-        time_step: 1.0,
-        speed: SpeedDistribution::lognormal_with_median(5.0e-3, 0.6),
-        seed,
-    };
-    config
-        .generate()
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| (TrajectoryId(u64::try_from(i).expect("small fleet")), t))
-        .collect()
-}
 
 fn start_server(
     fleet: &[(TrajectoryId, Trajectory)],
@@ -45,7 +27,7 @@ fn start_server(
 
 #[test]
 fn multiplexed_clients_get_bit_identical_answers() {
-    let fleet = fleet(48, 11);
+    let fleet = gstd_fleet(48, 120, 11);
     let server = start_server(&fleet, 3, ServerConfig::new().workers(3).queue_capacity(16));
     let addr = server.local_addr();
 
@@ -63,27 +45,24 @@ fn multiplexed_clients_get_bit_identical_answers() {
     let expected_kmst: Vec<Vec<mst_search::MstMatch>> = (0..8)
         .map(|i| {
             let q = &fleet[i * 5].1;
-            Query::kmst(q)
-                .k(4)
-                .run(&mut baseline)
-                .expect("baseline kmst")
+            Query::kmst(q).k(4).run(&baseline).expect("baseline kmst")
         })
         .collect();
     let expected_knn = Query::knn(&fleet[7].1)
         .k(3)
-        .run(&mut baseline)
+        .run(&baseline)
         .expect("baseline knn");
     let expected_segments = Query::knn_segments(Point::new(0.5, 0.5))
         .k(6)
         .during(&window)
-        .run(&mut baseline)
+        .run(&baseline)
         .expect("baseline segments");
     let expected_range = {
         // The server merges shard lists into canonical (traj, seq) order;
         // the unsharded baseline reports traversal order. Same set,
         // canonical order for comparison.
         let mut entries = Query::range(&range_box)
-            .run(&mut baseline)
+            .run(&baseline)
             .expect("baseline range");
         entries.sort_by(|a, b| a.traj.cmp(&b.traj).then(a.seq.cmp(&b.seq)));
         entries
@@ -194,7 +173,7 @@ fn multiplexed_clients_get_bit_identical_answers() {
 
 #[test]
 fn pipelined_responses_arrive_out_of_order() {
-    let fleet = fleet(100, 17);
+    let fleet = gstd_fleet(100, 120, 17);
     let server = start_server(&fleet, 2, ServerConfig::new().workers(1).queue_capacity(8));
     let addr = server.local_addr();
 
@@ -247,7 +226,7 @@ fn pipelined_responses_arrive_out_of_order() {
 
 #[test]
 fn overload_answers_typed_backpressure_never_hangs() {
-    let fleet = fleet(60, 3);
+    let fleet = gstd_fleet(60, 120, 3);
     let server = start_server(&fleet, 1, ServerConfig::new().workers(1).queue_capacity(1));
     let addr = server.local_addr();
     // Every thread runs its own distinct query so the coalescer cannot
@@ -288,7 +267,7 @@ fn overload_answers_typed_backpressure_never_hangs() {
 
 #[test]
 fn shutdown_drains_inflight_queries() {
-    let fleet = fleet(80, 9);
+    let fleet = gstd_fleet(80, 120, 9);
     let server = start_server(&fleet, 2, ServerConfig::new().workers(1).queue_capacity(4));
     let addr = server.local_addr();
 
@@ -322,7 +301,7 @@ fn shutdown_drains_inflight_queries() {
 
 #[test]
 fn answer_cache_serves_repeats_bit_identically() {
-    let fleet = fleet(40, 21);
+    let fleet = gstd_fleet(40, 120, 21);
     let server = start_server(&fleet, 2, ServerConfig::new().workers(2).cache_capacity(16));
     let addr = server.local_addr();
     let mut client = ServeClient::connect(addr).expect("connect");
@@ -388,37 +367,8 @@ fn answer_cache_serves_repeats_bit_identically() {
 /// answer cache off and on.
 #[test]
 fn twins_and_ties_are_served_exactly_at_every_k() {
-    // The query runs along y = 0; `lane(y)` is its shape at offset y, so
-    // lane(y) and lane(-y) are at bit-equal DISSIM from it.
-    let lane = |y: f64, wobble: f64| {
-        let pts: Vec<(f64, f64, f64)> = (0..60)
-            .map(|i| {
-                let t = f64::from(i);
-                (t, t * 0.01, y * (1.0 + wobble * (t * 0.2).sin()))
-            })
-            .collect();
-        Trajectory::from_txy(&pts).expect("lane")
-    };
-    let query = lane(0.0, 0.0);
-    let fleet: Vec<(TrajectoryId, Trajectory)> = [
-        lane(0.02, 0.3),  // 0: twin ...
-        lane(0.01, 0.1),  // 1: strictly closer than the twins
-        lane(0.03, 0.2),  // 2: mirror pair ...
-        lane(-0.03, 0.2), // 3: ... of 2
-        lane(-0.05, 0.0), // 4
-        lane(0.02, 0.3),  // 5: ... of 0, the same trajectory
-        lane(0.05, 0.0),  // 6: mirror of 4
-        lane(-0.02, 0.3), // 7: mirror of the twins — a three-way tie
-        lane(0.08, 0.1),  // 8
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(id, t)| (TrajectoryId(id as u64), t))
-    .collect();
-    let mut store = TrajectoryStore::new();
-    for (id, t) in &fleet {
-        store.insert(*id, t.clone());
-    }
+    let (query, fleet) = twins_fleet();
+    let store: TrajectoryStore = fleet.iter().cloned().collect();
     let period = query.time();
     let all = scan_kmst(&store, &query, &period, fleet.len(), Integration::Exact).expect("scan");
     let bits = |id: u64| {
@@ -466,7 +416,7 @@ fn twins_and_ties_are_served_exactly_at_every_k() {
 /// empty, never computed on the wrong structure.
 #[test]
 fn a_foreign_substrate_pin_is_refused_by_every_flavour() {
-    let fleet = fleet(16, 5);
+    let fleet = gstd_fleet(16, 120, 5);
     let server = start_server(&fleet, 2, ServerConfig::new().workers(2));
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
     let q = &fleet[3].1;
@@ -505,7 +455,7 @@ fn a_foreign_substrate_pin_is_refused_by_every_flavour() {
 
 #[test]
 fn v1_clients_get_a_typed_version_error_in_their_own_framing() {
-    let fleet = fleet(20, 7);
+    let fleet = gstd_fleet(20, 120, 7);
     let server = start_server(&fleet, 2, ServerConfig::new());
     let addr = server.local_addr();
 
@@ -566,7 +516,7 @@ fn v1_clients_get_a_typed_version_error_in_their_own_framing() {
 
 #[test]
 fn malformed_frames_answer_typed_errors_and_server_survives() {
-    let fleet = fleet(20, 5);
+    let fleet = gstd_fleet(20, 120, 5);
     let server = start_server(&fleet, 2, ServerConfig::new());
     let addr = server.local_addr();
 
@@ -654,7 +604,7 @@ fn malformed_frames_answer_typed_errors_and_server_survives() {
 /// graceful shutdown).
 #[test]
 fn server_smoke() {
-    let fleet = fleet(24, 1);
+    let fleet = gstd_fleet(24, 120, 1);
     let server = start_server(&fleet, 2, ServerConfig::new().workers(2));
     let addr = server.local_addr();
     let mut client = ServeClient::connect(addr).expect("connect");

@@ -2,7 +2,7 @@
 //! ephemeral loopback ports, WAL records shipped over wire-protocol v2,
 //! read-your-writes tokens, and client failover through the pool.
 
-use mst_datagen::{GstdConfig, SpeedDistribution};
+use mst_datagen::fixtures::gstd_fleet;
 use mst_exec::IngestOp;
 use mst_index::Rtree3D;
 use mst_search::QueryOptions;
@@ -13,25 +13,9 @@ use mst_serve::{
 use mst_trajectory::{Trajectory, TrajectoryId};
 use mst_wal::{DurableDatabase, SimStore, WalConfig};
 
-fn fleet(objects: usize, seed: u64) -> Vec<(TrajectoryId, Trajectory)> {
-    let config = GstdConfig {
-        num_objects: objects,
-        samples_per_object: 60,
-        time_step: 1.0,
-        speed: SpeedDistribution::lognormal_with_median(5.0e-3, 0.6),
-        seed,
-    };
-    config
-        .generate()
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| (TrajectoryId(u64::try_from(i).expect("small fleet")), t))
-        .collect()
-}
-
 /// Extra trajectories for online writes, ids disjoint from any fleet.
 fn extras(count: usize, seed: u64) -> Vec<(TrajectoryId, Trajectory)> {
-    fleet(count, seed)
+    gstd_fleet(count, 60, seed)
         .into_iter()
         .map(|(id, t)| (TrajectoryId(1000 + id.0), t))
         .collect()
@@ -115,7 +99,7 @@ fn expect_ingested(response: Response) -> u64 {
 /// and subscriptions with typed `NotPrimary` errors.
 #[test]
 fn replica_follows_the_primary_and_answers_bit_identically() {
-    let base = fleet(20, 11);
+    let base = gstd_fleet(20, 60, 11);
     let q = base[4].1.clone();
     let primary = primary(&base, 2, ServerConfig::new().workers(2));
     let replica = replica(SimStore::new(), primary.local_addr(), ServerConfig::new());
@@ -204,7 +188,7 @@ fn replica_follows_the_primary_and_answers_bit_identically() {
 /// the replica and on the primary alike.
 #[test]
 fn min_lsn_reads_gate_on_the_watermark() {
-    let base = fleet(16, 23);
+    let base = gstd_fleet(16, 60, 23);
     let q = base[2].1.clone();
     let primary = primary(&base, 2, ServerConfig::new().workers(2));
     let replica = replica(SimStore::new(), primary.local_addr(), ServerConfig::new());
@@ -287,7 +271,7 @@ fn min_lsn_reads_gate_on_the_watermark() {
 /// and resumes the stream from its applied LSN — no snapshot refetch.
 #[test]
 fn replica_restart_resumes_from_its_recovered_store() {
-    let base = fleet(14, 5);
+    let base = gstd_fleet(14, 60, 5);
     let q = base[1].1.clone();
     let primary = primary(&base, 2, ServerConfig::new().workers(2));
     let store = SimStore::new();
@@ -334,7 +318,7 @@ fn replica_restart_resumes_from_its_recovered_store() {
 /// the second endpoint.
 #[test]
 fn client_pool_fails_reads_over_to_the_replica() {
-    let base = fleet(18, 29);
+    let base = gstd_fleet(18, 60, 29);
     let q = base[3].1.clone();
     let primary_server = primary(&base, 2, ServerConfig::new().workers(2));
     let replica_server = replica(

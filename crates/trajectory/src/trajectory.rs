@@ -28,16 +28,7 @@ impl Trajectory {
             return Err(TrajectoryError::TooFewPoints { got: points.len() });
         }
         for (i, p) in points.iter().enumerate() {
-            if !p.is_finite() {
-                return Err(TrajectoryError::NonFinite { index: i });
-            }
-            if i > 0 && points[i - 1].t >= p.t {
-                return Err(TrajectoryError::NonMonotonicTime {
-                    index: i,
-                    prev: points[i - 1].t,
-                    next: p.t,
-                });
-            }
+            check_next(&points[..i], p)?;
         }
         Ok(Trajectory { points })
     }
@@ -56,6 +47,21 @@ impl Trajectory {
     #[inline]
     pub fn points(&self) -> &[SamplePoint] {
         &self.points
+    }
+
+    /// The segment a further sample `p` would add, with `p` validated as
+    /// [`Trajectory::new`] would (errors carry its position in the stream).
+    pub fn next_segment(&self, p: SamplePoint) -> Result<Segment> {
+        check_next(&self.points, &p)?;
+        Segment::new(self.points[self.points.len() - 1], p)
+    }
+
+    /// Extends the trajectory in place by one later sample (a streaming
+    /// position report). A refused sample leaves the trajectory as it was.
+    pub fn push(&mut self, p: SamplePoint) -> Result<()> {
+        check_next(&self.points, &p)?;
+        self.points.push(p);
+        Ok(())
     }
 
     /// Number of samples.
@@ -214,6 +220,24 @@ impl Trajectory {
     }
 }
 
+/// Whether `p` may follow `points`: finite, and strictly later than the last
+/// of them. Errors carry `p`'s position in the stream.
+fn check_next(points: &[SamplePoint], p: &SamplePoint) -> Result<()> {
+    if !p.is_finite() {
+        return Err(TrajectoryError::NonFinite {
+            index: points.len(),
+        });
+    }
+    match points.last() {
+        Some(last) if last.t >= p.t => Err(TrajectoryError::NonMonotonicTime {
+            index: points.len(),
+            prev: last.t,
+            next: p.t,
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Incremental constructor for [`Trajectory`], validating as samples arrive.
 ///
 /// Useful for generators and file readers that produce samples one at a time
@@ -238,20 +262,7 @@ impl TrajectoryBuilder {
 
     /// Appends a sample, validating finiteness and temporal ordering.
     pub fn push(&mut self, p: SamplePoint) -> Result<&mut Self> {
-        if !p.is_finite() {
-            return Err(TrajectoryError::NonFinite {
-                index: self.points.len(),
-            });
-        }
-        if let Some(last) = self.points.last() {
-            if last.t >= p.t {
-                return Err(TrajectoryError::NonMonotonicTime {
-                    index: self.points.len(),
-                    prev: last.t,
-                    next: p.t,
-                });
-            }
-        }
+        check_next(&self.points, &p)?;
         self.points.push(p);
         Ok(self)
     }

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mst_exec::{ExecError, IngestOp, IngestOutcome, ShardedDatabase};
-use mst_search::TrajectoryStore;
+use mst_search::MovingObjectDatabase;
 
 use crate::record::{decode_frame, Decoded, WalRecord};
 use crate::replay::{replay, TailState};
@@ -75,7 +75,7 @@ impl<I: DurableSubstrate, S: LogStore> DurableDatabase<I, S> {
             ));
         }
         let parts = (0..num_shards)
-            .map(|_| (I::fresh(), TrajectoryStore::new()))
+            .map(|_| MovingObjectDatabase::new(I::fresh()))
             .collect();
         let db = Arc::new(ShardedDatabase::from_shard_parts(parts)?);
         store.write_snapshot(&encode_snapshot(&db, 0)?)?;

@@ -27,7 +27,7 @@ use std::io::{Read, Write};
 use mst_exec::ShardedDatabase;
 use mst_index::checksum::fold_bytes;
 use mst_index::{InsertionPolicy, PagedTree, TrajectoryIndexWrite};
-use mst_search::{KmstSubstrate, TrajectoryStore};
+use mst_search::{KmstSubstrate, MovingObjectDatabase, TrajectoryStore};
 use mst_trajectory::{SamplePoint, Trajectory, TrajectoryId};
 
 use crate::record::Cursor;
@@ -88,7 +88,8 @@ pub fn encode_snapshot<I: DurableSubstrate>(db: &ShardedDatabase<I>, lsn: u64) -
     out.extend_from_slice(&lsn.to_le_bytes());
     out.extend_from_slice(&(db.num_shards() as u32).to_le_bytes());
     for shard in db.shards() {
-        shard.write(|index, store| {
+        shard.write(|shard_db| {
+            let store = shard_db.store();
             out.extend_from_slice(&(store.len() as u32).to_le_bytes());
             for (id, traj) in store.iter() {
                 out.extend_from_slice(&id.0.to_le_bytes());
@@ -100,7 +101,7 @@ pub fn encode_snapshot<I: DurableSubstrate>(db: &ShardedDatabase<I>, lsn: u64) -
                 }
             }
             let mut image = Vec::new();
-            index.save_image(&mut image, lsn)?;
+            shard_db.index_mut().save_image(&mut image, lsn)?;
             out.extend_from_slice(&(image.len() as u64).to_le_bytes());
             out.extend_from_slice(&image);
             Ok::<(), mst_index::IndexError>(())
@@ -170,7 +171,7 @@ pub fn decode_snapshot<I: DurableSubstrate>(bytes: &[u8]) -> Result<(ShardedData
                 "shard {shard_no} image is at lsn {image_lsn}, header says {lsn}"
             )));
         }
-        parts.push((index, store));
+        parts.push(MovingObjectDatabase::from_parts(index, store));
     }
     if cur.remaining() != 0 {
         return Err(corrupt("trailing bytes after final shard"));
@@ -206,8 +207,8 @@ mod tests {
         }
         for (a, b) in db.shards().iter().zip(back.shards()) {
             assert_eq!(
-                a.read().unwrap().index.num_entries(),
-                b.read().unwrap().index.num_entries()
+                a.read().unwrap().index().num_entries(),
+                b.read().unwrap().index().num_entries()
             );
         }
     }

@@ -16,7 +16,7 @@
 //! comments (Rust block comments nest, unlike C).
 //!
 //! Two justification-comment tags are recognised and recorded per line:
-//! `// invariant: <why>` (rules R1/R2/R6–R9, R12, R13) and `// ordering: <why>`
+//! `// invariant: <why>` (rules R1/R2/R7–R9, R12, R13) and `// ordering: <why>`
 //! (rule R11). The grammar is documented in `DESIGN.md` § Static analysis.
 
 use std::path::{Path, PathBuf};

@@ -2,8 +2,8 @@
 //!
 //! The framework lives in three modules: [`lexer`] turns each source file
 //! into spanned tokens plus a sanitised line view, [`rules`] holds the
-//! thirteen independent rule modules (R1–R13, including the whole-workspace
-//! lock-order audit), and [`report`] renders deterministic human and JSON
+//! independent rule modules (R1–R13 with R6 retired, including the
+//! whole-workspace lock-order audit), and [`report`] renders deterministic human and JSON
 //! diagnostics. The full rule catalogue, the justification grammar
 //! (`// invariant:` / `// ordering:`), and the lock-graph model are
 //! documented in `DESIGN.md` § Static analysis; this file only wires rules
@@ -35,9 +35,7 @@ use lexer::SourceFile;
 use report::Violation;
 use rules::atomics::{sites, AtomicOrdering, AtomicSite};
 use rules::durability::UnsyncedHandles;
-use rules::hygiene::{
-    CrateRootAttrs, NoClocks, NoDeprecatedQueryCalls, NoFloatEquality, NoLossyCasts,
-};
+use rules::hygiene::{CrateRootAttrs, NoClocks, NoFloatEquality, NoLossyCasts};
 use rules::lock_order::{LockOrder, LAYERS};
 use rules::panics::{NoLockUnwrap, NoPanics, NoResultDiscards, NoSocketUnwraps};
 use rules::threads::ThreadLifecycle;
@@ -193,15 +191,6 @@ fn run_check(root: &Path) -> Vec<Violation> {
             NoLockUnwrap.check(&file, &mut out);
         }
     }
-
-    // R6: the deprecated pre-builder query methods are gone from the
-    // workspace entirely; nothing may reintroduce them. Examples and
-    // integration tests are user-facing showcase code, so they are held
-    // to the same standard as the libraries.
-    let mut r6_files: Vec<PathBuf> = lib_dirs.iter().flat_map(|d| rs_files(d)).collect();
-    r6_files.extend(rs_files(&root.join("examples")));
-    r6_files.extend(rs_files(&root.join("tests")));
-    apply(&[&NoDeprecatedQueryCalls], &r6_files, &mut out);
 
     // R9 + R12: socket results are never unwrapped and threads are never
     // detached, in all library source plus the examples. Integration
@@ -403,7 +392,6 @@ mod tests {
         assert_eq!(vs.iter().filter(|v| v.rule == "R3").count(), 2, "{vs:#?}");
         assert!(hit("R4", "core/src/lib.rs", 6), "{vs:#?}");
         assert!(hit("R5", "datagen/src/lib.rs", 5), "{vs:#?}");
-        assert!(hit("R6", "examples/demo.rs", 4), "{vs:#?}");
         assert!(hit("R7", "bench/src/lib.rs", 10), "{vs:#?}");
         assert!(hit("R9", "serve/src/server.rs", 4), "{vs:#?}");
         assert!(hit("R1", "serve/src/server.rs", 4), "{vs:#?}");
@@ -423,7 +411,7 @@ mod tests {
         // The durability rule covers the WAL crate: dropping
         // `crates/wal/src` from the R13 scope fails here.
         assert!(hit("R13", "wal/src/io.rs", 6), "{vs:#?}");
-        assert_eq!(vs.len(), 22, "{vs:#?}");
+        assert_eq!(vs.len(), 21, "{vs:#?}");
         // The report comes back in canonical order.
         let mut sorted = vs.clone();
         report::sort(&mut sorted);

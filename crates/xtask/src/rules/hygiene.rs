@@ -1,6 +1,5 @@
 //! The hygiene rules: R2 (no lossy casts in binary-format modules), R3
-//! (crate-root attributes), R4 (no float equality), R5 (no wall clocks),
-//! R6 (no deprecated query calls).
+//! (crate-root attributes), R4 (no float equality), R5 (no wall clocks).
 //!
 //! R4 is the one rule here that genuinely benefits from the token stream:
 //! it inspects `==`/`!=` punctuation tokens adjacent to float-shaped
@@ -162,52 +161,6 @@ impl Rule for NoClocks {
     }
 }
 
-/// R6: method calls on the deprecated pre-builder query surface. The
-/// leading dot keeps free functions like `search::nearest_trajectories(...)`
-/// (the still-supported low-level entry points) out of scope; only the
-/// deprecated `MovingObjectDatabase` methods are method calls.
-pub struct NoDeprecatedQueryCalls;
-
-const DEPRECATED_DB_CALLS: [&str; 7] = [
-    ".most_similar(",
-    ".most_similar_with(",
-    ".within_dissim(",
-    ".most_similar_time_relaxed(",
-    ".nearest_segments(",
-    ".nearest_trajectories(",
-    ".range(",
-];
-
-impl Rule for NoDeprecatedQueryCalls {
-    fn id(&self) -> &'static str {
-        "R6"
-    }
-
-    fn check(&self, file: &SourceFile, out: &mut Vec<Violation>) {
-        // Deliberately applies to test code too: the deprecated surface is
-        // gone and must not creep back anywhere.
-        for line in &file.lines {
-            if file.justified(line.number, Tag::Invariant) {
-                continue;
-            }
-            for pat in DEPRECATED_DB_CALLS {
-                if line.code.contains(pat) {
-                    let name = pat.trim_start_matches('.').trim_end_matches('(');
-                    out.push(violation(
-                        file,
-                        line.number,
-                        self.id(),
-                        format!(
-                            "call to deprecated query method `{name}`; use \
-                             the `Query` builder (see crates/core/src/query.rs)"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,29 +234,6 @@ mod tests {
         let out = run_rule(
             &NoClocks,
             "let instantaneous = 1; struct NotAnInstantiation;",
-        );
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn r6_fixture_corpus() {
-        let bad = run_rule(
-            &NoDeprecatedQueryCalls,
-            include_str!("../../fixtures/r6_bad.rs"),
-        );
-        assert_eq!(bad.len(), 2, "{bad:?}");
-        let good = run_rule(
-            &NoDeprecatedQueryCalls,
-            include_str!("../../fixtures/r6_good.rs"),
-        );
-        assert!(good.is_empty(), "{good:?}");
-    }
-
-    #[test]
-    fn r6_spares_free_functions() {
-        let out = run_rule(
-            &NoDeprecatedQueryCalls,
-            "let nn = nearest_trajectories(&mut idx, &q, &p, 5)?;",
         );
         assert!(out.is_empty(), "{out:?}");
     }

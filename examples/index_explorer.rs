@@ -8,7 +8,7 @@
 
 use mst::datagen::GstdConfig;
 use mst::index::{check_invariants, Rtree3D, TbTree, TrajectoryIndex};
-use mst::search::{bfmst_search, MstConfig, NoShare, NoopSink, TrajectoryStore};
+use mst::search::{arrival_order, bfmst_search, MstConfig, NoShare, NoopSink, TrajectoryStore};
 use mst::trajectory::{Mbb, TimeInterval};
 
 fn main() {
@@ -21,17 +21,7 @@ fn main() {
     let store = TrajectoryStore::from_trajectories(trajectories);
 
     // Insert in global temporal order — the arrival order of a live MOD.
-    let mut entries: Vec<mst::index::LeafEntry> = Vec::new();
-    for (id, t) in store.iter() {
-        for (seq, segment) in t.segments().enumerate() {
-            entries.push(mst::index::LeafEntry {
-                traj: id,
-                seq: seq as u32,
-                segment,
-            });
-        }
-    }
-    entries.sort_by(|a, b| a.segment.start().t.total_cmp(&b.segment.start().t));
+    let entries = arrival_order(store.iter());
 
     let mut rtree = Rtree3D::new();
     let mut tbtree = TbTree::new();

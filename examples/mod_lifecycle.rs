@@ -7,8 +7,7 @@
 use mst::datagen::TrucksConfig;
 use mst::index::{Rtree3D, TrajectoryIndex};
 use mst::search::{
-    estimate_selectivity, MovingObjectDatabase, NoShare, NoopSink, Query, SelectivityHistogram,
-    TrajectoryStore,
+    estimate_selectivity, MovingObjectDatabase, Query, SelectivityHistogram, TrajectoryStore,
 };
 use mst::trajectory::{Point, TimeInterval, TrajectoryId};
 
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "ingested {} objects / {} segments ({} index pages)",
         db.num_objects(),
-        db.num_segments(),
+        db.index().num_entries(),
         db.index().num_pages()
     );
 
@@ -40,10 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // "Who passed near the depot between 10 and 20 minutes in?"
     let window = TimeInterval::new(600.0, 1200.0)?;
     let depot = Point::new(5000.0, 5000.0);
-    let nn = Query::knn_segments(depot)
-        .k(3)
-        .during(&window)
-        .run(&mut db)?;
+    let nn = Query::knn_segments(depot).k(3).during(&window).run(&db)?;
     println!("\nclosest passes to the depot in [600s, 1200s]:");
     for m in &nn {
         println!(
@@ -57,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // "Which trucks moved most like truck 7 all day?" — profiled, so the
     // dispatcher also sees what the search cost.
     let q = db.trajectory(TrajectoryId(7)).unwrap();
-    let (top, profile) = Query::kmst(&q).k(4).during(&horizon).profile(&mut db)?;
+    let (top, profile) = Query::kmst(&q).k(4).during(&horizon).profile(&db)?;
     println!("\ntrucks most similar to truck 7 (DISSIM, whole shift):");
     for m in &top {
         println!("  {}  {:.0}", m.traj, m.dissim);
@@ -72,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // "Same question, but ignore departure times" — the time-relaxed query.
     let clipped = q.clip(&TimeInterval::new(300.0, 1500.0)?)?;
-    let relaxed = Query::kmst(&clipped).k(3).time_relaxed().run(&mut db)?;
+    let relaxed = Query::kmst(&clipped).k(3).time_relaxed().run(&db)?;
     println!("\ntime-relaxed matches for truck 7's 300-1500s leg:");
     for m in &relaxed {
         println!(
@@ -82,17 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Optimizer statistics. ---
-    let store = {
-        // Rebuild a read-only snapshot for the estimators.
-        let mut s = TrajectoryStore::new();
-        for i in 0..db.num_objects() {
-            let id = TrajectoryId(i as u64);
-            s.insert(id, db.trajectory(id).unwrap());
-        }
-        s
-    };
+    // The estimators read the trajectories the index is built over.
+    let store = db.store();
     let theta = top.last().unwrap().dissim;
-    let est = estimate_selectivity(&store, &q, &horizon, theta, 12, 42)?;
+    let est = estimate_selectivity(store, &q, &horizon, theta, 12, 42)?;
     println!(
         "\nselectivity of DISSIM <= {:.0}: sampled estimate {:.1}% +/- {:.1}% \
          (~{:.0} of {} trucks)",
@@ -102,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         est.cardinality(),
         est.population
     );
-    let hist = SelectivityHistogram::build(&store, &horizon, 3, 24, 42)?;
+    let hist = SelectivityHistogram::build(store, &horizon, 3, 24, 42)?;
     println!(
         "histogram estimate for the same predicate: {:.1}%",
         hist.estimate(&q, theta)? * 100.0
@@ -112,7 +101,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir();
     let idx_path = dir.join("mst_mod_lifecycle.idx");
     let data_path = dir.join("mst_mod_lifecycle.txt");
-    db.index_mut().save_to_path(&idx_path)?;
+    let (mut index, store) = db.into_parts();
+    index.save_to_path(&idx_path)?;
     mst::datagen::io::save_to_path(&data_path, store.iter())?;
 
     let reloaded = Rtree3D::load_from_path(&idx_path)?;
@@ -123,22 +113,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reloaded.num_entries(),
         dataset.len()
     );
-    // The reloaded index answers queries immediately.
-    let mut snapshot = TrajectoryStore::new();
-    for (id, t) in dataset {
-        snapshot.insert(id, t);
-    }
-    let again = mst::search::bfmst_search(
-        &reloaded,
-        &snapshot,
-        &q,
-        &horizon,
-        &mst::search::MstConfig::k(4),
-        &NoShare,
-        &mut NoopSink,
-    )?;
+    // The reloaded index and its store make a database again, and it
+    // answers immediately.
+    let snapshot: TrajectoryStore = dataset.into_iter().collect();
+    let reloaded_db = MovingObjectDatabase::from_parts(reloaded, snapshot);
+    let again = Query::kmst(&q).k(4).during(&horizon).run(&reloaded_db)?;
     assert_eq!(
-        again.matches.iter().map(|m| m.traj).collect::<Vec<_>>(),
+        again.iter().map(|m| m.traj).collect::<Vec<_>>(),
         top.iter().map(|m| m.traj).collect::<Vec<_>>(),
         "the reloaded index must reproduce the pre-restart answer"
     );

@@ -5,10 +5,8 @@
 
 use mst::datagen::GstdConfig;
 use mst::index::{Rtree3D, TrajectoryIndex};
-use mst::search::{
-    bfmst_search, scan_kmst, Integration, MstConfig, NoShare, NoopSink, TrajectoryStore,
-};
-use mst::trajectory::TimeInterval;
+use mst::search::{scan_kmst, Integration, MovingObjectDatabase, Query};
+use mst::trajectory::{TimeInterval, TrajectoryId};
 
 fn main() {
     // 1. A synthetic moving-object dataset: 50 objects, 500 samples each.
@@ -18,20 +16,19 @@ fn main() {
         ..GstdConfig::paper_dataset(50, 42)
     }
     .generate();
-    let store = TrajectoryStore::from_trajectories(trajectories);
+
+    // 2. A moving-object database: the trajectories, and every segment
+    //    indexed in a 3D (x, y, t) R-tree — the same structure a MOD would
+    //    keep for range and nearest-neighbour queries — inserted in the
+    //    order a live position feed would deliver them.
+    let fleet = (0..).map(TrajectoryId).zip(trajectories);
+    let db = MovingObjectDatabase::build(Rtree3D::new(), fleet).expect("valid segments");
+    let s = db.index().stats();
     println!(
         "dataset: {} trajectories, {} segments",
-        store.len(),
-        store.total_segments()
+        db.num_objects(),
+        db.store().total_segments()
     );
-
-    // 2. Index every segment in a 3D (x, y, t) R-tree — the same structure
-    //    a MOD would keep for range and nearest-neighbour queries.
-    let mut index = Rtree3D::new();
-    for (id, t) in store.iter() {
-        index.insert_trajectory(id, t).expect("valid segments");
-    }
-    let s = index.stats();
     println!(
         "index: {} pages ({:.1} MB), height {}",
         s.pages,
@@ -40,43 +37,32 @@ fn main() {
     );
 
     // 3. Query: the 5 trajectories most similar to object 17's movement
-    //    during the window [100, 250].
+    //    during the window [100, 250] — profiled, to see what it cost.
     let period = TimeInterval::new(100.0, 250.0).unwrap();
-    let query = store
-        .get(mst::trajectory::TrajectoryId(17))
+    let query = db
+        .trajectory(TrajectoryId(17))
         .unwrap()
         .clip(&period)
         .unwrap();
-
-    index.reset_stats();
-    let report = bfmst_search(
-        &index,
-        &store,
-        &query,
-        &period,
-        &MstConfig::k(5),
-        &NoShare,
-        &mut NoopSink,
-    )
-    .expect("well-formed query");
+    let (top, profile) = Query::kmst(&query)
+        .k(5)
+        .during(&period)
+        .profile(&db)
+        .expect("well-formed query");
     println!("\nk-MST results (5 most similar to object 17 on [100, 250]):");
-    for (rank, m) in report.matches.iter().enumerate() {
+    for (rank, m) in top.iter().enumerate() {
         println!("  {}. {}  DISSIM = {:.6}", rank + 1, m.traj, m.dissim);
     }
     println!(
-        "\ntraversal: {} of {} pages touched ({} candidates seen, {} rejected early, terminated early: {})",
-        index.stats().node_reads,
-        index.num_pages(),
-        report.candidates_seen,
-        report.candidates_rejected,
-        report.terminated_early,
+        "\ntraversal: {} of {} pages touched ({} candidates seen, {} pruned)",
+        profile.nodes_accessed(),
+        db.index().num_pages(),
+        profile.candidates.seen,
+        profile.candidates.pruned,
     );
 
     // 4. Cross-check against the exact linear scan: identical answer.
-    let scan = scan_kmst(&store, &query, &period, 5, Integration::Exact).unwrap();
-    assert_eq!(
-        scan.iter().map(|m| m.traj).collect::<Vec<_>>(),
-        report.matches.iter().map(|m| m.traj).collect::<Vec<_>>()
-    );
+    let scan = scan_kmst(db.store(), &query, &period, 5, Integration::Exact).unwrap();
+    assert_eq!(top, scan);
     println!("verified: index-based answer equals the exact linear scan");
 }

@@ -81,7 +81,7 @@ fn main() {
         let want = Query::kmst(&q)
             .k(5)
             .during(&period)
-            .run(&mut baseline)
+            .run(&baseline)
             .expect("baseline");
         let got = outcome.outcomes[i]
             .as_ref()

@@ -17,34 +17,11 @@
 //!
 //! `chaos_smoke` is the fast subset `ci.sh` runs in release mode.
 
+use mst::datagen::fixtures::lane_fleet;
 use mst::exec::{BatchExecutor, BatchQuery, QueryAnswer, ShardedDatabase};
 use mst::index::{FaultConfig, TrajectoryIndex, TrajectoryIndexWrite};
 use mst::search::{KmstSubstrate, MovingObjectDatabase, MstMatch, NnMatch, Query};
-use mst::trajectory::{SamplePoint, TimeInterval, Trajectory, TrajectoryId};
-
-/// A deterministic fleet: even ids hug an origin lane, odd ids fan out,
-/// so shards see genuinely different pruning work.
-fn fleet(n: u64, points: usize) -> Vec<(TrajectoryId, Trajectory)> {
-    (0..n)
-        .map(|id| {
-            let (dx, dy) = if id % 2 == 0 {
-                (id as f64 * 0.25, 0.5 * id as f64)
-            } else {
-                (id as f64 * 3.0, 40.0 + 7.0 * id as f64)
-            };
-            let pts = (0..points)
-                .map(|i| {
-                    let t = i as f64;
-                    SamplePoint::new(t, t * 0.8 + dx, dy + t * 0.1)
-                })
-                .collect();
-            (
-                TrajectoryId(id),
-                Trajectory::new(pts).expect("valid fleet trajectory"),
-            )
-        })
-        .collect()
-}
+use mst::trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
 /// The batch every sweep point runs: two k-MST queries and one kNN.
 fn batch_for(fleet: &[(TrajectoryId, Trajectory)], period: &TimeInterval) -> Vec<BatchQuery> {
@@ -69,18 +46,18 @@ fn baseline<I: TrajectoryIndexWrite + KmstSubstrate>(
         Query::kmst(&fleet[0].1)
             .k(5)
             .during(period)
-            .run(&mut db)
+            .run(&db)
             .expect("baseline kmst"),
         Query::kmst(&fleet[3].1)
             .k(3)
             .during(period)
-            .run(&mut db)
+            .run(&db)
             .expect("baseline kmst"),
     ];
     let knn = Query::knn(&fleet[1].1)
         .k(4)
         .during(period)
-        .run(&mut db)
+        .run(&db)
         .expect("baseline knn");
     (kmst, knn)
 }
@@ -201,7 +178,7 @@ fn run_case<I: TrajectoryIndex + Send + KmstSubstrate>(
 /// nothing to inject is bit-for-bit invisible.
 #[test]
 fn fault_rate_zero_is_bit_identical_to_query_run() {
-    let fleet = fleet(16, 24);
+    let fleet = lane_fleet(16, 24);
     let period = TimeInterval::new(0.0, 23.0).expect("period");
     let rtree_want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period);
     let tbtree_want = baseline(MovingObjectDatabase::with_tbtree(), &fleet, &period);
@@ -241,7 +218,7 @@ fn fault_rate_zero_is_bit_identical_to_query_run() {
 /// (otherwise the sweep is vacuous).
 #[test]
 fn chaos_sweep_is_honest_across_rates_substrates_and_shards() {
-    let fleet = fleet(16, 24);
+    let fleet = lane_fleet(16, 24);
     let period = TimeInterval::new(0.0, 23.0).expect("period");
     let rtree_want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period);
     let tbtree_want = baseline(MovingObjectDatabase::with_tbtree(), &fleet, &period);
@@ -314,7 +291,7 @@ fn chaos_sweep_is_honest_across_rates_substrates_and_shards() {
 /// wrong answer.
 #[test]
 fn unmaskable_rates_always_degrade_with_named_causes() {
-    let fleet = fleet(16, 24);
+    let fleet = lane_fleet(16, 24);
     let period = TimeInterval::new(0.0, 23.0).expect("period");
     let want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period);
     for (label, config) in [
@@ -342,7 +319,7 @@ fn unmaskable_rates_always_degrade_with_named_causes() {
 /// (honesty check).
 #[test]
 fn chaos_smoke() {
-    let fleet = fleet(12, 16);
+    let fleet = lane_fleet(12, 16);
     let period = TimeInterval::new(0.0, 15.0).expect("period");
     let want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period);
 

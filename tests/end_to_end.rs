@@ -3,27 +3,17 @@
 //! shapes, and k.
 
 use mst::datagen::{GstdConfig, TrucksConfig};
-use mst::index::{check_invariants, LeafEntry, Rtree3D, TbTree, TrajectoryIndex};
+use mst::index::{check_invariants, Rtree3D, TbTree, TrajectoryIndex};
 use mst::search::{
-    bfmst_search, scan_kmst, Integration, MstConfig, NoShare, NoopSink, TrajectoryStore,
+    arrival_order, bfmst_search, scan_kmst, Integration, MstConfig, NoShare, NoopSink,
+    TrajectoryStore,
 };
 use mst::trajectory::{TimeInterval, TrajectoryId};
 
 fn build_both(store: &TrajectoryStore) -> (Rtree3D, TbTree) {
-    let mut entries: Vec<LeafEntry> = Vec::new();
-    for (id, t) in store.iter() {
-        for (seq, segment) in t.segments().enumerate() {
-            entries.push(LeafEntry {
-                traj: id,
-                seq: seq as u32,
-                segment,
-            });
-        }
-    }
-    entries.sort_by(|a, b| a.segment.start().t.total_cmp(&b.segment.start().t));
     let mut rtree = Rtree3D::new();
     let mut tbtree = TbTree::new();
-    for e in entries {
+    for e in arrival_order(store.iter()) {
         rtree.insert(e).unwrap();
         tbtree.insert(e).unwrap();
     }

@@ -4,13 +4,11 @@
 //! and attaching a sink must never change a single result bit.
 
 use mst::datagen::GstdConfig;
-use mst::index::{
-    LeafEntry, MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex, TrajectoryIndexWrite,
-};
+use mst::index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex, TrajectoryIndexWrite};
 use mst::search::{
-    bfmst_search, scan_kmst, scan_kmst_traced, time_relaxed_kmst, time_relaxed_kmst_traced,
-    Integration, KmstSubstrate, MstConfig, NoShare, NoopSink, QueryProfile, TimeRelaxedConfig,
-    TrajectoryStore,
+    arrival_order, bfmst_search, scan_kmst, scan_kmst_traced, time_relaxed_kmst,
+    time_relaxed_kmst_traced, Integration, KmstSubstrate, MstConfig, NoShare, NoopSink,
+    QueryProfile, TimeRelaxedConfig, TrajectoryStore,
 };
 use mst::trajectory::{TimeInterval, TrajectoryId};
 
@@ -26,18 +24,7 @@ fn gstd_store(objects: usize, samples: usize, seed: u64) -> TrajectoryStore {
 
 /// Feeds every segment of `store` to `index` in arrival (start-time) order.
 fn build<I: TrajectoryIndexWrite>(mut index: I, store: &TrajectoryStore) -> I {
-    let mut entries: Vec<LeafEntry> = Vec::new();
-    for (id, t) in store.iter() {
-        for (seq, segment) in t.segments().enumerate() {
-            entries.push(LeafEntry {
-                traj: id,
-                seq: seq as u32,
-                segment,
-            });
-        }
-    }
-    entries.sort_by(|a, b| a.segment.start().t.total_cmp(&b.segment.start().t));
-    for e in entries {
+    for e in arrival_order(store.iter()) {
         index.insert_entry(e).unwrap();
     }
     index
@@ -376,21 +363,16 @@ fn builder_matches_the_direct_entry_points() {
         .clip(&period)
         .unwrap();
 
-    let via_builder = Query::kmst(&q).k(3).during(&period).run(&mut db).unwrap();
-    let (profiled, profile) = Query::kmst(&q)
-        .k(3)
-        .during(&period)
-        .profile(&mut db)
-        .unwrap();
+    let via_builder = Query::kmst(&q).k(3).during(&period).run(&db).unwrap();
+    let (profiled, profile) = Query::kmst(&q).k(3).during(&period).profile(&db).unwrap();
     assert_eq!(dissim_bits(&via_builder), dissim_bits(&profiled));
     assert!(profile.is_consistent());
     assert!(profile.nodes_accessed() > 0);
     assert!(profile.candidates.seen > 0);
     assert!(profile.piece_evals() > 0);
 
-    let direct = db.with_store(|s| {
-        scan_kmst(s, &q, &period, 3, Integration::Trapezoid).map(|m| dissim_bits(&m))
-    });
+    let direct =
+        scan_kmst(db.store(), &q, &period, 3, Integration::Trapezoid).map(|m| dissim_bits(&m));
     // The index search post-refines with the same integration rule, so the
     // winner set agrees with the scan (ids, not necessarily bits).
     let scan_ids: Vec<TrajectoryId> = direct.unwrap().iter().map(|(id, _)| *id).collect();

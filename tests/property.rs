@@ -14,11 +14,12 @@
 
 use mst::datagen::td_tr;
 use mst::index::mindist::trajectory_mbb_mindist;
-use mst::index::{check_invariants, LeafEntry, Rtree3D, TbTree, TrajectoryIndex};
+use mst::index::{check_invariants, Rtree3D, TbTree, TrajectoryIndex};
 use mst::search::bounds::Candidate;
 use mst::search::dissim::{dissim_between, dissim_exact, piece};
 use mst::search::{
-    bfmst_search, scan_kmst, Integration, MstConfig, NoShare, NoopSink, TrajectoryStore,
+    arrival_order, bfmst_search, scan_kmst, Integration, MstConfig, NoShare, NoopSink,
+    TrajectoryStore,
 };
 use mst::trajectory::cosample::co_segments;
 use mst::trajectory::{TimeInterval, Trajectory, TrajectoryId};
@@ -217,18 +218,8 @@ fn index_invariants_hold_after_random_insertions() {
         let mut rtree = Rtree3D::new();
         let mut tbtree = TbTree::new();
         // Temporal interleave.
-        let mut entries: Vec<LeafEntry> = Vec::new();
-        for (i, t) in data.iter().enumerate() {
-            for (seq, segment) in t.segments().enumerate() {
-                entries.push(LeafEntry {
-                    traj: TrajectoryId(i as u64),
-                    seq: seq as u32,
-                    segment,
-                });
-            }
-        }
-        entries.sort_by(|a, b| a.segment.start().t.total_cmp(&b.segment.start().t));
-        for e in entries {
+        let fleet = (0..).map(TrajectoryId).zip(&data);
+        for e in arrival_order(fleet) {
             rtree.insert(e).unwrap();
             tbtree.insert(e).unwrap();
         }

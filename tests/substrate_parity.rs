@@ -1,13 +1,17 @@
 //! Cross-substrate parity: every substrate's k-MST answer — the BFMST
 //! descent over the R-tree, STR-tree and TB-tree, the ball search over the
 //! metric tree — must be bit-identical to the linear-scan ground truth on
-//! three seeded stores (Trucks-like, GSTD synthetic, and a GSTD fleet with
-//! mixed lifetimes), through the single-index `Query` builder and through
+//! four seeded stores (Trucks-like, GSTD synthetic, a GSTD fleet with mixed
+//! lifetimes, and the twins-and-ties fleet), through the single-index `Query` builder and through
 //! the sharded batch executor across 1/4 shards x 1/8 workers.
 
+use mst::datagen::fixtures::{mixed_lifetime_fleet, twins_fleet};
 use mst::datagen::{GstdConfig, TrucksConfig};
 use mst::exec::{BatchExecutor, BatchQuery, ShardedDatabase};
-use mst::index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndexWrite};
+use mst::index::{
+    InsertionPolicy, MetricPolicy, MetricTree, PagedTree, Rtree3D, RtreePolicy, StrPolicy, StrTree,
+    TbPolicy, TbTree, TrajectoryIndexWrite,
+};
 use mst::search::{
     scan_kmst, Integration, KmstSubstrate, MovingObjectDatabase, MstMatch, Query, Substrate,
     TrajectoryStore,
@@ -33,32 +37,11 @@ fn synthetic_store() -> TrajectoryStore {
     TrajectoryStore::from_trajectories(trajs)
 }
 
-/// A GSTD fleet where two objects in three live only part of the common
-/// time span: every third object stops at 45 % of it, every third starts
-/// at 55 %. Neither kind covers the middle-half probe period of a
-/// full-lifetime query, so neither may appear in — or shape — its answer.
+/// The shared mixed-lifetime fleet: two objects in three cover only part of
+/// the middle-half probe period of a full-lifetime query, so neither kind
+/// may appear in — or shape — its answer.
 fn mixed_lifetime_store() -> TrajectoryStore {
-    let trajs = GstdConfig {
-        num_objects: 40,
-        samples_per_object: 150,
-        ..GstdConfig::paper_dataset(40, 13)
-    }
-    .generate()
-    .into_iter()
-    .enumerate()
-    .map(|(i, t)| {
-        let (start, end) = (t.start_time(), t.end_time());
-        let at = |share: f64| start + (end - start) * share;
-        let lifetime = match i % 3 {
-            1 => TimeInterval::new(start, at(0.45)),
-            2 => TimeInterval::new(at(0.55), end),
-            _ => return t,
-        };
-        t.clip(&lifetime.expect("valid lifetime"))
-            .expect("clip to lifetime")
-    })
-    .collect();
-    TrajectoryStore::from_trajectories(trajs)
+    mixed_lifetime_fleet(40, 150, 13).into_iter().collect()
 }
 
 /// Query workload over a store: a handful of member trajectories clipped
@@ -114,7 +97,7 @@ fn check_single<I: TrajectoryIndexWrite + KmstSubstrate>(
             .k(*k)
             .during(period)
             .substrate(I::KIND)
-            .run(&mut db)
+            .run(&db)
             .expect("query");
         assert_eq!(bits(&got), truth[i], "{name} q{i}: {:?} vs scan", I::KIND);
     }
@@ -211,6 +194,53 @@ fn every_sharded_substrate_matches_scan_on_mixed_lifetimes() {
     check_sharded("mixed", &mixed_lifetime_store());
 }
 
+/// One trajectory under two ids, its mirror image and two more mirror
+/// pairs: bit-equal DISSIM ties inside every answer, split across shards.
+#[test]
+fn every_substrate_matches_scan_on_twins_and_ties() {
+    let store: TrajectoryStore = twins_fleet().1.into_iter().collect();
+    check_single_index("twins", &store);
+    check_sharded("twins", &store);
+}
+
+/// The pre-loaded trap: an index that already holds entries — here an image
+/// saved and loaded again — becomes a database together with the store it
+/// was built over, through `from_parts`, and then answers bit for bit what it
+/// answered before the save, which is what the scan says. (`new` is for an
+/// empty index: over the same R-tree image its store would be empty and
+/// every candidate the descent meets `MissingTrajectory`.)
+#[test]
+fn a_reloaded_image_answers_through_the_facade() {
+    fn check<P: InsertionPolicy>(store: &TrajectoryStore)
+    where
+        PagedTree<P>: KmstSubstrate,
+    {
+        let wl = workload(store, 3);
+        let answers = |db: &MovingObjectDatabase<PagedTree<P>>| -> Vec<_> {
+            let run = |(q, period, k): &(Trajectory, TimeInterval, usize)| {
+                bits(&Query::kmst(q).k(*k).during(period).run(db).expect("query"))
+            };
+            wl.iter().map(run).collect()
+        };
+        let fleet = store.iter().map(|(id, t)| (id, t.clone()));
+        let db = MovingObjectDatabase::build(PagedTree::<P>::new(), fleet).expect("build");
+        let before = answers(&db);
+        assert_eq!(before, ground_truth(store, &wl), "{}", P::NAME);
+
+        let (mut index, store) = db.into_parts();
+        let mut image = Vec::new();
+        index.save(&mut image).expect("save");
+        let index = PagedTree::<P>::load(&image[..]).expect("load");
+        let reloaded = MovingObjectDatabase::from_parts(index, store);
+        assert_eq!(answers(&reloaded), before, "{} after reload", P::NAME);
+    }
+    let store = mixed_lifetime_store();
+    check::<RtreePolicy>(&store);
+    check::<StrPolicy>(&store);
+    check::<TbPolicy>(&store);
+    check::<MetricPolicy>(&store);
+}
+
 #[test]
 fn substrate_pin_refuses_the_wrong_index() {
     let store = synthetic_store();
@@ -225,7 +255,7 @@ fn substrate_pin_refuses_the_wrong_index() {
         .k(k)
         .during(&period)
         .substrate(Substrate::Rtree)
-        .run(&mut metric)
+        .run(&metric)
         .expect_err("substrate mismatch");
     let text = err.to_string();
     assert!(text.contains("substrate"), "{text}");
@@ -233,7 +263,7 @@ fn substrate_pin_refuses_the_wrong_index() {
     let auto = Query::kmst(&q)
         .k(k)
         .during(&period)
-        .run(&mut metric)
+        .run(&metric)
         .expect("auto substrate");
     assert_eq!(
         bits(&auto),
