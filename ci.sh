@@ -21,23 +21,30 @@
 #  10. the MINDIST bit-equality suite at its full release count (plan,
 #      stateless driver and unpruned reference agree to the bit on 240 000
 #      seeded triples; the debug run in gate 5 checks a tenth of that)
-#  11. the repo benchmark's own gate: benchmark/ is a separate workspace
+#  11. the candidate-path bit-equality suites at their full release count
+#      (`UpperKeys` against selection over all keys after every update,
+#      streamed co-segments against the cut-list version, the one gap walk
+#      against the three it replaced, the leaf cursor against the binary
+#      search on every entry of Trucks-like R-/TB-/STR-trees, and the
+#      pinned per-substrate query profiles; the debug run in gate 5 drives
+#      a tenth of the seeded streams)
+#  12. the repo benchmark's own gate: benchmark/ is a separate workspace
 #      that `cargo build --workspace` never compiles, so this is the only
 #      gate that catches a crate-API rename breaking it. Builds it
 #      offline, runs its tests, then one smoke run of all four workloads
 #      (every sampled answer must equal scan_kmst); output stays under
 #      benchmark/out/
-#  12. the replication smoke benchmark (a live primary/replica pair over
+#  13. the replication smoke benchmark (a live primary/replica pair over
 #      loopback TCP; the report goes to target/repl_bench.json; fails on
 #      a p99 replication lag over the gate, a catch-up that does not
 #      converge bit-identically, a missed failover, or a write accepted
 #      with no primary)
-#  13. an offline --verify-store sweep of a freshly written durable store
-#  14. the asserting examples, run in release: they are the library front
+#  14. an offline --verify-store sweep of a freshly written durable store
+#  15. the asserting examples, run in release: they are the library front
 #      door's only end-to-end users outside the test suites (each checks
 #      its own answers, runs under a second, and writes only under the
 #      system temp dir)
-#  15. `git status --porcelain` reads as it did before the run: no tracked
+#  16. `git status --porcelain` reads as it did before the run: no tracked
 #      file modified, no new file left behind
 #
 # Each gate prints its wall time so slow gates are easy to spot.
@@ -99,6 +106,13 @@ gate "server smoke (TCP loopback, malformed frame, stats, drain)" \
 
 gate "MINDIST bit-equality, full count (plan == stateless driver == reference)" \
     cargo test -q --release -p mst-index mindist
+
+candidate_path_suites() {
+    cargo test -q --release -p mst-trajectory -p mst-search candidate_path
+    cargo test -q --release --test candidate_path
+}
+gate "candidate-path bit-equality, full count (UpperKeys model, walkers, pinned profiles)" \
+    candidate_path_suites
 
 repo_benchmark() {
     cargo build --release --offline --manifest-path benchmark/Cargo.toml

@@ -27,11 +27,11 @@
 use std::collections::{HashMap, HashSet};
 
 use mst_index::{LeafEntry, TrajectoryIndex};
-use mst_trajectory::{Segment, TimeInterval, Trajectory, TrajectoryId};
+use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
 use crate::bounds::Candidate;
 use crate::descent::MbbDescent;
-use crate::dissim::{dissim_between_traced, piece, Dissim, Integration};
+use crate::dissim::{dissim_between_traced, for_each_co_piece, piece, Dissim, Integration};
 use crate::metrics::{PruningBound, QueryMetrics};
 use crate::share::BoundShare;
 use crate::topk::UpperKeys;
@@ -172,6 +172,12 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     let mut rejected: HashSet<TrajectoryId> = HashSet::new();
     let mut upper = UpperKeys::new(config.k);
     let ceiling = config.max_dissim.unwrap_or(f64::INFINITY);
+    // The part of the period an entry's segment is alive for, when that is
+    // more than an instant.
+    let window_of = |e: &LeafEntry| {
+        let window = e.segment.time().intersect(period)?;
+        (!window.is_instant()).then_some(window)
+    };
 
     while let Some(mindist) = source.pop(metrics) {
         // Cooperative cancellation (per-query deadlines): abandon the
@@ -234,19 +240,30 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         let Some(group) = source.expand(metrics)? else {
             continue;
         };
+        // Only entries alive for more than an instant of the period take
+        // part; dropping the others first leaves the sort fewer to order
+        // and changes nothing else — they were skipped one by one before.
         let mut entries = group.entries;
+        entries.retain(|e| window_of(e).is_some());
         // Plane sweep over the group in temporal order (the TB-tree stores
         // leaves temporally sorted already; the R-tree needs the sort —
-        // Figure 7, line 10).
-        entries.sort_by(LeafEntry::arrival_cmp);
+        // Figure 7, line 10). `arrival_cmp` is total on distinct entries,
+        // so the unstable sort yields the one order a stable sort would.
+        entries.sort_unstable_by(LeafEntry::arrival_cmp);
+        // Window starts now only grow, so the query segment an entry starts
+        // in is found by walking on from the previous entry's: one search
+        // per leaf.
+        let Some(first) = entries.first().and_then(window_of) else {
+            continue;
+        };
+        let mut cursor = q
+            .segment_index_at(first.start())
+            .map_err(SearchError::Trajectory)?;
         for e in entries {
-            if rejected.contains(&e.traj) {
-                continue;
-            }
-            let Some(window) = e.segment.time().intersect(period) else {
+            let Some(window) = window_of(&e) else {
                 continue;
             };
-            if window.is_instant() {
+            if rejected.contains(&e.traj) {
                 continue;
             }
             report.entries_matched += 1;
@@ -267,7 +284,12 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                     v.insert(Candidate::new(e.traj, merge_eps))
                 }
             };
-            match_entry(q, &e.segment, &window, config.integration, cand, metrics)?;
+            cursor = for_each_co_piece(q, cursor, &e.segment, &window, |qs, ds| {
+                let p = piece(qs, ds, config.integration)?;
+                metrics.piece_eval(config.integration);
+                cand.add_piece(&p);
+                Ok(())
+            })?;
 
             if cand.is_complete(period) {
                 let value = cand.value();
@@ -282,10 +304,13 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                     }
                 }
             } else {
-                metrics.bound_evals(PruningBound::Ldd, cand.num_gaps(period) as u64);
+                // One walk over the gaps serves both bounds (and counts the
+                // LDD integrals each costs); nothing below touches the
+                // candidate before OPTDISSIM is read.
+                let bounds = cand.gap_bounds(period, vmax);
+                metrics.bound_evals(PruningBound::Ldd, bounds.gaps as u64);
                 metrics.bound_evals(PruningBound::PesDissim, 1);
-                let pes = cand.pes_dissim(period, vmax);
-                if upper.update(e.traj, pes) {
+                if upper.update(e.traj, bounds.pes) {
                     metrics.pruned_by(PruningBound::PesDissim, 1);
                     let kth = upper.kth();
                     if kth.is_finite() {
@@ -299,12 +324,12 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                     if hint < local_tau {
                         metrics.bound_evals(PruningBound::SharedKth, 1);
                     }
-                    metrics.bound_evals(PruningBound::Ldd, cand.num_gaps(period) as u64);
+                    metrics.bound_evals(PruningBound::Ldd, bounds.gaps as u64);
                     metrics.bound_evals(PruningBound::OptDissim, 1);
                     // The enclosure's safe side: OPTDISSIM already folds the
                     // approximation error in (Section 4.4's "PESDISSIM -
                     // ERR" discipline on the lower side).
-                    let opt = cand.opt_dissim(period, vmax);
+                    let opt = bounds.opt;
                     if opt > tau {
                         valid.remove(&e.traj);
                         rejected.insert(e.traj);
@@ -338,45 +363,6 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         metrics,
     )?;
     Ok(report)
-}
-
-/// Matches one indexed segment against the query over `window`, feeding
-/// every co-temporal piece into the candidate.
-fn match_entry<M: QueryMetrics>(
-    q: &Trajectory,
-    data_segment: &Segment,
-    window: &TimeInterval,
-    integration: Integration,
-    cand: &mut Candidate,
-    metrics: &mut M,
-) -> Result<()> {
-    let first = q
-        .segment_index_at(window.start())
-        .map_err(SearchError::Trajectory)?;
-    for i in first..q.num_segments() {
-        let q_seg = q.segment(i);
-        if q_seg.time().start() >= window.end() {
-            break;
-        }
-        let Some(sub) = q_seg.time().intersect(window) else {
-            continue;
-        };
-        if sub.is_instant() {
-            continue;
-        }
-        // `sub` has positive duration and lies inside both segments'
-        // spans, so both clips succeed; a failed clip means the caller
-        // handed us an inconsistent window, and skipping the piece keeps
-        // the accumulated distance a sound lower bound.
-        let (Some(qs), Some(ds)) = (q_seg.clip(&sub), data_segment.clip(&sub)) else {
-            debug_assert!(false, "window {sub:?} escaped the overlapping segments");
-            continue;
-        };
-        let p = piece(&qs, &ds, integration)?;
-        metrics.piece_eval(integration);
-        cand.add_piece(&p);
-    }
-    Ok(())
 }
 
 /// Sorts the completed candidates, applies the exact post-processing of

@@ -102,6 +102,20 @@ struct Covered {
     d_end: f64,
 }
 
+/// The speed-dependent bounds of a partial candidate over a period, as one
+/// walk over its uncovered gaps computes them ([`Candidate::gap_bounds`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GapBounds {
+    /// Uncovered gaps walked.
+    pub gaps: usize,
+    /// OPTDISSIM (Definition 3, with the approximation error folded in): a
+    /// lower bound on the candidate's exact DISSIM over the period.
+    pub opt: f64,
+    /// PESDISSIM (Definition 4): an upper bound on it (`f64::INFINITY` when
+    /// a gap has no anchor).
+    pub pes: f64,
+}
+
 /// A partially retrieved candidate trajectory (the "list L" of the BFMST
 /// pseudocode): covered intervals, their accumulated DISSIM enclosure, and
 /// the speed-dependent / speed-independent bounds.
@@ -190,13 +204,6 @@ impl Candidate {
         }
     }
 
-    /// Number of uncovered gaps of `period`: how many per-gap LDD envelope
-    /// integrals one OPTDISSIM or PESDISSIM evaluation costs — the
-    /// observability layer's unit of bound-evaluation work.
-    pub fn num_gaps(&self, period: &TimeInterval) -> usize {
-        self.gaps(period).count()
-    }
-
     /// True when the covered intervals tile the whole `period`.
     pub fn is_complete(&self, period: &TimeInterval) -> bool {
         self.covered.len() == 1
@@ -233,27 +240,39 @@ impl Candidate {
         })
     }
 
-    /// OPTDISSIM (Definition 3, with the approximation error folded in): a
-    /// lower bound on the candidate's exact DISSIM over `period`.
-    pub fn opt_dissim(&self, period: &TimeInterval, vmax: f64) -> f64 {
-        let mut total = self.value.lower();
+    /// Both speed-dependent bounds from one walk over the uncovered gaps of
+    /// `period`, with the gap count (the observability layer's unit of
+    /// bound-evaluation work: one LDD envelope integral per gap and bound).
+    /// Each sum runs in gap order from its own end of the enclosure, so the
+    /// values are those of two separate walks, to the bit.
+    pub fn gap_bounds(&self, period: &TimeInterval, vmax: f64) -> GapBounds {
+        let mut gaps = 0;
+        let mut opt = self.value.lower();
+        let mut pes = self.value.upper();
+        let mut anchored = true;
         for (dt, left, right) in self.gaps(period) {
-            total += gap_lower(left, right, dt, vmax);
-        }
-        total
-    }
-
-    /// PESDISSIM (Definition 4): an upper bound on the candidate's exact
-    /// DISSIM over `period` (`f64::INFINITY` when a gap has no anchor).
-    pub fn pes_dissim(&self, period: &TimeInterval, vmax: f64) -> f64 {
-        let mut total = self.value.upper();
-        for (dt, left, right) in self.gaps(period) {
+            gaps += 1;
+            opt += gap_lower(left, right, dt, vmax);
             match gap_upper(left, right, dt, vmax) {
-                Some(u) => total += u,
-                None => return f64::INFINITY,
+                Some(u) => pes += u,
+                None => anchored = false,
             }
         }
-        total
+        GapBounds {
+            gaps,
+            opt,
+            pes: if anchored { pes } else { f64::INFINITY },
+        }
+    }
+
+    /// OPTDISSIM alone: [`GapBounds::opt`] of [`Candidate::gap_bounds`].
+    pub fn opt_dissim(&self, period: &TimeInterval, vmax: f64) -> f64 {
+        self.gap_bounds(period, vmax).opt
+    }
+
+    /// PESDISSIM alone: [`GapBounds::pes`] of [`Candidate::gap_bounds`].
+    pub fn pes_dissim(&self, period: &TimeInterval, vmax: f64) -> f64 {
+        self.gap_bounds(period, vmax).pes
     }
 
     /// OPTDISSIMINC (Definition 5): when nodes are reported in increasing
@@ -454,5 +473,101 @@ mod tests {
         // -> 12.
         let inc = cand.opt_dissim_inc(&period, 2.0);
         assert!((inc - 16.0).abs() < 1e-9);
+    }
+
+    /// The three walks [`Candidate::gap_bounds`] replaced, each as it was:
+    /// the reference the one walk is compared with.
+    fn num_gaps_by_its_own_walk(c: &Candidate, period: &TimeInterval) -> usize {
+        c.gaps(period).count()
+    }
+
+    fn opt_dissim_by_its_own_walk(c: &Candidate, period: &TimeInterval, vmax: f64) -> f64 {
+        let mut total = c.value.lower();
+        for (dt, left, right) in c.gaps(period) {
+            total += gap_lower(left, right, dt, vmax);
+        }
+        total
+    }
+
+    fn pes_dissim_by_its_own_walk(c: &Candidate, period: &TimeInterval, vmax: f64) -> f64 {
+        let mut total = c.value.upper();
+        for (dt, left, right) in c.gaps(period) {
+            match gap_upper(left, right, dt, vmax) {
+                Some(u) => total += u,
+                None => return f64::INFINITY,
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn candidate_path_one_gap_walk_equals_the_three_it_replaced_bit_for_bit() {
+        let mut rng = mst_prng::Rng::seed_from(0x6761_7077_616c);
+        // Full count in release (`ci.sh` runs it there), a tenth in debug.
+        let cases = if cfg!(debug_assertions) {
+            2_000
+        } else {
+            20_000
+        };
+        let mut gaps_seen = 0;
+        for case in 0..cases {
+            // The period cut into up to 40 slots; a seeded subset of them,
+            // fed in scrambled order, is what the candidate has retrieved —
+            // neighbours merge, the ends may or may not be covered, and
+            // every prefix (the empty candidate included) is compared.
+            let period = iv(10.0 * rng.f64(), 50.0 + 50.0 * rng.f64());
+            let slots = 1 + (rng.f64() * 40.0) as usize;
+            let mut cuts: Vec<f64> = (0..=slots)
+                .map(|i| period.start() + period.duration() * i as f64 / slots as f64)
+                .collect();
+            cuts[slots] = period.end();
+            let density = rng.f64();
+            let mut kept: Vec<usize> = (0..slots).filter(|_| rng.f64() < density).collect();
+            rng.shuffle(&mut kept);
+            let vmax = if case % 17 == 0 { 0.0 } else { rng.f64() * 3.0 };
+            let trapezoid = case % 2 == 0;
+            let mut cand = Candidate::new(TrajectoryId(case as u64), 1e-9);
+            for slot in std::iter::once(None).chain(kept.into_iter().map(Some)) {
+                if let Some(i) = slot {
+                    let approx = rng.f64() * 20.0;
+                    cand.add_piece(&Piece {
+                        interval: iv(cuts[i], cuts[i + 1]),
+                        value: Dissim {
+                            approx,
+                            error: if trapezoid {
+                                approx * rng.f64() * 0.1
+                            } else {
+                                0.0
+                            },
+                        },
+                        d_start: rng.f64() * 9.0,
+                        d_end: rng.f64() * 9.0,
+                    });
+                }
+                let got = cand.gap_bounds(&period, vmax);
+                assert_eq!(
+                    got.gaps,
+                    num_gaps_by_its_own_walk(&cand, &period),
+                    "case {case}"
+                );
+                assert_eq!(
+                    got.opt.to_bits(),
+                    opt_dissim_by_its_own_walk(&cand, &period, vmax).to_bits(),
+                    "case {case}"
+                );
+                assert_eq!(
+                    got.pes.to_bits(),
+                    pes_dissim_by_its_own_walk(&cand, &period, vmax).to_bits(),
+                    "case {case}"
+                );
+                assert_eq!(got.opt.to_bits(), cand.opt_dissim(&period, vmax).to_bits());
+                assert_eq!(got.pes.to_bits(), cand.pes_dissim(&period, vmax).to_bits());
+                gaps_seen += got.gaps;
+            }
+        }
+        assert!(
+            gaps_seen > 20 * cases,
+            "{gaps_seen} gaps over {cases} cases"
+        );
     }
 }

@@ -12,7 +12,7 @@
 //! is convex on every piece, so `exact ∈ [approx - error, approx]`. The
 //! search exploits both sides.
 
-use mst_trajectory::cosample::co_segments;
+use mst_trajectory::cosample::CoSegments;
 use mst_trajectory::kinematics::DistanceTrinomial;
 use mst_trajectory::{Segment, TimeInterval, Trajectory};
 
@@ -81,6 +81,7 @@ pub struct Piece {
 
 /// Evaluates one co-temporal segment pair (both segments must span the same
 /// interval).
+#[inline]
 pub fn piece(q: &Segment, t: &Segment, integration: Integration) -> Result<Piece> {
     let tri = DistanceTrinomial::between(q, t)?;
     let iv = q.time();
@@ -101,6 +102,48 @@ pub fn piece(q: &Segment, t: &Segment, integration: Integration) -> Result<Piece
         d_start: tri.eval(u),
         d_end: tri.eval(v),
     })
+}
+
+/// Visits the co-temporal pieces of the query `q` and one indexed segment
+/// over `window` (inside both; positive duration) in temporal order, as
+/// `(query piece, data piece)` clipped to the same interval — the one piece
+/// walk under BFMST's leaf sweep and the nearest-neighbour search.
+///
+/// `cursor` is a query segment starting at or before the window does;
+/// returns the segment the window starts in, the cursor for the next window
+/// of a sweep whose windows start in non-decreasing order.
+#[inline]
+pub(crate) fn for_each_co_piece(
+    q: &Trajectory,
+    cursor: usize,
+    data_segment: &Segment,
+    window: &TimeInterval,
+    mut visit: impl FnMut(&Segment, &Segment) -> Result<()>,
+) -> Result<usize> {
+    let first = q.segment_index_from(cursor, window.start());
+    debug_assert_eq!(Ok(first), q.segment_index_at(window.start()), "{window}");
+    for i in first..q.num_segments() {
+        let q_seg = q.segment(i);
+        if q_seg.time().start() >= window.end() {
+            break;
+        }
+        let Some(sub) = q_seg.time().intersect(window) else {
+            continue;
+        };
+        if sub.is_instant() {
+            continue;
+        }
+        // `sub` has positive duration and lies inside both segments'
+        // spans, so both clips succeed; a failed clip means the caller
+        // handed us an inconsistent window, and skipping the piece keeps
+        // the accumulated distance a sound lower bound.
+        let (Some(qs), Some(ds)) = (q_seg.clip(&sub), data_segment.clip(&sub)) else {
+            debug_assert!(false, "window {sub:?} escaped the overlapping segments");
+            continue;
+        };
+        visit(&qs, &ds)?;
+    }
+    Ok(first)
 }
 
 /// DISSIM between two trajectories over `period`, with the chosen
@@ -141,7 +184,7 @@ pub fn dissim_between_traced<M: crate::metrics::QueryMetrics>(
     metrics: &mut M,
 ) -> Result<Dissim> {
     let mut total = Dissim::zero();
-    for pair in co_segments(a, b, period)? {
+    for pair in CoSegments::new(a, b, period)? {
         let p = piece(&pair.first, &pair.second, integration)?;
         metrics.piece_eval(integration);
         total.add(p.value);

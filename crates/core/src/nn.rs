@@ -22,8 +22,10 @@ use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 use std::collections::HashMap;
 
 use crate::descent::MbbDescent;
+use crate::dissim::for_each_co_piece;
 use crate::metrics::{PruningBound, QueryMetrics};
 use crate::share::BoundShare;
+use crate::topk::UpperKeys;
 use crate::{Result, SearchError};
 
 /// One nearest-neighbour answer.
@@ -81,10 +83,10 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     let mut outcome = NnOutcome::default();
     // Best approach found so far, per trajectory.
     let mut best: HashMap<TrajectoryId, (f64, f64)> = HashMap::new();
-    // The kth smallest of `best` (infinite below k candidates), recomputed
-    // only after a group lowered an entry: nothing else can move it.
-    let mut local_kth = f64::INFINITY;
-    let mut kth_stale = false;
+    // The kth smallest distance of `best` (infinite below k candidates),
+    // and whether a group lowered an entry since it was last published.
+    let mut upper = UpperKeys::new(k);
+    let mut improved = false;
 
     while let Some(mindist) = source.pop(metrics) {
         // Cooperative cancellation (per-query deadlines).
@@ -97,14 +99,10 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         // shared bound, and the shared bound (the global kth, possibly
         // discovered on another shard) terminates this shard even before k
         // local candidates exist.
-        if kth_stale && best.len() >= k {
-            let mut dists: Vec<f64> = best.values().map(|&(d, _)| d).collect();
-            let (_, kth, _) = dists.select_nth_unstable_by(k - 1, f64::total_cmp);
-            local_kth = *kth;
-            if local_kth.is_finite() {
-                share.publish_kth(local_kth);
-            }
-            kth_stale = false;
+        let local_kth = upper.kth();
+        if improved && local_kth.is_finite() {
+            share.publish_kth(local_kth);
+            improved = false;
         }
         let hint = share.kth_hint();
         if hint < local_kth {
@@ -142,7 +140,7 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             };
             if approach.0 < slot.0 {
                 *slot = approach;
-                kth_stale = true;
+                improved |= upper.update(e.traj, approach.0);
             }
         }
     }
@@ -170,34 +168,19 @@ fn segment_closest_approach(
     window: &TimeInterval,
 ) -> Result<(f64, f64)> {
     let mut best = (f64::INFINITY, window.start());
+    // Leaf entries come in storage order here, so each starts its own walk.
     let first = q
         .segment_index_at(window.start())
         .map_err(SearchError::Trajectory)?;
-    for i in first..q.num_segments() {
-        let q_seg = q.segment(i);
-        if q_seg.time().start() >= window.end() {
-            break;
-        }
-        let Some(sub) = q_seg.time().intersect(window) else {
-            continue;
-        };
-        if sub.is_instant() {
-            continue;
-        }
-        // `sub` has positive duration and lies inside both segments'
-        // spans, so both clips succeed; a failed clip means the caller
-        // handed us an inconsistent window, and skipping the piece keeps
-        // the accumulated distance a sound lower bound.
-        let (Some(qs), Some(ds)) = (q_seg.clip(&sub), segment.clip(&sub)) else {
-            debug_assert!(false, "window {sub:?} escaped the overlapping segments");
-            continue;
-        };
-        let tri = DistanceTrinomial::between(&qs, &ds)?;
+    for_each_co_piece(q, first, segment, window, |qs, ds| {
+        let tri = DistanceTrinomial::between(qs, ds)?;
+        let sub = qs.time();
         let m = tri.min_on(sub.start(), sub.end());
         if m.0 < best.0 {
             best = m;
         }
-    }
+        Ok(())
+    })?;
     Ok(best)
 }
 

@@ -9,14 +9,14 @@
 //! on.
 //!
 //! Keys only ever improve (PESDISSIM shrinks as pieces arrive; a completed
-//! DISSIM replaces it), so the threshold is monotonically non-increasing and
-//! can be cached: a recomputation is needed only when a key drops below the
-//! cached threshold. The cache lives in [`std::cell::Cell`]s so reading the
-//! threshold is the `&self` operation it logically is — every other accessor
-//! (`len`, `is_empty`, `key_of`) already takes `&self`, and [`UpperKeys::kth`]
-//! now matches.
+//! DISSIM replaces it), so the threshold is monotonically non-increasing —
+//! and so is every one of the k smallest keys. The tracker therefore keeps
+//! those k `(key, id)` pairs in a sorted array beside the map of all keys:
+//! a candidate outside the array can enter it only by undercutting its last
+//! slot, which makes [`UpperKeys::update`] O(k) when it moves the array and
+//! a hash probe when it does not, and [`UpperKeys::kth`] — read once per
+//! leaf entry by the search — a load of the last slot.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 
 use mst_trajectory::TrajectoryId;
@@ -27,10 +27,10 @@ use mst_trajectory::TrajectoryId;
 pub struct UpperKeys {
     k: usize,
     keys: HashMap<TrajectoryId, f64>,
-    /// Lazily recomputed threshold; interior mutability keeps the logically
-    /// read-only [`UpperKeys::kth`] a `&self` method.
-    cached_kth: Cell<f64>,
-    dirty: Cell<bool>,
+    /// The `min(k, len)` smallest keys with their candidates, ascending by
+    /// [`f64::total_cmp`]. Among equal keys at the k-th position which
+    /// candidate holds the slot is arbitrary; the key in it is not.
+    top: Vec<(f64, TrajectoryId)>,
 }
 
 impl UpperKeys {
@@ -39,8 +39,7 @@ impl UpperKeys {
         UpperKeys {
             k: k.max(1),
             keys: HashMap::new(),
-            cached_kth: Cell::new(f64::INFINITY),
-            dirty: Cell::new(false),
+            top: Vec::new(),
         }
     }
 
@@ -63,33 +62,42 @@ impl UpperKeys {
             return false;
         }
         let entry = self.keys.entry(id).or_insert(f64::INFINITY);
-        if key < *entry {
-            *entry = key;
-            // The threshold can only change if this key undercuts it.
-            if key < self.cached_kth.get() {
-                self.dirty.set(true);
-            }
-            true
-        } else {
-            false
+        if key >= *entry {
+            return false;
         }
+        *entry = key;
+        // A candidate inside the array had a key at or under the last
+        // slot's, and the new key is smaller still: a key that does not
+        // undercut the last slot of a full array belongs to an outsider
+        // that stays outside.
+        let full = self.top.len() == self.k;
+        if full && key.total_cmp(&self.top[self.k - 1].0).is_ge() {
+            return true;
+        }
+        match self.top.iter().position(|&(_, held)| held == id) {
+            Some(slot) => {
+                self.top.remove(slot);
+            }
+            None if full => {
+                self.top.pop();
+            }
+            None => {}
+        }
+        let slot = self
+            .top
+            .partition_point(|&(held, _)| held.total_cmp(&key).is_le());
+        self.top.insert(slot, (key, id));
+        true
     }
 
     /// The current pruning threshold: the k-th smallest recorded key, or
     /// `+inf` while fewer than `k` candidates have keys.
+    #[inline]
     pub fn kth(&self) -> f64 {
-        if self.dirty.get() {
-            let kth = if self.keys.len() < self.k {
-                f64::INFINITY
-            } else {
-                let mut vals: Vec<f64> = self.keys.values().copied().collect();
-                let (_, kth, _) = vals.select_nth_unstable_by(self.k - 1, f64::total_cmp);
-                *kth
-            };
-            self.cached_kth.set(kth);
-            self.dirty.set(false);
+        match self.top.get(self.k - 1) {
+            Some(&(key, _)) => key,
+            None => f64::INFINITY,
         }
-        self.cached_kth.get()
     }
 
     /// The recorded key of a candidate.
@@ -168,7 +176,7 @@ mod tests {
         u.update(id(2), 9.0);
         let shared: &UpperKeys = &u;
         assert_eq!(shared.kth(), 9.0);
-        assert_eq!(shared.kth(), 9.0); // cached path, still `&self`
+        assert_eq!(shared.kth(), 9.0);
     }
 
     #[test]
@@ -178,5 +186,103 @@ mod tests {
         assert!(u.update(id(1), 2.0));
         assert!(!u.update(id(1), 2.0)); // equal key: no improvement
         assert!(u.update(id(2), 1.0));
+    }
+
+    /// What [`UpperKeys`] was before it kept the k smallest keys sorted:
+    /// every key in a map, the threshold by selection over all of them.
+    /// The reference the incremental tracker is driven against.
+    struct SelectingKeys {
+        k: usize,
+        keys: HashMap<TrajectoryId, f64>,
+    }
+
+    impl SelectingKeys {
+        fn update(&mut self, id: TrajectoryId, key: f64) -> bool {
+            if !key.is_finite() {
+                return false;
+            }
+            let entry = self.keys.entry(id).or_insert(f64::INFINITY);
+            if key < *entry {
+                *entry = key;
+                true
+            } else {
+                false
+            }
+        }
+
+        fn kth(&self) -> f64 {
+            if self.keys.len() < self.k {
+                return f64::INFINITY;
+            }
+            let mut vals: Vec<f64> = self.keys.values().copied().collect();
+            let (_, kth, _) = vals.select_nth_unstable_by(self.k - 1, f64::total_cmp);
+            *kth
+        }
+    }
+
+    #[test]
+    fn candidate_path_upper_keys_agree_with_selection_over_all_keys_after_every_update() {
+        let mut rng = mst_prng::Rng::seed_from(0x7570_7065_726b);
+        // Full count in release (`ci.sh` runs it there), a tenth in debug.
+        let streams = if cfg!(debug_assertions) { 40 } else { 400 };
+        for stream in 0..streams {
+            // 24 candidates: k = 64 never fills, the others fill early.
+            let k = [1usize, 4, 16, 64][stream % 4];
+            let candidates = 24;
+            let mut got = UpperKeys::new(k);
+            let mut want = SelectingKeys {
+                k,
+                keys: HashMap::new(),
+            };
+            for step in 0..600 {
+                let who = id(rng.u64_below(candidates));
+                let unit = rng.f64();
+                let held = want.keys.get(&who).copied();
+                let key = match (rng.u64_below(16), held) {
+                    (0, _) => f64::NAN,
+                    (1, _) => f64::INFINITY,
+                    (2, _) => f64::NEG_INFINITY,
+                    (3, _) => 0.0,
+                    (4, _) => -0.0,
+                    // A few round values: equal keys across candidates.
+                    (5..=7, _) => (unit * 8.0).floor(),
+                    // The held key again, a worse one, a slightly better one
+                    // (often still outside the top k), a much better one.
+                    (8, Some(held)) => held,
+                    (9, Some(held)) => held + 1.0 + unit,
+                    (10..=12, Some(held)) => held - unit * 0.01,
+                    (13, Some(held)) => held * unit - 1.0,
+                    _ => 100.0 * unit,
+                };
+                assert_eq!(
+                    got.update(who, key),
+                    want.update(who, key),
+                    "stream {stream} step {step}: update({who:?}, {key})"
+                );
+                assert_eq!(
+                    got.kth().to_bits(),
+                    want.kth().to_bits(),
+                    "stream {stream} step {step}: kth {} vs {}",
+                    got.kth(),
+                    want.kth()
+                );
+                assert_eq!(got.len(), want.keys.len());
+                assert_eq!(
+                    got.top.len(),
+                    k.min(got.len()),
+                    "the array holds min(k, len)"
+                );
+                assert_eq!(got.is_empty(), want.keys.is_empty());
+                for c in 0..candidates {
+                    assert_eq!(
+                        got.key_of(super::tests::id(c)).map(f64::to_bits),
+                        want.keys
+                            .get(&super::tests::id(c))
+                            .copied()
+                            .map(f64::to_bits)
+                    );
+                }
+            }
+        }
     }
 }

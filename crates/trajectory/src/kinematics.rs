@@ -53,6 +53,7 @@ pub struct DistanceTrinomial {
 impl DistanceTrinomial {
     /// Builds the trinomial for two segments that span the *same* time
     /// interval (co-sampled pieces produced by [`crate::cosample`]).
+    #[inline]
     pub fn between(p: &Segment, q: &Segment) -> Result<Self> {
         let pt = p.time();
         let qt = q.time();
@@ -216,6 +217,7 @@ impl DistanceTrinomial {
     /// zero and `D''` blows up), the implementation falls back to the
     /// always-sound convexity bound `trapezoid - midpoint_rule`, which
     /// sandwiches the exact integral of any convex integrand.
+    #[inline]
     pub fn trapezoid_error_bound(&self, u: f64, v: f64) -> f64 {
         debug_assert!(u <= v);
         if u == v || self.is_constant() {

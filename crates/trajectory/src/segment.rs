@@ -14,6 +14,7 @@ pub struct Segment {
 
 impl Segment {
     /// Creates a segment, requiring `start.t < end.t` and finite samples.
+    #[inline]
     pub fn new(start: SamplePoint, end: SamplePoint) -> Result<Self> {
         if !start.is_finite() {
             return Err(TrajectoryError::NonFinite { index: 0 });
@@ -114,6 +115,7 @@ impl Segment {
     ///
     /// Returns `None` when the overlap is empty *or* a single instant (a
     /// zero-duration segment is not a valid [`Segment`]).
+    #[inline]
     pub fn clip(&self, interval: &TimeInterval) -> Option<Segment> {
         let overlap = self.time().intersect(interval)?;
         if overlap.is_instant() {

@@ -12,6 +12,7 @@ pub struct TimeInterval {
 
 impl TimeInterval {
     /// Creates an interval, validating `start <= end` and finiteness.
+    #[inline]
     pub fn new(start: f64, end: f64) -> Result<Self> {
         if !start.is_finite() || !end.is_finite() || start > end {
             return Err(TrajectoryError::InvalidInterval { start, end });
@@ -60,6 +61,7 @@ impl TimeInterval {
     /// Touching intervals (`a.end == b.start`) overlap in a single instant;
     /// callers that need a positive-duration overlap should additionally
     /// check [`TimeInterval::is_instant`].
+    #[inline]
     pub fn intersect(&self, other: &TimeInterval) -> Option<TimeInterval> {
         let start = self.start.max(other.start);
         let end = self.end.min(other.end);

@@ -96,11 +96,13 @@ impl Trajectory {
     }
 
     /// True when the trajectory is valid over the whole of `period`.
+    #[inline]
     pub fn covers(&self, period: &TimeInterval) -> bool {
         self.time().contains_interval(period)
     }
 
     /// The `i`-th line segment.
+    #[inline]
     pub fn segment(&self, i: usize) -> Segment {
         Segment::new(self.points[i], self.points[i + 1])
             // invariant: Trajectory::new enforces ordered, finite samples
@@ -119,6 +121,7 @@ impl Trajectory {
     /// (the last segment for `t == end_time()`).
     ///
     /// Returns an error when `t` is outside the validity period.
+    #[inline]
     pub fn segment_index_at(&self, t: f64) -> Result<usize> {
         if t < self.start_time() || t > self.end_time() {
             return Err(TrajectoryError::OutOfRange {
@@ -134,6 +137,19 @@ impl Trajectory {
         } else {
             upper - 1
         })
+    }
+
+    /// [`Trajectory::segment_index_at`] for a `t` at or after the start of
+    /// segment `from` (and inside the validity period), by walking forward
+    /// instead of searching: the cursor of a sweep whose timestamps only
+    /// grow.
+    #[inline]
+    pub fn segment_index_from(&self, from: usize, t: f64) -> usize {
+        let mut i = from;
+        while i + 2 < self.points.len() && self.points[i + 1].t <= t {
+            i += 1;
+        }
+        i
     }
 
     /// Position at time `t` via linear interpolation.
