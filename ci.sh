@@ -4,9 +4,10 @@
 # Runs everything a reviewer needs before merging, with no network access:
 #   1. formatting drift
 #   2. the static-analysis framework's own test suite (lexer, rule
-#      fixtures, seeded fixture trees — `cargo test -p xtask`)
-#   3. the zero-dependency static-analysis pass (crates/xtask); the
-#      machine-readable report is archived to results/xtask_report.json
+#      fixtures, seeded fixture trees, the real tree — `cargo test -p xtask`)
+#   3. the zero-dependency static-analysis pass (crates/xtask: rules R1–R5,
+#      R7–R9, R11, R13; lock order is a debug-build rank, checked by gate 5);
+#      the machine-readable report is archived to results/xtask_report.json
 #   4. a release build of the whole workspace
 #   5. the full test suite
 #   6. the index tests again with `paranoid` audits after every mutation

@@ -219,87 +219,83 @@ pub(crate) enum JobResult {
     Failed(mst_search::SearchError),
 }
 
-/// Runs one query against one shard — the unit of work both executors
-/// share ([`BatchExecutor`] distributes these across workers; the
-/// persistent [`crate::ExecHandle`] pool runs a query's shards in
-/// sequence on one worker). k-MST and kNN poll the deadline inside the
-/// search; segments and range queries have no internal poll points, so an
-/// already-expired deadline skips the shard with an empty (degraded)
-/// contribution.
+/// Runs one query against one shard between the query's latency marks —
+/// the unit of work both executors share ([`BatchExecutor`] distributes
+/// these across workers; the persistent [`crate::ExecHandle`] pool runs a
+/// query's shards in sequence on one worker). k-MST and kNN poll the
+/// deadline inside the search; segments and range queries have no internal
+/// poll points, so an already-expired deadline skips the shard with an
+/// empty (degraded) contribution.
 pub(crate) fn run_shard_job<I: KmstSubstrate>(
     shard: &Shard<I>,
     query: &BatchQuery,
     control: &QueryControl,
-    profile: &mut QueryProfile,
-) -> JobResult {
+) -> (JobResult, QueryProfile) {
+    control.mark_start();
+    let mut profile = QueryProfile::default();
     let result = shard.read().map_err(Into::into).and_then(|db| match query {
         BatchQuery::Kmst(spec) => db
-            .run_kmst(spec, control, profile)
+            .run_kmst(spec, control, &mut profile)
             .map(|report| JobResult::Kmst(report.matches)),
         BatchQuery::Knn(spec) => db
-            .run_knn(spec, control, profile)
+            .run_knn(spec, control, &mut profile)
             .map(|outcome| JobResult::Knn(outcome.matches)),
         BatchQuery::Segments(_) if control.poll_stop() => Ok(JobResult::Segments(Vec::new())),
-        BatchQuery::Segments(spec) => db.run_knn_segments(spec, profile).map(JobResult::Segments),
+        BatchQuery::Segments(spec) => db
+            .run_knn_segments(spec, &mut profile)
+            .map(JobResult::Segments),
         BatchQuery::Range(_) if control.poll_stop() => Ok(JobResult::Range(Vec::new())),
-        BatchQuery::Range(spec) => db.run_range(spec, profile).map(JobResult::Range),
+        BatchQuery::Range(spec) => db.run_range(spec, &mut profile).map(JobResult::Range),
     });
-    result.unwrap_or_else(JobResult::Failed)
+    control.mark_end();
+    (result.unwrap_or_else(JobResult::Failed), profile)
 }
 
-/// Accumulates per-shard result lists (whichever flavour the query is)
-/// and merges them into the global answer. Shared by both executors so a
-/// batch run and a submitted query merge identically.
-pub(crate) struct ShardLists {
-    kmst: Vec<Vec<MstMatch>>,
-    knn: Vec<Vec<NnMatch>>,
-    segments: Vec<Vec<KnnMatch>>,
-    range: Vec<Vec<LeafEntry>>,
-}
-
-impl ShardLists {
-    pub(crate) fn new() -> Self {
-        ShardLists {
-            kmst: Vec::new(),
-            knn: Vec::new(),
-            segments: Vec::new(),
-            range: Vec::new(),
-        }
-    }
-
-    /// Files one shard's job result; failures are recorded with their
-    /// shard instead of contributing a list.
-    pub(crate) fn push(
-        &mut self,
-        shard: usize,
-        result: JobResult,
-        failures: &mut Vec<ShardFailure>,
-    ) {
+/// Merges one query's shard results, in shard order, into its outcome —
+/// shared by both executors, so a batch run and a submitted query merge
+/// identically. A shard job that *failed* (I/O fault, checksum mismatch,
+/// poisoned lock) does not fail the query: its error is recorded in
+/// [`QueryOutcome::failures`], its work profile still merges (keeping the
+/// candidate ledger balanced), and the surviving shards' lists merge into
+/// a `degraded` answer — the same honest-best-effort contract the deadline
+/// path provides.
+pub(crate) fn query_outcome(
+    query: &BatchQuery,
+    control: &QueryControl,
+    shards: impl IntoIterator<Item = (JobResult, QueryProfile)>,
+) -> QueryOutcome {
+    let mut profile = QueryProfile::default();
+    let mut failures = Vec::new();
+    let (mut kmst, mut knn, mut segments, mut range) = (vec![], vec![], vec![], vec![]);
+    for (shard, (result, shard_profile)) in shards.into_iter().enumerate() {
+        profile.merge(&shard_profile);
         match result {
-            JobResult::Kmst(m) => self.kmst.push(m),
-            JobResult::Knn(m) => self.knn.push(m),
-            JobResult::Segments(m) => self.segments.push(m),
-            JobResult::Range(m) => self.range.push(m),
+            JobResult::Kmst(m) => kmst.push(m),
+            JobResult::Knn(m) => knn.push(m),
+            JobResult::Segments(m) => segments.push(m),
+            JobResult::Range(m) => range.push(m),
             JobResult::Failed(error) => failures.push(ShardFailure { shard, error }),
         }
     }
-
-    /// Merges the accumulated lists into the query's global answer, with
-    /// the deterministic order each flavour's merge defines.
-    pub(crate) fn merge(&self, query: &BatchQuery) -> QueryAnswer {
-        match query {
-            BatchQuery::Kmst(spec) => {
-                QueryAnswer::Kmst(mst_search::merge_shard_matches(spec.config.k, &self.kmst))
-            }
-            BatchQuery::Knn(spec) => {
-                QueryAnswer::Knn(mst_search::merge_shard_nn(spec.k(), &self.knn))
-            }
-            BatchQuery::Segments(spec) => QueryAnswer::Segments(mst_search::merge_shard_segments(
-                spec.options.k,
-                &self.segments,
-            )),
-            BatchQuery::Range(_) => QueryAnswer::Range(mst_search::merge_shard_range(&self.range)),
+    // Each flavour merges in the deterministic order its merge defines.
+    let answer = match query {
+        BatchQuery::Kmst(spec) => {
+            QueryAnswer::Kmst(mst_search::merge_shard_matches(spec.config.k, &kmst))
         }
+        BatchQuery::Knn(spec) => QueryAnswer::Knn(mst_search::merge_shard_nn(spec.k(), &knn)),
+        BatchQuery::Segments(spec) => {
+            QueryAnswer::Segments(mst_search::merge_shard_segments(spec.options.k, &segments))
+        }
+        BatchQuery::Range(_) => QueryAnswer::Range(mst_search::merge_shard_range(&range)),
+    };
+    let deadline_expired = control.is_degraded();
+    QueryOutcome {
+        answer,
+        profile,
+        degraded: deadline_expired || !failures.is_empty(),
+        deadline_expired,
+        failures,
+        latency_us: control.latency_us(),
     }
 }
 
@@ -364,12 +360,15 @@ impl BatchExecutor {
     where
         I: KmstSubstrate + Send + 'static,
     {
-        let capacity = if self.queue_capacity == 0 {
-            self.workers * 2
-        } else {
-            self.queue_capacity
-        };
-        crate::ExecHandle::start(db, self.workers, capacity, self.deadline_us)
+        crate::ExecHandle::start(db, self.workers, self.capacity(), self.deadline_us)
+    }
+
+    /// The job-queue bound: the configured one, or `2 x workers` if unset.
+    fn capacity(&self) -> usize {
+        match self.queue_capacity {
+            0 => self.workers * 2,
+            set => set,
+        }
     }
 
     /// Runs a batch against a sharded database and returns per-query
@@ -411,12 +410,7 @@ impl BatchExecutor {
         let slots: Vec<ResultSlot> = (0..num_queries * num_shards)
             .map(|_| std::sync::Mutex::new(None))
             .collect();
-        let capacity = if self.queue_capacity == 0 {
-            self.workers * 2
-        } else {
-            self.queue_capacity
-        };
-        let queue: JobQueue<Job> = JobQueue::new(capacity);
+        let queue: JobQueue<Job> = JobQueue::new(self.capacity());
 
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
@@ -426,16 +420,10 @@ impl BatchExecutor {
                 let slots = &slots;
                 scope.spawn(move || {
                     while let Some(job) = queue.pop() {
-                        let control = &controls[job.query];
                         let shard = &db.shards()[job.shard];
-                        control.mark_start();
-                        let mut profile = QueryProfile::default();
-                        let result =
-                            run_shard_job(shard, &queries[job.query], control, &mut profile);
-                        control.mark_end();
-                        let slot = &slots[job.query * num_shards + job.shard];
-                        if let Ok(mut slot) = slot.lock() {
-                            *slot = Some((result, profile));
+                        let done = run_shard_job(shard, &queries[job.query], &controls[job.query]);
+                        if let Ok(mut slot) = slots[job.query * num_shards + job.shard].lock() {
+                            *slot = Some(done);
                         }
                     }
                 });
@@ -460,15 +448,8 @@ impl BatchExecutor {
         BatchOutcome { outcomes }
     }
 
-    /// Merges the per-shard slot results of one query, in shard order.
-    ///
-    /// A shard job that *failed* (I/O fault, checksum mismatch, poisoned
-    /// lock) does not fail the query: its error is recorded in
-    /// [`QueryOutcome::failures`], its work profile still merges (keeping
-    /// the candidate ledger balanced), and the surviving shards' lists
-    /// merge into a `degraded` answer — the same honest-best-effort
-    /// contract the deadline path already provides. Only a *lost* slot
-    /// (worker died without reporting) is an [`ExecError`].
+    /// One query's outcome from its shard slots ([`query_outcome`]). Only a
+    /// *lost* slot (worker died without reporting) is an [`ExecError`].
     fn collect_query(
         q: usize,
         query: &BatchQuery,
@@ -476,29 +457,15 @@ impl BatchExecutor {
         slots: &[ResultSlot],
         num_shards: usize,
     ) -> Result<QueryOutcome, ExecError> {
-        let mut profile = QueryProfile::default();
-        let mut lists = ShardLists::new();
-        let mut failures: Vec<ShardFailure> = Vec::new();
-        for shard in 0..num_shards {
-            let taken = slots[q * num_shards + shard]
-                .lock()
-                .ok()
-                .and_then(|mut s| s.take());
-            let Some((result, shard_profile)) = taken else {
-                return Err(ExecError::Lost { query: q, shard });
-            };
-            profile.merge(&shard_profile);
-            lists.push(shard, result, &mut failures);
-        }
-        let answer = lists.merge(query);
-        let deadline_expired = control.is_degraded();
-        Ok(QueryOutcome {
-            answer,
-            profile,
-            degraded: deadline_expired || !failures.is_empty(),
-            deadline_expired,
-            failures,
-            latency_us: control.latency_us(),
-        })
+        let taken = (0..num_shards)
+            .map(|shard| {
+                slots[q * num_shards + shard]
+                    .lock()
+                    .ok()
+                    .and_then(|mut s| s.take())
+                    .ok_or(ExecError::Lost { query: q, shard })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(query_outcome(query, control, taken))
     }
 }

@@ -43,11 +43,12 @@
 //!
 //! Lock order, everywhere: shard gate → directory lock → pager mutex.
 //! Nothing is acquired under the pager mutex, and no thread holds two
-//! shards' gates at once.
+//! shards' gates at once; debug builds check both ([`mst_index::Rank`]).
 
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use mst_index::{IndexError, MetricTree, Rtree3D, TbTree, TrajectoryIndex, TrajectoryIndexWrite};
+use mst_index::{Rank, Ranked};
 use mst_search::{
     BoundShare, KmstSpec, KmstSubstrate, MovingObjectDatabase, QueryMetrics, SearchReport,
     Substrate,
@@ -72,8 +73,8 @@ impl<I> Shard<I> {
     /// The read half of the gate: the engine as of one instant, shared with
     /// every other reader — every query flavour runs through its `run_*`
     /// methods. Ingest on this shard waits while the guard is held.
-    pub fn read(&self) -> mst_index::Result<RwLockReadGuard<'_, MovingObjectDatabase<I>>> {
-        self.gate.read().map_err(IndexError::poisoned(GATE))
+    pub fn read(&self) -> mst_index::Result<Ranked<RwLockReadGuard<'_, MovingObjectDatabase<I>>>> {
+        Ranked::lock(Rank::ShardGate, || self.gate.read()).map_err(IndexError::poisoned(GATE))
     }
 
     /// Runs `f` under the write half of the gate: how ingest applies an
@@ -84,7 +85,8 @@ impl<I> Shard<I> {
         &self,
         f: impl FnOnce(&mut MovingObjectDatabase<I>) -> R,
     ) -> mst_index::Result<R> {
-        let mut db = self.gate.write().map_err(IndexError::poisoned(GATE))?;
+        let mut db = Ranked::lock(Rank::ShardGate, || self.gate.write())
+            .map_err(IndexError::poisoned(GATE))?;
         Ok(f(&mut db))
     }
 
@@ -94,8 +96,8 @@ impl<I> Shard<I> {
     /// step of its operation, so a torn shard's store is still a valid (if
     /// stale) map — while every search and write on that shard keeps
     /// failing through [`Shard::read`] / the write half.
-    fn peek(&self) -> RwLockReadGuard<'_, MovingObjectDatabase<I>> {
-        self.gate.read().unwrap_or_else(PoisonError::into_inner)
+    fn peek(&self) -> Ranked<RwLockReadGuard<'_, MovingObjectDatabase<I>>> {
+        Ranked::lock(Rank::ShardGate, || self.gate.read()).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Exclusive access to the shard's index, for maintenance between
@@ -506,6 +508,42 @@ mod tests {
             .with(|tree| tree.clear_buffer())
             .expect("gate")
             .expect("clear");
+    }
+
+    #[test]
+    fn lock_rank_allows_the_legal_orders_and_trips_on_an_inversion() {
+        // Gate → ball directory → pager: a metric-tree search under the
+        // read half of the gate.
+        let metric =
+            ShardedDatabase::with_metric(1, (0..4u64).map(|id| traj(id, id as f64, 6))).unwrap();
+        let (_, q) = traj(9, 1.5, 6);
+        let engine = metric.shards()[0].read().unwrap();
+        assert_eq!(
+            mst_search::Query::kmst(&q).k(2).run(&engine).unwrap().len(),
+            2
+        );
+        drop(engine);
+        // Gate → pager: an R-tree insert under the write half.
+        let rtree =
+            ShardedDatabase::with_rtree(1, (0..3u64).map(|id| traj(id, id as f64, 5))).unwrap();
+        let (id, t) = traj(7, 3.0, 5);
+        rtree.shards()[0]
+            .write(|db| db.insert_trajectory(id, &t))
+            .unwrap()
+            .unwrap();
+        assert_eq!(rtree.num_objects(), 4);
+        // The inversion half: `gate_inside_gate_trips_the_lock_rank` here
+        // and `pager_then_directory_trips_the_lock_rank` in `mst_index`.
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock rank")]
+    fn gate_inside_gate_trips_the_lock_rank() {
+        let db =
+            ShardedDatabase::with_rtree(2, (0..4u64).map(|id| traj(id, id as f64, 5))).unwrap();
+        let _first = db.shards()[0].read().unwrap();
+        let _second = db.shards()[1].read();
     }
 
     #[test]

@@ -27,9 +27,9 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-use mst_search::{KmstSubstrate, QueryProfile};
+use mst_search::KmstSubstrate;
 
-use crate::batch::{run_shard_job, QueryOutcome, ShardFailure, ShardLists};
+use crate::batch::{query_outcome, run_shard_job, QueryOutcome};
 use crate::bound::QueryControl;
 use crate::clock::Stopwatch;
 use crate::queue::{JobQueue, TryPushError};
@@ -326,10 +326,13 @@ where
             deliver,
         }
     }
+}
 
+impl<I> ExecHandle<I> {
     /// Graceful shutdown: stops admitting, drains every already-admitted
     /// job, and joins the workers. Every ticket issued before the call
-    /// resolves before this returns. Idempotent.
+    /// resolves before this returns. Idempotent; dropping the handle
+    /// calls it.
     pub fn shutdown(&self) {
         self.queue.close();
         let handles = match self.workers.lock() {
@@ -347,43 +350,16 @@ where
 
 impl<I> Drop for ExecHandle<I> {
     fn drop(&mut self) {
-        self.queue.close();
-        let handles = match self.workers.lock() {
-            Ok(mut guard) => std::mem::take(&mut *guard),
-            Err(_) => return,
-        };
-        for handle in handles {
-            // invariant: same policy as shutdown() — a worker panic has
-            // already surfaced as Disconnected tickets
-            let _ = handle.join();
-        }
+        self.shutdown();
     }
 }
 
 /// Runs one admitted query: all shards in sequence on this worker, merged
 /// with the exact machinery the batch path uses.
 fn run_submitted<I: KmstSubstrate>(db: &ShardedDatabase<I>, job: SubmitJob) {
-    let mut profile = QueryProfile::default();
-    let mut lists = ShardLists::new();
-    let mut failures: Vec<ShardFailure> = Vec::new();
-    for (s, shard) in db.shards().iter().enumerate() {
-        job.control.mark_start();
-        let mut shard_profile = QueryProfile::default();
-        let result = run_shard_job(shard, &job.query, &job.control, &mut shard_profile);
-        job.control.mark_end();
-        profile.merge(&shard_profile);
-        lists.push(s, result, &mut failures);
-    }
-    let answer = lists.merge(&job.query);
-    let deadline_expired = job.control.is_degraded();
-    let outcome = QueryOutcome {
-        answer,
-        profile,
-        degraded: deadline_expired || !failures.is_empty(),
-        deadline_expired,
-        failures,
-        latency_us: job.control.latency_us(),
-    };
+    let shards = db.shards().iter();
+    let results = shards.map(|shard| run_shard_job(shard, &job.query, &job.control));
+    let outcome = query_outcome(&job.query, &job.control, results);
     match job.deliver {
         // invariant: a receiver that hung up means the client abandoned
         // the query; dropping the outcome is the correct response

@@ -51,6 +51,7 @@ pub mod mindist;
 mod node;
 mod pagestore;
 pub mod persist;
+mod rank;
 mod rtree;
 mod shared;
 mod strtree;
@@ -66,6 +67,7 @@ pub use metric::{BallDirectory, BallKind, BallNode, MetricPolicy, MetricTree};
 pub use metrics::{MetricsSink, NoopSink};
 pub use node::{InternalEntry, LeafEntry, Node, INTERNAL_CAPACITY, LEAF_CAPACITY};
 pub use pagestore::{DiskStats, PageId, PageStore, PAGE_SIZE};
+pub use rank::{Rank, Ranked};
 pub use rtree::{Rtree3D, RtreePolicy};
 pub use strtree::{StrPolicy, StrTree};
 pub use tbtree::{TbPolicy, TbTree};

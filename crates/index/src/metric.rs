@@ -42,6 +42,7 @@ use crate::metrics::MetricsSink;
 use crate::persist::ImageKind;
 use crate::tree::{sorted_pairs, InsertionPolicy, PagedTree, TreeCore};
 use crate::{IndexError, InternalEntry, LeafEntry, Node, PageId, Result, INTERNAL_CAPACITY};
+use crate::{Rank, Ranked};
 
 /// Fixed seed of the pivot-selection PRNG: every build over the same
 /// population picks the same pivots, keeping searches reproducible.
@@ -340,15 +341,12 @@ impl MetricTree {
     pub fn directory<E, F>(
         &self,
         mut dist: F,
-    ) -> std::result::Result<MutexGuard<'_, BallDirectory>, E>
+    ) -> std::result::Result<Ranked<MutexGuard<'_, BallDirectory>>, E>
     where
         E: std::fmt::Display + From<IndexError>,
         F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
     {
-        let mut dir = self
-            .policy
-            .directory
-            .lock()
+        let mut dir = Ranked::lock(Rank::BallDirectory, || self.policy.directory.lock())
             .map_err(IndexError::poisoned(LOCK))?;
         if !dir.stale {
             return Ok(dir);
@@ -390,10 +388,7 @@ impl MetricTree {
         E: std::fmt::Display,
         F: FnMut(&Trajectory, &Trajectory) -> std::result::Result<f64, E>,
     {
-        let dir = self
-            .policy
-            .directory
-            .lock()
+        let dir = Ranked::lock(Rank::BallDirectory, || self.policy.directory.lock())
             .map_err(|_| format!("{LOCK} lock poisoned"))?;
         dir.audit(&self.policy.trajectories, &mut dist)
     }
@@ -788,6 +783,15 @@ mod tests {
         assert!(t.check_ball_invariants(start_dist).is_err());
     }
 
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock rank")]
+    fn pager_then_directory_trips_the_lock_rank() {
+        let t = build(4, 6);
+        let _io = t.core.pager.peek();
+        let _dir = t.directory(start_dist);
+    }
+
     #[test]
     fn shrunken_radius_is_detected() {
         let mut t = build(20, 12);
@@ -882,10 +886,8 @@ mod tests {
             );
         }
         // The rebuilt ball directory over the same population is identical.
-        assert_eq!(
-            loaded.directory(start_dist).unwrap().balls,
-            t.directory(start_dist).unwrap().balls
-        );
+        let want = t.directory(start_dist).unwrap().balls.clone();
+        assert_eq!(loaded.directory(start_dist).unwrap().balls, want);
         // The loaded tree keeps accepting inserts.
         let more = traj(500.0, 4);
         loaded.insert_trajectory(TrajectoryId(50), &more).unwrap();

@@ -15,9 +15,8 @@
 //!   holds the tree by `&mut` and reaches the same state through
 //!   [`Pager::get_mut`] without locking.
 //!
-//! Lock order: the pager mutex is a leaf — nothing is acquired while it is
-//! held (callers above it: the shard gate, then the metric tree's
-//! directory lock).
+//! Lock order: the pager mutex ranks last ([`Rank::Pager`]); nothing is
+//! acquired while it is held.
 //!
 //! **Poisoning is an error, not a panic.** A panic under the lock (a fault
 //! mid-fetch can leave a frame pinned) poisons it; from then on both paths
@@ -29,7 +28,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use crate::fault::{FaultConfig, FaultableStore};
 use crate::metrics::MetricsSink;
 use crate::traits::paper_buffer_capacity;
-use crate::{BufferPool, IndexError, Node, PageId, PageStore, Result};
+use crate::{BufferPool, IndexError, Node, PageId, PageStore, Rank, Ranked, Result};
 
 /// Pages + buffer, the I/O half of [`crate::tree::TreeCore`]; see the
 /// module docs for the two access paths.
@@ -58,8 +57,8 @@ impl Pager {
         }
     }
 
-    fn lock(&self) -> Result<MutexGuard<'_, PagerIo>> {
-        self.io.lock().map_err(IndexError::poisoned("pager"))
+    fn lock(&self) -> Result<Ranked<MutexGuard<'_, PagerIo>>> {
+        Ranked::lock(Rank::Pager, || self.io.lock()).map_err(IndexError::poisoned("pager"))
     }
 
     /// The pager of an exclusively held tree: no locking, same poisoning.
@@ -71,8 +70,8 @@ impl Pager {
     /// count, counters, fault statistics). A poisoned lock is recovered:
     /// they only copy plain values out, and the search and write paths
     /// still refuse the tree.
-    pub fn peek(&self) -> MutexGuard<'_, PagerIo> {
-        self.io.lock().unwrap_or_else(PoisonError::into_inner)
+    pub fn peek(&self) -> Ranked<MutexGuard<'_, PagerIo>> {
+        Ranked::lock(Rank::Pager, || self.io.lock()).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fetches one node under the lock; see [`PagerIo::fetch_node`].

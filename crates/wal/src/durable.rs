@@ -5,7 +5,7 @@
 //! with write-ahead logging in front of every mutation:
 //!
 //! 1. **validate** — refuse anything replay could not re-apply (duplicate
-//!    ids, empty trajectories, deletes on a substrate without
+//!    ids, deletes on a substrate without
 //!    [`DurableSubstrate::SUPPORTS_DELETE`]) *before* logging;
 //! 2. **log** — append one record per operation, then one group-commit
 //!    fsync for the whole batch;
@@ -132,58 +132,19 @@ impl<I: DurableSubstrate, S: LogStore> DurableDatabase<I, S> {
     /// When `apply` returns, the batch survives any crash; when it
     /// errors during validation or logging, none of it was applied.
     pub fn apply(&mut self, ops: &[IngestOp]) -> Result<Vec<IngestOutcome>> {
-        // Validation must simulate the batch's own effects (an insert
-        // after a delete of the same id is fine; two inserts are not),
-        // so presence is tracked as db-state overlaid with the batch.
-        let mut presence: HashMap<u64, bool> = HashMap::new();
-        let mut loggable = Vec::with_capacity(ops.len());
-        for op in ops {
-            let id = op.id();
-            let exists = *presence
-                .entry(id.0)
-                .or_insert_with(|| self.db.trajectory(id).is_some());
-            match op {
-                IngestOp::Insert { trajectory, .. } => {
-                    if trajectory.num_segments() == 0 {
-                        return Err(WalError::Exec(ExecError::Config(
-                            "ingest of a segment-less trajectory",
-                        )));
-                    }
-                    if exists {
-                        return Err(WalError::Exec(ExecError::Config(
-                            "ingest insert of an id that already exists; delete it first",
-                        )));
-                    }
-                    presence.insert(id.0, true);
-                    loggable.push(op);
-                }
-                IngestOp::Delete { .. } => {
-                    if !I::SUPPORTS_DELETE {
-                        return Err(WalError::Config(
-                            "this index substrate does not support deletes",
-                        ));
-                    }
-                    if exists {
-                        presence.insert(id.0, false);
-                        loggable.push(op);
-                    }
-                    // A delete of an absent id is a no-op: not logged,
-                    // reported as applied: false by the apply loop below.
-                }
+        let plans = self.plan(ops);
+        for (op, plan) in ops.iter().zip(&plans) {
+            if let Plan::Refuse(why) = *plan {
+                return Err(match op {
+                    IngestOp::Insert { .. } => WalError::Exec(ExecError::Config(why)),
+                    IngestOp::Delete { .. } => WalError::Config(why),
+                });
             }
         }
-        for op in &loggable {
-            self.writer.append(&WalRecord::from_op(op))?;
-        }
-        self.writer.commit()?;
-        // The records are durable; now make them visible. A failure here
-        // leaves the log ahead of memory — exactly what recovery replays.
-        let mut outcomes = Vec::with_capacity(ops.len());
-        for op in ops {
-            outcomes.push(self.db.apply_op(op)?);
-        }
-        self.applied_lsn = self.writer.next_lsn() - 1;
-        Ok(outcomes)
+        let outcome = |r| IngestOutcome {
+            applied: matches!(r, Ok((_, true))),
+        };
+        Ok(self.execute(ops, plans)?.into_iter().map(outcome).collect())
     }
 
     /// Applies a batch of *independent* ingest operations — the serving
@@ -206,45 +167,48 @@ impl<I: DurableSubstrate, S: LogStore> DurableDatabase<I, S> {
         &mut self,
         ops: &[IngestOp],
     ) -> Result<Vec<std::result::Result<(u64, bool), ExecError>>> {
-        enum Plan {
-            Log,
-            Noop,
-            Refuse(&'static str),
-        }
-        // Validation overlays the burst's own effects on db state, same
-        // as `apply`: an insert after an in-burst delete of the id is
-        // legal; two in-burst inserts of one id are not.
+        let plans = self.plan(ops);
+        self.execute(ops, plans)
+    }
+
+    /// The validation pass both ingest paths share: what each operation of
+    /// `ops` would do, refusing anything replay could not re-apply. It
+    /// simulates the batch's own effects — presence is db state overlaid
+    /// with the batch — so an insert after an in-batch delete of the id is
+    /// legal and two in-batch inserts of one id are not. A refused
+    /// operation leaves the overlay untouched.
+    fn plan(&self, ops: &[IngestOp]) -> Vec<Plan> {
         let mut presence: HashMap<u64, bool> = HashMap::new();
-        let mut plans = Vec::with_capacity(ops.len());
-        for op in ops {
-            let id = op.id();
-            let exists = *presence
-                .entry(id.0)
-                .or_insert_with(|| self.db.trajectory(id).is_some());
-            let plan = match op {
-                IngestOp::Insert { trajectory, .. } => {
-                    if trajectory.num_segments() == 0 {
-                        Plan::Refuse("ingest of a segment-less trajectory")
-                    } else if exists {
+        ops.iter()
+            .map(|op| {
+                let id = op.id();
+                let exists = presence
+                    .entry(id.0)
+                    .or_insert_with(|| self.db.trajectory(id).is_some());
+                match op {
+                    IngestOp::Insert { .. } if *exists => {
                         Plan::Refuse("ingest insert of an id that already exists; delete it first")
-                    } else {
-                        presence.insert(id.0, true);
-                        Plan::Log
                     }
-                }
-                IngestOp::Delete { .. } => {
-                    if !I::SUPPORTS_DELETE {
+                    IngestOp::Delete { .. } if !I::SUPPORTS_DELETE => {
                         Plan::Refuse("this index substrate does not support deletes")
-                    } else if exists {
-                        presence.insert(id.0, false);
+                    }
+                    IngestOp::Delete { .. } if !*exists => Plan::Noop,
+                    _ => {
+                        *exists = !*exists;
                         Plan::Log
-                    } else {
-                        Plan::Noop
                     }
                 }
-            };
-            plans.push(plan);
-        }
+            })
+            .collect()
+    }
+
+    /// Logs the planned operations under one fsync, then applies them;
+    /// reports per operation as [`DurableDatabase::apply_independent`].
+    fn execute(
+        &mut self,
+        ops: &[IngestOp],
+        plans: Vec<Plan>,
+    ) -> Result<Vec<std::result::Result<(u64, bool), ExecError>>> {
         let mut staged: Vec<Option<u64>> = Vec::with_capacity(ops.len());
         for (op, plan) in ops.iter().zip(&plans) {
             staged.push(match plan {
@@ -256,7 +220,7 @@ impl<I: DurableSubstrate, S: LogStore> DurableDatabase<I, S> {
         let mut results = Vec::with_capacity(ops.len());
         for ((op, plan), lsn) in ops.iter().zip(plans).zip(staged) {
             match plan {
-                Plan::Refuse(msg) => results.push(Err(ExecError::Config(msg))),
+                Plan::Refuse(why) => results.push(Err(ExecError::Config(why))),
                 Plan::Noop => results.push(Ok((self.applied_lsn, false))),
                 Plan::Log => {
                     let outcome = self.db.apply_op(op)?;
@@ -418,6 +382,16 @@ impl<I: DurableSubstrate, S: LogStore> DurableDatabase<I, S> {
     }
 }
 
+/// What [`DurableDatabase::plan`] decided for one ingest operation.
+enum Plan {
+    /// Log it, then apply it.
+    Log,
+    /// A delete of an absent id: not logged, reported as not applied.
+    Noop,
+    /// Refused before logging, for the given reason.
+    Refuse(&'static str),
+}
+
 /// Guarded (idempotent) application for replay: insert if absent,
 /// delete if present. Whole-op granularity matches how recovery works —
 /// the snapshot never holds half an operation, so a record is either
@@ -573,6 +547,55 @@ mod tests {
         let err = db.apply(&[delete(1)]).expect_err("no deletes on tbtree");
         assert!(matches!(err, WalError::Config(_)));
         assert_eq!(db.stats().wal_appends, 1, "the delete never hit the log");
+    }
+
+    #[test]
+    fn both_ingest_paths_refuse_the_same_ops() {
+        // Which ops of `batch` each path refuses, over a store holding id 1:
+        // `apply_independent` says it per op; `apply` must accept exactly
+        // the ops it accepted and refuse any batch a refused op joins.
+        fn refused<I: DurableSubstrate>(batch: &[IngestOp]) -> Vec<bool> {
+            let fresh = || {
+                let mut db =
+                    DurableDatabase::<I, _>::create(SimStore::new(), WalConfig::default(), 1)
+                        .unwrap();
+                db.apply(&[insert(1)]).unwrap();
+                db
+            };
+            let refused: Vec<bool> = fresh()
+                .apply_independent(batch)
+                .unwrap()
+                .iter()
+                .map(std::result::Result::is_err)
+                .collect();
+            let mut accepted = Vec::new();
+            for (op, &no) in batch.iter().zip(&refused) {
+                let mut with_op = accepted.clone();
+                with_op.push(op.clone());
+                assert_eq!(fresh().apply(&with_op).is_err(), no, "{op:?}");
+                if !no {
+                    accepted = with_op;
+                }
+            }
+            refused
+        }
+        // Duplicate insert, in-batch delete-then-insert, absent-id delete,
+        // in-batch duplicate.
+        let batch = [
+            insert(1),
+            delete(1),
+            insert(1),
+            delete(9),
+            insert(2),
+            insert(2),
+        ];
+        assert_eq!(
+            refused::<Rtree3D>(&batch),
+            [true, false, false, false, false, true]
+        );
+        // Every delete on a TB-tree, present or absent.
+        let batch = [delete(1), delete(9), insert(2)];
+        assert_eq!(refused::<mst_index::TbTree>(&batch), [true, true, false]);
     }
 
     #[test]

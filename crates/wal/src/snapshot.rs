@@ -206,10 +206,9 @@ mod tests {
             assert_eq!(back.trajectory(id), db.trajectory(id));
         }
         for (a, b) in db.shards().iter().zip(back.shards()) {
-            assert_eq!(
-                a.read().unwrap().index().num_entries(),
-                b.read().unwrap().index().num_entries()
-            );
+            let want = a.read().unwrap().index().num_entries();
+            let got = b.read().unwrap().index().num_entries();
+            assert_eq!(got, want);
         }
     }
 

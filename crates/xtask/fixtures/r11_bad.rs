@@ -1,11 +1,6 @@
 //! R11 seeded-bad: `Ordering::Relaxed` without a rationale.
 
-impl Stats {
-    fn bump(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn read(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
+fn bump(hits: &AtomicU64) -> u64 {
+    hits.fetch_add(1, Ordering::Relaxed);
+    hits.load(Ordering::Relaxed)
 }

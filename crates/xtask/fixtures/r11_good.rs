@@ -1,14 +1,9 @@
-//! R11 known-good: justified `Relaxed` in every accepted placement,
-//! stronger orderings, and lookalike non-atomic calls.
+//! R11 known-good: justified `Relaxed` in every accepted placement.
 
 impl Stats {
     fn bump(&self) {
         // ordering: monotonic counter; readers tolerate stale values.
         self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn publish(&self, v: u64) {
-        self.bits.store(v, Ordering::Release);
     }
 
     fn snapshot(&self) -> u64 {
@@ -20,10 +15,5 @@ impl Stats {
         // join supplies the happens-before edge.
         self.started_us
             .fetch_min(now, Ordering::Relaxed);
-    }
-
-    fn not_atomic(&self, items: &mut Vec<u32>, page: &Page, store: &Store) -> Result<u64, E> {
-        items.swap(0, 1);
-        page.load(store)
     }
 }

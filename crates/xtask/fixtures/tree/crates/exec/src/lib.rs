@@ -1,8 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-//! Seeded: R12 — a detached thread.
-
-mod queue;
+//! Seeded: R8 — a detached thread.
 
 fn start() {
     std::thread::spawn(move || pump());

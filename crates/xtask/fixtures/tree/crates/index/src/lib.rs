@@ -1,4 +1,3 @@
 //! Seeded: R3 — both crate-root attributes missing.
 
 mod codec;
-mod shared;

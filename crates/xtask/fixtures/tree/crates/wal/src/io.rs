@@ -8,8 +8,7 @@ pub fn append_segment(path: &std::path::Path, payload: &[u8]) -> std::io::Result
     Ok(())
 }
 
-/// Seeded R11: the WAL crate holds atomics too, and no hand-kept list
-/// names this file — the concurrency scope finds it by what it uses.
+/// Seeded R11: a relaxed counter that does not say why it may be relaxed.
 pub fn count_fsync(counters: &Counters) {
     counters.fsyncs.fetch_add(1, Ordering::Relaxed);
 }

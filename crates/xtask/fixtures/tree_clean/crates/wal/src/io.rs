@@ -8,7 +8,6 @@ pub fn append_segment(path: &std::path::Path, payload: &[u8]) -> std::io::Result
     f.sync_all()
 }
 
-/// Clean counterpart: the relaxed counter says why it may be relaxed.
 pub fn count_fsync(counters: &Counters) {
     // ordering: monotonic statistic; readers tolerate stale values.
     counters.fsyncs.fetch_add(1, Ordering::Relaxed);

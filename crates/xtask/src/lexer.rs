@@ -1,12 +1,9 @@
 //! A minimal Rust lexer producing a spanned token stream.
 //!
-//! The old scanner worked line-by-line with ad-hoc literal stripping, which
-//! mis-read lifetimes as char-literal openers and only understood raw
-//! strings with exactly one `#`. This module lexes the whole file in one
-//! pass and yields two coordinated views:
+//! It lexes the whole file in one pass and yields two coordinated views:
 //!
 //! * a token stream ([`Token`]) with 1-based start lines, used by the
-//!   token-aware rules (float equality, lock order, atomics, threads);
+//!   token-aware rules (casts, float equality, atomics, spawns, fsyncs);
 //! * sanitised per-line text ([`Line`]) where string/char bodies are
 //!   blanked and comments removed, used by the pattern-matching rules.
 //!
@@ -16,7 +13,7 @@
 //! comments (Rust block comments nest, unlike C).
 //!
 //! Two justification-comment tags are recognised and recorded per line:
-//! `// invariant: <why>` (rules R1/R2/R7–R9, R12, R13) and `// ordering: <why>`
+//! `// invariant: <why>` (rules R1/R2/R7–R9, R13) and `// ordering: <why>`
 //! (rule R11). The grammar is documented in `DESIGN.md` § Static analysis.
 
 use std::path::{Path, PathBuf};
@@ -71,6 +68,15 @@ impl Token {
     pub fn is_ident(&self, w: &str) -> bool {
         matches!(&self.kind, TokenKind::Ident(s) if s == w)
     }
+}
+
+/// Index of the first token of the statement holding `toks[i]`: just past
+/// the nearest `;`, `{` or `}` before it.
+pub fn statement_start(toks: &[Token], i: usize) -> usize {
+    toks[..i]
+        .iter()
+        .rposition(|t| t.is_punct(";") || t.is_punct("{") || t.is_punct("}"))
+        .map_or(0, |p| p + 1)
 }
 
 /// Which justification-comment tag a rule accepts.
@@ -165,15 +171,6 @@ impl SourceFile {
             }
         }
         false
-    }
-
-    /// The file stem (`queue` for `.../queue.rs`), used to qualify lock
-    /// names so same-named fields in different files stay distinct.
-    pub fn stem(&self) -> String {
-        self.path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "?".to_string())
     }
 }
 

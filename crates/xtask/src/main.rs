@@ -2,23 +2,20 @@
 //!
 //! The framework lives in three modules: [`lexer`] turns each source file
 //! into spanned tokens plus a sanitised line view, [`rules`] holds the
-//! independent rule modules (R1–R13 with R6 retired, including the
-//! whole-workspace lock-order audit), and [`report`] renders deterministic human and JSON
-//! diagnostics. The full rule catalogue, the justification grammar
-//! (`// invariant:` / `// ordering:`), and the lock-graph model are
-//! documented in `DESIGN.md` § Static analysis; this file only wires rules
-//! to the directories they scan.
+//! independent per-file rules (R1–R5, R7–R9, R11, R13; R6, R10 and R12
+//! are retired), and [`report`] renders deterministic human and JSON
+//! diagnostics. The rule ledger and the justification grammar
+//! (`// invariant:` / `// ordering:`) are documented in `DESIGN.md`
+//! § Static analysis; this file only wires rules to the directories they
+//! scan.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p xtask -- check   [--json] [--root <path>]
-//! cargo run -p xtask -- atomics [--json] [--root <path>]
+//! cargo run -p xtask -- check [--json] [--root <path>]
 //! ```
 //!
-//! `check` exits 0 when clean, 1 with diagnostics, 2 on usage errors.
-//! `atomics` prints the memory-ordering inventory for the concurrency
-//! scope and always exits 0 — it is a review aid, not a gate.
+//! Exits 0 when clean, 1 with diagnostics, 2 on usage errors.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,13 +30,12 @@ use std::process::ExitCode;
 
 use lexer::SourceFile;
 use report::Violation;
-use rules::atomics::{sites, AtomicOrdering, AtomicSite};
+use rules::atomics::AtomicOrdering;
 use rules::durability::UnsyncedHandles;
 use rules::hygiene::{CrateRootAttrs, NoClocks, NoFloatEquality, NoLossyCasts};
-use rules::lock_order::{LockOrder, LAYERS};
 use rules::panics::{NoLockUnwrap, NoPanics, NoResultDiscards, NoSocketUnwraps};
-use rules::threads::ThreadLifecycle;
-use rules::{Rule, WorkspaceRule};
+use rules::threads::DetachedSpawns;
+use rules::Rule;
 
 // ---------------------------------------------------------------------------
 // Tree walking and rule wiring
@@ -79,33 +75,6 @@ fn apply(active: &[&dyn Rule], paths: &[PathBuf], out: &mut Vec<Violation>) {
             }
         }
     }
-}
-
-/// The concurrency scope shared by the lock-order (R10) and
-/// atomic-ordering (R11) audits, derived from the source rather than kept
-/// by hand: every library file of the layered crates whose non-test code
-/// declares or uses a lock or an atomic — it names a `Mutex`, an `RwLock`
-/// or an `Atomic*` type, calls `.lock()`, or names a memory ordering. A
-/// lock that moves (the pager mutex, the metric tree's directory lock)
-/// takes the audits with it.
-fn concurrency_scope(root: &Path) -> Vec<SourceFile> {
-    const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-    let touches_shared_state = |file: &SourceFile| {
-        file.tokens.iter().any(|t| {
-            !file.in_test(t.line)
-                && t.ident().is_some_and(|w| {
-                    matches!(w, "Mutex" | "RwLock" | "lock")
-                        || w.starts_with("Atomic")
-                        || ORDERINGS.contains(&w)
-                })
-        })
-    };
-    LAYERS
-        .iter()
-        .flat_map(|krate| rs_files(&root.join("crates").join(krate).join("src")))
-        .filter_map(|path| lex(&path))
-        .filter(touches_shared_state)
-        .collect()
 }
 
 /// The rule → scope wiring for this repository, rooted at `root`.
@@ -161,7 +130,7 @@ fn run_check(root: &Path) -> Vec<Violation> {
     }
     apply(&[&CrateRootAttrs], &roots, &mut out);
 
-    // R4/R5/R7: all library source. The tolerance module is the R4
+    // R4/R5: all library source. The tolerance module is the R4
     // allowlist; mst-bench plus the executor's clock module are the R5
     // allowlist; xtask scans everything but itself (its sources quote the
     // forbidden patterns in diagnostics and fixtures).
@@ -188,88 +157,27 @@ fn run_check(root: &Path) -> Vec<Violation> {
             if !in_bench && path != clock_allowlist {
                 NoClocks.check(&file, &mut out);
             }
-            NoLockUnwrap.check(&file, &mut out);
         }
     }
 
-    // R9 + R12: socket results are never unwrapped and threads are never
-    // detached, in all library source plus the examples. Integration
-    // tests are test code and may unwrap.
-    let mut r9_files: Vec<PathBuf> = lib_dirs.iter().flat_map(|d| rs_files(d)).collect();
-    r9_files.extend(rs_files(&root.join("examples")));
-    apply(&[&NoSocketUnwraps, &ThreadLifecycle], &r9_files, &mut out);
-
-    // R7 also covers the examples — showcase code must model the poisoning
-    // discipline.
+    // R7, R9, R11 and R8's spawn half: lock and socket results are never
+    // unwrapped, relaxed atomics say why, and threads are never detached,
+    // in all library source plus the examples (showcase code models the
+    // same discipline). Integration tests are test code and may unwrap.
+    let mut lib_files: Vec<PathBuf> = lib_dirs.iter().flat_map(|d| rs_files(d)).collect();
+    lib_files.extend(rs_files(&root.join("examples")));
     apply(
-        &[&NoLockUnwrap],
-        &rs_files(&root.join("examples")),
+        &[
+            &NoLockUnwrap,
+            &NoSocketUnwraps,
+            &AtomicOrdering,
+            &DetachedSpawns,
+        ],
+        &lib_files,
         &mut out,
     );
 
-    // R10 + R11: the concurrency audits run over every file that holds a
-    // lock or an atomic, as one set (the lock graph is inter-procedural
-    // across files).
-    let conc = concurrency_scope(root);
-    for file in &conc {
-        AtomicOrdering.check(file, &mut out);
-    }
-    LockOrder.check(&conc, &mut out);
-
     report::sort(&mut out);
-    out
-}
-
-// ---------------------------------------------------------------------------
-// The atomic-site inventory
-// ---------------------------------------------------------------------------
-
-/// Extracts every atomic site in the concurrency scope, grouped by file.
-fn run_atomics(root: &Path) -> Vec<(PathBuf, Vec<AtomicSite>)> {
-    let mut out = Vec::new();
-    for file in concurrency_scope(root) {
-        let found = sites(&file);
-        if !found.is_empty() {
-            out.push((file.path, found));
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Renders the inventory as a deterministic JSON array of
-/// `{file, line, op, orderings}` objects.
-fn atomics_json(inventory: &[(PathBuf, Vec<AtomicSite>)]) -> String {
-    let mut out = String::from("[");
-    let mut first = true;
-    for (file, found) in inventory {
-        for site in found {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n  {\"file\": \"");
-            out.push_str(&report::escape(&file.display().to_string()));
-            out.push_str("\", \"line\": ");
-            out.push_str(&site.line.to_string());
-            out.push_str(", \"op\": \"");
-            out.push_str(&report::escape(&site.op));
-            out.push_str("\", \"orderings\": [");
-            for (i, o) in site.orderings.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push('"');
-                out.push_str(&report::escape(o));
-                out.push('"');
-            }
-            out.push_str("]}");
-        }
-    }
-    if !first {
-        out.push('\n');
-    }
-    out.push(']');
     out
 }
 
@@ -278,13 +186,13 @@ fn atomics_json(inventory: &[(PathBuf, Vec<AtomicSite>)]) -> String {
 // ---------------------------------------------------------------------------
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cargo run -p xtask -- <check|atomics> [--json] [--root <path>]");
+    eprintln!("usage: cargo run -p xtask -- check [--json] [--root <path>]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cmd = None;
+    let mut check = false;
     let mut json = false;
     let mut root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -299,42 +207,20 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--json" => json = true,
-            "check" | "atomics" if cmd.is_none() => cmd = Some(arg.as_str()),
+            "check" if !check => check = true,
             _ => return usage(),
         }
     }
-    let Some(cmd) = cmd else {
+    if !check {
         return usage();
-    };
+    }
     // A mistyped --root must not silently scan nothing and report clean.
     if !root.join("crates").is_dir() {
         eprintln!(
-            "xtask {cmd}: {} does not contain a `crates/` directory; nothing to scan",
+            "xtask check: {} does not contain a `crates/` directory; nothing to scan",
             root.display()
         );
         return ExitCode::from(2);
-    }
-    if cmd == "atomics" {
-        let inventory = run_atomics(&root);
-        if json {
-            println!("{}", atomics_json(&inventory));
-        } else {
-            let mut n = 0usize;
-            for (file, found) in &inventory {
-                for site in found {
-                    n += 1;
-                    println!(
-                        "{}:{}: .{}({})",
-                        file.display(),
-                        site.line,
-                        site.op,
-                        site.orderings.join(", ")
-                    );
-                }
-            }
-            println!("xtask atomics: {n} site(s)");
-        }
-        return ExitCode::SUCCESS;
     }
     let violations = run_check(&root);
     if json {
@@ -386,8 +272,8 @@ mod tests {
         // R2 scope: dropping `persist.rs` from it fails here.
         assert!(hit("R2", "index/src/persist.rs", 4), "{vs:#?}");
         // The R1/R8 library sweep covers the substrate files.
-        assert!(hit("R1", "index/src/metric.rs", 5), "{vs:#?}");
-        assert!(hit("R8", "index/src/metric.rs", 6), "{vs:#?}");
+        assert!(hit("R1", "index/src/metric.rs", 4), "{vs:#?}");
+        assert!(hit("R8", "index/src/metric.rs", 5), "{vs:#?}");
         assert!(hit("R3", "index/src/lib.rs", 1), "{vs:#?}");
         assert_eq!(vs.iter().filter(|v| v.rule == "R3").count(), 2, "{vs:#?}");
         assert!(hit("R4", "core/src/lib.rs", 6), "{vs:#?}");
@@ -395,23 +281,13 @@ mod tests {
         assert!(hit("R7", "bench/src/lib.rs", 10), "{vs:#?}");
         assert!(hit("R9", "serve/src/server.rs", 4), "{vs:#?}");
         assert!(hit("R1", "serve/src/server.rs", 4), "{vs:#?}");
-        assert!(hit("R10", "exec/src/queue.rs", 6), "{vs:#?}");
-        assert!(hit("R11", "index/src/shared.rs", 5), "{vs:#?}");
-        assert!(hit("R12", "exec/src/lib.rs", 8), "{vs:#?}");
-        // The wire-protocol-v2 readiness loop is pinned inside the
-        // concurrency scope: narrowing `concurrency_scope` or the R12
-        // library set past `serve/src/mux.rs` fails here.
-        assert!(hit("R11", "serve/src/mux.rs", 6), "{vs:#?}");
-        assert!(hit("R12", "serve/src/mux.rs", 7), "{vs:#?}");
-        // The concurrency scope follows the locks: the metric tree's
-        // directory lock in the index crate and an atomic in the WAL
-        // crate are found by what the files use, not from a list.
-        assert!(hit("R10", "index/src/metric.rs", 14), "{vs:#?}");
-        assert!(hit("R11", "wal/src/io.rs", 14), "{vs:#?}");
+        // R8's spawn half and R11 cover all library source.
+        assert!(hit("R8", "exec/src/lib.rs", 6), "{vs:#?}");
+        assert!(hit("R11", "wal/src/io.rs", 13), "{vs:#?}");
         // The durability rule covers the WAL crate: dropping
         // `crates/wal/src` from the R13 scope fails here.
         assert!(hit("R13", "wal/src/io.rs", 6), "{vs:#?}");
-        assert_eq!(vs.len(), 21, "{vs:#?}");
+        assert_eq!(vs.len(), 16, "{vs:#?}");
         // The report comes back in canonical order.
         let mut sorted = vs.clone();
         report::sort(&mut sorted);
@@ -429,50 +305,22 @@ mod tests {
         assert!(vs.is_empty(), "{vs:#?}");
     }
 
+    /// The static analysis is part of tier-1: the repository's own tree
+    /// must pass every rule, so `cargo test` fails where `ci.sh` would.
+    #[test]
+    fn real_tree_is_clean() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let vs = run_check(&root);
+        assert!(vs.is_empty(), "{}", report::to_json(&vs));
+    }
+
     #[test]
     fn json_report_is_deterministic() {
         let one = report::to_json(&run_check(&tree()));
         let two = report::to_json(&run_check(&tree()));
         assert_eq!(one, two);
-        assert!(one.contains("\"rule\": \"R10\""), "{one}");
         assert!(one.contains("\"rule\": \"R11\""), "{one}");
-        assert!(one.contains("\"rule\": \"R12\""), "{one}");
         assert!(one.contains("\"rule\": \"R13\""), "{one}");
-    }
-
-    #[test]
-    fn atomics_inventory_lists_the_seeded_site() {
-        let inventory = run_atomics(&tree());
-        assert_eq!(inventory.len(), 3, "{inventory:?}");
-        let (file, found) = &inventory[0];
-        assert!(file.ends_with("index/src/shared.rs"));
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].op, "fetch_add");
-        assert_eq!(found[0].orderings, ["Relaxed"]);
-        // The mux readiness loop shows up in the inventory too — the
-        // concurrency scope covers every `serve/src` file.
-        let (file, found) = &inventory[1];
-        assert!(file.ends_with("serve/src/mux.rs"));
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].op, "fetch_add");
-        // ... and so does the WAL crate, which no list ever named.
-        assert!(inventory[2].0.ends_with("wal/src/io.rs"));
-        let js = atomics_json(&inventory);
-        assert!(js.contains("\"op\": \"fetch_add\""), "{js}");
-        assert!(js.contains("\"orderings\": [\"Relaxed\"]"), "{js}");
-        assert_eq!(atomics_json(&[]), "[]");
-    }
-
-    #[test]
-    fn concurrency_scope_is_the_files_that_touch_shared_state() {
-        let stems: Vec<String> = concurrency_scope(&tree())
-            .iter()
-            .map(SourceFile::stem)
-            .collect();
-        // Lock calls, atomics and memory orderings pull a file in; the
-        // seeded codec, persist and server files use none and stay out,
-        // as does everything outside the layered crates.
-        assert_eq!(stems, ["metric", "shared", "queue", "io", "mux"]);
     }
 
     #[test]

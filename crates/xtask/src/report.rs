@@ -67,7 +67,7 @@ pub fn to_json(violations: &[Violation]) -> String {
 }
 
 /// Minimal JSON string escaping: quotes, backslashes, and control chars.
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

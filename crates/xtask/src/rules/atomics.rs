@@ -1,120 +1,13 @@
-//! R11: the atomic-ordering audit.
-//!
-//! `Ordering::Relaxed` is correct surprisingly often in this workspace —
-//! monotone-lattice bound publication, post-join latency marks, stats
-//! counters — and incorrect in exactly the places that look the same. The
-//! rule forces every Relaxed site in the concurrency scope to carry an
-//! `// ordering: <why relaxed is sound>` justification, and exposes a full
-//! inventory of atomic sites (`cargo run -p xtask -- atomics`) so a
-//! reviewer can audit the memory-ordering story in one listing.
-//!
-//! A site is an atomic method call (`.load(…)`, `.fetch_min(…)`, …) whose
-//! arguments mention an `Ordering` variant; method calls without an
-//! ordering argument (e.g. `Vec`-shaped `.swap(a, b)`) are not sites. The
-//! justification may sit on any line of the call statement, trail it, or
-//! stand in the comment block immediately above it.
+//! R11: `Relaxed` is often right here (monotone bounds, post-join marks,
+//! stats) and wrong where it looks the same, so each `Relaxed` carries an
+//! `// ordering: <why relaxed is sound>` on a line of its statement up to
+//! the ordering, or in the comment block above one.
 
-use crate::lexer::{SourceFile, Tag, Token, TokenKind};
+use crate::lexer::{statement_start, SourceFile, Tag};
 use crate::report::Violation;
-use crate::rules::Rule;
+use crate::rules::{violation, Rule};
 
-/// Atomic method names whose calls take an `Ordering` argument.
-const ATOMIC_OPS: [&str; 12] = [
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_min",
-    "fetch_max",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
-const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// One atomic operation with the orderings it names.
-#[derive(Debug, Clone)]
-pub struct AtomicSite {
-    /// 1-based line of the method name.
-    pub line: usize,
-    /// Last line of the call's argument list (justifications may trail it).
-    pub end_line: usize,
-    /// The atomic method (`load`, `fetch_min`, ...).
-    pub op: String,
-    /// Ordering variants named in the arguments, in source order.
-    pub orderings: Vec<String>,
-}
-
-/// Extracts every atomic site in `file`, in source order.
-pub fn sites(file: &SourceFile) -> Vec<AtomicSite> {
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !toks[i].is_punct(".") {
-            continue;
-        }
-        let Some(op) = toks.get(i + 1).and_then(Token::ident) else {
-            continue;
-        };
-        if !ATOMIC_OPS.contains(&op) || !toks.get(i + 2).is_some_and(|t| t.is_punct("(")) {
-            continue;
-        }
-        // Scan the argument list to its matching close paren, collecting
-        // any Ordering variants named inside.
-        let mut depth = 1i32;
-        let mut j = i + 3;
-        let mut orderings = Vec::new();
-        let mut end_line = toks[i + 1].line;
-        while j < toks.len() && depth > 0 {
-            match &toks[j].kind {
-                TokenKind::Punct(p) if p == "(" => depth += 1,
-                TokenKind::Punct(p) if p == ")" => depth -= 1,
-                TokenKind::Ident(w) if ORDERINGS.contains(&w.as_str()) => {
-                    orderings.push(w.clone());
-                }
-                _ => {}
-            }
-            end_line = toks[j].line;
-            j += 1;
-        }
-        if !orderings.is_empty() {
-            out.push(AtomicSite {
-                line: toks[i + 1].line,
-                end_line,
-                op: op.to_string(),
-                orderings,
-            });
-        }
-    }
-    out
-}
-
-/// The first line of the statement containing 1-based `line`: walks up
-/// while the previous line continues the same expression (does not end in
-/// `;`, `{`, or `}` and is not blank).
-fn statement_start(file: &SourceFile, line: usize) -> usize {
-    let mut l = line;
-    while l > 1 {
-        let prev = file.lines[l - 2].code.trim_end();
-        if prev.is_empty()
-            || prev.ends_with(';')
-            || prev.ends_with('{')
-            || prev.ends_with('}')
-            || prev.ends_with(',')
-        {
-            break;
-        }
-        l -= 1;
-    }
-    l
-}
-
-/// R11: every `Ordering::Relaxed` in the concurrency scope carries an
-/// `// ordering:` justification.
+/// R11: every `Relaxed` ordering carries an `// ordering:` justification.
 pub struct AtomicOrdering;
 
 impl Rule for AtomicOrdering {
@@ -123,30 +16,17 @@ impl Rule for AtomicOrdering {
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Violation>) {
-        for site in sites(file) {
-            if !site.orderings.iter().any(|o| o == "Relaxed") || file.in_test(site.line) {
+        let toks = &file.tokens;
+        for (i, tok) in toks.iter().enumerate() {
+            if !tok.is_ident("Relaxed") || file.in_test(tok.line) {
                 continue;
             }
-            let start = statement_start(file, site.line);
-            let excused = (start..=site.end_line).any(|l| {
-                l.checked_sub(1)
-                    .and_then(|i| file.lines.get(i))
-                    .is_some_and(|ln| ln.ordering)
-            }) || file.justified(start, Tag::Ordering);
-            if excused {
-                continue;
+            let start = toks[statement_start(toks, i)].line;
+            if !(start..=tok.line).any(|l| file.justified(l, Tag::Ordering)) {
+                let why = "`Relaxed` without an `// ordering: <why relaxed is sound>`; \
+                           explain the handshake or upgrade the ordering";
+                out.push(violation(file, tok.line, self.id(), why.to_string()));
             }
-            out.push(Violation {
-                file: file.path.clone(),
-                line: site.line,
-                rule: self.id(),
-                message: format!(
-                    "`Ordering::Relaxed` on `.{}(…)` without an \
-                     `// ordering: <why relaxed is sound>` justification; \
-                     explain the handshake or upgrade the ordering",
-                    site.op
-                ),
-            });
         }
     }
 }
@@ -154,47 +34,39 @@ impl Rule for AtomicOrdering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::tests::{lex_fixture, run_rule};
+    use crate::rules::tests::{flagged_lines, run_rule};
 
     #[test]
     fn r11_fixture_corpus() {
-        let bad = run_rule(&AtomicOrdering, include_str!("../../fixtures/r11_bad.rs"));
-        assert_eq!(bad.len(), 2, "{bad:?}");
-        assert!(bad.iter().all(|v| v.rule == "R11"));
+        let bad = include_str!("../../fixtures/r11_bad.rs");
+        assert_eq!(flagged_lines(&AtomicOrdering, bad), [4, 5]);
         let good = run_rule(&AtomicOrdering, include_str!("../../fixtures/r11_good.rs"));
         assert!(good.is_empty(), "{good:?}");
     }
 
     #[test]
     fn relaxed_without_justification_is_flagged() {
-        let out = run_rule(
-            &AtomicOrdering,
-            "let v = self.bits.load(Ordering::Relaxed);",
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("load"));
+        let src = "let v = self.bits.load(Ordering::Relaxed);";
+        assert_eq!(flagged_lines(&AtomicOrdering, src), [1]);
+        // A justification covers its own statement only.
+        let stale = "// ordering: only for the line below\nlet a = 1;\nc.load(Relaxed);";
+        assert_eq!(flagged_lines(&AtomicOrdering, stale), [3]);
     }
 
     #[test]
     fn stronger_orderings_need_no_justification() {
-        for src in [
-            "let v = flag.load(Ordering::Acquire);",
-            "flag.store(true, Ordering::Release);",
-            "let old = flag.swap(true, Ordering::SeqCst);",
-        ] {
-            assert!(run_rule(&AtomicOrdering, src).is_empty(), "{src}");
-        }
+        let src = "a.load(Acquire); b.store(1, Ordering::Release); c.swap(2, SeqCst);";
+        assert!(run_rule(&AtomicOrdering, src).is_empty());
     }
 
     #[test]
     fn justification_placements_all_excuse() {
         for src in [
-            // Trailing on the same line.
             "c.fetch_add(1, Ordering::Relaxed); // ordering: monotonic counter",
-            // Comment block above the statement.
-            "// ordering: monotone lattice, stale reads stay sound\nself.bits.fetch_min(v, Ordering::Relaxed);",
-            // Multi-line statement with the comment above its first line.
-            "// ordering: thread join supplies the happens-before edge\nself.started_us\n    .fetch_min(now, Ordering::Relaxed);",
+            "// ordering: monotone lattice\nself.bits.fetch_min(v, Ordering::Relaxed);",
+            "// ordering: join edge\nself.started_us\n    .fetch_min(now, Ordering::Relaxed);",
+            "s.stats\n    // ordering: startup seeding\n    .store(v, Ordering::Relaxed);",
+            "#[cfg(test)]\nmod t { fn f() { c.load(Relaxed); } }",
         ] {
             assert!(run_rule(&AtomicOrdering, src).is_empty(), "{src}");
         }
@@ -202,25 +74,13 @@ mod tests {
 
     #[test]
     fn bare_relaxed_after_use_import_is_still_a_site() {
-        let out = run_rule(&AtomicOrdering, "counter.fetch_add(1, Relaxed);");
-        assert_eq!(out.len(), 1, "{out:?}");
+        let src = "counter.fetch_add(1, Relaxed);";
+        assert_eq!(flagged_lines(&AtomicOrdering, src), [1]);
     }
 
     #[test]
     fn non_atomic_swaps_are_not_sites() {
-        assert!(run_rule(&AtomicOrdering, "items.swap(0, 1);").is_empty());
-        assert!(run_rule(&AtomicOrdering, "let x = page.load(store)?;").is_empty());
-    }
-
-    #[test]
-    fn inventory_lists_every_ordering() {
-        let f = lex_fixture(
-            "a.load(Ordering::Acquire);\nb.compare_exchange(x, y, Ordering::AcqRel, Ordering::Relaxed);",
-        );
-        let s = sites(&f);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].op, "load");
-        assert_eq!(s[0].orderings, ["Acquire"]);
-        assert_eq!(s[1].orderings, ["AcqRel", "Relaxed"]);
+        let src = "items.swap(0, 1); let x = page.load(store)?;";
+        assert!(run_rule(&AtomicOrdering, src).is_empty());
     }
 }

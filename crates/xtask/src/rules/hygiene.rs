@@ -7,16 +7,7 @@
 
 use crate::lexer::{SourceFile, Tag, TokenKind};
 use crate::report::Violation;
-use crate::rules::Rule;
-
-fn violation(file: &SourceFile, line: usize, rule: &'static str, message: String) -> Violation {
-    Violation {
-        file: file.path.clone(),
-        line,
-        rule,
-        message,
-    }
-}
+use crate::rules::{violation, Rule};
 
 /// R2: numeric `as` casts in binary-format modules; width changes must go
 /// through `From`/`TryFrom` or the checked codec helpers so truncation is

@@ -1,21 +1,29 @@
-//! The rule modules and the traits that bind them to the driver.
+//! The rule modules and the trait that binds them to the driver.
 //!
-//! Every rule is an independent unit struct implementing [`Rule`] (one file
-//! at a time) or [`WorkspaceRule`] (the whole scanned set at once, for
-//! cross-file analyses like the lock-order audit). The scope wiring — which
-//! directories each rule runs over — lives in `main.rs`; the rules
-//! themselves are scope-agnostic and fully exercised by the fixture corpus
-//! under `fixtures/`.
+//! Every rule is an independent unit struct implementing [`Rule`]: it sees
+//! one lexed file at a time. The scope wiring — which directories each
+//! rule runs over — lives in `main.rs`; the rules themselves are
+//! scope-agnostic and fully exercised by the fixture corpus under
+//! `fixtures/`.
 
 pub mod atomics;
 pub mod durability;
 pub mod hygiene;
-pub mod lock_order;
 pub mod panics;
 pub mod threads;
 
 use crate::lexer::SourceFile;
 use crate::report::Violation;
+
+/// A diagnostic of `rule` at `line` of `file`.
+pub fn violation(file: &SourceFile, line: usize, rule: &'static str, message: String) -> Violation {
+    Violation {
+        file: file.path.clone(),
+        line,
+        rule,
+        message,
+    }
+}
 
 /// A per-file analysis: sees one lexed file, appends diagnostics.
 pub trait Rule {
@@ -25,28 +33,16 @@ pub trait Rule {
     fn check(&self, file: &SourceFile, out: &mut Vec<Violation>);
 }
 
-/// A whole-workspace analysis: sees every file in its scope at once.
-pub trait WorkspaceRule {
-    /// The stable rule identifier.
-    fn id(&self) -> &'static str;
-    /// Scans the file set and appends any violations to `out`.
-    fn check(&self, files: &[SourceFile], out: &mut Vec<Violation>);
-}
-
 #[cfg(test)]
 pub mod tests {
     //! Shared helpers for the fixture-corpus self-tests.
     use super::*;
     use std::path::Path;
 
-    /// Lexes an inline or `include_str!`-ed fixture under a synthetic name.
-    pub fn lex_fixture(src: &str) -> SourceFile {
-        SourceFile::lex(Path::new("fixture.rs"), src)
-    }
-
-    /// Runs a per-file rule over one fixture and returns its diagnostics.
+    /// Runs a per-file rule over an inline or `include_str!`-ed fixture,
+    /// lexed under a synthetic name, and returns its diagnostics.
     pub fn run_rule(rule: &dyn Rule, src: &str) -> Vec<Violation> {
-        let file = lex_fixture(src);
+        let file = SourceFile::lex(Path::new("fixture.rs"), src);
         let mut out = Vec::new();
         rule.check(&file, &mut out);
         out

@@ -1,209 +1,114 @@
-//! R12: the thread-lifecycle rule — no detached threads.
-//!
-//! Every OS thread this workspace starts must have a join path: a bound
-//! `JoinHandle` that shutdown later joins, a handle pushed into a drain
-//! list, or a scoped spawn (`std::thread::scope`) that joins structurally.
-//! A detached thread (`thread::spawn(…);` with the handle discarded) can
-//! outlive the executor, touch freed shard state on teardown, and turn a
-//! clean shutdown into a flaky one.
-//!
-//! Detection: a `spawn(` call whose statement mentions `thread` or
-//! `Builder` is a spawn site. It is flagged when the handle is discarded —
-//! statement-position (`…spawn(f);`), `let _ = …spawn(f);`, or
-//! `drop(…spawn(f))`. Handles that are bound, assigned, pushed, returned,
-//! or produced in expression position (collected into a `Vec`, mapped into
-//! a drain) all pass. Scoped spawns (`s.spawn(…)`) never mention `thread`
-//! in their statement and stay out of scope by construction.
+//! R8's spawn half: a detached thread can outlive the executor and turn a
+//! clean shutdown into a flaky one, so a `spawn(` whose statement names
+//! `thread` or `Builder` must not pass its `JoinHandle` to `drop` or leave
+//! it in statement position (`let _ = spawn(..)` is R8's `let _` scan).
+//! Scoped `s.spawn(..)` joins structurally and never names `thread`.
 
-use crate::lexer::{SourceFile, Tag, Token, TokenKind};
+use crate::lexer::{statement_start, SourceFile, Tag, Token};
 use crate::report::Violation;
-use crate::rules::Rule;
+use crate::rules::{violation, Rule};
 
-/// R12: every `thread::spawn` has a join path.
-pub struct ThreadLifecycle;
+/// R8, spawn half: no `JoinHandle` dropped on the spot.
+pub struct DetachedSpawns;
 
-impl Rule for ThreadLifecycle {
+impl Rule for DetachedSpawns {
     fn id(&self) -> &'static str {
-        "R12"
+        "R8"
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Violation>) {
         let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if !toks[i].is_ident("spawn") || !toks.get(i + 1).is_some_and(|t| t.is_punct("(")) {
+        for (i, tok) in toks.iter().enumerate() {
+            let line = tok.line;
+            if !tok.is_ident("spawn")
+                || !toks.get(i + 1).is_some_and(|t| t.is_punct("("))
+                || file.in_test(line)
+                || file.justified(line, Tag::Invariant)
+            {
                 continue;
             }
-            let line = toks[i].line;
-            if file.in_test(line) || file.justified(line, Tag::Invariant) {
-                continue;
-            }
-            // The statement window: back to the nearest `;`, `{`, or `}`.
-            let mut b = i;
-            while b > 0 {
-                if let TokenKind::Punct(p) = &toks[b - 1].kind {
-                    if p == ";" || p == "{" || p == "}" {
-                        break;
-                    }
-                }
-                b -= 1;
-            }
-            let window = &toks[b..i];
-            let is_thread_spawn = window
-                .iter()
-                .any(|t| t.is_ident("thread") || t.is_ident("Builder"));
-            if !is_thread_spawn {
-                continue;
-            }
-            if let Some(reason) = discard_reason(toks, window, i) {
-                out.push(Violation {
-                    file: file.path.clone(),
-                    line,
-                    rule: self.id(),
-                    message: format!(
-                        "detached thread: {reason}; keep the `JoinHandle` \
-                         and join it on shutdown (or register it with a \
-                         drain list)"
-                    ),
-                });
+            let head = &toks[statement_start(toks, i)..i];
+            let names = |w: &str| head.iter().any(|t| t.is_ident(w));
+            let thread_spawn = names("thread") || names("Builder");
+            if thread_spawn && (names("drop") || statement_position(head, &toks[i..])) {
+                let why = "detached thread: the `JoinHandle` is dropped on the spot; keep \
+                           it and join it on shutdown (or justify with `// invariant:`)";
+                out.push(violation(file, line, self.id(), why.to_string()));
             }
         }
     }
 }
 
-/// Decides whether the spawn at `toks[spawn]` discards its `JoinHandle`.
-/// `window` is the statement prefix before the spawn token.
-fn discard_reason(toks: &[Token], window: &[Token], spawn: usize) -> Option<&'static str> {
-    // `let _ = thread::spawn(…);` — explicitly thrown away.
-    for w in window.windows(3) {
-        if w[0].is_ident("let") && w[1].is_ident("_") && w[2].is_punct("=") {
-            return Some("the `JoinHandle` is discarded via `let _ =`");
+/// How a token moves the bracket depth.
+fn depth(t: &Token) -> i32 {
+    let any = |ps: [&str; 3]| ps.iter().any(|p| t.is_punct(p));
+    i32::from(any(["(", "[", "{"])) - i32::from(any([")", "]", "}"]))
+}
+
+/// True when nothing receives the spawn's value: the statement binds,
+/// assigns and returns nothing, the call sits in no open argument list,
+/// and the statement ends in `;` rather than as a value.
+fn statement_position(head: &[Token], rest: &[Token]) -> bool {
+    let receives = |t: &Token| t.is_ident("let") || t.is_ident("return") || t.is_punct("=");
+    if head.iter().any(receives) || head.iter().map(depth).sum::<i32>() > 0 {
+        return false;
+    }
+    let mut d = 0;
+    for t in rest {
+        d += depth(t);
+        // Closing the enclosing list or a `,` hands the value on; `;` drops it.
+        if d < 0 || (d == 0 && (t.is_punct(",") || t.is_punct(";"))) {
+            return d == 0 && t.is_punct(";");
         }
     }
-    // `drop(thread::spawn(…))` — dropped on the spot.
-    if window.iter().any(|t| t.is_ident("drop")) {
-        return Some("the `JoinHandle` is dropped immediately");
-    }
-    // Any other binding, assignment, or return keeps the handle.
-    if window
-        .iter()
-        .any(|t| t.is_ident("let") || t.is_ident("return") || t.is_punct("=") || t.is_punct("+="))
-    {
-        return None;
-    }
-    // Expression position (the spawn is an argument or receiver inside an
-    // open paren/bracket): the surrounding expression owns the handle.
-    let mut depth = 0i32;
-    for t in window {
-        if let TokenKind::Punct(p) = &t.kind {
-            match p.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                _ => {}
-            }
-        }
-    }
-    if depth > 0 {
-        return None;
-    }
-    // Statement-position: skip the call's argument list and any trailing
-    // adapter chain; a terminating `;` means nobody kept the handle.
-    let mut j = spawn + 2; // past `spawn` `(`
-    let mut pdepth = 1i32;
-    while j < toks.len() && pdepth > 0 {
-        if let TokenKind::Punct(p) = &toks[j].kind {
-            match p.as_str() {
-                "(" | "[" => pdepth += 1,
-                ")" | "]" => pdepth -= 1,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    while j < toks.len() {
-        match &toks[j].kind {
-            TokenKind::Punct(p) if p == "?" => j += 1,
-            TokenKind::Punct(p) if p == "." => {
-                // A chained method (`.expect(…)`, `.ok()`) — skip it and
-                // its arguments; the chain still ends in a discard unless
-                // something receives the value.
-                j += 2;
-                if toks.get(j).is_some_and(|t| t.is_punct("(")) {
-                    let mut d = 1i32;
-                    j += 1;
-                    while j < toks.len() && d > 0 {
-                        if let TokenKind::Punct(p) = &toks[j].kind {
-                            match p.as_str() {
-                                "(" => d += 1,
-                                ")" => d -= 1,
-                                _ => {}
-                            }
-                        }
-                        j += 1;
-                    }
-                }
-            }
-            TokenKind::Punct(p) if p == ";" => {
-                return Some(
-                    "the `JoinHandle` from `thread::spawn` is discarded at statement position",
-                );
-            }
-            _ => return None,
-        }
-    }
-    None
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::tests::run_rule;
+    use crate::rules::tests::{flagged_lines, run_rule};
 
     #[test]
     fn r12_fixture_corpus() {
-        let bad = run_rule(&ThreadLifecycle, include_str!("../../fixtures/r12_bad.rs"));
-        assert_eq!(bad.len(), 3, "{bad:?}");
-        assert!(bad.iter().all(|v| v.rule == "R12"));
-        let good = run_rule(&ThreadLifecycle, include_str!("../../fixtures/r12_good.rs"));
-        assert!(good.is_empty(), "{good:?}");
+        let bad = include_str!("../../fixtures/r8_bad.rs"); // R12's cases live in R8's
+        assert_eq!(flagged_lines(&DetachedSpawns, bad), [11, 13, 14]);
+        assert!(run_rule(&DetachedSpawns, include_str!("../../fixtures/r8_good.rs")).is_empty());
     }
 
     #[test]
     fn statement_position_spawn_is_detached() {
-        for src in [
-            "fn f() { std::thread::spawn(move || work()); }",
-            "fn f() { thread::Builder::new().name(n).spawn(move || work())?; }",
-            "fn f() { let _ = thread::spawn(worker); }",
-            "fn f() { drop(thread::spawn(worker)); }",
-        ] {
-            assert_eq!(run_rule(&ThreadLifecycle, src).len(), 1, "{src}");
-        }
+        let src = "fn f() {\n    std::thread::spawn(move || work());\n    \
+                   thread::Builder::new().name(n).spawn(work)?;\n    drop(thread::spawn(w));\n}";
+        assert_eq!(flagged_lines(&DetachedSpawns, src), [2, 3, 4]);
     }
 
     #[test]
     fn bound_pushed_and_returned_handles_pass() {
         for src in [
-            "fn f() { let h = thread::spawn(worker); h.join().ok(); }",
+            "fn f() { let _ = thread::spawn(worker); }", // R8's `let _` scan
             "fn f() { self.handle = Some(thread::spawn(worker)); }",
             "fn f() { workers.push(thread::Builder::new().name(n).spawn(w)?); }",
             "fn f() -> J { return thread::spawn(worker); }",
             "fn f() -> J { thread::spawn(worker) }",
-            "fn f() { let hs: Vec<_> = cfgs.iter().map(|c| thread::spawn(c.run)).collect(); }",
+            "let c = { thread::Builder::new().spawn(move || { a(); b(); })? };",
         ] {
-            assert!(run_rule(&ThreadLifecycle, src).is_empty(), "{src}");
+            assert!(run_rule(&DetachedSpawns, src).is_empty(), "{src}");
         }
     }
 
     #[test]
     fn scoped_spawns_are_out_of_scope() {
-        let src = "fn f() { std::thread::scope(|s| { s.spawn(|| work()); }); }";
-        assert!(run_rule(&ThreadLifecycle, src).is_empty());
+        let src = "fn f() { thread::scope(|s| { s.spawn(a); }); thread::scope(|s| s.spawn(b)); }";
+        assert!(run_rule(&DetachedSpawns, src).is_empty());
     }
 
     #[test]
     fn test_code_and_invariants_are_exempt() {
         let src = "#[cfg(test)]\nmod t { fn f() { thread::spawn(w); } }";
-        assert!(run_rule(&ThreadLifecycle, src).is_empty());
-        let excused = "// invariant: fire-and-forget logger, exits with the process\nfn f() { std::thread::spawn(log_pump); }";
-        assert!(run_rule(&ThreadLifecycle, excused).is_empty());
+        assert!(run_rule(&DetachedSpawns, src).is_empty());
+        let excused = "// invariant: fire-and-forget logger, exits with the process\n\
+                       fn f() { std::thread::spawn(log_pump); }";
+        assert!(run_rule(&DetachedSpawns, excused).is_empty());
     }
 }
