@@ -152,11 +152,11 @@ gate "offline store verification (mst-serve --verify-store)" \
 # `cargo build --workspace` compiles the examples but nothing ran them.
 asserting_examples() {
     local example
-    for example in quickstart mod_lifecycle sharded_batch index_explorer transit_planning; do
+    for example in quickstart mod_lifecycle sharded_batch index_explorer transit_planning serve_client; do
         cargo run --release -q --example "$example" >/dev/null
     done
 }
-gate "asserting examples (release: quickstart, mod_lifecycle, sharded_batch, index_explorer, transit_planning)" \
+gate "asserting examples (release: quickstart, mod_lifecycle, sharded_batch, index_explorer, transit_planning, serve_client)" \
     asserting_examples
 
 # Everything a run writes is ignored or outside the tree: a gate that

@@ -56,7 +56,7 @@ pub use metrics::{
     QueryProfile,
 };
 pub use nn::{nearest_trajectories, NnMatch, NnOutcome};
-pub use options::{canonical_f64_bits, OptionsKey, QueryOptions, Substrate};
+pub use options::{QueryOptions, Substrate};
 pub use query::{
     KmstQuery, KmstSpec, KnnQuery, KnnSegmentsQuery, KnnSpec, Query, RangeQuery, RangeSpec,
     SegmentsSpec, TimeRelaxedQuery,

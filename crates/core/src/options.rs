@@ -201,94 +201,6 @@ impl QueryOptions {
         }
         Ok(())
     }
-
-    /// The canonical identity of these options for caching and
-    /// cross-connection deduplication: two option sets with the same key
-    /// describe the same *answer*, so an answer computed for one may be
-    /// served for the other.
-    ///
-    /// Canonicalisation rules:
-    ///
-    /// * the **deadline is excluded** — it shapes how long a query may
-    ///   run, not what its certified answer is, so deadline changes must
-    ///   not split cache entries;
-    /// * the **read-your-writes token (`min_lsn`) is excluded** — it
-    ///   gates *admission* (the server refuses or delays the query until
-    ///   its watermark catches up), not the answer: once admitted, the
-    ///   query is answered from the same current state regardless of the
-    ///   token, and caches are invalidated on every applied write, so a
-    ///   cached answer an admitted query may see is always current;
-    /// * period endpoints are compared by canonical bit pattern
-    ///   ([`canonical_f64_bits`]): `-0.0` folds into `+0.0` and every NaN
-    ///   payload folds into one canonical NaN, so semantically equal
-    ///   windows hash equal;
-    /// * `share_bound` is included — it changes execution, and an
-    ///   execution-coalescing dedup must not merge a sharing query with
-    ///   an isolation ablation;
-    /// * the **substrate selector is included** — different substrates may
-    ///   legitimately produce differently-profiled (and, for `Auto` vs an
-    ///   explicit selector, differently-admitted) executions, so a cached
-    ///   answer must never cross a substrate boundary.
-    pub fn canonical_key(&self) -> OptionsKey {
-        OptionsKey {
-            k: u64::try_from(self.k).unwrap_or(u64::MAX),
-            period_bits: self
-                .period
-                .map(|p| (canonical_f64_bits(p.start()), canonical_f64_bits(p.end()))),
-            share_bound: self.share_bound,
-            substrate: self.substrate,
-        }
-    }
-}
-
-/// The canonical bit pattern of a double for hashing: `-0.0` maps to
-/// `+0.0` and every NaN maps to the one canonical quiet NaN, so values
-/// that compare semantically equal (or are semantically interchangeable)
-/// produce identical bits. All other values map to their own bits.
-pub fn canonical_f64_bits(v: f64) -> u64 {
-    if v.is_nan() {
-        return f64::NAN.to_bits();
-    }
-    let bits = v.to_bits();
-    if bits == (-0.0f64).to_bits() {
-        return 0.0f64.to_bits();
-    }
-    bits
-}
-
-/// The canonical cache/dedup identity of a [`QueryOptions`] — see
-/// [`QueryOptions::canonical_key`]. Hash and equality are total (floats
-/// travel as canonicalised bit patterns), so the key works directly in
-/// hash maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OptionsKey {
-    /// Result count.
-    pub k: u64,
-    /// Canonical bit patterns of the period endpoints, when a period is
-    /// set.
-    pub period_bits: Option<(u64, u64)>,
-    /// Whether cross-shard bound sharing is on.
-    pub share_bound: bool,
-    /// The substrate selector the query carried.
-    pub substrate: Substrate,
-}
-
-impl OptionsKey {
-    /// Appends the key's canonical byte encoding to `out` — the building
-    /// block for composite cache keys that also cover query geometry.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.k.to_le_bytes());
-        match self.period_bits {
-            Some((start, end)) => {
-                out.push(1);
-                out.extend_from_slice(&start.to_le_bytes());
-                out.extend_from_slice(&end.to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        out.push(u8::from(self.share_bound));
-        out.push(self.substrate.tag());
-    }
 }
 
 #[cfg(test)]
@@ -313,34 +225,6 @@ mod tests {
         assert_eq!(o.no_deadline().deadline_us, None);
     }
 
-    fn hash_of(key: &OptionsKey) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        h.finish()
-    }
-
-    #[test]
-    fn equal_options_hash_equal() {
-        let w = TimeInterval::new(2.0, 8.0).unwrap();
-        let a = QueryOptions::new().k(5).during(&w);
-        let b = QueryOptions::new().k(5).during(&w);
-        assert_eq!(a.canonical_key(), b.canonical_key());
-        assert_eq!(hash_of(&a.canonical_key()), hash_of(&b.canonical_key()));
-        // Different k, different key.
-        let c = QueryOptions::new().k(6).during(&w);
-        assert_ne!(a.canonical_key(), c.canonical_key());
-        // Different sharing policy, different key (different execution).
-        let d = QueryOptions::new().k(5).during(&w).share_bound(false);
-        assert_ne!(a.canonical_key(), d.canonical_key());
-        // Different substrate, different key (answers must not cross).
-        let e = QueryOptions::new()
-            .k(5)
-            .during(&w)
-            .substrate(Substrate::Metric);
-        assert_ne!(a.canonical_key(), e.canonical_key());
-    }
-
     #[test]
     fn substrate_tags_round_trip_and_stay_stable() {
         let all = [
@@ -356,78 +240,6 @@ mod tests {
         }
         assert_eq!(Substrate::from_tag(5), None);
         assert_eq!(Substrate::default(), Substrate::Auto);
-    }
-
-    #[test]
-    fn deadline_changes_do_not_split_cache_entries() {
-        let w = TimeInterval::new(1.0, 9.0).unwrap();
-        let base = QueryOptions::new().k(3).during(&w);
-        let with_deadline = base.deadline_us(1_500);
-        let with_other_deadline = base.deadline(Duration::from_secs(2));
-        let key = base.canonical_key();
-        assert_eq!(key, with_deadline.canonical_key());
-        assert_eq!(key, with_other_deadline.canonical_key());
-        assert_eq!(hash_of(&key), hash_of(&with_deadline.canonical_key()));
-    }
-
-    #[test]
-    fn min_lsn_changes_do_not_split_cache_entries() {
-        // The read-your-writes token gates admission, not the answer —
-        // see the canonical_key docs for why exclusion is sound.
-        let base = QueryOptions::new().k(3);
-        let key = base.canonical_key();
-        assert_eq!(key, base.min_lsn(42).canonical_key());
-        assert_eq!(key, base.min_lsn(7).canonical_key());
-        assert_eq!(hash_of(&key), hash_of(&base.min_lsn(42).canonical_key()));
-    }
-
-    #[test]
-    fn negative_zero_and_nan_bits_canonicalise() {
-        assert_eq!(canonical_f64_bits(-0.0), canonical_f64_bits(0.0));
-        assert_eq!(canonical_f64_bits(0.0), 0.0f64.to_bits());
-        // Every NaN payload folds into the canonical NaN.
-        let weird_nan = f64::from_bits(0x7ff8_0000_dead_beef);
-        assert!(weird_nan.is_nan());
-        assert_eq!(canonical_f64_bits(weird_nan), canonical_f64_bits(f64::NAN));
-        // Ordinary values keep their own bits.
-        assert_eq!(canonical_f64_bits(2.5), 2.5f64.to_bits());
-        assert_ne!(canonical_f64_bits(2.5), canonical_f64_bits(-2.5));
-
-        // A window starting at -0.0 keys identically to one starting at
-        // +0.0: the intervals are semantically the same.
-        let neg = TimeInterval::new(-0.0, 5.0).unwrap();
-        let pos = TimeInterval::new(0.0, 5.0).unwrap();
-        let a = QueryOptions::new().k(2).during(&neg);
-        let b = QueryOptions::new().k(2).during(&pos);
-        assert_eq!(a.canonical_key(), b.canonical_key());
-    }
-
-    #[test]
-    fn options_key_encoding_is_injective_over_fields() {
-        let w = TimeInterval::new(1.0, 4.0).unwrap();
-        let keys = [
-            QueryOptions::new().canonical_key(),
-            QueryOptions::new().k(2).canonical_key(),
-            QueryOptions::new().during(&w).canonical_key(),
-            QueryOptions::new().share_bound(false).canonical_key(),
-            QueryOptions::new()
-                .substrate(Substrate::Metric)
-                .canonical_key(),
-            QueryOptions::new()
-                .substrate(Substrate::Rtree)
-                .canonical_key(),
-        ];
-        let mut encodings: Vec<Vec<u8>> = Vec::new();
-        for key in &keys {
-            let mut out = Vec::new();
-            key.encode_into(&mut out);
-            encodings.push(out);
-        }
-        for i in 0..encodings.len() {
-            for j in (i + 1)..encodings.len() {
-                assert_ne!(encodings[i], encodings[j], "keys {i} and {j} collide");
-            }
-        }
     }
 
     #[test]

@@ -3,13 +3,16 @@
 //!
 //! # Key discipline
 //!
-//! A cache key is the query kind, the canonical form of its
-//! [`QueryOptions`] ([`mst_search::OptionsKey`] — deadline **excluded**,
-//! `NaN`/`-0.0` folded), and the canonical bit patterns of its geometry.
-//! Two textually different requests that are bit-for-bit the same query
-//! share an entry; a request differing only in deadline shares it too,
-//! because a certified (non-degraded) answer is valid under any
-//! deadline. Degraded answers are **never** cached.
+//! A cache key is the wire encoding ([`Request::encode`]) of the query
+//! after canonicalisation ([`cache_key`]): the deadline and the
+//! read-your-writes token are cleared and every `-0.0` is folded to
+//! `+0.0`. The wire codec is injective, so two requests share an entry
+//! exactly when they are the same query: same flavour, `k`, period,
+//! bound sharing, substrate and geometry bits. The deadline is left out
+//! because a certified (non-degraded) answer is valid under any deadline;
+//! `min_lsn` because it gates *admission*, not the answer — an admitted
+//! query is answered from current state, and every applied write
+//! invalidates the cache. Degraded answers are **never** cached.
 //!
 //! # Invalidation
 //!
@@ -18,8 +21,9 @@
 //! was admitted; an insert whose generation is stale (an invalidation
 //! happened while the query executed) is dropped, so an answer computed
 //! against pre-transition state can never resurface after the
-//! transition. The server invalidates on the shutdown transition; any
-//! future ingest path must do the same.
+//! transition. The server invalidates on the shutdown transition, on
+//! every write batch that changed state, and on every batch a replica
+//! applies.
 //!
 //! Eviction is FIFO: the oldest entry leaves when a new key arrives at
 //! capacity. Hit/miss accounting lives in the server's counters, not
@@ -28,7 +32,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use mst_search::canonical_f64_bits;
+use mst_search::QueryOptions;
+use mst_trajectory::{Mbb, Point, TimeInterval};
 
 use crate::protocol::Request;
 
@@ -129,47 +134,34 @@ impl AnswerCache {
     }
 }
 
-fn put_canonical(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&canonical_f64_bits(v).to_le_bytes());
-}
-
-/// The canonical cache key of a request: kind byte, canonical options
-/// ([`mst_search::OptionsKey`], deadline excluded), canonical geometry
-/// bits. `None` for control requests, which are never cached. Injective
-/// over semantically distinct queries: the kind byte separates flavours
-/// and every variable-length section is count-prefixed.
+/// The cache key of a query request: the wire encoding of the request
+/// with its deadline and `min_lsn` cleared and every `-0.0` folded to
+/// `+0.0` (see the module docs). `None` for control requests, which are
+/// never cached.
 pub(crate) fn cache_key(request: &Request) -> Option<Vec<u8>> {
-    let mut key = Vec::new();
-    match request {
-        Request::Kmst { points, options } => {
-            key.push(1);
-            options.canonical_key().encode_into(&mut key);
-            put_point_list(&mut key, points);
-        }
-        Request::Knn { points, options } => {
-            key.push(2);
-            options.canonical_key().encode_into(&mut key);
-            put_point_list(&mut key, points);
+    let mut canonical = request.clone();
+    match &mut canonical {
+        Request::Kmst { points, options } | Request::Knn { points, options } => {
+            for p in points.iter_mut() {
+                (p.t, p.x, p.y) = (fold(p.t), fold(p.x), fold(p.y));
+            }
+            canonicalise(options);
         }
         Request::KnnSegments { location, options } => {
-            key.push(3);
-            options.canonical_key().encode_into(&mut key);
-            put_canonical(&mut key, location.x);
-            put_canonical(&mut key, location.y);
+            *location = Point::new(fold(location.x), fold(location.y));
+            canonicalise(options);
         }
         Request::Range { window, options } => {
-            key.push(4);
-            options.canonical_key().encode_into(&mut key);
-            for v in [
-                window.x_min,
-                window.y_min,
-                window.t_min,
-                window.x_max,
-                window.y_max,
-                window.t_max,
-            ] {
-                put_canonical(&mut key, v);
-            }
+            let w = *window;
+            *window = Mbb::new(
+                fold(w.x_min),
+                fold(w.y_min),
+                fold(w.t_min),
+                fold(w.x_max),
+                fold(w.y_max),
+                fold(w.t_max),
+            );
+            canonicalise(options);
         }
         Request::Stats
         | Request::Shutdown
@@ -179,24 +171,36 @@ pub(crate) fn cache_key(request: &Request) -> Option<Vec<u8>> {
         | Request::Subscribe { .. }
         | Request::ReplicaAck { .. } => return None,
     }
-    Some(key)
+    Some(canonical.encode())
 }
 
-fn put_point_list(out: &mut Vec<u8>, points: &[mst_trajectory::SamplePoint]) {
-    let count = u32::try_from(points.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&count.to_le_bytes());
-    for p in points {
-        put_canonical(out, p.t);
-        put_canonical(out, p.x);
-        put_canonical(out, p.y);
+/// Clears what shapes admission and run time but not the answer, and
+/// folds the period's signed zeros.
+fn canonicalise(options: &mut QueryOptions) {
+    options.deadline_us = None;
+    options.min_lsn = None;
+    if let Some(period) = options.period {
+        // Folding changes no value, so the interval stays valid.
+        if let Ok(folded) = TimeInterval::new(fold(period.start()), fold(period.end())) {
+            options.period = Some(folded);
+        }
+    }
+}
+
+/// `-0.0` becomes `+0.0`; every other value keeps its bits.
+fn fold(v: f64) -> f64 {
+    if v.to_bits() == (-0.0f64).to_bits() {
+        0.0
+    } else {
+        v
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mst_search::QueryOptions;
-    use mst_trajectory::{Point, SamplePoint};
+    use mst_search::Substrate;
+    use mst_trajectory::SamplePoint;
 
     fn payload(byte: u8) -> Arc<Vec<u8>> {
         Arc::new(vec![byte; 4])
@@ -303,5 +307,80 @@ mod tests {
         })
         .expect("query key");
         assert_eq!(a, b, "-0.0 and 0.0 describe the same location");
+    }
+
+    fn kmst_key(options: QueryOptions) -> Vec<u8> {
+        cache_key(&Request::Kmst {
+            points: vec![
+                SamplePoint::new(1.0, 1.0, 2.0),
+                SamplePoint::new(9.0, 3.0, 4.0),
+            ],
+            options,
+        })
+        .expect("query key")
+    }
+
+    #[test]
+    fn equal_options_share_one_key() {
+        let w = TimeInterval::new(2.0, 8.0).unwrap();
+        let a = QueryOptions::new().k(5).during(&w);
+        assert_eq!(kmst_key(a), kmst_key(QueryOptions::new().k(5).during(&w)));
+        // k, the sharing policy (a different execution) and the substrate
+        // (answers must not cross) each split the entry.
+        assert_ne!(kmst_key(a), kmst_key(a.k(6)));
+        assert_ne!(kmst_key(a), kmst_key(a.share_bound(false)));
+        assert_ne!(kmst_key(a), kmst_key(a.substrate(Substrate::Metric)));
+    }
+
+    #[test]
+    fn deadline_changes_do_not_split_cache_entries() {
+        let w = TimeInterval::new(1.0, 9.0).unwrap();
+        let base = QueryOptions::new().k(3).during(&w);
+        let key = kmst_key(base);
+        assert_eq!(key, kmst_key(base.deadline_us(1_500)));
+        assert_eq!(
+            key,
+            kmst_key(base.deadline(std::time::Duration::from_secs(2)))
+        );
+    }
+
+    #[test]
+    fn min_lsn_changes_do_not_split_cache_entries() {
+        // The read-your-writes token gates admission, not the answer —
+        // see the module docs for why leaving it out is sound.
+        let base = QueryOptions::new().k(3);
+        let key = kmst_key(base);
+        assert_eq!(key, kmst_key(base.min_lsn(42)));
+        assert_eq!(key, kmst_key(base.min_lsn(7)));
+    }
+
+    #[test]
+    fn negative_zero_period_folds_to_one_key() {
+        // A window starting at -0.0 is the window starting at +0.0.
+        let neg = TimeInterval::new(-0.0, 5.0).unwrap();
+        let pos = TimeInterval::new(0.0, 5.0).unwrap();
+        let a = kmst_key(QueryOptions::new().k(2).during(&neg));
+        assert_eq!(a, kmst_key(QueryOptions::new().k(2).during(&pos)));
+        // Folding touches signed zeros only.
+        assert_eq!(fold(-0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(fold(-2.5).to_bits(), (-2.5f64).to_bits());
+    }
+
+    #[test]
+    fn keys_are_injective_over_option_fields() {
+        let w = TimeInterval::new(1.0, 4.0).unwrap();
+        let keys = [
+            kmst_key(QueryOptions::new()),
+            kmst_key(QueryOptions::new().k(2)),
+            kmst_key(QueryOptions::new().during(&w)),
+            kmst_key(QueryOptions::new().share_bound(false)),
+            kmst_key(QueryOptions::new().substrate(Substrate::Metric)),
+            kmst_key(QueryOptions::new().substrate(Substrate::Rtree)),
+        ];
+        for i in 0..keys.len() {
+            for j in (i + 1)..keys.len() {
+                assert_ne!(keys[i], keys[j], "keys {i} and {j} collide");
+            }
+        }
     }
 }

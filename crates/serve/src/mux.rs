@@ -21,14 +21,18 @@
 //!   ([`crate::protocol::split_frame_v2`]), answers `Stats`, `Shutdown`,
 //!   handshakes and typed errors directly (so cheap requests overtake
 //!   slow queries — the out-of-order guarantee), and forwards query
-//!   work to the coalescer. A connection at its pipeline depth simply
-//!   stops being read — TCP backpressure, no bookkeeping.
+//!   work to the coalescer. A connection at its pipeline depth stops
+//!   being parsed and read until an answer goes out — TCP backpressure,
+//!   no bookkeeping.
 //! * The **coalescer** is the single wait point: incoming queries,
 //!   finished executions, and worker drain notices all arrive on one
 //!   channel. Per tick it serves answer-cache hits, attaches duplicate
 //!   concurrent queries to one in-flight execution (dedup), and hands
 //!   the whole backlog to the executor in **one**
 //!   [`mst_exec::ExecHandle::try_submit_batch`] call.
+//!
+//! Every typed refusal is built in one place per side: `Conn::refuse` on
+//! an I/O worker, `Outbox::respond` in the coalescer.
 //!
 //! # Drain correctness
 //!
@@ -54,18 +58,15 @@ use std::time::Duration; // invariant: no clock is read; determinism holds
 use mst_exec::{
     BatchQuery, IngestOp, OutcomeSink, QueryAnswer, QueryOutcome, RoutedQuery, SubmitError,
 };
-use mst_search::KmstSubstrate;
-use mst_search::QueryProfile;
+use mst_search::{KmstSubstrate, QueryProfile};
 use mst_trajectory::Trajectory;
 
-use crate::cache::cache_key;
 use crate::ingest::IngestBackend;
-use crate::protocol::split_frame_v2;
 use crate::protocol::{
-    classify_first_payload, encode_frame_v2, ErrorCode, FirstFrame, Request, Response, SplitFrame,
-    WireError, MAX_FRAME, VERSION,
+    classify_first_payload, encode_frame_v2, split_frame_v2, write_frame_v2, ErrorCode, FirstFrame,
+    Request, Response, ServerStats, WireError, MAX_FRAME, VERSION,
 };
-use crate::server::{build_query, initiate_shutdown, ServerStats, Shared};
+use crate::server::{build_query, initiate_shutdown, Role, Shared};
 
 /// How long an I/O worker parks on its control channel when a pass made
 /// no progress. Small: it bounds the latency of *discovering* a new
@@ -96,56 +97,52 @@ const READ_BUF_CAP: usize = (MAX_FRAME as usize + 12) * 2;
 const DRAIN_FLUSH_ROUNDS: usize = 500;
 const DRAIN_FLUSH_PAUSE: Duration = Duration::from_millis(2);
 
+/// Cap on record bytes per `Replicate` response. Keeps any one batch
+/// well inside the frame cap while still amortising the round trip
+/// during catch-up.
+const REPL_BATCH_BYTES: usize = 1 << 20;
+
+/// The refusal message of everything a draining server no longer admits.
+const DRAINING: &str = "server is draining";
+
+/// Where an answer goes: the I/O worker owning the connection, the
+/// connection, and the request id the answer echoes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reply {
+    worker: usize,
+    conn: u64,
+    request_id: u64,
+}
+
 /// Control messages into an I/O worker.
 pub(crate) enum WorkerMsg {
     /// A fresh connection from the acceptor.
     Conn(TcpStream),
     /// A response payload to frame and write to one connection.
-    Response {
-        conn: u64,
-        request_id: u64,
-        payload: Arc<Vec<u8>>,
-    },
+    Response(Reply, Arc<Vec<u8>>),
     /// The coalescer has answered everything; flush and exit.
     CoalescerDone,
 }
 
 /// Events into the coalescer — the single channel it blocks on.
 pub(crate) enum Event {
-    /// A validated query forwarded by an I/O worker.
+    /// A validated query forwarded by an I/O worker, with its answer-cache
+    /// key.
     Query {
-        worker: usize,
-        conn: u64,
-        request_id: u64,
-        /// Canonical cache key (kind + options + geometry).
+        reply: Reply,
         key: Vec<u8>,
         query: BatchQuery,
     },
-    /// A validated ingest operation forwarded by an I/O worker. The
-    /// coalescer accumulates these into one write batch per tick and
-    /// flushes it through the durable backend **before** submitting the
-    /// tick's query backlog, so an acked write is visible to every query
-    /// admitted after its ack.
-    Ingest {
-        worker: usize,
-        conn: u64,
-        request_id: u64,
-        op: IngestOp,
-    },
-    /// A replication fetch forwarded by an I/O worker: a `Subscribe` or
-    /// the ack-doubling-as-poll `ReplicaAck`. Served by the coalescer
+    /// A validated ingest operation. The coalescer accumulates these into
+    /// one write batch per tick and flushes it through the durable backend
+    /// **before** submitting the tick's query backlog, so an acked write
+    /// is visible to every query admitted after its ack.
+    Ingest(Reply, IngestOp),
+    /// A replication fetch — a `Subscribe`, or the ack-doubling-as-poll
+    /// `ReplicaAck` — for the committed records from this LSN on. Served
     /// **after** the tick's write batch flushes, so every batch reflects
     /// the newest committed state.
-    Repl {
-        worker: usize,
-        conn: u64,
-        request_id: u64,
-        /// First LSN the subscriber still needs.
-        from_lsn: u64,
-        /// Whether this was a `Subscribe` (a fresh stream; `from_lsn`
-        /// below the floor triggers a snapshot bootstrap).
-        subscribe: bool,
-    },
+    Fetch(Reply, u64),
     /// An execution finished (token, outcome) — delivered by the
     /// executor workers through [`EventSink`].
     Done(u64, QueryOutcome),
@@ -168,18 +165,13 @@ impl OutcomeSink for EventSink {
     }
 }
 
-/// The acceptor's configuration crumb.
-pub(crate) struct MuxConfig {
-    pub(crate) max_connections: usize,
-}
-
 /// The accept loop: cap check, then round-robin handoff to the I/O
 /// workers. Runs on the `mst-serve-accept` thread until shutdown.
 pub(crate) fn accept_loop<I>(
     shared: &Arc<Shared<I>>,
     listener: &TcpListener,
     workers: &[Sender<WorkerMsg>],
-    cfg: &MuxConfig,
+    max_connections: usize,
 ) where
     I: KmstSubstrate + Send + 'static,
 {
@@ -197,9 +189,9 @@ pub(crate) fn accept_loop<I>(
         // slightly stale read admits or rejects one connection early,
         // never corrupts state.
         let live = shared.live_conns.load(Ordering::Relaxed);
-        if live >= cfg.max_connections {
+        if live >= max_connections {
             ServerStats::bump(&shared.stats.connections_rejected);
-            reject_connection(stream, cfg.max_connections);
+            reject_connection(stream, max_connections);
             continue;
         }
         ServerStats::bump(&shared.stats.connections_accepted);
@@ -230,7 +222,15 @@ fn reject_connection(mut stream: TcpStream, max_connections: usize) {
     .encode();
     // invariant: the rejected client may already be gone; the rejection
     // frame is best-effort by design
-    let _ = crate::protocol::write_frame_v2(&mut stream, 0, &payload);
+    let _ = write_frame_v2(&mut stream, 0, &payload);
+}
+
+/// The framing a refusal goes out in: v2 at a request id, or v1 for a
+/// peer whose first frame was not a v2 hello.
+#[derive(Debug, Clone, Copy)]
+enum Framing {
+    V1,
+    V2(u64),
 }
 
 /// One connection's state machine, owned by exactly one I/O worker.
@@ -240,9 +240,10 @@ struct Conn {
     write_buf: Vec<u8>,
     /// Prefix of `write_buf` already written to the socket.
     written: usize,
-    /// Queries forwarded to the coalescer and not yet answered.
+    /// Requests forwarded to the coalescer and not yet answered.
     inflight: usize,
-    /// Granted pipeline depth (1 until the handshake completes).
+    /// Granted pipeline depth (the configured cap until the handshake
+    /// replaces it with the grant).
     depth: usize,
     /// Handshake completed — subsequent frames are v2.
     handshaken: bool,
@@ -256,8 +257,6 @@ struct Conn {
 }
 
 impl Conn {
-    /// `max_depth` seeds `depth` as the negotiable cap; the handshake
-    /// replaces it with the granted value.
     fn new(stream: TcpStream, max_depth: u16) -> Self {
         Conn {
             stream,
@@ -273,30 +272,54 @@ impl Conn {
         }
     }
 
-    /// Queues one v2 frame for writing.
-    fn queue_v2(&mut self, request_id: u64, payload: &[u8]) {
+    /// Queues one v2 frame for writing. Every payload that reaches a
+    /// connection fits the frame cap — the coalescer's `respond`
+    /// downgrades an over-cap answer, and the worker's own answers are
+    /// small — so a frame the framer still refused kills the connection
+    /// rather than leaving its request silently unanswered.
+    fn queue(&mut self, request_id: u64, payload: &[u8]) {
         if encode_frame_v2(&mut self.write_buf, request_id, payload).is_err() {
-            let err = Response::Error {
-                code: ErrorCode::Internal,
-                message: "answer exceeds the frame cap; narrow the query".into(),
-            }
-            .encode();
-            // invariant: the fallback error frame is tiny and cannot
-            // itself exceed the frame cap
-            let _ = encode_frame_v2(&mut self.write_buf, request_id, &err);
+            self.dead = true;
         }
     }
 
-    /// Queues one legacy v1 frame — only used to answer v1 clients and
-    /// pre-handshake garbage with a typed error before closing.
-    fn queue_v1(&mut self, response: &Response) {
-        let payload = response.encode();
-        let len = u32::try_from(payload.len()).unwrap_or(0);
-        if len == 0 || len > MAX_FRAME {
-            return;
+    /// Queues a typed refusal: the I/O side's one way to build an `Error`
+    /// frame. `Malformed` and `InvalidQuery` refusals are counted, and a
+    /// `Malformed` or `UnsupportedVersion` one ends the connection once
+    /// the frame is out (framing sync is lost, or the peer speaks another
+    /// protocol).
+    fn refuse(
+        &mut self,
+        stats: &ServerStats,
+        to: Framing,
+        code: ErrorCode,
+        message: impl Into<String>,
+    ) {
+        match code {
+            ErrorCode::Malformed => ServerStats::bump(&stats.malformed_frames),
+            ErrorCode::InvalidQuery => ServerStats::bump(&stats.invalid_queries),
+            _ => {}
         }
-        self.write_buf.extend_from_slice(&len.to_le_bytes());
-        self.write_buf.extend_from_slice(&payload);
+        let payload = Response::Error {
+            code,
+            message: message.into(),
+        }
+        .encode();
+        match to {
+            Framing::V2(request_id) => self.queue(request_id, &payload),
+            Framing::V1 => {
+                // An error payload is at most a few bytes over 64 KiB.
+                let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+                self.write_buf.extend_from_slice(&len.to_le_bytes());
+                self.write_buf.extend_from_slice(&payload);
+            }
+        }
+        if matches!(
+            code,
+            ErrorCode::Malformed | ErrorCode::UnsupportedVersion { .. }
+        ) {
+            self.close_after_flush = true;
+        }
     }
 
     /// Drives pending bytes into the socket without blocking. Returns
@@ -347,6 +370,11 @@ impl Conn {
             && self.read_buf.len() < READ_BUF_CAP
             && (!self.handshaken || self.inflight < self.depth)
     }
+
+    /// Whether everything queued for the peer has been written.
+    fn flushed(&self) -> bool {
+        self.written == self.write_buf.len()
+    }
 }
 
 /// One I/O worker: owns a set of connections, parses their frames,
@@ -361,11 +389,38 @@ pub(crate) fn io_worker_loop<I>(
     I: KmstSubstrate + Send + 'static,
 {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_conn_id = 0u64;
+    let mut next_conn = 0u64;
     let mut scratch = vec![0u8; READ_CHUNK];
-    let mut draining = false;
     let mut drained_sent = false;
     let mut done = false;
+    // Applies one control message; true once the coalescer has answered
+    // everything.
+    let mut apply = |msg: WorkerMsg, conns: &mut HashMap<u64, Conn>| match msg {
+        WorkerMsg::Conn(stream) => {
+            if stream.set_nonblocking(true).is_err() {
+                // The whole design assumes non-blocking sockets; refuse.
+                // ordering: advisory connection gauge (see accept_loop).
+                shared.live_conns.fetch_sub(1, Ordering::Relaxed);
+                return false;
+            }
+            // invariant: nodelay is a latency optimisation; a socket that
+            // rejects it still serves correctly
+            let _ = stream.set_nodelay(true);
+            conns.insert(next_conn, Conn::new(stream, max_depth));
+            next_conn += 1;
+            false
+        }
+        WorkerMsg::Response(to, payload) => {
+            // A response for a connection that died in the meantime is
+            // dropped — the peer is gone.
+            if let Some(conn) = conns.get_mut(&to.conn) {
+                conn.inflight = conn.inflight.saturating_sub(1);
+                conn.queue(to.request_id, &payload);
+            }
+            false
+        }
+        WorkerMsg::CoalescerDone => true,
+    };
 
     loop {
         let mut progress = false;
@@ -374,14 +429,7 @@ pub(crate) fn io_worker_loop<I>(
             match control.try_recv() {
                 Ok(msg) => {
                     progress = true;
-                    handle_msg(
-                        msg,
-                        &mut conns,
-                        &mut next_conn_id,
-                        &mut done,
-                        shared,
-                        max_depth,
-                    );
+                    done |= apply(msg, &mut conns);
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
@@ -390,60 +438,43 @@ pub(crate) fn io_worker_loop<I>(
                 }
             }
         }
-        if !draining && shared.shutting_down.load(Ordering::SeqCst) {
-            draining = true;
-        }
+        let draining = shared.shutting_down.load(Ordering::SeqCst);
 
         // 2. Per-connection I/O: write what's pending, read what's new,
-        //    parse what's complete.
-        let mut dead_conns: Vec<u64> = Vec::new();
-        for (&id, conn) in conns.iter_mut() {
-            if conn.flush() {
-                progress = true;
-            }
-            if conn.dead {
-                dead_conns.push(id);
-                continue;
-            }
-            if !draining && conn.wants_read() {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        conn.read_open = false;
-                    }
-                    Ok(n) => {
-                        conn.read_buf.extend_from_slice(&scratch[..n]);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.dead = true;
+        //    parse what's complete; drop what died.
+        let before = conns.len();
+        conns.retain(|&id, conn| {
+            progress |= conn.flush();
+            if !conn.dead && !draining {
+                if conn.wants_read() {
+                    match conn.stream.read(&mut scratch) {
+                        Ok(0) => conn.read_open = false,
+                        Ok(n) => {
+                            conn.read_buf.extend_from_slice(&scratch[..n]);
+                            progress = true;
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                        Err(_) => conn.dead = true,
                     }
                 }
-            }
-            if !conn.dead && !draining {
-                parse_frames(worker, id, conn, shared, events);
+                if !conn.dead {
+                    parse_frames(worker, id, conn, shared, events);
+                }
             }
             // A half-closed or violated connection lingers only until its
             // answers are out.
-            if !conn.dead
-                && !conn.read_open
-                && conn.inflight == 0
-                && conn.written == conn.write_buf.len()
-            {
+            if !conn.read_open && conn.inflight == 0 && conn.flushed() {
                 conn.dead = true;
             }
-            if conn.dead {
-                dead_conns.push(id);
-            }
-        }
-        for id in dead_conns {
-            if conns.remove(&id).is_some() {
-                // ordering: advisory connection gauge for admission
-                // control; staleness admits/rejects one conn early.
-                shared.live_conns.fetch_sub(1, Ordering::Relaxed);
-                progress = true;
-            }
+            !conn.dead
+        });
+        let closed = before - conns.len();
+        if closed > 0 {
+            // ordering: advisory connection gauge for admission control;
+            // staleness admits/rejects one conn early.
+            shared.live_conns.fetch_sub(closed, Ordering::Relaxed);
+            progress = true;
         }
 
         // 3. Drain protocol: tell the coalescer our forwarded total once.
@@ -459,23 +490,17 @@ pub(crate) fn io_worker_loop<I>(
         if done {
             for _ in 0..DRAIN_FLUSH_ROUNDS {
                 let mut all_clear = true;
-                for conn in conns.values_mut() {
-                    if !conn.dead && conn.written < conn.write_buf.len() {
-                        conn.flush();
-                        if !conn.dead && conn.written < conn.write_buf.len() {
-                            all_clear = false;
-                        }
-                    }
+                for conn in conns.values_mut().filter(|c| !c.dead && !c.flushed()) {
+                    conn.flush();
+                    all_clear &= conn.dead || conn.flushed();
                 }
                 if all_clear {
                     break;
                 }
                 std::thread::sleep(DRAIN_FLUSH_PAUSE);
             }
-            let remaining = conns.len();
-            conns.clear();
             // ordering: advisory gauge — final teardown bookkeeping.
-            shared.live_conns.fetch_sub(remaining, Ordering::Relaxed);
+            shared.live_conns.fetch_sub(conns.len(), Ordering::Relaxed);
             return;
         }
 
@@ -483,14 +508,7 @@ pub(crate) fn io_worker_loop<I>(
         //    wake us immediately.
         if !progress {
             match control.recv_timeout(IO_PARK) {
-                Ok(msg) => handle_msg(
-                    msg,
-                    &mut conns,
-                    &mut next_conn_id,
-                    &mut done,
-                    shared,
-                    max_depth,
-                ),
+                Ok(msg) => done |= apply(msg, &mut conns),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => done = true,
             }
@@ -498,45 +516,9 @@ pub(crate) fn io_worker_loop<I>(
     }
 }
 
-fn handle_msg<I>(
-    msg: WorkerMsg,
-    conns: &mut HashMap<u64, Conn>,
-    next_conn_id: &mut u64,
-    done: &mut bool,
-    shared: &Shared<I>,
-    max_depth: u16,
-) {
-    match msg {
-        WorkerMsg::Conn(stream) => {
-            if stream.set_nonblocking(true).is_err() {
-                // The whole design assumes non-blocking sockets; refuse.
-                // ordering: advisory connection gauge (see accept_loop).
-                shared.live_conns.fetch_sub(1, Ordering::Relaxed);
-                return;
-            }
-            // invariant: nodelay is a latency optimisation; a socket that
-            // rejects it still serves correctly
-            let _ = stream.set_nodelay(true);
-            conns.insert(*next_conn_id, Conn::new(stream, max_depth));
-            *next_conn_id += 1;
-        }
-        WorkerMsg::Response {
-            conn,
-            request_id,
-            payload,
-        } => {
-            if let Some(c) = conns.get_mut(&conn) {
-                c.inflight = c.inflight.saturating_sub(1);
-                c.queue_v2(request_id, &payload);
-            }
-            // A response for a connection that died in the meantime is
-            // dropped — the peer is gone.
-        }
-        WorkerMsg::CoalescerDone => *done = true,
-    }
-}
-
-/// Parses every complete frame in the connection's read buffer.
+/// Parses the complete frames in the connection's read buffer, up to its
+/// granted depth: a frame beyond it stays buffered until an answer goes
+/// out and the next worker pass resumes here.
 fn parse_frames<I>(
     worker: usize,
     conn_id: u64,
@@ -546,481 +528,354 @@ fn parse_frames<I>(
 ) where
     I: KmstSubstrate + Send + 'static,
 {
-    loop {
-        if conn.dead || conn.close_after_flush {
-            return;
-        }
+    let stats = &shared.stats;
+    while !conn.dead && !conn.close_after_flush {
         if !conn.handshaken {
             if !handshake(conn, shared) {
                 return;
             }
             continue;
         }
-        let (consumed, request_id, decoded) = match split_frame_v2(&conn.read_buf) {
+        if conn.inflight >= conn.depth {
+            return;
+        }
+        let (request_id, decoded) = match split_frame_v2(&conn.read_buf) {
             Ok(None) => return,
-            Ok(Some(SplitFrame {
-                consumed,
-                request_id,
-                payload,
-            })) => (consumed, request_id, Request::decode(payload)),
+            Ok(Some(frame)) => {
+                let parsed = (frame.request_id, Request::decode(frame.payload));
+                let consumed = frame.consumed;
+                conn.read_buf.drain(..consumed);
+                parsed
+            }
             Err(wire) => {
-                ServerStats::bump(&shared.stats.malformed_frames);
-                let err = Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: wire.to_string(),
-                }
-                .encode();
-                conn.queue_v2(0, &err);
-                conn.close_after_flush = true;
+                conn.refuse(
+                    stats,
+                    Framing::V2(0),
+                    ErrorCode::Malformed,
+                    wire.to_string(),
+                );
                 return;
             }
         };
-        conn.read_buf.drain(..consumed);
+        let to = Framing::V2(request_id);
         let request = match decoded {
             Ok(request) => request,
             Err(wire) => {
-                ServerStats::bump(&shared.stats.malformed_frames);
-                let err = Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: wire.to_string(),
-                }
-                .encode();
-                conn.queue_v2(request_id, &err);
-                conn.close_after_flush = true;
+                conn.refuse(stats, to, ErrorCode::Malformed, wire.to_string());
                 return;
             }
         };
-        ServerStats::bump(&shared.stats.requests_decoded);
-        match request {
+        ServerStats::bump(&stats.requests_decoded);
+        let reply = Reply {
+            worker,
+            conn: conn_id,
+            request_id,
+        };
+        let event = match request {
             Request::Hello { .. } => {
-                ServerStats::bump(&shared.stats.malformed_frames);
-                let err = Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: "hello after the handshake".into(),
-                }
-                .encode();
-                conn.queue_v2(request_id, &err);
-                conn.close_after_flush = true;
+                conn.refuse(stats, to, ErrorCode::Malformed, "hello after the handshake");
                 return;
             }
             // Answered directly on the I/O thread: a stats probe must
             // overtake slow queries pipelined ahead of it.
             Request::Stats => {
-                let payload = Response::Stats(shared.stats_report()).encode();
-                conn.queue_v2(request_id, &payload);
+                conn.queue(request_id, &Response::Stats(shared.stats_report()).encode());
+                continue;
             }
             Request::Shutdown => {
-                conn.queue_v2(request_id, &Response::ShutdownAck.encode());
+                conn.queue(request_id, &Response::ShutdownAck.encode());
                 initiate_shutdown(shared);
                 return;
             }
             Request::Insert { id, points } => {
-                if !ingest_admitted(conn, request_id, shared) {
+                if !writes_admitted(conn, request_id, shared) {
                     continue;
                 }
                 match Trajectory::new(points) {
+                    Ok(trajectory) => Event::Ingest(reply, IngestOp::Insert { id, trajectory }),
                     Err(e) => {
-                        ServerStats::bump(&shared.stats.invalid_queries);
-                        let err = Response::Error {
-                            code: ErrorCode::InvalidQuery,
-                            message: e.to_string(),
-                        }
-                        .encode();
-                        conn.queue_v2(request_id, &err);
-                    }
-                    Ok(trajectory) => {
-                        conn.inflight += 1;
-                        // invariant: see the query send below — a dead
-                        // coalescer means a forced drain is tearing the
-                        // connection down anyway
-                        let _ = events.send(Event::Ingest {
-                            worker,
-                            conn: conn_id,
-                            request_id,
-                            op: IngestOp::Insert { id, trajectory },
-                        });
+                        conn.refuse(stats, to, ErrorCode::InvalidQuery, e.to_string());
+                        continue;
                     }
                 }
             }
             Request::Delete { id } => {
-                if !ingest_admitted(conn, request_id, shared) {
+                if !writes_admitted(conn, request_id, shared) {
                     continue;
                 }
-                conn.inflight += 1;
-                // invariant: as above — undeliverable only under a drain
-                let _ = events.send(Event::Ingest {
-                    worker,
-                    conn: conn_id,
-                    request_id,
-                    op: IngestOp::Delete { id },
-                });
+                Event::Ingest(reply, IngestOp::Delete { id })
             }
             Request::Subscribe { from_lsn } => {
-                if !repl_admitted(conn, request_id, shared) {
+                if !writes_admitted(conn, request_id, shared) {
                     continue;
                 }
-                conn.inflight += 1;
-                // invariant: as for queries — undeliverable only when a
-                // forced drain is tearing the connection down anyway
-                let _ = events.send(Event::Repl {
-                    worker,
-                    conn: conn_id,
-                    request_id,
-                    from_lsn,
-                    subscribe: true,
-                });
+                Event::Fetch(reply, from_lsn)
             }
             Request::ReplicaAck { lsn } => {
-                if !repl_admitted(conn, request_id, shared) {
+                if !writes_admitted(conn, request_id, shared) {
                     continue;
                 }
-                ServerStats::raise(&shared.stats.repl_acked_lsn, lsn);
-                conn.inflight += 1;
-                // invariant: as above — undeliverable only under a drain
-                let _ = events.send(Event::Repl {
-                    worker,
-                    conn: conn_id,
-                    request_id,
-                    from_lsn: lsn.saturating_add(1),
-                    subscribe: false,
-                });
+                ServerStats::raise(&stats.repl_acked_lsn, lsn);
+                Event::Fetch(reply, lsn.saturating_add(1))
             }
-            query_request => {
+            query => {
                 if shared.shutting_down.load(Ordering::SeqCst) {
-                    let err = Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is draining".into(),
-                    }
-                    .encode();
-                    conn.queue_v2(request_id, &err);
+                    conn.refuse(stats, to, ErrorCode::ShuttingDown, DRAINING);
                     continue;
                 }
+                let (key, query) = match build_query(query) {
+                    Ok(built) => built,
+                    Err(message) => {
+                        conn.refuse(stats, to, ErrorCode::InvalidQuery, message);
+                        continue;
+                    }
+                };
                 // Read-your-writes gate: a query carrying `min_lsn` is
                 // admitted only once this server's applied watermark has
                 // reached it. Refusal is typed and immediate (never a
                 // block on the I/O thread) so the client can retry or
                 // fail over.
-                if let Some(required) = request_min_lsn(&query_request) {
+                if let Some(required) = query.options().min_lsn {
                     if !shared.watermark.reached(required) {
-                        let err = Response::Error {
-                            code: ErrorCode::ReplicaLagging {
-                                required,
-                                watermark: shared.watermark.current(),
-                            },
-                            message: "replica has not caught up to the requested LSN".into(),
-                        }
-                        .encode();
-                        conn.queue_v2(request_id, &err);
+                        let watermark = shared.watermark.current();
+                        let code = ErrorCode::ReplicaLagging {
+                            required,
+                            watermark,
+                        };
+                        let message = "replica has not caught up to the requested LSN";
+                        conn.refuse(stats, to, code, message);
                         continue;
                     }
                 }
-                let Some(key) = cache_key(&query_request) else {
-                    // Unreachable by construction (all four query kinds
-                    // have keys), but a typed answer beats a panic.
-                    let err = Response::Error {
-                        code: ErrorCode::Internal,
-                        message: "request has no query key".into(),
-                    }
-                    .encode();
-                    conn.queue_v2(request_id, &err);
-                    continue;
-                };
-                match build_query(query_request) {
-                    Err(message) => {
-                        ServerStats::bump(&shared.stats.invalid_queries);
-                        let err = Response::Error {
-                            code: ErrorCode::InvalidQuery,
-                            message,
-                        }
-                        .encode();
-                        conn.queue_v2(request_id, &err);
-                    }
-                    Ok(query) => {
-                        conn.inflight += 1;
-                        // invariant: a send failure means the coalescer
-                        // exited under a forced drain; the connection is
-                        // about to be torn down with it
-                        let _ = events.send(Event::Query {
-                            worker,
-                            conn: conn_id,
-                            request_id,
-                            key,
-                            query,
-                        });
-                    }
-                }
+                Event::Query { reply, key, query }
             }
-        }
+        };
+        conn.inflight += 1;
+        // invariant: a send failure means the coalescer exited under a
+        // forced drain; the connection is about to be torn down with it
+        let _ = events.send(event);
     }
 }
 
-/// Gate on an ingest frame: a read-only server (no durable backend)
-/// answers `ReadOnly`, a draining server answers `ShuttingDown` — both
-/// directly on the I/O thread. Returns whether the operation may be
-/// forwarded to the coalescer's write lane.
-fn ingest_admitted<I>(conn: &mut Conn, request_id: u64, shared: &Shared<I>) -> bool {
-    if shared.replica {
-        let err = Response::Error {
-            code: ErrorCode::NotPrimary,
-            message: "this server is a read-only replica; write to the primary".into(),
-        }
-        .encode();
-        conn.queue_v2(request_id, &err);
-        return false;
-    }
-    if !shared.ingest_enabled {
-        let err = Response::Error {
-            code: ErrorCode::ReadOnly,
-            message: "this server has no durable store; start it with one to ingest".into(),
-        }
-        .encode();
-        conn.queue_v2(request_id, &err);
-        return false;
-    }
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        let err = Response::Error {
-            code: ErrorCode::ShuttingDown,
-            message: "server is draining".into(),
-        }
-        .encode();
-        conn.queue_v2(request_id, &err);
-        return false;
-    }
-    true
-}
-
-/// Gate on a replication frame: a replica answers `NotPrimary` (streams
-/// fan out from the primary only), a server with no durable store
-/// answers `ReadOnly` (there is no log to ship), a draining server
-/// answers `ShuttingDown`. Returns whether the fetch may be forwarded
-/// to the coalescer's replication lane.
-fn repl_admitted<I>(conn: &mut Conn, request_id: u64, shared: &Shared<I>) -> bool {
-    if shared.replica {
-        let err = Response::Error {
-            code: ErrorCode::NotPrimary,
-            message: "this server is a replica; subscribe to the primary".into(),
-        }
-        .encode();
-        conn.queue_v2(request_id, &err);
-        return false;
-    }
-    if !shared.ingest_enabled {
-        let err = Response::Error {
-            code: ErrorCode::ReadOnly,
-            message: "this server has no durable store and therefore no log to ship".into(),
-        }
-        .encode();
-        conn.queue_v2(request_id, &err);
-        return false;
-    }
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        let err = Response::Error {
-            code: ErrorCode::ShuttingDown,
-            message: "server is draining".into(),
-        }
-        .encode();
-        conn.queue_v2(request_id, &err);
-        return false;
-    }
-    true
-}
-
-/// The read-your-writes token carried by a query request, if any.
-fn request_min_lsn(request: &Request) -> Option<u64> {
-    match request {
-        Request::Kmst { options, .. }
-        | Request::Knn { options, .. }
-        | Request::KnnSegments { options, .. }
-        | Request::Range { options, .. } => options.min_lsn,
-        _ => None,
-    }
+/// The one gate on ingest and replication frames: only a primary that is
+/// not draining forwards them to the coalescer. Every other server
+/// refuses them typed on the I/O thread, and the connection stays open.
+fn writes_admitted<I>(conn: &mut Conn, request_id: u64, shared: &Shared<I>) -> bool {
+    let (code, message) = match shared.role {
+        Role::Primary if !shared.shutting_down.load(Ordering::SeqCst) => return true,
+        Role::Primary => (ErrorCode::ShuttingDown, DRAINING),
+        Role::Replica => (
+            ErrorCode::NotPrimary,
+            "this server is a read-only replica; send writes and subscriptions to the primary",
+        ),
+        Role::ReadOnly => (
+            ErrorCode::ReadOnly,
+            "this server has no durable store: it takes no writes and has no log to ship",
+        ),
+    };
+    conn.refuse(&shared.stats, Framing::V2(request_id), code, message);
+    false
 }
 
 /// Runs the version handshake on the first complete frame. Returns false
 /// when more bytes are needed (or the connection is now closing).
 fn handshake<I>(conn: &mut Conn, shared: &Shared<I>) -> bool {
+    let stats = &shared.stats;
     // Both protocol versions open with the same [len: u32] prefix.
-    if conn.read_buf.len() < 4 {
+    let Some(&[a, b, c, d]) = conn.read_buf.get(..4) else {
         return false;
-    }
-    let len = u32::from_le_bytes([
-        conn.read_buf[0],
-        conn.read_buf[1],
-        conn.read_buf[2],
-        conn.read_buf[3],
-    ]);
+    };
+    let len = u32::from_le_bytes([a, b, c, d]);
     if len == 0 || len > MAX_FRAME + 8 {
-        ServerStats::bump(&shared.stats.malformed_frames);
-        conn.queue_v1(&Response::Error {
-            code: ErrorCode::Malformed,
-            message: WireError::Oversized(len).to_string(),
-        });
-        conn.close_after_flush = true;
+        let message = WireError::Oversized(len).to_string();
+        conn.refuse(stats, Framing::V1, ErrorCode::Malformed, message);
         return false;
     }
     let total = 4 + len as usize;
     if conn.read_buf.len() < total {
         return false;
     }
-    let verdict = classify_first_payload(&conn.read_buf[4..total]);
-    match verdict {
+    match classify_first_payload(&conn.read_buf[4..total]) {
         FirstFrame::V2Hello => {
             let decoded = Request::decode(&conn.read_buf[12..total]);
             conn.read_buf.drain(..total);
-            match decoded {
-                Ok(Request::Hello {
-                    min_version,
-                    max_version,
-                    depth,
-                }) => {
-                    if min_version > VERSION || max_version < VERSION {
-                        let err = Response::Error {
-                            code: ErrorCode::UnsupportedVersion {
-                                min: VERSION,
-                                max: VERSION,
-                            },
-                            message: format!(
-                                "server speaks protocol v{VERSION}; client offered \
-                                 v{min_version}..=v{max_version}"
-                            ),
-                        }
-                        .encode();
-                        conn.queue_v2(0, &err);
-                        conn.close_after_flush = true;
-                        return false;
-                    }
-                    ServerStats::bump(&shared.stats.requests_decoded);
-                    let granted = depth.max(1).min(conn_depth_cap(conn));
-                    conn.depth = usize::from(granted);
-                    conn.handshaken = true;
-                    let ack = Response::HelloAck {
-                        version: VERSION,
-                        depth: granted,
-                    }
-                    .encode();
-                    conn.queue_v2(0, &ack);
-                    true
-                }
-                _ => {
-                    ServerStats::bump(&shared.stats.malformed_frames);
-                    let err = Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: "malformed hello".into(),
-                    }
-                    .encode();
-                    conn.queue_v2(0, &err);
-                    conn.close_after_flush = true;
-                    false
-                }
+            let Ok(Request::Hello {
+                min_version,
+                max_version,
+                depth,
+            }) = decoded
+            else {
+                conn.refuse(
+                    stats,
+                    Framing::V2(0),
+                    ErrorCode::Malformed,
+                    "malformed hello",
+                );
+                return false;
+            };
+            if min_version > VERSION || max_version < VERSION {
+                let code = ErrorCode::UnsupportedVersion {
+                    min: VERSION,
+                    max: VERSION,
+                };
+                let message = format!(
+                    "server speaks protocol v{VERSION}; client offered \
+                     v{min_version}..=v{max_version}"
+                );
+                conn.refuse(stats, Framing::V2(0), code, message);
+                return false;
             }
+            ServerStats::bump(&stats.requests_decoded);
+            // Before the handshake `depth` holds the configured cap.
+            let granted = depth
+                .max(1)
+                .min(u16::try_from(conn.depth).unwrap_or(u16::MAX));
+            conn.depth = usize::from(granted);
+            conn.handshaken = true;
+            let ack = Response::HelloAck {
+                version: VERSION,
+                depth: granted,
+            };
+            conn.queue(0, &ack.encode());
+            true
         }
         FirstFrame::V1Request => {
             // A legacy v1 client: answer in *its* framing with a typed
             // error so it fails loudly, never hangs, never sees silence.
-            conn.queue_v1(&Response::Error {
-                code: ErrorCode::UnsupportedVersion {
-                    min: VERSION,
-                    max: VERSION,
-                },
-                message: format!(
-                    "this server speaks wire protocol v{VERSION}; \
-                     upgrade the client and open with a hello frame"
-                ),
-            });
-            conn.close_after_flush = true;
+            let code = ErrorCode::UnsupportedVersion {
+                min: VERSION,
+                max: VERSION,
+            };
+            let message = format!(
+                "this server speaks wire protocol v{VERSION}; \
+                 upgrade the client and open with a hello frame"
+            );
+            conn.refuse(stats, Framing::V1, code, message);
             false
         }
         FirstFrame::Unknown => {
-            ServerStats::bump(&shared.stats.malformed_frames);
-            conn.queue_v1(&Response::Error {
-                code: ErrorCode::Malformed,
-                message: "first frame is neither a v2 hello nor a v1 request".into(),
-            });
-            conn.close_after_flush = true;
+            let message = "first frame is neither a v2 hello nor a v1 request";
+            conn.refuse(stats, Framing::V1, ErrorCode::Malformed, message);
             false
         }
     }
 }
 
-/// The depth cap stored on the connection before the handshake is the
-/// configured maximum (the worker seeds it there); expressed as a
-/// helper so the clamp reads clearly.
-fn conn_depth_cap(conn: &Conn) -> u16 {
-    u16::try_from(conn.depth).unwrap_or(u16::MAX)
-}
-
 /// One in-flight (or backlogged) execution and everyone waiting on it.
 struct PendingExec {
-    key: Vec<u8>,
-    deadline_us: Option<u64>,
+    /// The dedup identity: (cache key, deadline).
+    dedup_key: (Vec<u8>, Option<u64>),
     /// Cache generation observed at admission; guards the insert.
     generation: u64,
-    waiters: Vec<(usize, u64, u64)>,
+    waiters: Vec<Reply>,
     /// The query itself, present while backlogged, taken at submission.
     query: Option<BatchQuery>,
 }
 
+/// The coalescer's way out: every answer leaves through here, and so
+/// every answer is counted off `outstanding`.
+struct Outbox<'a> {
+    workers: &'a [Sender<WorkerMsg>],
+    /// Requests received and not yet answered (any path).
+    outstanding: usize,
+}
+
+impl Outbox<'_> {
+    /// Sends one encoded payload to every waiter.
+    fn send(&mut self, waiters: &[Reply], payload: &Arc<Vec<u8>>) {
+        self.outstanding = self.outstanding.saturating_sub(waiters.len());
+        for to in waiters {
+            if let Some(tx) = self.workers.get(to.worker) {
+                // invariant: a worker gone mid-teardown drops its
+                // connections with it; the response has no reader anyway
+                let _ = tx.send(WorkerMsg::Response(*to, Arc::clone(payload)));
+            }
+        }
+    }
+
+    /// Encodes one answer — a response, or a typed refusal `(code,
+    /// message)` — and sends it to every waiter: the coalescer's one way
+    /// to reply, and the only place it builds an `Error` frame. An answer
+    /// over the frame cap goes out as a typed `Internal` error instead.
+    /// Returns the payload sent.
+    fn respond(
+        &mut self,
+        waiters: &[Reply],
+        answer: Result<Response, (ErrorCode, String)>,
+    ) -> Arc<Vec<u8>> {
+        let error = |code, message| Response::Error { code, message };
+        let mut payload = answer.unwrap_or_else(|(code, m)| error(code, m)).encode();
+        if payload.len() > MAX_FRAME as usize {
+            let message = "answer exceeds the frame cap; narrow the query";
+            payload = error(ErrorCode::Internal, message.into()).encode();
+        }
+        let payload = Arc::new(payload);
+        self.send(waiters, &payload);
+        payload
+    }
+}
+
 /// The coalescer: the single wait point turning per-connection request
 /// streams into batched executor submissions and fanned-out responses.
+struct Coalescer<'a, I> {
+    shared: &'a Shared<I>,
+    out: Outbox<'a>,
+    sink: Arc<dyn OutcomeSink>,
+    /// The durable write lane; present exactly when the server is a
+    /// primary, which is the only role whose workers forward writes and
+    /// replication fetches.
+    backend: Option<Box<dyn IngestBackend>>,
+    queue_capacity: usize,
+    pending: HashMap<u64, PendingExec>,
+    /// Dedup identity → the execution identical queries attach to.
+    dedup: HashMap<(Vec<u8>, Option<u64>), u64>,
+    backlog: VecDeque<u64>,
+    /// This tick's ingest frames, flushed as one write batch.
+    writes: Vec<(Reply, IngestOp)>,
+    /// This tick's replication fetches and the first LSN each wants.
+    fetches: Vec<(Reply, u64)>,
+    next_token: u64,
+    drained_workers: usize,
+}
+
+/// Runs the coalescer until the drain completes, then releases the I/O
+/// workers.
 pub(crate) fn coalescer_loop<I>(
     shared: &Arc<Shared<I>>,
     events: &Receiver<Event>,
     sink_tx: Sender<Event>,
     workers: &[Sender<WorkerMsg>],
     queue_capacity: usize,
-    mut ingest: Option<Box<dyn IngestBackend>>,
+    backend: Option<Box<dyn IngestBackend>>,
 ) where
     I: KmstSubstrate + Send + 'static,
 {
-    let sink: Arc<dyn OutcomeSink> = Arc::new(EventSink(sink_tx));
-    let mut pending: HashMap<u64, PendingExec> = HashMap::new();
-    let mut dedup: HashMap<(Vec<u8>, Option<u64>), u64> = HashMap::new();
-    let mut backlog: VecDeque<u64> = VecDeque::new();
-    // Ingest frames accumulated this tick: (worker, conn, request_id, op).
-    let mut write_batch: Vec<(usize, u64, u64, IngestOp)> = Vec::new();
-    // Replication fetches accumulated this tick:
-    // (worker, conn, request_id, from_lsn, subscribe).
-    let mut repl_batch: Vec<(usize, u64, u64, u64, bool)> = Vec::new();
-    let mut next_token = 0u64;
-    // Queries received and not yet answered (any path).
-    let mut outstanding = 0usize;
-    let mut drained_workers = 0usize;
+    let mut c = Coalescer {
+        shared,
+        out: Outbox {
+            workers,
+            outstanding: 0,
+        },
+        sink: Arc::new(EventSink(sink_tx)),
+        backend,
+        queue_capacity,
+        pending: HashMap::new(),
+        dedup: HashMap::new(),
+        backlog: VecDeque::new(),
+        writes: Vec::new(),
+        fetches: Vec::new(),
+        next_token: 0,
+        drained_workers: 0,
+    };
     let mut stall = 0u32;
-
     loop {
         let draining = shared.shutting_down.load(Ordering::SeqCst);
         match events.recv_timeout(COALESCER_PARK) {
             Ok(event) => {
                 stall = 0;
-                handle_event(
-                    event,
-                    shared,
-                    workers,
-                    &mut pending,
-                    &mut dedup,
-                    &mut backlog,
-                    &mut write_batch,
-                    &mut repl_batch,
-                    &mut next_token,
-                    &mut outstanding,
-                    &mut drained_workers,
-                    queue_capacity,
-                );
+                c.handle(event);
                 while let Ok(event) = events.try_recv() {
-                    handle_event(
-                        event,
-                        shared,
-                        workers,
-                        &mut pending,
-                        &mut dedup,
-                        &mut backlog,
-                        &mut write_batch,
-                        &mut repl_batch,
-                        &mut next_token,
-                        &mut outstanding,
-                        &mut drained_workers,
-                        queue_capacity,
-                    );
+                    c.handle(event);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -1033,48 +888,22 @@ pub(crate) fn coalescer_loop<I>(
 
         // Durable writes first — one group commit for everything this
         // tick — so a query admitted below sees every acked ingest.
-        flush_write_batch(
-            shared,
-            workers,
-            &mut ingest,
-            &mut write_batch,
-            &mut outstanding,
-        );
-
+        c.flush_writes();
         // Replication fetches next: they run **after** the flush so a
         // subscriber polling right behind a write batch always ships the
         // records that batch just committed.
-        serve_replication(
-            shared,
-            workers,
-            &mut ingest,
-            &mut repl_batch,
-            &mut outstanding,
-        );
-
+        c.serve_fetches();
         // One batched submission per tick: the whole backlog in one
         // queue-lock round-trip; the executor admits a prefix.
-        submit_backlog(
-            shared,
-            workers,
-            &sink,
-            &mut pending,
-            &mut dedup,
-            &mut backlog,
-            &mut outstanding,
-        );
+        c.submit_backlog();
 
-        if draining
-            && drained_workers >= workers.len()
-            && backlog.is_empty()
-            && (outstanding == 0 || stall > STALL_LIMIT)
-        {
-            break;
-        }
-        if draining && stall > STALL_LIMIT {
-            // Lost-outcome backstop: a hung executor must not hang the
-            // drain forever. Whatever is left gets no answer; the flush
-            // below still delivers everything already queued.
+        let settled =
+            c.drained_workers >= workers.len() && c.backlog.is_empty() && c.out.outstanding == 0;
+        // The stall bound is the lost-outcome backstop: a hung executor
+        // must not hang the drain forever. Whatever is left gets no
+        // answer; the workers' final flush still delivers everything
+        // already queued.
+        if draining && (settled || stall > STALL_LIMIT) {
             break;
         }
     }
@@ -1085,433 +914,243 @@ pub(crate) fn coalescer_loop<I>(
     }
 }
 
-/// Sends one response payload to the worker owning the connection.
-fn respond(
-    workers: &[Sender<WorkerMsg>],
-    worker: usize,
-    conn: u64,
-    request_id: u64,
-    payload: Arc<Vec<u8>>,
-) {
-    if let Some(tx) = workers.get(worker) {
-        // invariant: a worker gone mid-teardown drops its connections
-        // with it; the undeliverable response has no reader anyway
-        let _ = tx.send(WorkerMsg::Response {
-            conn,
-            request_id,
-            payload,
-        });
-    }
-}
-
-/// Encodes a response, downgrading an over-cap answer to a typed
-/// internal error (mirrors the v1 server's contract).
-fn encode_capped(response: &Response) -> Arc<Vec<u8>> {
-    let bytes = response.encode();
-    if bytes.len() > MAX_FRAME as usize {
-        return Arc::new(
-            Response::Error {
-                code: ErrorCode::Internal,
-                message: "answer exceeds the frame cap; narrow the query".into(),
-            }
-            .encode(),
-        );
-    }
-    Arc::new(bytes)
-}
-
-/// Flushes the tick's accumulated ingest operations through the durable
-/// backend as **one** write batch (one WAL group commit), answers every
-/// writer with its per-operation outcome, and invalidates the answer
-/// cache if any operation changed state. Runs before `submit_backlog`
-/// each tick, so queries admitted afterwards see the new state; the
-/// generation guard in [`crate::cache::AnswerCache::insert_if`] drops
-/// any in-flight answer computed against the pre-ingest state.
-fn flush_write_batch<I>(
-    shared: &Shared<I>,
-    workers: &[Sender<WorkerMsg>],
-    ingest: &mut Option<Box<dyn IngestBackend>>,
-    write_batch: &mut Vec<(usize, u64, u64, IngestOp)>,
-    outstanding: &mut usize,
-) where
+impl<I> Coalescer<'_, I>
+where
     I: KmstSubstrate + Send + 'static,
 {
-    if write_batch.is_empty() {
-        return;
+    fn handle(&mut self, event: Event) {
+        match event {
+            Event::Query { reply, key, query } => {
+                self.out.outstanding += 1;
+                self.admit(reply, key, query);
+            }
+            Event::Ingest(reply, op) => {
+                self.out.outstanding += 1;
+                self.writes.push((reply, op));
+            }
+            Event::Fetch(reply, from_lsn) => {
+                self.out.outstanding += 1;
+                self.fetches.push((reply, from_lsn));
+            }
+            Event::Done(token, outcome) => self.complete(token, outcome),
+            Event::Drained => self.drained_workers += 1,
+        }
     }
-    let batch = std::mem::take(write_batch);
-    *outstanding = outstanding.saturating_sub(batch.len());
-    let Some(backend) = ingest.as_mut() else {
-        // Unreachable: the I/O workers gate ingest frames on
-        // `Shared::ingest_enabled`, which is true only with a backend.
-        let payload = encode_capped(&Response::Error {
-            code: ErrorCode::ReadOnly,
-            message: "this server has no durable store".into(),
-        });
-        for (worker, conn, request_id, _) in batch {
-            respond(workers, worker, conn, request_id, Arc::clone(&payload));
-        }
-        return;
-    };
-    let ops: Vec<IngestOp> = batch.iter().map(|(_, _, _, op)| op.clone()).collect();
-    let outcome = backend.apply_batch(&ops);
-    // Counters, gauges, and the cache settle BEFORE any ack goes out: a
-    // client that pipelines a stats probe (answered on the I/O thread)
-    // right behind its acked write must see the write reflected. The
-    // watermark in particular must advance before acks, so a client
-    // threading `Ingested.lsn` into its next read's `min_lsn` is always
-    // admitted here on the primary.
-    let committed = backend.committed_lsn();
-    shared.watermark.advance(committed);
-    ServerStats::raise(&shared.stats.repl_committed_lsn, committed);
-    ServerStats::raise(&shared.stats.repl_applied_lsn, committed);
-    // WAL counters are gauges owned by the backend; mirror, don't add.
-    let wal = backend.wal_counters();
-    // ordering: monotonic stats gauges; stale reads only undercount a probe
-    shared
-        .stats
-        .wal_appends
-        .store(wal.appends, Ordering::Relaxed);
-    // ordering: monotonic stats gauges; stale reads only undercount a probe
-    shared.stats.wal_fsyncs.store(wal.fsyncs, Ordering::Relaxed);
-    shared
-        .stats
-        .replayed_records
-        // ordering: monotonic stats gauges; stale reads only undercount a probe
-        .store(wal.replayed_records, Ordering::Relaxed);
-    match outcome {
-        Ok(results) => {
-            let applied_count = results
-                .iter()
-                .filter(|r| matches!(r, Ok((_, true))))
-                .count() as u64;
-            if applied_count > 0 {
-                ServerStats::bump_by(&shared.stats.ingest_applied, applied_count);
-                // An answer computed against the old state must never be
-                // served after an ingest ack.
-                shared.cache.invalidate();
+
+    /// A new query is answered from the cache, attached to an identical
+    /// execution in flight, or backlogged for the next batch — unless
+    /// the backlog is full, when the newest query answers a typed
+    /// overload.
+    fn admit(&mut self, reply: Reply, key: Vec<u8>, query: BatchQuery) {
+        let shared = self.shared;
+        if let Some(hit) = shared.cache.lookup(&key) {
+            ServerStats::bump(&shared.stats.cache_hits);
+            ServerStats::bump(&shared.stats.queries_completed);
+            let delta = QueryProfile {
+                answer_cache_hits: 1,
+                ..QueryProfile::default()
+            };
+            if let Ok(mut profile) = shared.profile.lock() {
+                profile.merge(&delta);
             }
-            for ((worker, conn, request_id, _), result) in batch.into_iter().zip(results) {
-                let response = match result {
-                    Ok((lsn, applied)) => Response::Ingested { lsn, applied },
-                    Err(message) => Response::Error {
-                        code: ErrorCode::InvalidQuery,
-                        message,
-                    },
-                };
-                respond(workers, worker, conn, request_id, encode_capped(&response));
-            }
+            self.out.send(&[reply], &hit);
+            return;
         }
-        Err(message) => {
+        ServerStats::bump(&shared.stats.cache_misses);
+        // Identical queries (same cache key AND same deadline class) in
+        // flight share one execution. The deadline rides in the dedup key
+        // so a no-deadline query can never be answered by a
+        // potentially-degraded deadline-bearing execution.
+        let dedup_key = (key, query.options().deadline_us);
+        if let Some(p) = self
+            .dedup
+            .get(&dedup_key)
+            .and_then(|t| self.pending.get_mut(t))
+        {
+            p.waiters.push(reply);
+            return;
+        }
+        if self.backlog.len() >= self.queue_capacity {
+            ServerStats::bump(&shared.stats.overload_rejections);
+            let queued = self.backlog.len() + shared.exec.queue_depth();
+            let overloaded = Response::Overloaded {
+                queued: u32::try_from(queued).unwrap_or(u32::MAX),
+                capacity: u32::try_from(self.queue_capacity).unwrap_or(u32::MAX),
+            };
+            self.out.respond(&[reply], Ok(overloaded));
+            return;
+        }
+        let token = self.next_token;
+        self.next_token += 1;
+        self.dedup.insert(dedup_key.clone(), token);
+        self.pending.insert(
+            token,
+            PendingExec {
+                dedup_key,
+                generation: shared.cache.generation(),
+                waiters: vec![reply],
+                query: Some(query),
+            },
+        );
+        self.backlog.push_back(token);
+    }
+
+    /// An execution finished: its answer fans out to every waiter, and a
+    /// certified one enters the cache unless an invalidation happened
+    /// since admission.
+    fn complete(&mut self, token: u64, mut outcome: QueryOutcome) {
+        let Some(entry) = self.pending.remove(&token) else {
+            return;
+        };
+        self.dedup.remove(&entry.dedup_key);
+        let stats = &self.shared.stats;
+        let waiters = entry.waiters.len() as u64;
+        ServerStats::bump_by(&stats.queries_completed, waiters);
+        if outcome.degraded {
+            ServerStats::bump_by(&stats.queries_degraded, waiters);
+        }
+        // Every waiter of this execution was a cache miss; the profile's
+        // miss count mirrors the stats counter.
+        outcome.profile.answer_cache_misses = waiters;
+        if let Ok(mut profile) = self.shared.profile.lock() {
+            profile.merge(&outcome.profile);
+        }
+        let degraded = outcome.degraded;
+        let response = match outcome.answer {
+            QueryAnswer::Kmst(matches) => Response::Kmst { degraded, matches },
+            QueryAnswer::Knn(matches) => Response::Knn { degraded, matches },
+            QueryAnswer::Segments(matches) => Response::Segments { degraded, matches },
+            QueryAnswer::Range(entries) => Response::Range { degraded, entries },
+        };
+        let payload = self.out.respond(&entry.waiters, Ok(response));
+        if !degraded {
+            let (key, _) = entry.dedup_key;
+            self.shared.cache.insert_if(key, payload, entry.generation);
+        }
+    }
+
+    /// Flushes the tick's ingest operations through the durable backend
+    /// as **one** write batch (one WAL group commit), publishes the new
+    /// committed state, invalidates the answer cache if any operation
+    /// changed state, and only then answers every writer with its own
+    /// outcome. Runs before `submit_backlog` each tick, so queries
+    /// admitted afterwards see the new state; the generation guard in
+    /// [`crate::cache::AnswerCache::insert_if`] drops any in-flight answer
+    /// computed against the old one.
+    fn flush_writes(&mut self) {
+        let Some(backend) = self.backend.as_mut() else {
+            return;
+        };
+        if self.writes.is_empty() {
+            return;
+        }
+        let (waiters, ops): (Vec<Reply>, Vec<IngestOp>) =
+            std::mem::take(&mut self.writes).into_iter().unzip();
+        let outcome = backend.apply_batch(&ops);
+        // The watermark, the gauges and the cache settle BEFORE any ack
+        // goes out: a client pipelining a stats probe or a `min_lsn` read
+        // right behind its acked write must see the write.
+        self.shared.publish_commit(backend.as_ref());
+        let results = match outcome {
+            Ok(results) => results,
             // Store-level failure: nothing was acked; every writer in the
             // batch hears the same internal error.
-            let payload = encode_capped(&Response::Error {
-                code: ErrorCode::Internal,
-                message,
-            });
-            for (worker, conn, request_id, _) in batch {
-                respond(workers, worker, conn, request_id, Arc::clone(&payload));
-            }
-        }
-    }
-}
-
-/// Cap on record bytes per `Replicate` response. Keeps any one batch
-/// well inside the frame cap while still amortising the round trip
-/// during catch-up.
-const REPL_BATCH_BYTES: usize = 1 << 20;
-
-/// Answers the tick's accumulated replication fetches from the durable
-/// backend's committed log. Runs right after `flush_write_batch`, so a
-/// poll that raced a write batch onto the same tick ships that batch's
-/// records. A subscriber whose `from_lsn` sits below the log floor
-/// (checkpoints truncated past it — or the bootstrap sentinel
-/// `from_lsn == 0`, since the floor is always at least 1) receives a
-/// full snapshot at the committed LSN instead of records. An empty
-/// record batch with no snapshot is the heartbeat: it still carries the
-/// primary's committed LSN, so lag gauges stay live under a write-idle
-/// primary.
-fn serve_replication<I>(
-    shared: &Shared<I>,
-    workers: &[Sender<WorkerMsg>],
-    ingest: &mut Option<Box<dyn IngestBackend>>,
-    repl_batch: &mut Vec<(usize, u64, u64, u64, bool)>,
-    outstanding: &mut usize,
-) where
-    I: KmstSubstrate + Send + 'static,
-{
-    if repl_batch.is_empty() {
-        return;
-    }
-    let batch = std::mem::take(repl_batch);
-    *outstanding = outstanding.saturating_sub(batch.len());
-    let Some(backend) = ingest.as_mut() else {
-        // Unreachable: `repl_admitted` gates on `ingest_enabled`.
-        let payload = encode_capped(&Response::Error {
-            code: ErrorCode::ReadOnly,
-            message: "this server has no durable store".into(),
-        });
-        for (worker, conn, request_id, _, _) in batch {
-            respond(workers, worker, conn, request_id, Arc::clone(&payload));
-        }
-        return;
-    };
-    let committed = backend.committed_lsn();
-    ServerStats::raise(&shared.stats.repl_committed_lsn, committed);
-    ServerStats::raise(&shared.stats.repl_applied_lsn, committed);
-    for (worker, conn, request_id, from_lsn, _subscribe) in batch {
-        let floor = match backend.replication_floor() {
-            Ok(floor) => floor,
             Err(message) => {
-                let payload = encode_capped(&Response::Error {
-                    code: ErrorCode::Internal,
-                    message,
-                });
-                respond(workers, worker, conn, request_id, payload);
-                continue;
+                self.out
+                    .respond(&waiters, Err((ErrorCode::Internal, message)));
+                return;
             }
         };
-        let response = if from_lsn < floor {
-            // The log no longer reaches back far enough (or this is the
-            // bootstrap sentinel): ship a full snapshot instead.
-            match backend.encode_snapshot() {
-                Ok(snapshot) => Response::Replicate {
-                    committed_lsn: committed,
-                    snapshot: Some(snapshot),
-                    records: Vec::new(),
-                },
-                Err(message) => Response::Error {
-                    code: ErrorCode::Internal,
-                    message,
-                },
-            }
-        } else {
-            match backend.read_records(from_lsn, REPL_BATCH_BYTES) {
-                Ok(records) => {
-                    if records.is_empty() {
-                        ServerStats::bump(&shared.stats.repl_heartbeats);
-                    } else {
-                        ServerStats::bump_by(
-                            &shared.stats.repl_records_shipped,
-                            records.len() as u64,
-                        );
-                    }
-                    Response::Replicate {
-                        committed_lsn: committed,
-                        snapshot: None,
-                        records,
-                    }
-                }
-                Err(message) => Response::Error {
-                    code: ErrorCode::Internal,
-                    message,
-                },
-            }
-        };
-        respond(workers, worker, conn, request_id, encode_capped(&response));
+        let applied = results.iter().filter(|r| matches!(r, Ok((_, true))));
+        let applied = applied.count() as u64;
+        if applied > 0 {
+            ServerStats::bump_by(&self.shared.stats.ingest_applied, applied);
+            // An answer computed against the old state must never be
+            // served after an ingest ack.
+            self.shared.cache.invalidate();
+        }
+        for (to, result) in waiters.into_iter().zip(results) {
+            let answer = result
+                .map(|(lsn, applied)| Response::Ingested { lsn, applied })
+                .map_err(|message| (ErrorCode::InvalidQuery, message));
+            self.out.respond(&[to], answer);
+        }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn handle_event<I>(
-    event: Event,
-    shared: &Shared<I>,
-    workers: &[Sender<WorkerMsg>],
-    pending: &mut HashMap<u64, PendingExec>,
-    dedup: &mut HashMap<(Vec<u8>, Option<u64>), u64>,
-    backlog: &mut VecDeque<u64>,
-    write_batch: &mut Vec<(usize, u64, u64, IngestOp)>,
-    repl_batch: &mut Vec<(usize, u64, u64, u64, bool)>,
-    next_token: &mut u64,
-    outstanding: &mut usize,
-    drained_workers: &mut usize,
-    queue_capacity: usize,
-) where
-    I: KmstSubstrate + Send + 'static,
-{
-    match event {
-        Event::Query {
-            worker,
-            conn,
-            request_id,
-            key,
-            query,
-        } => {
-            *outstanding += 1;
-            // 1. Answer cache: a certified answer for the same canonical
-            //    query goes straight back out.
-            if let Some(hit) = shared.cache.lookup(&key) {
-                ServerStats::bump(&shared.stats.cache_hits);
-                ServerStats::bump(&shared.stats.queries_completed);
-                let delta = QueryProfile {
-                    answer_cache_hits: 1,
-                    ..QueryProfile::default()
-                };
-                if let Ok(mut profile) = shared.profile.lock() {
-                    profile.merge(&delta);
+    /// Answers the tick's replication fetches from the durable backend's
+    /// committed log. Runs right after `flush_writes`, so a poll that
+    /// raced a write batch onto the same tick ships that batch's records.
+    /// A subscriber whose `from_lsn` sits below the log floor
+    /// (checkpoints truncated past it — or the bootstrap sentinel
+    /// `from_lsn == 0`, since the floor is always at least 1) receives a
+    /// full snapshot at the committed LSN instead of records. An empty
+    /// record batch with no snapshot is the heartbeat: it still carries
+    /// the primary's committed LSN, so lag gauges stay live under a
+    /// write-idle primary.
+    fn serve_fetches(&mut self) {
+        let Some(backend) = self.backend.as_ref() else {
+            return;
+        };
+        let stats = &self.shared.stats;
+        let committed_lsn = backend.committed_lsn();
+        for (to, from_lsn) in std::mem::take(&mut self.fetches) {
+            let answer = backend.replication_floor().and_then(|floor| {
+                if from_lsn < floor {
+                    return Ok(Response::Replicate {
+                        committed_lsn,
+                        snapshot: Some(backend.encode_snapshot()?),
+                        records: Vec::new(),
+                    });
                 }
-                respond(workers, worker, conn, request_id, hit);
-                *outstanding -= 1;
-                return;
-            }
-            ServerStats::bump(&shared.stats.cache_misses);
-            // 2. Dedup: identical queries (same canonical key AND same
-            //    deadline class) concurrently in flight share one
-            //    execution. The deadline rides in the dedup key so a
-            //    no-deadline query can never be answered by a
-            //    potentially-degraded deadline-bearing execution.
-            let deadline_us = query.options().deadline_us;
-            let dk = (key.clone(), deadline_us);
-            if let Some(&token) = dedup.get(&dk) {
-                if let Some(p) = pending.get_mut(&token) {
-                    p.waiters.push((worker, conn, request_id));
-                    return;
+                let records = backend.read_records(from_lsn, REPL_BATCH_BYTES)?;
+                if records.is_empty() {
+                    ServerStats::bump(&stats.repl_heartbeats);
+                } else {
+                    ServerStats::bump_by(&stats.repl_records_shipped, records.len() as u64);
                 }
-            }
-            // 3. A new execution: backlog it for the next batch
-            //    submission, unless the backlog is already full — then
-            //    the newest query answers a typed overload.
-            if backlog.len() >= queue_capacity {
-                ServerStats::bump(&shared.stats.overload_rejections);
-                let queued =
-                    u32::try_from(backlog.len() + shared.exec.queue_depth()).unwrap_or(u32::MAX);
-                let capacity = u32::try_from(queue_capacity).unwrap_or(u32::MAX);
-                let payload = encode_capped(&Response::Overloaded { queued, capacity });
-                respond(workers, worker, conn, request_id, payload);
-                *outstanding -= 1;
-                return;
-            }
-            let token = *next_token;
-            *next_token += 1;
-            pending.insert(
-                token,
-                PendingExec {
-                    key,
-                    deadline_us,
-                    generation: shared.cache.generation(),
-                    waiters: vec![(worker, conn, request_id)],
-                    query: Some(query),
-                },
-            );
-            dedup.insert(dk, token);
-            backlog.push_back(token);
-        }
-        Event::Ingest {
-            worker,
-            conn,
-            request_id,
-            op,
-        } => {
-            *outstanding += 1;
-            write_batch.push((worker, conn, request_id, op));
-        }
-        Event::Repl {
-            worker,
-            conn,
-            request_id,
-            from_lsn,
-            subscribe,
-        } => {
-            *outstanding += 1;
-            repl_batch.push((worker, conn, request_id, from_lsn, subscribe));
-        }
-        Event::Done(token, mut outcome) => {
-            let Some(entry) = pending.remove(&token) else {
-                return;
-            };
-            dedup.remove(&(entry.key.clone(), entry.deadline_us));
-            let waiters = entry.waiters;
-            ServerStats::bump_by(&shared.stats.queries_completed, waiters.len() as u64);
-            if outcome.degraded {
-                ServerStats::bump_by(&shared.stats.queries_degraded, waiters.len() as u64);
-            }
-            // Every waiter of this execution was a cache miss; the
-            // profile's miss count mirrors the stats counter.
-            outcome.profile.answer_cache_misses = waiters.len() as u64;
-            if let Ok(mut profile) = shared.profile.lock() {
-                profile.merge(&outcome.profile);
-            }
-            let degraded = outcome.degraded;
-            let response = match outcome.answer {
-                QueryAnswer::Kmst(matches) => Response::Kmst { degraded, matches },
-                QueryAnswer::Knn(matches) => Response::Knn { degraded, matches },
-                QueryAnswer::Segments(matches) => Response::Segments { degraded, matches },
-                QueryAnswer::Range(entries) => Response::Range { degraded, entries },
-            };
-            let payload = encode_capped(&response);
-            // Only certified answers are cached, and only if no
-            // invalidation happened since this query was admitted.
-            if !degraded {
-                shared
-                    .cache
-                    .insert_if(entry.key, Arc::clone(&payload), entry.generation);
-            }
-            *outstanding = outstanding.saturating_sub(waiters.len());
-            for (worker, conn, request_id) in waiters {
-                respond(workers, worker, conn, request_id, Arc::clone(&payload));
-            }
-        }
-        Event::Drained => {
-            *drained_workers += 1;
+                Ok(Response::Replicate {
+                    committed_lsn,
+                    snapshot: None,
+                    records,
+                })
+            });
+            let answer = answer.map_err(|message| (ErrorCode::Internal, message));
+            self.out.respond(&[to], answer);
         }
     }
-}
 
-/// Hands the entire backlog to the executor in one batched call. The
-/// admitted prefix leaves the backlog; capacity rejections stay (in
-/// order) for the next tick; shutdown rejections answer typed errors.
-fn submit_backlog<I>(
-    shared: &Shared<I>,
-    workers: &[Sender<WorkerMsg>],
-    sink: &Arc<dyn OutcomeSink>,
-    pending: &mut HashMap<u64, PendingExec>,
-    dedup: &mut HashMap<(Vec<u8>, Option<u64>), u64>,
-    backlog: &mut VecDeque<u64>,
-    outstanding: &mut usize,
-) where
-    I: KmstSubstrate + Send + 'static,
-{
-    if backlog.is_empty() {
-        return;
-    }
-    let mut batch: Vec<RoutedQuery> = Vec::with_capacity(backlog.len());
-    let mut tokens: Vec<u64> = Vec::with_capacity(backlog.len());
-    while let Some(token) = backlog.pop_front() {
-        let Some(entry) = pending.get_mut(&token) else {
-            continue;
-        };
-        let Some(query) = entry.query.take() else {
-            continue;
-        };
-        tokens.push(token);
-        batch.push(RoutedQuery { token, query });
-    }
-    if batch.is_empty() {
-        return;
-    }
-    let admission = shared.exec.try_submit_batch(batch, sink);
-    ServerStats::bump_by(&shared.stats.queries_admitted, admission.admitted as u64);
-    for rejected in admission.rejected {
-        match rejected.reason {
-            SubmitError::Overloaded { .. } => {
+    /// Hands the entire backlog to the executor in one batched call. The
+    /// admitted prefix leaves the backlog; capacity rejections stay (in
+    /// order) for the next tick; shutdown rejections answer typed errors.
+    fn submit_backlog(&mut self) {
+        let mut batch: Vec<RoutedQuery> = Vec::with_capacity(self.backlog.len());
+        while let Some(token) = self.backlog.pop_front() {
+            if let Some(query) = self.pending.get_mut(&token).and_then(|p| p.query.take()) {
+                batch.push(RoutedQuery { token, query });
+            }
+        }
+        if batch.is_empty() {
+            return;
+        }
+        let admission = self.shared.exec.try_submit_batch(batch, &self.sink);
+        let admitted = admission.admitted as u64;
+        ServerStats::bump_by(&self.shared.stats.queries_admitted, admitted);
+        for rejected in admission.rejected {
+            match rejected.reason {
                 // Not dropped, not client-rejected: the query keeps its
                 // backlog slot and rides the next tick's batch.
-                if let Some(entry) = pending.get_mut(&rejected.token) {
-                    entry.query = Some(rejected.query);
-                    backlog.push_back(rejected.token);
+                SubmitError::Overloaded { .. } => {
+                    if let Some(entry) = self.pending.get_mut(&rejected.token) {
+                        entry.query = Some(rejected.query);
+                        self.backlog.push_back(rejected.token);
+                    }
                 }
-            }
-            SubmitError::ShuttingDown => {
                 // The executor is gone (forced teardown): answer typed.
-                if let Some(entry) = pending.remove(&rejected.token) {
-                    dedup.remove(&(entry.key.clone(), entry.deadline_us));
-                    let payload = encode_capped(&Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is draining".into(),
-                    });
-                    *outstanding = outstanding.saturating_sub(entry.waiters.len());
-                    for (worker, conn, request_id) in entry.waiters {
-                        respond(workers, worker, conn, request_id, Arc::clone(&payload));
+                SubmitError::ShuttingDown => {
+                    if let Some(entry) = self.pending.remove(&rejected.token) {
+                        self.dedup.remove(&entry.dedup_key);
+                        let refusal = (ErrorCode::ShuttingDown, DRAINING.to_string());
+                        self.out.respond(&entry.waiters, Err(refusal));
                     }
                 }
             }

@@ -79,7 +79,7 @@ impl ClientPool {
                     None => continue,
                 },
             };
-            match send_on(client, index, request) {
+            match send_on(client, request) {
                 SendOutcome::Answered(client, response) => {
                     if let Response::Error {
                         code: ErrorCode::ShuttingDown,
@@ -152,7 +152,7 @@ enum SendOutcome {
 
 /// Runs one request on one connection; a transport error consumes the
 /// connection (it is in an unknown frame state).
-fn send_on(mut client: ServeClient, _index: usize, request: &Request) -> SendOutcome {
+fn send_on(mut client: ServeClient, request: &Request) -> SendOutcome {
     match client.request(request) {
         Ok(response) => SendOutcome::Answered(client, response),
         Err(e) => SendOutcome::Dead(e),

@@ -2,31 +2,29 @@
 //!
 //! # Framing
 //!
-//! Protocol **v1** (legacy, one request in flight per connection) frames
-//! every message as:
-//!
-//! ```text
-//! [payload_len: u32 le] [opcode: u8] [body: payload_len - 1 bytes]
-//! ```
-//!
-//! Protocol **v2** (current) adds a request id so a connection can keep
-//! many requests in flight and receive answers out of order:
+//! Every frame is
 //!
 //! ```text
 //! [frame_len: u32 le] [request_id: u64 le] [opcode: u8] [body]
 //! ```
 //!
-//! `frame_len` counts the request id, the opcode byte and the body. A v2
+//! `frame_len` counts the request id, the opcode byte and the body. A
 //! session opens with a [`Request::Hello`] carrying [`MAGIC`] at request
 //! id 0; the server answers [`Response::HelloAck`] with the negotiated
 //! pipeline depth. Every later response echoes the request id of the
 //! request it answers — responses to different ids may arrive in any
 //! order, responses to one id never split.
 //!
-//! Both framings cap the payload at [`MAX_FRAME`]; a larger prefix is
-//! rejected *before* any allocation, so a hostile 4 GiB length cannot
-//! balloon server memory. All integers are little-endian; all
+//! The payload (opcode + body) is capped at [`MAX_FRAME`]; a larger
+//! prefix is rejected *before* any allocation, so a hostile 4 GiB length
+//! cannot balloon server memory. All integers are little-endian; all
 //! coordinates are IEEE 754 doubles by bit pattern.
+//!
+//! The retired protocol v1 framed a message as `[payload_len: u32 le]
+//! [opcode] [body]` with no request id. The server still recognises a v1
+//! first frame ([`classify_first_payload`]) so it can refuse it with a
+//! typed [`ErrorCode::UnsupportedVersion`] in v1 framing; nothing else
+//! speaks v1.
 //!
 //! # Opcodes
 //!
@@ -66,6 +64,8 @@
 //! valid but semantically bad query gets [`ErrorCode::InvalidQuery`]
 //! while a malformed frame gets [`ErrorCode::Malformed`] and closes the
 //! connection.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mst_index::{KnnMatch, LeafEntry};
 use mst_search::{MstMatch, NnMatch, QueryOptions, Substrate};
@@ -703,77 +703,143 @@ impl ErrorCode {
     }
 }
 
-/// Monotonic server counters, as reported by [`Response::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerCounters {
-    /// Connections accepted.
-    pub connections_accepted: u64,
-    /// Connections refused at the connection cap.
-    pub connections_rejected: u64,
-    /// Frames decoded into well-formed requests.
-    pub requests_decoded: u64,
-    /// Queries admitted into the execution queue.
-    pub queries_admitted: u64,
-    /// Queries that completed and answered.
-    pub queries_completed: u64,
-    /// Completed queries that reported degradation (deadline or shard).
-    pub queries_degraded: u64,
-    /// Queries rejected with [`Response::Overloaded`].
-    pub overload_rejections: u64,
-    /// Frames rejected as malformed (connection then closed).
-    pub malformed_frames: u64,
-    /// Structurally valid requests rejected as semantically invalid.
-    pub invalid_queries: u64,
-    /// Queries answered straight from the answer cache (no execution).
-    pub cache_hits: u64,
-    /// Query executions that missed the answer cache.
-    pub cache_misses: u64,
-    /// Ingest operations durably applied (acked with an LSN).
-    pub ingest_applied: u64,
-    /// Records appended to the write-ahead log (durable servers only).
-    pub wal_appends: u64,
-    /// Group-commit fsyncs issued by the write-ahead log.
-    pub wal_fsyncs: u64,
-    /// Log records replayed by the recovery that built this server's
-    /// database (0 for a fresh or read-only server).
-    pub replayed_records: u64,
-    /// Primary: highest LSN committed to the local log (the replication
-    /// watermark replicas are chasing). Replica: 0.
-    pub repl_committed_lsn: u64,
-    /// Primary: highest LSN any replica has cumulatively acked (the
-    /// lag gauge is `repl_committed_lsn - repl_acked_lsn`). Replica: 0.
-    pub repl_acked_lsn: u64,
-    /// Primary: WAL records shipped down replication streams.
-    pub repl_records_shipped: u64,
-    /// Primary: empty replication batches sent as heartbeats.
-    pub repl_heartbeats: u64,
-    /// Replica: highest LSN durably applied from the stream (equals the
-    /// visible watermark). Primary: its own committed LSN.
-    pub repl_applied_lsn: u64,
-    /// Replica: records applied from the replication stream.
-    pub repl_records_applied: u64,
-    /// Replica: times the applier lost the primary and reconnected.
-    pub repl_reconnects: u64,
+/// Declares a block of `u64` counters. The field list is the only place
+/// a counter is named: its order is the order the `Stats` frame carries
+/// the slots in, and both directions of the codec walk it. With `live`,
+/// the block also gets an atomic twin the server bumps from every thread
+/// and snapshots into the wire struct.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident, live $live:ident {
+            $($(#[$doc:meta])* $field:ident,)*
+        }
+    ) => {
+        counters! {
+            $(#[$meta])*
+            pub struct $name {
+                $($(#[$doc])* $field,)*
+            }
+        }
+
+        /// The live, lock-free side of the counters, bumped from every
+        /// server thread.
+        #[derive(Debug, Default)]
+        pub(crate) struct $live {
+            $(pub(crate) $field: AtomicU64,)*
+        }
+
+        impl $live {
+            pub(crate) fn snapshot(&self) -> $name {
+                $name {
+                    // ordering: stats snapshots are advisory; counters imply
+                    // no ordering with the data they describe, and
+                    // cross-counter skew within one snapshot is acceptable
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* $field:ident,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl $name {
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                $(put_u64(out, self.$field);)*
+            }
+
+            fn try_decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                Ok($name {
+                    $($field: cur.try_u64()?,)*
+                })
+            }
+        }
+    };
 }
 
-/// A fixed-size summary of the server's merged [`mst_search::QueryProfile`]:
-/// the headline work counters, stable across profile growth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProfileSummary {
-    /// Elements pushed onto best-first priority queues.
-    pub heap_pushes: u64,
-    /// Elements popped off best-first priority queues.
-    pub heap_pops: u64,
-    /// Index node accesses, all levels.
-    pub nodes_accessed: u64,
-    /// Buffer-pool hits.
-    pub buffer_hits: u64,
-    /// Buffer-pool misses.
-    pub buffer_misses: u64,
-    /// DISSIM piece integrals evaluated (exact + trapezoid).
-    pub piece_evals: u64,
-    /// Heuristic-2 early terminations.
-    pub early_terminations: u64,
+counters! {
+    /// Monotonic server counters, as reported by [`Response::Stats`].
+    pub struct ServerCounters, live ServerStats {
+        /// Connections accepted.
+        connections_accepted,
+        /// Connections refused at the connection cap.
+        connections_rejected,
+        /// Frames decoded into well-formed requests.
+        requests_decoded,
+        /// Queries admitted into the execution queue.
+        queries_admitted,
+        /// Queries that completed and answered.
+        queries_completed,
+        /// Completed queries that reported degradation (deadline or shard).
+        queries_degraded,
+        /// Queries rejected with [`Response::Overloaded`].
+        overload_rejections,
+        /// Frames rejected as malformed (connection then closed).
+        malformed_frames,
+        /// Structurally valid requests rejected as semantically invalid.
+        invalid_queries,
+        /// Queries answered straight from the answer cache (no execution).
+        cache_hits,
+        /// Query executions that missed the answer cache.
+        cache_misses,
+        /// Ingest operations durably applied (acked with an LSN).
+        ingest_applied,
+        /// Records appended to the write-ahead log (durable servers only).
+        wal_appends,
+        /// Group-commit fsyncs issued by the write-ahead log.
+        wal_fsyncs,
+        /// Log records replayed by the recovery that built this server's
+        /// database (0 for a fresh or read-only server).
+        replayed_records,
+        /// Primary: highest LSN committed to the local log (the replication
+        /// watermark replicas are chasing). Replica: 0.
+        repl_committed_lsn,
+        /// Primary: highest LSN any replica has cumulatively acked (the
+        /// lag gauge is `repl_committed_lsn - repl_acked_lsn`). Replica: 0.
+        repl_acked_lsn,
+        /// Primary: WAL records shipped down replication streams.
+        repl_records_shipped,
+        /// Primary: empty replication batches sent as heartbeats.
+        repl_heartbeats,
+        /// Replica: highest LSN durably applied from the stream (equals the
+        /// visible watermark). Primary: its own committed LSN.
+        repl_applied_lsn,
+        /// Replica: records applied from the replication stream.
+        repl_records_applied,
+        /// Replica: times the applier lost the primary and reconnected.
+        repl_reconnects,
+    }
+}
+
+counters! {
+    /// A fixed-size summary of the server's merged
+    /// [`mst_search::QueryProfile`]: the headline work counters, stable
+    /// across profile growth.
+    pub struct ProfileSummary {
+        /// Elements pushed onto best-first priority queues.
+        heap_pushes,
+        /// Elements popped off best-first priority queues.
+        heap_pops,
+        /// Index node accesses, all levels.
+        nodes_accessed,
+        /// Buffer-pool hits.
+        buffer_hits,
+        /// Buffer-pool misses.
+        buffer_misses,
+        /// DISSIM piece integrals evaluated (exact + trapezoid).
+        piece_evals,
+        /// Heuristic-2 early terminations.
+        early_terminations,
+    }
 }
 
 /// The full stats report.
@@ -922,45 +988,8 @@ impl Response {
             }
             Response::Stats(report) => {
                 out.push(0x85);
-                let c = &report.counters;
-                for v in [
-                    c.connections_accepted,
-                    c.connections_rejected,
-                    c.requests_decoded,
-                    c.queries_admitted,
-                    c.queries_completed,
-                    c.queries_degraded,
-                    c.overload_rejections,
-                    c.malformed_frames,
-                    c.invalid_queries,
-                    c.cache_hits,
-                    c.cache_misses,
-                    c.ingest_applied,
-                    c.wal_appends,
-                    c.wal_fsyncs,
-                    c.replayed_records,
-                    c.repl_committed_lsn,
-                    c.repl_acked_lsn,
-                    c.repl_records_shipped,
-                    c.repl_heartbeats,
-                    c.repl_applied_lsn,
-                    c.repl_records_applied,
-                    c.repl_reconnects,
-                ] {
-                    put_u64(&mut out, v);
-                }
-                let p = &report.profile;
-                for v in [
-                    p.heap_pushes,
-                    p.heap_pops,
-                    p.nodes_accessed,
-                    p.buffer_hits,
-                    p.buffer_misses,
-                    p.piece_evals,
-                    p.early_terminations,
-                ] {
-                    put_u64(&mut out, v);
-                }
+                report.counters.encode_into(&mut out);
+                report.profile.encode_into(&mut out);
             }
             Response::ShutdownAck => out.push(0x86),
             Response::Replicate {
@@ -1068,47 +1097,10 @@ impl Response {
                 }
                 Response::Range { degraded, entries }
             }
-            0x85 => {
-                let mut counters = [0u64; 29];
-                for slot in &mut counters {
-                    *slot = cur.try_u64()?;
-                }
-                Response::Stats(StatsReport {
-                    counters: ServerCounters {
-                        connections_accepted: counters[0],
-                        connections_rejected: counters[1],
-                        requests_decoded: counters[2],
-                        queries_admitted: counters[3],
-                        queries_completed: counters[4],
-                        queries_degraded: counters[5],
-                        overload_rejections: counters[6],
-                        malformed_frames: counters[7],
-                        invalid_queries: counters[8],
-                        cache_hits: counters[9],
-                        cache_misses: counters[10],
-                        ingest_applied: counters[11],
-                        wal_appends: counters[12],
-                        wal_fsyncs: counters[13],
-                        replayed_records: counters[14],
-                        repl_committed_lsn: counters[15],
-                        repl_acked_lsn: counters[16],
-                        repl_records_shipped: counters[17],
-                        repl_heartbeats: counters[18],
-                        repl_applied_lsn: counters[19],
-                        repl_records_applied: counters[20],
-                        repl_reconnects: counters[21],
-                    },
-                    profile: ProfileSummary {
-                        heap_pushes: counters[22],
-                        heap_pops: counters[23],
-                        nodes_accessed: counters[24],
-                        buffer_hits: counters[25],
-                        buffer_misses: counters[26],
-                        piece_evals: counters[27],
-                        early_terminations: counters[28],
-                    },
-                })
-            }
+            0x85 => Response::Stats(StatsReport {
+                counters: ServerCounters::try_decode(&mut cur)?,
+                profile: ProfileSummary::try_decode(&mut cur)?,
+            }),
             0x86 => Response::ShutdownAck,
             0x88 => {
                 let committed_lsn = cur.try_u64()?;
@@ -1173,28 +1165,10 @@ impl Response {
     }
 }
 
-/// Writes one v1 frame: the `u32` length prefix, then the payload.
-///
-/// Prefix and payload go down in **one** `write_all` — two writes per
-/// frame interact catastrophically with Nagle's algorithm plus delayed
-/// ACKs (a ~40 ms stall per response on loopback, worse on real links).
-pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> Result<(), WireError> {
-    let len = u32::try_from(payload.len()).map_err(|_| WireError::Oversized(u32::MAX))?;
-    if len == 0 || len > MAX_FRAME {
-        return Err(WireError::Oversized(len));
-    }
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(())
-}
-
 /// Appends one v2 frame — `[frame_len][request_id][payload]` — to `out`.
 /// Building into a caller-owned buffer lets the mux batch several
 /// responses into a single syscall; [`write_frame_v2`] is the one-frame
-/// convenience over it.
+/// convenience over it. An empty or over-[`MAX_FRAME`] payload is refused.
 pub fn encode_frame_v2(
     out: &mut Vec<u8>,
     request_id: u64,
@@ -1211,8 +1185,10 @@ pub fn encode_frame_v2(
     Ok(())
 }
 
-/// Writes one v2 frame in a single `write_all` (see [`write_frame`] for
-/// why one syscall matters).
+/// Writes one v2 frame in a single `write_all`. Prefix and payload go down
+/// together: two writes per frame interact catastrophically with Nagle's
+/// algorithm plus delayed ACKs (a ~40 ms stall per response on loopback,
+/// worse on real links).
 pub fn write_frame_v2(
     w: &mut impl std::io::Write,
     request_id: u64,
@@ -1223,76 +1199,6 @@ pub fn write_frame_v2(
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())
-}
-
-/// Reads one frame's payload. `Ok(None)` is a clean end-of-stream (the
-/// peer closed between frames); EOF *inside* a frame is
-/// [`WireError::Truncated`]. The length prefix is validated against
-/// [`MAX_FRAME`] before any allocation.
-pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, WireError> {
-    let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        match r.read(&mut prefix[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(WireError::Truncated)
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::from(e)),
-        }
-    }
-    let len = u32::from_le_bytes(prefix);
-    if len == 0 || len > MAX_FRAME {
-        return Err(WireError::Oversized(len));
-    }
-    let len_usize = usize::try_from(len).map_err(|_| WireError::Oversized(len))?;
-    let mut payload = vec![0u8; len_usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
-/// Reads one v2 frame: `Ok(None)` on clean end-of-stream, otherwise the
-/// request id and the payload (opcode + body). Validation mirrors
-/// [`read_frame`]: the length prefix is checked before any allocation,
-/// EOF inside a frame is [`WireError::Truncated`], and a frame too short
-/// to hold its request id and opcode is truncated by construction.
-pub fn read_frame_v2(r: &mut impl std::io::Read) -> Result<Option<(u64, Vec<u8>)>, WireError> {
-    let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        match r.read(&mut prefix[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(WireError::Truncated)
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::from(e)),
-        }
-    }
-    let len = u32::from_le_bytes(prefix);
-    if len == 0 || len > MAX_FRAME + V2_OVERHEAD {
-        return Err(WireError::Oversized(len));
-    }
-    if len <= V2_OVERHEAD {
-        return Err(WireError::Truncated);
-    }
-    let len_usize = usize::try_from(len).map_err(|_| WireError::Oversized(len))?;
-    let mut body = vec![0u8; len_usize];
-    r.read_exact(&mut body)?;
-    let mut id_raw = [0u8; 8];
-    id_raw.copy_from_slice(&body[..8]);
-    let request_id = u64::from_le_bytes(id_raw);
-    body.drain(..8);
-    Ok(Some((request_id, body)))
 }
 
 /// One v2 frame carved out of a growing read buffer by
@@ -1309,11 +1215,13 @@ pub struct SplitFrame<'a> {
     pub payload: &'a [u8],
 }
 
-/// Carves the first complete v2 frame off `buf`, the incremental
-/// counterpart of [`read_frame_v2`] for non-blocking reads: the mux
-/// appends whatever `read` returned and calls this until it reports
-/// `Ok(None)` (frame still incomplete — keep the bytes, read more).
-/// A hostile length prefix fails here, before the buffer grows to match.
+/// Carves the first complete v2 frame off `buf` — the one frame reader,
+/// shared by the server's non-blocking workers and the blocking client:
+/// append whatever `read` returned and call this until it reports
+/// `Ok(None)` (frame still incomplete — keep the bytes, read more; a
+/// stream that ends there ended mid-frame). A hostile length prefix fails
+/// here, before the buffer grows to match, and a frame too short to hold
+/// its request id and opcode is truncated by construction.
 pub fn split_frame_v2(buf: &[u8]) -> Result<Option<SplitFrame<'_>>, WireError> {
     if buf.len() < 4 {
         return Ok(None);
@@ -1718,30 +1626,40 @@ mod tests {
 
     #[test]
     fn frames_enforce_the_size_cap_and_detect_mid_frame_eof() {
+        // The write side frames exactly the payloads a peer may accept:
+        // one byte up to MAX_FRAME, nothing empty, nothing larger.
         let mut out = Vec::new();
-        write_frame(&mut out, &Request::Stats.encode()).expect("write");
-        let mut r = &out[..];
-        let payload = read_frame(&mut r).expect("read").expect("one frame");
-        assert_eq!(Request::decode(&payload), Ok(Request::Stats));
-        assert_eq!(read_frame(&mut r).expect("clean eof"), None);
-
-        // Oversized prefix: rejected before allocation.
-        let huge = (MAX_FRAME + 1).to_le_bytes();
+        encode_frame_v2(&mut out, 3, &vec![0x05; MAX_FRAME as usize]).expect("at the cap");
         assert_eq!(
-            read_frame(&mut &huge[..]),
+            encode_frame_v2(&mut Vec::new(), 3, &vec![0x05; MAX_FRAME as usize + 1]),
             Err(WireError::Oversized(MAX_FRAME + 1))
         );
-        // Zero-length frame: no opcode, invalid.
         assert_eq!(
-            read_frame(&mut &0u32.to_le_bytes()[..]),
+            encode_frame_v2(&mut Vec::new(), 3, &[]),
             Err(WireError::Oversized(0))
         );
-        // Mid-frame EOF: prefix promises 100 bytes, stream has 3.
-        let mut partial = 100u32.to_le_bytes().to_vec();
-        partial.extend_from_slice(&[1, 2, 3]);
-        assert_eq!(read_frame(&mut &partial[..]), Err(WireError::Truncated));
-        // EOF inside the prefix itself.
-        assert_eq!(read_frame(&mut &[0x01u8][..]), Err(WireError::Truncated));
+        // The read side takes a frame at the cap whole...
+        let frame = split_frame_v2(&out).expect("split").expect("complete");
+        assert_eq!(
+            (frame.consumed, frame.payload.len()),
+            (out.len(), MAX_FRAME as usize)
+        );
+        // ...and refuses one byte more, or nothing at all, from the
+        // prefix alone, before allocating.
+        assert_eq!(
+            split_frame_v2(&(MAX_FRAME + 9).to_le_bytes()),
+            Err(WireError::Oversized(MAX_FRAME + 9))
+        );
+        assert_eq!(
+            split_frame_v2(&0u32.to_le_bytes()),
+            Err(WireError::Oversized(0))
+        );
+        // A stream that ends mid-frame (inside the prefix or the body)
+        // leaves an incomplete frame: the reader keeps the bytes, and the
+        // caller that sees EOF there reports the frame truncated.
+        for cut in [1, 3, 11, 20, out.len() - 1] {
+            assert_eq!(split_frame_v2(&out[..cut]), Ok(None), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -1772,27 +1690,20 @@ mod tests {
         for id in [0u64, 1, u64::MAX] {
             write_frame_v2(&mut out, id, &Request::Stats.encode()).expect("write");
         }
-        let mut r = &out[..];
+        let mut rest = &out[..];
         for id in [0u64, 1, u64::MAX] {
-            let (got_id, payload) = read_frame_v2(&mut r).expect("read").expect("frame");
-            assert_eq!(got_id, id);
-            assert_eq!(Request::decode(&payload), Ok(Request::Stats));
+            let frame = split_frame_v2(rest).expect("split").expect("frame");
+            assert_eq!(frame.request_id, id);
+            assert_eq!(Request::decode(frame.payload), Ok(Request::Stats));
+            rest = &rest[frame.consumed..];
         }
-        assert_eq!(read_frame_v2(&mut r).expect("clean eof"), None);
+        assert_eq!(split_frame_v2(rest), Ok(None), "nothing left");
 
-        // Oversized prefix: rejected before allocation.
-        let huge = (MAX_FRAME + 9).to_le_bytes();
-        assert_eq!(
-            read_frame_v2(&mut &huge[..]),
-            Err(WireError::Oversized(MAX_FRAME + 9))
-        );
         // A frame too short to hold request id + opcode is truncated.
-        let runt = 8u32.to_le_bytes();
-        assert_eq!(read_frame_v2(&mut &runt[..]), Err(WireError::Truncated));
-        // EOF inside the body.
-        let mut partial = 20u32.to_le_bytes().to_vec();
-        partial.extend_from_slice(&[0; 10]);
-        assert_eq!(read_frame_v2(&mut &partial[..]), Err(WireError::Truncated));
+        assert_eq!(
+            split_frame_v2(&8u32.to_le_bytes()),
+            Err(WireError::Truncated)
+        );
         // An empty payload cannot be framed.
         assert_eq!(
             write_frame_v2(&mut Vec::new(), 1, &[]),

@@ -37,8 +37,8 @@ use std::time::Duration; // invariant: no clock is read; only sleeps and socket 
 use mst_wal::{DurableDatabase, DurableSubstrate, LogStore};
 
 use crate::client::{RetryPolicy, ServeClient};
-use crate::protocol::{Request, Response, WireError};
-use crate::server::{ServerStats, Shared};
+use crate::protocol::{Request, Response, ServerStats, WireError};
+use crate::server::Shared;
 
 /// Read timeout on the applier's connection to the primary: bounds how
 /// long a shutdown waits on a silent socket, and paces reconnect

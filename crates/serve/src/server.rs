@@ -11,9 +11,9 @@
 //!   loop answers a newcomer with one `Overloaded` frame (v2-framed at
 //!   request id 0) and closes it; nothing queues.
 //! * **Pipeline depth** — each connection may keep at most its granted
-//!   depth in flight; the server simply stops reading a connection at
-//!   its cap, so TCP backpressure holds the client without any
-//!   per-request rejection.
+//!   depth in flight; at its cap the server stops parsing the
+//!   connection's buffered frames and stops reading its socket, so TCP
+//!   backpressure holds the client without any per-request rejection.
 //! * **Queries** — the coalescer's backlog and the executor's bounded
 //!   queue; when the backlog overflows, the newest query answers
 //!   `Overloaded` with queue occupancy. The server never queues
@@ -45,10 +45,10 @@ use mst_search::KmstSubstrate;
 use mst_search::{Query, QueryProfile};
 use mst_trajectory::Trajectory;
 
-use crate::cache::AnswerCache;
+use crate::cache::{cache_key, AnswerCache};
 use crate::ingest::IngestBackend;
-use crate::mux::{self, MuxConfig, WorkerMsg};
-use crate::protocol::{ProfileSummary, Request, ServerCounters, StatsReport};
+use crate::mux::{self, WorkerMsg};
+use crate::protocol::{ProfileSummary, Request, ServerStats, StatsReport};
 
 /// Errors of the serving layer.
 #[derive(Debug)]
@@ -204,39 +204,6 @@ impl ServerConfig {
     }
 }
 
-/// Monotonic counters, updated lock-free from every thread.
-#[derive(Debug, Default)]
-pub(crate) struct ServerStats {
-    pub(crate) connections_accepted: AtomicU64,
-    pub(crate) connections_rejected: AtomicU64,
-    pub(crate) requests_decoded: AtomicU64,
-    pub(crate) queries_admitted: AtomicU64,
-    pub(crate) queries_completed: AtomicU64,
-    pub(crate) queries_degraded: AtomicU64,
-    pub(crate) overload_rejections: AtomicU64,
-    pub(crate) malformed_frames: AtomicU64,
-    pub(crate) invalid_queries: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) cache_misses: AtomicU64,
-    pub(crate) ingest_applied: AtomicU64,
-    /// WAL gauges mirrored from the durable backend after each flush
-    /// (`store`d, not added — the backend owns the true counts).
-    pub(crate) wal_appends: AtomicU64,
-    pub(crate) wal_fsyncs: AtomicU64,
-    pub(crate) replayed_records: AtomicU64,
-    /// Replication gauges. On a primary: committed = its own log head,
-    /// acked = the highest cumulative replica ack, shipped/heartbeats
-    /// count outbound stream traffic. On a replica: applied/records
-    /// track the applier, reconnects count lost primaries.
-    pub(crate) repl_committed_lsn: AtomicU64,
-    pub(crate) repl_acked_lsn: AtomicU64,
-    pub(crate) repl_records_shipped: AtomicU64,
-    pub(crate) repl_heartbeats: AtomicU64,
-    pub(crate) repl_applied_lsn: AtomicU64,
-    pub(crate) repl_records_applied: AtomicU64,
-    pub(crate) repl_reconnects: AtomicU64,
-}
-
 impl ServerStats {
     pub(crate) fn bump(counter: &AtomicU64) {
         Self::bump_by(counter, 1);
@@ -261,40 +228,21 @@ impl ServerStats {
         // read only undercounts a stats probe.
         counter.store(v, Ordering::Relaxed);
     }
+}
 
-    fn read(counter: &AtomicU64) -> u64 {
-        // ordering: stats snapshots are advisory; counters imply no
-        // ordering with the data they describe, and cross-counter skew
-        // within one snapshot is acceptable by contract.
-        counter.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> ServerCounters {
-        ServerCounters {
-            connections_accepted: Self::read(&self.connections_accepted),
-            connections_rejected: Self::read(&self.connections_rejected),
-            requests_decoded: Self::read(&self.requests_decoded),
-            queries_admitted: Self::read(&self.queries_admitted),
-            queries_completed: Self::read(&self.queries_completed),
-            queries_degraded: Self::read(&self.queries_degraded),
-            overload_rejections: Self::read(&self.overload_rejections),
-            malformed_frames: Self::read(&self.malformed_frames),
-            invalid_queries: Self::read(&self.invalid_queries),
-            cache_hits: Self::read(&self.cache_hits),
-            cache_misses: Self::read(&self.cache_misses),
-            ingest_applied: Self::read(&self.ingest_applied),
-            wal_appends: Self::read(&self.wal_appends),
-            wal_fsyncs: Self::read(&self.wal_fsyncs),
-            replayed_records: Self::read(&self.replayed_records),
-            repl_committed_lsn: Self::read(&self.repl_committed_lsn),
-            repl_acked_lsn: Self::read(&self.repl_acked_lsn),
-            repl_records_shipped: Self::read(&self.repl_records_shipped),
-            repl_heartbeats: Self::read(&self.repl_heartbeats),
-            repl_applied_lsn: Self::read(&self.repl_applied_lsn),
-            repl_records_applied: Self::read(&self.repl_records_applied),
-            repl_reconnects: Self::read(&self.repl_reconnects),
-        }
-    }
+/// What a server does with writes, fixed at startup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// No durable store: ingest and replication frames answer a typed
+    /// `ReadOnly`.
+    ReadOnly,
+    /// A durable store behind the coalescer: ingest is group-committed
+    /// and replicas may subscribe to its log.
+    Primary,
+    /// Follows a primary: writes and subscriptions answer a typed
+    /// `NotPrimary`, and the visibility watermark advances as the applier
+    /// catches up rather than as local writes flush.
+    Replica,
 }
 
 /// State shared by the accept loop, the I/O workers, and the coalescer.
@@ -308,15 +256,10 @@ pub(crate) struct Shared<I> {
     pub(crate) live_conns: AtomicUsize,
     /// The bounded answer cache (capacity 0 = disabled).
     pub(crate) cache: AnswerCache,
-    /// Whether a durable ingest backend is wired in; read-only servers
-    /// answer ingest frames with a typed `ReadOnly` error on the I/O
-    /// thread, before anything reaches the coalescer.
-    pub(crate) ingest_enabled: bool,
-    /// Whether this server is a replica: writes and replication
-    /// subscriptions answer a typed `NotPrimary`, and the visibility
-    /// watermark advances as the applier catches up rather than as
-    /// local writes flush.
-    pub(crate) replica: bool,
+    /// What the server does with writes. Only a primary forwards ingest
+    /// and replication frames to the coalescer; the others refuse them on
+    /// the I/O thread.
+    pub(crate) role: Role,
     /// The read-your-writes gate: every write at or below this LSN is
     /// visible to queries. Queries carrying `min_lsn` above it answer a
     /// typed `ReplicaLagging` on the I/O thread.
@@ -326,6 +269,25 @@ pub(crate) struct Shared<I> {
 }
 
 impl<I> Shared<I> {
+    /// Publishes a primary's durable state: the visibility watermark and
+    /// the LSN gauges move up to the backend's committed LSN, and the WAL
+    /// gauges are mirrored (stored, not added: the backend owns the true
+    /// counts). Runs at startup and before any ack of the writes it
+    /// covers, so a client threading `Ingested.lsn` into its next read's
+    /// `min_lsn` is admitted, and a stats probe pipelined behind an acked
+    /// write sees it.
+    pub(crate) fn publish_commit(&self, backend: &dyn IngestBackend) {
+        let committed = backend.committed_lsn();
+        self.watermark.advance(committed);
+        let stats = &self.stats;
+        ServerStats::raise(&stats.repl_committed_lsn, committed);
+        ServerStats::raise(&stats.repl_applied_lsn, committed);
+        let wal = backend.wal_counters();
+        ServerStats::set(&stats.wal_appends, wal.appends);
+        ServerStats::set(&stats.wal_fsyncs, wal.fsyncs);
+        ServerStats::set(&stats.replayed_records, wal.replayed_records);
+    }
+
     pub(crate) fn stats_report(&self) -> StatsReport {
         let profile = match self.profile.lock() {
             Ok(p) => profile_summary(&p),
@@ -448,7 +410,6 @@ impl Server {
         let db = Arc::clone(durable.database());
         let handle = start_inner(config, db, None, true, applied)?;
         let shared = Arc::clone(&handle.shared);
-        ServerStats::set(&shared.stats.repl_applied_lsn, applied);
         let applier = std::thread::Builder::new()
             .name("mst-serve-repl".into())
             .spawn(move || crate::repl::applier_loop(&shared, durable, primary, &retry))?;
@@ -461,128 +422,115 @@ impl Server {
     }
 }
 
+/// Binds and spawns a server. A `backend` makes it a primary; without
+/// one it is a replica if `replica` is set and read-only otherwise.
 fn start_inner<I>(
     config: ServerConfig,
     db: Arc<ShardedDatabase<I>>,
-    ingest: Option<Box<dyn IngestBackend>>,
+    backend: Option<Box<dyn IngestBackend>>,
     replica: bool,
     visible_lsn: u64,
 ) -> Result<ServerHandle<I>, ServeError>
 where
     I: KmstSubstrate + Send + 'static,
 {
-    {
-        let queue_capacity = config.resolved_queue_capacity();
-        let mut executor = BatchExecutor::new()
-            .workers(config.workers)
-            .queue_capacity(queue_capacity);
-        if let Some(us) = config.default_deadline_us {
-            executor = executor.deadline_us(us);
-        }
-        let exec = executor.submit_handle(db)?;
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, config.port))?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            exec,
-            stats: ServerStats::default(),
-            profile: Mutex::new(QueryProfile::default()),
-            shutting_down: AtomicBool::new(false),
-            live_conns: AtomicUsize::new(0),
-            cache: AnswerCache::new(config.cache_capacity),
-            ingest_enabled: ingest.is_some(),
-            replica,
-            watermark: mst_exec::Watermark::at(visible_lsn),
-            addr: local_addr,
-        });
-        if ingest.is_some() {
-            // A primary's committed LSN is visible (and replicated) from
-            // the first stats probe, not the first write.
-            ServerStats::set(&shared.stats.repl_committed_lsn, visible_lsn);
-            ServerStats::set(&shared.stats.repl_applied_lsn, visible_lsn);
-        }
-        if let Some(backend) = &ingest {
-            // Seed the WAL gauges so a stats probe right after startup
-            // already reports what recovery replayed.
-            let wal = backend.wal_counters();
-            // ordering: startup seeding before any worker thread exists
-            shared
-                .stats
-                .wal_appends
-                .store(wal.appends, Ordering::Relaxed);
-            // ordering: startup seeding before any worker thread exists
-            shared.stats.wal_fsyncs.store(wal.fsyncs, Ordering::Relaxed);
-            shared
-                .stats
-                .replayed_records
-                // ordering: startup seeding before any worker thread exists
-                .store(wal.replayed_records, Ordering::Relaxed);
-        }
-
-        // Spawn the I/O workers and the coalescer up front so spawn
-        // failures surface here as a typed startup error, not as a
-        // half-started server.
-        let io_threads = config.io_threads.max(1);
-        let (event_tx, event_rx) = std::sync::mpsc::channel();
-        let mut worker_txs: Vec<std::sync::mpsc::Sender<WorkerMsg>> = Vec::new();
-        let mut worker_handles = Vec::new();
-        for w in 0..io_threads {
-            let (tx, rx) = std::sync::mpsc::channel();
-            worker_txs.push(tx);
-            let worker_shared = Arc::clone(&shared);
-            let events = event_tx.clone();
-            let max_depth = config.max_depth.max(1);
-            let handle = std::thread::Builder::new()
-                .name(format!("mst-serve-io-{w}"))
-                .spawn(move || mux::io_worker_loop(w, &worker_shared, &rx, &events, max_depth))?;
-            worker_handles.push(handle);
-        }
-        let coalescer = {
-            let coalescer_shared = Arc::clone(&shared);
-            let sink_tx = event_tx.clone();
-            let txs = worker_txs.clone();
-            std::thread::Builder::new()
-                .name("mst-serve-coalesce".into())
-                .spawn(move || {
-                    mux::coalescer_loop(
-                        &coalescer_shared,
-                        &event_rx,
-                        sink_tx,
-                        &txs,
-                        queue_capacity,
-                        ingest,
-                    )
-                })?
-        };
-        drop(event_tx);
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let cfg = MuxConfig {
-                max_connections: config.max_connections,
-            };
-            std::thread::Builder::new()
-                .name("mst-serve-accept".into())
-                .spawn(move || {
-                    mux::accept_loop(&shared, &listener, &worker_txs, &cfg);
-                    // The drain: the coalescer exits once every forwarded
-                    // query has answered, then the workers flush and exit.
-                    // invariant: a panicked helper thread has already torn
-                    // its state down; the drain must keep joining the rest
-                    let _ = coalescer.join();
-                    for handle in worker_handles {
-                        // invariant: same policy — joining must not cascade
-                        let _ = handle.join();
-                    }
-                    shared.exec.shutdown();
-                })?
-        };
-        Ok(ServerHandle {
-            local_addr,
-            shared,
-            accept: Mutex::new(Some(accept)),
-            applier: Mutex::new(None),
-        })
+    let role = match (&backend, replica) {
+        (Some(_), _) => Role::Primary,
+        (None, true) => Role::Replica,
+        (None, false) => Role::ReadOnly,
+    };
+    let queue_capacity = config.resolved_queue_capacity();
+    let mut executor = BatchExecutor::new()
+        .workers(config.workers)
+        .queue_capacity(queue_capacity);
+    if let Some(us) = config.default_deadline_us {
+        executor = executor.deadline_us(us);
     }
+    let exec = executor.submit_handle(db)?;
+    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, config.port))?;
+    let local_addr = listener.local_addr()?;
+    let shared = Arc::new(Shared {
+        exec,
+        stats: ServerStats::default(),
+        profile: Mutex::new(QueryProfile::default()),
+        shutting_down: AtomicBool::new(false),
+        live_conns: AtomicUsize::new(0),
+        cache: AnswerCache::new(config.cache_capacity),
+        role,
+        watermark: mst_exec::Watermark::at(visible_lsn),
+        addr: local_addr,
+    });
+    // The LSN and WAL gauges are live from the first stats probe, not
+    // the first write: a primary publishes what recovery left it, a
+    // replica the position it resumes from.
+    match &backend {
+        Some(backend) => shared.publish_commit(backend.as_ref()),
+        None if replica => ServerStats::set(&shared.stats.repl_applied_lsn, visible_lsn),
+        None => {}
+    }
+
+    // Spawn the I/O workers and the coalescer up front so spawn
+    // failures surface here as a typed startup error, not as a
+    // half-started server.
+    let io_threads = config.io_threads.max(1);
+    let (event_tx, event_rx) = std::sync::mpsc::channel();
+    let mut worker_txs: Vec<std::sync::mpsc::Sender<WorkerMsg>> = Vec::new();
+    let mut worker_handles = Vec::new();
+    for w in 0..io_threads {
+        let (tx, rx) = std::sync::mpsc::channel();
+        worker_txs.push(tx);
+        let worker_shared = Arc::clone(&shared);
+        let events = event_tx.clone();
+        let max_depth = config.max_depth.max(1);
+        let handle = std::thread::Builder::new()
+            .name(format!("mst-serve-io-{w}"))
+            .spawn(move || mux::io_worker_loop(w, &worker_shared, &rx, &events, max_depth))?;
+        worker_handles.push(handle);
+    }
+    let coalescer = {
+        let coalescer_shared = Arc::clone(&shared);
+        let sink_tx = event_tx.clone();
+        let txs = worker_txs.clone();
+        std::thread::Builder::new()
+            .name("mst-serve-coalesce".into())
+            .spawn(move || {
+                mux::coalescer_loop(
+                    &coalescer_shared,
+                    &event_rx,
+                    sink_tx,
+                    &txs,
+                    queue_capacity,
+                    backend,
+                )
+            })?
+    };
+    drop(event_tx);
+
+    let accept = {
+        let shared = Arc::clone(&shared);
+        let max_connections = config.max_connections;
+        std::thread::Builder::new()
+            .name("mst-serve-accept".into())
+            .spawn(move || {
+                mux::accept_loop(&shared, &listener, &worker_txs, max_connections);
+                // The drain: the coalescer exits once every forwarded
+                // query has answered, then the workers flush and exit.
+                // invariant: a panicked helper thread has already torn
+                // its state down; the drain must keep joining the rest
+                let _ = coalescer.join();
+                for handle in worker_handles {
+                    // invariant: same policy — joining must not cascade
+                    let _ = handle.join();
+                }
+                shared.exec.shutdown();
+            })?
+    };
+    Ok(ServerHandle {
+        local_addr,
+        shared,
+        accept: Mutex::new(Some(accept)),
+        applier: Mutex::new(None),
+    })
 }
 
 /// A running server. Dropping the handle shuts the server down
@@ -595,10 +543,7 @@ pub struct ServerHandle<I> {
     applier: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
-impl<I> ServerHandle<I>
-where
-    I: KmstSubstrate + Send + 'static,
-{
+impl<I> ServerHandle<I> {
     /// The bound address (ephemeral port resolved).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
@@ -621,52 +566,26 @@ where
     }
 
     /// Blocks until the server stops (a `Shutdown` frame, or
-    /// [`ServerHandle::shutdown`] from another thread).
+    /// [`ServerHandle::shutdown`] from another thread). The accept thread
+    /// runs the drain; the replica applier, joined after it, exits on the
+    /// shutdown flag (its rounds are short and its socket reads time
+    /// out), so both joins are bounded once shutdown begins.
     pub fn join(&self) {
-        let handle = match self.accept.lock() {
-            Ok(mut slot) => slot.take(),
-            Err(_) => None,
-        };
-        if let Some(handle) = handle {
-            // invariant: an accept-loop panic has already stopped the
-            // server; surfacing the payload here adds nothing
-            let _ = handle.join();
-        }
-        // The applier exits on the shutdown flag (its rounds are short
-        // and its socket reads time out), so this join is bounded.
-        let applier = match self.applier.lock() {
-            Ok(mut slot) => slot.take(),
-            Err(_) => None,
-        };
-        if let Some(handle) = applier {
-            // invariant: a panicked applier left the replica serving its
-            // last applied state; the drain must still complete
-            let _ = handle.join();
+        for slot in [&self.accept, &self.applier] {
+            let handle = slot.lock().ok().and_then(|mut slot| slot.take());
+            if let Some(handle) = handle {
+                // invariant: a panicked accept loop or applier has already
+                // stopped its part of the server; the drain must still
+                // complete, so the payload is not re-raised here
+                let _ = handle.join();
+            }
         }
     }
 }
 
 impl<I> Drop for ServerHandle<I> {
     fn drop(&mut self) {
-        initiate_shutdown(&self.shared);
-        let handle = match self.accept.lock() {
-            Ok(mut slot) => slot.take(),
-            Err(_) => None,
-        };
-        if let Some(handle) = handle {
-            // invariant: same policy as join() — the server is already
-            // stopped when an accept-loop panic would surface here
-            let _ = handle.join();
-        }
-        let applier = match self.applier.lock() {
-            Ok(mut slot) => slot.take(),
-            Err(_) => None,
-        };
-        if let Some(handle) = applier {
-            // invariant: as in join() — a panicked applier changes
-            // nothing about the teardown
-            let _ = handle.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -687,32 +606,31 @@ pub(crate) fn initiate_shutdown<I>(shared: &Shared<I>) {
     }
 }
 
-/// Turns a decoded query request into a validated [`BatchQuery`] through
-/// the same builders the embedded API uses. The error string travels back
-/// as [`crate::protocol::ErrorCode::InvalidQuery`].
-pub(crate) fn build_query(request: Request) -> Result<BatchQuery, String> {
-    match request {
+/// Turns a decoded query request into its answer-cache key and a
+/// validated [`BatchQuery`], through the same builders the embedded API
+/// uses. The error string travels back as
+/// [`crate::protocol::ErrorCode::InvalidQuery`].
+pub(crate) fn build_query(request: Request) -> Result<(Vec<u8>, BatchQuery), String> {
+    let Some(key) = cache_key(&request) else {
+        return Err("not a query".into());
+    };
+    let query = match request {
         Request::Kmst { points, options } => {
             let query = Trajectory::new(points).map_err(|e| e.to_string())?;
-            BatchQuery::kmst(Query::kmst(&query).options(options)).map_err(|e| e.to_string())
+            BatchQuery::kmst(Query::kmst(&query).options(options)).map_err(|e| e.to_string())?
         }
         Request::Knn { points, options } => {
             let query = Trajectory::new(points).map_err(|e| e.to_string())?;
-            BatchQuery::knn(Query::knn(&query).options(options)).map_err(|e| e.to_string())
+            BatchQuery::knn(Query::knn(&query).options(options)).map_err(|e| e.to_string())?
         }
         Request::KnnSegments { location, options } => {
             BatchQuery::knn_segments(Query::knn_segments(location).options(options))
-                .map_err(|e| e.to_string())
+                .map_err(|e| e.to_string())?
         }
         Request::Range { window, options } => {
-            Ok(BatchQuery::range(Query::range(&window).options(options)))
+            BatchQuery::range(Query::range(&window).options(options))
         }
-        Request::Stats
-        | Request::Shutdown
-        | Request::Hello { .. }
-        | Request::Insert { .. }
-        | Request::Delete { .. }
-        | Request::Subscribe { .. }
-        | Request::ReplicaAck { .. } => Err("not a query".into()),
-    }
+        _ => return Err("not a query".into()),
+    };
+    Ok((key, query))
 }

@@ -3,7 +3,8 @@
 //! compared bit-for-bit against the embedded single-threaded
 //! `Query::run` path.
 
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use mst_datagen::fixtures::{gstd_fleet, twins_fleet};
@@ -11,6 +12,7 @@ use mst_exec::ShardedDatabase;
 use mst_search::{
     scan_kmst, Integration, MovingObjectDatabase, Query, QueryOptions, Substrate, TrajectoryStore,
 };
+use mst_serve::protocol::{encode_frame_v2, write_frame_v2};
 use mst_serve::{
     ErrorCode, Request, Response, ServeClient, Server, ServerConfig, ServerHandle, VERSION,
 };
@@ -23,6 +25,25 @@ fn start_server(
 ) -> ServerHandle<mst_index::Rtree3D> {
     let db = ShardedDatabase::with_rtree(shards, fleet.iter().cloned()).expect("build shards");
     Server::start(config, Arc::new(db)).expect("start server")
+}
+
+/// Reads one frame by hand off a raw socket: `[len: u32 le]`, then for v2
+/// the `[request id: u64 le]` ahead of the payload (v1 frames report id
+/// 0). `Ok(None)` is a clean close at a frame boundary.
+fn read_raw_frame(stream: &mut TcpStream, v2: bool) -> std::io::Result<Option<(u64, Vec<u8>)>> {
+    let mut prefix = [0u8; 4];
+    if stream.read(&mut prefix[..1])? == 0 {
+        return Ok(None);
+    }
+    stream.read_exact(&mut prefix[1..])?;
+    let mut body = vec![0u8; u32::from_le_bytes(prefix) as usize];
+    stream.read_exact(&mut body)?;
+    if !v2 {
+        return Ok(Some((0, body)));
+    }
+    let payload = body.split_off(8);
+    let id = u64::from_le_bytes(body.try_into().expect("an 8-byte request id"));
+    Ok(Some((id, payload)))
 }
 
 #[test]
@@ -462,9 +483,12 @@ fn v1_clients_get_a_typed_version_error_in_their_own_framing() {
     // A legacy v1 client: no hello, just a v1-framed Stats request. The
     // server must answer in v1 framing with a typed UnsupportedVersion —
     // never hang, never close silently.
-    let mut legacy = std::net::TcpStream::connect(addr).expect("connect");
-    mst_serve::protocol::write_frame(&mut legacy, &Request::Stats.encode()).expect("v1 frame");
-    let payload = mst_serve::protocol::read_frame(&mut legacy)
+    let mut legacy = TcpStream::connect(addr).expect("connect");
+    let payload = Request::Stats.encode();
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    legacy.write_all(&frame).expect("v1 frame");
+    let (_, payload) = read_raw_frame(&mut legacy, false)
         .expect("read error frame")
         .expect("a typed answer, not silence");
     match Response::decode(&payload).expect("decode v1 frame") {
@@ -475,21 +499,18 @@ fn v1_clients_get_a_typed_version_error_in_their_own_framing() {
         other => panic!("expected Error, got {other:?}"),
     }
     // After the rejection the stream closes cleanly.
-    assert!(matches!(
-        mst_serve::protocol::read_frame(&mut legacy),
-        Ok(None)
-    ));
+    assert!(matches!(read_raw_frame(&mut legacy, false), Ok(None)));
 
     // A v2 hello offering only versions the server does not speak gets a
     // v2-framed UnsupportedVersion at request id 0.
-    let mut stale = std::net::TcpStream::connect(addr).expect("connect");
+    let mut stale = TcpStream::connect(addr).expect("connect");
     let hello = Request::Hello {
         min_version: 1,
         max_version: 1,
         depth: 4,
     };
-    mst_serve::protocol::write_frame_v2(&mut stale, 0, &hello.encode()).expect("v2 hello");
-    let (id, payload) = mst_serve::protocol::read_frame_v2(&mut stale)
+    write_frame_v2(&mut stale, 0, &hello.encode()).expect("v2 hello");
+    let (id, payload) = read_raw_frame(&mut stale, true)
         .expect("read error frame")
         .expect("a typed answer, not silence");
     assert_eq!(id, 0);
@@ -525,9 +546,8 @@ fn malformed_frames_answer_typed_errors_and_server_survives() {
     let mut client = ServeClient::connect(addr).expect("connect");
     let response = client.request(&Request::Stats); // warm-up: valid
     assert!(matches!(response, Ok(Response::Stats(_))));
-    mst_serve::protocol::write_frame_v2(client.raw_stream(), 77, &[0x7f])
-        .expect("write garbage opcode");
-    let (id, payload) = mst_serve::protocol::read_frame_v2(client.raw_stream())
+    write_frame_v2(client.raw_stream(), 77, &[0x7f]).expect("write garbage opcode");
+    let (id, payload) = read_raw_frame(client.raw_stream(), true)
         .expect("error frame")
         .expect("a typed answer, not silence");
     assert_eq!(id, 77);
@@ -543,7 +563,7 @@ fn malformed_frames_answer_typed_errors_and_server_survives() {
         .raw_stream()
         .write_all(&(mst_serve::MAX_FRAME + 9).to_le_bytes())
         .expect("write hostile prefix");
-    match mst_serve::protocol::read_frame_v2(hostile.raw_stream()) {
+    match read_raw_frame(hostile.raw_stream(), true) {
         Ok(Some((_, payload))) => match Response::decode(&payload).expect("decode") {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
             other => panic!("expected Error, got {other:?}"),
@@ -567,9 +587,8 @@ fn malformed_frames_answer_typed_errors_and_server_survives() {
         max_version: VERSION,
         depth: 1,
     };
-    mst_serve::protocol::write_frame_v2(rehello.raw_stream(), 9, &hello.encode())
-        .expect("write second hello");
-    let (_, payload) = mst_serve::protocol::read_frame_v2(rehello.raw_stream())
+    write_frame_v2(rehello.raw_stream(), 9, &hello.encode()).expect("write second hello");
+    let (_, payload) = read_raw_frame(rehello.raw_stream(), true)
         .expect("error frame")
         .expect("a typed answer");
     match Response::decode(&payload).expect("decode") {
@@ -596,6 +615,68 @@ fn malformed_frames_answer_typed_errors_and_server_survives() {
     let stats = client.stats().expect("stats");
     assert!(stats.counters.malformed_frames >= 3);
     assert_eq!(stats.counters.invalid_queries, 1);
+    server.shutdown();
+}
+
+/// A peer that writes past its granted depth in one burst is paced, not
+/// flooded into the executor: at depth 1 the server parses the next frame
+/// only once the previous answer is out, so even a one-slot backlog never
+/// overflows and every query runs.
+#[test]
+fn frames_beyond_the_granted_depth_wait_their_turn() {
+    let fleet = gstd_fleet(40, 120, 13);
+    let server = start_server(&fleet, 1, ServerConfig::new().workers(1).queue_capacity(1));
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let hello = Request::Hello {
+        min_version: VERSION,
+        max_version: VERSION,
+        depth: 1,
+    };
+    write_frame_v2(&mut stream, 0, &hello.encode()).expect("hello");
+    let (_, ack) = read_raw_frame(&mut stream, true)
+        .expect("read ack")
+        .expect("an ack");
+    assert_eq!(
+        Response::decode(&ack).expect("decode ack"),
+        Response::HelloAck {
+            version: VERSION,
+            depth: 1
+        }
+    );
+
+    // Four distinct k-MST queries in one write: three beyond the grant.
+    let mut burst = Vec::new();
+    for id in 1..=4u64 {
+        let request = Request::Kmst {
+            points: fleet[id as usize * 7].1.points().to_vec(),
+            options: QueryOptions::new().k(5),
+        };
+        encode_frame_v2(&mut burst, id, &request.encode()).expect("frame");
+    }
+    stream.write_all(&burst).expect("write burst");
+    let mut answered = Vec::new();
+    for _ in 0..4 {
+        let (id, payload) = read_raw_frame(&mut stream, true)
+            .expect("read answer")
+            .expect("an answer");
+        match Response::decode(&payload).expect("decode answer") {
+            Response::Kmst { degraded, matches } => {
+                assert!(!degraded);
+                assert_eq!(matches.len(), 5);
+            }
+            other => panic!("query {id}: expected Kmst, got {other:?}"),
+        }
+        answered.push(id);
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, [1, 2, 3, 4]);
+
+    let stats = ServeClient::connect(server.local_addr())
+        .expect("connect")
+        .stats()
+        .expect("stats");
+    assert_eq!(stats.counters.overload_rejections, 0);
+    assert_eq!(stats.counters.queries_admitted, 4);
     server.shutdown();
 }
 
