@@ -11,8 +11,9 @@
 #   4. a release build of the whole workspace
 #   5. the full test suite
 #   6. the index tests again with `paranoid` audits after every mutation
-#   7. the index shootout smoke (every substrate's answers equal the
-#      exact scan, or the bin exits nonzero)
+#   7. the index shootout smoke (every row — R-tree, bulk-loaded R-tree,
+#      STR-tree, TB-tree, metric tree — answers equal to the exact scan, or
+#      the bin exits nonzero)
 #   8. the chaos smoke test in release mode (seeded fault injection:
 #      quiet schedule must be bit-identical, noisy schedule must stay
 #      honest — no panics, balanced ledgers, named shard failures)
@@ -29,23 +30,28 @@
 #      search on every entry of Trucks-like R-/TB-/STR-trees, and the
 #      pinned per-substrate query profiles; the debug run in gate 5 drives
 #      a tenth of the seeded streams)
-#  12. the repo benchmark's own gate: benchmark/ is a separate workspace
+#  12. the decoder mutation sweep at its full release count (every decoder
+#      of outside bytes — wire requests and responses, pages, index images,
+#      WAL frames, snapshots — fed every truncation, seeded bit flips and
+#      every count field at its maximum: typed errors, never a panic; the
+#      debug run in gate 5 drives a tenth of the cases)
+#  13. the repo benchmark's own gate: benchmark/ is a separate workspace
 #      that `cargo build --workspace` never compiles, so this is the only
 #      gate that catches a crate-API rename breaking it. Builds it
 #      offline, runs its tests, then one smoke run of all four workloads
 #      (every sampled answer must equal scan_kmst); output stays under
 #      benchmark/out/
-#  13. the replication smoke benchmark (a live primary/replica pair over
+#  14. the replication smoke benchmark (a live primary/replica pair over
 #      loopback TCP; the report goes to target/repl_bench.json; fails on
 #      a p99 replication lag over the gate, a catch-up that does not
 #      converge bit-identically, a missed failover, or a write accepted
 #      with no primary)
-#  14. an offline --verify-store sweep of a freshly written durable store
-#  15. the asserting examples, run in release: they are the library front
+#  15. an offline --verify-store sweep of a freshly written durable store
+#  16. the asserting examples, run in release: they are the library front
 #      door's only end-to-end users outside the test suites (each checks
 #      its own answers, runs in under two seconds, and writes only under
 #      the system temp dir)
-#  16. `git status --porcelain` reads as it did before the run: no tracked
+#  17. `git status --porcelain` reads as it did before the run: no tracked
 #      file modified, no new file left behind
 #
 # Each gate prints its wall time so slow gates are easy to spot.
@@ -95,7 +101,7 @@ gate "cargo test --workspace" cargo test -q --workspace
 gate "cargo test -p mst-index --features paranoid" \
     cargo test -q -p mst-index --features paranoid
 
-gate "index shootout smoke (R-tree / TB-tree / Metric tree agree with the scan)" \
+gate "index shootout smoke (R-tree / R-tree bulk / STR-tree / TB-tree / Metric tree agree with the scan)" \
     cargo run --release -q -p mst-bench --bin index_comparison -- \
     --objects 16 --samples 200 --queries 6 --k 2 --seed 11
 
@@ -114,6 +120,9 @@ candidate_path_suites() {
 }
 gate "candidate-path bit-equality, full count (UpperKeys model, walkers, pinned profiles)" \
     candidate_path_suites
+
+gate "decoder mutation sweep, full count (truncations, bit flips, inflated counts: no panics)" \
+    cargo test -q --release -p mst-serve --test decoder_sweep
 
 repo_benchmark() {
     cargo build --release --offline --manifest-path benchmark/Cargo.toml

@@ -44,7 +44,7 @@
 
 mod buffer;
 pub mod checksum;
-mod codec;
+pub mod codec;
 pub mod fault;
 pub mod knn;
 pub mod metric;

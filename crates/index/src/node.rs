@@ -12,9 +12,12 @@
 //!   [16..20] prev leaf      u32  (TB-tree doubly linked leaf list)
 //!   [20..24] next leaf      u32
 //! entries
-//!   leaf:     traj id u64 | seq u32 | t1 x1 y1 t2 x2 y2 (6 × f64)   = 60 B
-//!   internal: child page u32 | x_min y_min t_min x_max y_max t_max  = 52 B
+//!   leaf:     the codec's leaf entry (traj u64 | seq u32 | 2 samples) = 60 B
+//!   internal: child page u32 | the codec's mbb (6 × f64)             = 52 B
 //! ```
+//!
+//! Both directions go through [`crate::codec`], which owns the entry and
+//! box layouts the wire protocol shares.
 //!
 //! Capacities derive from the page size: 67 segments per leaf, 78 children
 //! per internal node — matching the order of magnitude of the paper's
@@ -22,14 +25,13 @@
 
 use std::cmp::Ordering;
 
-use mst_trajectory::{Mbb, SamplePoint, Segment, Trajectory, TrajectoryId};
+use mst_trajectory::{Mbb, Segment, Trajectory, TrajectoryId};
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{CodecError, Reader, Writer, LEAF_ENTRY_SIZE, MBB_SIZE};
 use crate::{IndexError, PageId, Result, PAGE_SIZE};
 
 const HEADER_SIZE: usize = 24;
-const LEAF_ENTRY_SIZE: usize = 8 + 4 + 6 * 8;
-const INTERNAL_ENTRY_SIZE: usize = 4 + 6 * 8;
+const INTERNAL_ENTRY_SIZE: usize = 4 + MBB_SIZE;
 
 /// Maximum number of segment entries in a leaf page.
 pub const LEAF_CAPACITY: usize = (PAGE_SIZE - HEADER_SIZE) / LEAF_ENTRY_SIZE;
@@ -174,68 +176,50 @@ impl Node {
 
     /// Serializes the node into a fresh `PAGE_SIZE` buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        let mut w = Writer::new(&mut buf);
-        match self {
+        assert!(self.len() <= self.capacity(), "node overflow");
+        let (node_type, owner, prev, next, entry_size) = match self {
             Node::Leaf {
-                entries,
-                owner,
-                prev,
-                next,
-            } => {
-                assert!(entries.len() <= LEAF_CAPACITY, "leaf overflow");
-                w.put_u8(TYPE_LEAF);
-                w.put_u8(0);
-                w.put_u16(entries.len() as u16);
-                w.put_u32(0);
-                w.put_u64(owner.map_or(NO_OWNER, |t| t.0));
-                w.put_u32(prev.unwrap_or(PageId::NONE).0);
-                w.put_u32(next.unwrap_or(PageId::NONE).0);
-                for e in entries {
-                    w.put_u64(e.traj.0);
-                    w.put_u32(e.seq);
-                    let (s, t) = (e.segment.start(), e.segment.end());
-                    w.put_f64(s.t);
-                    w.put_f64(s.x);
-                    w.put_f64(s.y);
-                    w.put_f64(t.t);
-                    w.put_f64(t.x);
-                    w.put_f64(t.y);
-                }
-            }
-            Node::Internal { level, entries } => {
-                assert!(entries.len() <= INTERNAL_CAPACITY, "internal overflow");
+                owner, prev, next, ..
+            } => (
+                TYPE_LEAF,
+                owner.map_or(NO_OWNER, |t| t.0),
+                *prev,
+                *next,
+                LEAF_ENTRY_SIZE,
+            ),
+            Node::Internal { level, .. } => {
                 assert!(*level >= 1, "internal nodes live above the leaves");
-                w.put_u8(TYPE_INTERNAL);
-                w.put_u8(*level);
-                w.put_u16(entries.len() as u16);
-                w.put_u32(0);
-                w.put_u64(NO_OWNER);
-                w.put_u32(PageId::NONE.0);
-                w.put_u32(PageId::NONE.0);
-                for e in entries {
-                    w.put_u32(e.child.0);
-                    w.put_f64(e.mbb.x_min);
-                    w.put_f64(e.mbb.y_min);
-                    w.put_f64(e.mbb.t_min);
-                    w.put_f64(e.mbb.x_max);
-                    w.put_f64(e.mbb.y_max);
-                    w.put_f64(e.mbb.t_max);
-                }
+                (TYPE_INTERNAL, NO_OWNER, None, None, INTERNAL_ENTRY_SIZE)
             }
-        }
-        let entry_size = match self {
-            Node::Leaf { .. } => LEAF_ENTRY_SIZE,
-            Node::Internal { .. } => INTERNAL_ENTRY_SIZE,
         };
-        assert_eq!(
-            w.position(),
-            HEADER_SIZE + self.len() * entry_size,
-            "encoded size disagrees with the layout constants"
-        );
+        let mut w = Writer::with_capacity(PAGE_SIZE);
+        w.put_u8(node_type);
+        w.put_u8(self.level());
+        // The capacities (67 and 78 entries) fit a u16 by construction.
+        w.put_u16(u16::try_from(self.len()).unwrap_or(u16::MAX));
         // The reserved header word doubles as the page checksum slot; the
         // buffer pool seals it at write-back (decode ignores the slot, so
         // encode/decode round-trips are unaffected either way).
+        w.put_u32(0);
+        w.put_u64(owner);
+        w.put_u32(prev.unwrap_or(PageId::NONE).0);
+        w.put_u32(next.unwrap_or(PageId::NONE).0);
+        match self {
+            Node::Leaf { entries, .. } => entries.iter().for_each(|e| w.put_leaf_entry(e)),
+            Node::Internal { entries, .. } => {
+                for e in entries {
+                    w.put_u32(e.child.0);
+                    w.put_mbb(&e.mbb);
+                }
+            }
+        }
+        let mut buf = w.into_bytes();
+        assert_eq!(
+            buf.len(),
+            HEADER_SIZE + self.len() * entry_size,
+            "encoded size disagrees with the layout constants"
+        );
+        buf.resize(PAGE_SIZE, 0);
         buf
     }
 
@@ -245,102 +229,72 @@ impl Node {
     /// and malformed payloads all come back as
     /// [`IndexError::CorruptNode`] — never a panic.
     pub fn decode(page: PageId, buf: &[u8]) -> Result<Node> {
-        let corrupt = |reason: String| IndexError::CorruptNode { page, reason };
-        let truncated = || corrupt("page truncated mid-field".to_string());
         if buf.len() != PAGE_SIZE {
-            return Err(corrupt(format!(
-                "page has {} bytes, expected {}",
-                buf.len(),
-                PAGE_SIZE
-            )));
+            return Err(IndexError::CorruptNode {
+                page,
+                reason: format!("page has {} bytes, expected {PAGE_SIZE}", buf.len()),
+            });
         }
-        let mut r = Reader::new(buf);
-        let node_type = r.try_get_u8().ok_or_else(truncated)?;
-        let level = r.try_get_u8().ok_or_else(truncated)?;
-        let count = usize::from(r.try_get_u16().ok_or_else(truncated)?);
-        let _reserved = r.try_get_u32().ok_or_else(truncated)?;
-        let owner = r.try_get_u64().ok_or_else(truncated)?;
-        let prev = r.try_get_u32().ok_or_else(truncated)?;
-        let next = r.try_get_u32().ok_or_else(truncated)?;
-        debug_assert_eq!(r.position(), HEADER_SIZE);
-        match node_type {
-            TYPE_LEAF => {
-                if count > LEAF_CAPACITY {
-                    return Err(corrupt(format!(
-                        "leaf count {count} exceeds capacity {LEAF_CAPACITY}"
-                    )));
-                }
-                if r.remaining() < count * LEAF_ENTRY_SIZE {
-                    return Err(corrupt(format!(
-                        "leaf count {count} overruns the page: {} bytes needed, {} left",
-                        count * LEAF_ENTRY_SIZE,
-                        r.remaining()
-                    )));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let traj = TrajectoryId(r.try_get_u64().ok_or_else(truncated)?);
-                    let seq = r.try_get_u32().ok_or_else(truncated)?;
-                    let mut f = || r.try_get_f64().ok_or_else(truncated);
-                    let (t1, x1, y1) = (f()?, f()?, f()?);
-                    let (t2, x2, y2) = (f()?, f()?, f()?);
-                    let segment =
-                        Segment::new(SamplePoint::new(t1, x1, y1), SamplePoint::new(t2, x2, y2))
-                            .map_err(|e| IndexError::CorruptNode {
-                                page,
-                                reason: format!("invalid segment: {e}"),
-                            })?;
-                    entries.push(LeafEntry { traj, seq, segment });
-                }
-                debug_assert_eq!(r.position(), HEADER_SIZE + count * LEAF_ENTRY_SIZE);
-                Ok(Node::Leaf {
-                    entries,
-                    owner: (owner != NO_OWNER).then_some(TrajectoryId(owner)),
-                    prev: (prev != PageId::NONE.0).then_some(PageId(prev)),
-                    next: (next != PageId::NONE.0).then_some(PageId(next)),
-                })
+        read_node(Reader::new(buf)).map_err(|e| IndexError::CorruptNode {
+            page,
+            reason: e.to_string(),
+        })
+    }
+}
+
+/// Reads one node from a `PAGE_SIZE` slice. A count within capacity
+/// always fits the page (`capacities_match_layout`), so only the count,
+/// the level and the entries themselves need checking.
+fn read_node(mut r: Reader<'_>) -> std::result::Result<Node, CodecError> {
+    let node_type = r.u8()?;
+    let level = r.u8()?;
+    let count = usize::from(r.u16()?);
+    let _checksum = r.u32()?;
+    let owner = r.u64()?;
+    let prev = r.u32()?;
+    let next = r.u32()?;
+    match node_type {
+        TYPE_LEAF => {
+            if count > LEAF_CAPACITY {
+                return Err(CodecError::Invalid("leaf count exceeds capacity"));
             }
-            TYPE_INTERNAL => {
-                if count > INTERNAL_CAPACITY {
-                    return Err(corrupt(format!(
-                        "internal count {count} exceeds capacity {INTERNAL_CAPACITY}"
-                    )));
-                }
-                if level == 0 {
-                    return Err(corrupt("internal node with level 0".to_string()));
-                }
-                if r.remaining() < count * INTERNAL_ENTRY_SIZE {
-                    return Err(corrupt(format!(
-                        "internal count {count} overruns the page: {} bytes needed, {} left",
-                        count * INTERNAL_ENTRY_SIZE,
-                        r.remaining()
-                    )));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let child = PageId(r.try_get_u32().ok_or_else(truncated)?);
-                    let mut f = || r.try_get_f64().ok_or_else(truncated);
-                    let (x_min, y_min, t_min) = (f()?, f()?, f()?);
-                    let (x_max, y_max, t_max) = (f()?, f()?, f()?);
-                    if !(x_min <= x_max && y_min <= y_max && t_min <= t_max) {
-                        return Err(corrupt("inverted MBB".to_string()));
-                    }
-                    entries.push(InternalEntry {
-                        child,
-                        mbb: Mbb::new(x_min, y_min, t_min, x_max, y_max, t_max),
-                    });
-                }
-                debug_assert_eq!(r.position(), HEADER_SIZE + count * INTERNAL_ENTRY_SIZE);
-                Ok(Node::Internal { level, entries })
+            let mut entries = Vec::with_capacity(count);
+            for _ in 0..count {
+                entries.push(r.leaf_entry()?);
             }
-            other => Err(corrupt(format!("unknown node type {other}"))),
+            Ok(Node::Leaf {
+                entries,
+                owner: (owner != NO_OWNER).then_some(TrajectoryId(owner)),
+                prev: (prev != PageId::NONE.0).then_some(PageId(prev)),
+                next: (next != PageId::NONE.0).then_some(PageId(next)),
+            })
         }
+        TYPE_INTERNAL => {
+            if count > INTERNAL_CAPACITY {
+                return Err(CodecError::Invalid("internal count exceeds capacity"));
+            }
+            if level == 0 {
+                return Err(CodecError::Invalid("internal node with level 0"));
+            }
+            let mut entries = Vec::with_capacity(count);
+            for _ in 0..count {
+                let mut e = Reader::new(r.take(INTERNAL_ENTRY_SIZE)?);
+                let child = PageId(e.u32()?);
+                entries.push(InternalEntry {
+                    child,
+                    mbb: e.mbb()?,
+                });
+            }
+            Ok(Node::Internal { level, entries })
+        }
+        _ => Err(CodecError::Invalid("unknown node type")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mst_trajectory::SamplePoint;
 
     fn entry(id: u64, seq: u32, t0: f64) -> LeafEntry {
         LeafEntry {

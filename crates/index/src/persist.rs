@@ -27,10 +27,11 @@
 //! `load(image) + replay(lsn..)`. Images saved outside a durability
 //! wrapper carry LSN 0 ("contains nothing from any log").
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use mst_trajectory::TrajectoryId;
 
+use crate::codec::{CodecError, Reader, Writer};
 use crate::shared::Pager;
 use crate::tree::{sorted_pairs, TreeCore};
 use crate::{IndexError, PageId, PageStore, Result, PAGE_SIZE};
@@ -108,99 +109,92 @@ impl Image {
     }
 
     pub(crate) fn write_to<W: Write>(&self, mut w: W) -> Result<()> {
-        let mut header = Vec::with_capacity(64);
-        header.extend_from_slice(MAGIC);
-        header.push(match self.kind {
+        let mut header = Writer::with_capacity(64);
+        header.put_bytes(MAGIC);
+        header.put_u8(match self.kind {
             ImageKind::Rtree3D => 0,
             ImageKind::TbTree => 1,
             ImageKind::StrTree => 2,
             ImageKind::MetricTree => 3,
         });
-        header.extend_from_slice(&self.lsn.to_le_bytes());
-        header.extend_from_slice(&self.root.unwrap_or(PageId::NONE).0.to_le_bytes());
-        header.push(self.height);
-        header.extend_from_slice(&self.entries.to_le_bytes());
-        header.extend_from_slice(&self.max_speed.to_bits().to_le_bytes());
-        header.extend_from_slice(&len_u64(self.pages.len(), "page")?.to_le_bytes());
-        header.extend_from_slice(&len_u32(self.free_list.len(), "free-list")?.to_le_bytes());
+        header.put_u64(self.lsn);
+        header.put_u32(self.root.unwrap_or(PageId::NONE).0);
+        header.put_u8(self.height);
+        header.put_u64(self.entries);
+        header.put_f64(self.max_speed);
+        header.put_u64(len_u64(self.pages.len(), "page")?);
+        header.put_u32(len_u32(self.free_list.len(), "free-list")?);
         for id in &self.free_list {
-            header.extend_from_slice(&id.0.to_le_bytes());
+            header.put_u32(id.0);
         }
-        header.extend_from_slice(&len_u32(self.tips.len(), "tip")?.to_le_bytes());
+        header.put_u32(len_u32(self.tips.len(), "tip")?);
         for (traj, page) in &self.tips {
-            header.extend_from_slice(&traj.0.to_le_bytes());
-            header.extend_from_slice(&page.0.to_le_bytes());
+            header.put_u64(traj.0);
+            header.put_u32(page.0);
         }
-        header.extend_from_slice(&len_u32(self.parents.len(), "parent")?.to_le_bytes());
+        header.put_u32(len_u32(self.parents.len(), "parent")?);
         for (child, parent) in &self.parents {
-            header.extend_from_slice(&child.0.to_le_bytes());
-            header.extend_from_slice(&parent.0.to_le_bytes());
+            header.put_u32(child.0);
+            header.put_u32(parent.0);
         }
-        w.write_all(&header).map_err(io_err)?;
+        w.write_all(header.as_bytes()).map_err(io_err)?;
         for page in &self.pages {
             w.write_all(page).map_err(io_err)?;
         }
         w.flush().map_err(io_err)
     }
 
-    pub(crate) fn read_from<R: Read>(mut r: R) -> Result<Image> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic).map_err(io_err)?;
-        if &magic != MAGIC {
-            return Err(IndexError::Persist("bad magic — not an index image".into()));
+    /// Parses an image. Every count is checked against the bytes present
+    /// before anything is allocated for it, so a hostile header is a
+    /// clean [`IndexError::Persist`].
+    pub(crate) fn read_from(bytes: &[u8]) -> Result<Image> {
+        Self::parse(Reader::new(bytes))
+            .map_err(|e| IndexError::Persist(format!("index image: {e}")))
+    }
+
+    fn parse(mut r: Reader<'_>) -> std::result::Result<Image, CodecError> {
+        if r.take(MAGIC.len())? != MAGIC {
+            return Err(CodecError::Invalid("bad magic — not an index image"));
         }
-        let kind = match read_u8(&mut r)? {
+        let kind = match r.u8()? {
             0 => ImageKind::Rtree3D,
             1 => ImageKind::TbTree,
             2 => ImageKind::StrTree,
             3 => ImageKind::MetricTree,
-            other => {
-                return Err(IndexError::Persist(format!("unknown tree kind {other}")));
-            }
+            _ => return Err(CodecError::Invalid("unknown tree kind")),
         };
-        let lsn = read_u64(&mut r)?;
-        let root_raw = read_u32(&mut r)?;
-        let height = read_u8(&mut r)?;
-        let entries = read_u64(&mut r)?;
-        let max_speed = f64::from_bits(read_u64(&mut r)?);
+        let lsn = r.u64()?;
+        let root_raw = r.u32()?;
+        let height = r.u8()?;
+        let entries = r.u64()?;
+        let max_speed = r.f64()?;
         if !max_speed.is_finite() || max_speed < 0.0 {
-            return Err(IndexError::Persist(format!("invalid vmax {max_speed}")));
+            return Err(CodecError::Invalid("invalid vmax"));
         }
-        let num_pages = count_from_u64(read_u64(&mut r)?, "page")?;
-        let free_count = count_from_u32(read_u32(&mut r)?);
+        let num_pages = r.count_u64(PAGE_SIZE)?;
+        let free_count = r.count(4)?;
         if free_count > num_pages {
-            return Err(IndexError::Persist(format!(
-                "{free_count} free pages exceed the {num_pages} allocated"
-            )));
+            return Err(CodecError::Invalid("more free pages than allocated"));
         }
-        let mut free_list = Vec::with_capacity(free_count);
-        for _ in 0..free_count {
-            free_list.push(PageId(read_u32(&mut r)?));
-        }
-        let tips_count = count_from_u32(read_u32(&mut r)?);
-        let mut tips = Vec::with_capacity(tips_count);
-        for _ in 0..tips_count {
-            tips.push((TrajectoryId(read_u64(&mut r)?), PageId(read_u32(&mut r)?)));
-        }
-        let parents_count = count_from_u32(read_u32(&mut r)?);
-        let mut parents = Vec::with_capacity(parents_count);
-        for _ in 0..parents_count {
-            parents.push((PageId(read_u32(&mut r)?), PageId(read_u32(&mut r)?)));
-        }
-        let mut pages = Vec::with_capacity(num_pages);
-        for _ in 0..num_pages {
-            let mut page = vec![0u8; PAGE_SIZE];
-            r.read_exact(&mut page).map_err(io_err)?;
-            pages.push(page.into_boxed_slice());
-        }
+        let free_list = (0..free_count)
+            .map(|_| Ok(PageId(r.u32()?)))
+            .collect::<std::result::Result<_, CodecError>>()?;
+        let tips_count = r.count(12)?;
+        let tips = (0..tips_count)
+            .map(|_| Ok((TrajectoryId(r.u64()?), PageId(r.u32()?))))
+            .collect::<std::result::Result<_, CodecError>>()?;
+        let parents_count = r.count(8)?;
+        let parents = (0..parents_count)
+            .map(|_| Ok((PageId(r.u32()?), PageId(r.u32()?))))
+            .collect::<std::result::Result<_, CodecError>>()?;
+        let pages = (0..num_pages)
+            .map(|_| r.take(PAGE_SIZE).map(Box::from))
+            .collect::<std::result::Result<_, CodecError>>()?;
         let root = (root_raw != PageId::NONE.0).then_some(PageId(root_raw));
-        if let Some(root) = root {
-            if root.index() >= num_pages {
-                return Err(IndexError::Persist(format!(
-                    "root {root:?} outside the {num_pages}-page image"
-                )));
-            }
+        if root.is_some_and(|root| root.index() >= num_pages) {
+            return Err(CodecError::Invalid("root outside the image"));
         }
+        r.finish()?;
         Ok(Image {
             kind,
             lsn,
@@ -224,37 +218,6 @@ fn len_u64(n: usize, what: &str) -> Result<u64> {
 /// Converts a collection length to the on-disk `u32` count field.
 fn len_u32(n: usize, what: &str) -> Result<u32> {
     u32::try_from(n).map_err(|_| IndexError::Persist(format!("{what} count {n} exceeds u32")))
-}
-
-/// Converts an on-disk `u64` count into an in-memory `usize`, rejecting
-/// values this platform cannot address.
-fn count_from_u64(n: u64, what: &str) -> Result<usize> {
-    usize::try_from(n)
-        .map_err(|_| IndexError::Persist(format!("{what} count {n} exceeds the address space")))
-}
-
-/// Converts an on-disk `u32` count into an in-memory `usize` (lossless:
-/// 16-bit targets are rejected at compile time by the page store).
-fn count_from_u32(n: u32) -> usize {
-    PageId(n).index()
-}
-
-fn read_u8<R: Read>(r: &mut R) -> Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b).map_err(io_err)?;
-    Ok(b[0])
-}
-
-fn read_u32<R: Read>(r: &mut R) -> Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(io_err)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(io_err)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 #[cfg(test)]
@@ -452,6 +415,27 @@ mod roundtrip_tests {
         st.save(&mut bytes).unwrap();
         let (_, lsn) = StrTree::load_lsn(&bytes[..]).unwrap();
         assert_eq!(lsn, 0, "plain save stamps LSN 0");
+    }
+
+    /// A 58-byte image whose header claims 2^60 pages is refused before
+    /// anything is allocated for them: the page count is checked against
+    /// the bytes present, as every other count is.
+    #[test]
+    fn a_hostile_page_count_is_refused_before_allocating() {
+        let mut bytes = b"MSTIDX02".to_vec();
+        bytes.push(0); // kind: R-tree
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // lsn
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // no root
+        bytes.push(0); // height
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // entries
+        bytes.extend_from_slice(&0f64.to_le_bytes()); // vmax
+        bytes.extend_from_slice(&(1u64 << 60).to_le_bytes()); // pages
+        for _ in 0..3 {
+            bytes.extend_from_slice(&0u32.to_le_bytes()); // free, tips, parents
+        }
+        assert_eq!(bytes.len(), 58);
+        let err = Rtree3D::load(&bytes).err().expect("must fail");
+        assert!(matches!(err, crate::IndexError::Persist(_)), "{err:?}");
     }
 
     #[test]

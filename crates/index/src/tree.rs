@@ -13,7 +13,7 @@
 //! `metric.rs`).
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 use mst_trajectory::{Mbb, Trajectory, TrajectoryId};
@@ -475,15 +475,15 @@ impl<P: InsertionPolicy> PagedTree<P> {
     }
 
     /// Reconstructs an index from a persisted image.
-    pub fn load<R: Read>(reader: R) -> Result<Self> {
-        Ok(Self::load_lsn(reader)?.0)
+    pub fn load(bytes: &[u8]) -> Result<Self> {
+        Ok(Self::load_lsn(bytes)?.0)
     }
 
     /// Reconstructs an index from a persisted image, also returning the log
     /// sequence number the image is consistent through. An image of
     /// another substrate is refused.
-    pub fn load_lsn<R: Read>(reader: R) -> Result<(Self, u64)> {
-        let image = Image::read_from(reader)?;
+    pub fn load_lsn(bytes: &[u8]) -> Result<(Self, u64)> {
+        let image = Image::read_from(bytes)?;
         if image.kind != P::KIND {
             return Err(IndexError::Persist(format!(
                 "image holds a {:?}, not a {:?}",
@@ -498,8 +498,8 @@ impl<P: InsertionPolicy> PagedTree<P> {
 
     /// Loads an index from a file.
     pub fn load_from_path<Q: AsRef<Path>>(path: Q) -> Result<Self> {
-        let file = std::fs::File::open(path).map_err(|e| IndexError::Persist(e.to_string()))?;
-        Self::load(std::io::BufReader::new(file))
+        let bytes = std::fs::read(path).map_err(|e| IndexError::Persist(e.to_string()))?;
+        Self::load(&bytes)
     }
 }
 

@@ -55,10 +55,15 @@
 //!
 //! # Decoding discipline
 //!
-//! Decoding is *structural only* and total: every read is bounds-checked
-//! ([`Cursor`]), unknown opcodes and trailing bytes are typed errors, and
+//! Decoding is *structural only* and total: every read goes through the
+//! shared checked reader ([`mst_index::codec::Reader`], whose short reads,
+//! over-long counts and trailing bytes map to [`WireError::Truncated`] and
+//! [`WireError::TrailingBytes`]), unknown opcodes are typed errors, and
 //! nothing panics on any byte sequence (the workspace's R1 gate covers
-//! this crate). Semantic validation — monotonic timestamps, coverage of
+//! this crate; `tests/decoder_sweep.rs` feeds both decoders truncated,
+//! bit-flipped and count-inflated payloads). Sample lists, leaf entries
+//! and range boxes use the codec's layouts, the same bytes pages and WAL
+//! frames carry. Semantic validation — monotonic timestamps, coverage of
 //! the query period — happens server-side through the same
 //! [`mst_search::Query`] builders the embedded API uses, so a structurally
 //! valid but semantically bad query gets [`ErrorCode::InvalidQuery`]
@@ -67,9 +72,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mst_index::codec::{CodecError, Reader, Writer, LEAF_ENTRY_SIZE};
 use mst_index::{KnnMatch, LeafEntry};
 use mst_search::{MstMatch, NnMatch, QueryOptions, Substrate};
-use mst_trajectory::{Mbb, Point, SamplePoint, Segment, TimeInterval, TrajectoryId};
+use mst_trajectory::{Mbb, Point, SamplePoint, TimeInterval, TrajectoryId};
 
 /// Hard cap on a frame's payload (opcode + body): 4 MiB.
 pub const MAX_FRAME: u32 = 4 << 20;
@@ -153,138 +159,49 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// A bounds-checked read cursor over a frame payload. Every accessor
-/// returns [`WireError::Truncated`] instead of slicing out of range.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn try_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn try_u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn try_u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(b);
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn try_u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn try_f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.try_u64()?))
-    }
-
-    /// Asserts the message consumed its whole frame.
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Short => WireError::Truncated,
+            CodecError::Trailing => WireError::TrailingBytes,
+            CodecError::Invalid(what) => WireError::BadPayload(what),
         }
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_count(out: &mut Vec<u8>, len: usize) -> u32 {
-    let count = u32::try_from(len).unwrap_or(u32::MAX);
-    put_u32(out, count);
-    count
-}
-
-/// Reads one `u32` element count and pre-checks it against the bytes
-/// actually present (`elem_size` each), so a hostile count cannot drive a
-/// huge allocation before the body runs out.
-fn try_count(cur: &mut Cursor<'_>, elem_size: usize) -> Result<usize, WireError> {
-    let count = usize::try_from(cur.try_u32()?).map_err(|_| WireError::BadPayload("count"))?;
-    match count.checked_mul(elem_size) {
-        Some(total) if total <= cur.remaining() => Ok(count),
-        _ => Err(WireError::Truncated),
-    }
-}
-
-fn put_options(out: &mut Vec<u8>, opts: &QueryOptions) {
-    let k = u32::try_from(opts.k).unwrap_or(u32::MAX);
-    put_u32(out, k);
+fn put_options(w: &mut Writer, opts: &QueryOptions) {
+    w.put_u32(u32::try_from(opts.k).unwrap_or(u32::MAX));
     match opts.period {
         Some(period) => {
-            out.push(1);
-            put_f64(out, period.start());
-            put_f64(out, period.end());
+            w.put_u8(1);
+            w.put_f64(period.start());
+            w.put_f64(period.end());
         }
-        None => out.push(0),
+        None => w.put_u8(0),
     }
-    match opts.deadline_us {
-        Some(us) => {
-            out.push(1);
-            put_u64(out, us);
-        }
-        None => out.push(0),
-    }
-    out.push(u8::from(opts.share_bound));
-    match opts.min_lsn {
-        Some(lsn) => {
-            out.push(1);
-            put_u64(out, lsn);
-        }
-        None => out.push(0),
-    }
-    out.push(opts.substrate.tag());
+    put_optional_u64(w, opts.deadline_us);
+    w.put_u8(u8::from(opts.share_bound));
+    put_optional_u64(w, opts.min_lsn);
+    w.put_u8(opts.substrate.tag());
 }
 
-fn try_options(cur: &mut Cursor<'_>) -> Result<QueryOptions, WireError> {
+fn put_optional_u64(w: &mut Writer, v: Option<u64>) {
+    match v {
+        Some(v) => {
+            w.put_u8(1);
+            w.put_u64(v);
+        }
+        None => w.put_u8(0),
+    }
+}
+
+fn try_options(r: &mut Reader<'_>) -> Result<QueryOptions, WireError> {
     let mut opts = QueryOptions::new();
-    opts.k = usize::try_from(cur.try_u32()?).map_err(|_| WireError::BadPayload("k"))?;
-    opts.period = match cur.try_u8()? {
+    opts.k = usize::try_from(r.u32()?).map_err(|_| WireError::BadPayload("k"))?;
+    opts.period = match r.u8()? {
         0 => None,
         1 => {
-            let start = cur.try_f64()?;
-            let end = cur.try_f64()?;
+            let (start, end) = (r.f64()?, r.f64()?);
             Some(
                 TimeInterval::new(start, end)
                     .map_err(|_| WireError::BadPayload("invalid time interval"))?,
@@ -292,80 +209,39 @@ fn try_options(cur: &mut Cursor<'_>) -> Result<QueryOptions, WireError> {
         }
         _ => return Err(WireError::BadPayload("period flag")),
     };
-    opts.deadline_us = match cur.try_u8()? {
-        0 => None,
-        1 => Some(cur.try_u64()?),
-        _ => return Err(WireError::BadPayload("deadline flag")),
-    };
-    opts.share_bound = match cur.try_u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::BadPayload("share flag")),
-    };
-    opts.min_lsn = match cur.try_u8()? {
-        0 => None,
-        1 => Some(cur.try_u64()?),
-        _ => return Err(WireError::BadPayload("min_lsn flag")),
-    };
-    opts.substrate =
-        Substrate::from_tag(cur.try_u8()?).ok_or(WireError::BadPayload("substrate tag"))?;
+    opts.deadline_us = try_optional_u64(r, "deadline flag")?;
+    opts.share_bound = try_flag(r, "share flag")?;
+    opts.min_lsn = try_optional_u64(r, "min_lsn flag")?;
+    opts.substrate = Substrate::from_tag(r.u8()?).ok_or(WireError::BadPayload("substrate tag"))?;
     Ok(opts)
 }
 
-fn put_points(out: &mut Vec<u8>, points: &[SamplePoint]) {
-    let count = put_count(out, points.len());
-    for p in points
-        .iter()
-        .take(usize::try_from(count).unwrap_or(usize::MAX))
-    {
-        put_f64(out, p.t);
-        put_f64(out, p.x);
-        put_f64(out, p.y);
+fn try_optional_u64(r: &mut Reader<'_>, what: &'static str) -> Result<Option<u64>, WireError> {
+    Ok(if try_flag(r, what)? {
+        Some(r.u64()?)
+    } else {
+        None
+    })
+}
+
+/// A `0`/`1` byte; anything else is a [`WireError::BadPayload`] naming `what`.
+fn try_flag(r: &mut Reader<'_>, what: &'static str) -> Result<bool, WireError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(WireError::BadPayload(what)),
     }
 }
 
-fn try_points(cur: &mut Cursor<'_>) -> Result<Vec<SamplePoint>, WireError> {
-    let count = try_count(cur, 24)?;
-    let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        let t = cur.try_f64()?;
-        let x = cur.try_f64()?;
-        let y = cur.try_f64()?;
-        points.push(SamplePoint::new(t, x, y));
-    }
-    Ok(points)
+/// A `u32` length, then that many raw bytes.
+fn put_blob(w: &mut Writer, bytes: &[u8]) {
+    let n = w.put_count(bytes.len());
+    w.put_bytes(bytes.get(..n).unwrap_or(bytes));
 }
 
-fn put_sample(out: &mut Vec<u8>, p: SamplePoint) {
-    put_f64(out, p.t);
-    put_f64(out, p.x);
-    put_f64(out, p.y);
-}
-
-fn try_sample(cur: &mut Cursor<'_>) -> Result<SamplePoint, WireError> {
-    let t = cur.try_f64()?;
-    let x = cur.try_f64()?;
-    let y = cur.try_f64()?;
-    Ok(SamplePoint::new(t, x, y))
-}
-
-fn put_leaf_entry(out: &mut Vec<u8>, e: &LeafEntry) {
-    put_u64(out, e.traj.0);
-    put_u32(out, e.seq);
-    put_sample(out, e.segment.start());
-    put_sample(out, e.segment.end());
-}
-
-/// 8 (traj) + 4 (seq) + 2 x 24 (samples).
-const LEAF_ENTRY_SIZE: usize = 60;
-
-fn try_leaf_entry(cur: &mut Cursor<'_>) -> Result<LeafEntry, WireError> {
-    let traj = TrajectoryId(cur.try_u64()?);
-    let seq = cur.try_u32()?;
-    let start = try_sample(cur)?;
-    let end = try_sample(cur)?;
-    let segment = Segment::new(start, end).map_err(|_| WireError::BadPayload("invalid segment"))?;
-    Ok(LeafEntry { traj, seq, segment })
+fn try_blob(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+    let n = r.count(1)?;
+    Ok(r.take(n)?.to_vec())
 }
 
 /// A decoded client request. Trajectories arrive as raw sample lists —
@@ -466,135 +342,111 @@ pub enum Request {
 impl Request {
     /// Encodes the request into a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::default();
         match self {
             Request::Kmst { points, options } => {
-                out.push(0x01);
-                put_options(&mut out, options);
-                put_points(&mut out, points);
+                w.put_u8(0x01);
+                put_options(&mut w, options);
+                w.put_samples(points);
             }
             Request::Knn { points, options } => {
-                out.push(0x02);
-                put_options(&mut out, options);
-                put_points(&mut out, points);
+                w.put_u8(0x02);
+                put_options(&mut w, options);
+                w.put_samples(points);
             }
             Request::KnnSegments { location, options } => {
-                out.push(0x03);
-                put_options(&mut out, options);
-                put_f64(&mut out, location.x);
-                put_f64(&mut out, location.y);
+                w.put_u8(0x03);
+                put_options(&mut w, options);
+                w.put_f64(location.x);
+                w.put_f64(location.y);
             }
             Request::Range { window, options } => {
-                out.push(0x04);
-                put_options(&mut out, options);
-                put_f64(&mut out, window.x_min);
-                put_f64(&mut out, window.y_min);
-                put_f64(&mut out, window.t_min);
-                put_f64(&mut out, window.x_max);
-                put_f64(&mut out, window.y_max);
-                put_f64(&mut out, window.t_max);
+                w.put_u8(0x04);
+                put_options(&mut w, options);
+                w.put_mbb(window);
             }
-            Request::Stats => out.push(0x05),
-            Request::Shutdown => out.push(0x06),
+            Request::Stats => w.put_u8(0x05),
+            Request::Shutdown => w.put_u8(0x06),
             Request::Insert { id, points } => {
-                out.push(0x07);
-                put_u64(&mut out, id.0);
-                put_points(&mut out, points);
+                w.put_u8(0x07);
+                w.put_u64(id.0);
+                w.put_samples(points);
             }
             Request::Delete { id } => {
-                out.push(0x08);
-                put_u64(&mut out, id.0);
+                w.put_u8(0x08);
+                w.put_u64(id.0);
             }
             Request::Subscribe { from_lsn } => {
-                out.push(0x09);
-                put_u64(&mut out, *from_lsn);
+                w.put_u8(0x09);
+                w.put_u64(*from_lsn);
             }
             Request::ReplicaAck { lsn } => {
-                out.push(0x0A);
-                put_u64(&mut out, *lsn);
+                w.put_u8(0x0A);
+                w.put_u64(*lsn);
             }
             Request::Hello {
                 min_version,
                 max_version,
                 depth,
             } => {
-                out.push(0x0F);
-                put_u32(&mut out, MAGIC);
-                put_u16(&mut out, *min_version);
-                put_u16(&mut out, *max_version);
-                put_u16(&mut out, *depth);
+                w.put_u8(0x0F);
+                w.put_u32(MAGIC);
+                w.put_u16(*min_version);
+                w.put_u16(*max_version);
+                w.put_u16(*depth);
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Decodes a frame payload into a request. Total: every malformed
     /// input maps to a typed [`WireError`].
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let mut cur = Cursor::new(payload);
-        let opcode = cur.try_u8()?;
-        let request = match opcode {
+        let mut r = Reader::new(payload);
+        let request = match r.u8()? {
             0x01 => {
-                let options = try_options(&mut cur)?;
-                let points = try_points(&mut cur)?;
+                let options = try_options(&mut r)?;
+                let points = r.samples()?;
                 Request::Kmst { points, options }
             }
             0x02 => {
-                let options = try_options(&mut cur)?;
-                let points = try_points(&mut cur)?;
+                let options = try_options(&mut r)?;
+                let points = r.samples()?;
                 Request::Knn { points, options }
             }
             0x03 => {
-                let options = try_options(&mut cur)?;
-                let x = cur.try_f64()?;
-                let y = cur.try_f64()?;
+                let options = try_options(&mut r)?;
+                let (x, y) = (r.f64()?, r.f64()?);
                 Request::KnnSegments {
                     location: Point::new(x, y),
                     options,
                 }
             }
             0x04 => {
-                let options = try_options(&mut cur)?;
-                let x_min = cur.try_f64()?;
-                let y_min = cur.try_f64()?;
-                let t_min = cur.try_f64()?;
-                let x_max = cur.try_f64()?;
-                let y_max = cur.try_f64()?;
-                let t_max = cur.try_f64()?;
-                let finite = [x_min, y_min, t_min, x_max, y_max, t_max]
-                    .iter()
-                    .all(|v| v.is_finite());
-                if !finite || x_min > x_max || y_min > y_max || t_min > t_max {
-                    return Err(WireError::BadPayload("invalid range window"));
-                }
-                Request::Range {
-                    window: Mbb::new(x_min, y_min, t_min, x_max, y_max, t_max),
-                    options,
-                }
+                let options = try_options(&mut r)?;
+                let window = r.mbb().map_err(|e| match e {
+                    CodecError::Invalid(_) => WireError::BadPayload("invalid range window"),
+                    short => short.into(),
+                })?;
+                Request::Range { window, options }
             }
             0x05 => Request::Stats,
             0x06 => Request::Shutdown,
             0x07 => {
-                let id = TrajectoryId(cur.try_u64()?);
-                let points = try_points(&mut cur)?;
+                let id = TrajectoryId(r.u64()?);
+                let points = r.samples()?;
                 Request::Insert { id, points }
             }
             0x08 => Request::Delete {
-                id: TrajectoryId(cur.try_u64()?),
+                id: TrajectoryId(r.u64()?),
             },
-            0x09 => Request::Subscribe {
-                from_lsn: cur.try_u64()?,
-            },
-            0x0A => Request::ReplicaAck {
-                lsn: cur.try_u64()?,
-            },
+            0x09 => Request::Subscribe { from_lsn: r.u64()? },
+            0x0A => Request::ReplicaAck { lsn: r.u64()? },
             0x0F => {
-                if cur.try_u32()? != MAGIC {
+                if r.u32()? != MAGIC {
                     return Err(WireError::BadPayload("hello magic"));
                 }
-                let min_version = cur.try_u16()?;
-                let max_version = cur.try_u16()?;
-                let depth = cur.try_u16()?;
+                let (min_version, max_version, depth) = (r.u16()?, r.u16()?, r.u16()?);
                 if min_version > max_version {
                     return Err(WireError::BadPayload("hello version range"));
                 }
@@ -606,7 +458,7 @@ impl Request {
             }
             other => return Err(WireError::BadOpcode(other)),
         };
-        cur.finish()?;
+        r.finish()?;
         Ok(request)
     }
 }
@@ -653,45 +505,43 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    fn encode_into(self, out: &mut Vec<u8>) {
+    fn encode_into(self, w: &mut Writer) {
         match self {
-            ErrorCode::Malformed => out.push(1),
-            ErrorCode::InvalidQuery => out.push(2),
-            ErrorCode::ShuttingDown => out.push(3),
-            ErrorCode::Internal => out.push(4),
+            ErrorCode::Malformed => w.put_u8(1),
+            ErrorCode::InvalidQuery => w.put_u8(2),
+            ErrorCode::ShuttingDown => w.put_u8(3),
+            ErrorCode::Internal => w.put_u8(4),
             ErrorCode::UnsupportedVersion { min, max } => {
-                out.push(5);
-                put_u16(out, min);
-                put_u16(out, max);
+                w.put_u8(5);
+                w.put_u16(min);
+                w.put_u16(max);
             }
-            ErrorCode::ReadOnly => out.push(6),
+            ErrorCode::ReadOnly => w.put_u8(6),
             ErrorCode::ReplicaLagging {
                 required,
                 watermark,
             } => {
-                out.push(7);
-                put_u64(out, required);
-                put_u64(out, watermark);
+                w.put_u8(7);
+                w.put_u64(required);
+                w.put_u64(watermark);
             }
-            ErrorCode::NotPrimary => out.push(8),
+            ErrorCode::NotPrimary => w.put_u8(8),
         }
     }
 
-    fn try_decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-        match cur.try_u8()? {
+    fn try_decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
             1 => Ok(ErrorCode::Malformed),
             2 => Ok(ErrorCode::InvalidQuery),
             3 => Ok(ErrorCode::ShuttingDown),
             4 => Ok(ErrorCode::Internal),
             5 => {
-                let min = cur.try_u16()?;
-                let max = cur.try_u16()?;
+                let (min, max) = (r.u16()?, r.u16()?);
                 Ok(ErrorCode::UnsupportedVersion { min, max })
             }
             6 => Ok(ErrorCode::ReadOnly),
             7 => {
-                let required = cur.try_u64()?;
-                let watermark = cur.try_u64()?;
+                let (required, watermark) = (r.u64()?, r.u64()?);
                 Ok(ErrorCode::ReplicaLagging {
                     required,
                     watermark,
@@ -753,13 +603,13 @@ macro_rules! counters {
         }
 
         impl $name {
-            fn encode_into(&self, out: &mut Vec<u8>) {
-                $(put_u64(out, self.$field);)*
+            fn encode_into(&self, w: &mut Writer) {
+                $(w.put_u64(self.$field);)*
             }
 
-            fn try_decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+            fn try_decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 Ok($name {
-                    $($field: cur.try_u64()?,)*
+                    $($field: r.u64()?,)*
                 })
             }
         }
@@ -936,139 +786,122 @@ pub enum Response {
     },
 }
 
-fn put_degraded_header(out: &mut Vec<u8>, opcode: u8, degraded: bool) {
-    out.push(opcode);
-    out.push(u8::from(degraded));
-}
-
-fn try_degraded(cur: &mut Cursor<'_>) -> Result<bool, WireError> {
-    match cur.try_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::BadPayload("degraded flag")),
-    }
+fn put_degraded_header(w: &mut Writer, opcode: u8, degraded: bool) {
+    w.put_u8(opcode);
+    w.put_u8(u8::from(degraded));
 }
 
 impl Response {
     /// Encodes the response into a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::default();
         match self {
             Response::Kmst { degraded, matches } => {
-                put_degraded_header(&mut out, 0x81, *degraded);
-                put_count(&mut out, matches.len());
-                for m in matches {
-                    put_u64(&mut out, m.traj.0);
-                    put_f64(&mut out, m.dissim);
+                put_degraded_header(&mut w, 0x81, *degraded);
+                for m in matches.iter().take(w.put_count(matches.len())) {
+                    w.put_u64(m.traj.0);
+                    w.put_f64(m.dissim);
                 }
             }
             Response::Knn { degraded, matches } => {
-                put_degraded_header(&mut out, 0x82, *degraded);
-                put_count(&mut out, matches.len());
-                for m in matches {
-                    put_u64(&mut out, m.traj.0);
-                    put_f64(&mut out, m.distance);
-                    put_f64(&mut out, m.time);
+                put_degraded_header(&mut w, 0x82, *degraded);
+                for m in matches.iter().take(w.put_count(matches.len())) {
+                    w.put_u64(m.traj.0);
+                    w.put_f64(m.distance);
+                    w.put_f64(m.time);
                 }
             }
             Response::Segments { degraded, matches } => {
-                put_degraded_header(&mut out, 0x83, *degraded);
-                put_count(&mut out, matches.len());
-                for m in matches {
-                    put_leaf_entry(&mut out, &m.entry);
-                    put_f64(&mut out, m.distance);
+                put_degraded_header(&mut w, 0x83, *degraded);
+                for m in matches.iter().take(w.put_count(matches.len())) {
+                    w.put_leaf_entry(&m.entry);
+                    w.put_f64(m.distance);
                 }
             }
             Response::Range { degraded, entries } => {
-                put_degraded_header(&mut out, 0x84, *degraded);
-                put_count(&mut out, entries.len());
-                for e in entries {
-                    put_leaf_entry(&mut out, e);
+                put_degraded_header(&mut w, 0x84, *degraded);
+                for e in entries.iter().take(w.put_count(entries.len())) {
+                    w.put_leaf_entry(e);
                 }
             }
             Response::Stats(report) => {
-                out.push(0x85);
-                report.counters.encode_into(&mut out);
-                report.profile.encode_into(&mut out);
+                w.put_u8(0x85);
+                report.counters.encode_into(&mut w);
+                report.profile.encode_into(&mut w);
             }
-            Response::ShutdownAck => out.push(0x86),
+            Response::ShutdownAck => w.put_u8(0x86),
             Response::Replicate {
                 committed_lsn,
                 snapshot,
                 records,
             } => {
-                out.push(0x88);
-                put_u64(&mut out, *committed_lsn);
+                w.put_u8(0x88);
+                w.put_u64(*committed_lsn);
                 match snapshot {
                     Some(bytes) => {
-                        out.push(1);
-                        put_count(&mut out, bytes.len());
-                        out.extend_from_slice(bytes);
+                        w.put_u8(1);
+                        put_blob(&mut w, bytes);
                     }
-                    None => out.push(0),
+                    None => w.put_u8(0),
                 }
-                put_count(&mut out, records.len());
-                for r in records {
-                    put_count(&mut out, r.len());
-                    out.extend_from_slice(r);
+                for r in records.iter().take(w.put_count(records.len())) {
+                    put_blob(&mut w, r);
                 }
             }
             Response::Ingested { lsn, applied } => {
-                out.push(0x87);
-                put_u64(&mut out, *lsn);
-                out.push(u8::from(*applied));
+                w.put_u8(0x87);
+                w.put_u64(*lsn);
+                w.put_u8(u8::from(*applied));
             }
             Response::HelloAck { version, depth } => {
-                out.push(0x8F);
-                put_u16(&mut out, *version);
-                put_u16(&mut out, *depth);
+                w.put_u8(0x8F);
+                w.put_u16(*version);
+                w.put_u16(*depth);
             }
             Response::Overloaded { queued, capacity } => {
-                out.push(0xE0);
-                put_u32(&mut out, *queued);
-                put_u32(&mut out, *capacity);
+                w.put_u8(0xE0);
+                w.put_u32(*queued);
+                w.put_u32(*capacity);
             }
             Response::Error { code, message } => {
-                out.push(0xE1);
-                code.encode_into(&mut out);
-                let bytes = message.as_bytes();
-                let mut len = bytes.len().min(usize::from(u16::MAX));
+                w.put_u8(0xE1);
+                code.encode_into(&mut w);
+                let mut len = message.len().min(usize::from(u16::MAX));
                 // Truncation must not split a multi-byte character, or the
                 // peer's utf-8 decode of the message fails.
                 while len > 0 && !message.is_char_boundary(len) {
                     len -= 1;
                 }
-                out.extend_from_slice(&(len as u16).to_le_bytes());
-                out.extend_from_slice(&bytes[..len]);
+                let head = message.as_bytes().get(..len).unwrap_or_default();
+                w.put_u16(u16::try_from(head.len()).unwrap_or(0));
+                w.put_bytes(head);
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Decodes a frame payload into a response.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        let mut cur = Cursor::new(payload);
-        let opcode = cur.try_u8()?;
-        let response = match opcode {
+        let mut r = Reader::new(payload);
+        let response = match r.u8()? {
             0x81 => {
-                let degraded = try_degraded(&mut cur)?;
-                let count = try_count(&mut cur, 16)?;
+                let degraded = try_flag(&mut r, "degraded flag")?;
+                let count = r.count(16)?;
                 let mut matches = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let traj = TrajectoryId(cur.try_u64()?);
-                    let dissim = cur.try_f64()?;
+                    let traj = TrajectoryId(r.u64()?);
+                    let dissim = r.f64()?;
                     matches.push(MstMatch { traj, dissim });
                 }
                 Response::Kmst { degraded, matches }
             }
             0x82 => {
-                let degraded = try_degraded(&mut cur)?;
-                let count = try_count(&mut cur, 24)?;
+                let degraded = try_flag(&mut r, "degraded flag")?;
+                let count = r.count(24)?;
                 let mut matches = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let traj = TrajectoryId(cur.try_u64()?);
-                    let distance = cur.try_f64()?;
-                    let time = cur.try_f64()?;
+                    let traj = TrajectoryId(r.u64()?);
+                    let (distance, time) = (r.f64()?, r.f64()?);
                     matches.push(NnMatch {
                         traj,
                         distance,
@@ -1078,49 +911,43 @@ impl Response {
                 Response::Knn { degraded, matches }
             }
             0x83 => {
-                let degraded = try_degraded(&mut cur)?;
-                let count = try_count(&mut cur, LEAF_ENTRY_SIZE + 8)?;
+                let degraded = try_flag(&mut r, "degraded flag")?;
+                let count = r.count(LEAF_ENTRY_SIZE + 8)?;
                 let mut matches = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let entry = try_leaf_entry(&mut cur)?;
-                    let distance = cur.try_f64()?;
+                    let entry = r.leaf_entry()?;
+                    let distance = r.f64()?;
                     matches.push(KnnMatch { entry, distance });
                 }
                 Response::Segments { degraded, matches }
             }
             0x84 => {
-                let degraded = try_degraded(&mut cur)?;
-                let count = try_count(&mut cur, LEAF_ENTRY_SIZE)?;
+                let degraded = try_flag(&mut r, "degraded flag")?;
+                let count = r.count(LEAF_ENTRY_SIZE)?;
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
-                    entries.push(try_leaf_entry(&mut cur)?);
+                    entries.push(r.leaf_entry()?);
                 }
                 Response::Range { degraded, entries }
             }
             0x85 => Response::Stats(StatsReport {
-                counters: ServerCounters::try_decode(&mut cur)?,
-                profile: ProfileSummary::try_decode(&mut cur)?,
+                counters: ServerCounters::try_decode(&mut r)?,
+                profile: ProfileSummary::try_decode(&mut r)?,
             }),
             0x86 => Response::ShutdownAck,
             0x88 => {
-                let committed_lsn = cur.try_u64()?;
-                let snapshot = match cur.try_u8()? {
+                let committed_lsn = r.u64()?;
+                let snapshot = match r.u8()? {
                     0 => None,
-                    1 => {
-                        let len = usize::try_from(cur.try_u32()?)
-                            .map_err(|_| WireError::BadPayload("snapshot length"))?;
-                        Some(cur.take(len)?.to_vec())
-                    }
+                    1 => Some(try_blob(&mut r)?),
                     _ => return Err(WireError::BadPayload("snapshot flag")),
                 };
                 // Each record costs at least its own 4-byte length
                 // prefix, so a hostile count fails the pre-check.
-                let count = try_count(&mut cur, 4)?;
+                let count = r.count(4)?;
                 let mut records = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let len = usize::try_from(cur.try_u32()?)
-                        .map_err(|_| WireError::BadPayload("record length"))?;
-                    records.push(cur.take(len)?.to_vec());
+                    records.push(try_blob(&mut r)?);
                 }
                 Response::Replicate {
                     committed_lsn,
@@ -1129,38 +956,28 @@ impl Response {
                 }
             }
             0x87 => {
-                let lsn = cur.try_u64()?;
-                let applied = match cur.try_u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::BadPayload("applied flag")),
-                };
+                let lsn = r.u64()?;
+                let applied = try_flag(&mut r, "applied flag")?;
                 Response::Ingested { lsn, applied }
             }
             0x8F => {
-                let version = cur.try_u16()?;
-                let depth = cur.try_u16()?;
+                let (version, depth) = (r.u16()?, r.u16()?);
                 Response::HelloAck { version, depth }
             }
             0xE0 => {
-                let queued = cur.try_u32()?;
-                let capacity = cur.try_u32()?;
+                let (queued, capacity) = (r.u32()?, r.u32()?);
                 Response::Overloaded { queued, capacity }
             }
             0xE1 => {
-                let code = ErrorCode::try_decode(&mut cur)?;
-                let len = {
-                    let b = cur.take(2)?;
-                    usize::from(u16::from_le_bytes([b[0], b[1]]))
-                };
-                let bytes = cur.take(len)?;
-                let message = String::from_utf8(bytes.to_vec())
+                let code = ErrorCode::try_decode(&mut r)?;
+                let len = usize::from(r.u16()?);
+                let message = String::from_utf8(r.take(len)?.to_vec())
                     .map_err(|_| WireError::BadPayload("error message utf-8"))?;
                 Response::Error { code, message }
             }
             other => return Err(WireError::BadOpcode(other)),
         };
-        cur.finish()?;
+        r.finish()?;
         Ok(response)
     }
 }
@@ -1223,27 +1040,26 @@ pub struct SplitFrame<'a> {
 /// here, before the buffer grows to match, and a frame too short to hold
 /// its request id and opcode is truncated by construction.
 pub fn split_frame_v2(buf: &[u8]) -> Result<Option<SplitFrame<'_>>, WireError> {
-    if buf.len() < 4 {
+    let mut r = Reader::new(buf);
+    let Ok(len) = r.u32() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    };
     if len == 0 || len > MAX_FRAME + V2_OVERHEAD {
         return Err(WireError::Oversized(len));
     }
     if len <= V2_OVERHEAD {
         return Err(WireError::Truncated);
     }
-    let len_usize = usize::try_from(len).map_err(|_| WireError::Oversized(len))?;
-    let total = 4 + len_usize;
-    if buf.len() < total {
+    let len = usize::try_from(len).map_err(|_| WireError::Oversized(len))?;
+    let Ok(frame) = r.take(len) else {
         return Ok(None);
-    }
-    let mut id_raw = [0u8; 8];
-    id_raw.copy_from_slice(&buf[4..12]);
+    };
+    let mut frame = Reader::new(frame);
+    let request_id = frame.u64()?;
     Ok(Some(SplitFrame {
-        consumed: total,
-        request_id: u64::from_le_bytes(id_raw),
-        payload: &buf[12..total],
+        consumed: 4 + len,
+        request_id,
+        payload: frame.take(frame.remaining())?,
     }))
 }
 
@@ -1277,6 +1093,7 @@ pub fn classify_first_payload(payload: &[u8]) -> FirstFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mst_trajectory::Segment;
 
     fn opts() -> QueryOptions {
         QueryOptions::new()
@@ -1497,40 +1314,52 @@ mod tests {
     fn hostile_replication_bodies_are_typed_not_allocated() {
         // A Replicate claiming u32::MAX records with an empty body: the
         // count pre-check fails before any Vec::with_capacity.
-        let mut payload = vec![0x88];
-        put_u64(&mut payload, 1);
-        payload.push(0);
-        put_u32(&mut payload, u32::MAX);
-        assert_eq!(Response::decode(&payload), Err(WireError::Truncated));
-        // A snapshot length larger than the body.
-        let mut payload = vec![0x88];
-        put_u64(&mut payload, 1);
-        payload.push(1);
-        put_u32(&mut payload, 1_000_000);
-        assert_eq!(Response::decode(&payload), Err(WireError::Truncated));
-        // A garbage snapshot flag.
-        let mut payload = vec![0x88];
-        put_u64(&mut payload, 1);
-        payload.push(9);
+        let mut payload = Writer::default();
+        payload.put_u8(0x88);
+        payload.put_u64(1);
+        payload.put_u8(0);
+        payload.put_u32(u32::MAX);
         assert_eq!(
-            Response::decode(&payload),
+            Response::decode(payload.as_bytes()),
+            Err(WireError::Truncated)
+        );
+        // A snapshot length larger than the body.
+        let mut payload = Writer::default();
+        payload.put_u8(0x88);
+        payload.put_u64(1);
+        payload.put_u8(1);
+        payload.put_u32(1_000_000);
+        assert_eq!(
+            Response::decode(payload.as_bytes()),
+            Err(WireError::Truncated)
+        );
+        // A garbage snapshot flag.
+        let mut payload = Writer::default();
+        payload.put_u8(0x88);
+        payload.put_u64(1);
+        payload.put_u8(9);
+        assert_eq!(
+            Response::decode(payload.as_bytes()),
             Err(WireError::BadPayload("snapshot flag"))
         );
         // A garbage min_lsn flag in options.
-        let mut payload = vec![0x09];
-        put_u64(&mut payload, 5);
-        payload.push(0);
-        assert_eq!(Request::decode(&payload), Err(WireError::TrailingBytes));
-        let mut bad_opts = Request::Stats.encode();
-        bad_opts.clear();
-        bad_opts.push(0x01);
-        put_u32(&mut bad_opts, 1); // k
-        bad_opts.push(0); // no period
-        bad_opts.push(0); // no deadline
-        bad_opts.push(1); // share_bound
-        bad_opts.push(7); // bad min_lsn flag
+        let mut payload = Writer::default();
+        payload.put_u8(0x09);
+        payload.put_u64(5);
+        payload.put_u8(0);
         assert_eq!(
-            Request::decode(&bad_opts),
+            Request::decode(payload.as_bytes()),
+            Err(WireError::TrailingBytes)
+        );
+        let mut bad_opts = Writer::default();
+        bad_opts.put_u8(0x01);
+        bad_opts.put_u32(1); // k
+        bad_opts.put_u8(0); // no period
+        bad_opts.put_u8(0); // no deadline
+        bad_opts.put_u8(1); // share_bound
+        bad_opts.put_u8(7); // bad min_lsn flag
+        assert_eq!(
+            Request::decode(bad_opts.as_bytes()),
             Err(WireError::BadPayload("min_lsn flag"))
         );
     }
@@ -1539,10 +1368,14 @@ mod tests {
     fn hostile_counts_cannot_drive_allocation() {
         // A Kmst body claiming u32::MAX points with a 4-byte body: the
         // count pre-check fails before any Vec::with_capacity.
-        let mut payload = vec![0x01];
+        let mut payload = Writer::default();
+        payload.put_u8(0x01);
         put_options(&mut payload, &QueryOptions::new());
-        put_u32(&mut payload, u32::MAX);
-        assert_eq!(Request::decode(&payload), Err(WireError::Truncated));
+        payload.put_u32(u32::MAX);
+        assert_eq!(
+            Request::decode(payload.as_bytes()),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]
@@ -1550,11 +1383,12 @@ mod tests {
         assert_eq!(Request::decode(&[0x7f]), Err(WireError::BadOpcode(0x7f)));
         assert_eq!(Response::decode(&[0x13]), Err(WireError::BadOpcode(0x13)));
         // Bad period flag.
-        let mut payload = vec![0x01];
-        put_u32(&mut payload, 1);
-        payload.push(9);
+        let mut payload = Writer::default();
+        payload.put_u8(0x01);
+        payload.put_u32(1);
+        payload.put_u8(9);
         assert_eq!(
-            Request::decode(&payload),
+            Request::decode(payload.as_bytes()),
             Err(WireError::BadPayload("period flag"))
         );
         // Trailing bytes after a complete message.
@@ -1562,19 +1396,20 @@ mod tests {
         payload.push(0);
         assert_eq!(Request::decode(&payload), Err(WireError::TrailingBytes));
         // Inverted interval: structurally malformed.
-        let mut payload = vec![0x03];
-        let mut bad = Vec::new();
-        put_u32(&mut bad, 1);
-        bad.push(1);
-        put_f64(&mut bad, 9.0);
-        put_f64(&mut bad, 2.0);
-        bad.push(0);
-        bad.push(1);
-        payload.extend_from_slice(&bad);
-        put_f64(&mut payload, 0.0);
-        put_f64(&mut payload, 0.0);
+        let mut payload = Writer::default();
+        payload.put_u8(0x03);
+        let mut bad = Writer::default();
+        bad.put_u32(1);
+        bad.put_u8(1);
+        bad.put_f64(9.0);
+        bad.put_f64(2.0);
+        bad.put_u8(0);
+        bad.put_u8(1);
+        payload.put_bytes(bad.as_bytes());
+        payload.put_f64(0.0);
+        payload.put_f64(0.0);
         assert_eq!(
-            Request::decode(&payload),
+            Request::decode(payload.as_bytes()),
             Err(WireError::BadPayload("invalid time interval"))
         );
     }
@@ -1591,13 +1426,14 @@ mod tests {
             [0.0, 0.0, 0.0, f64::INFINITY, 5.0, 5.0],
         ];
         for c in corners {
-            let mut payload = vec![0x04];
+            let mut payload = Writer::default();
+            payload.put_u8(0x04);
             put_options(&mut payload, &QueryOptions::new());
             for v in c {
-                put_f64(&mut payload, v);
+                payload.put_f64(v);
             }
             assert_eq!(
-                Request::decode(&payload),
+                Request::decode(payload.as_bytes()),
                 Err(WireError::BadPayload("invalid range window"))
             );
         }
@@ -1664,22 +1500,24 @@ mod tests {
 
     #[test]
     fn hello_rejects_wrong_magic_and_inverted_ranges() {
-        let mut payload = vec![0x0F];
-        put_u32(&mut payload, 0xDEAD_BEEF);
-        put_u16(&mut payload, 2);
-        put_u16(&mut payload, 2);
-        put_u16(&mut payload, 8);
+        let mut payload = Writer::default();
+        payload.put_u8(0x0F);
+        payload.put_u32(0xDEAD_BEEF);
+        payload.put_u16(2);
+        payload.put_u16(2);
+        payload.put_u16(8);
         assert_eq!(
-            Request::decode(&payload),
+            Request::decode(payload.as_bytes()),
             Err(WireError::BadPayload("hello magic"))
         );
-        let mut payload = vec![0x0F];
-        put_u32(&mut payload, MAGIC);
-        put_u16(&mut payload, 3);
-        put_u16(&mut payload, 2);
-        put_u16(&mut payload, 8);
+        let mut payload = Writer::default();
+        payload.put_u8(0x0F);
+        payload.put_u32(MAGIC);
+        payload.put_u16(3);
+        payload.put_u16(2);
+        payload.put_u16(8);
         assert_eq!(
-            Request::decode(&payload),
+            Request::decode(payload.as_bytes()),
             Err(WireError::BadPayload("hello version range"))
         );
     }

@@ -102,10 +102,8 @@ impl<I: DurableSubstrate, S: LogStore> DurableDatabase<I, S> {
         let report = replay(&store, snapshot_lsn + 1)?;
         let replayed_records = report.records.len() as u64;
         for (lsn, record) in &report.records {
-            if let Some(op) = record.to_op()? {
-                apply_replayed(&db, &op)
-                    .map_err(|e| WalError::Corrupt(format!("replay of lsn {lsn} failed: {e}")))?;
-            }
+            apply_replayed(&db, &record.to_op()?)
+                .map_err(|e| WalError::Corrupt(format!("replay of lsn {lsn} failed: {e}")))?;
         }
         if report.tail != TailState::Clean {
             if let Some(segment) = report.tail_segment {
@@ -322,9 +320,7 @@ impl<I: DurableSubstrate, S: LogStore> DurableDatabase<I, S> {
         }
         self.writer.commit()?;
         for record in &records {
-            if let Some(op) = record.to_op()? {
-                apply_replayed(&self.db, &op)?;
-            }
+            apply_replayed(&self.db, &record.to_op()?)?;
         }
         self.applied_lsn = self.writer.next_lsn() - 1;
         Ok(self.applied_lsn)

@@ -60,7 +60,7 @@ pub use io::{FileLog, FileStore, LogIo, LogStore, SimCrashPlan, SimLog, SimStore
 pub use record::WalRecord;
 pub use replay::{replay, ReplayReport, TailState};
 pub use snapshot::{decode_snapshot, encode_snapshot, DurableSubstrate};
-pub use stream::{frame_len, log_floor, read_committed_frames, verify_store, VerifyReport};
+pub use stream::{log_floor, read_committed_frames, verify_store, VerifyReport};
 pub use writer::{WalConfig, WalStats, WalWriter};
 
 /// Errors of the durability layer.

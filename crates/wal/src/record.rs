@@ -7,11 +7,13 @@
 //! payload  := lsn:u64 kind:u8 body
 //! checksum := fold_bytes(payload)          (word-folded FNV, checksum.rs)
 //!
-//! body(Insert,  kind 1) := id:u64 count:u32 (t:f64 x:f64 y:f64){count}
+//! body(Insert,  kind 1) := id:u64 samples
 //! body(Delete,  kind 2) := id:u64
 //! ```
 //!
-//! All integers and floats are little-endian. The checksum seals the
+//! `samples` is the count-prefixed `(t, x, y)` list of
+//! [`mst_index::codec`], through which every frame is written and read;
+//! all integers and floats are little-endian. The checksum seals the
 //! *whole* payload — LSN included — so a record can never be replayed
 //! under a different sequence number than it was written with. `Insert`
 //! and `Delete` are the logical ingest operations
@@ -19,6 +21,7 @@
 
 use mst_exec::IngestOp;
 use mst_index::checksum::fold_bytes;
+use mst_index::codec::{CodecError, Reader, Writer};
 use mst_trajectory::{SamplePoint, Trajectory, TrajectoryId};
 
 use crate::{Result, WalError};
@@ -60,57 +63,49 @@ impl WalRecord {
         }
     }
 
-    /// The ingest operation a record replays as (`None` would be a record
-    /// with no logical effect; no such kind exists, so replay applies
-    /// every record). A logged `Insert` always came from a valid
-    /// trajectory, so a points list [`Trajectory::new`] rejects is
-    /// corruption that slipped past the checksum — reported, not replayed.
-    pub fn to_op(&self) -> Result<Option<IngestOp>> {
+    /// The ingest operation a record replays as. A logged `Insert` always
+    /// came from a valid trajectory, so a points list [`Trajectory::new`]
+    /// rejects is corruption that slipped past the checksum — reported,
+    /// not replayed.
+    pub fn to_op(&self) -> Result<IngestOp> {
         match self {
             WalRecord::Insert { id, points } => {
                 let trajectory = Trajectory::new(points.clone()).map_err(|e| {
                     WalError::Corrupt(format!("insert record for object {} : {e}", id.0))
                 })?;
-                Ok(Some(IngestOp::Insert {
+                Ok(IngestOp::Insert {
                     id: *id,
                     trajectory,
-                }))
+                })
             }
-            WalRecord::Delete { id } => Ok(Some(IngestOp::Delete { id: *id })),
-        }
-    }
-
-    fn kind(&self) -> u8 {
-        match self {
-            WalRecord::Insert { .. } => 1,
-            WalRecord::Delete { .. } => 2,
+            WalRecord::Delete { id } => Ok(IngestOp::Delete { id: *id }),
         }
     }
 }
 
 /// Encodes one record as a sealed frame carrying `lsn`.
 pub fn encode_frame(lsn: u64, record: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    payload.extend_from_slice(&lsn.to_le_bytes());
-    payload.push(record.kind());
+    let mut w = Writer::with_capacity(64);
+    w.put_u64(0); // the header, sealed below once the payload is known
+    w.put_u64(lsn);
     match record {
         WalRecord::Insert { id, points } => {
-            payload.extend_from_slice(&id.0.to_le_bytes());
-            payload.extend_from_slice(&(points.len() as u32).to_le_bytes());
-            for p in points {
-                payload.extend_from_slice(&p.t.to_le_bytes());
-                payload.extend_from_slice(&p.x.to_le_bytes());
-                payload.extend_from_slice(&p.y.to_le_bytes());
-            }
+            w.put_u8(1);
+            w.put_u64(id.0);
+            w.put_samples(points);
         }
         WalRecord::Delete { id } => {
-            payload.extend_from_slice(&id.0.to_le_bytes());
+            w.put_u8(2);
+            w.put_u64(id.0);
         }
     }
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fold_bytes(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = w.into_bytes();
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER);
+    let mut sealed = Writer::with_capacity(FRAME_HEADER);
+    // A payload past `MAX_PAYLOAD` (let alone `u32::MAX`) decodes as corrupt.
+    sealed.put_count(payload.len());
+    sealed.put_u32(fold_bytes(payload));
+    header.copy_from_slice(sealed.as_bytes());
     frame
 }
 
@@ -136,100 +131,46 @@ pub enum Decoded {
 /// end, reported as [`Decoded::Torn`] with zero bytes — callers check
 /// emptiness first when they care about the distinction).
 pub fn decode_frame(buf: &[u8]) -> Decoded {
-    let Some(header) = buf.get(..FRAME_HEADER) else {
+    let mut r = Reader::new(buf);
+    let (Ok(len), Ok(stored_sum)) = (r.u32(), r.u32()) else {
         return Decoded::Torn;
     };
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let stored_sum = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_PAYLOAD {
-        return Decoded::Corrupt;
-    }
-    let Some(payload) = buf.get(FRAME_HEADER..FRAME_HEADER + len) else {
+    let len = match usize::try_from(len) {
+        Ok(len) if len <= MAX_PAYLOAD => len,
+        _ => return Decoded::Corrupt,
+    };
+    let Ok(payload) = r.take(len) else {
         return Decoded::Torn;
     };
     if fold_bytes(payload) != stored_sum {
         return Decoded::Corrupt;
     }
-    match parse_payload(payload) {
-        Some((lsn, record)) => Decoded::Record {
+    match parse_payload(Reader::new(payload)) {
+        Ok((lsn, record)) => Decoded::Record {
             lsn,
             record,
             consumed: FRAME_HEADER + len,
         },
-        None => Decoded::Corrupt,
+        Err(_) => Decoded::Corrupt,
     }
 }
 
-/// Parses a checksum-verified payload. `None` = structurally impossible
-/// body (which a correct writer never produces).
-fn parse_payload(payload: &[u8]) -> Option<(u64, WalRecord)> {
-    let mut cur = Cursor { buf: payload };
-    let lsn = cur.u64()?;
-    let kind = cur.u8()?;
-    let record = match kind {
-        1 => {
-            let id = TrajectoryId(cur.u64()?);
-            let count = cur.u32()? as usize;
-            // Exact-size check before the loop: the count must match the
-            // remaining bytes, so a plausible-but-wrong count cannot
-            // over-allocate or leave slack.
-            if cur.remaining() != count.checked_mul(24)? {
-                return None;
-            }
-            let mut points = Vec::with_capacity(count);
-            for _ in 0..count {
-                let t = cur.f64()?;
-                let x = cur.f64()?;
-                let y = cur.f64()?;
-                points.push(SamplePoint::new(t, x, y));
-            }
-            WalRecord::Insert { id, points }
-        }
-        2 => WalRecord::Delete {
-            id: TrajectoryId(cur.u64()?),
+/// Parses a checksum-verified payload; an error is a structurally
+/// impossible body (which a correct writer never produces).
+fn parse_payload(mut r: Reader<'_>) -> std::result::Result<(u64, WalRecord), CodecError> {
+    let lsn = r.u64()?;
+    let record = match r.u8()? {
+        1 => WalRecord::Insert {
+            id: TrajectoryId(r.u64()?),
+            points: r.samples()?,
         },
-        _ => return None,
+        2 => WalRecord::Delete {
+            id: TrajectoryId(r.u64()?),
+        },
+        _ => return Err(CodecError::Invalid("record kind")),
     };
-    if cur.remaining() != 0 {
-        return None;
-    }
-    Some((lsn, record))
-}
-
-/// Minimal bounds-checked reader over a payload (shared with the
-/// snapshot codec).
-pub(crate) struct Cursor<'a> {
-    pub(crate) buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let (head, rest) = (self.buf.get(..n)?, self.buf.get(n..)?);
-        self.buf = rest;
-        Some(head)
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    pub(crate) fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
+    r.finish()?;
+    Ok((lsn, record))
 }
 
 #[cfg(test)]
@@ -336,12 +277,12 @@ mod tests {
             trajectory: Trajectory::from_txy(&[(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)]).expect("valid"),
         };
         let record = WalRecord::from_op(&op);
-        let back = record.to_op().expect("valid").expect("logical");
+        let back = record.to_op().expect("valid");
         assert_eq!(back, op);
 
         let del = IngestOp::Delete {
             id: TrajectoryId(5),
         };
-        assert_eq!(WalRecord::from_op(&del).to_op().unwrap(), Some(del));
+        assert_eq!(WalRecord::from_op(&del).to_op().unwrap(), del);
     }
 }

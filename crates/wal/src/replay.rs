@@ -46,14 +46,59 @@ pub struct ReplayReport {
 /// gaps, damage outside the final segment, or a log that ends before
 /// reaching `from_lsn`.
 pub fn replay<S: LogStore>(store: &S, from_lsn: u64) -> Result<ReplayReport> {
-    let segments = store.list_logs()?;
     let mut records: Vec<(u64, WalRecord)> = Vec::new();
-    let mut chain: Option<u64> = None;
-    let mut tail = TailState::Clean;
-    let mut tail_valid_bytes = 0;
+    let mut report = walk(store, from_lsn, false, |lsn, record, _| {
+        records.push((lsn, record));
+        true
+    })?;
+    let next_lsn = report.next_lsn;
+    match records.first() {
+        // No replayable records is fine only when the log's end meets the
+        // snapshot exactly; anything else means records were lost.
+        None if next_lsn != from_lsn => {
+            return Err(WalError::Corrupt(format!(
+                "log ends at lsn {next_lsn} but the snapshot expects replay from {from_lsn}"
+            )));
+        }
+        Some((first, _)) if *first != from_lsn => {
+            return Err(WalError::Corrupt(format!(
+                "first replayable record is lsn {first} but the snapshot expects {from_lsn}"
+            )));
+        }
+        _ => {}
+    }
+    report.records = records;
+    Ok(report)
+}
 
+/// The one reader of the log, under both [`replay`] and
+/// [`read_committed_frames`](crate::read_committed_frames). Walks every
+/// frame in LSN order and checks that segment names chain without gaps,
+/// that every frame decodes, and that LSNs run on by exactly one. Damage
+/// in the final segment ends the walk (the crash shape); anywhere else it
+/// is an error. `visit` sees each record at or after `from_lsn` with its
+/// raw frame bytes and returns `false` to stop early (the returned report
+/// then describes only the part walked); the report's `records` stay
+/// empty, keeping them is the visitor's choice. With `skip_below`,
+/// segments wholly below `from_lsn` are chain-checked by name only, not
+/// read.
+pub(crate) fn walk<S: LogStore>(
+    store: &S,
+    from_lsn: u64,
+    skip_below: bool,
+    mut visit: impl FnMut(u64, WalRecord, &[u8]) -> bool,
+) -> Result<ReplayReport> {
+    let segments = store.list_logs()?;
+    let mut report = ReplayReport {
+        records: Vec::new(),
+        tail: TailState::Clean,
+        tail_segment: segments.last().copied(),
+        tail_valid_bytes: 0,
+        next_lsn: from_lsn,
+    };
+    let mut chain: Option<u64> = None;
     for (i, &start) in segments.iter().enumerate() {
-        let is_last = i + 1 == segments.len();
+        let next_segment = segments.get(i + 1).copied();
         if let Some(expected) = chain {
             if start != expected {
                 return Err(WalError::Corrupt(format!(
@@ -62,16 +107,17 @@ pub fn replay<S: LogStore>(store: &S, from_lsn: u64) -> Result<ReplayReport> {
                 )));
             }
         }
+        if skip_below && next_segment.is_some_and(|next| next <= from_lsn) {
+            chain = next_segment;
+            continue;
+        }
         let bytes = store.read_log(start)?;
         let mut offset = 0usize;
         // Within a segment the first record carries the segment's name;
         // every later one increments by exactly 1.
         let mut expected = start;
-        while offset < bytes.len() {
-            let Some(rest) = bytes.get(offset..) else {
-                break;
-            };
-            match decode_frame(rest) {
+        while let Some(rest) = bytes.get(offset..).filter(|rest| !rest.is_empty()) {
+            let (damage, tail) = match decode_frame(rest) {
                 Decoded::Record {
                     lsn,
                     record,
@@ -84,61 +130,31 @@ pub fn replay<S: LogStore>(store: &S, from_lsn: u64) -> Result<ReplayReport> {
                         )));
                     }
                     expected += 1;
+                    let frame = rest.get(..consumed).unwrap_or(rest);
+                    if lsn >= from_lsn && !visit(lsn, record, frame) {
+                        return Ok(report);
+                    }
                     offset += consumed;
-                    if lsn >= from_lsn {
-                        records.push((lsn, record));
-                    }
+                    continue;
                 }
-                Decoded::Torn => {
-                    if !is_last {
-                        return Err(WalError::Corrupt(format!(
-                            "torn record in non-final segment {start} (offset {offset})"
-                        )));
-                    }
-                    tail = TailState::Torn;
-                    break;
-                }
-                Decoded::Corrupt => {
-                    if !is_last {
-                        return Err(WalError::Corrupt(format!(
-                            "corrupt record in non-final segment {start} (offset {offset})"
-                        )));
-                    }
-                    tail = TailState::Corrupt;
-                    break;
-                }
+                Decoded::Torn => ("torn", TailState::Torn),
+                Decoded::Corrupt => ("corrupt", TailState::Corrupt),
+            };
+            if next_segment.is_some() {
+                return Err(WalError::Corrupt(format!(
+                    "{damage} record in non-final segment {start} (offset {offset})"
+                )));
             }
+            report.tail = tail;
+            break;
         }
-        if is_last {
-            tail_valid_bytes = offset as u64;
+        if next_segment.is_none() {
+            report.tail_valid_bytes = offset as u64;
         }
         chain = Some(expected);
     }
-
-    let next_lsn = chain.unwrap_or(from_lsn);
-    if records.is_empty() {
-        // No replayable records is fine only when the log's end meets the
-        // snapshot exactly; anything else means records were lost.
-        if next_lsn != from_lsn {
-            return Err(WalError::Corrupt(format!(
-                "log ends at lsn {next_lsn} but the snapshot expects replay from {from_lsn}"
-            )));
-        }
-    } else if let Some((first, _)) = records.first() {
-        if *first != from_lsn {
-            return Err(WalError::Corrupt(format!(
-                "first replayable record is lsn {first} but the snapshot expects {from_lsn}"
-            )));
-        }
-    }
-
-    Ok(ReplayReport {
-        records,
-        tail,
-        tail_segment: segments.last().copied(),
-        tail_valid_bytes,
-        next_lsn,
-    })
+    report.next_lsn = chain.unwrap_or(from_lsn);
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -7,8 +7,12 @@
 //! ```text
 //! snapshot := "MSTWALSS" lsn:u64 shard_count:u32 shard{shard_count} sum:u32
 //! shard    := object_count:u32 object{object_count} image_len:u64 image
-//! object   := id:u64 point_count:u32 (t:f64 x:f64 y:f64){point_count}
+//! object   := id:u64 samples
 //! ```
+//!
+//! `samples` is the count-prefixed `(t, x, y)` list of
+//! [`mst_index::codec`], through which the whole snapshot is written and
+//! read.
 //!
 //! Shards appear in routing order, objects in store order, so the same
 //! database state encodes to the same bytes — which is what lets the
@@ -22,15 +26,15 @@
 //! ([`DurableSubstrate::SUPPORTS_DELETE`] — checked *before* logging, so
 //! the log never holds an op replay cannot apply).
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use mst_exec::ShardedDatabase;
 use mst_index::checksum::fold_bytes;
+use mst_index::codec::{CodecError, Reader, Writer};
 use mst_index::{InsertionPolicy, PagedTree, TrajectoryIndexWrite};
 use mst_search::{KmstSubstrate, MovingObjectDatabase, TrajectoryStore};
-use mst_trajectory::{SamplePoint, Trajectory, TrajectoryId};
+use mst_trajectory::{Trajectory, TrajectoryId};
 
-use crate::record::Cursor;
 use crate::{Result, WalError};
 
 const MAGIC: &[u8; 8] = b"MSTWALSS";
@@ -52,7 +56,7 @@ pub trait DurableSubstrate: TrajectoryIndexWrite + KmstSubstrate + Sized {
     fn save_image<W: Write>(&mut self, writer: W, lsn: u64) -> mst_index::Result<()>;
 
     /// Reconstructs an index from an image, returning its LSN stamp.
-    fn load_image<R: Read>(reader: R) -> mst_index::Result<(Self, u64)>;
+    fn load_image(bytes: &[u8]) -> mst_index::Result<(Self, u64)>;
 }
 
 /// Every paged substrate is durable the same way: its policy declares the
@@ -73,8 +77,8 @@ where
         self.save_lsn(writer, lsn)
     }
 
-    fn load_image<R: Read>(reader: R) -> mst_index::Result<(Self, u64)> {
-        PagedTree::load_lsn(reader)
+    fn load_image(bytes: &[u8]) -> mst_index::Result<(Self, u64)> {
+        PagedTree::load_lsn(bytes)
     }
 }
 
@@ -83,89 +87,64 @@ where
 /// flushes the index's buffer), one shard at a time, so it can run while
 /// the other shards answer queries.
 pub fn encode_snapshot<I: DurableSubstrate>(db: &ShardedDatabase<I>, lsn: u64) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&lsn.to_le_bytes());
-    out.extend_from_slice(&(db.num_shards() as u32).to_le_bytes());
-    for shard in db.shards() {
+    let mut w = Writer::default();
+    w.put_bytes(MAGIC);
+    w.put_u64(lsn);
+    let shards = db.shards();
+    for shard in shards.iter().take(w.put_count(shards.len())) {
         shard.write(|shard_db| {
             let store = shard_db.store();
-            out.extend_from_slice(&(store.len() as u32).to_le_bytes());
-            for (id, traj) in store.iter() {
-                out.extend_from_slice(&id.0.to_le_bytes());
-                out.extend_from_slice(&(traj.points().len() as u32).to_le_bytes());
-                for p in traj.points() {
-                    out.extend_from_slice(&p.t.to_le_bytes());
-                    out.extend_from_slice(&p.x.to_le_bytes());
-                    out.extend_from_slice(&p.y.to_le_bytes());
-                }
+            for (id, traj) in store.iter().take(w.put_count(store.len())) {
+                w.put_u64(id.0);
+                w.put_samples(traj.points());
             }
             let mut image = Vec::new();
             shard_db.index_mut().save_image(&mut image, lsn)?;
-            out.extend_from_slice(&(image.len() as u64).to_le_bytes());
-            out.extend_from_slice(&image);
+            w.put_u64(u64::try_from(image.len()).unwrap_or(u64::MAX));
+            w.put_bytes(&image);
             Ok::<(), mst_index::IndexError>(())
         })??;
     }
-    out.extend_from_slice(&fold_bytes(&out).to_le_bytes());
-    Ok(out)
+    let sum = fold_bytes(w.as_bytes());
+    w.put_u32(sum);
+    Ok(w.into_bytes())
 }
 
 /// Decodes a snapshot back into a database plus the LSN it is
 /// consistent through. The trailer checksum is verified before any
-/// parsing, and each shard image's own LSN stamp must agree with the
-/// header's.
+/// parsing, every count is checked against the bytes present before
+/// anything is allocated for it, and each shard image's own LSN stamp
+/// must agree with the header's.
 pub fn decode_snapshot<I: DurableSubstrate>(bytes: &[u8]) -> Result<(ShardedDatabase<I>, u64)> {
     let corrupt = |msg: &str| WalError::Corrupt(format!("snapshot: {msg}"));
+    let codec = |e: CodecError| corrupt(&e.to_string());
     let body_len = bytes
         .len()
         .checked_sub(4)
         .ok_or_else(|| corrupt("shorter than its checksum trailer"))?;
-    let (body, trailer) = (
-        bytes.get(..body_len).ok_or_else(|| corrupt("truncated"))?,
-        bytes.get(body_len..).ok_or_else(|| corrupt("truncated"))?,
-    );
-    let stored = u32::from_le_bytes([
-        trailer.first().copied().unwrap_or(0),
-        trailer.get(1).copied().unwrap_or(0),
-        trailer.get(2).copied().unwrap_or(0),
-        trailer.get(3).copied().unwrap_or(0),
-    ]);
-    if fold_bytes(body) != stored {
+    let (body, trailer) = bytes.split_at(body_len);
+    if fold_bytes(body) != Reader::new(trailer).u32().map_err(codec)? {
         return Err(corrupt("checksum trailer mismatch"));
     }
-    let mut cur = Cursor { buf: body };
-    if cur.take(MAGIC.len()) != Some(&MAGIC[..]) {
+    let mut r = Reader::new(body);
+    if r.take(MAGIC.len()).map_err(codec)? != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let lsn = cur.u64().ok_or_else(|| corrupt("missing lsn"))?;
-    let shard_count = cur.u32().ok_or_else(|| corrupt("missing shard count"))? as usize;
+    let lsn = r.u64().map_err(codec)?;
+    // A shard is at least its object count and image length; an object
+    // at least its id and point count.
+    let shard_count = r.count(4 + 8).map_err(codec)?;
     let mut parts = Vec::with_capacity(shard_count);
     for shard_no in 0..shard_count {
-        let object_count = cur.u32().ok_or_else(|| corrupt("missing object count"))? as usize;
         let mut store = TrajectoryStore::new();
-        for _ in 0..object_count {
-            let id = TrajectoryId(cur.u64().ok_or_else(|| corrupt("missing object id"))?);
-            let point_count = cur.u32().ok_or_else(|| corrupt("missing point count"))? as usize;
-            if cur.remaining() < point_count.saturating_mul(24) {
-                return Err(corrupt("object points truncated"));
-            }
-            let mut points = Vec::with_capacity(point_count);
-            for _ in 0..point_count {
-                let t = cur.f64().ok_or_else(|| corrupt("missing point"))?;
-                let x = cur.f64().ok_or_else(|| corrupt("missing point"))?;
-                let y = cur.f64().ok_or_else(|| corrupt("missing point"))?;
-                points.push(SamplePoint::new(t, x, y));
-            }
-            let traj = Trajectory::new(points)
+        for _ in 0..r.count(8 + 4).map_err(codec)? {
+            let id = TrajectoryId(r.u64().map_err(codec)?);
+            let traj = Trajectory::new(r.samples().map_err(codec)?)
                 .map_err(|e| corrupt(&format!("object {} invalid: {e}", id.0)))?;
             store.insert(id, traj);
         }
-        let image_len = cur.u64().ok_or_else(|| corrupt("missing image length"))? as usize;
-        let image = cur
-            .take(image_len)
-            .ok_or_else(|| corrupt("image truncated"))?;
-        let (index, image_lsn) = I::load_image(image)?;
+        let image_len = r.count_u64(1).map_err(codec)?;
+        let (index, image_lsn) = I::load_image(r.take(image_len).map_err(codec)?)?;
         if image_lsn != lsn {
             return Err(corrupt(&format!(
                 "shard {shard_no} image is at lsn {image_lsn}, header says {lsn}"
@@ -173,9 +152,7 @@ pub fn decode_snapshot<I: DurableSubstrate>(bytes: &[u8]) -> Result<(ShardedData
         }
         parts.push(MovingObjectDatabase::from_parts(index, store));
     }
-    if cur.remaining() != 0 {
-        return Err(corrupt("trailing bytes after final shard"));
-    }
+    r.finish().map_err(codec)?;
     let db = ShardedDatabase::from_shard_parts(parts)?;
     Ok((db, lsn))
 }
@@ -251,6 +228,24 @@ mod tests {
                 "truncation at {cut} must be rejected"
             );
         }
+    }
+
+    /// A snapshot whose header claims `u32::MAX` shards is refused before
+    /// anything is allocated for them. The trailer is re-sealed, so the
+    /// count check is reached instead of the checksum check.
+    #[test]
+    fn a_hostile_shard_count_is_refused_before_allocating() {
+        let db = ShardedDatabase::with_rtree(1, (0..2u64).map(|id| traj(id, 4))).unwrap();
+        let mut bytes = encode_snapshot(&db, 3).unwrap();
+        let shard_count = MAGIC.len() + 8;
+        bytes[shard_count..shard_count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body = bytes.len() - 4;
+        let sum = fold_bytes(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            decode_snapshot::<Rtree3D>(&bytes),
+            Err(WalError::Corrupt(_))
+        ));
     }
 
     #[test]

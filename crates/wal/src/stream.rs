@@ -19,8 +19,7 @@
 //! gaps, for runbooks that must answer "is this directory safe to
 //! recover from?" without starting a server.
 
-use crate::record::{decode_frame, Decoded, FRAME_HEADER};
-use crate::replay::{replay, TailState};
+use crate::replay::{replay, walk, TailState};
 use crate::snapshot::{decode_snapshot, DurableSubstrate};
 use crate::{LogStore, Result, WalError};
 
@@ -48,76 +47,18 @@ pub fn read_committed_frames<S: LogStore>(
     cap_lsn: u64,
     max_bytes: usize,
 ) -> Result<Vec<Vec<u8>>> {
-    let segments = store.list_logs()?;
     let mut out: Vec<Vec<u8>> = Vec::new();
     let mut collected = 0usize;
-    let mut chain: Option<u64> = None;
-    for (i, &start) in segments.iter().enumerate() {
-        let is_last = i + 1 == segments.len();
-        if let Some(expected) = chain {
-            if start != expected {
-                return Err(WalError::Corrupt(format!(
-                    "segment chain gap: expected a segment starting at lsn {expected}, \
-                     found lsn {start}"
-                )));
-            }
+    // A damaged final segment is the live writer's un-fsynced tail (or a
+    // crash artifact awaiting repair): not committed, not ours.
+    walk(store, from_lsn, true, |lsn, _, frame| {
+        if lsn > cap_lsn {
+            return false;
         }
-        // Segments wholly below the request are chain-checked by name
-        // only; their bytes need no scan.
-        if !is_last && segments.get(i + 1).is_some_and(|&next| next <= from_lsn) {
-            chain = Some(segments[i + 1]);
-            continue;
-        }
-        let bytes = store.read_log(start)?;
-        let mut offset = 0usize;
-        let mut expected = start;
-        while offset < bytes.len() {
-            let Some(rest) = bytes.get(offset..) else {
-                break;
-            };
-            match decode_frame(rest) {
-                Decoded::Record { lsn, consumed, .. } => {
-                    if lsn != expected {
-                        return Err(WalError::Corrupt(format!(
-                            "lsn discontinuity in segment {start}: expected {expected}, \
-                             record carries {lsn}"
-                        )));
-                    }
-                    expected += 1;
-                    if lsn > cap_lsn {
-                        return Ok(out);
-                    }
-                    if lsn >= from_lsn {
-                        let frame = rest
-                            .get(..consumed)
-                            .ok_or_else(|| {
-                                WalError::Corrupt(format!(
-                                    "frame at lsn {lsn} overruns its segment"
-                                ))
-                            })?
-                            .to_vec();
-                        collected += frame.len();
-                        out.push(frame);
-                        if collected >= max_bytes {
-                            return Ok(out);
-                        }
-                    }
-                    offset += consumed;
-                }
-                Decoded::Torn | Decoded::Corrupt => {
-                    if !is_last {
-                        return Err(WalError::Corrupt(format!(
-                            "damaged record in non-final segment {start} (offset {offset})"
-                        )));
-                    }
-                    // The live writer's un-fsynced tail (or a crash
-                    // artifact awaiting repair): not committed, not ours.
-                    return Ok(out);
-                }
-            }
-        }
-        chain = Some(expected);
-    }
+        collected += frame.len();
+        out.push(frame.to_vec());
+        collected < max_bytes
+    })?;
     Ok(out)
 }
 
@@ -163,19 +104,11 @@ pub fn verify_store<I: DurableSubstrate, S: LogStore>(store: &S) -> Result<Verif
     })
 }
 
-/// The byte length a frame's header promises, for size accounting
-/// without a copy. `None` when `buf` holds less than a header.
-pub fn frame_len(buf: &[u8]) -> Option<usize> {
-    let header = buf.get(..FRAME_HEADER)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    Some(FRAME_HEADER + len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::io::SimStore;
-    use crate::record::{encode_frame, WalRecord};
+    use crate::record::{decode_frame, encode_frame, Decoded, WalRecord};
     use crate::writer::{WalConfig, WalWriter};
     use crate::LogIo;
     use mst_trajectory::TrajectoryId;
@@ -272,12 +205,5 @@ mod tests {
         let segments = store.list_logs().unwrap();
         assert_eq!(log_floor(&store).unwrap(), segments.first().copied());
         assert_eq!(log_floor(&SimStore::new()).unwrap(), None);
-    }
-
-    #[test]
-    fn frame_len_matches_the_encoder() {
-        let frame = encode_frame(9, &delete(9));
-        assert_eq!(frame_len(&frame), Some(frame.len()));
-        assert_eq!(frame_len(&frame[..4]), None);
     }
 }

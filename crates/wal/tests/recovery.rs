@@ -58,7 +58,7 @@ fn replaying_a_log_twice_produces_the_same_index_bits_as_once() {
         let (db, _) = decode_snapshot::<Rtree3D>(&snapshot).unwrap();
         for _ in 0..passes {
             for (_, record) in &report.records {
-                let op = record.to_op().unwrap().expect("logical record");
+                let op = record.to_op().unwrap();
                 apply_replayed(&db, &op).unwrap();
             }
         }
@@ -146,5 +146,5 @@ fn file_store_repairs_a_torn_final_segment() {
 fn logical_records_roundtrip_through_ops() {
     let op = ins(12);
     let record = WalRecord::from_op(&op);
-    assert_eq!(record.to_op().unwrap(), Some(op));
+    assert_eq!(record.to_op().unwrap(), op);
 }

@@ -105,12 +105,22 @@ fn run_check(root: &Path) -> Vec<Violation> {
         &mut out,
     );
 
-    // R2: cast-free binary-format modules (persist.rs assembles and
-    // decodes every substrate's image).
-    let codec_scope: Vec<PathBuf> = ["codec.rs", "persist.rs", "pagestore.rs", "checksum.rs"]
-        .iter()
-        .map(|name| root.join("crates/index/src").join(name))
-        .collect();
+    // R2: cast-free binary-format modules: the shared codec and every
+    // format on top of it (pages, index images, WAL frames, snapshots and
+    // wire frames).
+    let codec_scope: Vec<PathBuf> = [
+        "crates/index/src/codec.rs",
+        "crates/index/src/node.rs",
+        "crates/index/src/persist.rs",
+        "crates/index/src/pagestore.rs",
+        "crates/index/src/checksum.rs",
+        "crates/wal/src/record.rs",
+        "crates/wal/src/snapshot.rs",
+        "crates/serve/src/protocol.rs",
+    ]
+    .iter()
+    .map(|path| root.join(path))
+    .collect();
     apply(&[&NoLossyCasts], &codec_scope, &mut out);
 
     // R3: attributes on every crate root (workspace crates + root package).
@@ -268,9 +278,17 @@ mod tests {
         assert!(hit("R1", "trajectory/src/lib.rs", 6), "{vs:#?}");
         assert!(hit("R8", "trajectory/src/lib.rs", 7), "{vs:#?}");
         assert!(hit("R2", "index/src/codec.rs", 4), "{vs:#?}");
-        // The one module that turns a tree into image bytes sits in the
-        // R2 scope: dropping `persist.rs` from it fails here.
-        assert!(hit("R2", "index/src/persist.rs", 4), "{vs:#?}");
+        // Every format on the codec sits in the R2 scope: dropping a file
+        // from it fails here.
+        for format in [
+            "index/src/node.rs",
+            "index/src/persist.rs",
+            "wal/src/record.rs",
+            "wal/src/snapshot.rs",
+            "serve/src/protocol.rs",
+        ] {
+            assert!(hit("R2", format, 4), "{format}: {vs:#?}");
+        }
         // The R1/R8 library sweep covers the substrate files.
         assert!(hit("R1", "index/src/metric.rs", 4), "{vs:#?}");
         assert!(hit("R8", "index/src/metric.rs", 5), "{vs:#?}");
@@ -287,7 +305,7 @@ mod tests {
         // The durability rule covers the WAL crate: dropping
         // `crates/wal/src` from the R13 scope fails here.
         assert!(hit("R13", "wal/src/io.rs", 6), "{vs:#?}");
-        assert_eq!(vs.len(), 16, "{vs:#?}");
+        assert_eq!(vs.len(), 20, "{vs:#?}");
         // The report comes back in canonical order.
         let mut sorted = vs.clone();
         report::sort(&mut sorted);
