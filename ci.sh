@@ -118,7 +118,7 @@ candidate_path_suites() {
     cargo test -q --release -p mst-trajectory -p mst-search candidate_path
     cargo test -q --release --test candidate_path
 }
-gate "candidate-path bit-equality, full count (UpperKeys model, walkers, pinned profiles)" \
+gate "candidate-path bit-equality, full count (UpperKeys model, walkers, pinned BFMST/metric/kNN/sharded profiles)" \
     candidate_path_suites
 
 gate "decoder mutation sweep, full count (truncations, bit flips, inflated counts: no panics)" \

@@ -156,8 +156,9 @@ pub fn ablation(cfg: &AblationConfig) -> Table {
                     let got: Vec<_> = report.matches.iter().map(|m| m.traj).collect();
                     agree &= got == *expected;
                     times.push(ms);
-                    prunings.push(pruning_power(rtree.stats().node_reads, total_pages));
-                    nodes.push(report.nodes_visited as f64);
+                    let node_reads = rtree.stats().node_reads;
+                    prunings.push(pruning_power(node_reads, total_pages));
+                    nodes.push(node_reads as f64);
                 }
                 None => {
                     let (ms, got) = time_ms(|| {

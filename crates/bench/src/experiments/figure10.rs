@@ -64,7 +64,7 @@ fn run_cell<I: TrajectoryIndex>(
             index.clear_buffer().expect("buffer clear");
         }
         index.reset_stats();
-        let (ms, report) = time_ms(|| {
+        let (ms, _) = time_ms(|| {
             bfmst_search(
                 index,
                 store,
@@ -79,7 +79,7 @@ fn run_cell<I: TrajectoryIndex>(
         let stats = index.stats();
         times.push(ms);
         prunings.push(pruning_power(stats.node_reads, total_pages));
-        nodes.push(report.nodes_visited as f64);
+        nodes.push(stats.node_reads as f64);
         misses.push(stats.buffer.misses as f64);
     }
     Cell {

@@ -1,15 +1,16 @@
 //! BFMSTSearch: the best-first k-Most-Similar-Trajectory algorithm
 //! (Section 4, Figure 7 of the paper).
 //!
-//! The algorithm consumes an [`MbbDescent`] — a priority stream of
-//! candidate segment groups in increasing `MINDIST(Q, N)` order (the
-//! distance-browsing strategy of Hjaltason & Samet) — incrementally
-//! assembling candidate trajectories from the segment entries it encounters:
+//! The algorithm consumes an [`MbbDescent`] — the leaves' segment entries
+//! in increasing `MINDIST(Q, N)` order (the distance-browsing strategy of
+//! Hjaltason & Samet) — assembling candidate trajectories from them:
 //!
 //! * each candidate keeps the DISSIM enclosure of its retrieved pieces plus
 //!   its OPTDISSIM / PESDISSIM speed-dependent bounds ([`crate::bounds`]);
-//! * **heuristic 1** rejects a candidate whose OPTDISSIM exceeds the current
-//!   k-th best upper key — it provably cannot enter the answer;
+//! * **heuristic 1** rejects a candidate whose OPTDISSIM exceeds the one
+//!   pruning threshold (the k-th best upper key under the range ceiling,
+//!   folded with the cross-shard hint: `topk::Threshold`) — it provably
+//!   cannot enter the answer;
 //! * **heuristic 2** terminates the whole search when the popped group's
 //!   MINDISSIMINC exceeds that threshold — every unseen segment is at least
 //!   the group bound away, so no remaining or future candidate can qualify;
@@ -19,10 +20,12 @@
 //!   every candidate whose enclosure straddles the decision boundary.
 //!
 //! There is a single entry point, [`bfmst_search`], generic over the
-//! metrics sink and the cross-shard bound share; pass [`NoopSink`] /
-//! [`NoShare`](crate::share::NoShare) for a plain untraced search — the
-//! hooks monomorphize away, so the observed and unobserved paths are the
-//! same code and tracing can never change an answer.
+//! metrics sink and the cross-shard bound share; pass
+//! [`NoopSink`](crate::metrics::NoopSink) / [`NoShare`](crate::share::NoShare)
+//! for a plain untraced search — the hooks monomorphize away, so the
+//! observed and unobserved paths are the same code and tracing can never
+//! change an answer. The sink is the only place the search's work is
+//! counted.
 
 use std::collections::{HashMap, HashSet};
 
@@ -33,8 +36,9 @@ use crate::bounds::Candidate;
 use crate::descent::MbbDescent;
 use crate::dissim::{dissim_between_traced, for_each_co_piece, piece, Dissim, Integration};
 use crate::metrics::{PruningBound, QueryMetrics};
+use crate::query::check_period;
 use crate::share::BoundShare;
-use crate::topk::UpperKeys;
+use crate::topk::Threshold;
 use crate::{MstMatch, Result, SearchError, TrajectoryStore};
 
 /// Configuration of a BFMST search.
@@ -94,31 +98,12 @@ impl MstConfig {
     }
 }
 
-/// Outcome of a BFMST search: the matches plus traversal accounting.
+/// Outcome of a k-MST search. Everything else a search did is counted
+/// once, in its [`QueryMetrics`] sink.
 #[derive(Debug, Clone, Default)]
 pub struct SearchReport {
     /// The k most similar trajectories, ascending dissimilarity.
     pub matches: Vec<MstMatch>,
-    /// Nodes popped and processed.
-    pub nodes_visited: u64,
-    /// Leaf nodes among them.
-    pub leaves_visited: u64,
-    /// Leaf entries matched against the query.
-    pub entries_matched: u64,
-    /// Distinct candidate trajectories touched.
-    pub candidates_seen: usize,
-    /// Candidates rejected by heuristic 1.
-    pub candidates_rejected: usize,
-    /// Candidates fully assembled.
-    pub candidates_completed: usize,
-    /// True when heuristic 2 cut the traversal short.
-    pub terminated_early: bool,
-    /// Exact integrals recomputed by the post-processing step.
-    pub exact_recomputations: usize,
-    /// True when an external stop signal ([`BoundShare::poll_stop`], e.g. a
-    /// per-query deadline) abandoned the traversal: `matches` holds the
-    /// best-so-far answer, which may be incomplete.
-    pub deadline_hit: bool,
 }
 
 /// Runs the best-first k-MST search of `query` over `period` against
@@ -149,29 +134,20 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     if config.k == 0 {
         return Ok(SearchReport::default());
     }
-    if !query.covers(period) {
-        return Err(SearchError::QueryOutsidePeriod {
-            period: (period.start(), period.end()),
-            valid: (query.start_time(), query.end_time()),
-        });
-    }
-    if period.is_instant() {
-        return Ok(SearchReport::default());
-    }
+    check_period(query, period)?;
     let q = &query.clip(period)?;
     // The envelope slope both speed-dependent bounds use.
     let vmax = index.max_speed() + q.max_speed();
     let mut source = MbbDescent::new(index, q, period, metrics);
 
-    let mut report = SearchReport::default();
     let span = period.duration();
     let merge_eps = span.max(1.0) * 1e-9;
 
     let mut valid: HashMap<TrajectoryId, Candidate> = HashMap::new();
     let mut completed: HashMap<TrajectoryId, Dissim> = HashMap::new();
     let mut rejected: HashSet<TrajectoryId> = HashSet::new();
-    let mut upper = UpperKeys::new(config.k);
     let ceiling = config.max_dissim.unwrap_or(f64::INFINITY);
+    let mut threshold = Threshold::new(config.k, ceiling, share);
     // The part of the period an entry's segment is alive for, when that is
     // more than an instant.
     let window_of = |e: &LeafEntry| {
@@ -183,62 +159,48 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         // Cooperative cancellation (per-query deadlines): abandon the
         // traversal and fall through to best-so-far finalization.
         if share.poll_stop() {
-            report.deadline_hit = true;
             break;
         }
         // Heuristic 2: groups arrive in increasing lower bound, so once the
         // group-level MINDISSIMINC exceeds the k-th best upper key nothing
-        // later can qualify either — stop the whole search. The threshold
-        // folds in the cross-shard hint: another shard's kth upper key
-        // bounds the global kth DISSIM just as well as a local one.
-        let hint = share.kth_hint();
-        if config.use_heuristic2
-            && (!completed.is_empty() || ceiling.is_finite() || hint.is_finite())
-        {
-            let local_tau = upper.kth().min(ceiling);
-            let tau = local_tau.min(hint);
-            if hint < local_tau {
-                metrics.bound_evals(PruningBound::SharedKth, 1);
-            }
-            // Cheap test first (the paper's optimization): only evaluate the
-            // per-candidate OPTDISSIMINC values when the blanket bound
-            // MINDIST * span already clears the threshold.
-            if tau.is_finite() {
+        // later can qualify either — stop the whole search. Until a
+        // candidate completes, only a ceiling or another shard's k-th arms
+        // it.
+        if config.use_heuristic2 {
+            let tau = threshold.fold(metrics);
+            if (!completed.is_empty() || tau.bounded_from_outside()) && tau.value().is_finite() {
+                // Cheap test first (the paper's optimization): only evaluate
+                // the per-candidate OPTDISSIMINC values when the blanket
+                // bound MINDIST * span already clears the threshold.
                 metrics.bound_evals(PruningBound::MinDissimInc, 1);
-                if mindist * span > tau {
+                let blanket = mindist * span;
+                if blanket > tau.value() {
                     metrics.bound_evals(PruningBound::OptDissimInc, valid.len() as u64);
                     let min_inc = valid
                         .values()
                         .map(|c| c.opt_dissim_inc(period, mindist))
                         .fold(f64::INFINITY, f64::min);
-                    if min_inc > tau {
+                    if min_inc > tau.value() {
                         // The popped head plus everything still queued is
                         // discarded unvisited; the pending candidates are
                         // each certified out by their OPTDISSIMINC.
                         metrics.early_termination();
-                        let local_fires = local_tau.is_finite()
-                            && mindist * span > local_tau
-                            && min_inc > local_tau;
-                        if hint < local_tau && !local_fires {
-                            // Only the shared bound justified stopping:
-                            // all discarded work is another shard's kill.
-                            metrics.pruned_by(
-                                PruningBound::SharedKth,
-                                source.pending() + 1 + valid.len() as u64,
-                            );
+                        let nodes = source.pending() + 1;
+                        let pending = valid.len() as u64;
+                        if tau.shared_only(|t| blanket > t && min_inc > t) {
+                            metrics.pruned_by(PruningBound::SharedKth, nodes + pending);
                         } else {
-                            metrics.pruned_by(PruningBound::MinDissimInc, source.pending() + 1);
-                            metrics.pruned_by(PruningBound::OptDissimInc, valid.len() as u64);
+                            metrics.pruned_by(PruningBound::MinDissimInc, nodes);
+                            metrics.pruned_by(PruningBound::OptDissimInc, pending);
                         }
-                        report.terminated_early = true;
                         break;
                     }
                 }
             }
         }
 
-        let group = match source.expand(metrics) {
-            Ok(Some(group)) => group,
+        let mut entries = match source.expand(metrics) {
+            Ok(Some(entries)) => entries,
             Ok(None) => continue,
             Err(e) => {
                 // A search aborted by a page fault still balances its
@@ -250,7 +212,6 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         // Only entries alive for more than an instant of the period take
         // part; dropping the others first leaves the sort fewer to order
         // and changes nothing else — they were skipped one by one before.
-        let mut entries = group.entries;
         entries.retain(|e| window_of(e).is_some());
         // Plane sweep over the group in temporal order (the TB-tree stores
         // leaves temporally sorted already; the R-tree needs the sort —
@@ -273,7 +234,6 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             if rejected.contains(&e.traj) {
                 continue;
             }
-            report.entries_matched += 1;
             let cand = match valid.entry(e.traj) {
                 std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
                 std::collections::hash_map::Entry::Vacant(v) => {
@@ -284,7 +244,6 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                     // store does not know keeps its MissingTrajectory path.)
                     if store.get(e.traj).is_some_and(|t| !t.covers(period)) {
                         rejected.insert(e.traj);
-                        report.candidates_rejected += 1;
                         metrics.candidate_pruned();
                         continue;
                     }
@@ -302,14 +261,8 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 let value = cand.value();
                 valid.remove(&e.traj);
                 completed.insert(e.traj, value);
-                report.candidates_completed += 1;
                 metrics.candidate_refined();
-                if upper.update(e.traj, value.upper()) {
-                    let kth = upper.kth();
-                    if kth.is_finite() {
-                        share.publish_kth(kth);
-                    }
-                }
+                threshold.record(e.traj, value.upper());
             } else {
                 // One walk over the gaps serves both bounds (and counts the
                 // LDD integrals each costs); nothing below touches the
@@ -317,59 +270,31 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 let bounds = cand.gap_bounds(period, vmax);
                 metrics.bound_evals(PruningBound::Ldd, bounds.gaps as u64);
                 metrics.bound_evals(PruningBound::PesDissim, 1);
-                if upper.update(e.traj, bounds.pes) {
+                if threshold.record(e.traj, bounds.pes) {
                     metrics.pruned_by(PruningBound::PesDissim, 1);
-                    let kth = upper.kth();
-                    if kth.is_finite() {
-                        share.publish_kth(kth);
-                    }
                 }
+                // Heuristic 1. The enclosure's safe side: OPTDISSIM already
+                // folds the approximation error in (Section 4.4's
+                // "PESDISSIM - ERR" discipline on the lower side).
                 if config.use_heuristic1 {
-                    let local_tau = upper.kth().min(ceiling);
-                    let hint = share.kth_hint();
-                    let tau = local_tau.min(hint);
-                    if hint < local_tau {
-                        metrics.bound_evals(PruningBound::SharedKth, 1);
-                    }
+                    let tau = threshold.fold(metrics);
                     metrics.bound_evals(PruningBound::Ldd, bounds.gaps as u64);
                     metrics.bound_evals(PruningBound::OptDissim, 1);
-                    // The enclosure's safe side: OPTDISSIM already folds the
-                    // approximation error in (Section 4.4's "PESDISSIM -
-                    // ERR" discipline on the lower side).
                     let opt = bounds.opt;
-                    if opt > tau {
+                    if opt > tau.value() {
                         valid.remove(&e.traj);
                         rejected.insert(e.traj);
-                        report.candidates_rejected += 1;
                         metrics.candidate_pruned();
-                        if opt > local_tau {
-                            metrics.pruned_by(PruningBound::OptDissim, 1);
-                        } else {
-                            // The local threshold alone would have kept
-                            // this candidate alive: the prune is another
-                            // shard's discovery at work.
-                            metrics.pruned_by(PruningBound::SharedKth, 1);
-                        }
+                        metrics.pruned_by(tau.blame(PruningBound::OptDissim, |t| opt > t), 1);
                     }
                 }
             }
         }
     }
 
-    report.nodes_visited = source.nodes_visited();
-    report.leaves_visited = source.leaves_visited();
-    report.candidates_seen = completed.len() + valid.len() + rejected.len();
     metrics.candidates_pending(valid.len() as u64);
-    report.matches = finalize(
-        store,
-        q,
-        period,
-        config,
-        completed,
-        &mut report.exact_recomputations,
-        metrics,
-    )?;
-    Ok(report)
+    let matches = finalize(store, q, period, config, completed, metrics)?;
+    Ok(SearchReport { matches })
 }
 
 /// Sorts the completed candidates, applies the exact post-processing of
@@ -380,7 +305,6 @@ fn finalize<M: QueryMetrics>(
     period: &TimeInterval,
     config: &MstConfig,
     completed: HashMap<TrajectoryId, Dissim>,
-    exact_recomputations: &mut usize,
     metrics: &mut M,
 ) -> Result<Vec<MstMatch>> {
     let mut all: Vec<(TrajectoryId, Dissim)> = completed.into_iter().collect();
@@ -390,15 +314,11 @@ fn finalize<M: QueryMetrics>(
     let needs_exact =
         config.error_management && config.integration == Integration::Trapezoid && !all.is_empty();
     if !needs_exact {
-        return Ok(all
-            .into_iter()
-            .filter(|(_, d)| d.approx <= ceiling)
-            .take(config.k)
-            .map(|(traj, d)| MstMatch {
-                traj,
-                dissim: d.approx,
-            })
-            .collect());
+        let approx = all.into_iter().map(|(traj, d)| MstMatch {
+            traj,
+            dissim: d.approx,
+        });
+        return Ok(best_k(approx.collect(), config.k, ceiling));
     }
 
     // K upper-bounds the k-th smallest exact DISSIM; every candidate whose
@@ -413,7 +333,6 @@ fn finalize<M: QueryMetrics>(
                 .get(traj)
                 .ok_or(SearchError::MissingTrajectory(traj))?;
             let exact = dissim_between_traced(q, t, period, Integration::Exact, metrics)?.approx;
-            *exact_recomputations += 1;
             metrics.exact_recomputation();
             finalists.push(MstMatch {
                 traj,
@@ -421,16 +340,22 @@ fn finalize<M: QueryMetrics>(
             });
         }
     }
-    finalists.retain(|m| m.dissim <= ceiling);
-    finalists.sort_by(|a, b| a.dissim.total_cmp(&b.dissim).then(a.traj.cmp(&b.traj)));
-    finalists.truncate(config.k);
-    Ok(finalists)
+    Ok(best_k(finalists, config.k, ceiling))
+}
+
+/// The `k` best of `matches` within `ceiling`: ascending DISSIM, ties by
+/// trajectory id.
+pub(crate) fn best_k(mut matches: Vec<MstMatch>, k: usize, ceiling: f64) -> Vec<MstMatch> {
+    matches.retain(|m| m.dissim <= ceiling);
+    matches.sort_by(|a, b| a.dissim.total_cmp(&b.dissim).then(a.traj.cmp(&b.traj)));
+    matches.truncate(k);
+    matches
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::NoopSink;
+    use crate::metrics::{NoopSink, QueryProfile};
     use crate::scan::scan_kmst;
     use crate::share::NoShare;
     use mst_index::{Rtree3D, TbTree, TrajectoryIndexWrite};
@@ -444,6 +369,20 @@ mod tests {
         config: &MstConfig,
     ) -> Result<SearchReport> {
         bfmst_search(index, store, query, period, config, &NoShare, &mut NoopSink)
+    }
+
+    /// [`search`] with its profile.
+    fn profiled<I: TrajectoryIndex>(
+        index: &I,
+        store: &TrajectoryStore,
+        query: &Trajectory,
+        period: &TimeInterval,
+        config: &MstConfig,
+    ) -> (SearchReport, QueryProfile) {
+        let mut profile = QueryProfile::new();
+        let report =
+            bfmst_search(index, store, query, period, config, &NoShare, &mut profile).unwrap();
+        (report, profile)
     }
 
     /// Builds a small deterministic dataset of horizontal movers at distinct
@@ -524,7 +463,7 @@ mod tests {
     #[test]
     fn exact_mode_matches_scan_too() {
         let store = dataset();
-        let mut idx = build(Rtree3D::new(), &store);
+        let idx = build(Rtree3D::new(), &store);
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = query();
         let cfg = MstConfig {
@@ -533,13 +472,13 @@ mod tests {
             error_management: false,
             ..MstConfig::default()
         };
-        let got = search(&mut idx, &store, &q, &period, &cfg).unwrap();
+        let (got, profile) = profiled(&idx, &store, &q, &period, &cfg);
         let expected = scan_kmst(&store, &q, &period, 2, Integration::Exact).unwrap();
         assert_eq!(
             got.matches.iter().map(|m| m.traj).collect::<Vec<_>>(),
             expected.iter().map(|m| m.traj).collect::<Vec<_>>()
         );
-        assert_eq!(got.exact_recomputations, 0);
+        assert_eq!(profile.exact_recomputations, 0);
     }
 
     #[test]
@@ -580,10 +519,10 @@ mod tests {
         let got = search(&mut idx, &store, &q, &period, &MstConfig::k(0)).unwrap();
         assert!(got.matches.is_empty());
 
-        let mut empty = Rtree3D::new();
-        let got = search(&mut empty, &store, &q, &period, &MstConfig::k(2)).unwrap();
+        let empty = Rtree3D::new();
+        let (got, profile) = profiled(&empty, &store, &q, &period, &MstConfig::k(2));
         assert!(got.matches.is_empty());
-        assert_eq!(got.nodes_visited, 0);
+        assert_eq!(profile.nodes_accessed(), 0);
     }
 
     #[test]
@@ -592,22 +531,22 @@ mod tests {
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = query();
 
-        let mut idx_full = build(Rtree3D::new(), &store);
+        let idx_full = build(Rtree3D::new(), &store);
         let no_heuristics = MstConfig {
             use_heuristic1: false,
             use_heuristic2: false,
             ..MstConfig::k(2)
         };
-        let baseline = search(&mut idx_full, &store, &q, &period, &no_heuristics).unwrap();
+        let (baseline, unpruned) = profiled(&idx_full, &store, &q, &period, &no_heuristics);
 
-        let mut idx = build(Rtree3D::new(), &store);
-        let pruned = search(&mut idx, &store, &q, &period, &MstConfig::k(2)).unwrap();
+        let idx = build(Rtree3D::new(), &store);
+        let (pruned, profile) = profiled(&idx, &store, &q, &period, &MstConfig::k(2));
 
         assert_eq!(
             baseline.matches.iter().map(|m| m.traj).collect::<Vec<_>>(),
             pruned.matches.iter().map(|m| m.traj).collect::<Vec<_>>()
         );
-        assert!(pruned.nodes_visited <= baseline.nodes_visited);
+        assert!(profile.nodes_accessed() <= unpruned.nodes_accessed());
     }
 
     #[test]

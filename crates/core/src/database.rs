@@ -23,7 +23,7 @@ use mst_trajectory::{SamplePoint, Trajectory, TrajectoryError, TrajectoryId};
 
 use crate::bfmst::SearchReport;
 use crate::metrics::QueryMetrics;
-use crate::nn::{nearest_trajectories, NnOutcome};
+use crate::nn::{nearest_trajectories, NnMatch};
 use crate::options::Substrate;
 use crate::query::{KmstSpec, KnnSpec, RangeSpec, SegmentsSpec};
 use crate::share::BoundShare;
@@ -283,7 +283,7 @@ impl<I: KmstSubstrate> MovingObjectDatabase<I> {
         spec: &KnnSpec,
         share: &B,
         metrics: &mut M,
-    ) -> Result<NnOutcome> {
+    ) -> Result<Vec<NnMatch>> {
         spec.options.check_substrate(I::KIND)?;
         nearest_trajectories(
             &self.index,

@@ -1,8 +1,8 @@
 //! The MBB descent under the best-first search algorithms.
 //!
 //! BFMST and the historical NN search share one traversal: a priority
-//! stream of `(lower_bound, candidate group)` items in non-decreasing
-//! lower-bound order. [`MbbDescent`] is that stream for every
+//! stream of nodes in non-decreasing MINDIST order, each leaf yielding its
+//! segment entries. [`MbbDescent`] is that stream for every
 //! [`TrajectoryIndex`] — the classic R-tree / TB-tree MINDIST descent, owning
 //! the priority queue, the node reads and the child pushes so the search
 //! loops hold none of them. The metric substrate does not come through
@@ -14,7 +14,9 @@
 //! a search *without* paying for the node read: [`MbbDescent::pop`]
 //! surfaces the next item's lower bound (one heap pop); only if the search
 //! decides to proceed does [`MbbDescent::expand`] fetch the item —
-//! descending one internal node or yielding a leaf's segment entries.
+//! descending one internal node or yielding a leaf's segment entries. The
+//! descent keeps no counts of its own: every heap operation and node
+//! access goes to the search's [`QueryMetrics`] sink.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,38 +28,26 @@ use mst_trajectory::{TimeInterval, Trajectory};
 use crate::metrics::QueryMetrics;
 use crate::Result;
 
-/// One group of candidate segment entries yielded by a descent, keyed by a
-/// sound lower bound on the spatial distance between the query and every
-/// entry in the group over the query period.
-#[derive(Debug, Clone)]
-pub struct SegmentGroup {
-    /// Lower bound under which the whole group was enqueued (the node's
-    /// MINDIST for an MBB descent). Groups arrive in non-decreasing
-    /// `lower_bound` order — the property OPTDISSIMINC soundness rests on.
-    pub lower_bound: f64,
-    /// The segment entries, in the substrate's natural storage order (the
-    /// consumer applies whatever ordering its plane sweep needs).
-    pub entries: Vec<LeafEntry>,
-}
-
-/// A queue element: node page keyed by its MINDIST from the query.
+/// A best-first queue element: an item keyed by a lower bound, ordered by
+/// bound (ties by item) so a `Reverse`d max-heap pops the smallest first.
+/// The MBB descent queues pages, the metric ball search balls.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct QueueEntry {
-    mindist: f64,
-    page: PageId,
+pub(crate) struct QueueEntry<T> {
+    pub(crate) bound: f64,
+    pub(crate) item: T,
 }
 
-impl Eq for QueueEntry {}
+impl<T: Ord> Eq for QueueEntry<T> {}
 
-impl Ord for QueueEntry {
+impl<T: Ord> Ord for QueueEntry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.mindist
-            .total_cmp(&other.mindist)
-            .then(self.page.cmp(&other.page))
+        self.bound
+            .total_cmp(&other.bound)
+            .then(self.item.cmp(&other.item))
     }
 }
 
-impl PartialOrd for QueueEntry {
+impl<T: Ord> PartialOrd for QueueEntry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -65,7 +55,7 @@ impl PartialOrd for QueueEntry {
 
 /// The classic MBB descent: a best-first MINDIST traversal of any
 /// [`TrajectoryIndex`] (the distance-browsing strategy of Hjaltason &
-/// Samet), yielding each leaf's entries as one group.
+/// Samet), yielding each leaf's entries together.
 ///
 /// Protocol: call [`MbbDescent::pop`] to surface the next item's lower
 /// bound, then either abandon the item (termination — its content is never
@@ -77,10 +67,8 @@ pub struct MbbDescent<'a, I: TrajectoryIndex> {
     /// `MINDIST(query, ·)` over the period, planned once for the whole
     /// descent: every child entry of every opened node is keyed by it.
     plan: QueryMindist<'a>,
-    heap: BinaryHeap<Reverse<QueueEntry>>,
-    head: Option<QueueEntry>,
-    nodes_visited: u64,
-    leaves_visited: u64,
+    heap: BinaryHeap<Reverse<QueueEntry<PageId>>>,
+    head: Option<QueueEntry<PageId>>,
 }
 
 impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
@@ -95,8 +83,8 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
         let mut heap = BinaryHeap::new();
         if let Some(root) = index.root() {
             heap.push(Reverse(QueueEntry {
-                mindist: 0.0,
-                page: root,
+                bound: 0.0,
+                item: root,
             }));
             metrics.heap_push();
         }
@@ -105,8 +93,6 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
             plan: QueryMindist::new(query, period),
             heap,
             head: None,
-            nodes_visited: 0,
-            leaves_visited: 0,
         }
     }
 
@@ -116,32 +102,27 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
         let Reverse(head) = self.heap.pop()?;
         metrics.heap_pop();
         self.head = Some(head);
-        Some(head.mindist)
+        Some(head.bound)
     }
 
     /// Fetches the item surfaced by the last [`MbbDescent::pop`]: either
     /// descends one internal step (enqueueing finer-grained items; returns
-    /// `Ok(None)`) or yields a leaf-level [`SegmentGroup`].
-    pub fn expand<M: QueryMetrics>(&mut self, metrics: &mut M) -> Result<Option<SegmentGroup>> {
+    /// `Ok(None)`) or yields a leaf's segment entries, in the substrate's
+    /// storage order. Every entry is at least the popped bound away from
+    /// the query over the period — the property OPTDISSIMINC soundness
+    /// rests on.
+    pub fn expand<M: QueryMetrics>(&mut self, metrics: &mut M) -> Result<Option<Vec<LeafEntry>>> {
         let Some(head) = self.head.take() else {
             return Ok(None);
         };
-        let node = self.index.read_node_traced(head.page, metrics)?;
-        self.nodes_visited += 1;
-        match node {
-            Node::Leaf { entries, .. } => {
-                self.leaves_visited += 1;
-                Ok(Some(SegmentGroup {
-                    lower_bound: head.mindist,
-                    entries,
-                }))
-            }
+        match self.index.read_node_traced(head.item, metrics)? {
+            Node::Leaf { entries, .. } => Ok(Some(entries)),
             Node::Internal { entries, .. } => {
                 for e in entries {
                     if let Some(mindist) = self.plan.mindist(&e.mbb) {
                         self.heap.push(Reverse(QueueEntry {
-                            mindist,
-                            page: e.child,
+                            bound: mindist,
+                            item: e.child,
                         }));
                         metrics.heap_push();
                     }
@@ -155,16 +136,6 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
     /// head) — the unit count a terminating search discards unvisited.
     pub fn pending(&self) -> u64 {
         self.heap.len() as u64
-    }
-
-    /// Items fetched so far (internal steps plus leaf groups).
-    pub fn nodes_visited(&self) -> u64 {
-        self.nodes_visited
-    }
-
-    /// Leaf groups among them.
-    pub fn leaves_visited(&self) -> u64 {
-        self.leaves_visited
     }
 }
 
@@ -203,21 +174,20 @@ mod tests {
         let mut metrics = QueryProfile::new();
         let mut src = MbbDescent::new(&idx, &q, &period, &mut metrics);
         let mut last = f64::NEG_INFINITY;
-        let mut groups = 0;
+        let mut leaves = 0;
         let mut entries = 0;
         while let Some(bound) = src.pop(&mut metrics) {
             assert!(bound >= last, "bounds regressed: {bound} after {last}");
             last = bound;
-            if let Some(group) = src.expand(&mut metrics).unwrap() {
-                assert_eq!(group.lower_bound.to_bits(), bound.to_bits());
-                groups += 1;
-                entries += group.entries.len();
+            if let Some(leaf) = src.expand(&mut metrics).unwrap() {
+                leaves += 1;
+                entries += leaf.len();
             }
         }
-        assert!(groups > 0);
+        assert!(leaves > 0);
         assert_eq!(entries, 60); // 6 trajectories x 10 segments
-        assert_eq!(src.leaves_visited(), groups);
-        assert!(src.nodes_visited() >= groups);
+        assert_eq!(metrics.leaf_accesses(), leaves);
+        assert_eq!(metrics.nodes_accessed(), metrics.heap_pops);
         assert_eq!(metrics.heap_pushes, metrics.heap_pops);
         assert_eq!(src.pending(), 0);
     }
@@ -234,7 +204,7 @@ mod tests {
         let mut metrics = QueryProfile::new();
         let mut src = MbbDescent::new(&idx, &q, &period, &mut metrics);
         assert!(src.expand(&mut metrics).unwrap().is_none());
-        assert_eq!(src.nodes_visited(), 0);
+        assert_eq!(metrics.nodes_accessed(), 0);
     }
 
     #[test]
@@ -258,7 +228,7 @@ mod tests {
         let mut src = MbbDescent::new(idx, q, period, &mut metrics);
         let mut pops = Vec::new();
         while let Some(bound) = src.pop(&mut metrics) {
-            pops.push((bound.to_bits(), src.head.unwrap().page));
+            pops.push((bound.to_bits(), src.head.unwrap().item));
             src.expand(&mut metrics).unwrap();
         }
         pops
@@ -274,17 +244,16 @@ mod tests {
         let mut heap = BinaryHeap::new();
         heap.extend(
             idx.root()
-                .map(|page| Reverse(QueueEntry { mindist: 0.0, page })),
+                .map(|item| Reverse(QueueEntry { bound: 0.0, item })),
         );
         let mut pops = Vec::new();
         while let Some(Reverse(head)) = heap.pop() {
-            pops.push((head.mindist.to_bits(), head.page));
-            if let Node::Internal { entries, .. } = idx.read_node(head.page).unwrap() {
+            pops.push((head.bound.to_bits(), head.item));
+            if let Node::Internal { entries, .. } = idx.read_node(head.item).unwrap() {
                 heap.extend(entries.iter().filter_map(|e| {
-                    let mindist = trajectory_mbb_mindist(q, &e.mbb, period)?;
                     Some(Reverse(QueueEntry {
-                        mindist,
-                        page: e.child,
+                        bound: trajectory_mbb_mindist(q, &e.mbb, period)?,
+                        item: e.child,
                     }))
                 }));
             }

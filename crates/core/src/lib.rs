@@ -48,14 +48,14 @@ mod topk;
 
 pub use bfmst::{bfmst_search, MstConfig, SearchReport};
 pub use database::{arrival_order, MovingObjectDatabase};
-pub use descent::{MbbDescent, SegmentGroup};
+pub use descent::MbbDescent;
 pub use dissim::{Dissim, Integration};
 pub use merge::{merge_shard_matches, merge_shard_nn, merge_shard_range, merge_shard_segments};
 pub use metrics::{
     CandidateCounters, MetricsSink, NoopSink, PruningBound, PruningCounters, QueryMetrics,
     QueryProfile,
 };
-pub use nn::{nearest_trajectories, NnMatch, NnOutcome};
+pub use nn::{nearest_trajectories, NnMatch};
 pub use options::{QueryOptions, Substrate};
 pub use query::{
     KmstQuery, KmstSpec, KnnQuery, KnnSegmentsQuery, KnnSpec, Query, RangeQuery, RangeSpec,

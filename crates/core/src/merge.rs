@@ -15,6 +15,8 @@
 //! defensively (keeping the smallest value) so a misconfigured overlap
 //! degrades to a correct answer instead of a duplicated one.
 
+use std::collections::HashSet;
+
 use mst_index::{KnnMatch, LeafEntry};
 use mst_trajectory::TrajectoryId;
 
@@ -95,7 +97,10 @@ fn merge_by<T: Clone>(
         let (bt, bv) = key(b);
         av.total_cmp(&bv).then(at.cmp(&bt))
     });
-    survivors.dedup_by(|next, kept| key(next).0 == key(kept).0);
+    // Copies of one trajectory need not be adjacent once sorted by value:
+    // keep its first, smallest, occurrence.
+    let mut seen = HashSet::new();
+    survivors.retain(|m| seen.insert(key(m).0));
     survivors.truncate(k);
     survivors
 }
@@ -147,6 +152,15 @@ mod tests {
         let ids: Vec<u64> = merged.iter().map(|x| x.traj.0).collect();
         assert_eq!(ids, vec![1, 2]);
         assert!((merged[0].dissim - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_duplicate_parted_from_its_first_copy_by_another_match_is_dropped() {
+        // Sorted by value the two copies of trajectory 1 have trajectory 2
+        // between them.
+        let shards = vec![vec![m(1, 1.0), m(2, 2.0)], vec![m(1, 3.0)]];
+        let merged = merge_shard_matches(3, &shards);
+        assert_eq!(merged, vec![m(1, 1.0), m(2, 2.0)]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Historical nearest-neighbour search for a *moving* query point — the
 //! query type of Frentzos, Gratsias, Pelekis & Theodoridis (the paper's
-//! reference [6]) whose MINDIST machinery the MST algorithm reuses.
+//! reference \[6\]) whose MINDIST machinery the MST algorithm reuses.
 //!
 //! Given a query trajectory and a period, find the k trajectories whose
 //! *closest approach* to the query during the period is smallest (together
@@ -10,8 +10,9 @@
 //! next group's lower bound exceeds the current k-th best approach
 //! distance.
 //!
-//! Like [`crate::bfmst`], the search consumes an [`MbbDescent`] and has a
-//! single generic entry point; pass
+//! Like [`crate::bfmst`], the search consumes an [`MbbDescent`], prunes
+//! against the same threshold type (keyed by approach distance, no
+//! ceiling) and has a single generic entry point; pass
 //! [`NoShare`](crate::share::NoShare) / [`NoopSink`](crate::metrics::NoopSink)
 //! for a plain isolated, untraced query.
 
@@ -24,8 +25,9 @@ use std::collections::HashMap;
 use crate::descent::MbbDescent;
 use crate::dissim::for_each_co_piece;
 use crate::metrics::{PruningBound, QueryMetrics};
+use crate::query::check_period;
 use crate::share::BoundShare;
-use crate::topk::UpperKeys;
+use crate::topk::Threshold;
 use crate::{Result, SearchError};
 
 /// One nearest-neighbour answer.
@@ -37,16 +39,6 @@ pub struct NnMatch {
     pub distance: f64,
     /// The instant of closest approach.
     pub time: f64,
-}
-
-/// Outcome of a nearest-neighbour search.
-#[derive(Debug, Clone, Default)]
-pub struct NnOutcome {
-    /// Up to k nearest trajectories, ascending approach distance.
-    pub matches: Vec<NnMatch>,
-    /// True when [`BoundShare::poll_stop`] abandoned the traversal (e.g. a
-    /// deadline): `matches` is best-so-far and may be incomplete.
-    pub deadline_hit: bool,
 }
 
 /// Finds the k trajectories with the smallest closest-approach distance to
@@ -67,58 +59,40 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     k: usize,
     share: &B,
     metrics: &mut M,
-) -> Result<NnOutcome> {
+) -> Result<Vec<NnMatch>> {
     if k == 0 {
-        return Ok(NnOutcome::default());
+        return Ok(Vec::new());
     }
-    if !query.covers(period) {
-        return Err(SearchError::QueryOutsidePeriod {
-            period: (period.start(), period.end()),
-            valid: (query.start_time(), query.end_time()),
-        });
-    }
+    check_period(query, period)?;
     let q = &query.clip(period)?;
     let mut source = MbbDescent::new(index, q, period, metrics);
 
-    let mut outcome = NnOutcome::default();
     // Best approach found so far, per trajectory.
     let mut best: HashMap<TrajectoryId, (f64, f64)> = HashMap::new();
-    // The kth smallest distance of `best` (infinite below k candidates),
-    // and whether a group lowered an entry since it was last published.
-    let mut upper = UpperKeys::new(k);
-    let mut improved = false;
+    // The kth smallest distance of `best` (infinite below k candidates).
+    let mut threshold = Threshold::new(k, f64::INFINITY, share);
 
     while let Some(mindist) = source.pop(metrics) {
         // Cooperative cancellation (per-query deadlines).
         if share.poll_stop() {
-            outcome.deadline_hit = true;
             break;
         }
         // Termination: the k-th best candidate distance cannot improve once
-        // every remaining node is farther away. The local kth feeds the
-        // shared bound, and the shared bound (the global kth, possibly
-        // discovered on another shard) terminates this shard even before k
-        // local candidates exist.
-        let local_kth = upper.kth();
-        if improved && local_kth.is_finite() {
-            share.publish_kth(local_kth);
-            improved = false;
-        }
-        let hint = share.kth_hint();
-        if hint < local_kth {
-            metrics.bound_evals(PruningBound::SharedKth, 1);
-        }
-        let tau = local_kth.min(hint);
-        if mindist > tau {
-            if mindist <= local_kth {
-                // Only the shared bound justified stopping here: the whole
-                // remaining queue is another shard's kill.
+        // every remaining node is farther away. The last leaf's
+        // improvements feed the shared bound now, and the shared bound (the
+        // global kth, possibly discovered on another shard) terminates this
+        // shard even before k local candidates exist.
+        threshold.publish();
+        let tau = threshold.fold(metrics);
+        if mindist > tau.value() {
+            if tau.shared_only(|t| mindist > t) {
+                // The whole remaining queue is another shard's kill.
                 metrics.pruned_by(PruningBound::SharedKth, source.pending() + 1);
             }
             break;
         }
-        let group = match source.expand(metrics) {
-            Ok(Some(group)) => group,
+        let entries = match source.expand(metrics) {
+            Ok(Some(entries)) => entries,
             Ok(None) => continue,
             Err(e) => {
                 // A search aborted by a page fault still balances its
@@ -127,7 +101,7 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 return Err(e);
             }
         };
-        for e in group.entries {
+        for e in entries {
             let Some(window) = e.segment.time().intersect(period) else {
                 continue;
             };
@@ -147,7 +121,7 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             };
             if approach.0 < slot.0 {
                 *slot = approach;
-                improved |= upper.update(e.traj, approach.0);
+                threshold.improve(e.traj, approach.0);
             }
         }
     }
@@ -163,8 +137,7 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         .collect();
     out.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.traj.cmp(&b.traj)));
     out.truncate(k);
-    outcome.matches = out;
-    Ok(outcome)
+    Ok(out)
 }
 
 /// Closest approach between the query and one data segment over `window`:
@@ -200,7 +173,7 @@ mod tests {
     use mst_index::Rtree3D;
 
     fn nn(idx: &Rtree3D, q: &Trajectory, period: &TimeInterval, k: usize) -> Result<Vec<NnMatch>> {
-        Ok(nearest_trajectories(idx, q, period, k, &NoShare, &mut NoopSink)?.matches)
+        nearest_trajectories(idx, q, period, k, &NoShare, &mut NoopSink)
     }
 
     fn build(store: &TrajectoryStore) -> Rtree3D {

@@ -47,7 +47,7 @@
 use core::time::Duration;
 
 use mst_index::{KnnMatch, LeafEntry};
-use mst_trajectory::{Mbb, Point, TimeInterval, Trajectory};
+use mst_trajectory::{Mbb, Point, TimeInterval, Trajectory, TrajectoryError};
 
 use crate::bfmst::MstConfig;
 use crate::dissim::Integration;
@@ -230,21 +230,13 @@ impl<'a> KmstQuery<'a> {
     /// the period resolved, the configuration fixed, and the query
     /// trajectory cloned out of the borrow. Batch executors collect specs
     /// and run them on worker threads. Fails eagerly if the query
-    /// trajectory does not cover the resolved period — the same check the
-    /// search would make, surfaced before the batch is submitted.
+    /// trajectory does not cover the resolved period or the period is an
+    /// instant — the period check the search makes, surfaced before
+    /// the batch is submitted.
     pub fn spec(&self) -> Result<KmstSpec> {
-        let period = self.options.period.unwrap_or_else(|| self.query.time());
-        if !self.query.covers(&period) {
-            return Err(SearchError::QueryOutsidePeriod {
-                period: (period.start(), period.end()),
-                valid: (self.query.start_time(), self.query.end_time()),
-            });
-        }
-        let mut options = self.options;
-        options.period = Some(period);
         Ok(KmstSpec {
             query: self.query.clone(),
-            options,
+            options: resolve_period(self.query, self.options)?,
             config: self.config,
         })
     }
@@ -276,6 +268,34 @@ impl<'a> KmstQuery<'a> {
     }
 }
 
+/// The one check of a query trajectory against its period, made by the
+/// three searches and both `spec()`s: the trajectory covers the period,
+/// which lasts longer than an instant (refused as the scan refuses it).
+pub(crate) fn check_period(query: &Trajectory, period: &TimeInterval) -> Result<()> {
+    if !query.covers(period) {
+        return Err(SearchError::QueryOutsidePeriod {
+            period: (period.start(), period.end()),
+            valid: (query.start_time(), query.end_time()),
+        });
+    }
+    if period.is_instant() {
+        return Err(SearchError::Trajectory(TrajectoryError::InvalidInterval {
+            start: period.start(),
+            end: period.end(),
+        }));
+    }
+    Ok(())
+}
+
+/// `options` with the period resolved (default: the query trajectory's
+/// own validity interval) and checked.
+fn resolve_period(query: &Trajectory, mut options: QueryOptions) -> Result<QueryOptions> {
+    let period = options.period.unwrap_or_else(|| query.time());
+    check_period(query, &period)?;
+    options.period = Some(period);
+    Ok(options)
+}
+
 /// An owned, fully resolved k-MST query, detached from the builder's
 /// borrows so it can be shipped to worker threads. Produced by
 /// [`KmstQuery::spec`]; consumed by [`MovingObjectDatabase::run_kmst`] —
@@ -286,8 +306,8 @@ pub struct KmstSpec {
     /// The query trajectory.
     pub query: Trajectory,
     /// The shared options, with the period resolved (`options.period` is
-    /// always `Some`, and the trajectory covers it — validated at spec
-    /// construction). `options.k` mirrors `config.k`.
+    /// always `Some`, and passed the search's period check at spec construction).
+    /// `options.k` mirrors `config.k`.
     pub options: QueryOptions,
     /// The full search configuration.
     pub config: MstConfig,
@@ -307,8 +327,7 @@ pub struct KnnSpec {
     /// The query trajectory.
     pub query: Trajectory,
     /// The shared options, with the period resolved (`options.period` is
-    /// always `Some`, and the trajectory covers it — validated at spec
-    /// construction).
+    /// always `Some`, and passed the search's period check at spec construction).
     pub options: QueryOptions,
 }
 
@@ -449,20 +468,11 @@ impl<'a> KnnQuery<'a> {
 
     /// Freezes the builder into an owned, thread-shippable [`KnnSpec`]
     /// (see [`KmstQuery::spec`] for the batch-execution story). Fails
-    /// eagerly if the query trajectory does not cover the resolved period.
+    /// eagerly where the search would, as [`KmstQuery::spec`] does.
     pub fn spec(&self) -> Result<KnnSpec> {
-        let period = self.options.period.unwrap_or_else(|| self.query.time());
-        if !self.query.covers(&period) {
-            return Err(SearchError::QueryOutsidePeriod {
-                period: (period.start(), period.end()),
-                valid: (self.query.start_time(), self.query.end_time()),
-            });
-        }
-        let mut options = self.options;
-        options.period = Some(period);
         Ok(KnnSpec {
             query: self.query.clone(),
-            options,
+            options: resolve_period(self.query, self.options)?,
         })
     }
 
@@ -473,7 +483,7 @@ impl<'a> KnnQuery<'a> {
         db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<NnMatch>> {
-        Ok(db.run_knn(&self.spec()?, &NoShare, metrics)?.matches)
+        db.run_knn(&self.spec()?, &NoShare, metrics)
     }
 
     /// Runs the query. Observability hooks compile to nothing.

@@ -7,18 +7,14 @@
 //! kth best is at most the best shard's kth best; so the minimum of the
 //! shard-local kth upper keys is a sound upper bound on the **global** kth
 //! DISSIM, and any candidate whose lower bound exceeds it can be discarded
-//! on *every* shard. [`BoundShare`] is the seam through which the search
-//! loops exchange that bound (and through which an executor injects a
-//! deadline), without the core crate knowing anything about threads:
-//!
-//! * [`BoundShare::kth_hint`] — the tightest externally known upper bound
-//!   on the global kth dissimilarity; folded into the pruning threshold
-//!   before every refinement decision.
-//! * [`BoundShare::publish_kth`] — called whenever the local search
-//!   tightens its own kth upper key, so other shards learn of it mid-flight.
-//! * [`BoundShare::poll_stop`] — cooperative cancellation (deadlines): when
-//!   it returns true the search abandons traversal and reports best-so-far
-//!   with the deadline flagged.
+//! on *every* shard. [`BoundShare`] is the seam through which the searches
+//! exchange that bound (and through which an executor injects a deadline),
+//! without the core crate knowing anything about threads. Only the
+//! searches' one pruning threshold (`Threshold` in the crate's `topk`
+//! module) calls [`BoundShare::kth_hint`] and [`BoundShare::publish_kth`]:
+//! it folds the hint into every threshold read and publishes each
+//! tightening of its own kth. The searches poll [`BoundShare::poll_stop`]
+//! once per popped node.
 //!
 //! [`NoShare`] is the no-op instantiation used by all single-shard entry
 //! points; like the metrics sinks, the hooks compile away entirely, so the

@@ -10,8 +10,10 @@
 //! substrate itself picks its search: [`KmstSubstrate::kmst_search`]
 //! defaults to BFMST and the metric tree overrides it with
 //! [`metric_kmst_search`], a best-first traversal of the ball directory
-//! whose candidate pruning rests on the triangle inequality instead of the
-//! speed envelopes.
+//! (after the N-tree of Güting et al.) whose candidate pruning rests on
+//! the triangle inequality instead of the speed envelopes — against the
+//! same pruning threshold as BFMST, so cross-shard sharing and its
+//! attribution work the same way.
 //!
 //! **Why the triangle bound is sound here.** Build-time distances are exact
 //! DISSIM over the two trajectories' validity overlap; the query-time pivot
@@ -30,12 +32,14 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use mst_index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex};
 use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
-use crate::bfmst::{bfmst_search, MstConfig, SearchReport};
+use crate::bfmst::{best_k, bfmst_search, MstConfig, SearchReport};
+use crate::descent::QueueEntry;
 use crate::dissim::{dissim_between, dissim_between_traced, Integration};
 use crate::metrics::{PruningBound, QueryMetrics};
 use crate::options::Substrate;
+use crate::query::check_period;
 use crate::share::BoundShare;
-use crate::topk::UpperKeys;
+use crate::topk::Threshold;
 use crate::{MstMatch, Result, SearchError, TrajectoryStore};
 
 /// An index substrate that can answer k-MST queries.
@@ -106,30 +110,6 @@ fn build_distance(a: &Trajectory, b: &Trajectory) -> Result<f64> {
     }
 }
 
-/// A ball-heap element: directory node keyed by its triangle-inequality
-/// lower bound on any answer inside it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct BallQueueEntry {
-    lb: f64,
-    ball: usize,
-}
-
-impl Eq for BallQueueEntry {}
-
-impl Ord for BallQueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.lb
-            .total_cmp(&other.lb)
-            .then(self.ball.cmp(&other.ball))
-    }
-}
-
-impl PartialOrd for BallQueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Exact k-MST over a [`MetricTree`]: best-first traversal of the ball
 /// directory with triangle-inequality pruning.
 ///
@@ -139,14 +119,10 @@ impl PartialOrd for BallQueueEntry {
 /// but every bound is `max(0, d(Q,P) − r)` instead of a speed envelope,
 /// and refinement is a whole-trajectory exact DISSIM (chain pages read
 /// through the buffer pool, so the I/O cost of not pruning is real).
-/// Answers are exact regardless of `config.integration`; there is no
-/// trapezoid phase to post-process, so `exact_recomputations` stays 0.
-/// The tree's ball-directory lock is held from the first line to the last:
-/// metric searches of one tree run one at a time (chain-page reads take
-/// the pager mutex under it, per fetch).
-/// Cross-shard hints fold into both heuristics exactly as in BFMST, with
-/// prunes only the hint justifies attributed to
-/// [`PruningBound::SharedKth`].
+/// Answers are exact regardless of `config.integration`. The tree's
+/// ball-directory lock is held throughout: metric searches of one tree run
+/// one at a time (chain-page reads take the pager mutex under it, per
+/// fetch).
 pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
     tree: &MetricTree,
     _store: &TrajectoryStore,
@@ -159,68 +135,49 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
     if config.k == 0 {
         return Ok(SearchReport::default());
     }
-    if !query.covers(period) {
-        return Err(SearchError::QueryOutsidePeriod {
-            period: (period.start(), period.end()),
-            valid: (query.start_time(), query.end_time()),
-        });
-    }
-    if period.is_instant() {
-        return Ok(SearchReport::default());
-    }
+    check_period(query, period)?;
     let q = query.clip(period)?;
     let directory = tree.directory(build_distance)?;
 
-    let mut report = SearchReport::default();
-    let mut upper = UpperKeys::new(config.k);
     let ceiling = config.max_dissim.unwrap_or(f64::INFINITY);
-    // Exact DISSIM of every refined candidate.
-    let mut completed: HashMap<TrajectoryId, f64> = HashMap::new();
-    // Trajectories already decided (refined, pruned, or ineligible).
-    let mut done: HashSet<TrajectoryId> = HashSet::new();
-    // Memoized query-to-pivot distances.
-    let mut pivot_dist: HashMap<TrajectoryId, f64> = HashMap::new();
+    let mut search = BallSearch {
+        tree,
+        q: &q,
+        period,
+        threshold: Threshold::new(config.k, ceiling, share),
+        completed: HashMap::new(),
+        done: HashSet::new(),
+        pivot_dist: HashMap::new(),
+    };
 
-    let mut heap: BinaryHeap<Reverse<BallQueueEntry>> = BinaryHeap::new();
+    // Balls keyed by their triangle-inequality lower bound on any answer
+    // inside them.
+    let mut heap: BinaryHeap<Reverse<QueueEntry<usize>>> = BinaryHeap::new();
     if let Some(root) = directory.root() {
-        heap.push(Reverse(BallQueueEntry {
-            lb: 0.0,
-            ball: root,
+        heap.push(Reverse(QueueEntry {
+            bound: 0.0,
+            item: root,
         }));
         metrics.heap_push();
     }
 
-    while let Some(Reverse(BallQueueEntry { lb, ball })) = heap.pop() {
+    while let Some(Reverse(head)) = heap.pop() {
+        let (lb, ball) = (head.bound, head.item);
         metrics.heap_pop();
         if share.poll_stop() {
-            report.deadline_hit = true;
             break;
         }
         // Heuristic 2, metric flavour: balls pop in non-decreasing lower
         // bound, so once the bound clears the k-th upper key nothing later
-        // can qualify — stop the whole search. The cross-shard hint folds
-        // in exactly as in BFMST.
-        let hint = share.kth_hint();
-        if config.use_heuristic2
-            && (!completed.is_empty() || ceiling.is_finite() || hint.is_finite())
-        {
-            let local_tau = upper.kth().min(ceiling);
-            let tau = local_tau.min(hint);
-            if hint < local_tau {
-                metrics.bound_evals(PruningBound::SharedKth, 1);
-            }
-            if tau.is_finite() {
+        // can qualify — stop the whole search.
+        if config.use_heuristic2 {
+            let tau = search.threshold.fold(metrics);
+            if tau.value().is_finite() {
                 metrics.bound_evals(PruningBound::TriangleIneq, 1);
-                if lb > tau {
+                if lb > tau.value() {
                     metrics.early_termination();
-                    let units = heap.len() as u64 + 1;
-                    if hint < local_tau && !(local_tau.is_finite() && lb > local_tau) {
-                        // Only the shared bound justified stopping.
-                        metrics.pruned_by(PruningBound::SharedKth, units);
-                    } else {
-                        metrics.pruned_by(PruningBound::TriangleIneq, units);
-                    }
-                    report.terminated_early = true;
+                    let by = tau.blame(PruningBound::TriangleIneq, |t| lb > t);
+                    metrics.pruned_by(by, heap.len() as u64 + 1);
                     break;
                 }
             }
@@ -229,20 +186,7 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
         let Some(node) = directory.ball(ball) else {
             continue;
         };
-        report.nodes_visited += 1;
-        let d_p = pivot_distance(
-            tree,
-            &q,
-            period,
-            node.pivot,
-            &mut pivot_dist,
-            &mut completed,
-            &mut done,
-            &mut upper,
-            &mut report,
-            share,
-            metrics,
-        )?;
+        let d_p = search.pivot_distance(node.pivot, metrics)?;
 
         match &node.kind {
             mst_index::BallKind::Inner { near, far } => {
@@ -250,33 +194,20 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
                     let Some(child) = directory.ball(child_idx) else {
                         continue;
                     };
-                    let d_c = pivot_distance(
-                        tree,
-                        &q,
-                        period,
-                        child.pivot,
-                        &mut pivot_dist,
-                        &mut completed,
-                        &mut done,
-                        &mut upper,
-                        &mut report,
-                        share,
-                        metrics,
-                    )?;
+                    let d_c = search.pivot_distance(child.pivot, metrics)?;
                     // A child ball never admits a bound weaker than its
                     // parent's: keep the max.
                     let clb = (d_c - child.radius).max(lb).max(0.0);
-                    heap.push(Reverse(BallQueueEntry {
-                        lb: clb,
-                        ball: child_idx,
+                    heap.push(Reverse(QueueEntry {
+                        bound: clb,
+                        item: child_idx,
                     }));
                     metrics.heap_push();
                 }
             }
             mst_index::BallKind::Leaf { members } => {
-                report.leaves_visited += 1;
                 for &(id, dp) in members {
-                    if done.contains(&id) {
+                    if search.done.contains(&id) {
                         continue;
                     }
                     let Some(t_meta) = tree.cached_trajectory(id) else {
@@ -285,31 +216,21 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
                     // The linear scan only considers trajectories covering
                     // the period; mirror its candidate ledger.
                     if !t_meta.covers(period) {
-                        done.insert(id);
+                        search.done.insert(id);
                         continue;
                     }
-                    report.entries_matched += 1;
                     metrics.candidate_seen();
                     // Heuristic 1, metric flavour: the member's own
                     // triangle bound against the current threshold.
                     if config.use_heuristic1 {
-                        let local_tau = upper.kth().min(ceiling);
-                        let hint = share.kth_hint();
-                        let tau = local_tau.min(hint);
-                        if hint < local_tau {
-                            metrics.bound_evals(PruningBound::SharedKth, 1);
-                        }
+                        let tau = search.threshold.fold(metrics);
                         metrics.bound_evals(PruningBound::TriangleIneq, 1);
                         let lb_m = (d_p - dp).max(lb).max(0.0);
-                        if lb_m > tau {
-                            done.insert(id);
-                            report.candidates_rejected += 1;
+                        if lb_m > tau.value() {
+                            search.done.insert(id);
                             metrics.candidate_pruned();
-                            if lb_m > local_tau {
-                                metrics.pruned_by(PruningBound::TriangleIneq, 1);
-                            } else {
-                                metrics.pruned_by(PruningBound::SharedKth, 1);
-                            }
+                            let by = tau.blame(PruningBound::TriangleIneq, |t| lb_m > t);
+                            metrics.pruned_by(by, 1);
                             continue;
                         }
                     }
@@ -320,90 +241,78 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
                         .ok_or(SearchError::MissingTrajectory(id))?;
                     let d =
                         dissim_between_traced(&q, &t, period, Integration::Exact, metrics)?.approx;
-                    done.insert(id);
-                    completed.insert(id, d);
-                    report.candidates_completed += 1;
-                    metrics.candidate_refined();
-                    if upper.update(id, d) {
-                        let kth = upper.kth();
-                        if kth.is_finite() {
-                            share.publish_kth(kth);
-                        }
-                    }
+                    search.refine(id, d, metrics);
                 }
             }
         }
     }
 
-    report.candidates_seen = completed.len() + report.candidates_rejected;
     metrics.candidates_pending(0);
-    let mut all: Vec<MstMatch> = completed
-        .into_iter()
+    let all = search.completed.into_iter();
+    let all = all
         .map(|(traj, dissim)| MstMatch { traj, dissim })
         .collect();
-    all.sort_by(|a, b| a.dissim.total_cmp(&b.dissim).then(a.traj.cmp(&b.traj)));
-    all.retain(|m| m.dissim <= ceiling);
-    all.truncate(config.k);
-    report.matches = all;
-    Ok(report)
+    Ok(SearchReport {
+        matches: best_k(all, config.k, ceiling),
+    })
 }
 
-/// Memoized exact query-to-pivot distance over `W ∩ V_P`.
-///
-/// Computing it is most of a refinement, so when the pivot actually covers
-/// the window the value *is* its exact DISSIM and the pivot is completed
-/// for free; a non-covering pivot is navigation-only (never an answer) and
-/// is marked done without entering the candidate ledger — mirroring the
-/// linear scan, which never considers it either.
-#[allow(clippy::too_many_arguments)]
-fn pivot_distance<M: QueryMetrics, B: BoundShare>(
-    tree: &MetricTree,
-    q: &Trajectory,
-    period: &TimeInterval,
-    pivot: TrajectoryId,
-    pivot_dist: &mut HashMap<TrajectoryId, f64>,
-    completed: &mut HashMap<TrajectoryId, f64>,
-    done: &mut HashSet<TrajectoryId>,
-    upper: &mut UpperKeys,
-    report: &mut SearchReport,
-    share: &B,
-    metrics: &mut M,
-) -> Result<f64> {
-    if let Some(&d) = pivot_dist.get(&pivot) {
-        return Ok(d);
+/// The state of one ball search besides its heap.
+struct BallSearch<'a, 's, B> {
+    tree: &'a MetricTree,
+    q: &'a Trajectory,
+    period: &'a TimeInterval,
+    threshold: Threshold<'s, B>,
+    /// Exact DISSIM of every refined candidate.
+    completed: HashMap<TrajectoryId, f64>,
+    /// Trajectories already decided (refined, pruned, or ineligible).
+    done: HashSet<TrajectoryId>,
+    /// Memoized query-to-pivot distances.
+    pivot_dist: HashMap<TrajectoryId, f64>,
+}
+
+impl<B: BoundShare> BallSearch<'_, '_, B> {
+    /// Completes candidate `id` with exact DISSIM `d`.
+    fn refine<M: QueryMetrics>(&mut self, id: TrajectoryId, d: f64, metrics: &mut M) {
+        self.done.insert(id);
+        self.completed.insert(id, d);
+        metrics.candidate_refined();
+        self.threshold.record(id, d);
     }
-    let pt = tree
-        .cached_trajectory(pivot)
-        .cloned()
-        .ok_or(SearchError::MissingTrajectory(pivot))?;
-    let d = match period.intersect(&pt.time()) {
-        Some(w) if !w.is_instant() => {
-            dissim_between_traced(q, &pt, &w, Integration::Exact, metrics)?.approx
+
+    /// Memoized exact query-to-pivot distance over `W ∩ V_P`.
+    ///
+    /// When the pivot covers the window the value *is* its exact DISSIM
+    /// and the pivot is refined for free; a non-covering pivot is
+    /// navigation-only and, as in the linear scan, never a candidate.
+    fn pivot_distance<M: QueryMetrics>(
+        &mut self,
+        pivot: TrajectoryId,
+        metrics: &mut M,
+    ) -> Result<f64> {
+        if let Some(&d) = self.pivot_dist.get(&pivot) {
+            return Ok(d);
         }
-        _ => 0.0,
-    };
-    pivot_dist.insert(pivot, d);
-    if !done.contains(&pivot) {
-        if pt.covers(period) {
+        let pt = self
+            .tree
+            .cached_trajectory(pivot)
+            .cloned()
+            .ok_or(SearchError::MissingTrajectory(pivot))?;
+        let d = match self.period.intersect(&pt.time()) {
+            Some(w) if !w.is_instant() => {
+                dissim_between_traced(self.q, &pt, &w, Integration::Exact, metrics)?.approx
+            }
+            _ => 0.0,
+        };
+        self.pivot_dist.insert(pivot, d);
+        if self.done.insert(pivot) && pt.covers(self.period) {
             // The distance window was the whole query window: `d` is the
             // pivot's exact DISSIM.
-            done.insert(pivot);
-            completed.insert(pivot, d);
-            report.entries_matched += 1;
-            report.candidates_completed += 1;
             metrics.candidate_seen();
-            metrics.candidate_refined();
-            if upper.update(pivot, d) {
-                let kth = upper.kth();
-                if kth.is_finite() {
-                    share.publish_kth(kth);
-                }
-            }
-        } else {
-            done.insert(pivot);
+            self.refine(pivot, d, metrics);
         }
+        Ok(d)
     }
-    Ok(d)
 }
 
 #[cfg(test)]
@@ -445,6 +354,7 @@ mod tests {
             let query = store.get(TrajectoryId(qid)).unwrap().clone();
             for k in [1usize, 4, 10] {
                 let truth = scan_kmst(&store, &query, &period, k, Integration::Exact).unwrap();
+                let mut profile = QueryProfile::new();
                 let report = tree
                     .kmst_search(
                         &store,
@@ -452,7 +362,7 @@ mod tests {
                         &period,
                         &MstConfig::k(k),
                         &NoShare,
-                        &mut NoopSink,
+                        &mut profile,
                     )
                     .unwrap();
                 assert_eq!(report.matches.len(), truth.len());
@@ -466,7 +376,7 @@ mod tests {
                         want.dissim
                     );
                 }
-                assert_eq!(report.exact_recomputations, 0);
+                assert_eq!(profile.exact_recomputations, 0);
             }
         }
     }
@@ -491,14 +401,14 @@ mod tests {
         assert!(profile.is_consistent(), "{profile:?}");
         assert!(profile.pruning.triangle_ineq_evals > 0);
         assert!(
-            report.candidates_rejected > 0 || report.terminated_early,
-            "with k=2 of 30 the triangle bound must cut something: {report:?}"
+            profile.candidates.pruned > 0 || profile.early_terminations > 0,
+            "with k=2 of 30 the triangle bound must cut something: {profile:?}"
         );
         // Every rejected candidate was attributed to a bound (termination
         // additionally counts discarded heap units).
         assert!(
             profile.pruning.triangle_ineq_prunes + profile.pruning.shared_kth_prunes
-                >= report.candidates_rejected as u64
+                >= profile.candidates.pruned
         );
         // Honest refinement I/O: chain pages flowed through the buffer.
         assert!(profile.nodes_accessed() > 0);
@@ -513,13 +423,14 @@ mod tests {
         let mut config = MstConfig::k(3);
         config.use_heuristic1 = false;
         config.use_heuristic2 = false;
+        let mut profile = QueryProfile::new();
         let report = tree
-            .kmst_search(&store, &query, &period, &config, &NoShare, &mut NoopSink)
+            .kmst_search(&store, &query, &period, &config, &NoShare, &mut profile)
             .unwrap();
         let truth = scan_kmst(&store, &query, &period, 3, Integration::Exact).unwrap();
-        assert_eq!(report.candidates_rejected, 0);
-        assert!(!report.terminated_early);
-        assert_eq!(report.candidates_completed, 16);
+        assert_eq!(profile.candidates.pruned, 0);
+        assert_eq!(profile.early_terminations, 0);
+        assert_eq!(profile.candidates.refined, 16);
         for (got, want) in report.matches.iter().zip(&truth) {
             assert_eq!(
                 (got.traj, got.dissim.to_bits()),

@@ -1,25 +1,31 @@
-//! The pruning-threshold tracker of the k-MST search.
+//! The pruning threshold of the best-first searches.
 //!
-//! The BFMST algorithm prunes against the dissimilarity of the current k-th
-//! most similar candidate, where a candidate's key is its exact/approximate
-//! DISSIM when completed or its PESDISSIM while partial (Section 4.3). Both
-//! are *upper bounds* on the candidate's true dissimilarity, so the k-th
-//! smallest key over all seen candidates upper-bounds the k-th smallest true
-//! DISSIM over the whole dataset — the soundness fact both heuristics rest
-//! on.
+//! BFMST prunes against the dissimilarity of the current k-th most similar
+//! candidate, where a candidate's key is its exact/approximate DISSIM when
+//! completed or its PESDISSIM while partial (Section 4.3). Both are *upper
+//! bounds* on the candidate's true dissimilarity, so the k-th smallest key
+//! over all seen candidates upper-bounds the k-th smallest true DISSIM over
+//! the whole dataset — the soundness fact both heuristics rest on.
 //!
 //! Keys only ever improve (PESDISSIM shrinks as pieces arrive; a completed
 //! DISSIM replaces it), so the threshold is monotonically non-increasing —
-//! and so is every one of the k smallest keys. The tracker therefore keeps
-//! those k `(key, id)` pairs in a sorted array beside the map of all keys:
-//! a candidate outside the array can enter it only by undercutting its last
-//! slot, which makes [`UpperKeys::update`] O(k) when it moves the array and
-//! a hash probe when it does not, and [`UpperKeys::kth`] — read once per
-//! leaf entry by the search — a load of the last slot.
+//! and so is every one of the k smallest keys. [`UpperKeys`] therefore
+//! keeps those k `(key, id)` pairs in a sorted array beside the map of all
+//! keys: a candidate outside the array can enter it only by undercutting
+//! its last slot, which makes [`UpperKeys::update`] O(k) when it moves the
+//! array and a hash probe when it does not, and [`UpperKeys::kth`] — read
+//! once per leaf entry by the search — a load of the last slot.
+//!
+//! [`Threshold`] is what BFMST, the metric ball search and trajectory kNN
+//! all prune against: the keys, the range-MST ceiling and the cross-shard
+//! [`BoundShare`], the one place a k-th is published or a hint read.
 
 use std::collections::HashMap;
 
 use mst_trajectory::TrajectoryId;
+
+use crate::metrics::{PruningBound, QueryMetrics};
+use crate::share::BoundShare;
 
 /// Tracks the best-known upper key of every candidate and serves the k-th
 /// smallest key as the pruning threshold.
@@ -41,16 +47,6 @@ impl UpperKeys {
             keys: HashMap::new(),
             top: Vec::new(),
         }
-    }
-
-    /// Number of candidates with a finite key.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when no candidate has a finite key yet.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Records `key` as candidate `id`'s current upper bound. Ignores
@@ -99,10 +95,102 @@ impl UpperKeys {
             None => f64::INFINITY,
         }
     }
+}
 
-    /// The recorded key of a candidate.
-    pub fn key_of(&self, id: TrajectoryId) -> Option<f64> {
-        self.keys.get(&id).copied()
+/// The pruning threshold of one search: the k-th smallest upper key,
+/// capped by the range-MST ceiling and folded with the tightest k-th
+/// another shard has published.
+#[derive(Debug)]
+pub(crate) struct Threshold<'s, B> {
+    keys: UpperKeys,
+    ceiling: f64,
+    share: &'s B,
+    /// A key improved since the k-th was last published.
+    unpublished: bool,
+}
+
+impl<'s, B: BoundShare> Threshold<'s, B> {
+    /// An empty threshold for a top-`k` search under `ceiling` (or `+inf`).
+    pub(crate) fn new(k: usize, ceiling: f64, share: &'s B) -> Self {
+        Threshold {
+            keys: UpperKeys::new(k),
+            ceiling,
+            share,
+            unpublished: false,
+        }
+    }
+
+    /// Records `key` as `id`'s upper key; publishes the k-th if it improved.
+    pub(crate) fn record(&mut self, id: TrajectoryId, key: f64) -> bool {
+        let improved = self.improve(id, key);
+        self.publish();
+        improved
+    }
+
+    /// [`Threshold::record`], leaving the publication to a later `publish`.
+    pub(crate) fn improve(&mut self, id: TrajectoryId, key: f64) -> bool {
+        let improved = self.keys.update(id, key);
+        self.unpublished |= improved;
+        improved
+    }
+
+    /// Publishes the k-th key, if one improved since the last publication
+    /// and it is finite.
+    pub(crate) fn publish(&mut self) {
+        let kth = self.keys.kth();
+        if std::mem::take(&mut self.unpublished) && kth.is_finite() {
+            self.share.publish_kth(kth);
+        }
+    }
+
+    /// Reads the threshold: the local k-th key under the ceiling, folded
+    /// with the share's hint. Counts one [`PruningBound::SharedKth`]
+    /// evaluation when the hint is the tighter of the two.
+    pub(crate) fn fold<M: QueryMetrics>(&self, metrics: &mut M) -> Tau {
+        let tau = Tau {
+            local: self.keys.kth().min(self.ceiling),
+            hint: self.share.kth_hint(),
+            capped: self.ceiling.is_finite(),
+        };
+        if tau.hint < tau.local {
+            metrics.bound_evals(PruningBound::SharedKth, 1);
+        }
+        tau
+    }
+}
+
+/// One reading of a [`Threshold`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tau {
+    local: f64,
+    hint: f64,
+    capped: bool,
+}
+
+impl Tau {
+    /// The value to prune strictly above.
+    pub(crate) fn value(self) -> f64 {
+        self.local.min(self.hint)
+    }
+
+    /// True when the ceiling or another shard bounds the threshold.
+    pub(crate) fn bounded_from_outside(self) -> bool {
+        self.capped || self.hint.is_finite()
+    }
+
+    /// True when a prune that `fires` at [`Tau::value`] would not fire at
+    /// the local threshold: only the shared bound justified it.
+    pub(crate) fn shared_only(self, fires: impl Fn(f64) -> bool) -> bool {
+        !fires(self.local)
+    }
+
+    /// `own`, or [`PruningBound::SharedKth`] when [`Tau::shared_only`].
+    pub(crate) fn blame(self, own: PruningBound, fires: impl Fn(f64) -> bool) -> PruningBound {
+        if self.shared_only(fires) {
+            PruningBound::SharedKth
+        } else {
+            own
+        }
     }
 }
 
@@ -145,7 +233,7 @@ mod tests {
         assert!(u.update(id(1), 3.0));
         assert!(!u.update(id(1), 8.0)); // regression attempt
         assert_eq!(u.kth(), 3.0);
-        assert_eq!(u.key_of(id(1)), Some(3.0));
+        assert_eq!(u.keys.get(&id(1)), Some(&3.0));
     }
 
     #[test]
@@ -153,7 +241,7 @@ mod tests {
         let mut u = UpperKeys::new(1);
         assert!(!u.update(id(1), f64::INFINITY));
         assert!(!u.update(id(2), f64::NAN));
-        assert!(u.is_empty());
+        assert!(u.keys.is_empty());
         assert_eq!(u.kth(), f64::INFINITY);
     }
 
@@ -164,7 +252,7 @@ mod tests {
             u.update(id(i as u64), *v);
         }
         assert_eq!(u.kth(), 2.0);
-        assert_eq!(u.len(), 5);
+        assert_eq!(u.keys.len(), 5);
     }
 
     #[test]
@@ -266,20 +354,16 @@ mod tests {
                     got.kth(),
                     want.kth()
                 );
-                assert_eq!(got.len(), want.keys.len());
+                assert_eq!(got.keys.len(), want.keys.len());
                 assert_eq!(
                     got.top.len(),
-                    k.min(got.len()),
+                    k.min(got.keys.len()),
                     "the array holds min(k, len)"
                 );
-                assert_eq!(got.is_empty(), want.keys.is_empty());
                 for c in 0..candidates {
                     assert_eq!(
-                        got.key_of(super::tests::id(c)).map(f64::to_bits),
-                        want.keys
-                            .get(&super::tests::id(c))
-                            .copied()
-                            .map(f64::to_bits)
+                        got.keys.get(&id(c)).map(|k| k.to_bits()),
+                        want.keys.get(&id(c)).map(|k| k.to_bits())
                     );
                 }
             }

@@ -24,7 +24,7 @@
 //! the merged [`QueryProfile`] instead.
 
 use mst_index::{KnnMatch, LeafEntry};
-use mst_search::{BoundShare, KmstSubstrate, MstMatch, NnMatch, QueryProfile};
+use mst_search::{BoundShare, KmstSubstrate, MstMatch, NnMatch, QueryProfile, SearchError};
 
 use crate::bound::QueryControl;
 use crate::clock::Stopwatch;
@@ -103,7 +103,7 @@ pub struct ShardFailure {
     pub shard: usize,
     /// The error that killed it (typically an I/O or checksum fault
     /// surfaced through [`mst_index::IndexError`]).
-    pub error: mst_search::SearchError,
+    pub error: SearchError,
 }
 
 impl std::fmt::Display for ShardFailure {
@@ -210,15 +210,6 @@ impl Default for BatchExecutor {
     }
 }
 
-/// What one (query, shard) job hands back through its slot.
-pub(crate) enum JobResult {
-    Kmst(Vec<MstMatch>),
-    Knn(Vec<NnMatch>),
-    Segments(Vec<KnnMatch>),
-    Range(Vec<LeafEntry>),
-    Failed(mst_search::SearchError),
-}
-
 /// Runs one query against one shard between the query's latency marks —
 /// the unit of work both executors share ([`BatchExecutor`] distributes
 /// these across workers; the persistent [`crate::ExecHandle`] pool runs a
@@ -230,25 +221,25 @@ pub(crate) fn run_shard_job<I: KmstSubstrate>(
     shard: &Shard<I>,
     query: &BatchQuery,
     control: &QueryControl,
-) -> (JobResult, QueryProfile) {
+) -> (Result<QueryAnswer, SearchError>, QueryProfile) {
     control.mark_start();
     let mut profile = QueryProfile::default();
     let result = shard.read().map_err(Into::into).and_then(|db| match query {
         BatchQuery::Kmst(spec) => db
             .run_kmst(spec, control, &mut profile)
-            .map(|report| JobResult::Kmst(report.matches)),
+            .map(|report| QueryAnswer::Kmst(report.matches)),
         BatchQuery::Knn(spec) => db
             .run_knn(spec, control, &mut profile)
-            .map(|outcome| JobResult::Knn(outcome.matches)),
-        BatchQuery::Segments(_) if control.poll_stop() => Ok(JobResult::Segments(Vec::new())),
+            .map(QueryAnswer::Knn),
+        BatchQuery::Segments(_) if control.poll_stop() => Ok(QueryAnswer::Segments(Vec::new())),
         BatchQuery::Segments(spec) => db
             .run_knn_segments(spec, &mut profile)
-            .map(JobResult::Segments),
-        BatchQuery::Range(_) if control.poll_stop() => Ok(JobResult::Range(Vec::new())),
-        BatchQuery::Range(spec) => db.run_range(spec, &mut profile).map(JobResult::Range),
+            .map(QueryAnswer::Segments),
+        BatchQuery::Range(_) if control.poll_stop() => Ok(QueryAnswer::Range(Vec::new())),
+        BatchQuery::Range(spec) => db.run_range(spec, &mut profile).map(QueryAnswer::Range),
     });
     control.mark_end();
-    (result.unwrap_or_else(JobResult::Failed), profile)
+    (result, profile)
 }
 
 /// Merges one query's shard results, in shard order, into its outcome —
@@ -262,7 +253,7 @@ pub(crate) fn run_shard_job<I: KmstSubstrate>(
 pub(crate) fn query_outcome(
     query: &BatchQuery,
     control: &QueryControl,
-    shards: impl IntoIterator<Item = (JobResult, QueryProfile)>,
+    shards: impl IntoIterator<Item = (Result<QueryAnswer, SearchError>, QueryProfile)>,
 ) -> QueryOutcome {
     let mut profile = QueryProfile::default();
     let mut failures = Vec::new();
@@ -270,11 +261,11 @@ pub(crate) fn query_outcome(
     for (shard, (result, shard_profile)) in shards.into_iter().enumerate() {
         profile.merge(&shard_profile);
         match result {
-            JobResult::Kmst(m) => kmst.push(m),
-            JobResult::Knn(m) => knn.push(m),
-            JobResult::Segments(m) => segments.push(m),
-            JobResult::Range(m) => range.push(m),
-            JobResult::Failed(error) => failures.push(ShardFailure { shard, error }),
+            Ok(QueryAnswer::Kmst(m)) => kmst.push(m),
+            Ok(QueryAnswer::Knn(m)) => knn.push(m),
+            Ok(QueryAnswer::Segments(m)) => segments.push(m),
+            Ok(QueryAnswer::Range(m)) => range.push(m),
+            Err(error) => failures.push(ShardFailure { shard, error }),
         }
     }
     // Each flavour merges in the deterministic order its merge defines.
@@ -300,7 +291,7 @@ pub(crate) fn query_outcome(
 }
 
 /// A job's drop box: its answer plus the work profile it accumulated.
-type ResultSlot = std::sync::Mutex<Option<(JobResult, QueryProfile)>>;
+type ResultSlot = std::sync::Mutex<Option<(Result<QueryAnswer, SearchError>, QueryProfile)>>;
 
 /// One unit of work: query `query` of the batch against shard `shard`.
 #[derive(Clone, Copy)]

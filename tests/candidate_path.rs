@@ -8,16 +8,22 @@
 //!   TB-tree and STR-tree;
 //! * one seeded query set per MBB substrate reproduces the full
 //!   [`QueryProfile`] and the answer fingerprint recorded before the
-//!   candidate path was reworked.
+//!   candidate path was reworked;
+//! * the same query set pins the other two best-first loops — the metric
+//!   tree's ball search and trajectory kNN on the R-tree — and a
+//!   one-worker batch over two-shard R-tree and metric databases, the only
+//!   run whose profile moves the `SharedKth` evals and prunes. These were
+//!   recorded before the three loops shared one pruning threshold.
 
 use mst::datagen::TrucksConfig;
+use mst::exec::{BatchExecutor, BatchQuery, QueryAnswer, ShardedDatabase};
 use mst::index::{
-    LeafEntry, Node, Rtree3D, StrTree, TbTree, TrajectoryIndex, TrajectoryIndexWrite,
+    LeafEntry, MetricTree, Node, Rtree3D, StrTree, TbTree, TrajectoryIndex, TrajectoryIndexWrite,
 };
 use mst::search::metrics::{CandidateCounters, PruningCounters};
 use mst::search::{
-    arrival_order, scan_kmst, Integration, KmstSubstrate, MstConfig, NoShare, QueryProfile,
-    TrajectoryStore,
+    arrival_order, scan_kmst, Integration, KmstSubstrate, MovingObjectDatabase, MstConfig, NoShare,
+    Query, QueryProfile, TrajectoryStore,
 };
 use mst::trajectory::{SamplePoint, TimeInterval, Trajectory, TrajectoryId};
 
@@ -60,11 +66,26 @@ fn queries(store: &TrajectoryStore) -> Vec<(Trajectory, TimeInterval)> {
 
 /// FNV-1a over the answers' `(id, DISSIM bits)`.
 fn fingerprint(hash: &mut u64, matches: &[mst::search::MstMatch]) {
-    for m in matches {
-        for word in [m.traj.0, m.dissim.to_bits()] {
-            for byte in word.to_le_bytes() {
-                *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+    fold_words(
+        hash,
+        matches.iter().flat_map(|m| [m.traj.0, m.dissim.to_bits()]),
+    );
+}
+
+/// FNV-1a over kNN answers' `(id, distance bits, time bits)`.
+fn knn_fingerprint(hash: &mut u64, matches: &[mst::search::NnMatch]) {
+    fold_words(
+        hash,
+        matches
+            .iter()
+            .flat_map(|m| [m.traj.0, m.distance.to_bits(), m.time.to_bits()]),
+    );
+}
+
+fn fold_words(hash: &mut u64, words: impl IntoIterator<Item = u64>) {
+    for word in words {
+        for byte in word.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 }
@@ -225,6 +246,191 @@ fn candidate_path_pinned_profiles_and_answers_are_those_recorded_before_the_rewo
             ..QueryProfile::default()
         },
         "STR-tree"
+    );
+}
+
+#[test]
+fn candidate_path_metric_ball_search_profile_and_answers_are_pinned() {
+    let store = trucks_store();
+    let tree = build(MetricTree::new(), &store);
+    let (profile, answers) = pinned_run(&tree, &store);
+    // The same answers as the TB-tree's pin: every substrate is exact.
+    assert_eq!(answers, 0x9896ab09b6da6978, "metric-tree answers");
+    assert_eq!(
+        profile,
+        QueryProfile {
+            heap_pushes: 189,
+            heap_pops: 189,
+            node_accesses: vec![784],
+            buffer_hits: 2,
+            buffer_misses: 782,
+            bytes_decoded: 3211264,
+            exact_piece_evals: 39844,
+            candidates: CandidateCounters {
+                seen: 643,
+                refined: 581,
+                pruned: 62,
+                ..CandidateCounters::default()
+            },
+            pruning: PruningCounters {
+                triangle_ineq_evals: 607,
+                triangle_ineq_prunes: 63,
+                ..PruningCounters::default()
+            },
+            early_terminations: 1,
+            ..QueryProfile::default()
+        },
+        "metric tree"
+    );
+}
+
+#[test]
+fn candidate_path_trajectory_knn_profile_and_answers_are_pinned() {
+    let store = trucks_store();
+    // `run_knn` is `nearest_trajectories` on the database's index.
+    let db = MovingObjectDatabase::from_parts(build(Rtree3D::new(), &store), store.clone());
+    let mut total = QueryProfile::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (q, period) in queries(&store) {
+        for k in [1, 4] {
+            let (matches, profile) = Query::knn(&q)
+                .k(k)
+                .during(&period)
+                .profile(&db)
+                .expect("knn");
+            assert!(profile.is_consistent());
+            assert_eq!(matches.len(), k);
+            knn_fingerprint(&mut hash, &matches);
+            total.merge(&profile);
+        }
+    }
+    assert_eq!(hash, 0x42cd0f473aa43ebc, "kNN answers");
+    assert_eq!(
+        total,
+        QueryProfile {
+            heap_pushes: 672,
+            heap_pops: 176,
+            node_accesses: vec![140, 18],
+            buffer_hits: 43,
+            buffer_misses: 115,
+            bytes_decoded: 647168,
+            candidates: CandidateCounters {
+                seen: 187,
+                pending: 187,
+                ..CandidateCounters::default()
+            },
+            ..QueryProfile::default()
+        },
+        "R-tree kNN"
+    );
+}
+
+/// The query set as a batch: k-MST at k = 1 and k = 4, then kNN at k = 4.
+fn batch(store: &TrajectoryStore) -> Vec<BatchQuery> {
+    let mut out = Vec::new();
+    for (q, period) in queries(store) {
+        for k in [1, 4] {
+            out.push(BatchQuery::kmst(Query::kmst(&q).k(k).during(&period)).expect("spec"));
+        }
+        out.push(BatchQuery::knn(Query::knn(&q).k(4).during(&period)).expect("spec"));
+    }
+    out
+}
+
+/// Runs [`batch`] on one worker — the shards of a query then run in
+/// order, so the shared bound each reads is deterministic — and returns
+/// the merged profile and the answer fingerprint.
+fn pinned_batch<I: KmstSubstrate + Send>(
+    db: &ShardedDatabase<I>,
+    store: &TrajectoryStore,
+) -> (QueryProfile, u64) {
+    let outcome = BatchExecutor::new().workers(1).run(db, batch(store));
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for result in &outcome.outcomes {
+        let query = result.as_ref().expect("query");
+        assert!(!query.degraded, "{:?}", query.failures);
+        match &query.answer {
+            QueryAnswer::Kmst(m) => fingerprint(&mut hash, m),
+            QueryAnswer::Knn(m) => knn_fingerprint(&mut hash, m),
+            other => panic!("unexpected answer {other:?}"),
+        }
+    }
+    (outcome.merged_profile(), hash)
+}
+
+#[test]
+fn candidate_path_sharded_batch_profiles_with_shared_kth_are_pinned() {
+    let store = trucks_store();
+    let fleet = || store.iter().map(|(id, t)| (id, t.clone()));
+    let rtree = ShardedDatabase::with_rtree(2, fleet()).expect("shards");
+    let metric = ShardedDatabase::with_metric(2, fleet()).expect("shards");
+    let (profile, answers) = pinned_batch(&rtree, &store);
+    assert_eq!(answers, 0x25c4e6db6fef3f36, "two R-tree shards");
+    assert_eq!(
+        profile,
+        QueryProfile {
+            heap_pushes: 1071,
+            heap_pops: 567,
+            node_accesses: vec![459, 54],
+            buffer_hits: 154,
+            buffer_misses: 359,
+            bytes_decoded: 2101248,
+            exact_piece_evals: 6313,
+            trapezoid_piece_evals: 15782,
+            exact_recomputations: 86,
+            candidates: CandidateCounters {
+                seen: 399,
+                refined: 90,
+                pruned: 128,
+                pending: 181,
+            },
+            pruning: PruningCounters {
+                ldd_evals: 45986,
+                opt_dissim_evals: 8206,
+                opt_dissim_prunes: 115,
+                pes_dissim_evals: 8206,
+                pes_dissim_tightenings: 8206,
+                opt_dissim_inc_evals: 137,
+                opt_dissim_inc_prunes: 45,
+                min_dissim_inc_evals: 359,
+                min_dissim_inc_prunes: 308,
+                shared_kth_evals: 2677,
+                shared_kth_prunes: 76,
+                ..PruningCounters::default()
+            },
+            early_terminations: 36,
+            ..QueryProfile::default()
+        },
+        "two R-tree shards"
+    );
+    let (profile, answers) = pinned_batch(&metric, &store);
+    assert_eq!(answers, 0x8bfba3e881b65ab9, "two metric shards");
+    assert_eq!(
+        profile,
+        QueryProfile {
+            heap_pushes: 414,
+            heap_pops: 299,
+            node_accesses: vec![717, 18],
+            buffer_hits: 80,
+            buffer_misses: 655,
+            bytes_decoded: 3010560,
+            exact_piece_evals: 26553,
+            candidates: CandidateCounters {
+                seen: 551,
+                refined: 389,
+                pruned: 18,
+                pending: 144,
+            },
+            pruning: PruningCounters {
+                shared_kth_evals: 149,
+                triangle_ineq_evals: 380,
+                triangle_ineq_prunes: 23,
+                ..PruningCounters::default()
+            },
+            early_terminations: 5,
+            ..QueryProfile::default()
+        },
+        "two metric shards"
     );
 }
 

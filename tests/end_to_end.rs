@@ -278,7 +278,7 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
     }
     .generate();
     let store = TrajectoryStore::from_trajectories(data);
-    let (mut rtree, _) = build_both(&store);
+    let (rtree, _) = build_both(&store);
     let period = TimeInterval::new(0.0, 99.0).unwrap();
     let q = store.get(TrajectoryId(4)).unwrap().clone();
 
@@ -312,20 +312,12 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
     assert!(none.matches.is_empty());
 
     // The ceiling must also reduce work relative to the unbounded query.
-    rtree.reset_stats();
-    let unbounded = bfmst_search(
-        &rtree,
-        &store,
-        &q,
-        &period,
-        &MstConfig::k(20),
-        &NoShare,
-        &mut NoopSink,
-    )
-    .unwrap();
-    rtree.reset_stats();
-    let bounded = bfmst_search(&rtree, &store, &q, &period, &cfg, &NoShare, &mut NoopSink).unwrap();
-    assert!(bounded.nodes_visited <= unbounded.nodes_visited);
+    let mut unbounded = mst::search::QueryProfile::new();
+    let mut bounded = mst::search::QueryProfile::new();
+    let k20 = MstConfig::k(20);
+    bfmst_search(&rtree, &store, &q, &period, &k20, &NoShare, &mut unbounded).unwrap();
+    bfmst_search(&rtree, &store, &q, &period, &cfg, &NoShare, &mut bounded).unwrap();
+    assert!(bounded.nodes_accessed() <= unbounded.nodes_accessed());
 }
 
 #[test]
@@ -430,10 +422,10 @@ fn nearest_trajectories_consistent_with_dissim_on_parallel_lanes() {
     )
     .unwrap();
     assert_eq!(
-        nn.matches.iter().map(|m| m.traj).collect::<Vec<_>>(),
+        nn.iter().map(|m| m.traj).collect::<Vec<_>>(),
         ids(&mst_res.matches)
     );
-    assert_eq!(nn.matches[0].distance, 0.0);
+    assert_eq!(nn[0].distance, 0.0);
 }
 
 #[test]
@@ -470,5 +462,91 @@ fn corrupted_index_image_fails_cleanly_not_by_panic() {
         };
         let result = bfmst_search(&loaded, &store, &q, &period, &cfg, &NoShare, &mut NoopSink);
         assert!(result.is_err(), "query over a corrupt page must error");
+    }
+}
+
+/// A query period that is a single instant gets one answer everywhere:
+/// the linear scan's `InvalidInterval` refusal — from the spec freezes
+/// (so a batch or a server refuses it as an invalid query instead of
+/// failing every shard), from each of the three searches, and from the
+/// builder terminals. Only `k == 0` still answers empty first.
+#[test]
+fn an_instant_query_period_is_refused_like_the_scan_refuses_it() {
+    use mst::exec::{BatchQuery, ExecError};
+    use mst::index::MetricTree;
+    use mst::search::{KmstSubstrate, MovingObjectDatabase, Query, SearchError};
+    use mst::trajectory::TrajectoryError;
+
+    fn is_instant_refusal(e: &SearchError) -> bool {
+        matches!(
+            e,
+            SearchError::Trajectory(TrajectoryError::InvalidInterval { start, end })
+                if *start == 5.0 && *end == 5.0
+        )
+    }
+
+    let store: TrajectoryStore = mst::datagen::fixtures::lane_fleet(8, 20)
+        .into_iter()
+        .collect();
+    let (rtree, _) = build_both(&store);
+    let mut metric = MetricTree::new();
+    for e in arrival_order(store.iter()) {
+        metric.insert(e).unwrap();
+    }
+    let q = store.get(TrajectoryId(0)).unwrap().clone();
+    let instant = TimeInterval::new(5.0, 5.0).unwrap();
+    assert!(q.covers(&instant));
+
+    let scan = scan_kmst(&store, &q, &instant, 2, Integration::Exact).unwrap_err();
+    assert!(is_instant_refusal(&scan), "{scan:?}");
+
+    let kmst = Query::kmst(&q).k(2).during(&instant);
+    let knn = Query::knn(&q).k(2).during(&instant);
+    assert!(is_instant_refusal(&kmst.spec().unwrap_err()));
+    assert!(is_instant_refusal(&knn.spec().unwrap_err()));
+
+    let config = MstConfig::k(2);
+    let searches = [
+        bfmst_search(
+            &rtree,
+            &store,
+            &q,
+            &instant,
+            &config,
+            &NoShare,
+            &mut NoopSink,
+        )
+        .err(),
+        metric
+            .kmst_search(&store, &q, &instant, &config, &NoShare, &mut NoopSink)
+            .err(),
+        mst::search::nearest_trajectories(&rtree, &q, &instant, 2, &NoShare, &mut NoopSink).err(),
+    ];
+    for refusal in searches {
+        assert!(
+            refusal.as_ref().is_some_and(is_instant_refusal),
+            "{refusal:?}"
+        );
+    }
+    let none = bfmst_search(
+        &rtree,
+        &store,
+        &q,
+        &instant,
+        &MstConfig::k(0),
+        &NoShare,
+        &mut NoopSink,
+    );
+    assert!(none.unwrap().matches.is_empty());
+
+    let db = MovingObjectDatabase::from_parts(rtree, store.clone());
+    assert!(is_instant_refusal(&kmst.run(&db).unwrap_err()));
+    assert!(is_instant_refusal(&knn.run(&db).unwrap_err()));
+
+    for refused in [BatchQuery::kmst(kmst), BatchQuery::knn(knn)] {
+        match refused {
+            Err(ExecError::Search(e)) => assert!(is_instant_refusal(&e), "{e:?}"),
+            other => panic!("a batch took an instant period: {other:?}"),
+        }
     }
 }
