@@ -27,9 +27,11 @@
 #      (`UpperKeys` against selection over all keys after every update,
 #      streamed co-segments against the cut-list version, the one gap walk
 #      against the three it replaced, the leaf cursor against the binary
-#      search on every entry of Trucks-like R-/TB-/STR-trees, and the
-#      pinned per-substrate query profiles; the debug run in gate 5 drives
-#      a tenth of the seeded streams)
+#      search on every entry of Trucks-like R-/TB-/STR-trees, the pinned
+#      per-substrate query profiles and the pinned profiles of one search
+#      over two shards' trees; the debug run in gate 5 drives a tenth of
+#      the seeded streams), then the batch executor's parity grid in
+#      release, so its shards x workers cells race at full speed
 #  12. the decoder mutation sweep at its full release count (every decoder
 #      of outside bytes — wire requests and responses, pages, index images,
 #      WAL frames, snapshots — fed every truncation, seeded bit flips and
@@ -117,8 +119,9 @@ gate "MINDIST bit-equality, full count (plan == stateless driver == reference)" 
 candidate_path_suites() {
     cargo test -q --release -p mst-trajectory -p mst-search candidate_path
     cargo test -q --release --test candidate_path
+    cargo test -q --release -p mst-exec --test batch_exec
 }
-gate "candidate-path bit-equality, full count (UpperKeys model, walkers, pinned BFMST/metric/kNN/sharded profiles)" \
+gate "candidate-path bit-equality, full count (UpperKeys model, walkers, pinned BFMST/metric/kNN profiles and the one-search-over-shards forest profiles; sharded parity grid at release-speed concurrency)" \
     candidate_path_suites
 
 gate "decoder mutation sweep, full count (truncations, bit flips, inflated counts: no panics)" \

@@ -143,8 +143,7 @@ pub fn ablation(cfg: &AblationConfig) -> Table {
                     rtree.reset_stats();
                     let (ms, report) = time_ms(|| {
                         bfmst_search(
-                            &rtree,
-                            &store,
+                            &[(&rtree, &store)],
                             &q.query,
                             &q.period,
                             mc,

@@ -73,8 +73,7 @@ pub fn buffer_sweep(cfg: &BufferSweepConfig) -> Table {
         rtree.clear_buffer().expect("buffer clear");
         for q in queries.iter().take(3) {
             bfmst_search(
-                &rtree,
-                &store,
+                &[(&rtree, &store)],
                 &q.query,
                 &q.period,
                 &MstConfig::k(1),
@@ -88,8 +87,7 @@ pub fn buffer_sweep(cfg: &BufferSweepConfig) -> Table {
         for q in &queries {
             let (ms, _) = time_ms(|| {
                 bfmst_search(
-                    &rtree,
-                    &store,
+                    &[(&rtree, &store)],
                     &q.query,
                     &q.period,
                     &MstConfig::k(1),

@@ -66,8 +66,7 @@ fn run_cell<I: TrajectoryIndex>(
         index.reset_stats();
         let (ms, _) = time_ms(|| {
             bfmst_search(
-                index,
-                store,
+                &[(index, store)],
                 &q.query,
                 &q.period,
                 &MstConfig::k(k),

@@ -141,8 +141,7 @@ fn dissim_winner(
     period: &TimeInterval,
 ) -> Option<TrajectoryId> {
     let report = bfmst_search(
-        rtree,
-        store,
+        &[(rtree, store)],
         query,
         period,
         &MstConfig::k(1),

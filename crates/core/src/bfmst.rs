@@ -3,14 +3,14 @@
 //!
 //! The algorithm consumes an [`MbbDescent`] — the leaves' segment entries
 //! in increasing `MINDIST(Q, N)` order (the distance-browsing strategy of
-//! Hjaltason & Samet) — assembling candidate trajectories from them:
+//! Hjaltason & Samet), over every shard's tree at once — assembling
+//! candidate trajectories from them:
 //!
 //! * each candidate keeps the DISSIM enclosure of its retrieved pieces plus
 //!   its OPTDISSIM / PESDISSIM speed-dependent bounds ([`crate::bounds`]);
 //! * **heuristic 1** rejects a candidate whose OPTDISSIM exceeds the one
-//!   pruning threshold (the k-th best upper key under the range ceiling,
-//!   folded with the cross-shard hint: `topk::Threshold`) — it provably
-//!   cannot enter the answer;
+//!   pruning threshold (the k-th best upper key under the range ceiling:
+//!   `topk::Threshold`) — it provably cannot enter the answer;
 //! * **heuristic 2** terminates the whole search when the popped group's
 //!   MINDISSIMINC exceeds that threshold — every unseen segment is at least
 //!   the group bound away, so no remaining or future candidate can qualify;
@@ -20,12 +20,14 @@
 //!   every candidate whose enclosure straddles the decision boundary.
 //!
 //! There is a single entry point, [`bfmst_search`], generic over the
-//! metrics sink and the cross-shard bound share; pass
+//! metrics sink and the cancellation hook; pass
 //! [`NoopSink`](crate::metrics::NoopSink) / [`NoShare`](crate::share::NoShare)
 //! for a plain untraced search — the hooks monomorphize away, so the
 //! observed and unobserved paths are the same code and tracing can never
 //! change an answer. The sink is the only place the search's work is
-//! counted.
+//! counted. A sharded query is one call over all shards' trees, so the
+//! paper's single k-th threshold prunes across shards from the first
+//! completed candidate on.
 
 use std::collections::{HashMap, HashSet};
 
@@ -38,7 +40,7 @@ use crate::dissim::{dissim_between_traced, for_each_co_piece, piece, Dissim, Int
 use crate::metrics::{PruningBound, QueryMetrics};
 use crate::query::check_period;
 use crate::share::BoundShare;
-use crate::topk::Threshold;
+use crate::topk::{rounded_up, Threshold};
 use crate::{MstMatch, Result, SearchError, TrajectoryStore};
 
 /// Configuration of a BFMST search.
@@ -98,33 +100,80 @@ impl MstConfig {
     }
 }
 
-/// Outcome of a k-MST search. Everything else a search did is counted
+/// Outcome of a k-MST (or, with [`NnMatch`](crate::NnMatch), a kNN)
+/// search over a forest of shards. Everything else a search did is counted
 /// once, in its [`QueryMetrics`] sink.
-#[derive(Debug, Clone, Default)]
-pub struct SearchReport {
-    /// The k most similar trajectories, ascending dissimilarity.
-    pub matches: Vec<MstMatch>,
+#[derive(Debug)]
+pub struct SearchReport<T = MstMatch> {
+    /// The k best answers, ascending value.
+    pub matches: Vec<T>,
+    /// Shards dropped from the search because a node read failed, in the
+    /// order they failed. Their trajectories are absent from `matches`, so
+    /// a non-empty list means a degraded, best-so-far answer.
+    pub failures: Vec<ShardFailure>,
 }
 
-/// Runs the best-first k-MST search of `query` over `period` against
-/// `index`, with `store` supplying full trajectories for the exact
-/// post-processing step.
+impl<T> Default for SearchReport<T> {
+    fn default() -> Self {
+        SearchReport {
+            matches: Vec::new(),
+            failures: Vec::new(),
+        }
+    }
+}
+
+impl<T> SearchReport<T> {
+    /// The report of a forest of one tree, whose failed read is the
+    /// search's error.
+    pub(crate) fn single(mut self) -> Result<Self> {
+        match self.failures.pop() {
+            Some(failure) => Err(failure.error),
+            None => Ok(self),
+        }
+    }
+}
+
+/// One shard that left a search (or a sharded query) with an error
+/// instead of an answer: which slice of the database the answer is
+/// missing, and why.
+#[derive(Debug)]
+pub struct ShardFailure {
+    /// The shard, by position.
+    pub shard: usize,
+    /// The error that dropped it (typically an I/O or checksum fault
+    /// surfaced through [`mst_index::IndexError`]).
+    pub error: SearchError,
+}
+
+impl std::fmt::Display for ShardFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "shard {}: {}", self.shard, self.error)
+    }
+}
+
+/// Runs the best-first k-MST search of `query` over `period` against every
+/// shard's tree at once, each shard given as its index and the store of
+/// the trajectories it indexes (the store supplies the coverage check and
+/// the exact post-processing of that shard's candidates).
 ///
-/// Returns the k most similar trajectories in ascending DISSIM order. With
-/// `error_management` (or exact integration) the result is *exact*: it
-/// matches the linear scan with closed-form integration.
+/// One descent seeds every root and pops the forest's nodes in one MINDIST
+/// order; one threshold prunes every candidate, wherever it lives; each
+/// candidate's speed-dependent bounds use its own shard's Vmax. A single
+/// tree is a forest of one. Returns the k most similar trajectories in
+/// ascending DISSIM order. With `error_management` (or exact integration)
+/// the result is *exact*: it matches the linear scan with closed-form
+/// integration over the union of the shards.
 ///
-/// This is the single generic entry point: `share` injects an external
-/// upper bound on the global kth DISSIM into both heuristics (pass
-/// [`NoShare`](crate::share::NoShare) for an isolated query) and `metrics`
-/// receives every traversal, buffer, bound, and candidate event (pass
-/// [`&mut NoopSink`](crate::metrics::NoopSink) to trace nothing; a
-/// [`crate::QueryProfile`] collects everything). Prunes that only the
-/// shared bound justifies are attributed to [`PruningBound::SharedKth`],
-/// keeping cross-shard pruning observable in the profile.
+/// A shard whose node read fails is dropped: its queued nodes are
+/// discarded, its partial candidates left pending, its completed ones
+/// taken out of the answer, and a [`ShardFailure`] is reported; the other
+/// shards are searched to the end. `share` can stop the traversal
+/// (deadlines; pass [`NoShare`](crate::share::NoShare) for none) and
+/// `metrics` receives every traversal, buffer, bound, and candidate event
+/// (pass [`&mut NoopSink`](crate::metrics::NoopSink) to trace nothing; a
+/// [`crate::QueryProfile`] collects everything).
 pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
-    index: &I,
-    store: &TrajectoryStore,
+    shards: &[(&I, &TrajectoryStore)],
     query: &Trajectory,
     period: &TimeInterval,
     config: &MstConfig,
@@ -136,18 +185,23 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     }
     check_period(query, period)?;
     let q = &query.clip(period)?;
-    // The envelope slope both speed-dependent bounds use.
-    let vmax = index.max_speed() + q.max_speed();
-    let mut source = MbbDescent::new(index, q, period, metrics);
+    // The envelope slope both speed-dependent bounds use, per shard.
+    let vmax: Vec<f64> = shards
+        .iter()
+        .map(|(index, _)| index.max_speed() + q.max_speed())
+        .collect();
+    let mut source = MbbDescent::new(shards.iter().map(|&(index, _)| index), q, period, metrics);
 
     let span = period.duration();
     let merge_eps = span.max(1.0) * 1e-9;
 
-    let mut valid: HashMap<TrajectoryId, Candidate> = HashMap::new();
-    let mut completed: HashMap<TrajectoryId, Dissim> = HashMap::new();
+    // Candidates by id (ids are unique across shards), each with its shard.
+    let mut valid: HashMap<TrajectoryId, (usize, Candidate)> = HashMap::new();
+    let mut completed: HashMap<TrajectoryId, (usize, Dissim)> = HashMap::new();
     let mut rejected: HashSet<TrajectoryId> = HashSet::new();
+    let mut failures = Vec::new();
     let ceiling = config.max_dissim.unwrap_or(f64::INFINITY);
-    let mut threshold = Threshold::new(config.k, ceiling, share);
+    let mut threshold = Threshold::new(config.k, ceiling);
     // The part of the period an entry's segment is alive for, when that is
     // more than an instant.
     let window_of = |e: &LeafEntry| {
@@ -164,51 +218,49 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         // Heuristic 2: groups arrive in increasing lower bound, so once the
         // group-level MINDISSIMINC exceeds the k-th best upper key nothing
         // later can qualify either — stop the whole search. Until a
-        // candidate completes, only a ceiling or another shard's k-th arms
-        // it.
-        if config.use_heuristic2 {
-            let tau = threshold.fold(metrics);
-            if (!completed.is_empty() || tau.bounded_from_outside()) && tau.value().is_finite() {
-                // Cheap test first (the paper's optimization): only evaluate
-                // the per-candidate OPTDISSIMINC values when the blanket
-                // bound MINDIST * span already clears the threshold.
-                metrics.bound_evals(PruningBound::MinDissimInc, 1);
-                let blanket = mindist * span;
-                if blanket > tau.value() {
-                    metrics.bound_evals(PruningBound::OptDissimInc, valid.len() as u64);
-                    let min_inc = valid
-                        .values()
-                        .map(|c| c.opt_dissim_inc(period, mindist))
-                        .fold(f64::INFINITY, f64::min);
-                    if min_inc > tau.value() {
-                        // The popped head plus everything still queued is
-                        // discarded unvisited; the pending candidates are
-                        // each certified out by their OPTDISSIMINC.
-                        metrics.early_termination();
-                        let nodes = source.pending() + 1;
-                        let pending = valid.len() as u64;
-                        if tau.shared_only(|t| blanket > t && min_inc > t) {
-                            metrics.pruned_by(PruningBound::SharedKth, nodes + pending);
-                        } else {
-                            metrics.pruned_by(PruningBound::MinDissimInc, nodes);
-                            metrics.pruned_by(PruningBound::OptDissimInc, pending);
-                        }
-                        break;
-                    }
+        // candidate completes, only a ceiling arms it.
+        let tau = threshold.value();
+        if config.use_heuristic2 && (!completed.is_empty() || threshold.capped()) && tau.is_finite()
+        {
+            // Cheap test first (the paper's optimization): only evaluate
+            // the per-candidate OPTDISSIMINC values when the blanket bound
+            // MINDIST * span already clears the threshold.
+            metrics.bound_evals(PruningBound::MinDissimInc, 1);
+            if mindist * span > tau {
+                metrics.bound_evals(PruningBound::OptDissimInc, valid.len() as u64);
+                let min_inc = valid
+                    .values()
+                    .map(|(_, c)| c.opt_dissim_inc(period, mindist))
+                    .fold(f64::INFINITY, f64::min);
+                if min_inc > tau {
+                    // The popped head plus everything still queued is
+                    // discarded unvisited; the pending candidates are each
+                    // certified out by their OPTDISSIMINC.
+                    metrics.early_termination();
+                    metrics.pruned_by(PruningBound::MinDissimInc, source.pending() + 1);
+                    metrics.pruned_by(PruningBound::OptDissimInc, valid.len() as u64);
+                    break;
                 }
             }
         }
 
+        let shard = source.shard();
         let mut entries = match source.expand(metrics) {
             Ok(Some(entries)) => entries,
             Ok(None) => continue,
-            Err(e) => {
-                // A search aborted by a page fault still balances its
-                // ledger: every live candidate is left pending.
-                metrics.candidates_pending(valid.len() as u64);
-                return Err(e);
+            Err(error) => {
+                // The shard leaves the search with its ledger balanced:
+                // every live candidate of it is left pending.
+                source.drop_shard(shard);
+                let live = valid.len();
+                valid.retain(|_, (s, _)| *s != shard);
+                metrics.candidates_pending((live - valid.len()) as u64);
+                completed.retain(|_, (s, _)| *s != shard);
+                failures.push(ShardFailure { shard, error });
+                continue;
             }
         };
+        let store = shards[shard].1;
         // Only entries alive for more than an instant of the period take
         // part; dropping the others first leaves the sort fewer to order
         // and changes nothing else — they were skipped one by one before.
@@ -234,7 +286,7 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             if rejected.contains(&e.traj) {
                 continue;
             }
-            let cand = match valid.entry(e.traj) {
+            let (_, cand) = match valid.entry(e.traj) {
                 std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
                 std::collections::hash_map::Entry::Vacant(v) => {
                     metrics.candidate_seen();
@@ -247,7 +299,7 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                         metrics.candidate_pruned();
                         continue;
                     }
-                    v.insert(Candidate::new(e.traj, merge_eps))
+                    v.insert((shard, Candidate::new(e.traj, merge_eps)))
                 }
             };
             cursor = for_each_co_piece(q, cursor, &e.segment, &window, |qs, ds| {
@@ -260,14 +312,14 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             if cand.is_complete(period) {
                 let value = cand.value();
                 valid.remove(&e.traj);
-                completed.insert(e.traj, value);
+                completed.insert(e.traj, (shard, value));
                 metrics.candidate_refined();
                 threshold.record(e.traj, value.upper());
             } else {
                 // One walk over the gaps serves both bounds (and counts the
                 // LDD integrals each costs); nothing below touches the
                 // candidate before OPTDISSIM is read.
-                let bounds = cand.gap_bounds(period, vmax);
+                let bounds = cand.gap_bounds(period, vmax[shard]);
                 metrics.bound_evals(PruningBound::Ldd, bounds.gaps as u64);
                 metrics.bound_evals(PruningBound::PesDissim, 1);
                 if threshold.record(e.traj, bounds.pes) {
@@ -277,15 +329,13 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 // folds the approximation error in (Section 4.4's
                 // "PESDISSIM - ERR" discipline on the lower side).
                 if config.use_heuristic1 {
-                    let tau = threshold.fold(metrics);
                     metrics.bound_evals(PruningBound::Ldd, bounds.gaps as u64);
                     metrics.bound_evals(PruningBound::OptDissim, 1);
-                    let opt = bounds.opt;
-                    if opt > tau.value() {
+                    if bounds.opt > threshold.value() {
                         valid.remove(&e.traj);
                         rejected.insert(e.traj);
                         metrics.candidate_pruned();
-                        metrics.pruned_by(tau.blame(PruningBound::OptDissim, |t| opt > t), 1);
+                        metrics.pruned_by(PruningBound::OptDissim, 1);
                     }
                 }
             }
@@ -293,28 +343,33 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     }
 
     metrics.candidates_pending(valid.len() as u64);
-    let matches = finalize(store, q, period, config, completed, metrics)?;
-    Ok(SearchReport { matches })
+    let matches = finalize(shards, q, period, config, completed, metrics)?;
+    Ok(SearchReport { matches, failures })
 }
 
 /// Sorts the completed candidates, applies the exact post-processing of
-/// Section 4.4 when requested, and truncates to k.
-fn finalize<M: QueryMetrics>(
-    store: &TrajectoryStore,
+/// Section 4.4 when requested (each candidate read from its own shard's
+/// store), and truncates to k.
+fn finalize<I, M: QueryMetrics>(
+    shards: &[(&I, &TrajectoryStore)],
     q: &Trajectory,
     period: &TimeInterval,
     config: &MstConfig,
-    completed: HashMap<TrajectoryId, Dissim>,
+    completed: HashMap<TrajectoryId, (usize, Dissim)>,
     metrics: &mut M,
 ) -> Result<Vec<MstMatch>> {
-    let mut all: Vec<(TrajectoryId, Dissim)> = completed.into_iter().collect();
-    all.sort_by(|a, b| a.1.approx.total_cmp(&b.1.approx).then(a.0.cmp(&b.0)));
+    let mut all: Vec<(TrajectoryId, (usize, Dissim))> = completed.into_iter().collect();
+    all.sort_by(|a, b| {
+        (a.1 .1.approx)
+            .total_cmp(&b.1 .1.approx)
+            .then(a.0.cmp(&b.0))
+    });
     let ceiling = config.max_dissim.unwrap_or(f64::INFINITY);
 
     let needs_exact =
         config.error_management && config.integration == Integration::Trapezoid && !all.is_empty();
     if !needs_exact {
-        let approx = all.into_iter().map(|(traj, d)| MstMatch {
+        let approx = all.into_iter().map(|(traj, (_, d))| MstMatch {
             traj,
             dissim: d.approx,
         });
@@ -323,13 +378,15 @@ fn finalize<M: QueryMetrics>(
 
     // K upper-bounds the k-th smallest exact DISSIM; every candidate whose
     // enclosure dips below K could still belong to the answer and gets the
-    // closed-form treatment.
+    // closed-form treatment — K widened by the rounding of its float sum,
+    // so a candidate tied with the k-th is refined too.
     let kth_idx = config.k.min(all.len()) - 1;
-    let cutoff = all[kth_idx].1.approx.min(ceiling);
+    let cutoff = rounded_up(all[kth_idx].1 .1.approx.min(ceiling));
     let mut finalists: Vec<MstMatch> = Vec::new();
-    for (traj, d) in all {
+    for (traj, (shard, d)) in all {
         if d.lower() <= cutoff {
-            let t = store
+            let t = shards[shard]
+                .1
                 .get(traj)
                 .ok_or(SearchError::MissingTrajectory(traj))?;
             let exact = dissim_between_traced(q, t, period, Integration::Exact, metrics)?.approx;
@@ -368,7 +425,14 @@ mod tests {
         period: &TimeInterval,
         config: &MstConfig,
     ) -> Result<SearchReport> {
-        bfmst_search(index, store, query, period, config, &NoShare, &mut NoopSink)
+        bfmst_search(
+            &[(index, store)],
+            query,
+            period,
+            config,
+            &NoShare,
+            &mut NoopSink,
+        )
     }
 
     /// [`search`] with its profile.
@@ -380,8 +444,15 @@ mod tests {
         config: &MstConfig,
     ) -> (SearchReport, QueryProfile) {
         let mut profile = QueryProfile::new();
-        let report =
-            bfmst_search(index, store, query, period, config, &NoShare, &mut profile).unwrap();
+        let report = bfmst_search(
+            &[(index, store)],
+            query,
+            period,
+            config,
+            &NoShare,
+            &mut profile,
+        )
+        .unwrap();
         (report, profile)
     }
 

@@ -257,9 +257,8 @@ impl<I: KmstSubstrate> MovingObjectDatabase<I> {
     }
 
     /// Runs one k-MST / range-MST query: the substrate's own search (BFMST
-    /// descent on the MBB trees, the ball search on the metric tree),
-    /// folding `share` into the pruning threshold and publishing local kth
-    /// improvements back to it.
+    /// descent on the MBB trees, the ball search on the metric tree), which
+    /// polls `share` for a stop.
     pub fn run_kmst<B: BoundShare, M: QueryMetrics>(
         &self,
         spec: &KmstSpec,
@@ -285,18 +284,19 @@ impl<I: KmstSubstrate> MovingObjectDatabase<I> {
         metrics: &mut M,
     ) -> Result<Vec<NnMatch>> {
         spec.options.check_substrate(I::KIND)?;
-        nearest_trajectories(
-            &self.index,
+        let report = nearest_trajectories(
+            &[&self.index],
             &spec.query,
             &spec.period(),
             spec.k(),
             share,
             metrics,
-        )
+        )?;
+        Ok(report.single()?.matches)
     }
 
-    /// Runs one point-kNN (nearest segments) query. It has no pruning
-    /// threshold another shard could tighten, hence no `BoundShare`.
+    /// Runs one point-kNN (nearest segments) query. It has no poll point,
+    /// hence no `BoundShare`.
     pub fn run_knn_segments<M: QueryMetrics>(
         &self,
         spec: &SegmentsSpec,

@@ -5,7 +5,9 @@
 //! segment entries. [`MbbDescent`] is that stream for every
 //! [`TrajectoryIndex`] — the classic R-tree / TB-tree MINDIST descent, owning
 //! the priority queue, the node reads and the child pushes so the search
-//! loops hold none of them. The metric substrate does not come through
+//! loops hold none of them. It runs over a forest: a sharded query seeds
+//! every shard's root into the one queue, so it is one search, not one per
+//! shard. The metric substrate does not come through
 //! here: its triangle-inequality bounds apply to complete trajectories, not
 //! segment groups, so it overrides the whole search (see
 //! [`crate::substrate`]).
@@ -53,9 +55,12 @@ impl<T: Ord> PartialOrd for QueueEntry<T> {
     }
 }
 
-/// The classic MBB descent: a best-first MINDIST traversal of any
-/// [`TrajectoryIndex`] (the distance-browsing strategy of Hjaltason &
-/// Samet), yielding each leaf's entries together.
+/// The classic MBB descent: a best-first MINDIST traversal (the
+/// distance-browsing strategy of Hjaltason & Samet), yielding each leaf's
+/// entries together — over a forest of [`TrajectoryIndex`] trees, one per
+/// shard, under one queue. Every root is seeded at bound zero and every
+/// item is keyed by `(shard, page)`, which also breaks bound ties, so a
+/// single tree (a forest of one) pops exactly the sequence it always did.
 ///
 /// Protocol: call [`MbbDescent::pop`] to surface the next item's lower
 /// bound, then either abandon the item (termination — its content is never
@@ -63,36 +68,44 @@ impl<T: Ord> PartialOrd for QueueEntry<T> {
 /// `expand` without a preceding un-expanded `pop` yields `Ok(None)`.
 #[derive(Debug)]
 pub struct MbbDescent<'a, I: TrajectoryIndex> {
-    index: &'a I,
+    shards: Vec<&'a I>,
     /// `MINDIST(query, ·)` over the period, planned once for the whole
-    /// descent: every child entry of every opened node is keyed by it.
+    /// descent: every child entry of every opened node of every tree is
+    /// keyed by it.
     plan: QueryMindist<'a>,
-    heap: BinaryHeap<Reverse<QueueEntry<PageId>>>,
-    head: Option<QueueEntry<PageId>>,
+    heap: BinaryHeap<Reverse<QueueEntry<(usize, PageId)>>>,
+    head: Option<QueueEntry<(usize, PageId)>>,
+    /// The shard of the item last popped.
+    shard: usize,
 }
 
 impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
-    /// Starts a descent of `index` for `query` (already clipped to
-    /// `period`), seeding the queue with the root at bound zero.
+    /// Starts a descent of the `shards`' trees for `query` (already
+    /// clipped to `period`), seeding the queue with every root at bound
+    /// zero.
     pub fn new<M: QueryMetrics>(
-        index: &'a I,
+        shards: impl IntoIterator<Item = &'a I>,
         query: &'a Trajectory,
         period: &TimeInterval,
         metrics: &mut M,
     ) -> Self {
+        let shards: Vec<&'a I> = shards.into_iter().collect();
         let mut heap = BinaryHeap::new();
-        if let Some(root) = index.root() {
-            heap.push(Reverse(QueueEntry {
-                bound: 0.0,
-                item: root,
-            }));
-            metrics.heap_push();
+        for (shard, index) in shards.iter().enumerate() {
+            if let Some(root) = index.root() {
+                heap.push(Reverse(QueueEntry {
+                    bound: 0.0,
+                    item: (shard, root),
+                }));
+                metrics.heap_push();
+            }
         }
         MbbDescent {
-            index,
+            shards,
             plan: QueryMindist::new(query, period),
             heap,
             head: None,
+            shard: 0,
         }
     }
 
@@ -102,7 +115,14 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
         let Reverse(head) = self.heap.pop()?;
         metrics.heap_pop();
         self.head = Some(head);
+        self.shard = head.item.0;
         Some(head.bound)
+    }
+
+    /// The shard (position in the forest) of the item last popped: whose
+    /// leaf [`MbbDescent::expand`] yields, or whose read failed.
+    pub fn shard(&self) -> usize {
+        self.shard
     }
 
     /// Fetches the item surfaced by the last [`MbbDescent::pop`]: either
@@ -115,14 +135,15 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
         let Some(head) = self.head.take() else {
             return Ok(None);
         };
-        match self.index.read_node_traced(head.item, metrics)? {
+        let (shard, page) = head.item;
+        match self.shards[shard].read_node_traced(page, metrics)? {
             Node::Leaf { entries, .. } => Ok(Some(entries)),
             Node::Internal { entries, .. } => {
                 for e in entries {
                     if let Some(mindist) = self.plan.mindist(&e.mbb) {
                         self.heap.push(Reverse(QueueEntry {
                             bound: mindist,
-                            item: e.child,
+                            item: (shard, e.child),
                         }));
                         metrics.heap_push();
                     }
@@ -130,6 +151,12 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
                 Ok(None)
             }
         }
+    }
+
+    /// Discards every queued item of `shard`: a shard whose node could not
+    /// be read leaves the search, and the other trees go on.
+    pub fn drop_shard(&mut self, shard: usize) {
+        self.heap.retain(|Reverse(e)| e.item.0 != shard);
     }
 
     /// Number of items still enqueued (excluding a popped, un-expanded
@@ -172,7 +199,7 @@ mod tests {
         let period = TimeInterval::new(0.0, 10.0).unwrap();
         let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
         let mut metrics = QueryProfile::new();
-        let mut src = MbbDescent::new(&idx, &q, &period, &mut metrics);
+        let mut src = MbbDescent::new([&idx], &q, &period, &mut metrics);
         let mut last = f64::NEG_INFINITY;
         let mut leaves = 0;
         let mut entries = 0;
@@ -202,7 +229,7 @@ mod tests {
         let period = TimeInterval::new(0.0, 10.0).unwrap();
         let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
         let mut metrics = QueryProfile::new();
-        let mut src = MbbDescent::new(&idx, &q, &period, &mut metrics);
+        let mut src = MbbDescent::new([&idx], &q, &period, &mut metrics);
         assert!(src.expand(&mut metrics).unwrap().is_none());
         assert_eq!(metrics.nodes_accessed(), 0);
     }
@@ -213,9 +240,65 @@ mod tests {
         let period = TimeInterval::new(0.0, 10.0).unwrap();
         let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
         let mut metrics = QueryProfile::new();
-        let mut src = MbbDescent::new(&idx, &q, &period, &mut metrics);
+        let mut src = MbbDescent::new([&idx], &q, &period, &mut metrics);
         assert!(src.pop(&mut metrics).is_none());
         assert_eq!(metrics.heap_pushes, 0);
+    }
+
+    /// Two trees of the `store` lanes split by parity.
+    fn two_trees() -> [Rtree3D; 2] {
+        let mut trees = [Rtree3D::new(), Rtree3D::new()];
+        for (id, t) in store().iter() {
+            trees[(id.0 % 2) as usize].insert_trajectory(id, t).unwrap();
+        }
+        trees
+    }
+
+    #[test]
+    fn a_forest_pops_both_trees_in_one_bound_order() {
+        let trees = two_trees();
+        let period = TimeInterval::new(0.0, 10.0).unwrap();
+        let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
+        let mut metrics = QueryProfile::new();
+        let mut src = MbbDescent::new(&trees, &q, &period, &mut metrics);
+        let (mut last, mut entries) = (f64::NEG_INFINITY, [0usize; 2]);
+        while let Some(bound) = src.pop(&mut metrics) {
+            assert!(bound >= last, "bounds regressed: {bound} after {last}");
+            last = bound;
+            let shard = src.shard();
+            if let Some(leaf) = src.expand(&mut metrics).unwrap() {
+                assert!(leaf.iter().all(|e| e.traj.0 % 2 == shard as u64));
+                entries[shard] += leaf.len();
+            }
+        }
+        // 3 trajectories x 10 segments in each tree, all yielded.
+        assert_eq!(entries, [30, 30]);
+        assert_eq!(metrics.heap_pushes, metrics.heap_pops);
+    }
+
+    #[test]
+    fn a_dropped_shard_leaves_the_queue_and_the_other_tree_goes_on() {
+        let trees = two_trees();
+        let period = TimeInterval::new(0.0, 10.0).unwrap();
+        let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
+        let mut metrics = QueryProfile::new();
+        let mut src = MbbDescent::new(&trees, &q, &period, &mut metrics);
+        // Both roots are queued at bound 0; ties pop in shard order.
+        assert_eq!(src.pending(), 2);
+        assert_eq!(src.pop(&mut metrics), Some(0.0));
+        assert_eq!(src.shard(), 0);
+        // As after a failed read of that root: nothing of shard 0 is left.
+        src.drop_shard(0);
+        assert_eq!(src.pending(), 1);
+        let mut entries = 0;
+        while src.pop(&mut metrics).is_some() {
+            assert_eq!(src.shard(), 1);
+            entries += src
+                .expand(&mut metrics)
+                .unwrap()
+                .map_or(0, |leaf| leaf.len());
+        }
+        assert_eq!(entries, 30);
     }
 
     /// The pop sequence of a full descent: `(bound bits, page)` per item.
@@ -225,10 +308,10 @@ mod tests {
         period: &TimeInterval,
     ) -> Vec<(u64, PageId)> {
         let mut metrics = QueryProfile::new();
-        let mut src = MbbDescent::new(idx, q, period, &mut metrics);
+        let mut src = MbbDescent::new([idx], q, period, &mut metrics);
         let mut pops = Vec::new();
         while let Some(bound) = src.pop(&mut metrics) {
-            pops.push((bound.to_bits(), src.head.unwrap().item));
+            pops.push((bound.to_bits(), src.head.unwrap().item.1));
             src.expand(&mut metrics).unwrap();
         }
         pops

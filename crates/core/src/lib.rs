@@ -46,11 +46,11 @@ pub mod substrate;
 pub mod time_relaxed;
 mod topk;
 
-pub use bfmst::{bfmst_search, MstConfig, SearchReport};
+pub use bfmst::{bfmst_search, MstConfig, SearchReport, ShardFailure};
 pub use database::{arrival_order, MovingObjectDatabase};
 pub use descent::MbbDescent;
 pub use dissim::{Dissim, Integration};
-pub use merge::{merge_shard_matches, merge_shard_nn, merge_shard_range, merge_shard_segments};
+pub use merge::{merge_shard_range, merge_shard_segments};
 pub use metrics::{
     CandidateCounters, MetricsSink, NoopSink, PruningBound, PruningCounters, QueryMetrics,
     QueryProfile,

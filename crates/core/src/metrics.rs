@@ -33,12 +33,10 @@ pub enum PruningBound {
     OptDissimInc,
     /// MINDISSIMINC, the node-level bound of heuristic 2.
     MinDissimInc,
-    /// The cross-shard shared kth-bound of the concurrent executor: a
-    /// monotonically tightened upper bound on the *global* kth DISSIM,
-    /// published by whichever shard discovers it first. An eval or prune is
-    /// attributed here only when the shared bound was the binding
-    /// constraint — the purely shard-local threshold alone would not have
-    /// fired.
+    /// A k-th bound shared between per-shard searches. A sharded query is
+    /// one search over every shard's tree under one threshold, so no
+    /// search attributes anything here; the variant and its counters stay
+    /// for the readers of [`PruningCounters`], and read 0.
     SharedKth,
     /// The metric substrate's triangle-inequality lower bound:
     /// `max(0, DISSIM(Q, pivot) - radius)` for a covering-radius ball, or
@@ -89,11 +87,10 @@ pub struct PruningCounters {
     pub min_dissim_inc_evals: u64,
     /// Queued nodes discarded unvisited when heuristic 2 fired.
     pub min_dissim_inc_prunes: u64,
-    /// Reads of the cross-shard shared kth bound that were strictly tighter
-    /// than the shard-local threshold.
+    /// Evaluations of [`PruningBound::SharedKth`]: 0, as no search shares
+    /// a bound any more (a sharded query is one search).
     pub shared_kth_evals: u64,
-    /// Prunes (candidates or queued nodes) where only the shared bound
-    /// cleared the threshold — work another shard's discovery killed.
+    /// Prunes by [`PruningBound::SharedKth`]: 0, likewise.
     pub shared_kth_prunes: u64,
     /// Triangle-inequality lower bounds computed by the metric substrate
     /// (one per member distance test; ball descent bounds are folded in).

@@ -10,11 +10,11 @@
 //! next group's lower bound exceeds the current k-th best approach
 //! distance.
 //!
-//! Like [`crate::bfmst`], the search consumes an [`MbbDescent`], prunes
-//! against the same threshold type (keyed by approach distance, no
-//! ceiling) and has a single generic entry point; pass
+//! Like [`crate::bfmst`], the search consumes an [`MbbDescent`] over every
+//! shard's tree, prunes against the same threshold type (keyed by approach
+//! distance, no ceiling) and has a single generic entry point; pass
 //! [`NoShare`](crate::share::NoShare) / [`NoopSink`](crate::metrics::NoopSink)
-//! for a plain isolated, untraced query.
+//! for a plain uncancellable, untraced query.
 
 use mst_index::TrajectoryIndex;
 use mst_trajectory::kinematics::DistanceTrinomial;
@@ -22,9 +22,10 @@ use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
 use std::collections::HashMap;
 
+use crate::bfmst::{SearchReport, ShardFailure};
 use crate::descent::MbbDescent;
 use crate::dissim::for_each_co_piece;
-use crate::metrics::{PruningBound, QueryMetrics};
+use crate::metrics::QueryMetrics;
 use crate::query::check_period;
 use crate::share::BoundShare;
 use crate::topk::Threshold;
@@ -42,35 +43,35 @@ pub struct NnMatch {
 }
 
 /// Finds the k trajectories with the smallest closest-approach distance to
-/// `query` during `period`, in ascending distance order.
+/// `query` during `period`, in ascending distance order, over every
+/// shard's tree at once: one descent, one k-th threshold (a single tree is
+/// a forest of one).
 ///
-/// The single generic entry point: `share` injects an external upper bound
-/// on the global kth approach distance into the termination test, receives
-/// every local kth improvement, and can stop the traversal (deadlines);
-/// `metrics` receives heap traffic, node and buffer accesses, and candidate
-/// discoveries. The closest-approach distance is a min-aggregate, so the
-/// same soundness argument as the DISSIM bound applies: another shard's
-/// kth best distance upper-bounds the global kth, and every node farther
-/// than it is irrelevant on this shard too.
+/// `share` can stop the traversal (deadlines); `metrics` receives heap
+/// traffic, node and buffer accesses, and candidate discoveries. A shard
+/// whose node read fails is dropped as in [`crate::bfmst_search`]: its
+/// queued nodes are discarded, its candidates left pending and out of the
+/// answer, and a [`ShardFailure`] is reported.
 pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
-    index: &I,
+    shards: &[&I],
     query: &Trajectory,
     period: &TimeInterval,
     k: usize,
     share: &B,
     metrics: &mut M,
-) -> Result<Vec<NnMatch>> {
+) -> Result<SearchReport<NnMatch>> {
     if k == 0 {
-        return Ok(Vec::new());
+        return Ok(SearchReport::default());
     }
     check_period(query, period)?;
     let q = &query.clip(period)?;
-    let mut source = MbbDescent::new(index, q, period, metrics);
+    let mut source = MbbDescent::new(shards.iter().copied(), q, period, metrics);
 
-    // Best approach found so far, per trajectory.
-    let mut best: HashMap<TrajectoryId, (f64, f64)> = HashMap::new();
+    // Best approach found so far, per trajectory: (shard, distance, time).
+    let mut best: HashMap<TrajectoryId, (usize, f64, f64)> = HashMap::new();
     // The kth smallest distance of `best` (infinite below k candidates).
-    let mut threshold = Threshold::new(k, f64::INFINITY, share);
+    let mut threshold = Threshold::new(k, f64::INFINITY);
+    let mut failures = Vec::new();
 
     while let Some(mindist) = source.pop(metrics) {
         // Cooperative cancellation (per-query deadlines).
@@ -78,27 +79,23 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             break;
         }
         // Termination: the k-th best candidate distance cannot improve once
-        // every remaining node is farther away. The last leaf's
-        // improvements feed the shared bound now, and the shared bound (the
-        // global kth, possibly discovered on another shard) terminates this
-        // shard even before k local candidates exist.
-        threshold.publish();
-        let tau = threshold.fold(metrics);
-        if mindist > tau.value() {
-            if tau.shared_only(|t| mindist > t) {
-                // The whole remaining queue is another shard's kill.
-                metrics.pruned_by(PruningBound::SharedKth, source.pending() + 1);
-            }
+        // every remaining node is farther away.
+        if mindist > threshold.value() {
             break;
         }
+        let shard = source.shard();
         let entries = match source.expand(metrics) {
             Ok(Some(entries)) => entries,
             Ok(None) => continue,
-            Err(e) => {
-                // A search aborted by a page fault still balances its
-                // ledger: every candidate found so far is left pending.
-                metrics.candidates_pending(best.len() as u64);
-                return Err(e);
+            Err(error) => {
+                // The shard leaves the search with its ledger balanced:
+                // every candidate it found is left pending.
+                source.drop_shard(shard);
+                let found = best.len();
+                best.retain(|_, slot| slot.0 != shard);
+                metrics.candidates_pending((found - best.len()) as u64);
+                failures.push(ShardFailure { shard, error });
+                continue;
             }
         };
         for e in entries {
@@ -116,28 +113,28 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
                 std::collections::hash_map::Entry::Vacant(v) => {
                     metrics.candidate_seen();
-                    v.insert((f64::INFINITY, 0.0))
+                    v.insert((shard, f64::INFINITY, 0.0))
                 }
             };
-            if approach.0 < slot.0 {
-                *slot = approach;
-                threshold.improve(e.traj, approach.0);
+            if approach.0 < slot.1 {
+                *slot = (shard, approach.0, approach.1);
+                threshold.record(e.traj, approach.0);
             }
         }
     }
     metrics.candidates_pending(best.len() as u64);
 
-    let mut out: Vec<NnMatch> = best
+    let mut matches: Vec<NnMatch> = best
         .into_iter()
-        .map(|(traj, (distance, time))| NnMatch {
+        .map(|(traj, (_, distance, time))| NnMatch {
             traj,
             distance,
             time,
         })
         .collect();
-    out.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.traj.cmp(&b.traj)));
-    out.truncate(k);
-    Ok(out)
+    matches.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.traj.cmp(&b.traj)));
+    matches.truncate(k);
+    Ok(SearchReport { matches, failures })
 }
 
 /// Closest approach between the query and one data segment over `window`:
@@ -173,7 +170,7 @@ mod tests {
     use mst_index::Rtree3D;
 
     fn nn(idx: &Rtree3D, q: &Trajectory, period: &TimeInterval, k: usize) -> Result<Vec<NnMatch>> {
-        nearest_trajectories(idx, q, period, k, &NoShare, &mut NoopSink)
+        nearest_trajectories(&[idx], q, period, k, &NoShare, &mut NoopSink).map(|r| r.matches)
     }
 
     fn build(store: &TrajectoryStore) -> Rtree3D {

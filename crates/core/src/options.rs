@@ -6,7 +6,7 @@
 //! the serving layer's wire codec all speak this one struct. A frozen spec
 //! ([`KmstSpec`](crate::KmstSpec), [`KnnSpec`](crate::KnnSpec), ...)
 //! embeds its options, so an executor or a server can read the deadline
-//! and sharing policy without knowing which query flavour it is running.
+//! without knowing which query flavour it is running.
 
 use core::time::Duration;
 
@@ -72,7 +72,7 @@ impl Substrate {
 }
 
 /// Options shared by every query flavour: result count, time window,
-/// per-query deadline, and cross-shard bound sharing.
+/// per-query deadline, read-your-writes token and substrate pin.
 ///
 /// ```
 /// use core::time::Duration;
@@ -81,7 +81,6 @@ impl Substrate {
 /// let opts = QueryOptions::new().k(5).deadline(Duration::from_millis(20));
 /// assert_eq!(opts.k, 5);
 /// assert_eq!(opts.deadline_us, Some(20_000));
-/// assert!(opts.share_bound);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOptions {
@@ -97,11 +96,6 @@ pub struct QueryOptions {
     /// the outcome degraded instead of aborting. `None` (the default)
     /// means no deadline; a batch executor may substitute its own default.
     pub deadline_us: Option<u64>,
-    /// Whether a sharded execution may fold other shards' kth-best values
-    /// into this query's pruning threshold (default `true`). Turning it
-    /// off isolates the query — useful for ablations and for callers that
-    /// want per-shard answers unaffected by sibling progress.
-    pub share_bound: bool,
     /// Read-your-writes token: the query must be answered from state that
     /// reflects every write at or below this LSN. A serving layer admits
     /// the query only once its visibility watermark has caught up (and
@@ -123,7 +117,6 @@ impl Default for QueryOptions {
             k: 1,
             period: None,
             deadline_us: None,
-            share_bound: true,
             min_lsn: None,
             substrate: Substrate::Auto,
         }
@@ -131,7 +124,8 @@ impl Default for QueryOptions {
 }
 
 impl QueryOptions {
-    /// The default options: `k = 1`, no window, no deadline, sharing on.
+    /// The default options: `k = 1`, no window, no deadline, any state,
+    /// any substrate.
     pub fn new() -> Self {
         QueryOptions::default()
     }
@@ -164,12 +158,6 @@ impl QueryOptions {
     /// Removes any deadline.
     pub fn no_deadline(mut self) -> Self {
         self.deadline_us = None;
-        self
-    }
-
-    /// Enables or disables cross-shard bound sharing.
-    pub fn share_bound(mut self, share: bool) -> Self {
-        self.share_bound = share;
         self
     }
 
@@ -213,7 +201,8 @@ mod tests {
         assert_eq!(o.k, 1);
         assert_eq!(o.period, None);
         assert_eq!(o.deadline_us, None);
-        assert!(o.share_bound);
+        assert_eq!(o.min_lsn, None);
+        assert_eq!(o.substrate, Substrate::Auto);
     }
 
     #[test]
@@ -249,10 +238,12 @@ mod tests {
             .k(7)
             .during(&w)
             .deadline_us(500)
-            .share_bound(false);
+            .min_lsn(9)
+            .substrate(Substrate::TbTree);
         assert_eq!(o.k, 7);
         assert_eq!(o.period, Some(w));
         assert_eq!(o.deadline_us, Some(500));
-        assert!(!o.share_bound);
+        assert_eq!(o.min_lsn, Some(9));
+        assert_eq!(o.substrate, Substrate::TbTree);
     }
 }

@@ -36,7 +36,7 @@
 //! events fed into any caller-supplied [`QueryMetrics`] sink — e.g. a
 //! profile shared across a whole workload).
 //!
-//! The shared knobs — `k`, the time window, the deadline, bound sharing —
+//! The shared knobs — `k`, the time window, the deadline, the substrate —
 //! live in one [`QueryOptions`] struct that every builder embeds, the batch
 //! executor reads, and the serving layer's wire codec carries verbatim.
 //! Deadlines ([`KmstQuery::deadline`] and friends) are honoured by
@@ -143,13 +143,6 @@ impl<'a> KmstQuery<'a> {
     /// terminals ignore it and execute to completion.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.options = self.options.deadline(deadline);
-        self
-    }
-
-    /// Enables or disables cross-shard bound sharing in sharded executions
-    /// (default on; single-database runs are unaffected).
-    pub fn share_bound(mut self, share: bool) -> Self {
-        self.options.share_bound = share;
         self
     }
 
@@ -298,9 +291,9 @@ fn resolve_period(query: &Trajectory, mut options: QueryOptions) -> Result<Query
 
 /// An owned, fully resolved k-MST query, detached from the builder's
 /// borrows so it can be shipped to worker threads. Produced by
-/// [`KmstQuery::spec`]; consumed by [`MovingObjectDatabase::run_kmst`] —
-/// directly from the builder's terminals, once per shard from batch
-/// executors, which merge with [`crate::merge::merge_shard_matches`].
+/// [`KmstQuery::spec`]; consumed by [`MovingObjectDatabase::run_kmst`]
+/// from the builder's terminals, and by batch executors, which run it as
+/// one search over every shard ([`crate::KmstSubstrate::kmst_forest`]).
 #[derive(Debug, Clone)]
 pub struct KmstSpec {
     /// The query trajectory.
@@ -450,12 +443,6 @@ impl<'a> KnnQuery<'a> {
     /// [`KmstQuery::deadline`]).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.options = self.options.deadline(deadline);
-        self
-    }
-
-    /// Enables or disables cross-shard bound sharing (default on).
-    pub fn share_bound(mut self, share: bool) -> Self {
-        self.options.share_bound = share;
         self
     }
 
@@ -751,11 +738,11 @@ mod tests {
     fn options_escape_hatch_overrides_earlier_setters() {
         let db = db_with_lines(2);
         let q = db.trajectory(TrajectoryId(0)).unwrap();
-        let opts = QueryOptions::new().k(5).share_bound(false);
+        let opts = QueryOptions::new().k(5).deadline_us(250);
         let spec = Query::kmst(&q).k(1).options(opts).spec().unwrap();
         assert_eq!(spec.config.k, 5);
         assert_eq!(spec.options.k, 5);
-        assert!(!spec.options.share_bound);
+        assert_eq!(spec.options.deadline_us, Some(250));
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! information — pivot trajectories, covering radii, stored pivot
 //! distances — lives at whole-trajectory granularity, which the
 //! node-at-a-time [`TrajectoryIndex`] surface does not carry. So the
-//! substrate itself picks its search: [`KmstSubstrate::kmst_search`]
-//! defaults to BFMST and the metric tree overrides it with
-//! [`metric_kmst_search`], a best-first traversal of the ball directory
-//! (after the N-tree of Güting et al.) whose candidate pruning rests on
-//! the triangle inequality instead of the speed envelopes — against the
-//! same pruning threshold as BFMST, so cross-shard sharing and its
-//! attribution work the same way.
+//! substrate itself picks its search: [`KmstSubstrate::kmst_forest`] — the
+//! search over every shard's tree, which the single-tree
+//! [`KmstSubstrate::kmst_search`] runs as a forest of one — defaults to
+//! BFMST, and the metric tree overrides it with [`metric_kmst_search`], a
+//! best-first traversal of the ball directory (after the N-tree of Güting
+//! et al.) whose candidate pruning rests on the triangle inequality instead
+//! of the speed envelopes — against the same one pruning threshold as
+//! BFMST, across all shards.
 //!
 //! **Why the triangle bound is sound here.** Build-time distances are exact
 //! DISSIM over the two trajectories' validity overlap; the query-time pivot
@@ -32,7 +33,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use mst_index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex};
 use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
-use crate::bfmst::{best_k, bfmst_search, MstConfig, SearchReport};
+use crate::bfmst::{best_k, bfmst_search, MstConfig, SearchReport, ShardFailure};
 use crate::descent::QueueEntry;
 use crate::dissim::{dissim_between, dissim_between_traced, Integration};
 use crate::metrics::{PruningBound, QueryMetrics};
@@ -47,18 +48,34 @@ use crate::{MstMatch, Result, SearchError, TrajectoryStore};
 /// The default implementation runs the generic BFMST loop, which any
 /// [`TrajectoryIndex`] supports through its MBB descent; substrates with a
 /// richer pruning structure (the metric tree) override
-/// [`KmstSubstrate::kmst_search`] wholesale. Either way the search takes
-/// the index by `&self` and concurrent queries share one tree across
-/// worker threads — hence `Send + Sync`.
+/// [`KmstSubstrate::kmst_forest`] wholesale. Either way the search takes
+/// the trees by `&self` and concurrent queries share them across worker
+/// threads — hence `Send + Sync`.
 pub trait KmstSubstrate: TrajectoryIndex + Sized + Send + Sync {
     /// Which [`Substrate`] selector this index satisfies — what
     /// [`crate::QueryOptions::substrate`] is validated against, and what
     /// answer caches key on.
     const KIND: Substrate;
 
-    /// Answers a k-MST query on this substrate. Contract: identical
-    /// answers to the linear scan with exact integration (for exact
-    /// configurations), identical answer *sets* across substrates.
+    /// Answers one k-MST query over every shard's tree (each with the store
+    /// of its trajectories) as one search under one pruning threshold. A
+    /// shard whose tree cannot be read is dropped and named in the report's
+    /// failures. Contract: identical answers to the linear scan over the
+    /// union with exact integration (for exact configurations), identical
+    /// answer *sets* across substrates and shard counts.
+    fn kmst_forest<M: QueryMetrics, B: BoundShare>(
+        shards: &[(&Self, &TrajectoryStore)],
+        query: &Trajectory,
+        period: &TimeInterval,
+        config: &MstConfig,
+        share: &B,
+        metrics: &mut M,
+    ) -> Result<SearchReport> {
+        bfmst_search(shards, query, period, config, share, metrics)
+    }
+
+    /// Answers a k-MST query on this one tree: a forest of one, whose
+    /// failed node read is the search's error.
     fn kmst_search<M: QueryMetrics, B: BoundShare>(
         &self,
         store: &TrajectoryStore,
@@ -68,7 +85,7 @@ pub trait KmstSubstrate: TrajectoryIndex + Sized + Send + Sync {
         share: &B,
         metrics: &mut M,
     ) -> Result<SearchReport> {
-        bfmst_search(self, store, query, period, config, share, metrics)
+        Self::kmst_forest(&[(self, store)], query, period, config, share, metrics)?.single()
     }
 }
 
@@ -87,16 +104,15 @@ impl KmstSubstrate for StrTree {
 impl KmstSubstrate for MetricTree {
     const KIND: Substrate = Substrate::Metric;
 
-    fn kmst_search<M: QueryMetrics, B: BoundShare>(
-        &self,
-        store: &TrajectoryStore,
+    fn kmst_forest<M: QueryMetrics, B: BoundShare>(
+        shards: &[(&Self, &TrajectoryStore)],
         query: &Trajectory,
         period: &TimeInterval,
         config: &MstConfig,
         share: &B,
         metrics: &mut M,
     ) -> Result<SearchReport> {
-        metric_kmst_search(self, store, query, period, config, share, metrics)
+        metric_kmst_search(shards, query, period, config, share, metrics)
     }
 }
 
@@ -110,22 +126,24 @@ fn build_distance(a: &Trajectory, b: &Trajectory) -> Result<f64> {
     }
 }
 
-/// Exact k-MST over a [`MetricTree`]: best-first traversal of the ball
-/// directory with triangle-inequality pruning.
+/// Exact k-MST over [`MetricTree`] shards: a best-first traversal of each
+/// tree's ball directory with triangle-inequality pruning, the trees taken
+/// one after another in shard order against one pruning threshold (the
+/// k-th found in one tree prunes the next from its root on).
 ///
-/// The loop mirrors BFMST's shape — pop the smallest lower bound, check
-/// heuristic 2 (stop the whole search when even the best remaining bound
+/// Each tree's loop mirrors BFMST's shape — pop the smallest lower bound,
+/// check heuristic 2 (stop this tree when even its best remaining bound
 /// exceeds the k-th upper key), expand, filter members with heuristic 1 —
 /// but every bound is `max(0, d(Q,P) − r)` instead of a speed envelope,
 /// and refinement is a whole-trajectory exact DISSIM (chain pages read
 /// through the buffer pool, so the I/O cost of not pruning is real).
-/// Answers are exact regardless of `config.integration`. The tree's
-/// ball-directory lock is held throughout: metric searches of one tree run
-/// one at a time (chain-page reads take the pager mutex under it, per
-/// fetch).
+/// Answers are exact regardless of `config.integration`. A tree's
+/// ball-directory lock is held while that tree is searched, one tree at a
+/// time: metric searches of one tree run one at a time (chain-page reads
+/// take the pager mutex under it, per fetch). A tree that fails is dropped
+/// with its refined candidates, as in [`crate::bfmst_search`].
 pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
-    tree: &MetricTree,
-    _store: &TrajectoryStore,
+    shards: &[(&MetricTree, &TrajectoryStore)],
     query: &Trajectory,
     period: &TimeInterval,
     config: &MstConfig,
@@ -137,145 +155,163 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
     }
     check_period(query, period)?;
     let q = query.clip(period)?;
-    let directory = tree.directory(build_distance)?;
-
     let ceiling = config.max_dissim.unwrap_or(f64::INFINITY);
     let mut search = BallSearch {
-        tree,
         q: &q,
         period,
-        threshold: Threshold::new(config.k, ceiling, share),
+        config,
+        threshold: Threshold::new(config.k, ceiling),
         completed: HashMap::new(),
         done: HashSet::new(),
         pivot_dist: HashMap::new(),
     };
-
-    // Balls keyed by their triangle-inequality lower bound on any answer
-    // inside them.
-    let mut heap: BinaryHeap<Reverse<QueueEntry<usize>>> = BinaryHeap::new();
-    if let Some(root) = directory.root() {
-        heap.push(Reverse(QueueEntry {
-            bound: 0.0,
-            item: root,
-        }));
-        metrics.heap_push();
-    }
-
-    while let Some(Reverse(head)) = heap.pop() {
-        let (lb, ball) = (head.bound, head.item);
-        metrics.heap_pop();
-        if share.poll_stop() {
-            break;
-        }
-        // Heuristic 2, metric flavour: balls pop in non-decreasing lower
-        // bound, so once the bound clears the k-th upper key nothing later
-        // can qualify — stop the whole search.
-        if config.use_heuristic2 {
-            let tau = search.threshold.fold(metrics);
-            if tau.value().is_finite() {
-                metrics.bound_evals(PruningBound::TriangleIneq, 1);
-                if lb > tau.value() {
-                    metrics.early_termination();
-                    let by = tau.blame(PruningBound::TriangleIneq, |t| lb > t);
-                    metrics.pruned_by(by, heap.len() as u64 + 1);
-                    break;
-                }
-            }
-        }
-
-        let Some(node) = directory.ball(ball) else {
-            continue;
-        };
-        let d_p = search.pivot_distance(node.pivot, metrics)?;
-
-        match &node.kind {
-            mst_index::BallKind::Inner { near, far } => {
-                for child_idx in [*near, *far] {
-                    let Some(child) = directory.ball(child_idx) else {
-                        continue;
-                    };
-                    let d_c = search.pivot_distance(child.pivot, metrics)?;
-                    // A child ball never admits a bound weaker than its
-                    // parent's: keep the max.
-                    let clb = (d_c - child.radius).max(lb).max(0.0);
-                    heap.push(Reverse(QueueEntry {
-                        bound: clb,
-                        item: child_idx,
-                    }));
-                    metrics.heap_push();
-                }
-            }
-            mst_index::BallKind::Leaf { members } => {
-                for &(id, dp) in members {
-                    if search.done.contains(&id) {
-                        continue;
-                    }
-                    let Some(t_meta) = tree.cached_trajectory(id) else {
-                        return Err(SearchError::MissingTrajectory(id));
-                    };
-                    // The linear scan only considers trajectories covering
-                    // the period; mirror its candidate ledger.
-                    if !t_meta.covers(period) {
-                        search.done.insert(id);
-                        continue;
-                    }
-                    metrics.candidate_seen();
-                    // Heuristic 1, metric flavour: the member's own
-                    // triangle bound against the current threshold.
-                    if config.use_heuristic1 {
-                        let tau = search.threshold.fold(metrics);
-                        metrics.bound_evals(PruningBound::TriangleIneq, 1);
-                        let lb_m = (d_p - dp).max(lb).max(0.0);
-                        if lb_m > tau.value() {
-                            search.done.insert(id);
-                            metrics.candidate_pruned();
-                            let by = tau.blame(PruningBound::TriangleIneq, |t| lb_m > t);
-                            metrics.pruned_by(by, 1);
-                            continue;
-                        }
-                    }
-                    // Refine: read the trajectory's chain pages (honest
-                    // buffer/disk traffic) and compute the exact DISSIM.
-                    let t = tree
-                        .assemble_trajectory_traced(id, metrics)?
-                        .ok_or(SearchError::MissingTrajectory(id))?;
-                    let d =
-                        dissim_between_traced(&q, &t, period, Integration::Exact, metrics)?.approx;
-                    search.refine(id, d, metrics);
-                }
-            }
+    let mut failures = Vec::new();
+    for (shard, &(tree, _)) in shards.iter().enumerate() {
+        if let Err(error) = search.tree(shard, tree, share, metrics) {
+            search.completed.retain(|_, (s, _)| *s != shard);
+            failures.push(ShardFailure { shard, error });
         }
     }
 
     metrics.candidates_pending(0);
     let all = search.completed.into_iter();
     let all = all
-        .map(|(traj, dissim)| MstMatch { traj, dissim })
+        .map(|(traj, (_, dissim))| MstMatch { traj, dissim })
         .collect();
     Ok(SearchReport {
         matches: best_k(all, config.k, ceiling),
+        failures,
     })
 }
 
-/// The state of one ball search besides its heap.
-struct BallSearch<'a, 's, B> {
-    tree: &'a MetricTree,
+/// The state of one ball search across its trees.
+struct BallSearch<'a> {
     q: &'a Trajectory,
     period: &'a TimeInterval,
-    threshold: Threshold<'s, B>,
-    /// Exact DISSIM of every refined candidate.
-    completed: HashMap<TrajectoryId, f64>,
+    config: &'a MstConfig,
+    threshold: Threshold,
+    /// Exact DISSIM of every refined candidate, with its shard.
+    completed: HashMap<TrajectoryId, (usize, f64)>,
     /// Trajectories already decided (refined, pruned, or ineligible).
     done: HashSet<TrajectoryId>,
     /// Memoized query-to-pivot distances.
     pivot_dist: HashMap<TrajectoryId, f64>,
 }
 
-impl<B: BoundShare> BallSearch<'_, '_, B> {
-    /// Completes candidate `id` with exact DISSIM `d`.
-    fn refine<M: QueryMetrics>(&mut self, id: TrajectoryId, d: f64, metrics: &mut M) {
+impl BallSearch<'_> {
+    /// Searches shard `shard`'s `tree`, under its directory lock.
+    fn tree<M: QueryMetrics, B: BoundShare>(
+        &mut self,
+        shard: usize,
+        tree: &MetricTree,
+        share: &B,
+        metrics: &mut M,
+    ) -> Result<()> {
+        let directory = tree.directory(build_distance)?;
+        // Balls keyed by their triangle-inequality lower bound on any
+        // answer inside them.
+        let mut heap: BinaryHeap<Reverse<QueueEntry<usize>>> = BinaryHeap::new();
+        if let Some(root) = directory.root() {
+            heap.push(Reverse(QueueEntry {
+                bound: 0.0,
+                item: root,
+            }));
+            metrics.heap_push();
+        }
+
+        while let Some(Reverse(head)) = heap.pop() {
+            let (lb, ball) = (head.bound, head.item);
+            metrics.heap_pop();
+            if share.poll_stop() {
+                break;
+            }
+            // Heuristic 2, metric flavour: balls pop in non-decreasing
+            // lower bound, so once the bound clears the k-th upper key
+            // nothing later in this tree can qualify — stop it.
+            let tau = self.threshold.value();
+            if self.config.use_heuristic2 && tau.is_finite() {
+                metrics.bound_evals(PruningBound::TriangleIneq, 1);
+                if lb > tau {
+                    metrics.early_termination();
+                    metrics.pruned_by(PruningBound::TriangleIneq, heap.len() as u64 + 1);
+                    break;
+                }
+            }
+
+            let Some(node) = directory.ball(ball) else {
+                continue;
+            };
+            let d_p = self.pivot_distance(shard, tree, node.pivot, metrics)?;
+
+            match &node.kind {
+                mst_index::BallKind::Inner { near, far } => {
+                    for child_idx in [*near, *far] {
+                        let Some(child) = directory.ball(child_idx) else {
+                            continue;
+                        };
+                        let d_c = self.pivot_distance(shard, tree, child.pivot, metrics)?;
+                        // A child ball never admits a bound weaker than its
+                        // parent's: keep the max.
+                        let clb = (d_c - child.radius).max(lb).max(0.0);
+                        heap.push(Reverse(QueueEntry {
+                            bound: clb,
+                            item: child_idx,
+                        }));
+                        metrics.heap_push();
+                    }
+                }
+                mst_index::BallKind::Leaf { members } => {
+                    for &(id, dp) in members {
+                        if self.done.contains(&id) {
+                            continue;
+                        }
+                        let Some(t_meta) = tree.cached_trajectory(id) else {
+                            return Err(SearchError::MissingTrajectory(id));
+                        };
+                        // The linear scan only considers trajectories
+                        // covering the period; mirror its candidate ledger.
+                        if !t_meta.covers(self.period) {
+                            self.done.insert(id);
+                            continue;
+                        }
+                        metrics.candidate_seen();
+                        // Heuristic 1, metric flavour: the member's own
+                        // triangle bound against the current threshold.
+                        if self.config.use_heuristic1 {
+                            metrics.bound_evals(PruningBound::TriangleIneq, 1);
+                            let lb_m = (d_p - dp).max(lb).max(0.0);
+                            if lb_m > self.threshold.value() {
+                                self.done.insert(id);
+                                metrics.candidate_pruned();
+                                metrics.pruned_by(PruningBound::TriangleIneq, 1);
+                                continue;
+                            }
+                        }
+                        // Refine: read the trajectory's chain pages (honest
+                        // buffer/disk traffic) and compute the exact DISSIM.
+                        let t = tree
+                            .assemble_trajectory_traced(id, metrics)?
+                            .ok_or(SearchError::MissingTrajectory(id))?;
+                        let d = dissim_between_traced(
+                            self.q,
+                            &t,
+                            self.period,
+                            Integration::Exact,
+                            metrics,
+                        )?
+                        .approx;
+                        self.refine(shard, id, d, metrics);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Completes candidate `id` of `shard` with exact DISSIM `d`.
+    fn refine<M: QueryMetrics>(&mut self, shard: usize, id: TrajectoryId, d: f64, metrics: &mut M) {
         self.done.insert(id);
-        self.completed.insert(id, d);
+        self.completed.insert(id, (shard, d));
         metrics.candidate_refined();
         self.threshold.record(id, d);
     }
@@ -287,14 +323,15 @@ impl<B: BoundShare> BallSearch<'_, '_, B> {
     /// navigation-only and, as in the linear scan, never a candidate.
     fn pivot_distance<M: QueryMetrics>(
         &mut self,
+        shard: usize,
+        tree: &MetricTree,
         pivot: TrajectoryId,
         metrics: &mut M,
     ) -> Result<f64> {
         if let Some(&d) = self.pivot_dist.get(&pivot) {
             return Ok(d);
         }
-        let pt = self
-            .tree
+        let pt = tree
             .cached_trajectory(pivot)
             .cloned()
             .ok_or(SearchError::MissingTrajectory(pivot))?;
@@ -309,7 +346,7 @@ impl<B: BoundShare> BallSearch<'_, '_, B> {
             // The distance window was the whole query window: `d` is the
             // pivot's exact DISSIM.
             metrics.candidate_seen();
-            self.refine(pivot, d, metrics);
+            self.refine(shard, pivot, d, metrics);
         }
         Ok(d)
     }
@@ -553,8 +590,7 @@ mod tests {
             )
             .unwrap();
         let direct = bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &query,
             &period,
             &MstConfig::k(4),

@@ -17,15 +17,11 @@
 //! once per leaf entry by the search — a load of the last slot.
 //!
 //! [`Threshold`] is what BFMST, the metric ball search and trajectory kNN
-//! all prune against: the keys, the range-MST ceiling and the cross-shard
-//! [`BoundShare`], the one place a k-th is published or a hint read.
+//! all prune against: the keys and the range-MST ceiling.
 
 use std::collections::HashMap;
 
 use mst_trajectory::TrajectoryId;
-
-use crate::metrics::{PruningBound, QueryMetrics};
-use crate::share::BoundShare;
 
 /// Tracks the best-known upper key of every candidate and serves the k-th
 /// smallest key as the pruning threshold.
@@ -97,100 +93,48 @@ impl UpperKeys {
     }
 }
 
-/// The pruning threshold of one search: the k-th smallest upper key,
-/// capped by the range-MST ceiling and folded with the tightest k-th
-/// another shard has published.
-#[derive(Debug)]
-pub(crate) struct Threshold<'s, B> {
-    keys: UpperKeys,
-    ceiling: f64,
-    share: &'s B,
-    /// A key improved since the k-th was last published.
-    unpublished: bool,
+/// `value` widened by the rounding of a float sum of DISSIM pieces. An
+/// upper key is such a sum, and where a bound is tight (a trajectory tied
+/// at the threshold, parallel motion at constant distance) the bound can
+/// land in the last bits above a key of the same real value that was
+/// summed in another order — in another shard's tree, say. Pruning or
+/// refining against the widened value keeps ties for the exact tie-break.
+pub(crate) fn rounded_up(value: f64) -> f64 {
+    value * (1.0 + 1e-9)
 }
 
-impl<'s, B: BoundShare> Threshold<'s, B> {
+/// The pruning threshold of one search: the k-th smallest upper key,
+/// capped by the range-MST ceiling. A sharded query is one search, so its
+/// one threshold already covers every shard.
+#[derive(Debug)]
+pub(crate) struct Threshold {
+    keys: UpperKeys,
+    ceiling: f64,
+}
+
+impl Threshold {
     /// An empty threshold for a top-`k` search under `ceiling` (or `+inf`).
-    pub(crate) fn new(k: usize, ceiling: f64, share: &'s B) -> Self {
+    pub(crate) fn new(k: usize, ceiling: f64) -> Self {
         Threshold {
             keys: UpperKeys::new(k),
             ceiling,
-            share,
-            unpublished: false,
         }
     }
 
-    /// Records `key` as `id`'s upper key; publishes the k-th if it improved.
+    /// Records `key` as `id`'s upper key; true when it improved.
     pub(crate) fn record(&mut self, id: TrajectoryId, key: f64) -> bool {
-        let improved = self.improve(id, key);
-        self.publish();
-        improved
+        self.keys.update(id, key)
     }
 
-    /// [`Threshold::record`], leaving the publication to a later `publish`.
-    pub(crate) fn improve(&mut self, id: TrajectoryId, key: f64) -> bool {
-        let improved = self.keys.update(id, key);
-        self.unpublished |= improved;
-        improved
+    /// The value to prune strictly above: the k-th key under the ceiling,
+    /// widened by [`rounded_up`].
+    pub(crate) fn value(&self) -> f64 {
+        rounded_up(self.keys.kth().min(self.ceiling))
     }
 
-    /// Publishes the k-th key, if one improved since the last publication
-    /// and it is finite.
-    pub(crate) fn publish(&mut self) {
-        let kth = self.keys.kth();
-        if std::mem::take(&mut self.unpublished) && kth.is_finite() {
-            self.share.publish_kth(kth);
-        }
-    }
-
-    /// Reads the threshold: the local k-th key under the ceiling, folded
-    /// with the share's hint. Counts one [`PruningBound::SharedKth`]
-    /// evaluation when the hint is the tighter of the two.
-    pub(crate) fn fold<M: QueryMetrics>(&self, metrics: &mut M) -> Tau {
-        let tau = Tau {
-            local: self.keys.kth().min(self.ceiling),
-            hint: self.share.kth_hint(),
-            capped: self.ceiling.is_finite(),
-        };
-        if tau.hint < tau.local {
-            metrics.bound_evals(PruningBound::SharedKth, 1);
-        }
-        tau
-    }
-}
-
-/// One reading of a [`Threshold`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Tau {
-    local: f64,
-    hint: f64,
-    capped: bool,
-}
-
-impl Tau {
-    /// The value to prune strictly above.
-    pub(crate) fn value(self) -> f64 {
-        self.local.min(self.hint)
-    }
-
-    /// True when the ceiling or another shard bounds the threshold.
-    pub(crate) fn bounded_from_outside(self) -> bool {
-        self.capped || self.hint.is_finite()
-    }
-
-    /// True when a prune that `fires` at [`Tau::value`] would not fire at
-    /// the local threshold: only the shared bound justified it.
-    pub(crate) fn shared_only(self, fires: impl Fn(f64) -> bool) -> bool {
-        !fires(self.local)
-    }
-
-    /// `own`, or [`PruningBound::SharedKth`] when [`Tau::shared_only`].
-    pub(crate) fn blame(self, own: PruningBound, fires: impl Fn(f64) -> bool) -> PruningBound {
-        if self.shared_only(fires) {
-            PruningBound::SharedKth
-        } else {
-            own
-        }
+    /// True when a finite range-MST ceiling bounds the threshold.
+    pub(crate) fn capped(&self) -> bool {
+        self.ceiling.is_finite()
     }
 }
 

@@ -1,35 +1,41 @@
-//! The batch executor: a fixed worker pool draining (query, shard) jobs
-//! off the bounded queue, with per-query cross-shard bound sharing,
-//! deadline enforcement, and shard-level graceful degradation.
+//! The batch executor: a fixed worker pool draining one job per query off
+//! the bounded queue, with deadline enforcement and shard-level graceful
+//! degradation.
 //!
 //! # Execution model
 //!
-//! A batch of Q queries over P shards becomes Q x P independent jobs.
-//! Workers pull jobs MPMC-style, so a long query on one shard never stalls
-//! the rest of the batch; all jobs of one query share that query's
-//! [`QueryControl`] — the atomic kth bound, the deadline, and the latency
-//! marks. Results land in per-job slots, so the output order is the
-//! submission order regardless of scheduling.
+//! A batch of Q queries becomes Q jobs, whatever the shard count. A job is
+//! one query over every shard (`run_query`): it takes the read half of
+//! every shard's gate ([`ShardedDatabase::read_all`]) and runs a k-MST or
+//! kNN query as one best-first search over all the shards' trees under one
+//! pruning threshold — the paper's single search, not one per shard.
+//! Point-kNN and range queries, which have no threshold to share, run shard
+//! by shard and merge. Workers pull jobs MPMC-style, so a long query never
+//! stalls the rest of the batch. Results land in per-query slots, so the
+//! output order is the submission order regardless of scheduling.
 //!
 //! # Determinism
 //!
 //! With no deadline, batch answers are bit-identical across worker and
 //! shard counts, and identical to the single-threaded
 //! [`Query::run`](mst_search::Query) answer on an unsharded database: the
-//! shared bound is sound (it only ever prunes candidates strictly above a
-//! certified global-kth upper bound, with strict comparisons protecting
-//! ties), per-shard values come from exact recomputation, and the merge is
-//! a total order (value, then trajectory id). Scheduling changes *work*
-//! (how much each shard prunes), never *answers*; the work shows up in
-//! the merged [`QueryProfile`] instead.
+//! search over the shards is exact (values from exact recomputation,
+//! strict comparisons protecting ties, the one tie-break by trajectory id).
+//! Each query's search is one thread's deterministic walk, so its
+//! [`QueryProfile`] does not depend on the worker count or the schedule
+//! either, up to the buffer hits and misses concurrent queries cause each
+//! other.
 
 use mst_index::{KnnMatch, LeafEntry};
-use mst_search::{BoundShare, KmstSubstrate, MstMatch, NnMatch, QueryProfile, SearchError};
+use mst_search::{
+    nearest_trajectories, BoundShare, KmstSubstrate, MovingObjectDatabase, MstMatch, NnMatch,
+    QueryProfile, SearchError, SearchReport, ShardFailure,
+};
 
 use crate::bound::QueryControl;
 use crate::clock::Stopwatch;
 use crate::queue::JobQueue;
-use crate::shard::{Shard, ShardedDatabase};
+use crate::shard::ShardedDatabase;
 use crate::{BatchQuery, ExecError};
 
 /// The merged answer of one batch query.
@@ -94,46 +100,27 @@ impl QueryAnswer {
     }
 }
 
-/// One shard whose job died with an error instead of producing a top-k
-/// list. The query's merged answer is still returned (degraded) — this
-/// record says which slice of the database it is missing and why.
-#[derive(Debug)]
-pub struct ShardFailure {
-    /// The shard whose search failed.
-    pub shard: usize,
-    /// The error that killed it (typically an I/O or checksum fault
-    /// surfaced through [`mst_index::IndexError`]).
-    pub error: SearchError,
-}
-
-impl std::fmt::Display for ShardFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard {}: {}", self.shard, self.error)
-    }
-}
-
 /// Everything the executor knows about one finished query.
 #[derive(Debug)]
 pub struct QueryOutcome {
-    /// The globally merged top-k answer. When `degraded` is set this is
+    /// The global top-k answer. When `degraded` is set this is
     /// best-so-far, not certified complete.
     pub answer: QueryAnswer,
-    /// Work counters merged across the query's shard jobs (in shard
-    /// order), including the jobs that failed — the candidate ledger
-    /// stays balanced under the merge even for aborted searches.
+    /// Work counters of the query, including the work on shards that
+    /// failed — the candidate ledger stays balanced even when a shard
+    /// leaves the search.
     pub profile: QueryProfile,
     /// True when the answer is not certified complete, for either cause:
     /// the deadline expired (`deadline_expired`) or at least one shard
-    /// job failed (`failures` is non-empty).
+    /// failed (`failures` is non-empty).
     pub degraded: bool,
-    /// True when the deadline cut at least one shard job short.
+    /// True when the deadline cut the query short.
     pub deadline_expired: bool,
-    /// Shards whose jobs died with a search/index error, in shard order.
-    /// Their partial contribution is absent from `answer`.
+    /// Shards that failed with a search/index error, in shard order.
+    /// Their trajectories are absent from `answer`.
     pub failures: Vec<ShardFailure>,
-    /// Wall time from the query's first shard job starting to its last
-    /// finishing, in microseconds. Queue wait before the first start is
-    /// excluded; deadlines, by contrast, run from batch submission.
+    /// Wall time of the query's job, in microseconds. Queue wait before it
+    /// starts is excluded; deadlines, by contrast, run from submission.
     pub latency_us: u64,
 }
 
@@ -161,7 +148,7 @@ impl BatchOutcome {
             .count()
     }
 
-    /// Number of shard jobs that failed across the whole batch.
+    /// Number of shard failures across the whole batch.
     pub fn failed_shard_count(&self) -> usize {
         self.outcomes
             .iter()
@@ -210,75 +197,72 @@ impl Default for BatchExecutor {
     }
 }
 
-/// Runs one query against one shard between the query's latency marks —
-/// the unit of work both executors share ([`BatchExecutor`] distributes
-/// these across workers; the persistent [`crate::ExecHandle`] pool runs a
-/// query's shards in sequence on one worker). k-MST and kNN poll the
-/// deadline inside the search; segments and range queries have no internal
-/// poll points, so an already-expired deadline skips the shard with an
-/// empty (degraded) contribution.
-pub(crate) fn run_shard_job<I: KmstSubstrate>(
-    shard: &Shard<I>,
+/// Runs one query over every shard — the unit of work both executors
+/// share ([`BatchExecutor`] spreads queries over its workers; the
+/// persistent [`crate::ExecHandle`] pool runs each submitted query on one
+/// worker). The query holds every shard's read gate while it runs. k-MST
+/// and kNN are one search over all the shards' trees, polling the
+/// deadline inside; point-kNN and range queries run shard by shard and
+/// merge, and an expired deadline skips the shards not yet run. A shard
+/// whose gate is poisoned, that refuses the query's substrate pin, or
+/// whose node read fails mid-search does not fail the query: it is named
+/// in [`QueryOutcome::failures`] and the others answer, `degraded` — the
+/// same honest-best-effort contract the deadline path provides.
+pub(crate) fn run_query<I: KmstSubstrate>(
+    db: &ShardedDatabase<I>,
     query: &BatchQuery,
     control: &QueryControl,
-) -> (Result<QueryAnswer, SearchError>, QueryProfile) {
-    control.mark_start();
-    let mut profile = QueryProfile::default();
-    let result = shard.read().map_err(Into::into).and_then(|db| match query {
-        BatchQuery::Kmst(spec) => db
-            .run_kmst(spec, control, &mut profile)
-            .map(|report| QueryAnswer::Kmst(report.matches)),
-        BatchQuery::Knn(spec) => db
-            .run_knn(spec, control, &mut profile)
-            .map(QueryAnswer::Knn),
-        BatchQuery::Segments(_) if control.poll_stop() => Ok(QueryAnswer::Segments(Vec::new())),
-        BatchQuery::Segments(spec) => db
-            .run_knn_segments(spec, &mut profile)
-            .map(QueryAnswer::Segments),
-        BatchQuery::Range(_) if control.poll_stop() => Ok(QueryAnswer::Range(Vec::new())),
-        BatchQuery::Range(spec) => db.run_range(spec, &mut profile).map(QueryAnswer::Range),
-    });
-    control.mark_end();
-    (result, profile)
-}
-
-/// Merges one query's shard results, in shard order, into its outcome —
-/// shared by both executors, so a batch run and a submitted query merge
-/// identically. A shard job that *failed* (I/O fault, checksum mismatch,
-/// poisoned lock) does not fail the query: its error is recorded in
-/// [`QueryOutcome::failures`], its work profile still merges (keeping the
-/// candidate ledger balanced), and the surviving shards' lists merge into
-/// a `degraded` answer — the same honest-best-effort contract the deadline
-/// path provides.
-pub(crate) fn query_outcome(
-    query: &BatchQuery,
-    control: &QueryControl,
-    shards: impl IntoIterator<Item = (Result<QueryAnswer, SearchError>, QueryProfile)>,
 ) -> QueryOutcome {
+    let watch = Stopwatch::start();
     let mut profile = QueryProfile::default();
     let mut failures = Vec::new();
-    let (mut kmst, mut knn, mut segments, mut range) = (vec![], vec![], vec![], vec![]);
-    for (shard, (result, shard_profile)) in shards.into_iter().enumerate() {
-        profile.merge(&shard_profile);
-        match result {
-            Ok(QueryAnswer::Kmst(m)) => kmst.push(m),
-            Ok(QueryAnswer::Knn(m)) => knn.push(m),
-            Ok(QueryAnswer::Segments(m)) => segments.push(m),
-            Ok(QueryAnswer::Range(m)) => range.push(m),
+    let gates = db.read_all();
+    // The shards the query runs on, by shard number.
+    let mut live: Vec<(usize, &MovingObjectDatabase<I>)> = Vec::with_capacity(gates.len());
+    for (shard, gate) in gates.iter().enumerate() {
+        let engine = gate.as_ref().map_err(|e| SearchError::Index(e.clone()));
+        match engine.and_then(|engine| {
+            query.options().check_substrate(I::KIND)?;
+            Ok(&**engine)
+        }) {
+            Ok(engine) => live.push((shard, engine)),
             Err(error) => failures.push(ShardFailure { shard, error }),
         }
     }
-    // Each flavour merges in the deterministic order its merge defines.
     let answer = match query {
         BatchQuery::Kmst(spec) => {
-            QueryAnswer::Kmst(mst_search::merge_shard_matches(spec.config.k, &kmst))
+            let trees: Vec<_> = live.iter().map(|(_, e)| (e.index(), e.store())).collect();
+            let report = I::kmst_forest(
+                &trees,
+                &spec.query,
+                &spec.period(),
+                &spec.config,
+                control,
+                &mut profile,
+            );
+            QueryAnswer::Kmst(settle(report, &live, &mut failures))
         }
-        BatchQuery::Knn(spec) => QueryAnswer::Knn(mst_search::merge_shard_nn(spec.k(), &knn)),
+        BatchQuery::Knn(spec) => {
+            let trees: Vec<&I> = live.iter().map(|(_, e)| e.index()).collect();
+            let period = &spec.period();
+            let report =
+                nearest_trajectories(&trees, &spec.query, period, spec.k(), control, &mut profile);
+            QueryAnswer::Knn(settle(report, &live, &mut failures))
+        }
         BatchQuery::Segments(spec) => {
-            QueryAnswer::Segments(mst_search::merge_shard_segments(spec.options.k, &segments))
+            let lists = shard_by_shard(&live, control, &mut failures, |engine| {
+                engine.run_knn_segments(spec, &mut profile)
+            });
+            QueryAnswer::Segments(mst_search::merge_shard_segments(spec.options.k, &lists))
         }
-        BatchQuery::Range(_) => QueryAnswer::Range(mst_search::merge_shard_range(&range)),
+        BatchQuery::Range(spec) => {
+            let lists = shard_by_shard(&live, control, &mut failures, |engine| {
+                engine.run_range(spec, &mut profile)
+            });
+            QueryAnswer::Range(mst_search::merge_shard_range(&lists))
+        }
     };
+    failures.sort_by_key(|f| f.shard);
     let deadline_expired = control.is_degraded();
     QueryOutcome {
         answer,
@@ -286,18 +270,53 @@ pub(crate) fn query_outcome(
         degraded: deadline_expired || !failures.is_empty(),
         deadline_expired,
         failures,
-        latency_us: control.latency_us(),
+        latency_us: watch.elapsed_us(),
     }
 }
 
-/// A job's drop box: its answer plus the work profile it accumulated.
-type ResultSlot = std::sync::Mutex<Option<(Result<QueryAnswer, SearchError>, QueryProfile)>>;
+/// A search's answer, its failures renumbered from positions among the
+/// `live` shards to shard numbers. An error that no one shard caused (a
+/// query the stored trajectories cannot be compared with) is charged to
+/// the first shard searched.
+fn settle<T, E>(
+    report: mst_search::Result<SearchReport<T>>,
+    live: &[(usize, E)],
+    failures: &mut Vec<ShardFailure>,
+) -> Vec<T> {
+    let report = report.unwrap_or_else(|error| {
+        failures.extend(
+            live.first()
+                .map(|&(shard, _)| ShardFailure { shard, error }),
+        );
+        SearchReport::default()
+    });
+    failures.extend(report.failures.into_iter().map(|f| ShardFailure {
+        shard: live[f.shard].0,
+        error: f.error,
+    }));
+    report.matches
+}
 
-/// One unit of work: query `query` of the batch against shard `shard`.
-#[derive(Clone, Copy)]
-struct Job {
-    query: usize,
-    shard: usize,
+/// Runs `search` on each live shard in order and collects the answers; a
+/// shard's error becomes its failure, and an expired deadline skips the
+/// rest (these queries have no poll point of their own).
+fn shard_by_shard<I, T>(
+    live: &[(usize, &MovingObjectDatabase<I>)],
+    control: &QueryControl,
+    failures: &mut Vec<ShardFailure>,
+    mut search: impl FnMut(&MovingObjectDatabase<I>) -> mst_search::Result<Vec<T>>,
+) -> Vec<Vec<T>> {
+    let mut lists = Vec::with_capacity(live.len());
+    for &(shard, engine) in live {
+        if control.poll_stop() {
+            break;
+        }
+        match search(engine) {
+            Ok(list) => lists.push(list),
+            Err(error) => failures.push(ShardFailure { shard, error }),
+        }
+    }
+    lists
 }
 
 impl BatchExecutor {
@@ -366,55 +385,33 @@ impl BatchExecutor {
     /// outcomes in submission order.
     ///
     /// Spawns the configured worker pool for the duration of the batch
-    /// (scoped threads — no `'static` bounds, no leaked threads), feeds
-    /// the Q x P (query, shard) jobs through the bounded queue, and merges
-    /// each query's shard answers once all its jobs finish.
+    /// (scoped threads — no `'static` bounds, no leaked threads) and feeds
+    /// it one job per query through the bounded queue (`run_query`).
     pub fn run<I>(&self, db: &ShardedDatabase<I>, queries: Vec<BatchQuery>) -> BatchOutcome
     where
         I: KmstSubstrate + Send,
     {
-        let num_shards = db.num_shards();
-        let num_queries = queries.len();
-        if num_queries == 0 || num_shards == 0 {
-            return BatchOutcome {
-                outcomes: Vec::new(),
-            };
-        }
-
+        // Deadlines run from submission: every query's clock starts here,
+        // and an explicit deadline on the query wins over the executor's.
         let clock = Stopwatch::start();
-        // Per-query options override the executor defaults: an explicit
-        // deadline on the query wins, and the query's sharing policy is
-        // always its own.
-        let controls: Vec<QueryControl> = queries
+        // One slot per query; each job runs exactly once, so slot mutexes
+        // are uncontended.
+        let slots: Vec<std::sync::Mutex<Option<QueryOutcome>>> = queries
             .iter()
-            .map(|query| {
-                let opts = query.options();
-                QueryControl::with_sharing(
-                    clock,
-                    opts.deadline_us.or(self.deadline_us),
-                    opts.share_bound,
-                )
-            })
-            .collect();
-        // One slot per (query, shard) job; each job is executed exactly
-        // once, so slot mutexes are uncontended.
-        let slots: Vec<ResultSlot> = (0..num_queries * num_shards)
             .map(|_| std::sync::Mutex::new(None))
             .collect();
-        let queue: JobQueue<Job> = JobQueue::new(self.capacity());
+        let queue: JobQueue<usize> = JobQueue::new(self.capacity());
 
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
-                let queue = &queue;
-                let queries = &queries;
-                let controls = &controls;
-                let slots = &slots;
+                let (queue, queries, slots) = (&queue, &queries, &slots);
                 scope.spawn(move || {
-                    while let Some(job) = queue.pop() {
-                        let shard = &db.shards()[job.shard];
-                        let done = run_shard_job(shard, &queries[job.query], &controls[job.query]);
-                        if let Ok(mut slot) = slots[job.query * num_shards + job.shard].lock() {
-                            *slot = Some(done);
+                    while let Some(q) = queue.pop() {
+                        let deadline = queries[q].options().deadline_us.or(self.deadline_us);
+                        let control = QueryControl::new(clock, deadline);
+                        let outcome = run_query(db, &queries[q], &control);
+                        if let Ok(mut slot) = slots[q].lock() {
+                            *slot = Some(outcome);
                         }
                     }
                 });
@@ -422,41 +419,24 @@ impl BatchExecutor {
 
             // This thread is the producer: enqueue all jobs, then close so
             // workers drain and exit before the scope joins them.
-            for query in 0..num_queries {
-                for shard in 0..num_shards {
-                    if queue.push(Job { query, shard }).is_err() {
-                        break;
-                    }
+            for q in 0..queries.len() {
+                if queue.push(q).is_err() {
+                    break;
                 }
             }
             queue.close();
         });
 
-        let mut outcomes = Vec::with_capacity(num_queries);
-        for (q, (query, control)) in queries.iter().zip(&controls).enumerate() {
-            outcomes.push(Self::collect_query(q, query, control, &slots, num_shards));
-        }
-        BatchOutcome { outcomes }
-    }
-
-    /// One query's outcome from its shard slots ([`query_outcome`]). Only a
-    /// *lost* slot (worker died without reporting) is an [`ExecError`].
-    fn collect_query(
-        q: usize,
-        query: &BatchQuery,
-        control: &QueryControl,
-        slots: &[ResultSlot],
-        num_shards: usize,
-    ) -> Result<QueryOutcome, ExecError> {
-        let taken = (0..num_shards)
-            .map(|shard| {
-                slots[q * num_shards + shard]
-                    .lock()
-                    .ok()
-                    .and_then(|mut s| s.take())
-                    .ok_or(ExecError::Lost { query: q, shard })
+        // Only a *lost* slot (its worker died without reporting) is an
+        // error; every search outcome, degraded or not, is an outcome.
+        let outcomes = slots
+            .into_iter()
+            .enumerate()
+            .map(|(query, slot)| {
+                let outcome = slot.into_inner().ok().flatten();
+                outcome.ok_or(ExecError::Lost { query })
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(query_outcome(query, control, taken))
+            .collect();
+        BatchOutcome { outcomes }
     }
 }

@@ -12,23 +12,21 @@
 //!   own index and private LRU buffer pool, and its objects' store) behind
 //!   one reader–writer gate (searches share the read half; see [`shard`]).
 //! * [`BatchExecutor`] runs a fixed `std::thread` worker pool over a
-//!   bounded MPMC [`JobQueue`], decomposing each query into per-shard
-//!   jobs and merging the per-shard top-k lists into the global answer
-//!   ([`mst_search::merge_shard_matches`]); results come back in
+//!   bounded MPMC [`JobQueue`], one job per query; results come back in
 //!   submission order.
-//! * Jobs of one query cooperate across shards through a
-//!   [`SharedBound`]: a lock-free, monotonically tightening upper bound
-//!   on the query's global kth dissimilarity, folded into every shard's
-//!   pruning threshold ([`mst_search::BoundShare`]), so a good match
-//!   found on one shard prunes candidates on all the others.
+//! * A k-MST or kNN query over P shards is **one** best-first search over
+//!   all P trees ([`mst_search::KmstSubstrate::kmst_forest`]): one queue
+//!   seeded with every root, one k-th threshold pruning every shard, so
+//!   sharding does not multiply the descents. The job holds every shard's
+//!   read gate while it runs ([`ShardedDatabase::read_all`]).
 //! * Per-query deadlines degrade gracefully: an expired query stops
 //!   early and reports `degraded: true` with its best-so-far answer and
 //!   a consistent work profile.
-//! * Shard failures degrade the same way: a shard whose search dies with
-//!   an index error (I/O fault, checksum mismatch, quarantined page) is
-//!   reported in the query's [`ShardFailure`] list, its work profile
-//!   still merges, and the surviving shards' top-k lists come back
-//!   flagged `degraded` instead of failing the whole query.
+//! * Shard failures degrade the same way: a shard whose tree cannot be
+//!   read (I/O fault, checksum mismatch, quarantined page) leaves the
+//!   search, is reported in the query's [`ShardFailure`] list, and the
+//!   other shards' answer comes back flagged `degraded` instead of
+//!   failing the whole query.
 //!
 //! Everything is std-only, in keeping with the workspace's
 //! zero-dependency rule.
@@ -44,9 +42,10 @@ pub mod shard;
 pub mod submit;
 pub mod watermark;
 
-pub use batch::{BatchExecutor, BatchOutcome, QueryAnswer, QueryOutcome, ShardFailure};
-pub use bound::{QueryControl, SharedBound};
+pub use batch::{BatchExecutor, BatchOutcome, QueryAnswer, QueryOutcome};
+pub use bound::QueryControl;
 pub use clock::Stopwatch;
+pub use mst_search::ShardFailure;
 pub use queue::{BatchPush, JobQueue, TryPushError};
 pub use shard::{IngestOp, IngestOutcome, Shard, ShardedDatabase};
 pub use submit::{
@@ -115,8 +114,8 @@ impl BatchQuery {
     }
 
     /// The shared options every flavour carries: `k`, window, deadline,
-    /// bound sharing. Executors read the deadline and sharing policy here
-    /// without matching on the flavour.
+    /// substrate pin. Executors read the deadline here without matching on
+    /// the flavour.
     pub fn options(&self) -> &QueryOptions {
         match self {
             BatchQuery::Kmst(spec) => &spec.options,
@@ -158,14 +157,12 @@ pub enum ExecError {
     Search(SearchError),
     /// The executor or database was misconfigured.
     Config(&'static str),
-    /// A (query, shard) job produced no result — its worker died without
+    /// A query's job produced no result — its worker died without
     /// reporting. Indicates a panic somewhere a panic should be
     /// impossible; the rest of the batch is unaffected.
     Lost {
         /// Batch position of the affected query.
         query: usize,
-        /// Shard whose job went missing.
-        shard: usize,
     },
     /// A submitted query's worker vanished before delivering the outcome
     /// (the [`Ticket`]'s channel disconnected). The persistent-pool
@@ -178,12 +175,7 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Search(e) => write!(f, "shard search failed: {e}"),
             ExecError::Config(what) => write!(f, "executor misconfigured: {what}"),
-            ExecError::Lost { query, shard } => {
-                write!(
-                    f,
-                    "job for query {query} on shard {shard} reported no result"
-                )
-            }
+            ExecError::Lost { query } => write!(f, "the job for query {query} reported no result"),
             ExecError::Disconnected => {
                 write!(
                     f,

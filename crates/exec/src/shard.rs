@@ -7,9 +7,10 @@
 //! `id % P`. Routing is pure and stateless — any thread can compute it —
 //! and because the DISSIM candidate set of a query is a set of *whole
 //! trajectories*, partitioning by object keeps every candidate's segments
-//! on one shard. A k-MST/kNN query therefore decomposes into P
-//! independent shard searches whose per-shard top-k lists merge losslessly
-//! into the global answer ([`mst_search::merge_shard_matches`]).
+//! on one shard, and every id on exactly one. A k-MST/kNN query is one
+//! best-first search over all P shards' trees under one threshold
+//! ([`mst_search::KmstSubstrate::kmst_forest`]): its candidates are keyed
+//! by id, each remembering its shard.
 //!
 //! Each shard owns a complete vertical slice: one engine
 //! ([`MovingObjectDatabase`] — its own index with its own private LRU
@@ -20,30 +21,33 @@
 //! shards scale page caching and index traversal independently.
 //!
 //! Per-shard `Vmax`: each shard's index reports the maximum speed of *its*
-//! objects, which is at most the global `Vmax`. MINDIST expansion and
-//! OPTDISSIM use the shard-local value — a tighter, still sound bound
-//! (the paper's Lemma 2 argument needs only "no object in this index moves
-//! faster than `Vmax`", a per-shard fact).
+//! objects, which is at most the global `Vmax`. A candidate's OPTDISSIM
+//! uses its own shard's value — a tighter, still sound bound (the paper's
+//! Lemma 2 argument needs only "no object in this index moves faster than
+//! `Vmax`", a per-shard fact).
 //!
-//! # Locking: one gate per shard
+//! # Locking: one gate per shard, all of them for a query
 //!
 //! A shard is one reader–writer gate over its engine. Every search takes
-//! the engine by `&self`, so query jobs hold the *read* half for their
-//! whole run and any number of them share a shard; the only thing they
-//! contend on is the index's internal pager mutex, taken per node fetch
-//! (`mst_index`'s `traits.rs`), and — metric tree only — its ball-directory
-//! lock, held for one whole search. A writer ([`ShardedDatabase::apply_op`],
+//! the engines by `&self`, so a query holds the *read* half of every
+//! shard's gate for its whole run ([`ShardedDatabase::read_all`]) and any
+//! number of queries share the shards; the only thing they contend on is
+//! each index's internal pager mutex, taken per node fetch (`mst_index`'s
+//! `traits.rs`), and — metric tree only — its ball-directory lock, held
+//! while that one tree is searched. A writer ([`ShardedDatabase::apply_op`],
 //! maintenance through [`ShardIndex::with`], a snapshot through
 //! [`Shard::write`]) takes the *write* half of **one** shard and mutates
 //! index and store together, lock-free below the gate. Visibility is
-//! therefore whole-shard atomic: a query job ran either entirely before an
-//! operation or entirely after it, never against half of one. Queries on
-//! the *other* shards are never blocked; queries on the same shard wait for
-//! the writer, and it for them.
+//! therefore whole-shard atomic: a query saw each shard either entirely
+//! before an operation or entirely after it, never half of one. A writer
+//! waits for the queries in flight, and they for it.
 //!
-//! Lock order, everywhere: shard gate → directory lock → pager mutex.
-//! Nothing is acquired under the pager mutex, and no thread holds two
-//! shards' gates at once; debug builds check both ([`mst_index::Rank`]).
+//! Lock order, everywhere: shard gates → directory lock → pager mutex. A
+//! thread holds more than one gate only through [`ShardedDatabase::read_all`],
+//! which takes every read half in shard order; a writer holds one gate and
+//! waits for no other, so no cycle can form. Nothing is acquired under the
+//! pager mutex. Debug builds check the order ([`mst_index::Rank`]): a gate
+//! taken while the all-shards read is held trips it.
 
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
@@ -73,6 +77,7 @@ impl<I> Shard<I> {
     /// The read half of the gate: the engine as of one instant, shared with
     /// every other reader — every query flavour runs through its `run_*`
     /// methods. Ingest on this shard waits while the guard is held.
+    /// Several shards at once only through [`ShardedDatabase::read_all`].
     pub fn read(&self) -> mst_index::Result<Ranked<RwLockReadGuard<'_, MovingObjectDatabase<I>>>> {
         Ranked::lock(Rank::ShardGate, || self.gate.read()).map_err(IndexError::poisoned(GATE))
     }
@@ -291,6 +296,21 @@ impl<I: TrajectoryIndex> ShardedDatabase<I> {
             })
             .collect();
         Ok(ShardedDatabase { shards })
+    }
+
+    /// The read half of every shard's gate, taken in shard order as one
+    /// ranked hold — the only way a thread holds more than one gate. A
+    /// query holds it for its whole search. A poisoned gate is that
+    /// shard's error; the others still read.
+    pub fn read_all(
+        &self,
+    ) -> Ranked<Vec<mst_index::Result<RwLockReadGuard<'_, MovingObjectDatabase<I>>>>> {
+        Ranked::hold(Rank::ShardGate, || {
+            let gates = self.shards.iter().map(|shard| shard.gate.read());
+            gates
+                .map(|gate| gate.map_err(IndexError::poisoned(GATE)))
+                .collect()
+        })
     }
 
     /// Number of shards.
@@ -544,6 +564,35 @@ mod tests {
             ShardedDatabase::with_rtree(2, (0..4u64).map(|id| traj(id, id as f64, 5))).unwrap();
         let _first = db.shards()[0].read().unwrap();
         let _second = db.shards()[1].read();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock rank")]
+    fn a_gate_retaken_under_the_all_shards_read_trips_the_lock_rank() {
+        let db =
+            ShardedDatabase::with_rtree(2, (0..4u64).map(|id| traj(id, id as f64, 5))).unwrap();
+        let all = db.read_all();
+        assert!(all.iter().all(|gate| gate.is_ok()));
+        let _again = db.shards()[1].read();
+    }
+
+    #[test]
+    fn the_all_shards_read_sees_every_shard_and_releases_them() {
+        let db =
+            ShardedDatabase::with_rtree(3, (0..9u64).map(|id| traj(id, id as f64, 5))).unwrap();
+        let objects: usize = db
+            .read_all()
+            .iter()
+            .map(|gate| gate.as_ref().unwrap().num_objects())
+            .sum();
+        assert_eq!(objects, 9);
+        // Released: a writer and a second all-shards read get through.
+        let (id, t) = traj(20, 1.0, 5);
+        db.apply_op(&IngestOp::Insert { id, trajectory: t })
+            .unwrap();
+        assert_eq!(db.read_all().len(), 3);
+        assert!(db.shards()[2].read().is_ok());
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! deadline, matching an SLA-from-submission service model — or returns
 //! [`SubmitError::Overloaded`] with the queue's occupancy. An admitted
 //! query yields a [`Ticket`] whose [`Ticket::wait`] blocks for the
-//! [`QueryOutcome`]. One worker runs all of a query's shards in sequence
-//! and merges with the exact helpers the batch path uses, so a submitted
-//! query's answer is bit-identical to the same query in a batch (and to
-//! the single-threaded `Query::run`).
+//! [`QueryOutcome`]. One worker runs the query over every shard with the
+//! exact function the batch path uses (`run_query`: one search over all
+//! the shards' trees), so a submitted query's answer is bit-identical to
+//! the same query in a batch (and to the single-threaded `Query::run`).
 //!
 //! Shutdown is graceful by construction: [`ExecHandle::shutdown`] closes
 //! the queue (new submissions get [`SubmitError::ShuttingDown`]), already
@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 
 use mst_search::KmstSubstrate;
 
-use crate::batch::{query_outcome, run_shard_job, QueryOutcome};
+use crate::batch::{run_query, QueryOutcome};
 use crate::bound::QueryControl;
 use crate::clock::Stopwatch;
 use crate::queue::{JobQueue, TryPushError};
@@ -314,12 +314,8 @@ where
     }
 
     fn make_control_job(&self, query: BatchQuery, deliver: Deliver) -> SubmitJob {
-        let opts = query.options();
-        let control = QueryControl::with_sharing(
-            Stopwatch::start(),
-            opts.deadline_us.or(self.default_deadline_us),
-            opts.share_bound,
-        );
+        let deadline = query.options().deadline_us.or(self.default_deadline_us);
+        let control = QueryControl::new(Stopwatch::start(), deadline);
         SubmitJob {
             query,
             control,
@@ -354,12 +350,10 @@ impl<I> Drop for ExecHandle<I> {
     }
 }
 
-/// Runs one admitted query: all shards in sequence on this worker, merged
-/// with the exact machinery the batch path uses.
+/// Runs one admitted query on this worker, with the function the batch
+/// path uses.
 fn run_submitted<I: KmstSubstrate>(db: &ShardedDatabase<I>, job: SubmitJob) {
-    let shards = db.shards().iter();
-    let results = shards.map(|shard| run_shard_job(shard, &job.query, &job.control));
-    let outcome = query_outcome(&job.query, &job.control, results);
+    let outcome = run_query(db, &job.query, &job.control);
     match job.deliver {
         // invariant: a receiver that hung up means the client abandoned
         // the query; dropping the outcome is the correct response

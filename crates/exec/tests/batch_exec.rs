@@ -9,10 +9,15 @@ use std::time::{Duration, Instant};
 
 use mst_datagen::fixtures::{lane_fleet, mixed_lifetime_fleet, twins_fleet};
 use mst_exec::{BatchExecutor, BatchQuery, ExecError, IngestOp, QueryAnswer, ShardedDatabase};
-use mst_index::{FaultConfig, IndexError, MetricsSink, Rtree3D, TbTree, TrajectoryIndex};
+use mst_index::{
+    FaultConfig, IndexError, MetricTree, MetricsSink, Rtree3D, StrTree, TbTree, TrajectoryIndex,
+    TrajectoryIndexWrite,
+};
+use mst_search::dissim::dissim_between;
 use mst_search::{
     scan_kmst, Integration, KmstSubstrate, MovingObjectDatabase, MstMatch, NnMatch, NoShare,
-    NoopSink, Query, QueryMetrics, QueryOptions, SearchError, Substrate, TrajectoryStore,
+    NoopSink, Query, QueryMetrics, QueryOptions, QueryProfile, SearchError, Substrate,
+    TrajectoryStore,
 };
 use mst_trajectory::{Mbb, Point, TimeInterval, Trajectory, TrajectoryId};
 
@@ -103,7 +108,8 @@ fn assert_knn_identical(got: &[NnMatch], want: &[NnMatch], what: &str) {
 
 /// Satellite (a): batch answers are bit-identical for 1/2/8 workers and
 /// 1 vs 4 shards, and match the single-threaded `Query::run` baseline on
-/// the unsharded database — on both index substrates.
+/// the unsharded database — on both index substrates. Then the parity grid
+/// on every substrate, over the fleets built to break it.
 #[test]
 fn batch_execution_is_deterministic_across_workers_and_shards() {
     let fleet = lane_fleet(24, 30);
@@ -138,67 +144,138 @@ fn batch_execution_is_deterministic_across_workers_and_shards() {
         );
     }
 
-    // The same guarantee on the fleets built to break it — one trajectory
-    // under two ids and equal-DISSIM ties at the kth place (`id % 4` splits
-    // every tied pair across shards), objects alive for only part of the
-    // query period — against the exact scan.
+    // The grid: every substrate x {1, 2, 3, 4} shards x {1, 2} workers x
+    // k-MST, range-MST and kNN, against unsharded `Query::run` (and the
+    // exact scan for k-MST), on the lanes and on the fleets built to break
+    // it — one trajectory under two ids and equal-DISSIM ties at the kth
+    // place (`id % 2` splits every tied pair across shards), and objects
+    // alive for only part of the query period.
+    let lane_probes: Vec<Probe> = [0usize, 2, 5]
+        .iter()
+        .map(|&i| Probe::new(fleet[i].1.clone(), period, 5))
+        .collect();
+    parity_grid("lanes", &fleet, &lane_probes);
+
     let (twin_query, twins) = twins_fleet();
-    let twin_probes: Vec<_> = (1..=twins.len()).map(|k| (twin_query.clone(), k)).collect();
-    check_against_scan("twins", &twins, &twin_probes);
+    let twin_probes: Vec<Probe> = (1..=twins.len())
+        .map(|k| Probe::new(twin_query.clone(), twin_query.time(), k))
+        .collect();
+    parity_grid("twins", &twins, &twin_probes);
 
     let mixed = mixed_lifetime_fleet(24, 120, 13);
-    let mixed_probes: Vec<_> = [0usize, 3, 6, 9]
+    let mixed_probes: Vec<Probe> = [0usize, 3, 6, 9]
         .iter()
         .map(|&i| {
             let span = mixed[i].1.time();
             let quarter = span.duration() * 0.25;
             let middle = TimeInterval::new(span.start() + quarter, span.end() - quarter);
-            let q = mixed[i].1.clip(&middle.expect("period")).expect("clip");
-            (q, 5)
+            let middle = middle.expect("period");
+            Probe::new(mixed[i].1.clip(&middle).expect("clip"), middle, 5)
         })
         .collect();
-    check_against_scan("mixed lifetimes", &mixed, &mixed_probes);
+    parity_grid("mixed lifetimes", &mixed, &mixed_probes);
 }
 
-/// k-MST probes `(query, k)` over the query's own period, through the
-/// executor on both substrates x {1, 4} shards x {1, 2, 8} workers, against
-/// `scan_kmst` over the same fleet.
-fn check_against_scan(
-    what: &str,
-    fleet: &[(TrajectoryId, Trajectory)],
-    probes: &[(Trajectory, usize)],
-) {
-    fn cell<I: TrajectoryIndex + Send + KmstSubstrate>(
+/// One parity probe: a query over a period, asked as k-MST, as range-MST
+/// (ceiling at the exact DISSIM of the scan's middle answer, so the
+/// ceiling cuts) and as kNN.
+struct Probe {
+    query: Trajectory,
+    period: TimeInterval,
+    k: usize,
+}
+
+impl Probe {
+    fn new(query: Trajectory, period: TimeInterval, k: usize) -> Self {
+        Probe { query, period, k }
+    }
+
+    fn theta(&self, store: &TrajectoryStore) -> f64 {
+        let scan = scan_kmst(store, &self.query, &self.period, self.k, Integration::Exact);
+        let scan = scan.expect("scan");
+        scan[scan.len() / 2].dissim
+    }
+
+    fn batch(&self, store: &TrajectoryStore) -> [BatchQuery; 3] {
+        let (q, period, k) = (&self.query, &self.period, self.k);
+        let range = Query::kmst(q).k(k).during(period).within(self.theta(store));
+        [
+            BatchQuery::kmst(Query::kmst(q).k(k).during(period)).expect("kmst spec"),
+            BatchQuery::kmst(range).expect("range spec"),
+            BatchQuery::knn(Query::knn(q).k(k).during(period)).expect("knn spec"),
+        ]
+    }
+
+    fn run<I: KmstSubstrate>(
+        &self,
+        db: &MovingObjectDatabase<I>,
+        store: &TrajectoryStore,
+    ) -> (Vec<MstMatch>, Vec<MstMatch>, Vec<NnMatch>) {
+        let (q, period, k) = (&self.query, &self.period, self.k);
+        let range = Query::kmst(q).k(k).during(period).within(self.theta(store));
+        (
+            Query::kmst(q).k(k).during(period).run(db).expect("kmst"),
+            range.run(db).expect("range"),
+            Query::knn(q).k(k).during(period).run(db).expect("knn"),
+        )
+    }
+}
+
+/// Every substrate x {1, 2, 3, 4} shards x {1, 2} workers: each probe's
+/// three answers through the executor are bit-equal to unsharded
+/// `Query::run` on the same substrate, and its k-MST answer to the scan.
+fn parity_grid(what: &str, fleet: &[(TrajectoryId, Trajectory)], probes: &[Probe]) {
+    fn cell<I: KmstSubstrate + TrajectoryIndexWrite>(
         what: &str,
-        db: &ShardedDatabase<I>,
-        probes: &[(Trajectory, usize)],
-        want: &[Vec<MstMatch>],
+        fleet: &[(TrajectoryId, Trajectory)],
+        probes: &[Probe],
+        make: impl Fn() -> I,
     ) {
-        for workers in [1usize, 2, 8] {
-            let batch = probes
-                .iter()
-                .map(|(q, k)| BatchQuery::kmst(Query::kmst(q).k(*k)).expect("kmst spec"))
-                .collect();
-            let outcome = BatchExecutor::new().workers(workers).run(db, batch);
-            for (i, wanted) in want.iter().enumerate() {
-                let got = outcome.outcomes[i].as_ref().expect("kmst query ok");
-                assert!(!got.degraded, "{what}: probe {i} degraded");
-                let matches = got.answer.as_kmst().expect("kmst answer flavour");
-                assert_kmst_identical(matches, wanted, &format!("{what} probe {i} w={workers}"));
+        let store: TrajectoryStore = fleet.iter().cloned().collect();
+        let unsharded = MovingObjectDatabase::build(make(), fleet.to_vec()).expect("baseline");
+        let want: Vec<_> = probes.iter().map(|p| p.run(&unsharded, &store)).collect();
+        for (p, (kmst, _, _)) in probes.iter().zip(&want) {
+            let scan = scan_kmst(&store, &p.query, &p.period, p.k, Integration::Exact);
+            assert_kmst_identical(kmst, &scan.expect("scan"), &format!("{what}: unsharded"));
+        }
+        let batch: Vec<BatchQuery> = probes.iter().flat_map(|p| p.batch(&store)).collect();
+        for shards in 1..=4 {
+            let db = ShardedDatabase::build(shards, &make, fleet.to_vec()).expect("shard build");
+            for workers in [1usize, 2] {
+                let outcome = BatchExecutor::new()
+                    .workers(workers)
+                    .run(&db, batch.clone());
+                for (i, (kmst, range, knn)) in want.iter().enumerate() {
+                    let here = format!("{what} s={shards} w={workers} probe {i}");
+                    let got = |j: usize| {
+                        let query = outcome.outcomes[3 * i + j].as_ref().expect("query ok");
+                        assert!(!query.degraded, "{here}: degraded");
+                        assert!(query.profile.is_consistent(), "{here}: ledger");
+                        &query.answer
+                    };
+                    assert_kmst_identical(
+                        got(0).as_kmst().expect("kmst"),
+                        kmst,
+                        &format!("{here} kmst"),
+                    );
+                    assert_kmst_identical(
+                        got(1).as_kmst().expect("range"),
+                        range,
+                        &format!("{here} range"),
+                    );
+                    assert_knn_identical(
+                        got(2).as_knn().expect("knn"),
+                        knn,
+                        &format!("{here} knn"),
+                    );
+                }
             }
         }
     }
-    let store: TrajectoryStore = fleet.iter().cloned().collect();
-    let want: Vec<Vec<MstMatch>> = probes
-        .iter()
-        .map(|(q, k)| scan_kmst(&store, q, &q.time(), *k, Integration::Exact).expect("scan"))
-        .collect();
-    for shards in [1usize, 4] {
-        let rtree = ShardedDatabase::with_rtree(shards, fleet.to_vec()).expect("shard build");
-        cell(&format!("{what} rtree s={shards}"), &rtree, probes, &want);
-        let tbtree = ShardedDatabase::with_tbtree(shards, fleet.to_vec()).expect("shard build");
-        cell(&format!("{what} tbtree s={shards}"), &tbtree, probes, &want);
-    }
+    cell(&format!("{what} rtree"), fleet, probes, Rtree3D::new);
+    cell(&format!("{what} tbtree"), fleet, probes, TbTree::new);
+    cell(&format!("{what} strtree"), fleet, probes, StrTree::new);
+    cell(&format!("{what} metric"), fleet, probes, MetricTree::new);
 }
 
 fn check_against_baseline<I: TrajectoryIndex + Send + KmstSubstrate>(
@@ -239,34 +316,37 @@ fn check_against_baseline<I: TrajectoryIndex + Send + KmstSubstrate>(
     }
 }
 
-/// Tentpole observability: with multiple shards, the cross-shard bound
-/// actually prunes — visible in the merged profile's `SharedKth` ledger,
-/// on every substrate the executor serves.
-/// One worker makes the schedule deterministic: the query's home-cluster
-/// shard runs first and publishes a tight bound for the far shard.
+/// A 2-shard query is one search: it expands fewer nodes than the two
+/// shards searched alone (each with no bound from the other), summed — on
+/// every substrate the executor serves. One threshold prunes both trees,
+/// so the second shard's search does not start over from an infinite k-th.
 #[test]
-fn cross_shard_bound_sharing_prunes_on_the_second_shard() {
+fn one_search_over_two_shards_expands_fewer_nodes_than_two_searches() {
     fn check<I: TrajectoryIndex + Send + KmstSubstrate>(
         what: &str,
         db: &ShardedDatabase<I>,
         fleet: &[(TrajectoryId, Trajectory)],
     ) {
         let period = TimeInterval::new(0.0, 29.0).expect("period");
-        let q = &fleet[0].1;
-        let batch = vec![BatchQuery::kmst(Query::kmst(q).k(3).during(&period)).expect("spec")];
+        let spec = Query::kmst(&fleet[0].1).k(3).during(&period);
+        let batch = vec![BatchQuery::kmst(spec).expect("spec")];
         let outcome = BatchExecutor::new().workers(1).run(db, batch);
         let query = outcome.outcomes[0].as_ref().expect("query ok");
-        let pruning = &query.profile.pruning;
-        assert!(
-            pruning.shared_kth_evals > 0,
-            "{what}: the far shard never observed a tighter shared bound: {pruning:?}"
-        );
-        assert!(
-            pruning.shared_kth_prunes > 0,
-            "{what}: the shared bound never pruned anything the local bound would not have: \
-             {pruning:?}"
-        );
         assert!(query.profile.is_consistent());
+        let mut alone = QueryProfile::new();
+        for shard in db.shards() {
+            let spec = spec.spec().expect("spec");
+            shard
+                .run_kmst(&spec, &NoShare, &mut alone)
+                .expect("shard alone");
+        }
+        let (one, two) = (query.profile.nodes_accessed(), alone.nodes_accessed());
+        assert!(
+            one < two,
+            "{what}: one search expanded {one} nodes, two searches {two}"
+        );
+        assert_eq!(query.profile.pruning.shared_kth_evals, 0, "{what}");
+        assert_eq!(query.profile.pruning.shared_kth_prunes, 0, "{what}");
     }
     let fleet = lane_fleet(24, 30);
     let rtree = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
@@ -275,6 +355,41 @@ fn cross_shard_bound_sharing_prunes_on_the_second_shard() {
     check("tbtree", &tbtree, &fleet);
     let metric = ShardedDatabase::with_metric(2, fleet.clone()).expect("shard build");
     check("metric", &metric, &fleet);
+}
+
+/// A sharded batch's merged profile does not depend on the worker count
+/// or the run: each query is one thread's deterministic search. Buffers
+/// hold every page, so the one page miss each page costs is the same
+/// whichever query takes it first.
+#[test]
+fn a_sharded_batch_profile_is_the_same_at_any_worker_count_and_run() {
+    fn profile_of<I: TrajectoryIndexWrite + Send + KmstSubstrate>(
+        make: impl Fn() -> I,
+        fleet: &[(TrajectoryId, Trajectory)],
+        period: &TimeInterval,
+        workers: usize,
+    ) -> QueryProfile {
+        let db = ShardedDatabase::build(2, make, fleet.to_vec()).expect("shard build");
+        db.set_buffer_capacity(Some(1 << 16)).expect("buffers");
+        let outcome = BatchExecutor::new()
+            .workers(workers)
+            .run(&db, batch_for(fleet, period));
+        assert_eq!(outcome.degraded_count(), 0);
+        outcome.merged_profile()
+    }
+    fn check<I: TrajectoryIndexWrite + Send + KmstSubstrate>(what: &str, make: impl Fn() -> I) {
+        let fleet = lane_fleet(24, 30);
+        let period = TimeInterval::new(0.0, 29.0).expect("period");
+        let first = profile_of(&make, &fleet, &period, 1);
+        assert!(first.nodes_accessed() > 0, "{what}");
+        for (workers, run) in [(1, "second run"), (2, "two workers"), (2, "again")] {
+            let again = profile_of(&make, &fleet, &period, workers);
+            assert_eq!(again, first, "{what}: {run}");
+        }
+    }
+    check("rtree", Rtree3D::new);
+    check("tbtree", TbTree::new);
+    check("metric", MetricTree::new);
 }
 
 /// Satellite: a zero deadline degrades every query gracefully — flagged,
@@ -422,6 +537,54 @@ fn faulted_shard_degrades_query_instead_of_failing_it() {
         merged.pages_quarantined > 0,
         "the bad page must be quarantined: {merged:?}"
     );
+}
+
+/// The search over the shards drops a shard whose reads fail and goes on
+/// with the rest: with only shard 1 of two faulted, every query degrades
+/// with exactly one failure, naming shard 1, keeps its ledger balanced,
+/// and answers only shard-0 trajectories — each k-MST match at its exact
+/// DISSIM.
+#[test]
+fn a_shard_whose_reads_fail_leaves_the_search_and_the_other_answers() {
+    let fleet = lane_fleet(24, 30);
+    let period = TimeInterval::new(0.0, 29.0).expect("period");
+    let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
+    break_shard(&db, 1);
+    let batch = batch_for(&fleet, &period);
+    let queries: Vec<Trajectory> = batch
+        .iter()
+        .map(|q| match q {
+            BatchQuery::Kmst(spec) => spec.query.clone(),
+            BatchQuery::Knn(spec) => spec.query.clone(),
+            other => panic!("unexpected query {other:?}"),
+        })
+        .collect();
+    let outcome = BatchExecutor::new().workers(2).run(&db, batch);
+    for (i, result) in outcome.outcomes.iter().enumerate() {
+        let query = result.as_ref().expect("degraded, not failed");
+        assert!(query.degraded && !query.deadline_expired, "query {i}");
+        assert_eq!(query.failures.len(), 1, "query {i}: {:?}", query.failures);
+        assert_eq!(query.failures[0].shard, 1, "query {i}");
+        assert!(query.profile.is_consistent(), "query {i}: ledger");
+        assert!(!query.answer.is_empty(), "query {i}: shard 0 answers");
+        let ids: Vec<TrajectoryId> = match &query.answer {
+            QueryAnswer::Kmst(matches) => {
+                for m in matches {
+                    let t = db.trajectory(m.traj).expect("stored");
+                    let exact = dissim_between(&queries[i], &t, &period, Integration::Exact);
+                    let exact = exact.expect("dissim").approx;
+                    assert_eq!(m.dissim.to_bits(), exact.to_bits(), "query {i}");
+                }
+                matches.iter().map(|m| m.traj).collect()
+            }
+            QueryAnswer::Knn(matches) => matches.iter().map(|m| m.traj).collect(),
+            other => panic!("unexpected answer {other:?}"),
+        };
+        assert!(
+            ids.iter().all(|id| db.shard_of(*id) == 0),
+            "query {i}: {ids:?}"
+        );
+    }
 }
 
 /// Arming fault injection on a shard that does not exist is a config

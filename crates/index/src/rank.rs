@@ -7,7 +7,8 @@ use std::sync::{LockResult, PoisonError};
 /// A nested lock's place in the order, outermost first.
 #[derive(Debug, Clone, Copy)]
 pub enum Rank {
-    /// A shard's reader–writer gate (`mst_exec::Shard`).
+    /// A shard's reader–writer gate (`mst_exec::Shard`); every shard's at
+    /// once only as one [`Ranked::hold`], taken in shard order.
     ShardGate,
     /// The metric tree's ball directory ([`crate::MetricTree::directory`]).
     BallDirectory,
@@ -33,14 +34,8 @@ impl<G> Ranked<G> {
     /// Takes a lock of `rank` through `take`; in debug builds, fails a
     /// `debug_assert!` if this thread holds a lock of equal or higher rank.
     /// A poisoned lock is still held: its guard comes back ranked.
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub fn lock(rank: Rank, take: impl FnOnce() -> LockResult<G>) -> LockResult<Self> {
-        #[cfg(debug_assertions)]
-        HELD.with(|held| {
-            let bit = 1u8 << rank as u8;
-            debug_assert!(held.get() < bit, "lock rank: {rank:?} taken out of order");
-            held.set(held.get() | bit);
-        });
+        enter(rank);
         let wrap = |guard| Ranked {
             guard,
             #[cfg(debug_assertions)]
@@ -50,6 +45,30 @@ impl<G> Ranked<G> {
             .map(wrap)
             .map_err(|poisoned| PoisonError::new(wrap(poisoned.into_inner())))
     }
+
+    /// Takes several locks of one `rank` as a single hold: `take` acquires
+    /// them all (in one fixed order) and returns their guards together.
+    /// The order check is [`Ranked::lock`]'s, made once for the group.
+    pub fn hold(rank: Rank, take: impl FnOnce() -> G) -> Self {
+        enter(rank);
+        Ranked {
+            guard: take(),
+            #[cfg(debug_assertions)]
+            rank,
+        }
+    }
+}
+
+/// Marks `rank` held by this thread; in debug builds, fails a
+/// `debug_assert!` if a lock of equal or higher rank is already held.
+#[cfg_attr(not(debug_assertions), allow(unused_variables))]
+fn enter(rank: Rank) {
+    #[cfg(debug_assertions)]
+    HELD.with(|held| {
+        let bit = 1u8 << rank as u8;
+        debug_assert!(held.get() < bit, "lock rank: {rank:?} taken out of order");
+        held.set(held.get() | bit);
+    });
 }
 
 #[cfg(debug_assertions)]

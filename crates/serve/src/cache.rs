@@ -8,7 +8,7 @@
 //! read-your-writes token are cleared and every `-0.0` is folded to
 //! `+0.0`. The wire codec is injective, so two requests share an entry
 //! exactly when they are the same query: same flavour, `k`, period,
-//! bound sharing, substrate and geometry bits. The deadline is left out
+//! substrate and geometry bits. The deadline is left out
 //! because a certified (non-degraded) answer is valid under any deadline;
 //! `min_lsn` because it gates *admission*, not the answer — an admitted
 //! query is answered from current state, and every applied write
@@ -325,10 +325,9 @@ mod tests {
         let w = TimeInterval::new(2.0, 8.0).unwrap();
         let a = QueryOptions::new().k(5).during(&w);
         assert_eq!(kmst_key(a), kmst_key(QueryOptions::new().k(5).during(&w)));
-        // k, the sharing policy (a different execution) and the substrate
-        // (answers must not cross) each split the entry.
+        // k and the substrate (answers must not cross) each split the
+        // entry.
         assert_ne!(kmst_key(a), kmst_key(a.k(6)));
-        assert_ne!(kmst_key(a), kmst_key(a.share_bound(false)));
         assert_ne!(kmst_key(a), kmst_key(a.substrate(Substrate::Metric)));
     }
 
@@ -373,7 +372,6 @@ mod tests {
             kmst_key(QueryOptions::new()),
             kmst_key(QueryOptions::new().k(2)),
             kmst_key(QueryOptions::new().during(&w)),
-            kmst_key(QueryOptions::new().share_bound(false)),
             kmst_key(QueryOptions::new().substrate(Substrate::Metric)),
             kmst_key(QueryOptions::new().substrate(Substrate::Rtree)),
         ];

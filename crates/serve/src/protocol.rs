@@ -180,7 +180,9 @@ fn put_options(w: &mut Writer, opts: &QueryOptions) {
         None => w.put_u8(0),
     }
     put_optional_u64(w, opts.deadline_us);
-    w.put_u8(u8::from(opts.share_bound));
+    // A reserved flag (it once switched cross-shard bound sharing, on by
+    // default): always 1, so the byte layout stays as it was.
+    w.put_u8(1);
     put_optional_u64(w, opts.min_lsn);
     w.put_u8(opts.substrate.tag());
 }
@@ -210,7 +212,8 @@ fn try_options(r: &mut Reader<'_>) -> Result<QueryOptions, WireError> {
         _ => return Err(WireError::BadPayload("period flag")),
     };
     opts.deadline_us = try_optional_u64(r, "deadline flag")?;
-    opts.share_bound = try_flag(r, "share flag")?;
+    // The reserved flag: checked like every flag, then ignored.
+    try_flag(r, "share flag")?;
     opts.min_lsn = try_optional_u64(r, "min_lsn flag")?;
     opts.substrate = Substrate::from_tag(r.u8()?).ok_or(WireError::BadPayload("substrate tag"))?;
     Ok(opts)
@@ -254,7 +257,7 @@ pub enum Request {
     Kmst {
         /// The query trajectory's samples.
         points: Vec<SamplePoint>,
-        /// Shared query options (k, period, deadline, bound sharing).
+        /// Shared query options (k, period, deadline, substrate).
         options: QueryOptions,
     },
     /// A trajectory-kNN query by closest approach.
@@ -1096,10 +1099,7 @@ mod tests {
     use mst_trajectory::Segment;
 
     fn opts() -> QueryOptions {
-        QueryOptions::new()
-            .k(7)
-            .deadline_us(1_500)
-            .share_bound(false)
+        QueryOptions::new().k(7).deadline_us(1_500)
     }
 
     #[test]
@@ -1356,11 +1356,33 @@ mod tests {
         bad_opts.put_u32(1); // k
         bad_opts.put_u8(0); // no period
         bad_opts.put_u8(0); // no deadline
-        bad_opts.put_u8(1); // share_bound
+        bad_opts.put_u8(1); // reserved flag
         bad_opts.put_u8(7); // bad min_lsn flag
         assert_eq!(
             Request::decode(bad_opts.as_bytes()),
             Err(WireError::BadPayload("min_lsn flag"))
+        );
+    }
+
+    #[test]
+    fn the_reserved_options_flag_reads_either_value_and_refuses_others() {
+        let request = Request::Kmst {
+            points: vec![
+                SamplePoint::new(0.0, 0.0, 0.0),
+                SamplePoint::new(1.0, 1.0, 1.0),
+            ],
+            options: QueryOptions::new().k(3),
+        };
+        let mut bytes = request.encode();
+        // Opcode, k, no period, no deadline: then the reserved flag.
+        let flag = 1 + 4 + 1 + 1;
+        assert_eq!(bytes[flag], 1, "encoders write the reserved flag as 1");
+        bytes[flag] = 0;
+        assert_eq!(Request::decode(&bytes), Ok(request));
+        bytes[flag] = 2;
+        assert_eq!(
+            Request::decode(&bytes),
+            Err(WireError::BadPayload("share flag"))
         );
     }
 

@@ -113,8 +113,9 @@ pub fn encode_snapshot<I: DurableSubstrate>(db: &ShardedDatabase<I>, lsn: u64) -
 /// Decodes a snapshot back into a database plus the LSN it is
 /// consistent through. The trailer checksum is verified before any
 /// parsing, every count is checked against the bytes present before
-/// anything is allocated for it, and each shard image's own LSN stamp
-/// must agree with the header's.
+/// anything is allocated for it, each shard image's own LSN stamp must
+/// agree with the header's, and every object must sit on its home shard
+/// (`id % P`), once.
 pub fn decode_snapshot<I: DurableSubstrate>(bytes: &[u8]) -> Result<(ShardedDatabase<I>, u64)> {
     let corrupt = |msg: &str| WalError::Corrupt(format!("snapshot: {msg}"));
     let codec = |e: CodecError| corrupt(&e.to_string());
@@ -141,6 +142,17 @@ pub fn decode_snapshot<I: DurableSubstrate>(bytes: &[u8]) -> Result<(ShardedData
             let id = TrajectoryId(r.u64().map_err(codec)?);
             let traj = Trajectory::new(r.samples().map_err(codec)?)
                 .map_err(|e| corrupt(&format!("object {} invalid: {e}", id.0)))?;
+            // Every id lives once, on shard `id % P`: where routing,
+            // deletes and the search over the shards look for it.
+            let home = u64::try_from(shard_count).map(|p| id.0 % p);
+            if home.ok().and_then(|h| usize::try_from(h).ok()) != Some(shard_no)
+                || store.get(id).is_some()
+            {
+                return Err(corrupt(&format!(
+                    "object {} stored on shard {shard_no} of {shard_count}, or twice",
+                    id.0
+                )));
+            }
             store.insert(id, traj);
         }
         let image_len = r.count_u64(1).map_err(codec)?;
@@ -245,6 +257,42 @@ mod tests {
         assert!(matches!(
             decode_snapshot::<Rtree3D>(&bytes),
             Err(WalError::Corrupt(_))
+        ));
+    }
+
+    /// A snapshot that stores an object off its home shard (or twice)
+    /// is refused: decoded, it would plant a ghost that `trajectory(id)`
+    /// and a delete look for on the home shard and never find, while a
+    /// search still answers it.
+    #[test]
+    fn an_object_off_its_home_shard_is_refused() {
+        let fleet = |ids: &[u64]| ids.iter().map(|&id| traj(id, 5)).collect::<Vec<_>>();
+        let engine = |ids: &[u64]| MovingObjectDatabase::build(Rtree3D::new(), fleet(ids)).unwrap();
+        let misrouted =
+            ShardedDatabase::from_shard_parts(vec![engine(&[0, 3]), engine(&[1])]).expect("parts");
+        let bytes = encode_snapshot(&misrouted, 5).unwrap();
+        assert!(matches!(
+            decode_snapshot::<Rtree3D>(&bytes),
+            Err(WalError::Corrupt(msg)) if msg.contains("object 3")
+        ));
+        // Routed as `id % P`, the same objects decode.
+        let routed = ShardedDatabase::from_shard_parts(vec![engine(&[0, 2]), engine(&[1, 3])])
+            .expect("parts");
+        let mut bytes = encode_snapshot(&routed, 5).unwrap();
+        let (back, _) = decode_snapshot::<Rtree3D>(&bytes).unwrap();
+        assert!(back.trajectory(TrajectoryId(3)).is_some());
+        // Shard 0's second object renamed to its first: one id twice on
+        // its home shard (the trailer re-sealed so the check is reached).
+        let second = MAGIC.len() + 8 + 4 + 4 + (8 + 4 + 5 * 24);
+        assert_eq!(bytes[MAGIC.len() + 16..][..8], 0u64.to_le_bytes());
+        assert_eq!(bytes[second..][..8], 2u64.to_le_bytes());
+        bytes[second..second + 8].copy_from_slice(&0u64.to_le_bytes());
+        let body = bytes.len() - 4;
+        let sum = fold_bytes(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            decode_snapshot::<Rtree3D>(&bytes),
+            Err(WalError::Corrupt(msg)) if msg.contains("object 0")
         ));
     }
 

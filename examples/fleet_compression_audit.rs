@@ -58,8 +58,7 @@ fn main() {
 
             // DISSIM via the index, checked against the linear scan.
             let found = bfmst_search(
-                &index,
-                &store,
+                &[(&index, &store)],
                 &compressed,
                 &period,
                 &MstConfig::k(1),

@@ -82,8 +82,7 @@ fn main() {
         ("3D R-tree", {
             rtree.reset_stats();
             let r = bfmst_search(
-                &rtree,
-                &store,
+                &[(&rtree, &store)],
                 &query,
                 &period,
                 &MstConfig::k(3),
@@ -96,8 +95,7 @@ fn main() {
         ("TB-tree", {
             tbtree.reset_stats();
             let r = bfmst_search(
-                &tbtree,
-                &store,
+                &[(&tbtree, &store)],
                 &query,
                 &period,
                 &MstConfig::k(3),

@@ -106,8 +106,7 @@ fn main() {
     let period = TimeInterval::new(0.0, horizon).unwrap();
     let metro_padded = pad(&metro);
     let report = bfmst_search(
-        &index,
-        &store,
+        &[(&index, &store)],
         &metro_padded,
         &period,
         &MstConfig::k(buses.len()),

@@ -10,10 +10,12 @@
 //!   [`QueryProfile`] and the answer fingerprint recorded before the
 //!   candidate path was reworked;
 //! * the same query set pins the other two best-first loops — the metric
-//!   tree's ball search and trajectory kNN on the R-tree — and a
-//!   one-worker batch over two-shard R-tree and metric databases, the only
-//!   run whose profile moves the `SharedKth` evals and prunes. These were
-//!   recorded before the three loops shared one pruning threshold.
+//!   tree's ball search and trajectory kNN on the R-tree — recorded before
+//!   the three loops shared one pruning threshold, and a one-worker batch
+//!   over two-shard R-tree and metric databases, whose queries are each
+//!   one search over both shards' trees: its answers were recorded when
+//!   the shards were searched one by one under a shared bound, its
+//!   profile when they became one search.
 
 use mst::datagen::TrucksConfig;
 use mst::exec::{BatchExecutor, BatchQuery, QueryAnswer, ShardedDatabase};
@@ -337,9 +339,8 @@ fn batch(store: &TrajectoryStore) -> Vec<BatchQuery> {
     out
 }
 
-/// Runs [`batch`] on one worker — the shards of a query then run in
-/// order, so the shared bound each reads is deterministic — and returns
-/// the merged profile and the answer fingerprint.
+/// Runs [`batch`] on one worker — so the buffer pools see the queries in
+/// one order — and returns the merged profile and the answer fingerprint.
 fn pinned_batch<I: KmstSubstrate + Send>(
     db: &ShardedDatabase<I>,
     store: &TrajectoryStore,
@@ -359,7 +360,7 @@ fn pinned_batch<I: KmstSubstrate + Send>(
 }
 
 #[test]
-fn candidate_path_sharded_batch_profiles_with_shared_kth_are_pinned() {
+fn candidate_path_sharded_batch_profiles_of_the_one_search_are_pinned() {
     let store = trucks_store();
     let fleet = || store.iter().map(|(id, t)| (id, t.clone()));
     let rtree = ShardedDatabase::with_rtree(2, fleet()).expect("shards");
@@ -370,35 +371,33 @@ fn candidate_path_sharded_batch_profiles_with_shared_kth_are_pinned() {
         profile,
         QueryProfile {
             heap_pushes: 1071,
-            heap_pops: 567,
-            node_accesses: vec![459, 54],
-            buffer_hits: 154,
-            buffer_misses: 359,
-            bytes_decoded: 2101248,
-            exact_piece_evals: 6313,
-            trapezoid_piece_evals: 15782,
-            exact_recomputations: 86,
+            heap_pops: 394,
+            node_accesses: vec![313, 54],
+            buffer_hits: 171,
+            buffer_misses: 196,
+            bytes_decoded: 1503232,
+            exact_piece_evals: 2924,
+            trapezoid_piece_evals: 10795,
+            exact_recomputations: 45,
             candidates: CandidateCounters {
-                seen: 399,
-                refined: 90,
-                pruned: 128,
-                pending: 181,
+                seen: 313,
+                refined: 52,
+                pruned: 98,
+                pending: 163,
             },
             pruning: PruningCounters {
-                ldd_evals: 45986,
-                opt_dissim_evals: 8206,
-                opt_dissim_prunes: 115,
-                pes_dissim_evals: 8206,
-                pes_dissim_tightenings: 8206,
-                opt_dissim_inc_evals: 137,
-                opt_dissim_inc_prunes: 45,
-                min_dissim_inc_evals: 359,
-                min_dissim_inc_prunes: 308,
-                shared_kth_evals: 2677,
-                shared_kth_prunes: 76,
+                ldd_evals: 34188,
+                opt_dissim_evals: 5735,
+                opt_dissim_prunes: 98,
+                pes_dissim_evals: 5735,
+                pes_dissim_tightenings: 5735,
+                opt_dissim_inc_evals: 182,
+                opt_dissim_inc_prunes: 62,
+                min_dissim_inc_evals: 136,
+                min_dissim_inc_prunes: 446,
                 ..PruningCounters::default()
             },
-            early_terminations: 36,
+            early_terminations: 18,
             ..QueryProfile::default()
         },
         "two R-tree shards"
@@ -409,25 +408,24 @@ fn candidate_path_sharded_batch_profiles_with_shared_kth_are_pinned() {
         profile,
         QueryProfile {
             heap_pushes: 414,
-            heap_pops: 299,
-            node_accesses: vec![717, 18],
-            buffer_hits: 80,
-            buffer_misses: 655,
-            bytes_decoded: 3010560,
-            exact_piece_evals: 26553,
+            heap_pops: 248,
+            node_accesses: vec![669, 18],
+            buffer_hits: 78,
+            buffer_misses: 609,
+            bytes_decoded: 2813952,
+            exact_piece_evals: 26265,
             candidates: CandidateCounters {
-                seen: 551,
-                refined: 389,
-                pruned: 18,
-                pending: 144,
+                seen: 508,
+                refined: 386,
+                pruned: 16,
+                pending: 106,
             },
             pruning: PruningCounters {
-                shared_kth_evals: 149,
-                triangle_ineq_evals: 380,
-                triangle_ineq_prunes: 23,
+                triangle_ineq_evals: 375,
+                triangle_ineq_prunes: 22,
                 ..PruningCounters::default()
             },
-            early_terminations: 5,
+            early_terminations: 6,
             ..QueryProfile::default()
         },
         "two metric shards"

@@ -52,8 +52,7 @@ fn gstd_pipeline_bfmst_equals_scan_for_many_settings() {
                 .unwrap();
             let expected = ids(&scan_kmst(&store, &q, &period, k, Integration::Exact).unwrap());
             let r = bfmst_search(
-                &rtree,
-                &store,
+                &[(&rtree, &store)],
                 &q,
                 &period,
                 &MstConfig::k(k),
@@ -62,8 +61,7 @@ fn gstd_pipeline_bfmst_equals_scan_for_many_settings() {
             )
             .unwrap();
             let t = bfmst_search(
-                &tbtree,
-                &store,
+                &[(&tbtree, &store)],
                 &q,
                 &period,
                 &MstConfig::k(k),
@@ -86,8 +84,7 @@ fn trucks_pipeline_identifies_compressed_originals() {
     for qi in [0usize, 7, 14] {
         let compressed = mst::datagen::td_tr_fraction(&fleet[qi], 0.01);
         let got = bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &compressed,
             &period,
             &MstConfig::k(1),
@@ -120,8 +117,7 @@ fn foreign_query_trajectory_works() {
     .unwrap();
     let expected = ids(&scan_kmst(&store, &q, &period, 4, Integration::Exact).unwrap());
     let r = bfmst_search(
-        &rtree,
-        &store,
+        &[(&rtree, &store)],
         &q,
         &period,
         &MstConfig::k(4),
@@ -130,8 +126,7 @@ fn foreign_query_trajectory_works() {
     )
     .unwrap();
     let t = bfmst_search(
-        &tbtree,
-        &store,
+        &[(&tbtree, &store)],
         &q,
         &period,
         &MstConfig::k(4),
@@ -164,8 +159,7 @@ fn repeated_queries_are_deterministic_and_buffer_friendly() {
     rtree.clear_buffer().unwrap();
     rtree.reset_stats();
     let first = bfmst_search(
-        &rtree,
-        &store,
+        &[(&rtree, &store)],
         &q,
         &period,
         &MstConfig::k(3),
@@ -177,8 +171,7 @@ fn repeated_queries_are_deterministic_and_buffer_friendly() {
 
     rtree.reset_stats();
     let second = bfmst_search(
-        &rtree,
-        &store,
+        &[(&rtree, &store)],
         &q,
         &period,
         &MstConfig::k(3),
@@ -209,8 +202,7 @@ fn results_are_sorted_and_k_bounded() {
     let q = store.get(TrajectoryId(0)).unwrap().clone();
     for k in [1usize, 5, 29, 30, 100] {
         let got = bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &q,
             &period,
             &MstConfig::k(k),
@@ -241,8 +233,7 @@ fn error_management_never_changes_the_winner_set() {
     for qi in 0..5u64 {
         let q = store.get(TrajectoryId(qi)).unwrap().clip(&period).unwrap();
         let approx = bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &q,
             &period,
             &MstConfig::k(4),
@@ -256,8 +247,7 @@ fn error_management_never_changes_the_winner_set() {
             ..MstConfig::k(4)
         };
         let exact = bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &q,
             &period,
             &exact_cfg,
@@ -288,7 +278,15 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
     let theta = 0.5 * (scan[2].dissim + scan[3].dissim);
 
     let cfg = mst::search::MstConfig::within(20, theta);
-    let got = bfmst_search(&rtree, &store, &q, &period, &cfg, &NoShare, &mut NoopSink).unwrap();
+    let got = bfmst_search(
+        &[(&rtree, &store)],
+        &q,
+        &period,
+        &cfg,
+        &NoShare,
+        &mut NoopSink,
+    )
+    .unwrap();
     assert_eq!(got.matches.len(), 3);
     assert_eq!(
         ids(&got.matches),
@@ -300,8 +298,7 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
 
     // A ceiling below the minimum yields an empty result set.
     let none = bfmst_search(
-        &rtree,
-        &store,
+        &[(&rtree, &store)],
         &q,
         &period,
         &mst::search::MstConfig::within(5, scan[0].dissim * 0.5 - 1e-9),
@@ -315,8 +312,24 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
     let mut unbounded = mst::search::QueryProfile::new();
     let mut bounded = mst::search::QueryProfile::new();
     let k20 = MstConfig::k(20);
-    bfmst_search(&rtree, &store, &q, &period, &k20, &NoShare, &mut unbounded).unwrap();
-    bfmst_search(&rtree, &store, &q, &period, &cfg, &NoShare, &mut bounded).unwrap();
+    bfmst_search(
+        &[(&rtree, &store)],
+        &q,
+        &period,
+        &k20,
+        &NoShare,
+        &mut unbounded,
+    )
+    .unwrap();
+    bfmst_search(
+        &[(&rtree, &store)],
+        &q,
+        &period,
+        &cfg,
+        &NoShare,
+        &mut bounded,
+    )
+    .unwrap();
     assert!(bounded.nodes_accessed() <= unbounded.nodes_accessed());
 }
 
@@ -377,8 +390,7 @@ fn strtree_bfmst_equals_scan_too() {
         let q = store.get(TrajectoryId(9)).unwrap().clip(&period).unwrap();
         let expected = ids(&scan_kmst(&store, &q, &period, k, Integration::Exact).unwrap());
         let got = bfmst_search(
-            &strtree,
-            &store,
+            &[(&strtree, &store)],
             &q,
             &period,
             &MstConfig::k(k),
@@ -409,11 +421,11 @@ fn nearest_trajectories_consistent_with_dissim_on_parallel_lanes() {
     let (rtree, _) = build_both(&store);
     let period = TimeInterval::new(0.0, 60.0).unwrap();
     let q = store.get(TrajectoryId(6)).unwrap().clone();
-    let nn =
-        mst::search::nearest_trajectories(&rtree, &q, &period, 5, &NoShare, &mut NoopSink).unwrap();
+    let nn = mst::search::nearest_trajectories(&[&rtree], &q, &period, 5, &NoShare, &mut NoopSink)
+        .unwrap()
+        .matches;
     let mst_res = bfmst_search(
-        &rtree,
-        &store,
+        &[(&rtree, &store)],
         &q,
         &period,
         &MstConfig::k(5),
@@ -460,7 +472,17 @@ fn corrupted_index_image_fails_cleanly_not_by_panic() {
             use_heuristic2: false,
             ..MstConfig::k(8)
         };
-        let result = bfmst_search(&loaded, &store, &q, &period, &cfg, &NoShare, &mut NoopSink);
+        // The single-tree entry point: its one tree's failed read is the
+        // search's error.
+        let result = mst::search::KmstSubstrate::kmst_search(
+            &loaded,
+            &store,
+            &q,
+            &period,
+            &cfg,
+            &NoShare,
+            &mut NoopSink,
+        );
         assert!(result.is_err(), "query over a corrupt page must error");
     }
 }
@@ -508,8 +530,7 @@ fn an_instant_query_period_is_refused_like_the_scan_refuses_it() {
     let config = MstConfig::k(2);
     let searches = [
         bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &q,
             &instant,
             &config,
@@ -520,7 +541,8 @@ fn an_instant_query_period_is_refused_like_the_scan_refuses_it() {
         metric
             .kmst_search(&store, &q, &instant, &config, &NoShare, &mut NoopSink)
             .err(),
-        mst::search::nearest_trajectories(&rtree, &q, &instant, 2, &NoShare, &mut NoopSink).err(),
+        mst::search::nearest_trajectories(&[&rtree], &q, &instant, 2, &NoShare, &mut NoopSink)
+            .err(),
     ];
     for refusal in searches {
         assert!(
@@ -529,8 +551,7 @@ fn an_instant_query_period_is_refused_like_the_scan_refuses_it() {
         );
     }
     let none = bfmst_search(
-        &rtree,
-        &store,
+        &[(&rtree, &store)],
         &q,
         &instant,
         &MstConfig::k(0),

@@ -177,8 +177,7 @@ fn counters_are_monotone_across_queries() {
     for qi in 0..5u64 {
         let q = store.get(TrajectoryId(qi)).unwrap().clip(&period).unwrap();
         bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &q,
             &period,
             &MstConfig::k(2),
@@ -218,8 +217,7 @@ fn tracing_never_changes_a_result_bit() {
         let q = store.get(TrajectoryId(qi)).unwrap().clip(&period).unwrap();
 
         let plain = bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &q,
             &period,
             &MstConfig::k(4),
@@ -229,8 +227,7 @@ fn tracing_never_changes_a_result_bit() {
         .unwrap();
         let mut profile = QueryProfile::new();
         let traced = bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &q,
             &period,
             &MstConfig::k(4),
@@ -241,8 +238,7 @@ fn tracing_never_changes_a_result_bit() {
         assert_eq!(dissim_bits(&plain.matches), dissim_bits(&traced.matches));
 
         let plain_tb = bfmst_search(
-            &tbtree,
-            &store,
+            &[(&tbtree, &store)],
             &q,
             &period,
             &MstConfig::k(4),
@@ -252,8 +248,7 @@ fn tracing_never_changes_a_result_bit() {
         .unwrap();
         let mut ptb = QueryProfile::new();
         let traced_tb = bfmst_search(
-            &tbtree,
-            &store,
+            &[(&tbtree, &store)],
             &q,
             &period,
             &MstConfig::k(4),

@@ -137,8 +137,7 @@ fn bfmst_equals_scan_on_random_datasets() {
             tbtree.insert_trajectory(id, t).unwrap();
         }
         let r = bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &q,
             &period,
             &MstConfig::k(k),
@@ -147,8 +146,7 @@ fn bfmst_equals_scan_on_random_datasets() {
         )
         .unwrap();
         let t = bfmst_search(
-            &tbtree,
-            &store,
+            &[(&tbtree, &store)],
             &q,
             &period,
             &MstConfig::k(k),
@@ -245,8 +243,7 @@ fn strtree_matches_rtree_query_results() {
         let period = TimeInterval::new(0.0, 9.0).unwrap();
         let q = store.get(TrajectoryId(qi as u64)).unwrap().clone();
         let a = bfmst_search(
-            &rtree,
-            &store,
+            &[(&rtree, &store)],
             &q,
             &period,
             &MstConfig::k(3),
@@ -255,8 +252,7 @@ fn strtree_matches_rtree_query_results() {
         )
         .unwrap();
         let b = bfmst_search(
-            &strtree,
-            &store,
+            &[(&strtree, &store)],
             &q,
             &period,
             &MstConfig::k(3),
@@ -283,8 +279,7 @@ fn persistence_roundtrip_preserves_query_answers() {
         let period = TimeInterval::new(0.0, 7.0).unwrap();
         let q = store.get(TrajectoryId(qi as u64)).unwrap().clone();
         let before = bfmst_search(
-            &tree,
-            &store,
+            &[(&tree, &store)],
             &q,
             &period,
             &MstConfig::k(2),
@@ -297,8 +292,7 @@ fn persistence_roundtrip_preserves_query_answers() {
         let loaded = Rtree3D::load(&bytes[..]).unwrap();
         check_invariants(&loaded).unwrap();
         let after = bfmst_search(
-            &loaded,
-            &store,
+            &[(&loaded, &store)],
             &q,
             &period,
             &MstConfig::k(2),
