@@ -9,9 +9,10 @@ use std::time::{Duration, Instant};
 
 use mst_datagen::fixtures::{lane_fleet, mixed_lifetime_fleet, twins_fleet};
 use mst_exec::{BatchExecutor, BatchQuery, ExecError, IngestOp, QueryAnswer, ShardedDatabase};
+use mst_index::mindist::segment_rect_mindist;
 use mst_index::{
-    FaultConfig, IndexError, MetricTree, MetricsSink, Rtree3D, StrTree, TbTree, TrajectoryIndex,
-    TrajectoryIndexWrite,
+    FaultConfig, IndexError, KnnMatch, LeafEntry, MetricTree, MetricsSink, Rtree3D, StrTree,
+    TbTree, TrajectoryIndex, TrajectoryIndexWrite,
 };
 use mst_search::dissim::dissim_between;
 use mst_search::{
@@ -19,7 +20,7 @@ use mst_search::{
     NoopSink, Query, QueryMetrics, QueryOptions, QueryProfile, SearchError, Substrate,
     TrajectoryStore,
 };
-use mst_trajectory::{Mbb, Point, TimeInterval, Trajectory, TrajectoryId};
+use mst_trajectory::{Mbb, Point, Rect, TimeInterval, Trajectory, TrajectoryId};
 
 /// The batch used throughout: a few k-MST queries (one with a range-MST
 /// ceiling) and a couple of kNN queries, all built with the ordinary
@@ -145,8 +146,9 @@ fn batch_execution_is_deterministic_across_workers_and_shards() {
     }
 
     // The grid: every substrate x {1, 2, 3, 4} shards x {1, 2} workers x
-    // k-MST, range-MST and kNN, against unsharded `Query::run` (and the
-    // exact scan for k-MST), on the lanes and on the fleets built to break
+    // k-MST, range-MST, kNN, point-kNN and range, against unsharded
+    // `Query::run` (and the exact scan for k-MST, brute force for point-kNN
+    // and range), on the lanes and on the fleets built to break
     // it — one trajectory under two ids and equal-DISSIM ties at the kth
     // place (`id % 2` splits every tied pair across shards), and objects
     // alive for only part of the query period.
@@ -178,11 +180,23 @@ fn batch_execution_is_deterministic_across_workers_and_shards() {
 
 /// One parity probe: a query over a period, asked as k-MST, as range-MST
 /// (ceiling at the exact DISSIM of the scan's middle answer, so the
-/// ceiling cuts) and as kNN.
+/// ceiling cuts), as kNN, as point-kNN (the k segments nearest where the
+/// query is at the middle of the period) and as a range query (the query's
+/// box over the middle half of the period, widened by half its larger
+/// side).
 struct Probe {
     query: Trajectory,
     period: TimeInterval,
     k: usize,
+}
+
+/// A probe's five answers.
+struct Answers {
+    kmst: Vec<MstMatch>,
+    range_mst: Vec<MstMatch>,
+    knn: Vec<NnMatch>,
+    segments: Vec<KnnMatch>,
+    range: Vec<LeafEntry>,
 }
 
 impl Probe {
@@ -196,13 +210,42 @@ impl Probe {
         scan[scan.len() / 2].dissim
     }
 
-    fn batch(&self, store: &TrajectoryStore) -> [BatchQuery; 3] {
+    fn location(&self) -> Point {
+        let middle = (self.period.start() + self.period.end()) / 2.0;
+        self.query.position_at(middle).expect("middle position")
+    }
+
+    fn window(&self) -> Mbb {
+        let quarter = self.period.duration() * 0.25;
+        let half = TimeInterval::new(self.period.start() + quarter, self.period.end() - quarter);
+        let b = self
+            .query
+            .clip(&half.expect("middle half"))
+            .expect("clip")
+            .mbb();
+        let r = b.rect();
+        let pad = r.width().max(r.height()) * 0.5;
+        let t = b.time();
+        Mbb::new(
+            r.x_min - pad,
+            r.y_min - pad,
+            t.start(),
+            r.x_max + pad,
+            r.y_max + pad,
+            t.end(),
+        )
+    }
+
+    fn batch(&self, store: &TrajectoryStore) -> [BatchQuery; 5] {
         let (q, period, k) = (&self.query, &self.period, self.k);
         let range = Query::kmst(q).k(k).during(period).within(self.theta(store));
+        let segments = Query::knn_segments(self.location()).k(k).during(period);
         [
             BatchQuery::kmst(Query::kmst(q).k(k).during(period)).expect("kmst spec"),
             BatchQuery::kmst(range).expect("range spec"),
             BatchQuery::knn(Query::knn(q).k(k).during(period)).expect("knn spec"),
+            BatchQuery::knn_segments(segments).expect("segments spec"),
+            BatchQuery::range(Query::range(&self.window())),
         ]
     }
 
@@ -210,20 +253,101 @@ impl Probe {
         &self,
         db: &MovingObjectDatabase<I>,
         store: &TrajectoryStore,
-    ) -> (Vec<MstMatch>, Vec<MstMatch>, Vec<NnMatch>) {
+    ) -> Answers {
         let (q, period, k) = (&self.query, &self.period, self.k);
         let range = Query::kmst(q).k(k).during(period).within(self.theta(store));
-        (
-            Query::kmst(q).k(k).during(period).run(db).expect("kmst"),
-            range.run(db).expect("range"),
-            Query::knn(q).k(k).during(period).run(db).expect("knn"),
-        )
+        let segments = Query::knn_segments(self.location()).k(k).during(period);
+        Answers {
+            kmst: Query::kmst(q).k(k).during(period).run(db).expect("kmst"),
+            range_mst: range.run(db).expect("range-MST"),
+            knn: Query::knn(q).k(k).during(period).run(db).expect("knn"),
+            segments: segments.run(db).expect("segments"),
+            range: Query::range(&self.window()).run(db).expect("range"),
+        }
+    }
+
+    /// The k nearest segments by brute force over the store: every
+    /// segment clipped to the period, keyed by its exact distance from the
+    /// location, in `(distance, traj, seq)` order.
+    fn segments_oracle(&self, store: &TrajectoryStore) -> Vec<(TrajectoryId, u32, u64)> {
+        let at = Rect::from_point(self.location());
+        let mut all: Vec<(f64, TrajectoryId, u32)> = store
+            .iter()
+            .flat_map(|(id, t)| LeafEntry::of_trajectory(id, t))
+            .filter_map(|e| {
+                let clipped = e.segment.clip(&self.period)?;
+                Some((segment_rect_mindist(&clipped, &at), e.traj, e.seq))
+            })
+            .collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        all.truncate(self.k);
+        all.into_iter()
+            .map(|(d, traj, seq)| (traj, seq, d.to_bits()))
+            .collect()
+    }
+
+    /// Every segment whose box meets the window, in `(traj, seq)` order.
+    fn range_oracle(&self, store: &TrajectoryStore) -> Vec<(TrajectoryId, u32)> {
+        let window = self.window();
+        let mut all: Vec<(TrajectoryId, u32)> = store
+            .iter()
+            .flat_map(|(id, t)| LeafEntry::of_trajectory(id, t))
+            .filter(|e| e.mbb().intersects(&window))
+            .map(|e| (e.traj, e.seq))
+            .collect();
+        all.sort();
+        all
     }
 }
 
+fn segment_keys(matches: &[KnnMatch]) -> Vec<(TrajectoryId, u32, u64)> {
+    let mut keys: Vec<_> = matches
+        .iter()
+        .map(|m| (m.entry.traj, m.entry.seq, m.distance.to_bits()))
+        .collect();
+    keys.sort_by(|a, b| {
+        f64::from_bits(a.2)
+            .total_cmp(&f64::from_bits(b.2))
+            .then(a.0.cmp(&b.0))
+            .then(a.1.cmp(&b.1))
+    });
+    keys
+}
+
+/// Point-kNN answers as the parent code can give them: which of several
+/// segments tied at the k-th distance is kept follows heap push order, so
+/// only the distances and the segments strictly nearer than the k-th are
+/// compared.
+fn assert_segments_match(
+    got: &[(TrajectoryId, u32, u64)],
+    want: &[(TrajectoryId, u32, u64)],
+    what: &str,
+) {
+    let distances =
+        |keys: &[(TrajectoryId, u32, u64)]| keys.iter().map(|k| k.2).collect::<Vec<_>>();
+    assert_eq!(distances(got), distances(want), "{what}: distances");
+    let Some(kth) = want.last().map(|k| k.2) else {
+        return;
+    };
+    let nearer = |keys: &[(TrajectoryId, u32, u64)]| {
+        keys.iter()
+            .filter(|k| f64::from_bits(k.2) < f64::from_bits(kth))
+            .copied()
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(nearer(got), nearer(want), "{what}: segments");
+}
+
+fn range_keys(hits: &[LeafEntry]) -> Vec<(TrajectoryId, u32)> {
+    let mut keys: Vec<_> = hits.iter().map(|e| (e.traj, e.seq)).collect();
+    keys.sort();
+    keys
+}
+
 /// Every substrate x {1, 2, 3, 4} shards x {1, 2} workers: each probe's
-/// three answers through the executor are bit-equal to unsharded
-/// `Query::run` on the same substrate, and its k-MST answer to the scan.
+/// five answers through the executor are bit-equal to unsharded
+/// `Query::run` on the same substrate; its k-MST answer equals the scan,
+/// its point-kNN and range answers the brute-force oracles over the store.
 fn parity_grid(what: &str, fleet: &[(TrajectoryId, Trajectory)], probes: &[Probe]) {
     fn cell<I: KmstSubstrate + TrajectoryIndexWrite>(
         what: &str,
@@ -234,9 +358,16 @@ fn parity_grid(what: &str, fleet: &[(TrajectoryId, Trajectory)], probes: &[Probe
         let store: TrajectoryStore = fleet.iter().cloned().collect();
         let unsharded = MovingObjectDatabase::build(make(), fleet.to_vec()).expect("baseline");
         let want: Vec<_> = probes.iter().map(|p| p.run(&unsharded, &store)).collect();
-        for (p, (kmst, _, _)) in probes.iter().zip(&want) {
+        for (i, (p, answers)) in probes.iter().zip(&want).enumerate() {
+            let here = format!("{what}: unsharded probe {i}");
             let scan = scan_kmst(&store, &p.query, &p.period, p.k, Integration::Exact);
-            assert_kmst_identical(kmst, &scan.expect("scan"), &format!("{what}: unsharded"));
+            assert_kmst_identical(&answers.kmst, &scan.expect("scan"), &here);
+            let segments = p.segments_oracle(&store);
+            assert!(!segments.is_empty(), "{here}: no segment near the location");
+            assert_segments_match(&segment_keys(&answers.segments), &segments, &here);
+            let range = p.range_oracle(&store);
+            assert!(!range.is_empty(), "{here}: an empty window");
+            assert_eq!(range_keys(&answers.range), range, "{here}: range");
         }
         let batch: Vec<BatchQuery> = probes.iter().flat_map(|p| p.batch(&store)).collect();
         for shards in 1..=4 {
@@ -245,28 +376,38 @@ fn parity_grid(what: &str, fleet: &[(TrajectoryId, Trajectory)], probes: &[Probe
                 let outcome = BatchExecutor::new()
                     .workers(workers)
                     .run(&db, batch.clone());
-                for (i, (kmst, range, knn)) in want.iter().enumerate() {
+                for (i, answers) in want.iter().enumerate() {
                     let here = format!("{what} s={shards} w={workers} probe {i}");
                     let got = |j: usize| {
-                        let query = outcome.outcomes[3 * i + j].as_ref().expect("query ok");
+                        let query = outcome.outcomes[5 * i + j].as_ref().expect("query ok");
                         assert!(!query.degraded, "{here}: degraded");
                         assert!(query.profile.is_consistent(), "{here}: ledger");
                         &query.answer
                     };
                     assert_kmst_identical(
                         got(0).as_kmst().expect("kmst"),
-                        kmst,
+                        &answers.kmst,
                         &format!("{here} kmst"),
                     );
                     assert_kmst_identical(
-                        got(1).as_kmst().expect("range"),
-                        range,
-                        &format!("{here} range"),
+                        got(1).as_kmst().expect("range-MST"),
+                        &answers.range_mst,
+                        &format!("{here} range-MST"),
                     );
                     assert_knn_identical(
                         got(2).as_knn().expect("knn"),
-                        knn,
+                        &answers.knn,
                         &format!("{here} knn"),
+                    );
+                    assert_segments_match(
+                        &segment_keys(got(3).as_segments().expect("segments")),
+                        &segment_keys(&answers.segments),
+                        &format!("{here} point-kNN"),
+                    );
+                    assert_eq!(
+                        range_keys(got(4).as_range().expect("range")),
+                        range_keys(&answers.range),
+                        "{here} range"
                     );
                 }
             }
