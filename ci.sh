@@ -31,7 +31,10 @@
 #      per-substrate query profiles and the pinned profiles of one search
 #      over two shards' trees; the debug run in gate 5 drives a tenth of
 #      the seeded streams), then the batch executor's parity grid in
-#      release, so its shards x workers cells race at full speed
+#      release, so its shards x workers cells race at full speed: k-MST,
+#      range-MST, kNN, and the point-kNN and range grid (each answer equal
+#      to unsharded `Query::run` and a brute-force oracle over the store,
+#      in canonical order)
 #  12. the decoder mutation sweep at its full release count (every decoder
 #      of outside bytes — wire requests and responses, pages, index images,
 #      WAL frames, snapshots — fed every truncation, seeded bit flips and
@@ -121,7 +124,7 @@ candidate_path_suites() {
     cargo test -q --release --test candidate_path
     cargo test -q --release -p mst-exec --test batch_exec
 }
-gate "candidate-path bit-equality, full count (UpperKeys model, walkers, pinned BFMST/metric/kNN profiles and the one-search-over-shards forest profiles; sharded parity grid at release-speed concurrency)" \
+gate "candidate-path bit-equality, full count (UpperKeys model, walkers, pinned BFMST/metric/kNN profiles and the one-search-over-shards forest profiles; sharded parity grid incl. point-kNN and range vs brute force, at release-speed concurrency)" \
     candidate_path_suites
 
 gate "decoder mutation sweep, full count (truncations, bit flips, inflated counts: no panics)" \

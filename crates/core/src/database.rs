@@ -7,26 +7,25 @@
 //! [`MovingObjectDatabase`] is that pair and nothing else: `{index, store}`.
 //! It is built in arrival order ([`MovingObjectDatabase::build`]), fed whole
 //! trajectories or single position reports, or reassembled from a loaded
-//! index image and its store ([`MovingObjectDatabase::from_parts`]); and it
-//! is the one place a query flavour is dispatched (the four `run_*`
-//! methods). Everything else is a layer over it: the [`Query`](crate::query)
+//! index image and its store ([`MovingObjectDatabase::from_parts`]). Its
+//! four `run_*` methods run each query flavour on this one engine: the
+//! forest-of-one case of the searches `mst-exec` runs over every shard's
+//! tree. Everything else is a layer over it: the [`Query`](crate::query)
 //! builder's terminals call the runners with [`NoShare`](crate::NoShare),
 //! `mst-exec` puts one engine behind each shard's lock, `mst-wal` logs
 //! before it lets a write through to those shards.
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use mst_index::{
-    knn_segments_traced, KnnMatch, LeafEntry, MetricTree, Rtree3D, TbTree, TrajectoryIndexWrite,
-};
+use mst_index::{KnnMatch, LeafEntry, MetricTree, Rtree3D, TbTree, TrajectoryIndexWrite};
 use mst_trajectory::{SamplePoint, Trajectory, TrajectoryError, TrajectoryId};
 
 use crate::bfmst::SearchReport;
 use crate::metrics::QueryMetrics;
-use crate::nn::{nearest_trajectories, NnMatch};
+use crate::nn::{nearest_segments, nearest_trajectories, segments_within, NnMatch};
 use crate::options::Substrate;
 use crate::query::{KmstSpec, KnnSpec, RangeSpec, SegmentsSpec};
-use crate::share::BoundShare;
+use crate::share::{BoundShare, NoShare};
 use crate::substrate::KmstSubstrate;
 use crate::{Result, SearchError, TrajectoryStore};
 
@@ -245,10 +244,11 @@ impl<I: TrajectoryIndexWrite> MovingObjectDatabase<I> {
     }
 }
 
-/// The runners: the one place each query flavour is dispatched, for the
-/// [`Query`](crate::query::Query) terminals and for every shard of a
-/// sharded database alike. Each refuses a spec pinned to another substrate
-/// before it touches the index.
+/// The runners: each query flavour on this one engine, for the
+/// [`Query`](crate::query::Query) terminals — the forest-of-one case of the
+/// search a sharded executor runs over every shard's tree. Each refuses a
+/// spec pinned to another substrate before it touches the index, and
+/// returns a failed node read as its error.
 impl<I: KmstSubstrate> MovingObjectDatabase<I> {
     /// The [`Substrate`] this database is backed by (what queries pinning
     /// a substrate are validated against).
@@ -295,31 +295,35 @@ impl<I: KmstSubstrate> MovingObjectDatabase<I> {
         Ok(report.single()?.matches)
     }
 
-    /// Runs one point-kNN (nearest segments) query. It has no poll point,
-    /// hence no `BoundShare`.
+    /// Runs one point-kNN (nearest segments) query, to completion (the
+    /// `Query` terminals have no deadline, hence no `BoundShare`).
     pub fn run_knn_segments<M: QueryMetrics>(
         &self,
         spec: &SegmentsSpec,
         metrics: &mut M,
     ) -> Result<Vec<KnnMatch>> {
         spec.options.check_substrate(I::KIND)?;
-        Ok(knn_segments_traced(
-            &self.index,
+        let report = nearest_segments(
+            &[&self.index],
             spec.location,
             &spec.window,
             spec.options.k,
+            &NoShare,
             metrics,
-        )?)
+        )?;
+        Ok(report.single()?.matches)
     }
 
-    /// Runs one 3D range query.
+    /// Runs one 3D range query, to completion; hits come in `(trajectory,
+    /// sequence)` order.
     pub fn run_range<M: QueryMetrics>(
         &self,
         spec: &RangeSpec,
         metrics: &mut M,
     ) -> Result<Vec<LeafEntry>> {
         spec.options.check_substrate(I::KIND)?;
-        Ok(self.index.range_query_traced(&spec.window, metrics)?)
+        let report = segments_within(&[&self.index], &spec.window, &NoShare, metrics);
+        Ok(report.single()?.matches)
     }
 }
 

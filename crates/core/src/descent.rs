@@ -1,16 +1,20 @@
-//! The MBB descent under the best-first search algorithms.
+//! The MBB descent under every best-first search of the MBB substrates.
 //!
-//! BFMST and the historical NN search share one traversal: a priority
-//! stream of nodes in non-decreasing MINDIST order, each leaf yielding its
-//! segment entries. [`MbbDescent`] is that stream for every
-//! [`TrajectoryIndex`] — the classic R-tree / TB-tree MINDIST descent, owning
-//! the priority queue, the node reads and the child pushes so the search
-//! loops hold none of them. It runs over a forest: a sharded query seeds
-//! every shard's root into the one queue, so it is one search, not one per
-//! shard. The metric substrate does not come through
-//! here: its triangle-inequality bounds apply to complete trajectories, not
-//! segment groups, so it overrides the whole search (see
-//! [`crate::substrate`]).
+//! BFMST, trajectory kNN and point kNN share one traversal: a priority
+//! stream of nodes in non-decreasing lower-bound order, each leaf yielding
+//! its segment entries. [`MbbDescent`] is that stream for every
+//! [`TrajectoryIndex`] — the classic R-tree / TB-tree distance browsing,
+//! owning the priority queue, the node reads and the child pushes so the
+//! search loops hold none of them. What a child node is keyed by is the
+//! search's [`NodeKey`]: MINDIST from the query trajectory over the period
+//! ([`QueryMindist`], k-MST and trajectory kNN) or the distance from a
+//! location to the node's rectangle, for a node whose time span meets the
+//! window (point kNN).
+//! It runs over a forest: a sharded query seeds every shard's root into the
+//! one queue, so it is one search, not one per shard. The metric substrate's
+//! k-MST does not come through here: its triangle-inequality bounds apply
+//! to complete trajectories, not segment groups, so it overrides the whole
+//! search (see [`crate::substrate`]).
 //!
 //! The protocol is two-phase because heuristic 2 must be able to terminate
 //! a search *without* paying for the node read: [`MbbDescent::pop`]
@@ -25,7 +29,7 @@ use std::collections::BinaryHeap;
 
 use mst_index::mindist::QueryMindist;
 use mst_index::{LeafEntry, Node, PageId, TrajectoryIndex};
-use mst_trajectory::{TimeInterval, Trajectory};
+use mst_trajectory::{Mbb, TimeInterval, Trajectory};
 
 use crate::metrics::QueryMetrics;
 use crate::Result;
@@ -55,7 +59,24 @@ impl<T: Ord> PartialOrd for QueueEntry<T> {
     }
 }
 
-/// The classic MBB descent: a best-first MINDIST traversal (the
+/// What the descent keys a child node by: a lower bound on the key of
+/// every entry under it, or `None` when nothing under it can be an answer
+/// (the node is not queued).
+pub trait NodeKey {
+    /// The lower bound for the node whose bounding box is `mbb`.
+    fn key(&self, mbb: &Mbb) -> Option<f64>;
+}
+
+/// MINDIST from the query trajectory over the period — the key of k-MST
+/// and trajectory kNN.
+impl NodeKey for QueryMindist<'_> {
+    #[inline]
+    fn key(&self, mbb: &Mbb) -> Option<f64> {
+        self.mindist(mbb)
+    }
+}
+
+/// The classic MBB descent: a best-first traversal by a [`NodeKey`] (the
 /// distance-browsing strategy of Hjaltason & Samet), yielding each leaf's
 /// entries together — over a forest of [`TrajectoryIndex`] trees, one per
 /// shard, under one queue. Every root is seeded at bound zero and every
@@ -67,12 +88,11 @@ impl<T: Ord> PartialOrd for QueueEntry<T> {
 /// fetched) or call [`MbbDescent::expand`] exactly once to fetch it.
 /// `expand` without a preceding un-expanded `pop` yields `Ok(None)`.
 #[derive(Debug)]
-pub struct MbbDescent<'a, I: TrajectoryIndex> {
+pub struct MbbDescent<'a, I: TrajectoryIndex, K = QueryMindist<'a>> {
     shards: Vec<&'a I>,
-    /// `MINDIST(query, ·)` over the period, planned once for the whole
-    /// descent: every child entry of every opened node of every tree is
-    /// keyed by it.
-    plan: QueryMindist<'a>,
+    /// The node key, fixed for the whole descent: every child entry of
+    /// every opened node of every tree is keyed by it.
+    key: K,
     heap: BinaryHeap<Reverse<QueueEntry<(usize, PageId)>>>,
     head: Option<QueueEntry<(usize, PageId)>>,
     /// The shard of the item last popped.
@@ -80,13 +100,25 @@ pub struct MbbDescent<'a, I: TrajectoryIndex> {
 }
 
 impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
-    /// Starts a descent of the `shards`' trees for `query` (already
+    /// Starts a MINDIST descent of the `shards`' trees for `query` (already
     /// clipped to `period`), seeding the queue with every root at bound
-    /// zero.
+    /// zero. The plan is built once for the whole descent.
     pub fn new<M: QueryMetrics>(
         shards: impl IntoIterator<Item = &'a I>,
         query: &'a Trajectory,
         period: &TimeInterval,
+        metrics: &mut M,
+    ) -> Self {
+        MbbDescent::keyed(shards, QueryMindist::new(query, period), metrics)
+    }
+}
+
+impl<'a, I: TrajectoryIndex, K: NodeKey> MbbDescent<'a, I, K> {
+    /// Starts a descent of the `shards`' trees keyed by `key`, seeding the
+    /// queue with every root at bound zero.
+    pub fn keyed<M: QueryMetrics>(
+        shards: impl IntoIterator<Item = &'a I>,
+        key: K,
         metrics: &mut M,
     ) -> Self {
         let shards: Vec<&'a I> = shards.into_iter().collect();
@@ -102,7 +134,7 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
         }
         MbbDescent {
             shards,
-            plan: QueryMindist::new(query, period),
+            key,
             heap,
             head: None,
             shard: 0,
@@ -129,8 +161,9 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
     /// descends one internal step (enqueueing finer-grained items; returns
     /// `Ok(None)`) or yields a leaf's segment entries, in the substrate's
     /// storage order. Every entry is at least the popped bound away from
-    /// the query over the period — the property OPTDISSIMINC soundness
-    /// rests on.
+    /// the query (over the period, or from the location in the window) —
+    /// the property OPTDISSIMINC soundness and every termination test rest
+    /// on.
     pub fn expand<M: QueryMetrics>(&mut self, metrics: &mut M) -> Result<Option<Vec<LeafEntry>>> {
         let Some(head) = self.head.take() else {
             return Ok(None);
@@ -140,9 +173,9 @@ impl<'a, I: TrajectoryIndex> MbbDescent<'a, I> {
             Node::Leaf { entries, .. } => Ok(Some(entries)),
             Node::Internal { entries, .. } => {
                 for e in entries {
-                    if let Some(mindist) = self.plan.mindist(&e.mbb) {
+                    if let Some(bound) = self.key.key(&e.mbb) {
                         self.heap.push(Reverse(QueueEntry {
-                            bound: mindist,
+                            bound,
                             item: (shard, e.child),
                         }));
                         metrics.heap_push();

@@ -33,7 +33,6 @@ pub mod bounds;
 pub mod database;
 pub mod descent;
 pub mod dissim;
-pub mod merge;
 pub mod metrics;
 pub mod nn;
 pub mod options;
@@ -50,12 +49,11 @@ pub use bfmst::{bfmst_search, MstConfig, SearchReport, ShardFailure};
 pub use database::{arrival_order, MovingObjectDatabase};
 pub use descent::MbbDescent;
 pub use dissim::{Dissim, Integration};
-pub use merge::{merge_shard_range, merge_shard_segments};
 pub use metrics::{
     CandidateCounters, MetricsSink, NoopSink, PruningBound, PruningCounters, QueryMetrics,
     QueryProfile,
 };
-pub use nn::{nearest_trajectories, NnMatch};
+pub use nn::{nearest_segments, nearest_trajectories, segments_within, NnMatch};
 pub use options::{QueryOptions, Substrate};
 pub use query::{
     KmstQuery, KmstSpec, KnnQuery, KnnSegmentsQuery, KnnSpec, Query, RangeQuery, RangeSpec,

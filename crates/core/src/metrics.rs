@@ -33,11 +33,6 @@ pub enum PruningBound {
     OptDissimInc,
     /// MINDISSIMINC, the node-level bound of heuristic 2.
     MinDissimInc,
-    /// A k-th bound shared between per-shard searches. A sharded query is
-    /// one search over every shard's tree under one threshold, so no
-    /// search attributes anything here; the variant and its counters stay
-    /// for the readers of [`PruningCounters`], and read 0.
-    SharedKth,
     /// The metric substrate's triangle-inequality lower bound:
     /// `max(0, DISSIM(Q, pivot) - radius)` for a covering-radius ball, or
     /// `max(0, DISSIM(Q, pivot) - d(pivot, T))` for a stored member
@@ -87,10 +82,14 @@ pub struct PruningCounters {
     pub min_dissim_inc_evals: u64,
     /// Queued nodes discarded unvisited when heuristic 2 fired.
     pub min_dissim_inc_prunes: u64,
-    /// Evaluations of [`PruningBound::SharedKth`]: 0, as no search shares
-    /// a bound any more (a sharded query is one search).
+    /// Evaluations of a k-th bound shared between per-shard searches:
+    /// always 0, as a sharded query is one search over every shard's tree
+    /// under one threshold and no search shares a bound. Kept with
+    /// `shared_kth_prunes` only because the benchmark's
+    /// `exec.shared_kth_prunes_per_query` (`benchmark/src/layers.rs`)
+    /// reads it until ROADMAP item 1(f) retires that metric.
     pub shared_kth_evals: u64,
-    /// Prunes by [`PruningBound::SharedKth`]: 0, likewise.
+    /// Prunes by a shared k-th bound: always 0, likewise.
     pub shared_kth_prunes: u64,
     /// Triangle-inequality lower bounds computed by the metric substrate
     /// (one per member distance test; ball descent bounds are folded in).
@@ -366,7 +365,6 @@ impl QueryMetrics for QueryProfile {
             PruningBound::PesDissim => self.pruning.pes_dissim_evals += n,
             PruningBound::OptDissimInc => self.pruning.opt_dissim_inc_evals += n,
             PruningBound::MinDissimInc => self.pruning.min_dissim_inc_evals += n,
-            PruningBound::SharedKth => self.pruning.shared_kth_evals += n,
             PruningBound::TriangleIneq => self.pruning.triangle_ineq_evals += n,
         }
     }
@@ -378,7 +376,6 @@ impl QueryMetrics for QueryProfile {
             PruningBound::PesDissim => self.pruning.pes_dissim_tightenings += n,
             PruningBound::OptDissimInc => self.pruning.opt_dissim_inc_prunes += n,
             PruningBound::MinDissimInc => self.pruning.min_dissim_inc_prunes += n,
-            PruningBound::SharedKth => self.pruning.shared_kth_prunes += n,
             PruningBound::TriangleIneq => self.pruning.triangle_ineq_prunes += n,
         }
     }
@@ -455,8 +452,8 @@ mod tests {
         b.node_access(2);
         b.buffer_hit();
         b.bound_evals(PruningBound::Ldd, 3);
-        b.bound_evals(PruningBound::SharedKth, 2);
-        b.pruned_by(PruningBound::SharedKth, 1);
+        b.pruning.shared_kth_evals = 2;
+        b.pruning.shared_kth_prunes = 1;
         b.bound_evals(PruningBound::TriangleIneq, 5);
         b.pruned_by(PruningBound::TriangleIneq, 2);
         b.candidate_seen();

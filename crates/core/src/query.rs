@@ -576,7 +576,8 @@ pub struct RangeQuery<'a> {
 impl<'a> RangeQuery<'a> {
     /// Sets a soft deadline, honoured by deadline-aware executors (see
     /// [`KmstQuery::deadline`]). A range query has no pruning threshold to
-    /// degrade through, so an expired deadline skips remaining shards.
+    /// degrade through, so an expired deadline skips the shards' trees not
+    /// yet walked.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.options = self.options.deadline(deadline);
         self

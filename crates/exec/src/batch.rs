@@ -6,11 +6,11 @@
 //!
 //! A batch of Q queries becomes Q jobs, whatever the shard count. A job is
 //! one query over every shard (`run_query`): it takes the read half of
-//! every shard's gate ([`ShardedDatabase::read_all`]) and runs a k-MST or
-//! kNN query as one best-first search over all the shards' trees under one
-//! pruning threshold — the paper's single search, not one per shard.
-//! Point-kNN and range queries, which have no threshold to share, run shard
-//! by shard and merge. Workers pull jobs MPMC-style, so a long query never
+//! every shard's gate ([`ShardedDatabase::read_all`]) and runs the query —
+//! any flavour — as one search over all the shards' trees: k-MST,
+//! trajectory kNN and point kNN as one best-first descent under one pruning
+//! threshold (the paper's single search, not one per shard), range as one
+//! pass over the trees. Workers pull jobs MPMC-style, so a long query never
 //! stalls the rest of the batch. Results land in per-query slots, so the
 //! output order is the submission order regardless of scheduling.
 //!
@@ -20,7 +20,9 @@
 //! shard counts, and identical to the single-threaded
 //! [`Query::run`](mst_search::Query) answer on an unsharded database: the
 //! search over the shards is exact (values from exact recomputation,
-//! strict comparisons protecting ties, the one tie-break by trajectory id).
+//! strict comparisons protecting ties, the one tie-break by trajectory id —
+//! by trajectory and sequence for segments — and range hits in
+//! `(trajectory, sequence)` order).
 //! Each query's search is one thread's deterministic walk, so its
 //! [`QueryProfile`] does not depend on the worker count or the schedule
 //! either, up to the buffer hits and misses concurrent queries cause each
@@ -28,8 +30,8 @@
 
 use mst_index::{KnnMatch, LeafEntry};
 use mst_search::{
-    nearest_trajectories, BoundShare, KmstSubstrate, MovingObjectDatabase, MstMatch, NnMatch,
-    QueryProfile, SearchError, SearchReport, ShardFailure,
+    nearest_segments, nearest_trajectories, segments_within, KmstSubstrate, MovingObjectDatabase,
+    MstMatch, NnMatch, QueryProfile, SearchError, SearchReport, ShardFailure,
 };
 
 use crate::bound::QueryControl;
@@ -200,14 +202,13 @@ impl Default for BatchExecutor {
 /// Runs one query over every shard — the unit of work both executors
 /// share ([`BatchExecutor`] spreads queries over its workers; the
 /// persistent [`crate::ExecHandle`] pool runs each submitted query on one
-/// worker). The query holds every shard's read gate while it runs. k-MST
-/// and kNN are one search over all the shards' trees, polling the
-/// deadline inside; point-kNN and range queries run shard by shard and
-/// merge, and an expired deadline skips the shards not yet run. A shard
-/// whose gate is poisoned, that refuses the query's substrate pin, or
-/// whose node read fails mid-search does not fail the query: it is named
-/// in [`QueryOutcome::failures`] and the others answer, `degraded` — the
-/// same honest-best-effort contract the deadline path provides.
+/// worker). The query holds every shard's read gate while it runs, and
+/// every flavour is one search over all the shards' trees that polls the
+/// deadline inside (on every node pop; a range query before each tree). A
+/// shard whose gate is poisoned, that refuses the query's substrate pin,
+/// or whose node read fails mid-search does not fail the query: it is
+/// named in [`QueryOutcome::failures`] and the others answer, `degraded` —
+/// the same honest-best-effort contract the deadline path provides.
 pub(crate) fn run_query<I: KmstSubstrate>(
     db: &ShardedDatabase<I>,
     query: &BatchQuery,
@@ -229,11 +230,12 @@ pub(crate) fn run_query<I: KmstSubstrate>(
             Err(error) => failures.push(ShardFailure { shard, error }),
         }
     }
+    let trees: Vec<&I> = live.iter().map(|(_, e)| e.index()).collect();
     let answer = match query {
         BatchQuery::Kmst(spec) => {
-            let trees: Vec<_> = live.iter().map(|(_, e)| (e.index(), e.store())).collect();
+            let with_stores: Vec<_> = live.iter().map(|(_, e)| (e.index(), e.store())).collect();
             let report = I::kmst_forest(
-                &trees,
+                &with_stores,
                 &spec.query,
                 &spec.period(),
                 &spec.config,
@@ -243,23 +245,19 @@ pub(crate) fn run_query<I: KmstSubstrate>(
             QueryAnswer::Kmst(settle(report, &live, &mut failures))
         }
         BatchQuery::Knn(spec) => {
-            let trees: Vec<&I> = live.iter().map(|(_, e)| e.index()).collect();
             let period = &spec.period();
             let report =
                 nearest_trajectories(&trees, &spec.query, period, spec.k(), control, &mut profile);
             QueryAnswer::Knn(settle(report, &live, &mut failures))
         }
         BatchQuery::Segments(spec) => {
-            let lists = shard_by_shard(&live, control, &mut failures, |engine| {
-                engine.run_knn_segments(spec, &mut profile)
-            });
-            QueryAnswer::Segments(mst_search::merge_shard_segments(spec.options.k, &lists))
+            let (location, window, k) = (spec.location, &spec.window, spec.options.k);
+            let report = nearest_segments(&trees, location, window, k, control, &mut profile);
+            QueryAnswer::Segments(settle(report, &live, &mut failures))
         }
         BatchQuery::Range(spec) => {
-            let lists = shard_by_shard(&live, control, &mut failures, |engine| {
-                engine.run_range(spec, &mut profile)
-            });
-            QueryAnswer::Range(mst_search::merge_shard_range(&lists))
+            let report = segments_within(&trees, &spec.window, control, &mut profile);
+            QueryAnswer::Range(settle(Ok(report), &live, &mut failures))
         }
     };
     failures.sort_by_key(|f| f.shard);
@@ -295,28 +293,6 @@ fn settle<T, E>(
         error: f.error,
     }));
     report.matches
-}
-
-/// Runs `search` on each live shard in order and collects the answers; a
-/// shard's error becomes its failure, and an expired deadline skips the
-/// rest (these queries have no poll point of their own).
-fn shard_by_shard<I, T>(
-    live: &[(usize, &MovingObjectDatabase<I>)],
-    control: &QueryControl,
-    failures: &mut Vec<ShardFailure>,
-    mut search: impl FnMut(&MovingObjectDatabase<I>) -> mst_search::Result<Vec<T>>,
-) -> Vec<Vec<T>> {
-    let mut lists = Vec::with_capacity(live.len());
-    for &(shard, engine) in live {
-        if control.poll_stop() {
-            break;
-        }
-        match search(engine) {
-            Ok(list) => lists.push(list),
-            Err(error) => failures.push(ShardFailure { shard, error }),
-        }
-    }
-    lists
 }
 
 impl BatchExecutor {

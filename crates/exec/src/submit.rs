@@ -114,15 +114,14 @@ impl OutcomeSink for Sender<(u64, QueryOutcome)> {
     }
 }
 
-/// How an admitted query's outcome travels back to its owner.
-enum Deliver {
-    /// The single-query path: a private ticket channel.
-    Channel(Sender<QueryOutcome>),
-    /// The routed batch path: a shared sink plus the caller's token.
-    Sink {
-        token: u64,
-        sink: Arc<dyn OutcomeSink>,
-    },
+/// A ticket's own channel: the single-query path is a routed job whose
+/// sink has one query to hear from, so it ignores the token.
+impl OutcomeSink for Sender<QueryOutcome> {
+    fn complete(&self, _token: u64, outcome: QueryOutcome) {
+        // invariant: a receiver that hung up means the client abandoned
+        // the query; dropping the outcome is the correct response
+        let _ = self.send(outcome);
+    }
 }
 
 /// One query of a routed batch submission: a caller-chosen token (echoed
@@ -156,11 +155,12 @@ pub struct BatchAdmission {
 }
 
 /// One admitted query: the spec, its control (deadline clock already
-/// running), and the path its outcome goes back on.
+/// running), and the sink its outcome goes back to under its token.
 struct SubmitJob {
     query: BatchQuery,
     control: QueryControl,
-    deliver: Deliver,
+    token: u64,
+    sink: Arc<dyn OutcomeSink>,
 }
 
 /// A long-lived, admission-controlled execution pool over a shared
@@ -229,8 +229,8 @@ where
     /// counts against the budget. A query without its own deadline
     /// inherits the handle's default.
     pub fn try_submit(&self, query: BatchQuery) -> Result<Ticket, SubmitError> {
-        let (job, rx) = self.make_job(query);
-        match self.queue.try_push(job) {
+        let (tx, rx) = channel();
+        match self.queue.try_push(self.job(query, 0, Arc::new(tx))) {
             Ok(()) => Ok(Ticket { rx }),
             Err(TryPushError::Full(_)) => Err(SubmitError::Overloaded {
                 queued: self.queue.len(),
@@ -244,8 +244,8 @@ where
     /// waiting instead of rejection — for callers with nowhere to shed
     /// load to). Fails only when the handle is shutting down.
     pub fn submit(&self, query: BatchQuery) -> Result<Ticket, SubmitError> {
-        let (job, rx) = self.make_job(query);
-        match self.queue.push(job) {
+        let (tx, rx) = channel();
+        match self.queue.push(self.job(query, 0, Arc::new(tx))) {
             Ok(()) => Ok(Ticket { rx }),
             Err(_) => Err(SubmitError::ShuttingDown),
         }
@@ -265,15 +265,7 @@ where
     ) -> BatchAdmission {
         let jobs: Vec<SubmitJob> = batch
             .into_iter()
-            .map(|routed| {
-                self.make_control_job(
-                    routed.query,
-                    Deliver::Sink {
-                        token: routed.token,
-                        sink: Arc::clone(sink),
-                    },
-                )
-            })
+            .map(|routed| self.job(routed.query, routed.token, Arc::clone(sink)))
             .collect();
         let push = self.queue.try_push_batch(jobs);
         let reason = if push.closed {
@@ -287,19 +279,10 @@ where
         let rejected = push
             .rejected
             .into_iter()
-            .map(|job| {
-                let token = match job.deliver {
-                    Deliver::Sink { token, .. } => token,
-                    // A rejected batch job always carries a sink; a
-                    // channel here would be a construction bug, reported
-                    // as an impossible token rather than a panic.
-                    Deliver::Channel(_) => u64::MAX,
-                };
-                RejectedSubmit {
-                    token,
-                    query: job.query,
-                    reason,
-                }
+            .map(|job| RejectedSubmit {
+                token: job.token,
+                query: job.query,
+                reason,
             })
             .collect();
         BatchAdmission {
@@ -308,18 +291,15 @@ where
         }
     }
 
-    fn make_job(&self, query: BatchQuery) -> (SubmitJob, Receiver<QueryOutcome>) {
-        let (tx, rx) = channel();
-        (self.make_control_job(query, Deliver::Channel(tx)), rx)
-    }
-
-    fn make_control_job(&self, query: BatchQuery, deliver: Deliver) -> SubmitJob {
+    /// The job of an admitted query; its deadline clock starts now.
+    fn job(&self, query: BatchQuery, token: u64, sink: Arc<dyn OutcomeSink>) -> SubmitJob {
         let deadline = query.options().deadline_us.or(self.default_deadline_us);
         let control = QueryControl::new(Stopwatch::start(), deadline);
         SubmitJob {
             query,
             control,
-            deliver,
+            token,
+            sink,
         }
     }
 }
@@ -354,14 +334,7 @@ impl<I> Drop for ExecHandle<I> {
 /// path uses.
 fn run_submitted<I: KmstSubstrate>(db: &ShardedDatabase<I>, job: SubmitJob) {
     let outcome = run_query(db, &job.query, &job.control);
-    match job.deliver {
-        // invariant: a receiver that hung up means the client abandoned
-        // the query; dropping the outcome is the correct response
-        Deliver::Channel(tx) => {
-            let _ = tx.send(outcome); // invariant: as above
-        }
-        Deliver::Sink { token, sink } => sink.complete(token, outcome),
-    }
+    job.sink.complete(job.token, outcome);
 }
 
 #[cfg(test)]

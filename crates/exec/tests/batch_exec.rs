@@ -300,48 +300,18 @@ impl Probe {
     }
 }
 
+/// Point-kNN answers as they arrive (already in `(distance, traj, seq)`
+/// order, ties at the k-th place included).
 fn segment_keys(matches: &[KnnMatch]) -> Vec<(TrajectoryId, u32, u64)> {
-    let mut keys: Vec<_> = matches
+    matches
         .iter()
         .map(|m| (m.entry.traj, m.entry.seq, m.distance.to_bits()))
-        .collect();
-    keys.sort_by(|a, b| {
-        f64::from_bits(a.2)
-            .total_cmp(&f64::from_bits(b.2))
-            .then(a.0.cmp(&b.0))
-            .then(a.1.cmp(&b.1))
-    });
-    keys
+        .collect()
 }
 
-/// Point-kNN answers as the parent code can give them: which of several
-/// segments tied at the k-th distance is kept follows heap push order, so
-/// only the distances and the segments strictly nearer than the k-th are
-/// compared.
-fn assert_segments_match(
-    got: &[(TrajectoryId, u32, u64)],
-    want: &[(TrajectoryId, u32, u64)],
-    what: &str,
-) {
-    let distances =
-        |keys: &[(TrajectoryId, u32, u64)]| keys.iter().map(|k| k.2).collect::<Vec<_>>();
-    assert_eq!(distances(got), distances(want), "{what}: distances");
-    let Some(kth) = want.last().map(|k| k.2) else {
-        return;
-    };
-    let nearer = |keys: &[(TrajectoryId, u32, u64)]| {
-        keys.iter()
-            .filter(|k| f64::from_bits(k.2) < f64::from_bits(kth))
-            .copied()
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(nearer(got), nearer(want), "{what}: segments");
-}
-
+/// Range hits as they arrive (already in `(traj, seq)` order).
 fn range_keys(hits: &[LeafEntry]) -> Vec<(TrajectoryId, u32)> {
-    let mut keys: Vec<_> = hits.iter().map(|e| (e.traj, e.seq)).collect();
-    keys.sort();
-    keys
+    hits.iter().map(|e| (e.traj, e.seq)).collect()
 }
 
 /// Every substrate x {1, 2, 3, 4} shards x {1, 2} workers: each probe's
@@ -364,7 +334,11 @@ fn parity_grid(what: &str, fleet: &[(TrajectoryId, Trajectory)], probes: &[Probe
             assert_kmst_identical(&answers.kmst, &scan.expect("scan"), &here);
             let segments = p.segments_oracle(&store);
             assert!(!segments.is_empty(), "{here}: no segment near the location");
-            assert_segments_match(&segment_keys(&answers.segments), &segments, &here);
+            assert_eq!(
+                segment_keys(&answers.segments),
+                segments,
+                "{here}: point-kNN"
+            );
             let range = p.range_oracle(&store);
             assert!(!range.is_empty(), "{here}: an empty window");
             assert_eq!(range_keys(&answers.range), range, "{here}: range");
@@ -399,10 +373,10 @@ fn parity_grid(what: &str, fleet: &[(TrajectoryId, Trajectory)], probes: &[Probe
                         &answers.knn,
                         &format!("{here} knn"),
                     );
-                    assert_segments_match(
-                        &segment_keys(got(3).as_segments().expect("segments")),
-                        &segment_keys(&answers.segments),
-                        &format!("{here} point-kNN"),
+                    assert_eq!(
+                        segment_keys(got(3).as_segments().expect("segments")),
+                        segment_keys(&answers.segments),
+                        "{here} point-kNN"
                     );
                     assert_eq!(
                         range_keys(got(4).as_range().expect("range")),

@@ -64,7 +64,7 @@ mod validate;
 
 pub use buffer::{BufferPool, BufferStats, LruCache, RETRY_LIMIT};
 pub use fault::{FaultConfig, FaultInjector, FaultStats};
-pub use knn::{knn_segments, knn_segments_traced, KnnMatch};
+pub use knn::KnnMatch;
 pub use metric::{BallDirectory, BallKind, BallNode, MetricPolicy, MetricTree};
 pub use metrics::{MetricsSink, NoopSink};
 pub use node::{InternalEntry, LeafEntry, Node, INTERNAL_CAPACITY, LEAF_CAPACITY};

@@ -825,7 +825,6 @@ struct Coalescer<'a, I> {
     /// primary, which is the only role whose workers forward writes and
     /// replication fetches.
     backend: Option<Box<dyn IngestBackend>>,
-    queue_capacity: usize,
     pending: HashMap<u64, PendingExec>,
     /// Dedup identity → the execution identical queries attach to.
     dedup: HashMap<(Vec<u8>, Option<u64>), u64>,
@@ -845,7 +844,6 @@ pub(crate) fn coalescer_loop<I>(
     events: &Receiver<Event>,
     sink_tx: Sender<Event>,
     workers: &[Sender<WorkerMsg>],
-    queue_capacity: usize,
     backend: Option<Box<dyn IngestBackend>>,
 ) where
     I: KmstSubstrate + Send + 'static,
@@ -858,7 +856,6 @@ pub(crate) fn coalescer_loop<I>(
         },
         sink: Arc::new(EventSink(sink_tx)),
         backend,
-        queue_capacity,
         pending: HashMap::new(),
         dedup: HashMap::new(),
         backlog: VecDeque::new(),
@@ -970,12 +967,14 @@ where
             p.waiters.push(reply);
             return;
         }
-        if self.backlog.len() >= self.queue_capacity {
+        // The backlog is bounded like the executor's queue it waits for.
+        let capacity = shared.exec.queue_capacity();
+        if self.backlog.len() >= capacity {
             ServerStats::bump(&shared.stats.overload_rejections);
             let queued = self.backlog.len() + shared.exec.queue_depth();
             let overloaded = Response::Overloaded {
                 queued: u32::try_from(queued).unwrap_or(u32::MAX),
-                capacity: u32::try_from(self.queue_capacity).unwrap_or(u32::MAX),
+                capacity: u32::try_from(capacity).unwrap_or(u32::MAX),
             };
             self.out.respond(&[reply], Ok(overloaded));
             return;

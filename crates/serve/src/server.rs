@@ -192,16 +192,6 @@ impl ServerConfig {
         self.cache_capacity = entries;
         self
     }
-
-    /// The admission-queue bound with the `0 = 2 x workers` default
-    /// resolved.
-    pub(crate) fn resolved_queue_capacity(&self) -> usize {
-        if self.queue_capacity == 0 {
-            self.workers.max(1) * 2
-        } else {
-            self.queue_capacity
-        }
-    }
 }
 
 impl ServerStats {
@@ -439,10 +429,9 @@ where
         (None, true) => Role::Replica,
         (None, false) => Role::ReadOnly,
     };
-    let queue_capacity = config.resolved_queue_capacity();
     let mut executor = BatchExecutor::new()
         .workers(config.workers)
-        .queue_capacity(queue_capacity);
+        .queue_capacity(config.queue_capacity);
     if let Some(us) = config.default_deadline_us {
         executor = executor.deadline_us(us);
     }
@@ -494,14 +483,7 @@ where
         std::thread::Builder::new()
             .name("mst-serve-coalesce".into())
             .spawn(move || {
-                mux::coalescer_loop(
-                    &coalescer_shared,
-                    &event_rx,
-                    sink_tx,
-                    &txs,
-                    queue_capacity,
-                    backend,
-                )
+                mux::coalescer_loop(&coalescer_shared, &event_rx, sink_tx, &txs, backend)
             })?
     };
     drop(event_tx);

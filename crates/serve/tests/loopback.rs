@@ -286,6 +286,51 @@ fn overload_answers_typed_backpressure_never_hangs() {
     server.shutdown();
 }
 
+/// An unset queue bound is the executor's own default, `2 x workers`, and
+/// the coalescer's backlog, bounded the same, refuses beyond it with that
+/// capacity.
+#[test]
+fn an_unset_queue_bound_is_twice_the_workers() {
+    let fleet = gstd_fleet(40, 60, 5);
+    let db = ShardedDatabase::with_rtree(1, fleet.iter().cloned()).expect("build shards");
+    let db = Arc::new(db);
+    let server = Server::start(ServerConfig::new().workers(3), Arc::clone(&db)).expect("start");
+    let mut client = ServeClient::connect_with_depth(server.local_addr(), 32).expect("connect");
+    let burst = 20;
+    // While the shard's write gate is held no query can run: three wait in
+    // the workers, six in the executor's queue and six in the backlog, so
+    // at least five of the twenty distinct queries are refused.
+    db.shards()[0]
+        .write(|_| {
+            for (_, t) in fleet.iter().take(burst) {
+                let request = Request::Kmst {
+                    points: t.points().to_vec(),
+                    options: QueryOptions::new().k(3),
+                };
+                client.send(&request).expect("send");
+            }
+            let (_, first) = client.recv_any().expect("first answer");
+            assert!(
+                matches!(first, Response::Overloaded { capacity: 6, .. }),
+                "{first:?}"
+            );
+        })
+        .expect("write gate");
+    let mut overloaded = 1;
+    for _ in 1..burst {
+        match client.recv_any().expect("answer").1 {
+            Response::Kmst { matches, .. } => assert_eq!(matches.len(), 3),
+            Response::Overloaded { capacity, .. } => {
+                assert_eq!(capacity, 6);
+                overloaded += 1;
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    assert!(overloaded >= burst - 15, "{overloaded} refused");
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_drains_inflight_queries() {
     let fleet = gstd_fleet(80, 120, 9);

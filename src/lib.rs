@@ -124,14 +124,14 @@ pub mod prelude {
         BatchExecutor, BatchQuery, ExecHandle, QueryAnswer, ShardedDatabase, SubmitError, Ticket,
     };
     pub use mst_index::{
-        check_invariants, knn_segments, MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex,
+        check_invariants, MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex,
         TrajectoryIndexWrite,
     };
     pub use mst_search::{
-        bfmst_search, nearest_trajectories, scan_kmst, time_relaxed_kmst, Integration,
-        KmstSubstrate, MetricsSink, MovingObjectDatabase, MstConfig, MstMatch, NoShare, NoopSink,
-        PruningBound, Query, QueryMetrics, QueryOptions, QueryProfile, Substrate,
-        TimeRelaxedConfig, TrajectoryStore,
+        bfmst_search, nearest_segments, nearest_trajectories, scan_kmst, time_relaxed_kmst,
+        Integration, KmstSubstrate, MetricsSink, MovingObjectDatabase, MstConfig, MstMatch,
+        NoShare, NoopSink, PruningBound, Query, QueryMetrics, QueryOptions, QueryProfile,
+        Substrate, TimeRelaxedConfig, TrajectoryStore,
     };
     pub use mst_serve::{
         Request, Response, ServeClient, Server, ServerConfig, ServerHandle, StatsReport, WireError,

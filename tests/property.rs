@@ -18,8 +18,8 @@ use mst::index::{check_invariants, Rtree3D, TbTree, TrajectoryIndex};
 use mst::search::bounds::Candidate;
 use mst::search::dissim::{dissim_between, dissim_exact, piece};
 use mst::search::{
-    arrival_order, bfmst_search, scan_kmst, Integration, MstConfig, NoShare, NoopSink,
-    TrajectoryStore,
+    arrival_order, bfmst_search, nearest_segments, scan_kmst, Integration, MstConfig, NoShare,
+    NoopSink, TrajectoryStore,
 };
 use mst::trajectory::cosample::co_segments;
 use mst::trajectory::{TimeInterval, Trajectory, TrajectoryId};
@@ -340,29 +340,45 @@ fn knn_segments_matches_oracle() {
         let px = rng.f64_range(-10.0, 10.0);
         let py = rng.f64_range(-10.0, 10.0);
         let store = TrajectoryStore::from_trajectories(data);
-        let mut tree = Rtree3D::new();
-        for (id, t) in store.iter() {
-            tree.insert_trajectory(id, t).unwrap();
-        }
         let window = TimeInterval::new(1.0, 6.0).unwrap();
         let point = mst::trajectory::Point::new(px, py);
-        let got = mst::index::knn_segments(&tree, point, &window, 4).unwrap();
-        // Oracle: every indexed segment, clipped, measured directly.
-        let mut all: Vec<f64> = Vec::new();
-        for (_, t) in store.iter() {
-            for seg in t.segments() {
+        // Oracle: every stored segment, clipped, measured directly, in
+        // (distance, trajectory, sequence) order.
+        let mut all: Vec<(u64, TrajectoryId, u32)> = Vec::new();
+        for (id, t) in store.iter() {
+            for (seq, seg) in t.segments().enumerate() {
                 if let Some(c) = seg.clip(&window) {
-                    all.push(mst::index::mindist::segment_rect_mindist(
+                    let d = mst::index::mindist::segment_rect_mindist(
                         &c,
                         &mst::trajectory::Rect::from_point(point),
-                    ));
+                    );
+                    all.push((d.to_bits(), id, seq as u32));
                 }
             }
         }
-        all.sort_by(f64::total_cmp);
-        assert_eq!(got.len(), 4.min(all.len()));
-        for (g, want) in got.iter().zip(&all) {
-            assert!((g.distance - want).abs() < 1e-9);
+        all.sort_by(|a, b| {
+            let (da, db) = (f64::from_bits(a.0), f64::from_bits(b.0));
+            da.total_cmp(&db).then((a.1, a.2).cmp(&(b.1, b.2)))
+        });
+        all.truncate(4);
+        // The same answer, in the same order, from a forest of 1-3 trees.
+        for shards in 1..=3u64 {
+            let mut trees: Vec<Rtree3D> = (0..shards).map(|_| Rtree3D::new()).collect();
+            for (id, t) in store.iter() {
+                trees[(id.0 % shards) as usize]
+                    .insert_trajectory(id, t)
+                    .unwrap();
+            }
+            let forest: Vec<&Rtree3D> = trees.iter().collect();
+            let report =
+                nearest_segments(&forest, point, &window, 4, &NoShare, &mut NoopSink).unwrap();
+            assert!(report.failures.is_empty());
+            let got: Vec<(u64, TrajectoryId, u32)> = report
+                .matches
+                .iter()
+                .map(|m| (m.distance.to_bits(), m.entry.traj, m.entry.seq))
+                .collect();
+            assert_eq!(got, all, "{shards} shards");
         }
     });
 }
