@@ -37,6 +37,7 @@ use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 use crate::bounds::Candidate;
 use crate::descent::MbbDescent;
 use crate::dissim::{dissim_between_traced, for_each_co_piece, piece, Dissim, Integration};
+use crate::merge;
 use crate::metrics::{PruningBound, QueryMetrics};
 use crate::query::check_period;
 use crate::share::BoundShare;
@@ -404,9 +405,7 @@ fn finalize<I, M: QueryMetrics>(
 /// trajectory id.
 pub(crate) fn best_k(mut matches: Vec<MstMatch>, k: usize, ceiling: f64) -> Vec<MstMatch> {
     matches.retain(|m| m.dissim <= ceiling);
-    matches.sort_by(|a, b| a.dissim.total_cmp(&b.dissim).then(a.traj.cmp(&b.traj)));
-    matches.truncate(k);
-    matches
+    merge::nearest(k, matches, |m| m.dissim, |m| m.traj)
 }
 
 #[cfg(test)]

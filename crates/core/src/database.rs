@@ -21,8 +21,9 @@ use mst_index::{KnnMatch, LeafEntry, MetricTree, Rtree3D, TbTree, TrajectoryInde
 use mst_trajectory::{SamplePoint, Trajectory, TrajectoryError, TrajectoryId};
 
 use crate::bfmst::SearchReport;
+use crate::knn::{nearest_segments, segments_within};
 use crate::metrics::QueryMetrics;
-use crate::nn::{nearest_segments, nearest_trajectories, segments_within, NnMatch};
+use crate::nn::{nearest_trajectories, NnMatch};
 use crate::options::Substrate;
 use crate::query::{KmstSpec, KnnSpec, RangeSpec, SegmentsSpec};
 use crate::share::{BoundShare, NoShare};

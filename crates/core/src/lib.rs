@@ -33,6 +33,8 @@ pub mod bounds;
 pub mod database;
 pub mod descent;
 pub mod dissim;
+pub mod knn;
+mod merge;
 pub mod metrics;
 pub mod nn;
 pub mod options;
@@ -49,11 +51,12 @@ pub use bfmst::{bfmst_search, MstConfig, SearchReport, ShardFailure};
 pub use database::{arrival_order, MovingObjectDatabase};
 pub use descent::MbbDescent;
 pub use dissim::{Dissim, Integration};
+pub use knn::{nearest_segments, segments_within};
 pub use metrics::{
     CandidateCounters, MetricsSink, NoopSink, PruningBound, PruningCounters, QueryMetrics,
     QueryProfile,
 };
-pub use nn::{nearest_segments, nearest_trajectories, segments_within, NnMatch};
+pub use nn::{nearest_trajectories, NnMatch};
 pub use options::{QueryOptions, Substrate};
 pub use query::{
     KmstQuery, KmstSpec, KnnQuery, KnnSegmentsQuery, KnnSpec, Query, RangeQuery, RangeSpec,

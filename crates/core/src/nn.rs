@@ -1,41 +1,31 @@
-//! The traditional queries the paper's index serves beside k-MST, each one
-//! search over every shard's tree (a single tree is a forest of one):
+//! Historical nearest-neighbour search for a *moving* query point, the
+//! query type of Frentzos, Gratsias, Pelekis & Theodoridis (the paper's
+//! reference \[6\]) whose MINDIST machinery the MST algorithm reuses:
+//! [`nearest_trajectories`] finds the k trajectories whose *closest
+//! approach* to the query during the period is smallest, in one search over
+//! every shard's tree (a single tree is a forest of one). Unlike DISSIM
+//! this is a min-, not an integral-aggregate, so candidates never need to
+//! be fully assembled: the traversal terminates as soon as the next node's
+//! lower bound exceeds the current k-th best approach distance.
 //!
-//! * [`nearest_trajectories`] — historical nearest-neighbour search for a
-//!   *moving* query point, the query type of Frentzos, Gratsias, Pelekis &
-//!   Theodoridis (the paper's reference \[6\]) whose MINDIST machinery the
-//!   MST algorithm reuses: the k trajectories whose *closest approach* to
-//!   the query during the period is smallest. Unlike DISSIM this is a min-,
-//!   not an integral-aggregate, so candidates never need to be fully
-//!   assembled: the traversal terminates as soon as the next node's lower
-//!   bound exceeds the current k-th best approach distance.
-//! * [`nearest_segments`] — point kNN (Hjaltason & Samet's distance
-//!   browsing): the k segments that came closest to a static location
-//!   during a time window. The same descent, keyed by the distance from the
-//!   location to each node's rectangle, and the same k-th threshold.
-//! * [`segments_within`] — the 3D range query: every segment whose box
-//!   meets a window, each tree walked in turn.
-//!
-//! Like [`crate::bfmst`], the two kNN searches consume an [`MbbDescent`]
-//! over every shard's tree, prune against the same threshold type (no
-//! ceiling), poll `share` for a stop on every pop, and have a single
-//! generic entry point; pass [`NoShare`](crate::share::NoShare) /
-//! [`NoopSink`](crate::metrics::NoopSink) for a plain uncancellable,
-//! untraced query. Answers come in a canonical order — point kNN ties
-//! broken by `(trajectory, sequence)`, range hits in `(trajectory,
-//! sequence)` order — so a query returns the same answer at any shard
-//! count.
+//! Like [`crate::bfmst`] and the segment queries of [`crate::knn`], the
+//! search consumes an [`MbbDescent`] over every shard's tree, prunes
+//! against the same threshold type (no ceiling), polls `share` for a stop
+//! on every pop, and has a single generic entry point; pass
+//! [`NoShare`](crate::share::NoShare) / [`NoopSink`](crate::metrics::NoopSink)
+//! for a plain uncancellable, untraced query. Ties are broken by
+//! trajectory id, so a query returns the same answer at any shard count.
 
-use mst_index::mindist::segment_rect_mindist;
-use mst_index::{KnnMatch, LeafEntry, TrajectoryIndex};
+use mst_index::TrajectoryIndex;
 use mst_trajectory::kinematics::DistanceTrinomial;
-use mst_trajectory::{Mbb, Point, Rect, TimeInterval, Trajectory, TrajectoryId};
+use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
 use std::collections::HashMap;
 
 use crate::bfmst::{SearchReport, ShardFailure};
-use crate::descent::{MbbDescent, NodeKey};
+use crate::descent::MbbDescent;
 use crate::dissim::for_each_co_piece;
+use crate::merge;
 use crate::metrics::QueryMetrics;
 use crate::query::check_period;
 use crate::share::BoundShare;
@@ -135,7 +125,7 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     }
     metrics.candidates_pending(best.len() as u64);
 
-    let mut matches: Vec<NnMatch> = best
+    let found = best
         .into_iter()
         .map(|(traj, (_, distance, time))| NnMatch {
             traj,
@@ -143,124 +133,8 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             time,
         })
         .collect();
-    matches.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.traj.cmp(&b.traj)));
-    matches.truncate(k);
+    let matches = merge::nearest(k, found, |m| m.distance, |m| m.traj);
     Ok(SearchReport { matches, failures })
-}
-
-/// The point-kNN node key: the distance from the location to the node's
-/// rectangle, for a node whose time span meets the window.
-struct PointKey {
-    location: Point,
-    window: TimeInterval,
-}
-
-impl NodeKey for PointKey {
-    fn key(&self, mbb: &Mbb) -> Option<f64> {
-        let meets = mbb.time().overlaps(&self.window);
-        meets.then(|| mbb.rect().min_distance(&self.location))
-    }
-}
-
-/// Finds the k segments that came closest to `location` during `window` —
-/// a segment's distance is the minimum distance of its moving point from
-/// the location over its overlap with the window — ascending by distance,
-/// ties broken by `(trajectory, sequence)`, over every shard's tree at
-/// once: one descent, one k-th threshold.
-///
-/// `share` can stop the traversal (deadlines); `metrics` receives heap
-/// traffic and node and buffer accesses. A shard whose node read fails is
-/// dropped as in [`nearest_trajectories`]: its queued nodes are discarded,
-/// its segments leave the answer, and a [`ShardFailure`] is reported.
-pub fn nearest_segments<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
-    shards: &[&I],
-    location: Point,
-    window: &TimeInterval,
-    k: usize,
-    share: &B,
-    metrics: &mut M,
-) -> Result<SearchReport<KnnMatch>> {
-    if k == 0 {
-        return Ok(SearchReport::default());
-    }
-    let key = PointKey {
-        location,
-        window: *window,
-    };
-    let mut source = MbbDescent::keyed(shards.iter().copied(), key, metrics);
-    let at = Rect::from_point(location);
-    // Every segment no farther than the threshold when found, with its
-    // shard; the final sort and truncation keep the k nearest.
-    let mut found: Vec<(usize, KnnMatch)> = Vec::new();
-    // The k-th smallest distance found (infinite below k segments).
-    let mut threshold = Threshold::new(k, f64::INFINITY);
-    let mut failures = Vec::new();
-
-    while let Some(bound) = source.pop(metrics) {
-        if share.poll_stop() || bound > threshold.value() {
-            break;
-        }
-        let shard = source.shard();
-        let entries = match source.expand(metrics) {
-            Ok(Some(entries)) => entries,
-            Ok(None) => continue,
-            Err(error) => {
-                source.drop_shard(shard);
-                found.retain(|&(of, _)| of != shard);
-                failures.push(ShardFailure { shard, error });
-                continue;
-            }
-        };
-        for entry in entries {
-            let Some(clipped) = entry.segment.clip(window) else {
-                continue;
-            };
-            let distance = segment_rect_mindist(&clipped, &at);
-            if distance <= threshold.value() {
-                threshold.record((entry.traj, entry.seq), distance);
-                found.push((shard, KnnMatch { entry, distance }));
-            }
-        }
-    }
-
-    let mut matches: Vec<KnnMatch> = found.into_iter().map(|(_, m)| m).collect();
-    matches.sort_unstable_by(|a, b| {
-        a.distance
-            .total_cmp(&b.distance)
-            .then(a.entry.traj.cmp(&b.entry.traj))
-            .then(a.entry.seq.cmp(&b.entry.seq))
-    });
-    matches.truncate(k);
-    Ok(SearchReport { matches, failures })
-}
-
-/// Every segment whose bounding box meets `window`, over every shard's
-/// tree, in `(trajectory, sequence)` order. Each tree is walked with
-/// [`TrajectoryIndex::range_query_traced`] in shard order; `share` is
-/// polled before each, so an expired deadline leaves the trees not yet
-/// walked out of the answer. A tree whose read fails leaves nothing in the
-/// answer and is reported as a [`ShardFailure`].
-pub fn segments_within<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
-    shards: &[&I],
-    window: &Mbb,
-    share: &B,
-    metrics: &mut M,
-) -> SearchReport<LeafEntry> {
-    let mut report = SearchReport::default();
-    for (shard, index) in shards.iter().enumerate() {
-        if share.poll_stop() {
-            break;
-        }
-        match index.range_query_traced(window, metrics) {
-            Ok(hits) => report.matches.extend(hits),
-            Err(error) => report.failures.push(ShardFailure {
-                shard,
-                error: error.into(),
-            }),
-        }
-    }
-    report.matches.sort_unstable_by_key(|e| (e.traj, e.seq));
-    report
 }
 
 /// Closest approach between the query and one data segment over `window`:
@@ -395,191 +269,6 @@ mod tests {
         // Query not covering the period errors.
         let bad = TimeInterval::new(0.0, 20.0).unwrap();
         assert!(nn(&idx, &q, &bad, 1).is_err());
-    }
-
-    fn segment(id: u64, seq: u32, t: f64, x: f64, y: f64) -> LeafEntry {
-        LeafEntry {
-            traj: TrajectoryId(id),
-            seq,
-            segment: mst_trajectory::Segment::new(
-                mst_trajectory::SamplePoint::new(t, x, y),
-                mst_trajectory::SamplePoint::new(t + 1.0, x + 0.3, y),
-            )
-            .unwrap(),
-        }
-    }
-
-    /// 400 short segments on a 20 x 20 grid, starting at `i % 50`.
-    fn grid() -> Vec<LeafEntry> {
-        (0..400u32)
-            .map(|i| {
-                let (x, y) = (f64::from(i % 20) * 5.0, f64::from(i / 20) * 5.0);
-                segment(u64::from(i), 0, f64::from(i % 50), x, y)
-            })
-            .collect()
-    }
-
-    fn tree_of(entries: &[LeafEntry]) -> Rtree3D {
-        let mut t = Rtree3D::new();
-        for e in entries {
-            t.insert(*e).unwrap();
-        }
-        t
-    }
-
-    fn knn(trees: &[&Rtree3D], p: Point, w: &TimeInterval, k: usize) -> Vec<KnnMatch> {
-        let report = nearest_segments(trees, p, w, k, &NoShare, &mut NoopSink).unwrap();
-        assert!(report.failures.is_empty());
-        report.matches
-    }
-
-    /// Brute force over all segments, in `(distance, traj, seq)` order.
-    fn segments_oracle(
-        entries: &[LeafEntry],
-        p: Point,
-        w: &TimeInterval,
-        k: usize,
-    ) -> Vec<(u64, u32, f64)> {
-        let mut all: Vec<(u64, u32, f64)> = entries
-            .iter()
-            .filter_map(|e| {
-                let c = e.segment.clip(w)?;
-                Some((
-                    e.traj.0,
-                    e.seq,
-                    segment_rect_mindist(&c, &Rect::from_point(p)),
-                ))
-            })
-            .collect();
-        all.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-        all.truncate(k);
-        all
-    }
-
-    fn keys(matches: &[KnnMatch]) -> Vec<(u64, u32, f64)> {
-        matches
-            .iter()
-            .map(|m| (m.entry.traj.0, m.entry.seq, m.distance))
-            .collect()
-    }
-
-    #[test]
-    fn knn_matches_brute_force() {
-        let entries = grid();
-        let t = tree_of(&entries);
-        let w = TimeInterval::new(0.0, 100.0).unwrap();
-        for (px, py) in [(12.0, 33.0), (0.0, 0.0), (97.0, 97.0)] {
-            let p = Point::new(px, py);
-            let got = knn(&[&t], p, &w, 5);
-            assert_eq!(keys(&got), segments_oracle(&entries, p, &w, 5));
-        }
-    }
-
-    #[test]
-    fn window_restricts_candidates() {
-        let t = tree_of(&grid());
-        // Segments start at t = i % 50, so [200, 300] excludes everything.
-        let w = TimeInterval::new(200.0, 300.0).unwrap();
-        assert!(knn(&[&t], Point::new(1.0, 1.0), &w, 3).is_empty());
-        // A narrow window keeps only matching start times.
-        let w = TimeInterval::new(10.0, 10.5).unwrap();
-        let got = knn(&[&t], Point::new(1.0, 1.0), &w, 100);
-        assert!(!got.is_empty());
-        for m in &got {
-            assert!(m.entry.segment.time().overlaps(&w));
-        }
-    }
-
-    #[test]
-    fn knn_visits_few_pages() {
-        let mut t = tree_of(&grid());
-        let w = TimeInterval::new(0.0, 100.0).unwrap();
-        t.reset_stats();
-        knn(&[&t], Point::new(50.0, 50.0), &w, 1);
-        let reads = t.stats().node_reads;
-        assert!(
-            (reads as usize) < t.num_pages() / 2,
-            "kNN read {reads} of {} pages",
-            t.num_pages()
-        );
-    }
-
-    #[test]
-    fn k_zero_and_empty_tree() {
-        let t = tree_of(&grid());
-        let w = TimeInterval::new(0.0, 100.0).unwrap();
-        assert!(knn(&[&t], Point::new(0.0, 0.0), &w, 0).is_empty());
-        assert!(knn(&[&Rtree3D::new()], Point::new(0.0, 0.0), &w, 3).is_empty());
-        assert!(knn(&[], Point::new(0.0, 0.0), &w, 3).is_empty());
-    }
-
-    #[test]
-    fn segment_ties_break_by_trajectory_then_sequence_at_any_shard_count() {
-        // Every segment of a column sits at the same distance from the
-        // location: ties everywhere, the k-th cut among them.
-        let entries: Vec<LeafEntry> = (0..40u64)
-            .flat_map(|id| {
-                let x = f64::from(u32::try_from(id % 4).unwrap()) * 2.0;
-                (0..6u32).map(move |seq| segment(id, seq, f64::from(seq), x, 1.0))
-            })
-            .collect();
-        let w = TimeInterval::new(0.0, 10.0).unwrap();
-        let p = Point::new(0.0, 0.0);
-        for k in [1, 7, 30, 61, 500] {
-            let want = segments_oracle(&entries, p, &w, k);
-            for shards in 1..=3u64 {
-                let trees: Vec<Rtree3D> = (0..shards)
-                    .map(|s| {
-                        let mine: Vec<LeafEntry> = entries
-                            .iter()
-                            .filter(|e| e.traj.0 % shards == s)
-                            .copied()
-                            .collect();
-                        tree_of(&mine)
-                    })
-                    .collect();
-                let forest: Vec<&Rtree3D> = trees.iter().collect();
-                assert_eq!(
-                    keys(&knn(&forest, p, &w, k)),
-                    want,
-                    "k {k}, {shards} shards"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn a_forest_range_is_canonically_ordered() {
-        let entries = grid();
-        let halves: Vec<Rtree3D> = (0..2u64)
-            .map(|s| {
-                let mine: Vec<LeafEntry> = entries
-                    .iter()
-                    .filter(|e| e.traj.0 % 2 == s)
-                    .copied()
-                    .collect();
-                tree_of(&mine)
-            })
-            .collect();
-        let window = Mbb::new(10.0, 10.0, 0.0, 40.0, 40.0, 30.0);
-        let mut want: Vec<(u64, u32)> = entries
-            .iter()
-            .filter(|e| e.mbb().intersects(&window))
-            .map(|e| (e.traj.0, e.seq))
-            .collect();
-        want.sort_unstable();
-        assert!(want.len() > 10);
-        let whole = tree_of(&entries);
-        for forest in [
-            vec![&whole],
-            vec![&halves[0], &halves[1]],
-            vec![&halves[1], &halves[0]],
-        ] {
-            let report = segments_within(&forest, &window, &NoShare, &mut NoopSink);
-            assert!(report.failures.is_empty());
-            let got: Vec<(u64, u32)> = report.matches.iter().map(|e| (e.traj.0, e.seq)).collect();
-            assert_eq!(got, want);
-        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use mst_trajectory::{TimeInterval, Trajectory};
 
 use crate::dissim::{dissim_between_traced, Integration};
+use crate::merge;
 use crate::metrics::{NoopSink, QueryMetrics};
 use crate::{MstMatch, Result, TrajectoryStore};
 
@@ -43,9 +44,7 @@ pub fn scan_kmst_traced<M: QueryMetrics>(
             dissim: d.approx,
         });
     }
-    all.sort_by(|a, b| a.dissim.total_cmp(&b.dissim).then(a.traj.cmp(&b.traj)));
-    all.truncate(k);
-    Ok(all)
+    Ok(merge::nearest(k, all, |m| m.dissim, |m| m.traj))
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 use mst_trajectory::{Rect, Trajectory, TrajectoryId};
 
 use crate::dissim::{dissim_between_traced, Integration};
+use crate::merge;
 use crate::metrics::{NoopSink, QueryMetrics};
 use crate::{Result, SearchError, TrajectoryStore};
 
@@ -202,8 +203,7 @@ pub fn time_relaxed_kmst_traced<M: QueryMetrics>(
             shift: best_shift,
             dissim: best_val,
         });
-        results.sort_by(|a, b| a.dissim.total_cmp(&b.dissim).then(a.traj.cmp(&b.traj)));
-        results.truncate(config.k);
+        results = merge::nearest(config.k, results, |m| m.dissim, |m| m.traj);
         if results.len() == config.k {
             kth = results[config.k - 1].dissim;
         }

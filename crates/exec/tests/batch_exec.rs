@@ -716,20 +716,21 @@ fn fault_injection_on_missing_shard_is_a_config_error() {
 /// Satellite (c): a query can be degraded by *both* causes at once — a
 /// dead shard and an expired deadline — and reports each one.
 ///
-/// Construction: one worker runs the faulted shard-0 job first (it dies
-/// on its first physical read, microseconds in, well before the
-/// deadline), then the healthy shard-1 job, whose multi-millisecond
-/// search observes the deadline expiring mid-traversal. The deadline is
-/// swept upward from well under a release-mode search of this fleet, so
-/// a slow-to-start or fast-to-search machine, in either build profile,
-/// still finds a window where both causes fire.
+/// Construction: the one search over both shards' trees reads shard 0's
+/// root among its first pops (the read dies, well before the deadline)
+/// and goes on through shard 1's tree, a multi-millisecond traversal that
+/// observes the deadline expiring part-way. The deadline is swept upward,
+/// doubling from well under a release-mode search of this fleet to far
+/// over a debug-mode one, so a machine whose worker starts late (a busy
+/// CPU) or searches fast, in either build profile, still finds a window
+/// where both causes fire.
 #[test]
 fn deadline_and_shard_fault_report_both_causes() {
     let fleet = lane_fleet(64, 150);
     let period = TimeInterval::new(0.0, 149.0).expect("period");
     let q = &fleet[1].1;
 
-    for deadline_us in [250u64, 1_000, 4_000, 16_000, 64_000] {
+    for deadline_us in (0..11).map(|doubling| 250u64 << doubling) {
         // Fresh database per attempt: quarantine from the previous round
         // must not leak into the next.
         let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
