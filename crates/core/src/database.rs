@@ -304,14 +304,8 @@ impl<I: KmstSubstrate> MovingObjectDatabase<I> {
         metrics: &mut M,
     ) -> Result<Vec<KnnMatch>> {
         spec.options.check_substrate(I::KIND)?;
-        let report = nearest_segments(
-            &[&self.index],
-            spec.location,
-            &spec.window,
-            spec.options.k,
-            &NoShare,
-            metrics,
-        )?;
+        let (location, window, k) = (spec.location, &spec.window, spec.options.k);
+        let report = nearest_segments(&[&self.index], location, window, k, &NoShare, metrics)?;
         Ok(report.single()?.matches)
     }
 

@@ -5,7 +5,7 @@
 //!   browsing): the k segments that came closest to a static location
 //!   during a time window. The same [`MbbDescent`] as
 //!   [`crate::nearest_trajectories`], keyed by the distance from the
-//!   location to each node's rectangle, pruned by the same k-th threshold.
+//!   location to each node's rectangle, pruned by the k-th distance found.
 //! * [`segments_within`] — the 3D range query: every segment whose box
 //!   meets a window, each tree walked in turn.
 //!
@@ -22,7 +22,7 @@ use crate::descent::{MbbDescent, NodeKey};
 use crate::merge;
 use crate::metrics::QueryMetrics;
 use crate::share::BoundShare;
-use crate::topk::Threshold;
+use crate::topk::rounded_up;
 use crate::Result;
 
 /// The point-kNN node key: the distance from the location to the node's
@@ -48,8 +48,9 @@ impl NodeKey for PointKey {
 /// `share` can stop the traversal (deadlines); `metrics` receives heap
 /// traffic and node and buffer accesses. A shard whose node read fails is
 /// dropped as in [`crate::nearest_trajectories`]: its queued nodes are
-/// discarded, its segments leave the answer, and a [`ShardFailure`] is
-/// reported.
+/// discarded, its segments leave the answer and the threshold, and a
+/// [`ShardFailure`] is reported — the answer is then the k nearest of the
+/// shards left.
 pub fn nearest_segments<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     shards: &[&I],
     location: Point,
@@ -67,15 +68,14 @@ pub fn nearest_segments<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     };
     let mut source = MbbDescent::keyed(shards.iter().copied(), key, metrics);
     let at = Rect::from_point(location);
-    // Every segment no farther than the threshold when found, with its
-    // shard; the final sort and truncation keep the k nearest.
+    // Every segment found, with its shard, beyond the threshold too: once a
+    // failed shard's segments leave, the rest hold the survivors' k nearest.
     let mut found: Vec<(usize, KnnMatch)> = Vec::new();
-    // The k-th smallest distance found (infinite below k segments).
-    let mut threshold = Threshold::new(k, f64::INFINITY);
+    let mut nearest = Vec::new();
     let mut failures = Vec::new();
 
     while let Some(bound) = source.pop(metrics) {
-        if share.poll_stop() || bound > threshold.value() {
+        if share.poll_stop() || bound > kth(&nearest, k) {
             break;
         }
         let shard = source.shard();
@@ -85,6 +85,10 @@ pub fn nearest_segments<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             Err(error) => {
                 source.drop_shard(shard);
                 found.retain(|&(of, _)| of != shard);
+                nearest.clear();
+                for (_, m) in &found {
+                    keep_nearest(&mut nearest, k, m.distance);
+                }
                 failures.push(ShardFailure { shard, error });
                 continue;
             }
@@ -94,16 +98,35 @@ pub fn nearest_segments<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 continue;
             };
             let distance = segment_rect_mindist(&clipped, &at);
-            if distance <= threshold.value() {
-                threshold.record((entry.traj, entry.seq), distance);
-                found.push((shard, KnnMatch { entry, distance }));
-            }
+            keep_nearest(&mut nearest, k, distance);
+            found.push((shard, KnnMatch { entry, distance }));
         }
     }
 
+    // Only segments within the threshold can be among the k nearest.
+    let cut = kth(&nearest, k);
+    found.retain(|(_, m)| m.distance <= cut);
     let found = found.into_iter().map(|(_, m)| m).collect();
     let matches = merge::nearest(k, found, |m| m.distance, |m| (m.entry.traj, m.entry.seq));
     Ok(SearchReport { matches, failures })
+}
+
+/// Inserts `distance` into `nearest`, the k smallest distances found, in
+/// order: a segment's distance is final, so no key is kept per segment.
+fn keep_nearest(nearest: &mut Vec<f64>, k: usize, distance: f64) {
+    if nearest.len() < k || nearest.last().is_some_and(|&last| distance < last) {
+        let slot = nearest.partition_point(|&held| held <= distance);
+        nearest.insert(slot, distance);
+        nearest.truncate(k);
+    }
+}
+
+/// The value to prune strictly above: the k-th distance widened by
+/// [`rounded_up`] (ties survive to the tie-break), `+inf` below k.
+fn kth(nearest: &[f64], k: usize) -> f64 {
+    nearest
+        .get(k - 1)
+        .map_or(f64::INFINITY, |&kth| rounded_up(kth))
 }
 
 /// Every segment whose bounding box meets `window`, over every shard's
@@ -124,6 +147,7 @@ pub fn segments_within<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             break;
         }
         match index.range_query_traced(window, metrics) {
+            Ok(hits) if report.matches.is_empty() => report.matches = hits,
             Ok(hits) => report.matches.extend(hits),
             Err(error) => report.failures.push(ShardFailure {
                 shard,
@@ -291,6 +315,57 @@ mod tests {
                     "k {k}, {shards} shards"
                 );
             }
+        }
+    }
+
+    /// A shard that fails part-way through the search, after its near
+    /// segments have set the threshold, takes their distances out with
+    /// them: the answer is what the surviving tree answers alone.
+    #[test]
+    fn a_shard_failing_mid_search_leaves_the_survivors_answer() {
+        use mst_index::FaultConfig;
+        let window = TimeInterval::new(0.0, 1.0).unwrap();
+        let here = Point::new(0.0, 0.0);
+        // Tree a: 4 000 segments within 2 of the location, on a spiral.
+        // Tree b: 400 diagonals 0.57 to 2 away whose boxes hold the
+        // location, so b's leaves are read while a's segments hold the
+        // threshold, before a's first uncached node.
+        let near: Vec<LeafEntry> = (0..4000u32)
+            .map(|i| {
+                let (turn, radius) = (f64::from(i) * 2.4, 2.0 * (f64::from(i) / 4000.0).sqrt());
+                let (x, y) = (radius * turn.cos(), radius * turn.sin());
+                segment(2 * u64::from(i), 0, 0.0, x, y)
+            })
+            .collect();
+        let far: Vec<LeafEntry> = (0..400u32)
+            .map(|i| {
+                // On the line x + y = -c, from (4 - c, -4) to (-4, 4 - c).
+                let c = 0.8 + f64::from(i) * 0.005;
+                let diagonal = mst_trajectory::Segment::new(
+                    mst_trajectory::SamplePoint::new(0.0, 4.0 - c, -4.0),
+                    mst_trajectory::SamplePoint::new(1.0, -4.0, 4.0 - c),
+                );
+                LeafEntry {
+                    traj: TrajectoryId(2 * u64::from(i) + 1),
+                    seq: 0,
+                    segment: diagonal.unwrap(),
+                }
+            })
+            .collect();
+        let (mut a, b) = (tree_of(&near), tree_of(&far));
+        // Cache what a k = 1 search reads of a, then fail every other read.
+        a.set_buffer_capacity(Some(10_000)).unwrap();
+        knn(&[&a], here, &window, 1);
+        let faults = FaultConfig::quiet(7).with_read_transient(1.0);
+        a.set_fault_injection(Some(faults)).unwrap();
+        for k in [5, 50] {
+            let report = nearest_segments(&[&a, &b], here, &window, k, &NoShare, &mut NoopSink);
+            let report = report.unwrap();
+            assert_eq!(report.failures.len(), 1, "k {k}: a fails mid-search");
+            assert_eq!(report.failures[0].shard, 0);
+            let alone = knn(&[&b], here, &window, k);
+            assert_eq!(alone.len(), k);
+            assert_eq!(keys(&report.matches), keys(&alone), "k {k}");
         }
     }
 

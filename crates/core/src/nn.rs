@@ -52,7 +52,8 @@ pub struct NnMatch {
 /// traffic, node and buffer accesses, and candidate discoveries. A shard
 /// whose node read fails is dropped as in [`crate::bfmst_search`]: its
 /// queued nodes are discarded, its candidates left pending and out of the
-/// answer, and a [`ShardFailure`] is reported.
+/// answer and the threshold, and a [`ShardFailure`] is reported — the
+/// answer is then the k nearest of the shards left.
 pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     shards: &[&I],
     query: &Trajectory,
@@ -95,6 +96,10 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 let found = best.len();
                 best.retain(|_, slot| slot.0 != shard);
                 metrics.candidates_pending((found - best.len()) as u64);
+                threshold = Threshold::new(k, f64::INFINITY);
+                for (&traj, &(_, distance, _)) in &best {
+                    threshold.record(traj, distance);
+                }
                 failures.push(ShardFailure { shard, error });
                 continue;
             }
@@ -269,6 +274,48 @@ mod tests {
         // Query not covering the period errors.
         let bad = TimeInterval::new(0.0, 20.0).unwrap();
         assert!(nn(&idx, &q, &bad, 1).is_err());
+    }
+
+    /// A shard that fails part-way through the search, after its near
+    /// trajectories have set the threshold, takes their distances out with
+    /// them: the answer is what the surviving tree answers alone.
+    #[test]
+    fn a_shard_failing_mid_search_leaves_the_survivors_answer() {
+        use mst_index::{FaultConfig, TrajectoryIndex};
+        let line = |y: f64| {
+            let samples: Vec<_> = (0..=10).map(|s| (f64::from(s), f64::from(s), y)).collect();
+            Trajectory::from_txy(&samples).unwrap()
+        };
+        // Tree a: 600 trajectories within 3.5 of the query; tree b: 300
+        // about 100 away.
+        let near: TrajectoryStore = (0..600u32)
+            .map(|i| (TrajectoryId(2 * u64::from(i)), line(f64::from(i) * 0.005)))
+            .collect();
+        let far: TrajectoryStore = (0..300u32)
+            .map(|i| {
+                (
+                    TrajectoryId(2 * u64::from(i) + 1),
+                    line(100.0 + f64::from(i)),
+                )
+            })
+            .collect();
+        let (mut a, b) = (build(&near), build(&far));
+        let q = line(-0.5);
+        let period = TimeInterval::new(0.0, 10.0).unwrap();
+        // Cache what a k = 1 search reads of a, then fail every other read.
+        a.set_buffer_capacity(Some(10_000)).unwrap();
+        nn(&a, &q, &period, 1).unwrap();
+        let faults = FaultConfig::quiet(7).with_read_transient(1.0);
+        a.set_fault_injection(Some(faults)).unwrap();
+        for k in [100, 250] {
+            let report = nearest_trajectories(&[&a, &b], &q, &period, k, &NoShare, &mut NoopSink);
+            let report = report.unwrap();
+            assert_eq!(report.failures.len(), 1, "k {k}: a fails mid-search");
+            assert_eq!(report.failures[0].shard, 0);
+            let alone = nn(&b, &q, &period, k).unwrap();
+            assert_eq!(alone.len(), k);
+            assert_eq!(report.matches, alone, "k {k}");
+        }
     }
 
     #[test]

@@ -16,31 +16,26 @@
 //! array and a hash probe when it does not, and [`UpperKeys::kth`] — read
 //! once per leaf entry by the search — a load of the last slot.
 //!
-//! [`Threshold`] is what BFMST, the metric ball search, trajectory kNN and
-//! point kNN all prune against: the keys and the range-MST ceiling. Point
-//! kNN keys segments by their exact distance, which never changes, so its
-//! threshold is simply the k-th smallest distance seen.
+//! [`Threshold`] is what BFMST, the metric ball search and trajectory kNN
+//! all prune against: the keys and the range-MST ceiling.
 
 use std::collections::HashMap;
-use std::hash::Hash;
 
 use mst_trajectory::TrajectoryId;
 
 /// Tracks the best-known upper key of every candidate and serves the k-th
-/// smallest key as the pruning threshold. A candidate is a trajectory for
-/// the trajectory searches, a `(trajectory, sequence)` segment for point
-/// kNN.
+/// smallest key as the pruning threshold.
 #[derive(Debug)]
-pub struct UpperKeys<Id = TrajectoryId> {
+pub struct UpperKeys {
     k: usize,
-    keys: HashMap<Id, f64>,
+    keys: HashMap<TrajectoryId, f64>,
     /// The `min(k, len)` smallest keys with their candidates, ascending by
     /// [`f64::total_cmp`]. Among equal keys at the k-th position which
     /// candidate holds the slot is arbitrary; the key in it is not.
-    top: Vec<(f64, Id)>,
+    top: Vec<(f64, TrajectoryId)>,
 }
 
-impl<Id: Copy + Eq + Hash> UpperKeys<Id> {
+impl UpperKeys {
     /// Creates a tracker for a k-MST query (`k >= 1`).
     pub fn new(k: usize) -> Self {
         UpperKeys {
@@ -54,7 +49,7 @@ impl<Id: Copy + Eq + Hash> UpperKeys<Id> {
     /// non-finite keys and keys worse than the already-recorded one (keys
     /// must only improve). Returns `true` when the key improved — i.e. the
     /// update may have tightened the pruning threshold.
-    pub fn update(&mut self, id: Id, key: f64) -> bool {
+    pub fn update(&mut self, id: TrajectoryId, key: f64) -> bool {
         if !key.is_finite() {
             return false;
         }
@@ -112,12 +107,12 @@ pub(crate) fn rounded_up(value: f64) -> f64 {
 /// capped by the range-MST ceiling. A sharded query is one search, so its
 /// one threshold already covers every shard.
 #[derive(Debug)]
-pub(crate) struct Threshold<Id = TrajectoryId> {
-    keys: UpperKeys<Id>,
+pub(crate) struct Threshold {
+    keys: UpperKeys,
     ceiling: f64,
 }
 
-impl<Id: Copy + Eq + Hash> Threshold<Id> {
+impl Threshold {
     /// An empty threshold for a top-`k` search under `ceiling` (or `+inf`).
     pub(crate) fn new(k: usize, ceiling: f64) -> Self {
         Threshold {
@@ -127,7 +122,7 @@ impl<Id: Copy + Eq + Hash> Threshold<Id> {
     }
 
     /// Records `key` as `id`'s upper key; true when it improved.
-    pub(crate) fn record(&mut self, id: Id, key: f64) -> bool {
+    pub(crate) fn record(&mut self, id: TrajectoryId, key: f64) -> bool {
         self.keys.update(id, key)
     }
 

@@ -23,8 +23,9 @@ use mst_search::{
 use mst_trajectory::{Mbb, Point, Rect, TimeInterval, Trajectory, TrajectoryId};
 
 /// The batch used throughout: a few k-MST queries (one with a range-MST
-/// ceiling) and a couple of kNN queries, all built with the ordinary
-/// `Query` builder.
+/// ceiling), a couple of kNN queries, a point-kNN query and a range query
+/// over the whole plane for two time units mid-period (so every shard
+/// holds hits), all built with the ordinary `Query` builder.
 fn batch_for(fleet: &[(TrajectoryId, Trajectory)], period: &TimeInterval) -> Vec<BatchQuery> {
     let mut batch = Vec::new();
     for qid in [0u64, 1, 4] {
@@ -39,6 +40,12 @@ fn batch_for(fleet: &[(TrajectoryId, Trajectory)], period: &TimeInterval) -> Vec
         let q = &fleet[qid as usize].1;
         batch.push(BatchQuery::knn(Query::knn(q).k(4).during(period)).expect("knn spec"));
     }
+    let probe = Probe::new(fleet[0].1.clone(), *period, 6);
+    let segments = Query::knn_segments(probe.location()).k(6).during(period);
+    batch.push(BatchQuery::knn_segments(segments).expect("segments spec"));
+    let middle = (period.start() + period.end()) / 2.0;
+    let slice = Mbb::new(-1e9, -1e9, middle - 1.0, 1e9, 1e9, middle + 1.0);
+    batch.push(BatchQuery::range(Query::range(&slice)));
     batch
 }
 
@@ -404,7 +411,7 @@ fn check_against_baseline<I: TrajectoryIndex + Send + KmstSubstrate>(
         let outcome = BatchExecutor::new()
             .workers(workers)
             .run(db, batch_for(fleet, period));
-        assert_eq!(outcome.outcomes.len(), 6, "{what}: batch size");
+        assert_eq!(outcome.outcomes.len(), 8, "{what}: batch size");
         assert_eq!(
             outcome.degraded_count(),
             0,
@@ -640,6 +647,14 @@ fn faulted_shard_degrades_query_instead_of_failing_it() {
             (QueryAnswer::Knn(a), QueryAnswer::Knn(b)) => {
                 assert_knn_identical(a, b, &format!("degraded knn[{i}] vs surviving shard"))
             }
+            (QueryAnswer::Segments(a), QueryAnswer::Segments(b)) => {
+                assert!(!b.is_empty(), "query {i}: the surviving shard answers");
+                assert_eq!(segment_keys(a), segment_keys(b), "degraded point-kNN[{i}]");
+            }
+            (QueryAnswer::Range(a), QueryAnswer::Range(b)) => {
+                assert!(!b.is_empty(), "query {i}: the surviving shard answers");
+                assert_eq!(range_keys(a), range_keys(b), "degraded range[{i}]");
+            }
             _ => panic!("answer flavours diverged on query {i}"),
         }
     }
@@ -666,12 +681,12 @@ fn a_shard_whose_reads_fail_leaves_the_search_and_the_other_answers() {
     let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("shard build");
     break_shard(&db, 1);
     let batch = batch_for(&fleet, &period);
-    let queries: Vec<Trajectory> = batch
+    let queries: Vec<Option<Trajectory>> = batch
         .iter()
         .map(|q| match q {
-            BatchQuery::Kmst(spec) => spec.query.clone(),
-            BatchQuery::Knn(spec) => spec.query.clone(),
-            other => panic!("unexpected query {other:?}"),
+            BatchQuery::Kmst(spec) => Some(spec.query.clone()),
+            BatchQuery::Knn(spec) => Some(spec.query.clone()),
+            BatchQuery::Segments(_) | BatchQuery::Range(_) => None,
         })
         .collect();
     let outcome = BatchExecutor::new().workers(2).run(&db, batch);
@@ -686,14 +701,16 @@ fn a_shard_whose_reads_fail_leaves_the_search_and_the_other_answers() {
             QueryAnswer::Kmst(matches) => {
                 for m in matches {
                     let t = db.trajectory(m.traj).expect("stored");
-                    let exact = dissim_between(&queries[i], &t, &period, Integration::Exact);
+                    let q = queries[i].as_ref().expect("a k-MST query");
+                    let exact = dissim_between(q, &t, &period, Integration::Exact);
                     let exact = exact.expect("dissim").approx;
                     assert_eq!(m.dissim.to_bits(), exact.to_bits(), "query {i}");
                 }
                 matches.iter().map(|m| m.traj).collect()
             }
             QueryAnswer::Knn(matches) => matches.iter().map(|m| m.traj).collect(),
-            other => panic!("unexpected answer {other:?}"),
+            QueryAnswer::Segments(matches) => matches.iter().map(|m| m.entry.traj).collect(),
+            QueryAnswer::Range(hits) => hits.iter().map(|e| e.traj).collect(),
         };
         assert!(
             ids.iter().all(|id| db.shard_of(*id) == 0),
