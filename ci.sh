@@ -16,7 +16,12 @@
 #      the bin exits nonzero)
 #   8. the chaos smoke test in release mode (seeded fault injection:
 #      quiet schedule must be bit-identical, noisy schedule must stay
-#      honest — no panics, balanced ledgers, named shard failures)
+#      honest — no panics, balanced ledgers, named shard failures — and a
+#      degraded answer must equal the survivors' oracle: the baseline over
+#      only the objects of the shards not named), then the survivors test
+#      in release (one of two engines fails part-way through k-MST queries,
+#      k from 1 to 250, on all four substrates; the answer must equal the
+#      other engine's alone, bit for bit, with shard 0 named)
 #   9. the server smoke test in release mode (real TCP loopback: a k-MST
 #      answer, a malformed frame answered with a typed error, honest
 #      stats counters, and a graceful drain on an ephemeral port)
@@ -112,6 +117,9 @@ gate "index shootout smoke (R-tree / R-tree bulk / STR-tree / TB-tree / Metric t
 
 gate "chaos smoke (seeded fault injection)" \
     cargo test -q --release --test chaos chaos_smoke
+
+gate "survivors (a failed shard leaves the other shard's answer, every substrate)" \
+    cargo test -q --release -p mst-search a_failed_shard_leaves_the_survivors_answer
 
 gate "server smoke (TCP loopback, malformed frame, stats, drain)" \
     cargo test -q --release -p mst-serve --test loopback server_smoke

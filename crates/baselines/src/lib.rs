@@ -1,8 +1,8 @@
 //! Baseline trajectory similarity measures the paper compares DISSIM
-//! against (Section 5.2): LCSS (Vlachos et al., ICDE 2002), EDR (Chen et
-//! al., SIGMOD 2005), DTW (Berndt & Clifford), and lock-step Euclidean
-//! distance — plus the "improved" LCSS-I / EDR-I variants the paper
-//! constructs by interpolating extra samples into the under-sampled query.
+//! against (Section 5.2, Figure 9): LCSS (Vlachos et al., ICDE 2002) and
+//! EDR (Chen et al., SIGMOD 2005) — plus the "improved" LCSS-I / EDR-I
+//! variants the paper constructs by interpolating extra samples into the
+//! under-sampled query.
 //!
 //! All of these operate on the *point sequences* of the trajectories and
 //! (except where noted) ignore the time dimension — that is precisely the
@@ -12,14 +12,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod dtw;
 mod edr;
-mod euclid;
 mod lcss;
 mod prep;
 
-pub use dtw::Dtw;
 pub use edr::Edr;
-pub use euclid::lockstep_euclidean;
 pub use lcss::Lcss;
 pub use prep::{epsilon_for, interpolation_improve, normalize_all};

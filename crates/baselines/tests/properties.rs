@@ -2,7 +2,7 @@
 //! deterministic loops (the hermetic build carries no `proptest`; the
 //! in-tree [`mst_prng`] generator drives the same invariants instead).
 
-use mst_baselines::{interpolation_improve, lockstep_euclidean, Dtw, Edr, Lcss};
+use mst_baselines::{interpolation_improve, Edr, Lcss};
 use mst_prng::Rng;
 use mst_trajectory::Trajectory;
 
@@ -74,19 +74,6 @@ fn edr_is_symmetric_and_bounded() {
         assert!(d >= a.num_points().abs_diff(b.num_points()));
         assert_eq!(m.distance(&a, &a), 0);
         assert!((0.0..=1.0).contains(&m.normalized_distance(&a, &b)));
-    });
-}
-
-#[test]
-fn dtw_never_exceeds_lockstep_on_equal_lengths() {
-    check("dtw_vs_lockstep", 96, |rng| {
-        let a = trajectory(rng, 10);
-        let b = trajectory(rng, 10);
-        let dtw = Dtw::new().distance(&a, &b);
-        let lockstep = lockstep_euclidean(&a, &b).unwrap();
-        assert!(dtw <= lockstep + 1e-9, "dtw {dtw} > lockstep {lockstep}");
-        assert!(dtw >= -1e-12);
-        assert!((Dtw::new().distance(&a, &a)).abs() < 1e-12);
     });
 }
 

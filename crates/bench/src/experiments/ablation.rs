@@ -141,7 +141,7 @@ pub fn ablation(cfg: &AblationConfig) -> Table {
             match &v.config {
                 Some(mc) => {
                     rtree.reset_stats();
-                    let (ms, report) = time_ms(|| {
+                    let (ms, matches) = time_ms(|| {
                         bfmst_search(
                             &[(&rtree, &store)],
                             &q.query,
@@ -152,7 +152,7 @@ pub fn ablation(cfg: &AblationConfig) -> Table {
                         )
                         .expect("valid query")
                     });
-                    let got: Vec<_> = report.matches.iter().map(|m| m.traj).collect();
+                    let got: Vec<_> = matches.iter().map(|m| m.traj).collect();
                     agree &= got == *expected;
                     times.push(ms);
                     let node_reads = rtree.stats().node_reads;

@@ -140,7 +140,7 @@ fn dissim_winner(
     query: &Trajectory,
     period: &TimeInterval,
 ) -> Option<TrajectoryId> {
-    let report = bfmst_search(
+    let matches = bfmst_search(
         &[(rtree, store)],
         query,
         period,
@@ -149,7 +149,7 @@ fn dissim_winner(
         &mut NoopSink,
     )
     .expect("well-formed quality query");
-    report.matches.first().map(|m| m.traj)
+    matches.first().map(|m| m.traj)
 }
 
 /// Index of the minimizing trajectory (ties broken towards the lower

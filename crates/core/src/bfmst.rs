@@ -27,7 +27,8 @@
 //! change an answer. The sink is the only place the search's work is
 //! counted. A sharded query is one call over all shards' trees, so the
 //! paper's single k-th threshold prunes across shards from the first
-//! completed candidate on.
+//! completed candidate on. A failed node read ends the search: it names
+//! the shard, and [`crate::run`] runs the query again without it.
 
 use std::collections::{HashMap, HashSet};
 
@@ -37,6 +38,7 @@ use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 use crate::bounds::Candidate;
 use crate::descent::MbbDescent;
 use crate::dissim::{dissim_between_traced, for_each_co_piece, piece, Dissim, Integration};
+use crate::forest::Abort;
 use crate::merge;
 use crate::metrics::{PruningBound, QueryMetrics};
 use crate::query::check_period;
@@ -101,57 +103,6 @@ impl MstConfig {
     }
 }
 
-/// Outcome of a k-MST (or, with [`NnMatch`](crate::NnMatch), a kNN)
-/// search over a forest of shards. Everything else a search did is counted
-/// once, in its [`QueryMetrics`] sink.
-#[derive(Debug)]
-pub struct SearchReport<T = MstMatch> {
-    /// The k best answers, ascending value.
-    pub matches: Vec<T>,
-    /// Shards dropped from the search because a node read failed, in the
-    /// order they failed. Their trajectories are absent from `matches`, so
-    /// a non-empty list means a degraded, best-so-far answer.
-    pub failures: Vec<ShardFailure>,
-}
-
-impl<T> Default for SearchReport<T> {
-    fn default() -> Self {
-        SearchReport {
-            matches: Vec::new(),
-            failures: Vec::new(),
-        }
-    }
-}
-
-impl<T> SearchReport<T> {
-    /// The report of a forest of one tree, whose failed read is the
-    /// search's error.
-    pub(crate) fn single(mut self) -> Result<Self> {
-        match self.failures.pop() {
-            Some(failure) => Err(failure.error),
-            None => Ok(self),
-        }
-    }
-}
-
-/// One shard that left a search (or a sharded query) with an error
-/// instead of an answer: which slice of the database the answer is
-/// missing, and why.
-#[derive(Debug)]
-pub struct ShardFailure {
-    /// The shard, by position.
-    pub shard: usize,
-    /// The error that dropped it (typically an I/O or checksum fault
-    /// surfaced through [`mst_index::IndexError`]).
-    pub error: SearchError,
-}
-
-impl std::fmt::Display for ShardFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard {}: {}", self.shard, self.error)
-    }
-}
-
 /// Runs the best-first k-MST search of `query` over `period` against every
 /// shard's tree at once, each shard given as its index and the store of
 /// the trajectories it indexes (the store supplies the coverage check and
@@ -165,14 +116,12 @@ impl std::fmt::Display for ShardFailure {
 /// the result is *exact*: it matches the linear scan with closed-form
 /// integration over the union of the shards.
 ///
-/// A shard whose node read fails is dropped: its queued nodes are
-/// discarded, its partial candidates left pending, its completed ones
-/// taken out of the answer, and a [`ShardFailure`] is reported; the other
-/// shards are searched to the end. `share` can stop the traversal
-/// (deadlines; pass [`NoShare`](crate::share::NoShare) for none) and
-/// `metrics` receives every traversal, buffer, bound, and candidate event
-/// (pass [`&mut NoopSink`](crate::metrics::NoopSink) to trace nothing; a
-/// [`crate::QueryProfile`] collects everything).
+/// The search stops at the first node read that fails, leaving its live
+/// candidates pending, and names the shard ([`Abort::Shard`]). `share` can
+/// stop the traversal (deadlines; pass [`NoShare`](crate::share::NoShare)
+/// for none) and `metrics` receives every traversal, buffer, bound, and
+/// candidate event (pass [`&mut NoopSink`](crate::metrics::NoopSink) to
+/// trace nothing; a [`crate::QueryProfile`] collects everything).
 pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     shards: &[(&I, &TrajectoryStore)],
     query: &Trajectory,
@@ -180,9 +129,9 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     config: &MstConfig,
     share: &B,
     metrics: &mut M,
-) -> Result<SearchReport> {
+) -> std::result::Result<Vec<MstMatch>, Abort> {
     if config.k == 0 {
-        return Ok(SearchReport::default());
+        return Ok(Vec::new());
     }
     check_period(query, period)?;
     let q = &query.clip(period)?;
@@ -196,11 +145,11 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     let span = period.duration();
     let merge_eps = span.max(1.0) * 1e-9;
 
-    // Candidates by id (ids are unique across shards), each with its shard.
-    let mut valid: HashMap<TrajectoryId, (usize, Candidate)> = HashMap::new();
+    // Candidates by id (ids are unique across shards), the completed ones
+    // with their shard, whose store refines them.
+    let mut valid: HashMap<TrajectoryId, Candidate> = HashMap::new();
     let mut completed: HashMap<TrajectoryId, (usize, Dissim)> = HashMap::new();
     let mut rejected: HashSet<TrajectoryId> = HashSet::new();
-    let mut failures = Vec::new();
     let ceiling = config.max_dissim.unwrap_or(f64::INFINITY);
     let mut threshold = Threshold::new(config.k, ceiling);
     // The part of the period an entry's segment is alive for, when that is
@@ -231,7 +180,7 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 metrics.bound_evals(PruningBound::OptDissimInc, valid.len() as u64);
                 let min_inc = valid
                     .values()
-                    .map(|(_, c)| c.opt_dissim_inc(period, mindist))
+                    .map(|c| c.opt_dissim_inc(period, mindist))
                     .fold(f64::INFINITY, f64::min);
                 if min_inc > tau {
                     // The popped head plus everything still queued is
@@ -249,16 +198,9 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         let mut entries = match source.expand(metrics) {
             Ok(Some(entries)) => entries,
             Ok(None) => continue,
-            Err(error) => {
-                // The shard leaves the search with its ledger balanced:
-                // every live candidate of it is left pending.
-                source.drop_shard(shard);
-                let live = valid.len();
-                valid.retain(|_, (s, _)| *s != shard);
-                metrics.candidates_pending((live - valid.len()) as u64);
-                completed.retain(|_, (s, _)| *s != shard);
-                failures.push(ShardFailure { shard, error });
-                continue;
+            Err(abort) => {
+                metrics.candidates_pending(valid.len() as u64);
+                return Err(abort);
             }
         };
         let store = shards[shard].1;
@@ -287,7 +229,7 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
             if rejected.contains(&e.traj) {
                 continue;
             }
-            let (_, cand) = match valid.entry(e.traj) {
+            let cand = match valid.entry(e.traj) {
                 std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
                 std::collections::hash_map::Entry::Vacant(v) => {
                     metrics.candidate_seen();
@@ -300,7 +242,7 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                         metrics.candidate_pruned();
                         continue;
                     }
-                    v.insert((shard, Candidate::new(e.traj, merge_eps)))
+                    v.insert(Candidate::new(e.traj, merge_eps))
                 }
             };
             cursor = for_each_co_piece(q, cursor, &e.segment, &window, |qs, ds| {
@@ -344,8 +286,7 @@ pub fn bfmst_search<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     }
 
     metrics.candidates_pending(valid.len() as u64);
-    let matches = finalize(shards, q, period, config, completed, metrics)?;
-    Ok(SearchReport { matches, failures })
+    Ok(finalize(shards, q, period, config, completed, metrics)?)
 }
 
 /// Sorts the completed candidates, applies the exact post-processing of
@@ -423,15 +364,15 @@ mod tests {
         query: &Trajectory,
         period: &TimeInterval,
         config: &MstConfig,
-    ) -> Result<SearchReport> {
-        bfmst_search(
+    ) -> Result<Vec<MstMatch>> {
+        Ok(bfmst_search(
             &[(index, store)],
             query,
             period,
             config,
             &NoShare,
             &mut NoopSink,
-        )
+        )?)
     }
 
     /// [`search`] with its profile.
@@ -441,7 +382,7 @@ mod tests {
         query: &Trajectory,
         period: &TimeInterval,
         config: &MstConfig,
-    ) -> (SearchReport, QueryProfile) {
+    ) -> (Vec<MstMatch>, QueryProfile) {
         let mut profile = QueryProfile::new();
         let report = bfmst_search(
             &[(index, store)],
@@ -509,9 +450,9 @@ mod tests {
             let expected = scan_kmst(&store, &q, &period, k, Integration::Exact).unwrap();
             let got = search(&mut idx, &store, &q, &period, &MstConfig::k(k)).unwrap();
             let e_ids: Vec<_> = expected.iter().map(|m| m.traj).collect();
-            let g_ids: Vec<_> = got.matches.iter().map(|m| m.traj).collect();
+            let g_ids: Vec<_> = got.iter().map(|m| m.traj).collect();
             assert_eq!(e_ids, g_ids, "k={k}");
-            for (e, g) in expected.iter().zip(&got.matches) {
+            for (e, g) in expected.iter().zip(&got) {
                 assert!((e.dissim - g.dissim).abs() < 1e-9);
             }
         }
@@ -526,7 +467,7 @@ mod tests {
         let expected = scan_kmst(&store, &q, &period, 4, Integration::Exact).unwrap();
         let got = search(&mut idx, &store, &q, &period, &MstConfig::k(4)).unwrap();
         let e_ids: Vec<_> = expected.iter().map(|m| m.traj).collect();
-        let g_ids: Vec<_> = got.matches.iter().map(|m| m.traj).collect();
+        let g_ids: Vec<_> = got.iter().map(|m| m.traj).collect();
         assert_eq!(e_ids, g_ids);
     }
 
@@ -545,7 +486,7 @@ mod tests {
         let (got, profile) = profiled(&idx, &store, &q, &period, &cfg);
         let expected = scan_kmst(&store, &q, &period, 2, Integration::Exact).unwrap();
         assert_eq!(
-            got.matches.iter().map(|m| m.traj).collect::<Vec<_>>(),
+            got.iter().map(|m| m.traj).collect::<Vec<_>>(),
             expected.iter().map(|m| m.traj).collect::<Vec<_>>()
         );
         assert_eq!(profile.exact_recomputations, 0);
@@ -561,7 +502,7 @@ mod tests {
             let expected = scan_kmst(&store, &q, &period, 3, Integration::Exact).unwrap();
             let got = search(&mut idx, &store, &q, &period, &MstConfig::k(3)).unwrap();
             assert_eq!(
-                got.matches.iter().map(|m| m.traj).collect::<Vec<_>>(),
+                got.iter().map(|m| m.traj).collect::<Vec<_>>(),
                 expected.iter().map(|m| m.traj).collect::<Vec<_>>(),
                 "period [{a}, {b}]"
             );
@@ -587,11 +528,11 @@ mod tests {
         let q = query();
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let got = search(&mut idx, &store, &q, &period, &MstConfig::k(0)).unwrap();
-        assert!(got.matches.is_empty());
+        assert!(got.is_empty());
 
         let empty = Rtree3D::new();
         let (got, profile) = profiled(&empty, &store, &q, &period, &MstConfig::k(2));
-        assert!(got.matches.is_empty());
+        assert!(got.is_empty());
         assert_eq!(profile.nodes_accessed(), 0);
     }
 
@@ -613,8 +554,8 @@ mod tests {
         let (pruned, profile) = profiled(&idx, &store, &q, &period, &MstConfig::k(2));
 
         assert_eq!(
-            baseline.matches.iter().map(|m| m.traj).collect::<Vec<_>>(),
-            pruned.matches.iter().map(|m| m.traj).collect::<Vec<_>>()
+            baseline.iter().map(|m| m.traj).collect::<Vec<_>>(),
+            pruned.iter().map(|m| m.traj).collect::<Vec<_>>()
         );
         assert!(profile.nodes_accessed() <= unpruned.nodes_accessed());
     }
@@ -626,7 +567,7 @@ mod tests {
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = store.get(TrajectoryId(5)).unwrap().clone();
         let got = search(&mut idx, &store, &q, &period, &MstConfig::k(1)).unwrap();
-        assert_eq!(got.matches[0].traj, TrajectoryId(5));
-        assert!(got.matches[0].dissim.abs() < 1e-9);
+        assert_eq!(got[0].traj, TrajectoryId(5));
+        assert!(got[0].dissim.abs() < 1e-9);
     }
 }

@@ -7,26 +7,22 @@
 //! [`MovingObjectDatabase`] is that pair and nothing else: `{index, store}`.
 //! It is built in arrival order ([`MovingObjectDatabase::build`]), fed whole
 //! trajectories or single position reports, or reassembled from a loaded
-//! index image and its store ([`MovingObjectDatabase::from_parts`]). Its
-//! four `run_*` methods run each query flavour on this one engine: the
-//! forest-of-one case of the searches `mst-exec` runs over every shard's
-//! tree. Everything else is a layer over it: the [`Query`](crate::query)
-//! builder's terminals call the runners with [`NoShare`](crate::NoShare),
+//! index image and its store ([`MovingObjectDatabase::from_parts`]). A
+//! query runs over engines through the one [`run`](crate::run); on this
+//! engine alone, a forest of one, through [`MovingObjectDatabase::run`].
+//! Everything else is a layer over it: the [`Query`](crate::query)
+//! builder's terminals call that runner with [`NoShare`](crate::NoShare),
 //! `mst-exec` puts one engine behind each shard's lock, `mst-wal` logs
 //! before it lets a write through to those shards.
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use mst_index::{KnnMatch, LeafEntry, MetricTree, Rtree3D, TbTree, TrajectoryIndexWrite};
+use mst_index::{LeafEntry, MetricTree, Rtree3D, TbTree, TrajectoryIndexWrite};
 use mst_trajectory::{SamplePoint, Trajectory, TrajectoryError, TrajectoryId};
 
-use crate::bfmst::SearchReport;
-use crate::knn::{nearest_segments, segments_within};
+use crate::forest::{BatchQuery, QueryAnswer};
 use crate::metrics::QueryMetrics;
-use crate::nn::{nearest_trajectories, NnMatch};
-use crate::options::Substrate;
-use crate::query::{KmstSpec, KnnSpec, RangeSpec, SegmentsSpec};
-use crate::share::{BoundShare, NoShare};
+use crate::share::BoundShare;
 use crate::substrate::KmstSubstrate;
 use crate::{Result, SearchError, TrajectoryStore};
 
@@ -245,80 +241,21 @@ impl<I: TrajectoryIndexWrite> MovingObjectDatabase<I> {
     }
 }
 
-/// The runners: each query flavour on this one engine, for the
-/// [`Query`](crate::query::Query) terminals — the forest-of-one case of the
-/// search a sharded executor runs over every shard's tree. Each refuses a
-/// spec pinned to another substrate before it touches the index, and
-/// returns a failed node read as its error.
 impl<I: KmstSubstrate> MovingObjectDatabase<I> {
-    /// The [`Substrate`] this database is backed by (what queries pinning
-    /// a substrate are validated against).
-    pub fn substrate(&self) -> Substrate {
-        I::KIND
-    }
-
-    /// Runs one k-MST / range-MST query: the substrate's own search (BFMST
-    /// descent on the MBB trees, the ball search on the metric tree), which
-    /// polls `share` for a stop.
-    pub fn run_kmst<B: BoundShare, M: QueryMetrics>(
+    /// Runs `query` on this engine alone — [`run`](crate::run) over a
+    /// forest of one, which polls `share` for a stop. The engine's failure
+    /// is the query's error: a failed node read, a foreign substrate pin.
+    pub fn run<B: BoundShare, M: QueryMetrics>(
         &self,
-        spec: &KmstSpec,
+        query: &BatchQuery,
         share: &B,
         metrics: &mut M,
-    ) -> Result<SearchReport> {
-        spec.options.check_substrate(I::KIND)?;
-        self.index.kmst_search(
-            &self.store,
-            &spec.query,
-            &spec.period(),
-            &spec.config,
-            share,
-            metrics,
-        )
-    }
-
-    /// Runs one trajectory-kNN query.
-    pub fn run_knn<B: BoundShare, M: QueryMetrics>(
-        &self,
-        spec: &KnnSpec,
-        share: &B,
-        metrics: &mut M,
-    ) -> Result<Vec<NnMatch>> {
-        spec.options.check_substrate(I::KIND)?;
-        let report = nearest_trajectories(
-            &[&self.index],
-            &spec.query,
-            &spec.period(),
-            spec.k(),
-            share,
-            metrics,
-        )?;
-        Ok(report.single()?.matches)
-    }
-
-    /// Runs one point-kNN (nearest segments) query, to completion (the
-    /// `Query` terminals have no deadline, hence no `BoundShare`).
-    pub fn run_knn_segments<M: QueryMetrics>(
-        &self,
-        spec: &SegmentsSpec,
-        metrics: &mut M,
-    ) -> Result<Vec<KnnMatch>> {
-        spec.options.check_substrate(I::KIND)?;
-        let (location, window, k) = (spec.location, &spec.window, spec.options.k);
-        let report = nearest_segments(&[&self.index], location, window, k, &NoShare, metrics)?;
-        Ok(report.single()?.matches)
-    }
-
-    /// Runs one 3D range query, to completion; hits come in `(trajectory,
-    /// sequence)` order.
-    pub fn run_range<M: QueryMetrics>(
-        &self,
-        spec: &RangeSpec,
-        metrics: &mut M,
-    ) -> Result<Vec<LeafEntry>> {
-        spec.options.check_substrate(I::KIND)?;
-        let report = segments_within(&[&self.index], &spec.window, &NoShare, metrics);
-        Ok(report.single()?.matches)
+    ) -> Result<QueryAnswer> {
+        let (answer, failures) = crate::run(&[(0, self)], query, share, metrics);
+        match failures.into_iter().next() {
+            Some(failure) => Err(failure.error),
+            None => Ok(answer),
+        }
     }
 }
 

@@ -20,9 +20,12 @@
 //! a search *without* paying for the node read: [`MbbDescent::pop`]
 //! surfaces the next item's lower bound (one heap pop); only if the search
 //! decides to proceed does [`MbbDescent::expand`] fetch the item —
-//! descending one internal node or yielding a leaf's segment entries. The
-//! descent keeps no counts of its own: every heap operation and node
-//! access goes to the search's [`QueryMetrics`] sink.
+//! descending one internal node or yielding a leaf's segment entries. A
+//! read that fails comes back naming its tree's position in the forest
+//! ([`Abort::Shard`]): the search ends there, and [`crate::run`] runs the
+//! query again without that tree. The descent keeps no counts of its own:
+//! every heap operation and node access goes to the search's
+//! [`QueryMetrics`] sink.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,8 +34,8 @@ use mst_index::mindist::QueryMindist;
 use mst_index::{LeafEntry, Node, PageId, TrajectoryIndex};
 use mst_trajectory::{Mbb, TimeInterval, Trajectory};
 
+use crate::forest::Abort;
 use crate::metrics::QueryMetrics;
-use crate::Result;
 
 /// A best-first queue element: an item keyed by a lower bound, ordered by
 /// bound (ties by item) so a `Reverse`d max-heap pops the smallest first.
@@ -152,7 +155,7 @@ impl<'a, I: TrajectoryIndex, K: NodeKey> MbbDescent<'a, I, K> {
     }
 
     /// The shard (position in the forest) of the item last popped: whose
-    /// leaf [`MbbDescent::expand`] yields, or whose read failed.
+    /// leaf [`MbbDescent::expand`] yields.
     pub fn shard(&self) -> usize {
         self.shard
     }
@@ -163,13 +166,17 @@ impl<'a, I: TrajectoryIndex, K: NodeKey> MbbDescent<'a, I, K> {
     /// storage order. Every entry is at least the popped bound away from
     /// the query (over the period, or from the location in the window) —
     /// the property OPTDISSIMINC soundness and every termination test rest
-    /// on.
-    pub fn expand<M: QueryMetrics>(&mut self, metrics: &mut M) -> Result<Option<Vec<LeafEntry>>> {
+    /// on. A failed read is the shard's [`Abort::Shard`].
+    pub fn expand<M: QueryMetrics>(
+        &mut self,
+        metrics: &mut M,
+    ) -> Result<Option<Vec<LeafEntry>>, Abort> {
         let Some(head) = self.head.take() else {
             return Ok(None);
         };
         let (shard, page) = head.item;
-        match self.shards[shard].read_node_traced(page, metrics)? {
+        let node = self.shards[shard].read_node_traced(page, metrics);
+        match node.map_err(|error| Abort::read(shard, error))? {
             Node::Leaf { entries, .. } => Ok(Some(entries)),
             Node::Internal { entries, .. } => {
                 for e in entries {
@@ -184,12 +191,6 @@ impl<'a, I: TrajectoryIndex, K: NodeKey> MbbDescent<'a, I, K> {
                 Ok(None)
             }
         }
-    }
-
-    /// Discards every queued item of `shard`: a shard whose node could not
-    /// be read leaves the search, and the other trees go on.
-    pub fn drop_shard(&mut self, shard: usize) {
-        self.heap.retain(|Reverse(e)| e.item.0 != shard);
     }
 
     /// Number of items still enqueued (excluding a popped, un-expanded
@@ -307,31 +308,6 @@ mod tests {
         // 3 trajectories x 10 segments in each tree, all yielded.
         assert_eq!(entries, [30, 30]);
         assert_eq!(metrics.heap_pushes, metrics.heap_pops);
-    }
-
-    #[test]
-    fn a_dropped_shard_leaves_the_queue_and_the_other_tree_goes_on() {
-        let trees = two_trees();
-        let period = TimeInterval::new(0.0, 10.0).unwrap();
-        let q = Trajectory::from_txy(&[(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]).unwrap();
-        let mut metrics = QueryProfile::new();
-        let mut src = MbbDescent::new(&trees, &q, &period, &mut metrics);
-        // Both roots are queued at bound 0; ties pop in shard order.
-        assert_eq!(src.pending(), 2);
-        assert_eq!(src.pop(&mut metrics), Some(0.0));
-        assert_eq!(src.shard(), 0);
-        // As after a failed read of that root: nothing of shard 0 is left.
-        src.drop_shard(0);
-        assert_eq!(src.pending(), 1);
-        let mut entries = 0;
-        while src.pop(&mut metrics).is_some() {
-            assert_eq!(src.shard(), 1);
-            entries += src
-                .expand(&mut metrics)
-                .unwrap()
-                .map_or(0, |leaf| leaf.len());
-        }
-        assert_eq!(entries, 30);
     }
 
     /// The pop sequence of a full descent: `(bound bits, page)` per item.

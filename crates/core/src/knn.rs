@@ -11,19 +11,20 @@
 //!
 //! Answers come in a canonical order — point kNN ties broken by
 //! `(trajectory, sequence)`, range hits in `(trajectory, sequence)` order —
-//! so a query returns the same answer at any shard count.
+//! so a query returns the same answer at any shard count. Both stop at the
+//! first node read that fails and name the shard, which [`crate::run`]
+//! runs the query again without.
 
 use mst_index::mindist::segment_rect_mindist;
 use mst_index::{KnnMatch, LeafEntry, TrajectoryIndex};
 use mst_trajectory::{Mbb, Point, Rect, TimeInterval};
 
-use crate::bfmst::{SearchReport, ShardFailure};
 use crate::descent::{MbbDescent, NodeKey};
+use crate::forest::Abort;
 use crate::merge;
 use crate::metrics::QueryMetrics;
 use crate::share::BoundShare;
 use crate::topk::rounded_up;
-use crate::Result;
 
 /// The point-kNN node key: the distance from the location to the node's
 /// rectangle, for a node whose time span meets the window.
@@ -46,11 +47,8 @@ impl NodeKey for PointKey {
 /// once: one descent, one k-th threshold.
 ///
 /// `share` can stop the traversal (deadlines); `metrics` receives heap
-/// traffic and node and buffer accesses. A shard whose node read fails is
-/// dropped as in [`crate::nearest_trajectories`]: its queued nodes are
-/// discarded, its segments leave the answer and the threshold, and a
-/// [`ShardFailure`] is reported — the answer is then the k nearest of the
-/// shards left.
+/// traffic and node and buffer accesses. A failed node read ends the
+/// search as an [`Abort::Shard`].
 pub fn nearest_segments<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     shards: &[&I],
     location: Point,
@@ -58,9 +56,9 @@ pub fn nearest_segments<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     k: usize,
     share: &B,
     metrics: &mut M,
-) -> Result<SearchReport<KnnMatch>> {
+) -> Result<Vec<KnnMatch>, Abort> {
     if k == 0 {
-        return Ok(SearchReport::default());
+        return Ok(Vec::new());
     }
     let key = PointKey {
         location,
@@ -68,47 +66,35 @@ pub fn nearest_segments<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     };
     let mut source = MbbDescent::keyed(shards.iter().copied(), key, metrics);
     let at = Rect::from_point(location);
-    // Every segment found, with its shard, beyond the threshold too: once a
-    // failed shard's segments leave, the rest hold the survivors' k nearest.
-    let mut found: Vec<(usize, KnnMatch)> = Vec::new();
+    // Every segment no farther than the threshold when found; the final
+    // sort and truncation keep the k nearest.
+    let mut found = Vec::new();
     let mut nearest = Vec::new();
-    let mut failures = Vec::new();
 
     while let Some(bound) = source.pop(metrics) {
         if share.poll_stop() || bound > kth(&nearest, k) {
             break;
         }
-        let shard = source.shard();
-        let entries = match source.expand(metrics) {
-            Ok(Some(entries)) => entries,
-            Ok(None) => continue,
-            Err(error) => {
-                source.drop_shard(shard);
-                found.retain(|&(of, _)| of != shard);
-                nearest.clear();
-                for (_, m) in &found {
-                    keep_nearest(&mut nearest, k, m.distance);
-                }
-                failures.push(ShardFailure { shard, error });
-                continue;
-            }
+        let Some(entries) = source.expand(metrics)? else {
+            continue;
         };
         for entry in entries {
             let Some(clipped) = entry.segment.clip(window) else {
                 continue;
             };
             let distance = segment_rect_mindist(&clipped, &at);
-            keep_nearest(&mut nearest, k, distance);
-            found.push((shard, KnnMatch { entry, distance }));
+            if distance <= kth(&nearest, k) {
+                keep_nearest(&mut nearest, k, distance);
+                found.push(KnnMatch { entry, distance });
+            }
         }
     }
-
-    // Only segments within the threshold can be among the k nearest.
-    let cut = kth(&nearest, k);
-    found.retain(|(_, m)| m.distance <= cut);
-    let found = found.into_iter().map(|(_, m)| m).collect();
-    let matches = merge::nearest(k, found, |m| m.distance, |m| (m.entry.traj, m.entry.seq));
-    Ok(SearchReport { matches, failures })
+    Ok(merge::nearest(
+        k,
+        found,
+        |m| m.distance,
+        |m| (m.entry.traj, m.entry.seq),
+    ))
 }
 
 /// Inserts `distance` into `nearest`, the k smallest distances found, in
@@ -133,30 +119,28 @@ fn kth(nearest: &[f64], k: usize) -> f64 {
 /// tree, in `(trajectory, sequence)` order. Each tree is walked with
 /// [`TrajectoryIndex::range_query_traced`] in shard order; `share` is
 /// polled before each, so an expired deadline leaves the trees not yet
-/// walked out of the answer. A tree whose read fails leaves nothing in the
-/// answer and is reported as a [`ShardFailure`].
+/// walked out of the answer. A failed read ends the query as an
+/// [`Abort::Shard`].
 pub fn segments_within<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     shards: &[&I],
     window: &Mbb,
     share: &B,
     metrics: &mut M,
-) -> SearchReport<LeafEntry> {
-    let mut report = SearchReport::default();
+) -> Result<Vec<LeafEntry>, Abort> {
+    let mut matches = Vec::new();
     for (shard, index) in shards.iter().enumerate() {
         if share.poll_stop() {
             break;
         }
-        match index.range_query_traced(window, metrics) {
-            Ok(hits) if report.matches.is_empty() => report.matches = hits,
-            Ok(hits) => report.matches.extend(hits),
-            Err(error) => report.failures.push(ShardFailure {
-                shard,
-                error: error.into(),
-            }),
+        let hits = index.range_query_traced(window, metrics);
+        let hits = hits.map_err(|error| Abort::read(shard, error))?;
+        if matches.is_empty() {
+            matches = hits;
+        } else {
+            matches.extend(hits);
         }
     }
-    report.matches = merge::range(report.matches);
-    report
+    Ok(merge::range(matches))
 }
 
 #[cfg(test)]
@@ -198,9 +182,7 @@ mod tests {
     }
 
     fn knn(trees: &[&Rtree3D], p: Point, w: &TimeInterval, k: usize) -> Vec<KnnMatch> {
-        let report = nearest_segments(trees, p, w, k, &NoShare, &mut NoopSink).unwrap();
-        assert!(report.failures.is_empty());
-        report.matches
+        nearest_segments(trees, p, w, k, &NoShare, &mut NoopSink).unwrap()
     }
 
     /// Brute force over all segments, in `(distance, traj, seq)` order.
@@ -323,6 +305,7 @@ mod tests {
     /// them: the answer is what the surviving tree answers alone.
     #[test]
     fn a_shard_failing_mid_search_leaves_the_survivors_answer() {
+        use crate::{run, BatchQuery, MovingObjectDatabase, Query, TrajectoryStore};
         use mst_index::FaultConfig;
         let window = TimeInterval::new(0.0, 1.0).unwrap();
         let here = Point::new(0.0, 0.0);
@@ -358,14 +341,17 @@ mod tests {
         knn(&[&a], here, &window, 1);
         let faults = FaultConfig::quiet(7).with_read_transient(1.0);
         a.set_fault_injection(Some(faults)).unwrap();
+        let a = MovingObjectDatabase::from_parts(a, TrajectoryStore::new());
+        let b = MovingObjectDatabase::from_parts(b, TrajectoryStore::new());
         for k in [5, 50] {
-            let report = nearest_segments(&[&a, &b], here, &window, k, &NoShare, &mut NoopSink);
-            let report = report.unwrap();
-            assert_eq!(report.failures.len(), 1, "k {k}: a fails mid-search");
-            assert_eq!(report.failures[0].shard, 0);
-            let alone = knn(&[&b], here, &window, k);
+            let query = Query::knn_segments(here).k(k).during(&window);
+            let query = BatchQuery::knn_segments(query).unwrap();
+            let (answer, failures) = run(&[(0, &a), (1, &b)], &query, &NoShare, &mut NoopSink);
+            assert_eq!(failures.len(), 1, "k {k}: a fails mid-search");
+            assert_eq!(failures[0].shard, 0);
+            let alone = knn(&[b.index()], here, &window, k);
             assert_eq!(alone.len(), k);
-            assert_eq!(keys(&report.matches), keys(&alone), "k {k}");
+            assert_eq!(keys(answer.as_segments().unwrap()), keys(&alone), "k {k}");
         }
     }
 
@@ -396,9 +382,8 @@ mod tests {
             vec![&halves[0], &halves[1]],
             vec![&halves[1], &halves[0]],
         ] {
-            let report = segments_within(&forest, &window, &NoShare, &mut NoopSink);
-            assert!(report.failures.is_empty());
-            let got: Vec<(u64, u32)> = report.matches.iter().map(|e| (e.traj.0, e.seq)).collect();
+            let hits = segments_within(&forest, &window, &NoShare, &mut NoopSink).unwrap();
+            let got: Vec<(u64, u32)> = hits.iter().map(|e| (e.traj.0, e.seq)).collect();
             assert_eq!(got, want);
         }
     }

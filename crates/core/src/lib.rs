@@ -21,9 +21,11 @@
 //! * [`TrajectoryStore`] — the moving-object dataset the index sits on top
 //!   of (needed for the exact post-processing step);
 //! * [`MovingObjectDatabase`] — the engine: that store and one index, kept
-//!   in step, with the one runner per query flavour that the [`Query`]
-//!   builder's terminals, every shard of `mst-exec` and the shards
-//!   `mst-wal` recovers all go through.
+//!   in step;
+//! * [`run`] — every query over engines (the [`Query`] builder's terminals
+//!   run one, `mst-exec` every shard's): the substrate pin, the flavour
+//!   dispatch, and the degraded path that re-runs a query without a shard
+//!   whose read failed, each written once ([`forest`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,6 +35,7 @@ pub mod bounds;
 pub mod database;
 pub mod descent;
 pub mod dissim;
+pub mod forest;
 pub mod knn;
 mod merge;
 pub mod metrics;
@@ -47,10 +50,11 @@ pub mod substrate;
 pub mod time_relaxed;
 mod topk;
 
-pub use bfmst::{bfmst_search, MstConfig, SearchReport, ShardFailure};
+pub use bfmst::{bfmst_search, MstConfig};
 pub use database::{arrival_order, MovingObjectDatabase};
 pub use descent::MbbDescent;
 pub use dissim::{Dissim, Integration};
+pub use forest::{run, Abort, BatchQuery, QueryAnswer, ShardFailure};
 pub use knn::{nearest_segments, segments_within};
 pub use metrics::{
     CandidateCounters, MetricsSink, NoopSink, PruningBound, PruningCounters, QueryMetrics,
@@ -66,7 +70,7 @@ pub use scan::{scan_kmst, scan_kmst_traced};
 pub use selectivity::{estimate_selectivity, SelectivityEstimate, SelectivityHistogram};
 pub use share::{BoundShare, NoShare};
 pub use store::TrajectoryStore;
-pub use substrate::{metric_kmst_search, KmstSubstrate};
+pub use substrate::{metric_kmst_search, KmstSubstrate, SearchReport};
 pub use time_relaxed::{
     time_relaxed_kmst, time_relaxed_kmst_traced, TimeRelaxedConfig, TimeRelaxedMatch,
 };

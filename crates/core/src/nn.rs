@@ -11,7 +11,9 @@
 //! Like [`crate::bfmst`] and the segment queries of [`crate::knn`], the
 //! search consumes an [`MbbDescent`] over every shard's tree, prunes
 //! against the same threshold type (no ceiling), polls `share` for a stop
-//! on every pop, and has a single generic entry point; pass
+//! on every pop, stops at the first failed node read and names the shard
+//! (which [`crate::run`] runs the query again without), and has a single
+//! generic entry point; pass
 //! [`NoShare`](crate::share::NoShare) / [`NoopSink`](crate::metrics::NoopSink)
 //! for a plain uncancellable, untraced query. Ties are broken by
 //! trajectory id, so a query returns the same answer at any shard count.
@@ -22,9 +24,9 @@ use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
 use std::collections::HashMap;
 
-use crate::bfmst::{SearchReport, ShardFailure};
 use crate::descent::MbbDescent;
 use crate::dissim::for_each_co_piece;
+use crate::forest::Abort;
 use crate::merge;
 use crate::metrics::QueryMetrics;
 use crate::query::check_period;
@@ -49,11 +51,9 @@ pub struct NnMatch {
 /// a forest of one).
 ///
 /// `share` can stop the traversal (deadlines); `metrics` receives heap
-/// traffic, node and buffer accesses, and candidate discoveries. A shard
-/// whose node read fails is dropped as in [`crate::bfmst_search`]: its
-/// queued nodes are discarded, its candidates left pending and out of the
-/// answer and the threshold, and a [`ShardFailure`] is reported — the
-/// answer is then the k nearest of the shards left.
+/// traffic, node and buffer accesses, and candidate discoveries. The
+/// search stops at the first node read that fails, leaving its candidates
+/// pending, and names the shard ([`Abort::Shard`]).
 pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     shards: &[&I],
     query: &Trajectory,
@@ -61,19 +61,18 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
     k: usize,
     share: &B,
     metrics: &mut M,
-) -> Result<SearchReport<NnMatch>> {
+) -> std::result::Result<Vec<NnMatch>, Abort> {
     if k == 0 {
-        return Ok(SearchReport::default());
+        return Ok(Vec::new());
     }
     check_period(query, period)?;
     let q = &query.clip(period)?;
     let mut source = MbbDescent::new(shards.iter().copied(), q, period, metrics);
 
-    // Best approach found so far, per trajectory: (shard, distance, time).
-    let mut best: HashMap<TrajectoryId, (usize, f64, f64)> = HashMap::new();
+    // Best approach found so far, per trajectory: (distance, time).
+    let mut best: HashMap<TrajectoryId, (f64, f64)> = HashMap::new();
     // The kth smallest distance of `best` (infinite below k candidates).
     let mut threshold = Threshold::new(k, f64::INFINITY);
-    let mut failures = Vec::new();
 
     while let Some(mindist) = source.pop(metrics) {
         // Cooperative cancellation (per-query deadlines).
@@ -85,23 +84,12 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
         if mindist > threshold.value() {
             break;
         }
-        let shard = source.shard();
         let entries = match source.expand(metrics) {
             Ok(Some(entries)) => entries,
             Ok(None) => continue,
-            Err(error) => {
-                // The shard leaves the search with its ledger balanced:
-                // every candidate it found is left pending.
-                source.drop_shard(shard);
-                let found = best.len();
-                best.retain(|_, slot| slot.0 != shard);
-                metrics.candidates_pending((found - best.len()) as u64);
-                threshold = Threshold::new(k, f64::INFINITY);
-                for (&traj, &(_, distance, _)) in &best {
-                    threshold.record(traj, distance);
-                }
-                failures.push(ShardFailure { shard, error });
-                continue;
+            Err(abort) => {
+                metrics.candidates_pending(best.len() as u64);
+                return Err(abort);
             }
         };
         for e in entries {
@@ -119,11 +107,11 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
                 std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
                 std::collections::hash_map::Entry::Vacant(v) => {
                     metrics.candidate_seen();
-                    v.insert((shard, f64::INFINITY, 0.0))
+                    v.insert((f64::INFINITY, 0.0))
                 }
             };
-            if approach.0 < slot.1 {
-                *slot = (shard, approach.0, approach.1);
+            if approach.0 < slot.0 {
+                *slot = approach;
                 threshold.record(e.traj, approach.0);
             }
         }
@@ -132,14 +120,13 @@ pub fn nearest_trajectories<I: TrajectoryIndex, M: QueryMetrics, B: BoundShare>(
 
     let found = best
         .into_iter()
-        .map(|(traj, (_, distance, time))| NnMatch {
+        .map(|(traj, (distance, time))| NnMatch {
             traj,
             distance,
             time,
         })
         .collect();
-    let matches = merge::nearest(k, found, |m| m.distance, |m| m.traj);
-    Ok(SearchReport { matches, failures })
+    Ok(merge::nearest(k, found, |m| m.distance, |m| m.traj))
 }
 
 /// Closest approach between the query and one data segment over `window`:
@@ -175,7 +162,14 @@ mod tests {
     use mst_index::Rtree3D;
 
     fn nn(idx: &Rtree3D, q: &Trajectory, period: &TimeInterval, k: usize) -> Result<Vec<NnMatch>> {
-        nearest_trajectories(&[idx], q, period, k, &NoShare, &mut NoopSink).map(|r| r.matches)
+        Ok(nearest_trajectories(
+            &[idx],
+            q,
+            period,
+            k,
+            &NoShare,
+            &mut NoopSink,
+        )?)
     }
 
     fn build(store: &TrajectoryStore) -> Rtree3D {
@@ -281,6 +275,7 @@ mod tests {
     /// them: the answer is what the surviving tree answers alone.
     #[test]
     fn a_shard_failing_mid_search_leaves_the_survivors_answer() {
+        use crate::{run, BatchQuery, MovingObjectDatabase, Query};
         use mst_index::{FaultConfig, TrajectoryIndex};
         let line = |y: f64| {
             let samples: Vec<_> = (0..=10).map(|s| (f64::from(s), f64::from(s), y)).collect();
@@ -307,14 +302,16 @@ mod tests {
         nn(&a, &q, &period, 1).unwrap();
         let faults = FaultConfig::quiet(7).with_read_transient(1.0);
         a.set_fault_injection(Some(faults)).unwrap();
+        let a = MovingObjectDatabase::from_parts(a, near);
+        let b = MovingObjectDatabase::from_parts(b, far);
         for k in [100, 250] {
-            let report = nearest_trajectories(&[&a, &b], &q, &period, k, &NoShare, &mut NoopSink);
-            let report = report.unwrap();
-            assert_eq!(report.failures.len(), 1, "k {k}: a fails mid-search");
-            assert_eq!(report.failures[0].shard, 0);
-            let alone = nn(&b, &q, &period, k).unwrap();
+            let query = BatchQuery::knn(Query::knn(&q).k(k).during(&period)).unwrap();
+            let (answer, failures) = run(&[(0, &a), (1, &b)], &query, &NoShare, &mut NoopSink);
+            assert_eq!(failures.len(), 1, "k {k}: a fails mid-search");
+            assert_eq!(failures[0].shard, 0);
+            let alone = nn(b.index(), &q, &period, k).unwrap();
             assert_eq!(alone.len(), k);
-            assert_eq!(report.matches, alone, "k {k}");
+            assert_eq!(answer.as_knn().unwrap(), alone, "k {k}");
         }
     }
 

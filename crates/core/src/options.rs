@@ -176,10 +176,10 @@ impl QueryOptions {
     }
 
     /// Refuses a query pinned to a substrate other than `actual`, the one
-    /// the database runs on. [`Substrate::Auto`] always passes. Each of
-    /// [`MovingObjectDatabase`](crate::MovingObjectDatabase)'s four runners
-    /// calls this once before it touches the index — so the single-database
-    /// terminals and every shard are checked by the same line.
+    /// the database runs on. [`Substrate::Auto`] always passes.
+    /// [`run`](crate::run) calls this for every shard before it touches an
+    /// index — so the single-database terminals and every shard are checked
+    /// by the same line.
     pub fn check_substrate(&self, actual: Substrate) -> crate::Result<()> {
         if self.substrate != Substrate::Auto && self.substrate != actual {
             return Err(crate::SearchError::SubstrateMismatch {

@@ -1,9 +1,9 @@
 //! The unified query builder — one front door to every query flavour.
 //!
 //! A builder describes a query; [`MovingObjectDatabase`] runs it. Each
-//! terminal freezes the builder into its owned spec and hands it to the
-//! engine's runner for that flavour — the same runner every shard of a
-//! sharded database goes through:
+//! terminal freezes the builder into its owned spec and runs it on the
+//! engine alone ([`MovingObjectDatabase::run`]) — through the same
+//! [`run`](crate::run) every sharded query goes through:
 //!
 //! ```
 //! use mst_search::{MovingObjectDatabase, Query};
@@ -51,6 +51,7 @@ use mst_trajectory::{Mbb, Point, TimeInterval, Trajectory, TrajectoryError};
 
 use crate::bfmst::MstConfig;
 use crate::dissim::Integration;
+use crate::forest::{BatchQuery, QueryAnswer};
 use crate::metrics::{NoopSink, QueryMetrics, QueryProfile};
 use crate::nn::NnMatch;
 use crate::options::{QueryOptions, Substrate};
@@ -241,7 +242,10 @@ impl<'a> KmstQuery<'a> {
         db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<MstMatch>> {
-        Ok(db.run_kmst(&self.spec()?, &NoShare, metrics)?.matches)
+        match db.run(&BatchQuery::Kmst(self.spec()?), &NoShare, metrics)? {
+            QueryAnswer::Kmst(matches) => Ok(matches),
+            _ => Err(OTHER_FLAVOUR),
+        }
     }
 
     /// Runs the query. Observability hooks compile to nothing.
@@ -260,6 +264,10 @@ impl<'a> KmstQuery<'a> {
         Ok((matches, profile))
     }
 }
+
+/// The error of a terminal whose query came back answered in another
+/// flavour than its own, which [`crate::run`] never does.
+const OTHER_FLAVOUR: SearchError = SearchError::MisconfiguredQuery("answered in another flavour");
 
 /// The one check of a query trajectory against its period, made by the
 /// three searches and both `spec()`s: the trajectory covers the period,
@@ -291,9 +299,8 @@ fn resolve_period(query: &Trajectory, mut options: QueryOptions) -> Result<Query
 
 /// An owned, fully resolved k-MST query, detached from the builder's
 /// borrows so it can be shipped to worker threads. Produced by
-/// [`KmstQuery::spec`]; consumed by [`MovingObjectDatabase::run_kmst`]
-/// from the builder's terminals, and by batch executors, which run it as
-/// one search over every shard ([`crate::KmstSubstrate::kmst_forest`]).
+/// [`KmstQuery::spec`]; run by [`crate::run`], over one engine for the
+/// builder's terminals, over every shard's for the batch executors.
 #[derive(Debug, Clone)]
 pub struct KmstSpec {
     /// The query trajectory.
@@ -470,7 +477,10 @@ impl<'a> KnnQuery<'a> {
         db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<NnMatch>> {
-        db.run_knn(&self.spec()?, &NoShare, metrics)
+        match db.run(&BatchQuery::Knn(self.spec()?), &NoShare, metrics)? {
+            QueryAnswer::Knn(matches) => Ok(matches),
+            _ => Err(OTHER_FLAVOUR),
+        }
     }
 
     /// Runs the query. Observability hooks compile to nothing.
@@ -546,7 +556,10 @@ impl KnnSegmentsQuery {
         db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<KnnMatch>> {
-        db.run_knn_segments(&self.spec()?, metrics)
+        match db.run(&BatchQuery::Segments(self.spec()?), &NoShare, metrics)? {
+            QueryAnswer::Segments(matches) => Ok(matches),
+            _ => Err(OTHER_FLAVOUR),
+        }
     }
 
     /// Runs the query. Observability hooks compile to nothing.
@@ -605,7 +618,10 @@ impl<'a> RangeQuery<'a> {
         db: &MovingObjectDatabase<I>,
         metrics: &mut M,
     ) -> Result<Vec<LeafEntry>> {
-        db.run_range(&self.spec(), metrics)
+        match db.run(&BatchQuery::Range(self.spec()), &NoShare, metrics)? {
+            QueryAnswer::Range(hits) => Ok(hits),
+            _ => Err(OTHER_FLAVOUR),
+        }
     }
 
     /// Runs the query. Observability hooks compile to nothing.

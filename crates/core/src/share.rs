@@ -43,7 +43,8 @@ fn assert_query_state_is_thread_safe() {
     assert_send_sync::<crate::MstMatch>();
     assert_send_sync::<crate::NnMatch>();
     assert_send_sync::<crate::QueryProfile>();
-    assert_send_sync::<crate::SearchReport>();
+    assert_send_sync::<crate::BatchQuery>();
+    assert_send_sync::<crate::QueryAnswer>();
     assert_send_sync::<crate::TrajectoryStore>();
     assert_send_sync::<crate::SearchError>();
     assert_send_sync::<mst_trajectory::Trajectory>();

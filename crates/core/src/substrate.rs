@@ -14,7 +14,9 @@
 //! best-first traversal of the ball directory (after the N-tree of Güting
 //! et al.) whose candidate pruning rests on the triangle inequality instead
 //! of the speed envelopes — against the same one pruning threshold as
-//! BFMST, across all shards.
+//! BFMST, across all shards. Either search stops at the first tree that
+//! cannot be read and names it; [`crate::run`] runs the query again
+//! without that tree.
 //!
 //! **Why the triangle bound is sound here.** Build-time distances are exact
 //! DISSIM over the two trajectories' validity overlap; the query-time pivot
@@ -33,9 +35,10 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use mst_index::{MetricTree, Rtree3D, StrTree, TbTree, TrajectoryIndex};
 use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
 
-use crate::bfmst::{best_k, bfmst_search, MstConfig, SearchReport, ShardFailure};
+use crate::bfmst::{best_k, bfmst_search, MstConfig};
 use crate::descent::QueueEntry;
 use crate::dissim::{dissim_between, dissim_between_traced, Integration};
+use crate::forest::Abort;
 use crate::metrics::{PruningBound, QueryMetrics};
 use crate::options::Substrate;
 use crate::query::check_period;
@@ -58,11 +61,11 @@ pub trait KmstSubstrate: TrajectoryIndex + Sized + Send + Sync {
     const KIND: Substrate;
 
     /// Answers one k-MST query over every shard's tree (each with the store
-    /// of its trajectories) as one search under one pruning threshold. A
-    /// shard whose tree cannot be read is dropped and named in the report's
-    /// failures. Contract: identical answers to the linear scan over the
-    /// union with exact integration (for exact configurations), identical
-    /// answer *sets* across substrates and shard counts.
+    /// of its trajectories) as one search under one pruning threshold. The
+    /// search stops at the first tree that cannot be read and names it
+    /// ([`Abort::Shard`]). Contract: identical answers to the linear scan
+    /// over the union with exact integration (for exact configurations),
+    /// identical answer *sets* across substrates and shard counts.
     fn kmst_forest<M: QueryMetrics, B: BoundShare>(
         shards: &[(&Self, &TrajectoryStore)],
         query: &Trajectory,
@@ -70,12 +73,13 @@ pub trait KmstSubstrate: TrajectoryIndex + Sized + Send + Sync {
         config: &MstConfig,
         share: &B,
         metrics: &mut M,
-    ) -> Result<SearchReport> {
+    ) -> std::result::Result<Vec<MstMatch>, Abort> {
         bfmst_search(shards, query, period, config, share, metrics)
     }
 
     /// Answers a k-MST query on this one tree: a forest of one, whose
-    /// failed node read is the search's error.
+    /// failed node read is the search's error. Kept for the benchmark's
+    /// direct calls; queries run through [`crate::run`].
     fn kmst_search<M: QueryMetrics, B: BoundShare>(
         &self,
         store: &TrajectoryStore,
@@ -85,8 +89,16 @@ pub trait KmstSubstrate: TrajectoryIndex + Sized + Send + Sync {
         share: &B,
         metrics: &mut M,
     ) -> Result<SearchReport> {
-        Self::kmst_forest(&[(self, store)], query, period, config, share, metrics)?.single()
+        let matches = Self::kmst_forest(&[(self, store)], query, period, config, share, metrics);
+        Ok(SearchReport { matches: matches? })
     }
+}
+
+/// The answer of [`KmstSubstrate::kmst_search`].
+#[derive(Debug)]
+pub struct SearchReport {
+    /// The k most similar trajectories, ascending DISSIM.
+    pub matches: Vec<MstMatch>,
 }
 
 impl KmstSubstrate for Rtree3D {
@@ -111,7 +123,7 @@ impl KmstSubstrate for MetricTree {
         config: &MstConfig,
         share: &B,
         metrics: &mut M,
-    ) -> Result<SearchReport> {
+    ) -> std::result::Result<Vec<MstMatch>, Abort> {
         metric_kmst_search(shards, query, period, config, share, metrics)
     }
 }
@@ -140,8 +152,9 @@ fn build_distance(a: &Trajectory, b: &Trajectory) -> Result<f64> {
 /// Answers are exact regardless of `config.integration`. A tree's
 /// ball-directory lock is held while that tree is searched, one tree at a
 /// time: metric searches of one tree run one at a time (chain-page reads
-/// take the pager mutex under it, per fetch). A tree that fails is dropped
-/// with its refined candidates, as in [`crate::bfmst_search`].
+/// take the pager mutex under it, per fetch). The search stops at the
+/// first tree that cannot be read and names it ([`Abort::Shard`]), as
+/// [`crate::bfmst_search`] does.
 pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
     shards: &[(&MetricTree, &TrajectoryStore)],
     query: &Trajectory,
@@ -149,9 +162,9 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
     config: &MstConfig,
     share: &B,
     metrics: &mut M,
-) -> Result<SearchReport> {
+) -> std::result::Result<Vec<MstMatch>, Abort> {
     if config.k == 0 {
-        return Ok(SearchReport::default());
+        return Ok(Vec::new());
     }
     check_period(query, period)?;
     let q = query.clip(period)?;
@@ -165,23 +178,16 @@ pub fn metric_kmst_search<M: QueryMetrics, B: BoundShare>(
         done: HashSet::new(),
         pivot_dist: HashMap::new(),
     };
-    let mut failures = Vec::new();
     for (shard, &(tree, _)) in shards.iter().enumerate() {
-        if let Err(error) = search.tree(shard, tree, share, metrics) {
-            search.completed.retain(|_, (s, _)| *s != shard);
-            failures.push(ShardFailure { shard, error });
-        }
+        search.tree(shard, tree, share, metrics)?;
     }
 
     metrics.candidates_pending(0);
     let all = search.completed.into_iter();
     let all = all
-        .map(|(traj, (_, dissim))| MstMatch { traj, dissim })
+        .map(|(traj, dissim)| MstMatch { traj, dissim })
         .collect();
-    Ok(SearchReport {
-        matches: best_k(all, config.k, ceiling),
-        failures,
-    })
+    Ok(best_k(all, config.k, ceiling))
 }
 
 /// The state of one ball search across its trees.
@@ -190,8 +196,8 @@ struct BallSearch<'a> {
     period: &'a TimeInterval,
     config: &'a MstConfig,
     threshold: Threshold,
-    /// Exact DISSIM of every refined candidate, with its shard.
-    completed: HashMap<TrajectoryId, (usize, f64)>,
+    /// Exact DISSIM of every refined candidate.
+    completed: HashMap<TrajectoryId, f64>,
     /// Trajectories already decided (refined, pruned, or ineligible).
     done: HashSet<TrajectoryId>,
     /// Memoized query-to-pivot distances.
@@ -199,15 +205,16 @@ struct BallSearch<'a> {
 }
 
 impl BallSearch<'_> {
-    /// Searches shard `shard`'s `tree`, under its directory lock.
+    /// Searches `tree`, the forest's `shard`-th, under its directory lock.
     fn tree<M: QueryMetrics, B: BoundShare>(
         &mut self,
         shard: usize,
         tree: &MetricTree,
         share: &B,
         metrics: &mut M,
-    ) -> Result<()> {
-        let directory = tree.directory(build_distance)?;
+    ) -> std::result::Result<(), Abort> {
+        let directory = tree.directory(build_distance);
+        let directory = directory.map_err(|error| Abort::read(shard, error))?;
         // Balls keyed by their triangle-inequality lower bound on any
         // answer inside them.
         let mut heap: BinaryHeap<Reverse<QueueEntry<usize>>> = BinaryHeap::new();
@@ -241,7 +248,7 @@ impl BallSearch<'_> {
             let Some(node) = directory.ball(ball) else {
                 continue;
             };
-            let d_p = self.pivot_distance(shard, tree, node.pivot, metrics)?;
+            let d_p = self.pivot_distance(tree, node.pivot, metrics)?;
 
             match &node.kind {
                 mst_index::BallKind::Inner { near, far } => {
@@ -249,7 +256,7 @@ impl BallSearch<'_> {
                         let Some(child) = directory.ball(child_idx) else {
                             continue;
                         };
-                        let d_c = self.pivot_distance(shard, tree, child.pivot, metrics)?;
+                        let d_c = self.pivot_distance(tree, child.pivot, metrics)?;
                         // A child ball never admits a bound weaker than its
                         // parent's: keep the max.
                         let clb = (d_c - child.radius).max(lb).max(0.0);
@@ -266,7 +273,7 @@ impl BallSearch<'_> {
                             continue;
                         }
                         let Some(t_meta) = tree.cached_trajectory(id) else {
-                            return Err(SearchError::MissingTrajectory(id));
+                            return Err(SearchError::MissingTrajectory(id).into());
                         };
                         // The linear scan only considers trajectories
                         // covering the period; mirror its candidate ledger.
@@ -289,9 +296,14 @@ impl BallSearch<'_> {
                         }
                         // Refine: read the trajectory's chain pages (honest
                         // buffer/disk traffic) and compute the exact DISSIM.
-                        let t = tree
-                            .assemble_trajectory_traced(id, metrics)?
-                            .ok_or(SearchError::MissingTrajectory(id))?;
+                        // A failed read leaves the candidate pending.
+                        let t = match tree.assemble_trajectory_traced(id, metrics) {
+                            Ok(t) => t.ok_or(SearchError::MissingTrajectory(id))?,
+                            Err(error) => {
+                                metrics.candidates_pending(1);
+                                return Err(Abort::read(shard, error));
+                            }
+                        };
                         let d = dissim_between_traced(
                             self.q,
                             &t,
@@ -300,7 +312,7 @@ impl BallSearch<'_> {
                             metrics,
                         )?
                         .approx;
-                        self.refine(shard, id, d, metrics);
+                        self.refine(id, d, metrics);
                     }
                 }
             }
@@ -308,10 +320,10 @@ impl BallSearch<'_> {
         Ok(())
     }
 
-    /// Completes candidate `id` of `shard` with exact DISSIM `d`.
-    fn refine<M: QueryMetrics>(&mut self, shard: usize, id: TrajectoryId, d: f64, metrics: &mut M) {
+    /// Completes candidate `id` with exact DISSIM `d`.
+    fn refine<M: QueryMetrics>(&mut self, id: TrajectoryId, d: f64, metrics: &mut M) {
         self.done.insert(id);
-        self.completed.insert(id, (shard, d));
+        self.completed.insert(id, d);
         metrics.candidate_refined();
         self.threshold.record(id, d);
     }
@@ -323,7 +335,6 @@ impl BallSearch<'_> {
     /// navigation-only and, as in the linear scan, never a candidate.
     fn pivot_distance<M: QueryMetrics>(
         &mut self,
-        shard: usize,
         tree: &MetricTree,
         pivot: TrajectoryId,
         metrics: &mut M,
@@ -346,7 +357,7 @@ impl BallSearch<'_> {
             // The distance window was the whole query window: `d` is the
             // pivot's exact DISSIM.
             metrics.candidate_seen();
-            self.refine(shard, pivot, d, metrics);
+            self.refine(pivot, d, metrics);
         }
         Ok(d)
     }
@@ -598,7 +609,7 @@ mod tests {
             &mut NoopSink,
         )
         .unwrap();
-        assert_eq!(via_trait.matches, direct.matches);
+        assert_eq!(via_trait.matches, direct);
         assert_eq!(Rtree3D::KIND, Substrate::Rtree);
         assert_eq!(TbTree::KIND, Substrate::TbTree);
         assert_eq!(StrTree::KIND, Substrate::StrTree);

@@ -6,13 +6,15 @@
 //!
 //! A batch of Q queries becomes Q jobs, whatever the shard count. A job is
 //! one query over every shard (`run_query`): it takes the read half of
-//! every shard's gate ([`ShardedDatabase::read_all`]) and runs the query —
-//! any flavour — as one search over all the shards' trees: k-MST,
-//! trajectory kNN and point kNN as one best-first descent under one pruning
-//! threshold (the paper's single search, not one per shard), range as one
-//! pass over the trees. Workers pull jobs MPMC-style, so a long query never
-//! stalls the rest of the batch. Results land in per-query slots, so the
-//! output order is the submission order regardless of scheduling.
+//! every shard's gate ([`ShardedDatabase::read_all`]) and hands the engines
+//! to [`mst_search::run`], which runs the query — any flavour — as one
+//! search over all the shards' trees: k-MST, trajectory kNN and point kNN
+//! as one best-first descent under one pruning threshold (the paper's
+//! single search, not one per shard), range as one pass over the trees. A
+//! shard whose read fails stops the search, and `run` runs the query again
+//! without it. Workers pull jobs MPMC-style, so a long query never stalls
+//! the rest of the batch. Results land in per-query slots, so the output
+//! order is the submission order regardless of scheduling.
 //!
 //! # Determinism
 //!
@@ -28,11 +30,7 @@
 //! either, up to the buffer hits and misses concurrent queries cause each
 //! other.
 
-use mst_index::{KnnMatch, LeafEntry};
-use mst_search::{
-    nearest_segments, nearest_trajectories, segments_within, KmstSubstrate, MovingObjectDatabase,
-    MstMatch, NnMatch, QueryProfile, SearchError, SearchReport, ShardFailure,
-};
+use mst_search::{KmstSubstrate, QueryAnswer, QueryProfile, SearchError, ShardFailure};
 
 use crate::bound::QueryControl;
 use crate::clock::Stopwatch;
@@ -40,77 +38,15 @@ use crate::queue::JobQueue;
 use crate::shard::ShardedDatabase;
 use crate::{BatchQuery, ExecError};
 
-/// The merged answer of one batch query.
-#[derive(Debug, Clone)]
-pub enum QueryAnswer {
-    /// k-MST / range-MST matches, ascending dissimilarity.
-    Kmst(Vec<MstMatch>),
-    /// Trajectory-kNN matches, ascending closest-approach distance.
-    Knn(Vec<NnMatch>),
-    /// Point-kNN matches (nearest segments), ascending distance.
-    Segments(Vec<KnnMatch>),
-    /// Range-query hits, in canonical (trajectory, sequence) order.
-    Range(Vec<LeafEntry>),
-}
-
-impl QueryAnswer {
-    /// The matches as k-MST results, if this was a k-MST query.
-    pub fn as_kmst(&self) -> Option<&[MstMatch]> {
-        match self {
-            QueryAnswer::Kmst(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The matches as kNN results, if this was a kNN query.
-    pub fn as_knn(&self) -> Option<&[NnMatch]> {
-        match self {
-            QueryAnswer::Knn(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The matches as point-kNN results, if this was a segments query.
-    pub fn as_segments(&self) -> Option<&[KnnMatch]> {
-        match self {
-            QueryAnswer::Segments(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The hits as range results, if this was a range query.
-    pub fn as_range(&self) -> Option<&[LeafEntry]> {
-        match self {
-            QueryAnswer::Range(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Number of matches, any flavour.
-    pub fn len(&self) -> usize {
-        match self {
-            QueryAnswer::Kmst(m) => m.len(),
-            QueryAnswer::Knn(m) => m.len(),
-            QueryAnswer::Segments(m) => m.len(),
-            QueryAnswer::Range(m) => m.len(),
-        }
-    }
-
-    /// True when nothing matched.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Everything the executor knows about one finished query.
 #[derive(Debug)]
 pub struct QueryOutcome {
     /// The global top-k answer. When `degraded` is set this is
     /// best-so-far, not certified complete.
     pub answer: QueryAnswer,
-    /// Work counters of the query, including the work on shards that
-    /// failed — the candidate ledger stays balanced even when a shard
-    /// leaves the search.
+    /// Work counters of the query, including the work of attempts a
+    /// failed shard stopped — the candidate ledger stays balanced even when
+    /// a shard leaves the query.
     pub profile: QueryProfile,
     /// True when the answer is not certified complete, for either cause:
     /// the deadline expired (`deadline_expired`) or at least one shard
@@ -202,13 +138,13 @@ impl Default for BatchExecutor {
 /// Runs one query over every shard — the unit of work both executors
 /// share ([`BatchExecutor`] spreads queries over its workers; the
 /// persistent [`crate::ExecHandle`] pool runs each submitted query on one
-/// worker). The query holds every shard's read gate while it runs, and
-/// every flavour is one search over all the shards' trees that polls the
-/// deadline inside (on every node pop; a range query before each tree). A
-/// shard whose gate is poisoned, that refuses the query's substrate pin,
-/// or whose node read fails mid-search does not fail the query: it is
-/// named in [`QueryOutcome::failures`] and the others answer, `degraded` —
-/// the same honest-best-effort contract the deadline path provides.
+/// worker). The query holds every shard's read gate while
+/// [`mst_search::run`] runs it, polling the deadline inside the search (on
+/// every node pop; a range query before each tree). A shard whose gate is
+/// poisoned, that refuses the query's substrate pin, or whose node read
+/// fails does not fail the query: it is named in
+/// [`QueryOutcome::failures`] and the others answer, `degraded` — the same
+/// honest-best-effort contract the deadline path provides.
 pub(crate) fn run_query<I: KmstSubstrate>(
     db: &ShardedDatabase<I>,
     query: &BatchQuery,
@@ -218,48 +154,18 @@ pub(crate) fn run_query<I: KmstSubstrate>(
     let mut profile = QueryProfile::default();
     let mut failures = Vec::new();
     let gates = db.read_all();
-    // The shards the query runs on, by shard number.
-    let mut live: Vec<(usize, &MovingObjectDatabase<I>)> = Vec::with_capacity(gates.len());
+    let mut engines = Vec::with_capacity(gates.len());
     for (shard, gate) in gates.iter().enumerate() {
-        let engine = gate.as_ref().map_err(|e| SearchError::Index(e.clone()));
-        match engine.and_then(|engine| {
-            query.options().check_substrate(I::KIND)?;
-            Ok(&**engine)
-        }) {
-            Ok(engine) => live.push((shard, engine)),
-            Err(error) => failures.push(ShardFailure { shard, error }),
+        match gate {
+            Ok(engine) => engines.push((shard, &**engine)),
+            Err(e) => failures.push(ShardFailure {
+                shard,
+                error: SearchError::Index(e.clone()),
+            }),
         }
     }
-    let trees: Vec<&I> = live.iter().map(|(_, e)| e.index()).collect();
-    let answer = match query {
-        BatchQuery::Kmst(spec) => {
-            let with_stores: Vec<_> = live.iter().map(|(_, e)| (e.index(), e.store())).collect();
-            let report = I::kmst_forest(
-                &with_stores,
-                &spec.query,
-                &spec.period(),
-                &spec.config,
-                control,
-                &mut profile,
-            );
-            QueryAnswer::Kmst(settle(report, &live, &mut failures))
-        }
-        BatchQuery::Knn(spec) => {
-            let period = &spec.period();
-            let report =
-                nearest_trajectories(&trees, &spec.query, period, spec.k(), control, &mut profile);
-            QueryAnswer::Knn(settle(report, &live, &mut failures))
-        }
-        BatchQuery::Segments(spec) => {
-            let (location, window, k) = (spec.location, &spec.window, spec.options.k);
-            let report = nearest_segments(&trees, location, window, k, control, &mut profile);
-            QueryAnswer::Segments(settle(report, &live, &mut failures))
-        }
-        BatchQuery::Range(spec) => {
-            let report = segments_within(&trees, &spec.window, control, &mut profile);
-            QueryAnswer::Range(settle(Ok(report), &live, &mut failures))
-        }
-    };
+    let (answer, failed) = mst_search::run(&engines, query, control, &mut profile);
+    failures.extend(failed);
     failures.sort_by_key(|f| f.shard);
     let deadline_expired = control.is_degraded();
     QueryOutcome {
@@ -270,29 +176,6 @@ pub(crate) fn run_query<I: KmstSubstrate>(
         failures,
         latency_us: watch.elapsed_us(),
     }
-}
-
-/// A search's answer, its failures renumbered from positions among the
-/// `live` shards to shard numbers. An error that no one shard caused (a
-/// query the stored trajectories cannot be compared with) is charged to
-/// the first shard searched.
-fn settle<T, E>(
-    report: mst_search::Result<SearchReport<T>>,
-    live: &[(usize, E)],
-    failures: &mut Vec<ShardFailure>,
-) -> Vec<T> {
-    let report = report.unwrap_or_else(|error| {
-        failures.extend(
-            live.first()
-                .map(|&(shard, _)| ShardFailure { shard, error }),
-        );
-        SearchReport::default()
-    });
-    failures.extend(report.failures.into_iter().map(|f| ShardFailure {
-        shard: live[f.shard].0,
-        error: f.error,
-    }));
-    report.matches
 }
 
 impl BatchExecutor {

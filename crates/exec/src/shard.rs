@@ -16,8 +16,8 @@
 //! ([`MovingObjectDatabase`] — its own index with its own private LRU
 //! buffer pool, and the store of the objects routed to it). Sharding adds
 //! the routing and the lock, nothing else: a shard is built by the engine's
-//! `build`, searched through the engine's `run_*` methods, written through
-//! its `insert_trajectory` / `delete`. Shards share nothing mutable, so P
+//! `build`, searched through [`mst_search::run`], written through its
+//! `insert_trajectory` / `delete`. Shards share nothing mutable, so P
 //! shards scale page caching and index traversal independently.
 //!
 //! Per-shard `Vmax`: each shard's index reports the maximum speed of *its*
@@ -54,8 +54,8 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use mst_index::{IndexError, MetricTree, Rtree3D, TbTree, TrajectoryIndex, TrajectoryIndexWrite};
 use mst_index::{Rank, Ranked};
 use mst_search::{
-    BoundShare, KmstSpec, KmstSubstrate, MovingObjectDatabase, QueryMetrics, SearchReport,
-    Substrate,
+    BatchQuery, BoundShare, KmstSpec, KmstSubstrate, MovingObjectDatabase, QueryAnswer,
+    QueryMetrics, SearchError, SearchReport, Substrate,
 };
 use mst_trajectory::{Trajectory, TrajectoryId};
 
@@ -75,8 +75,8 @@ const GATE: &str = "shard gate";
 
 impl<I> Shard<I> {
     /// The read half of the gate: the engine as of one instant, shared with
-    /// every other reader — every query flavour runs through its `run_*`
-    /// methods. Ingest on this shard waits while the guard is held.
+    /// every other reader. Ingest on this shard waits while the guard is
+    /// held.
     /// Several shards at once only through [`ShardedDatabase::read_all`].
     pub fn read(&self) -> mst_index::Result<Ranked<RwLockReadGuard<'_, MovingObjectDatabase<I>>>> {
         Ranked::lock(Rank::ShardGate, || self.gate.read()).map_err(IndexError::poisoned(GATE))
@@ -124,15 +124,22 @@ impl<I> ShardIndex<'_, I> {
 }
 
 impl<I: KmstSubstrate> Shard<I> {
-    /// Runs one k-MST query against this shard: the read half of the gate,
-    /// then the engine's [`MovingObjectDatabase::run_kmst`].
+    /// Runs one k-MST query against this shard alone: the read half of the
+    /// gate, then [`MovingObjectDatabase::run`]. Kept for the benchmark's
+    /// per-shard probes; executors run a query over every shard at once.
     pub fn run_kmst<B: BoundShare, M: QueryMetrics>(
         &self,
         spec: &KmstSpec,
         share: &B,
         metrics: &mut M,
     ) -> mst_search::Result<SearchReport> {
-        self.read()?.run_kmst(spec, share, metrics)
+        let query = BatchQuery::Kmst(spec.clone());
+        match self.read()?.run(&query, share, metrics)? {
+            QueryAnswer::Kmst(matches) => Ok(SearchReport { matches }),
+            _ => Err(SearchError::MisconfiguredQuery(
+                "answered in another flavour",
+            )),
+        }
     }
 }
 

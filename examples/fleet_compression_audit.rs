@@ -65,8 +65,7 @@ fn main() {
                 &NoShare,
                 &mut NoopSink,
             )
-            .unwrap()
-            .matches;
+            .unwrap();
             // Same answer; the DISSIM value may differ in its last bits
             // (the two sum the same pieces in different orders).
             let scan = scan_kmst(&store, &compressed, &period, 1, Integration::Exact).unwrap();

@@ -106,9 +106,8 @@ fn main() {
             (r, tbtree.stats())
         }),
     ] {
-        let (report, stats) = result;
-        let ids: Vec<String> = report
-            .matches
+        let (matches, stats) = result;
+        let ids: Vec<String> = matches
             .iter()
             .map(|m| format!("{} ({:.4})", m.traj, m.dissim))
             .collect();

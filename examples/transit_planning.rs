@@ -105,7 +105,7 @@ fn main() {
 
     let period = TimeInterval::new(0.0, horizon).unwrap();
     let metro_padded = pad(&metro);
-    let report = bfmst_search(
+    let matches = bfmst_search(
         &[(&index, &store)],
         &metro_padded,
         &period,
@@ -116,7 +116,7 @@ fn main() {
     .expect("planning query");
 
     println!("Which bus lines shadow the new metro line? (ascending DISSIM)\n");
-    for (rank, m) in report.matches.iter().enumerate() {
+    for (rank, m) in matches.iter().enumerate() {
         let name = buses[m.traj.0 as usize].0;
         println!(
             "  {}. {:<42} DISSIM = {:>14.0}  (mean gap {:>7.1} m)",
@@ -130,14 +130,13 @@ fn main() {
         "\nThe redundant line must rank first; the time-shifted twin must rank\n\
          worse than it — spatial-only measures cannot tell those two apart."
     );
-    let first = buses[report.matches[0].traj.0 as usize].0;
+    let first = buses[matches[0].traj.0 as usize].0;
     assert!(
         first.starts_with("bus 12"),
         "expected bus 12 first, got {first}"
     );
     let rank_of = |needle: &str| {
-        report
-            .matches
+        matches
             .iter()
             .position(|m| buses[m.traj.0 as usize].0.starts_with(needle))
             .unwrap()

@@ -13,7 +13,9 @@
 //!   bit-identical to the baseline and the candidate ledger balances.
 //! * **Unmasked faults degrade honestly**: a query whose shard died is
 //!   flagged `degraded` with a non-empty [`ShardFailure`] list naming
-//!   the shard, and its merged ledger still balances.
+//!   the shard, its merged ledger still balances, and its answer is
+//!   bit-identical to the baseline over only the objects of the shards
+//!   that did not fail.
 //!
 //! `chaos_smoke` is the fast subset `ci.sh` runs in release mode.
 
@@ -33,13 +35,15 @@ fn batch_for(fleet: &[(TrajectoryId, Trajectory)], period: &TimeInterval) -> Vec
 }
 
 /// The certified answers, straight from the paper-faithful single-index
-/// [`Query::run`] path on an unsharded database.
+/// [`Query::run`] path on an unsharded database of the objects of `fleet`
+/// that `keep` admits.
 fn baseline<I: TrajectoryIndexWrite + KmstSubstrate>(
     mut db: MovingObjectDatabase<I>,
     fleet: &[(TrajectoryId, Trajectory)],
     period: &TimeInterval,
+    keep: impl Fn(TrajectoryId) -> bool,
 ) -> (Vec<Vec<MstMatch>>, Vec<NnMatch>) {
-    for (id, traj) in fleet {
+    for (id, traj) in fleet.iter().filter(|(id, _)| keep(*id)) {
         db.insert_trajectory(*id, traj).expect("baseline insert");
     }
     let kmst = vec![
@@ -117,7 +121,7 @@ fn arm_all<I: TrajectoryIndex>(db: &ShardedDatabase<I>, config: FaultConfig) {
 /// One sweep point: run the batch under `config` and check the honesty
 /// contract. Returns the outcome (its `degraded_count` is how many
 /// queries were degraded).
-fn run_case<I: TrajectoryIndex + Send + KmstSubstrate>(
+fn run_case<I: TrajectoryIndexWrite + Default + Send + KmstSubstrate>(
     db: &ShardedDatabase<I>,
     fleet: &[(TrajectoryId, Trajectory)],
     period: &TimeInterval,
@@ -164,6 +168,12 @@ fn run_case<I: TrajectoryIndex + Send + KmstSubstrate>(
                     "{what} q{q}: failure cause must be reportable"
                 );
             }
+            // The answer is exactly what the surviving shards hold.
+            let failed: Vec<usize> = query.failures.iter().map(|f| f.shard).collect();
+            let alive = |id| !failed.contains(&db.shard_of(id));
+            let empty = MovingObjectDatabase::new(I::default());
+            let survivors = baseline(empty, fleet, period, alive);
+            assert_bit_identical(&query.answer, &survivors, q, &format!("{what} degraded"));
         }
     }
     // The injector saw the traffic: reads flowed through at least one
@@ -182,8 +192,12 @@ fn run_case<I: TrajectoryIndex + Send + KmstSubstrate>(
 fn fault_rate_zero_is_bit_identical_to_query_run() {
     let fleet = lane_fleet(16, 24);
     let period = TimeInterval::new(0.0, 23.0).expect("period");
-    let rtree_want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period);
-    let tbtree_want = baseline(MovingObjectDatabase::with_tbtree(), &fleet, &period);
+    let rtree_want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period, |_| {
+        true
+    });
+    let tbtree_want = baseline(MovingObjectDatabase::with_tbtree(), &fleet, &period, |_| {
+        true
+    });
 
     for shards in [1usize, 4] {
         for workers in [1usize, 3] {
@@ -230,8 +244,12 @@ fn fault_rate_zero_is_bit_identical_to_query_run() {
 fn chaos_sweep_is_honest_across_rates_substrates_and_shards() {
     let fleet = lane_fleet(16, 24);
     let period = TimeInterval::new(0.0, 23.0).expect("period");
-    let rtree_want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period);
-    let tbtree_want = baseline(MovingObjectDatabase::with_tbtree(), &fleet, &period);
+    let rtree_want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period, |_| {
+        true
+    });
+    let tbtree_want = baseline(MovingObjectDatabase::with_tbtree(), &fleet, &period, |_| {
+        true
+    });
 
     let schedules: Vec<(&str, FaultConfig)> = vec![
         (
@@ -307,7 +325,9 @@ fn chaos_sweep_is_honest_across_rates_substrates_and_shards() {
 fn unmaskable_rates_always_degrade_with_named_causes() {
     let fleet = lane_fleet(16, 24);
     let period = TimeInterval::new(0.0, 23.0).expect("period");
-    let want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period);
+    let want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period, |_| {
+        true
+    });
     let attempts = u64::from(RETRY_LIMIT) + 1;
     for (label, config, transient) in [
         (
@@ -370,7 +390,9 @@ fn unmaskable_rates_always_degrade_with_named_causes() {
 fn chaos_smoke() {
     let fleet = lane_fleet(12, 16);
     let period = TimeInterval::new(0.0, 15.0).expect("period");
-    let want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period);
+    let want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period, |_| {
+        true
+    });
 
     let db = ShardedDatabase::with_rtree(2, fleet.clone()).expect("build");
     let outcome = run_case(

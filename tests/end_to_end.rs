@@ -69,8 +69,8 @@ fn gstd_pipeline_bfmst_equals_scan_for_many_settings() {
                 &mut NoopSink,
             )
             .unwrap();
-            assert_eq!(ids(&r.matches), expected, "rtree seed {seed} k {k}");
-            assert_eq!(ids(&t.matches), expected, "tbtree seed {seed} k {k}");
+            assert_eq!(ids(&r), expected, "rtree seed {seed} k {k}");
+            assert_eq!(ids(&t), expected, "tbtree seed {seed} k {k}");
         }
     }
 }
@@ -92,7 +92,7 @@ fn trucks_pipeline_identifies_compressed_originals() {
             &mut NoopSink,
         )
         .unwrap();
-        assert_eq!(got.matches[0].traj, TrajectoryId(qi as u64));
+        assert_eq!(got[0].traj, TrajectoryId(qi as u64));
     }
 }
 
@@ -134,11 +134,11 @@ fn foreign_query_trajectory_works() {
         &mut NoopSink,
     )
     .unwrap();
-    assert_eq!(ids(&r.matches), expected);
-    assert_eq!(ids(&t.matches), expected);
+    assert_eq!(ids(&r), expected);
+    assert_eq!(ids(&t), expected);
     // Exact values agree with the scan within post-processing tolerance.
     let scan = scan_kmst(&store, &q, &period, 4, Integration::Exact).unwrap();
-    for (got, want) in r.matches.iter().zip(&scan) {
+    for (got, want) in r.iter().zip(&scan) {
         assert!((got.dissim - want.dissim).abs() < 1e-9);
     }
 }
@@ -181,7 +181,7 @@ fn repeated_queries_are_deterministic_and_buffer_friendly() {
     .unwrap();
     let warm_misses = rtree.stats().buffer.misses;
 
-    assert_eq!(ids(&first.matches), ids(&second.matches));
+    assert_eq!(ids(&first), ids(&second));
     assert!(
         warm_misses <= cold_misses,
         "warm run missed more ({warm_misses}) than cold ({cold_misses})"
@@ -210,9 +210,9 @@ fn results_are_sorted_and_k_bounded() {
             &mut NoopSink,
         )
         .unwrap();
-        assert!(got.matches.len() <= k);
-        assert!(got.matches.len() <= store.len());
-        for w in got.matches.windows(2) {
+        assert!(got.len() <= k);
+        assert!(got.len() <= store.len());
+        for w in got.windows(2) {
             assert!(w[0].dissim <= w[1].dissim);
         }
     }
@@ -255,7 +255,7 @@ fn error_management_never_changes_the_winner_set() {
             &mut NoopSink,
         )
         .unwrap();
-        assert_eq!(ids(&approx.matches), ids(&exact.matches), "query {qi}");
+        assert_eq!(ids(&approx), ids(&exact), "query {qi}");
     }
 }
 
@@ -287,12 +287,12 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
         &mut NoopSink,
     )
     .unwrap();
-    assert_eq!(got.matches.len(), 3);
+    assert_eq!(got.len(), 3);
     assert_eq!(
-        ids(&got.matches),
+        ids(&got),
         scan[..3].iter().map(|m| m.traj).collect::<Vec<_>>()
     );
-    for m in &got.matches {
+    for m in &got {
         assert!(m.dissim <= theta);
     }
 
@@ -306,7 +306,7 @@ fn range_mst_respects_the_ceiling_and_matches_scan_filtering() {
         &mut NoopSink,
     )
     .unwrap();
-    assert!(none.matches.is_empty());
+    assert!(none.is_empty());
 
     // The ceiling must also reduce work relative to the unbounded query.
     let mut unbounded = mst::search::QueryProfile::new();
@@ -398,7 +398,7 @@ fn strtree_bfmst_equals_scan_too() {
             &mut NoopSink,
         )
         .unwrap();
-        assert_eq!(ids(&got.matches), expected, "k={k}");
+        assert_eq!(ids(&got), expected, "k={k}");
     }
 }
 
@@ -422,8 +422,7 @@ fn nearest_trajectories_consistent_with_dissim_on_parallel_lanes() {
     let period = TimeInterval::new(0.0, 60.0).unwrap();
     let q = store.get(TrajectoryId(6)).unwrap().clone();
     let nn = mst::search::nearest_trajectories(&[&rtree], &q, &period, 5, &NoShare, &mut NoopSink)
-        .unwrap()
-        .matches;
+        .unwrap();
     let mst_res = bfmst_search(
         &[(&rtree, &store)],
         &q,
@@ -433,10 +432,7 @@ fn nearest_trajectories_consistent_with_dissim_on_parallel_lanes() {
         &mut NoopSink,
     )
     .unwrap();
-    assert_eq!(
-        nn.iter().map(|m| m.traj).collect::<Vec<_>>(),
-        ids(&mst_res.matches)
-    );
+    assert_eq!(nn.iter().map(|m| m.traj).collect::<Vec<_>>(), ids(&mst_res));
     assert_eq!(nn[0].distance, 0.0);
 }
 
@@ -494,7 +490,7 @@ fn corrupted_index_image_fails_cleanly_not_by_panic() {
 /// builder terminals. Only `k == 0` still answers empty first.
 #[test]
 fn an_instant_query_period_is_refused_like_the_scan_refuses_it() {
-    use mst::exec::{BatchQuery, ExecError};
+    use mst::exec::BatchQuery;
     use mst::index::MetricTree;
     use mst::search::{KmstSubstrate, MovingObjectDatabase, Query, SearchError};
     use mst::trajectory::TrajectoryError;
@@ -537,12 +533,14 @@ fn an_instant_query_period_is_refused_like_the_scan_refuses_it() {
             &NoShare,
             &mut NoopSink,
         )
-        .err(),
+        .err()
+        .map(SearchError::from),
         metric
             .kmst_search(&store, &q, &instant, &config, &NoShare, &mut NoopSink)
             .err(),
         mst::search::nearest_trajectories(&[&rtree], &q, &instant, 2, &NoShare, &mut NoopSink)
-            .err(),
+            .err()
+            .map(SearchError::from),
     ];
     for refusal in searches {
         assert!(
@@ -558,7 +556,7 @@ fn an_instant_query_period_is_refused_like_the_scan_refuses_it() {
         &NoShare,
         &mut NoopSink,
     );
-    assert!(none.unwrap().matches.is_empty());
+    assert!(none.unwrap().is_empty());
 
     let db = MovingObjectDatabase::from_parts(rtree, store.clone());
     assert!(is_instant_refusal(&kmst.run(&db).unwrap_err()));
@@ -566,7 +564,7 @@ fn an_instant_query_period_is_refused_like_the_scan_refuses_it() {
 
     for refused in [BatchQuery::kmst(kmst), BatchQuery::knn(knn)] {
         match refused {
-            Err(ExecError::Search(e)) => assert!(is_instant_refusal(&e), "{e:?}"),
+            Err(e) => assert!(is_instant_refusal(&e), "{e:?}"),
             other => panic!("a batch took an instant period: {other:?}"),
         }
     }
