@@ -22,9 +22,13 @@
 #      in release (one of two engines fails part-way through k-MST queries,
 #      k from 1 to 250, on all four substrates; the answer must equal the
 #      other engine's alone, bit for bit, with shard 0 named)
-#   9. the server smoke test in release mode (real TCP loopback: a k-MST
-#      answer, a malformed frame answered with a typed error, honest
-#      stats counters, and a graceful drain on an ephemeral port)
+#   9. the whole loopback and connection-chaos suites of mst-serve in
+#      release mode (real TCP on ephemeral ports: the server smoke, bit-
+#      identical pipelined answers, typed refusals, depth pacing, graceful
+#      drains; seeded clients dying mid-pipeline, a peer that stops
+#      reading, a drain with peers stopped mid-frame), because races
+#      between a connection's reader, its writer and the coalescer show
+#      at release speed
 #  10. the MINDIST bit-equality suite at its full release count (plan,
 #      stateless driver and unpruned reference agree to the bit on 240 000
 #      seeded triples; the debug run in gate 5 checks a tenth of that)
@@ -121,8 +125,8 @@ gate "chaos smoke (seeded fault injection)" \
 gate "survivors (a failed shard leaves the other shard's answer, every substrate)" \
     cargo test -q --release -p mst-search a_failed_shard_leaves_the_survivors_answer
 
-gate "server smoke (TCP loopback, malformed frame, stats, drain)" \
-    cargo test -q --release -p mst-serve --test loopback server_smoke
+gate "server loopback and connection chaos (TCP, typed refusals, pacing, stalled peers, drain)" \
+    cargo test -q --release -p mst-serve --test loopback --test conn_chaos
 
 gate "MINDIST bit-equality, full count (plan == stateless driver == reference)" \
     cargo test -q --release -p mst-index mindist

@@ -272,7 +272,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             ));
         }
         for &f in &self.free {
-            if self.slots.get(f).map_or(true, |s| s.value.is_some()) {
+            if self.slots.get(f).is_none_or(|s| s.value.is_some()) {
                 return Err(format!("free slot {f} still holds a value"));
             }
         }

@@ -178,7 +178,7 @@ impl PagerIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LeafEntry, Rtree3D, TrajectoryIndex, TrajectoryIndexWrite};
+    use crate::{LeafEntry, Rtree3D, TrajectoryIndex};
     use mst_trajectory::{SamplePoint, Segment, TrajectoryId};
 
     fn small_tree() -> Rtree3D {

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! mst-serve [--port N] [--workers N] [--queue N] [--objects N] \
-//!           [--shards N] [--deadline-ms N] [--io-threads N] \
-//!           [--depth N] [--cache N] [--store DIR] \
+//!           [--shards N] [--deadline-ms N] [--depth N] \
+//!           [--cache N] [--store DIR] \
 //!           [--replica-of ADDR] [--verify-store DIR]
 //! ```
 //!
@@ -50,7 +50,6 @@ struct Args {
     objects: usize,
     shards: usize,
     deadline_ms: Option<u64>,
-    io_threads: usize,
     depth: u16,
     cache: usize,
     store: Option<String>,
@@ -67,7 +66,6 @@ impl Args {
             objects: 200,
             shards: 4,
             deadline_ms: None,
-            io_threads: 1,
             depth: 32,
             cache: 0,
             store: None,
@@ -86,7 +84,6 @@ impl Args {
                 "--objects" => args.objects = parse(&value("--objects")?)?,
                 "--shards" => args.shards = parse(&value("--shards")?)?,
                 "--deadline-ms" => args.deadline_ms = Some(parse(&value("--deadline-ms")?)?),
-                "--io-threads" => args.io_threads = parse(&value("--io-threads")?)?,
                 "--depth" => args.depth = parse(&value("--depth")?)?,
                 "--cache" => args.cache = parse(&value("--cache")?)?,
                 "--store" => args.store = Some(value("--store")?),
@@ -94,8 +91,8 @@ impl Args {
                 "--verify-store" => args.verify_store = Some(value("--verify-store")?),
                 "--help" | "-h" => {
                     return Err("usage: mst-serve [--port N] [--workers N] [--queue N] \
-                         [--objects N] [--shards N] [--deadline-ms N] [--io-threads N] \
-                         [--depth N] [--cache N] [--store DIR] [--replica-of ADDR] \
+                         [--objects N] [--shards N] [--deadline-ms N] [--depth N] \
+                         [--cache N] [--store DIR] [--replica-of ADDR] \
                          [--verify-store DIR]"
                         .into())
                 }
@@ -132,7 +129,6 @@ fn run() -> i32 {
         .port(args.port)
         .workers(args.workers)
         .queue_capacity(args.queue)
-        .io_threads(args.io_threads)
         .max_depth(args.depth)
         .cache_capacity(args.cache);
     if let Some(ms) = args.deadline_ms {

@@ -1,58 +1,65 @@
-//! The multiplexed serving core: a blocking acceptor, a pool of
-//! non-blocking I/O workers, and one coalescer thread that batches the
-//! queries pending across **all** connections into single executor
-//! submissions.
+//! The serving core: a blocking acceptor, two blocking threads per
+//! connection, and one coalescer thread that batches the queries pending
+//! across **all** connections into single executor submissions.
 //!
 //! # Thread topology
 //!
 //! ```text
-//! acceptor ──Conn──▶ io worker 0..N ──Event::Query──▶ coalescer
-//!                        ▲                               │ try_submit_batch
-//!                        └──────WorkerMsg::Response──────┤
-//!                                                        ▼
-//!                                         executor workers ──Event::Done──▶ (same channel)
+//!             ┌▶ reader ──Event::Query──▶ coalescer ──try_submit_batch──▶ executor workers
+//! acceptor ───┤    │ direct answers         │    ▲                              │
+//! (per conn)  │    ▼                        │    └────────Event::Done───────────┘
+//!             └▶ writer ◀──── Conn queue ◀──┘ answers (Outbox)
 //! ```
 //!
-//! * The **acceptor** owns the listener: cap check, then round-robin
-//!   handoff of the raw stream to an I/O worker. It blocks in
-//!   `accept()`; shutdown pokes it with a self-connection.
-//! * Each **I/O worker** owns its connections outright: it reads
-//!   non-blocking, carves frames incrementally
-//!   ([`crate::protocol::split_frame_v2`]), answers `Stats`, `Shutdown`,
-//!   handshakes and typed errors directly (so cheap requests overtake
-//!   slow queries — the out-of-order guarantee), and forwards query
-//!   work to the coalescer. A connection at its pipeline depth stops
-//!   being parsed and read until an answer goes out — TCP backpressure,
-//!   no bookkeeping.
+//! * The **acceptor** owns the listener: cap check, then one reader and
+//!   one writer thread for the admitted stream. It blocks in `accept()`;
+//!   shutdown pokes it with a self-connection. It keeps every
+//!   connection's threads and joins them, the finished ones as it
+//!   accepts the next connection and the rest in the drain.
+//! * A connection's **reader** blocks in `read` until the peer's bytes
+//!   arrive, carves frames ([`crate::protocol::split_frame_v2`]), answers
+//!   `Stats`, `Shutdown`, handshakes and typed errors directly (so cheap
+//!   requests overtake slow queries — the out-of-order guarantee), and
+//!   forwards query work to the coalescer. At its pipeline depth it
+//!   waits for an answer to go out before it parses or reads again — TCP
+//!   backpressure, no bookkeeping.
+//! * A connection's **writer** blocks until answers are queued on the
+//!   connection ([`Conn`]) and writes them out. A peer that stops reading
+//!   blocks its own writer and nothing else.
 //! * The **coalescer** is the single wait point: incoming queries,
-//!   finished executions, and worker drain notices all arrive on one
+//!   finished executions, and the drain notice all arrive on one
 //!   channel. Per tick it serves answer-cache hits, attaches duplicate
 //!   concurrent queries to one in-flight execution (dedup), and hands
 //!   the whole backlog to the executor in **one**
 //!   [`mst_exec::ExecHandle::try_submit_batch`] call.
 //!
-//! Every typed refusal is built in one place per side: `Conn::refuse` on
-//! an I/O worker, `Outbox::respond` in the coalescer.
+//! Nothing polls: `std` has no readiness API, so a thread blocked on one
+//! socket is the only way to learn of its bytes the moment they arrive.
+//! Every typed refusal is built in one place per side: `Reader::refuse`
+//! on a reader, `Outbox::respond` in the coalescer.
 //!
 //! # Drain correctness
 //!
-//! Each worker sends all its `Query` events and then one `Drained`
-//! event on the same channel sender, so per-sender FIFO guarantees the
-//! coalescer has seen every forwarded query once all `Drained` notices
-//! are in. It then runs the backlog dry, waits for `outstanding == 0`
-//! (every forwarded query answered — admitted work is never dropped),
-//! signals `CoalescerDone`, and the workers flush + close. A stall
-//! bound (consecutive empty timeouts) caps the drain if an executor
-//! outcome is lost to a bug, trading a hung shutdown for a loud one.
+//! The acceptor shuts the read half of every live socket, so each
+//! blocked reader returns, and joins every reader. Only then does it send
+//! one `Drained` event, so the coalescer has seen every forwarded query
+//! once the notice is in. The coalescer runs the backlog dry, waits for
+//! `outstanding == 0` (every forwarded query answered — admitted work is
+//! never dropped) and exits; the writers flush what is queued and close.
+//! A stall bound (consecutive empty timeouts) caps the drain if an
+//! executor outcome is lost to a bug, trading a hung shutdown for a loud
+//! one, and the write timeout caps the final flush to a peer that stopped
+//! reading.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
-// Park intervals and flush pauses below are scheduling inputs, not
-// measurements; no clock is ever read in this module.
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+// The park interval and the write timeout below are scheduling inputs,
+// not measurements; no clock is ever read in this module.
 use std::time::Duration; // invariant: no clock is read; determinism holds
 
 use mst_exec::{
@@ -68,11 +75,6 @@ use crate::protocol::{
 };
 use crate::server::{build_query, initiate_shutdown, Role, Shared};
 
-/// How long an I/O worker parks on its control channel when a pass made
-/// no progress. Small: it bounds the latency of *discovering* a new
-/// request on an otherwise idle connection.
-const IO_PARK: Duration = Duration::from_micros(300);
-
 /// The coalescer's park interval; also the unit of its drain stall
 /// bound.
 const COALESCER_PARK: Duration = Duration::from_millis(25);
@@ -86,16 +88,13 @@ const STALL_LIMIT: u32 = 200;
 /// server memory without bound.
 const WRITE_BUF_CAP: usize = 8 << 20;
 
-/// Read chunk size for the per-worker scratch buffer.
+/// How long one socket write may move no byte before the writer gives
+/// the peer up: it cuts off a peer that stopped reading, and it bounds
+/// the drain's final flush.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Size of a reader's scratch buffer: the most one `read` takes.
 const READ_CHUNK: usize = 64 << 10;
-
-/// Stop reading a connection whose parse buffer already holds this much
-/// (a frame can legitimately be `4 + 8 + MAX_FRAME` bytes).
-const READ_BUF_CAP: usize = (MAX_FRAME as usize + 12) * 2;
-
-/// Bounded final flush after `CoalescerDone`: rounds x pause ≈ 1 s.
-const DRAIN_FLUSH_ROUNDS: usize = 500;
-const DRAIN_FLUSH_PAUSE: Duration = Duration::from_millis(2);
 
 /// Cap on record bytes per `Replicate` response. Keeps any one batch
 /// well inside the frame cap while still amortising the round trip
@@ -105,29 +104,17 @@ const REPL_BATCH_BYTES: usize = 1 << 20;
 /// The refusal message of everything a draining server no longer admits.
 const DRAINING: &str = "server is draining";
 
-/// Where an answer goes: the I/O worker owning the connection, the
-/// connection, and the request id the answer echoes.
-#[derive(Debug, Clone, Copy)]
+/// Where an answer goes: the connection's queue, and the request id the
+/// answer echoes.
+#[derive(Clone)]
 pub(crate) struct Reply {
-    worker: usize,
-    conn: u64,
+    conn: Arc<Conn>,
     request_id: u64,
-}
-
-/// Control messages into an I/O worker.
-pub(crate) enum WorkerMsg {
-    /// A fresh connection from the acceptor.
-    Conn(TcpStream),
-    /// A response payload to frame and write to one connection.
-    Response(Reply, Arc<Vec<u8>>),
-    /// The coalescer has answered everything; flush and exit.
-    CoalescerDone,
 }
 
 /// Events into the coalescer — the single channel it blocks on.
 pub(crate) enum Event {
-    /// A validated query forwarded by an I/O worker, with its answer-cache
-    /// key.
+    /// A validated query forwarded by a reader, with its answer-cache key.
     Query {
         reply: Reply,
         key: Vec<u8>,
@@ -146,9 +133,9 @@ pub(crate) enum Event {
     /// An execution finished (token, outcome) — delivered by the
     /// executor workers through [`EventSink`].
     Done(u64, QueryOutcome),
-    /// A worker stopped forwarding queries (drain has begun). Sent on
-    /// the same sender as that worker's `Query` events, so per-sender
-    /// FIFO guarantees the coalescer has seen them all first.
+    /// Every reader has stopped (drain has begun). Sent by the acceptor
+    /// after it joined them all, so every event a reader sent is already
+    /// in the channel ahead of it.
     Drained,
 }
 
@@ -165,17 +152,176 @@ impl OutcomeSink for EventSink {
     }
 }
 
-/// The accept loop: cap check, then round-robin handoff to the I/O
-/// workers. Runs on the `mst-serve-accept` thread until shutdown.
+/// The framing a frame goes out in: v2 at a request id, or v1 for a
+/// refusal to a peer whose first frame was not a v2 hello.
+#[derive(Debug, Clone, Copy)]
+enum Framing {
+    V1,
+    V2(u64),
+}
+
+/// One connection as its reader, its writer and the coalescer share it:
+/// the socket, and the answers queued for the writer.
+pub(crate) struct Conn {
+    stream: TcpStream,
+    state: Mutex<ConnState>,
+    /// Wakes the writer (bytes queued, or nothing more will come) and the
+    /// reader (a depth credit came back, or the connection died).
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct ConnState {
+    /// Framed answers the writer has not taken yet.
+    queued: Vec<u8>,
+    /// Bytes the writer has taken and not finished writing.
+    writing: usize,
+    /// Requests forwarded to the coalescer and not yet answered.
+    inflight: usize,
+    /// The reader has stopped: nothing more will be forwarded.
+    read_done: bool,
+    /// The socket failed, or the peer let answers pile past
+    /// [`WRITE_BUF_CAP`]: answers are dropped and both threads stop.
+    dead: bool,
+}
+
+impl Conn {
+    fn state(&self) -> MutexGuard<'_, ConnState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, state: MutexGuard<'a, ConnState>) -> MutexGuard<'a, ConnState> {
+        self.wake
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues one frame for the writer; an `answer` hands its request's
+    /// depth credit back. Every payload that reaches a connection fits
+    /// the frame cap — the coalescer's `respond` downgrades an over-cap
+    /// answer, and the reader's own answers are small — so a frame the
+    /// framer still refused kills the connection rather than leaving its
+    /// request silently unanswered. So does a frame that takes the
+    /// unflushed bytes past [`WRITE_BUF_CAP`].
+    fn push(&self, to: Framing, payload: &[u8], answer: bool) {
+        let mut state = self.state();
+        if answer {
+            state.inflight = state.inflight.saturating_sub(1);
+        }
+        if !state.dead {
+            let framed = match to {
+                Framing::V2(request_id) => {
+                    encode_frame_v2(&mut state.queued, request_id, payload).is_ok()
+                }
+                Framing::V1 => {
+                    // An error payload is at most a few bytes over 64 KiB.
+                    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+                    state.queued.extend_from_slice(&len.to_le_bytes());
+                    state.queued.extend_from_slice(payload);
+                    true
+                }
+            };
+            if !framed || state.queued.len() + state.writing > WRITE_BUF_CAP {
+                self.kill(&mut state);
+            }
+        }
+        self.wake.notify_all();
+    }
+
+    /// Gives the connection up: answers are dropped from now on, and both
+    /// halves of the socket shut so a reader blocked in `read` and a
+    /// writer blocked in `write` return.
+    fn kill(&self, state: &mut ConnState) {
+        state.dead = true;
+        state.queued = Vec::new();
+        // invariant: the peer may have closed the socket already; it is
+        // being given up either way
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.wake.notify_all();
+    }
+
+    /// Blocks until the reader may put one more request in flight at
+    /// `depth`. False once the connection died or the server drains.
+    fn credit<I>(&self, depth: usize, shared: &Shared<I>) -> bool {
+        let mut state = self.state();
+        loop {
+            if state.dead || shared.shutting_down.load(Ordering::SeqCst) {
+                return false;
+            }
+            if state.inflight < depth {
+                return true;
+            }
+            state = self.wait(state);
+        }
+    }
+
+    /// The reader's end: the writer finishes once what is in flight is
+    /// answered and written.
+    fn finish_reading(&self) {
+        self.state().read_done = true;
+        self.wake.notify_all();
+    }
+
+    /// The drain's first step: shuts the read half, so a reader blocked in
+    /// `read` returns, and wakes a reader waiting for a depth credit (it
+    /// sees the shutdown flag). The flag is set before the lock is taken,
+    /// so a reader that checked it earlier is already waiting.
+    fn stop_reading(&self) {
+        let _state = self.state();
+        // invariant: a socket the peer already closed has no reader left
+        // to wake
+        let _ = self.stream.shutdown(Shutdown::Read);
+        self.wake.notify_all();
+    }
+
+    /// The drain's last step, once the coalescer exited: no answer will
+    /// come for whatever is still in flight, so the writer finishes after
+    /// writing what is queued.
+    fn release(&self) {
+        let mut state = self.state();
+        state.read_done = true;
+        state.inflight = 0;
+        self.wake.notify_all();
+    }
+}
+
+/// One admitted connection's two threads, kept by the acceptor until
+/// both finished.
+pub(crate) struct Served {
+    conn: Arc<Conn>,
+    reader: JoinHandle<()>,
+    writer: JoinHandle<()>,
+}
+
+impl Served {
+    fn finished(&self) -> bool {
+        self.reader.is_finished() && self.writer.is_finished()
+    }
+
+    fn join(self) {
+        for thread in [self.reader, self.writer] {
+            // invariant: a panicked connection thread has already given
+            // its connection up; joining the rest must not cascade
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The accept loop: cap check, then a reader and a writer per admitted
+/// connection. Runs on the `mst-serve-accept` thread until shutdown and
+/// returns the connections still served, for [`drain`].
 pub(crate) fn accept_loop<I>(
     shared: &Arc<Shared<I>>,
     listener: &TcpListener,
-    workers: &[Sender<WorkerMsg>],
+    events: &Sender<Event>,
     max_connections: usize,
-) where
+    max_depth: u16,
+) -> Vec<Served>
+where
     I: KmstSubstrate + Send + 'static,
 {
-    let mut next_worker = 0usize;
+    let mut served: Vec<Served> = Vec::new();
+    let mut next_id = 0u64;
     while !shared.shutting_down.load(Ordering::SeqCst) {
         let (stream, _) = match listener.accept() {
             Ok(conn) => conn,
@@ -185,31 +331,77 @@ pub(crate) fn accept_loop<I>(
             drop(stream);
             break;
         }
-        // ordering: the live count is advisory admission control; a
-        // slightly stale read admits or rejects one connection early,
-        // never corrupts state.
-        let live = shared.live_conns.load(Ordering::Relaxed);
-        if live >= max_connections {
+        let (finished, live) = served.into_iter().partition(Served::finished);
+        served = live;
+        finished.into_iter().for_each(Served::join);
+        if served.len() >= max_connections {
             ServerStats::bump(&shared.stats.connections_rejected);
             reject_connection(stream, max_connections);
             continue;
         }
         ServerStats::bump(&shared.stats.connections_accepted);
-        // ordering: see the live count read above — same advisory gauge.
-        shared.live_conns.fetch_add(1, Ordering::Relaxed);
-        if workers.is_empty()
-            || workers[next_worker % workers.len()]
-                .send(WorkerMsg::Conn(stream))
-                .is_err()
-        {
-            // The worker is gone (tear-down race): undo the registration
-            // and let the dropped stream close the connection.
-            // ordering: advisory gauge, as above.
-            shared.live_conns.fetch_sub(1, Ordering::Relaxed);
+        // A connection whose threads could not start is dropped, which
+        // closes it.
+        if let Ok(conn) = spawn_conn(shared, stream, events, max_depth, next_id) {
+            served.push(conn);
         }
-        next_worker = next_worker.wrapping_add(1);
+        next_id = next_id.wrapping_add(1);
     }
     // Dropping the listener here (by returning) refuses later connects.
+    served
+}
+
+/// Starts one connection's writer and reader.
+fn spawn_conn<I>(
+    shared: &Arc<Shared<I>>,
+    stream: TcpStream,
+    events: &Sender<Event>,
+    max_depth: u16,
+    id: u64,
+) -> std::io::Result<Served>
+where
+    I: KmstSubstrate + Send + 'static,
+{
+    // invariant: nodelay is a latency optimisation; a socket that rejects
+    // it still serves correctly
+    let _ = stream.set_nodelay(true);
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let conn = Arc::new(Conn {
+        stream,
+        state: Mutex::new(ConnState::default()),
+        wake: Condvar::new(),
+    });
+    let writer = {
+        let conn = Arc::clone(&conn);
+        std::thread::Builder::new()
+            .name(format!("mst-serve-write-{id}"))
+            .spawn(move || write_loop(&conn))?
+    };
+    let reader = {
+        let conn = Arc::clone(&conn);
+        let shared = Arc::clone(shared);
+        let events = events.clone();
+        std::thread::Builder::new()
+            .name(format!("mst-serve-read-{id}"))
+            .spawn(move || {
+                read_loop(&conn, &shared, &events, max_depth);
+                conn.finish_reading();
+            })
+    };
+    match reader {
+        Ok(reader) => Ok(Served {
+            conn,
+            reader,
+            writer,
+        }),
+        Err(e) => {
+            conn.finish_reading();
+            // invariant: the writer had nothing to write; its outcome
+            // carries nothing
+            let _ = writer.join();
+            Err(e)
+        }
+    }
 }
 
 /// Answers an over-cap connection with one v2 `Overloaded` frame at
@@ -225,76 +417,138 @@ fn reject_connection(mut stream: TcpStream, max_connections: usize) {
     let _ = write_frame_v2(&mut stream, 0, &payload);
 }
 
-/// The framing a refusal goes out in: v2 at a request id, or v1 for a
-/// peer whose first frame was not a v2 hello.
-#[derive(Debug, Clone, Copy)]
-enum Framing {
-    V1,
-    V2(u64),
+/// The drain, on the accept thread once it stopped accepting: stop every
+/// reader, tell the coalescer no request will follow, let it answer
+/// everything admitted, then let every writer flush and close.
+pub(crate) fn drain(served: Vec<Served>, events: Sender<Event>, coalescer: JoinHandle<()>) {
+    for s in &served {
+        s.conn.stop_reading();
+    }
+    let mut writers = Vec::with_capacity(served.len());
+    for Served {
+        conn,
+        reader,
+        writer,
+    } in served
+    {
+        // invariant: a panicked reader forwards nothing more; the drain
+        // goes on
+        let _ = reader.join();
+        writers.push((conn, writer));
+    }
+    // invariant: a coalescer that already exited needs no notice
+    let _ = events.send(Event::Drained);
+    // invariant: a panicked coalescer answers nothing more; the writers
+    // still flush what it queued
+    let _ = coalescer.join();
+    for (conn, _) in &writers {
+        conn.release();
+    }
+    for (_, writer) in writers {
+        // invariant: same policy — joining must not cascade
+        let _ = writer.join();
+    }
 }
 
-/// One connection's state machine, owned by exactly one I/O worker.
-struct Conn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    /// Prefix of `write_buf` already written to the socket.
-    written: usize,
-    /// Requests forwarded to the coalescer and not yet answered.
-    inflight: usize,
+/// A connection's writer: writes whatever is queued until the reader is
+/// done and every request it forwarded is answered and out, then closes
+/// the socket.
+fn write_loop(conn: &Conn) {
+    let mut batch = Vec::new();
+    let mut state = conn.state();
+    loop {
+        if state.dead {
+            return;
+        }
+        if state.queued.is_empty() {
+            if state.read_done && state.inflight == 0 {
+                break;
+            }
+            state = conn.wait(state);
+            continue;
+        }
+        std::mem::swap(&mut batch, &mut state.queued);
+        state.writing = batch.len();
+        drop(state);
+        let written = (&conn.stream).write_all(&batch);
+        batch.clear();
+        state = conn.state();
+        state.writing = 0;
+        if written.is_err() {
+            conn.kill(&mut state);
+            return;
+        }
+    }
+    // invariant: the peer may have closed the socket already; the close
+    // only tells it that nothing more comes
+    let _ = conn.stream.shutdown(Shutdown::Both);
+}
+
+/// A connection's reader: the handshake, then one request after another
+/// until the peer closes, breaks the protocol, or the server drains.
+fn read_loop<I>(conn: &Arc<Conn>, shared: &Shared<I>, events: &Sender<Event>, max_depth: u16)
+where
+    I: KmstSubstrate + Send + 'static,
+{
+    let mut reader = Reader {
+        conn,
+        shared,
+        events,
+        buf: Vec::new(),
+        scratch: vec![0u8; READ_CHUNK],
+        depth: usize::from(max_depth.max(1)),
+    };
+    if reader.handshake() {
+        while reader.next_request() {}
+    }
+}
+
+/// A reader's state: the parse buffer and the granted depth.
+struct Reader<'a, I> {
+    conn: &'a Arc<Conn>,
+    shared: &'a Shared<I>,
+    events: &'a Sender<Event>,
+    /// Bytes read and not yet parsed.
+    buf: Vec<u8>,
+    scratch: Vec<u8>,
     /// Granted pipeline depth (the configured cap until the handshake
     /// replaces it with the grant).
     depth: usize,
-    /// Handshake completed — subsequent frames are v2.
-    handshaken: bool,
-    /// The peer can still send (no EOF, no protocol violation).
-    read_open: bool,
-    /// Close once the write buffer drains (protocol violations answer
-    /// first, then disconnect).
-    close_after_flush: bool,
-    /// Remove this connection now (socket dead or fully closed).
-    dead: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, max_depth: u16) -> Self {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            written: 0,
-            inflight: 0,
-            depth: usize::from(max_depth.max(1)),
-            handshaken: false,
-            read_open: true,
-            close_after_flush: false,
-            dead: false,
+impl<I> Reader<'_, I>
+where
+    I: KmstSubstrate + Send + 'static,
+{
+    /// Blocks until the peer sends more and appends it to the parse
+    /// buffer. False at end of stream or on a socket error.
+    fn fill(&mut self) -> bool {
+        loop {
+            match (&self.conn.stream).read(&mut self.scratch) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.buf.extend_from_slice(&self.scratch[..n]);
+                    return true;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
         }
     }
 
-    /// Queues one v2 frame for writing. Every payload that reaches a
-    /// connection fits the frame cap — the coalescer's `respond`
-    /// downgrades an over-cap answer, and the worker's own answers are
-    /// small — so a frame the framer still refused kills the connection
-    /// rather than leaving its request silently unanswered.
-    fn queue(&mut self, request_id: u64, payload: &[u8]) {
-        if encode_frame_v2(&mut self.write_buf, request_id, payload).is_err() {
-            self.dead = true;
-        }
+    /// Queues one answer of the reader's own (it uses no depth credit).
+    fn answer(&self, request_id: u64, response: &Response) {
+        self.conn
+            .push(Framing::V2(request_id), &response.encode(), false);
     }
 
-    /// Queues a typed refusal: the I/O side's one way to build an `Error`
-    /// frame. `Malformed` and `InvalidQuery` refusals are counted, and a
-    /// `Malformed` or `UnsupportedVersion` one ends the connection once
-    /// the frame is out (framing sync is lost, or the peer speaks another
-    /// protocol).
-    fn refuse(
-        &mut self,
-        stats: &ServerStats,
-        to: Framing,
-        code: ErrorCode,
-        message: impl Into<String>,
-    ) {
+    /// Queues a typed refusal: the reader's one way to build an `Error`
+    /// frame. `Malformed` and `InvalidQuery` refusals are counted. Returns
+    /// whether the connection reads on: a `Malformed` or
+    /// `UnsupportedVersion` refusal ends it once the frame is out (framing
+    /// sync is lost, or the peer speaks another protocol).
+    fn refuse(&self, to: Framing, code: ErrorCode, message: impl Into<String>) -> bool {
+        let stats = &self.shared.stats;
         match code {
             ErrorCode::Malformed => ServerStats::bump(&stats.malformed_frames),
             ErrorCode::InvalidQuery => ServerStats::bump(&stats.invalid_queries),
@@ -305,336 +559,188 @@ impl Conn {
             message: message.into(),
         }
         .encode();
-        match to {
-            Framing::V2(request_id) => self.queue(request_id, &payload),
-            Framing::V1 => {
-                // An error payload is at most a few bytes over 64 KiB.
-                let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-                self.write_buf.extend_from_slice(&len.to_le_bytes());
-                self.write_buf.extend_from_slice(&payload);
-            }
-        }
-        if matches!(
+        self.conn.push(to, &payload, false);
+        !matches!(
             code,
             ErrorCode::Malformed | ErrorCode::UnsupportedVersion { .. }
-        ) {
-            self.close_after_flush = true;
-        }
+        )
     }
 
-    /// Drives pending bytes into the socket without blocking. Returns
-    /// true when any byte moved.
-    fn flush(&mut self) -> bool {
-        let mut progress = false;
-        while self.written < self.write_buf.len() {
-            match self.stream.write(&self.write_buf[self.written..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return progress;
+    /// Runs the version handshake on the first complete frame. False when
+    /// the connection ends instead.
+    fn handshake(&mut self) -> bool {
+        loop {
+            // Both protocol versions open with the same [len: u32] prefix.
+            if let Some(&[a, b, c, d]) = self.buf.get(..4) {
+                let len = u32::from_le_bytes([a, b, c, d]);
+                if len == 0 || len > MAX_FRAME + 8 {
+                    let message = WireError::Oversized(len).to_string();
+                    return self.refuse(Framing::V1, ErrorCode::Malformed, message);
                 }
-                Ok(n) => {
-                    self.written += n;
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return progress;
+                let total = 4 + len as usize;
+                if self.buf.len() >= total {
+                    return self.greet(total);
                 }
             }
-        }
-        if self.written == self.write_buf.len() {
-            self.write_buf.clear();
-            self.written = 0;
-            if self.close_after_flush {
-                self.dead = true;
-            }
-        } else {
-            if self.written > (1 << 20) {
-                self.write_buf.drain(..self.written);
-                self.written = 0;
-            }
-            if self.write_buf.len() - self.written > WRITE_BUF_CAP {
-                // The peer stopped reading while answers piled up.
-                self.dead = true;
-            }
-        }
-        progress
-    }
-
-    /// Whether this worker pass should read the socket.
-    fn wants_read(&self) -> bool {
-        self.read_open
-            && !self.close_after_flush
-            && self.read_buf.len() < READ_BUF_CAP
-            && (!self.handshaken || self.inflight < self.depth)
-    }
-
-    /// Whether everything queued for the peer has been written.
-    fn flushed(&self) -> bool {
-        self.written == self.write_buf.len()
-    }
-}
-
-/// One I/O worker: owns a set of connections, parses their frames,
-/// answers cheap requests directly, forwards queries, writes responses.
-pub(crate) fn io_worker_loop<I>(
-    worker: usize,
-    shared: &Arc<Shared<I>>,
-    control: &Receiver<WorkerMsg>,
-    events: &Sender<Event>,
-    max_depth: u16,
-) where
-    I: KmstSubstrate + Send + 'static,
-{
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_conn = 0u64;
-    let mut scratch = vec![0u8; READ_CHUNK];
-    let mut drained_sent = false;
-    let mut done = false;
-    // Applies one control message; true once the coalescer has answered
-    // everything.
-    let mut apply = |msg: WorkerMsg, conns: &mut HashMap<u64, Conn>| match msg {
-        WorkerMsg::Conn(stream) => {
-            if stream.set_nonblocking(true).is_err() {
-                // The whole design assumes non-blocking sockets; refuse.
-                // ordering: advisory connection gauge (see accept_loop).
-                shared.live_conns.fetch_sub(1, Ordering::Relaxed);
+            if !self.fill() {
                 return false;
             }
-            // invariant: nodelay is a latency optimisation; a socket that
-            // rejects it still serves correctly
-            let _ = stream.set_nodelay(true);
-            conns.insert(next_conn, Conn::new(stream, max_depth));
-            next_conn += 1;
-            false
         }
-        WorkerMsg::Response(to, payload) => {
-            // A response for a connection that died in the meantime is
-            // dropped — the peer is gone.
-            if let Some(conn) = conns.get_mut(&to.conn) {
-                conn.inflight = conn.inflight.saturating_sub(1);
-                conn.queue(to.request_id, &payload);
-            }
-            false
-        }
-        WorkerMsg::CoalescerDone => true,
-    };
+    }
 
-    loop {
-        let mut progress = false;
-        // 1. Drain control messages (new conns, responses, completion).
-        loop {
-            match control.try_recv() {
-                Ok(msg) => {
-                    progress = true;
-                    done |= apply(msg, &mut conns);
+    /// Answers the first frame, `total` bytes long: a v2 hello gets the
+    /// grant; anything else a typed refusal that ends the connection.
+    fn greet(&mut self, total: usize) -> bool {
+        let stats = &self.shared.stats;
+        match classify_first_payload(&self.buf[4..total]) {
+            FirstFrame::V2Hello => {
+                let decoded = Request::decode(&self.buf[12..total]);
+                self.buf.drain(..total);
+                let Ok(Request::Hello {
+                    min_version,
+                    max_version,
+                    depth,
+                }) = decoded
+                else {
+                    return self.refuse(Framing::V2(0), ErrorCode::Malformed, "malformed hello");
+                };
+                if min_version > VERSION || max_version < VERSION {
+                    let code = ErrorCode::UnsupportedVersion {
+                        min: VERSION,
+                        max: VERSION,
+                    };
+                    let message = format!(
+                        "server speaks protocol v{VERSION}; client offered \
+                         v{min_version}..=v{max_version}"
+                    );
+                    return self.refuse(Framing::V2(0), code, message);
                 }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    done = true;
-                    break;
-                }
+                ServerStats::bump(&stats.requests_decoded);
+                // Before the handshake `depth` holds the configured cap.
+                let granted = depth
+                    .max(1)
+                    .min(u16::try_from(self.depth).unwrap_or(u16::MAX));
+                self.depth = usize::from(granted);
+                let ack = Response::HelloAck {
+                    version: VERSION,
+                    depth: granted,
+                };
+                self.answer(0, &ack);
+                true
             }
-        }
-        let draining = shared.shutting_down.load(Ordering::SeqCst);
-
-        // 2. Per-connection I/O: write what's pending, read what's new,
-        //    parse what's complete; drop what died.
-        let before = conns.len();
-        conns.retain(|&id, conn| {
-            progress |= conn.flush();
-            if !conn.dead && !draining {
-                if conn.wants_read() {
-                    match conn.stream.read(&mut scratch) {
-                        Ok(0) => conn.read_open = false,
-                        Ok(n) => {
-                            conn.read_buf.extend_from_slice(&scratch[..n]);
-                            progress = true;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => conn.dead = true,
-                    }
-                }
-                if !conn.dead {
-                    parse_frames(worker, id, conn, shared, events);
-                }
+            FirstFrame::V1Request => {
+                // A legacy v1 client: answer in *its* framing with a typed
+                // error so it fails loudly, never hangs, never sees silence.
+                let code = ErrorCode::UnsupportedVersion {
+                    min: VERSION,
+                    max: VERSION,
+                };
+                let message = format!(
+                    "this server speaks wire protocol v{VERSION}; \
+                     upgrade the client and open with a hello frame"
+                );
+                self.refuse(Framing::V1, code, message)
             }
-            // A half-closed or violated connection lingers only until its
-            // answers are out.
-            if !conn.read_open && conn.inflight == 0 && conn.flushed() {
-                conn.dead = true;
-            }
-            !conn.dead
-        });
-        let closed = before - conns.len();
-        if closed > 0 {
-            // ordering: advisory connection gauge for admission control;
-            // staleness admits/rejects one conn early.
-            shared.live_conns.fetch_sub(closed, Ordering::Relaxed);
-            progress = true;
-        }
-
-        // 3. Drain protocol: tell the coalescer our forwarded total once.
-        if draining && !drained_sent {
-            drained_sent = true;
-            // invariant: if the coalescer is already gone the drain is
-            // past the point where this notice matters
-            let _ = events.send(Event::Drained);
-        }
-
-        // 4. Exit after the coalescer's final word: flush what remains
-        //    (bounded), close everything, leave.
-        if done {
-            for _ in 0..DRAIN_FLUSH_ROUNDS {
-                let mut all_clear = true;
-                for conn in conns.values_mut().filter(|c| !c.dead && !c.flushed()) {
-                    conn.flush();
-                    all_clear &= conn.dead || conn.flushed();
-                }
-                if all_clear {
-                    break;
-                }
-                std::thread::sleep(DRAIN_FLUSH_PAUSE);
-            }
-            // ordering: advisory gauge — final teardown bookkeeping.
-            shared.live_conns.fetch_sub(conns.len(), Ordering::Relaxed);
-            return;
-        }
-
-        // 5. Park briefly when idle; responses on the control channel
-        //    wake us immediately.
-        if !progress {
-            match control.recv_timeout(IO_PARK) {
-                Ok(msg) => done |= apply(msg, &mut conns),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => done = true,
+            FirstFrame::Unknown => {
+                let message = "first frame is neither a v2 hello nor a v1 request";
+                self.refuse(Framing::V1, ErrorCode::Malformed, message)
             }
         }
     }
-}
 
-/// Parses the complete frames in the connection's read buffer, up to its
-/// granted depth: a frame beyond it stays buffered until an answer goes
-/// out and the next worker pass resumes here.
-fn parse_frames<I>(
-    worker: usize,
-    conn_id: u64,
-    conn: &mut Conn,
-    shared: &Shared<I>,
-    events: &Sender<Event>,
-) where
-    I: KmstSubstrate + Send + 'static,
-{
-    let stats = &shared.stats;
-    while !conn.dead && !conn.close_after_flush {
-        if !conn.handshaken {
-            if !handshake(conn, shared) {
-                return;
-            }
-            continue;
+    /// Serves the next request: waits for a depth credit, reads until a
+    /// whole frame is buffered, then answers it directly or forwards it
+    /// to the coalescer. False once the connection stops reading.
+    fn next_request(&mut self) -> bool {
+        if !self.conn.credit(self.depth, self.shared) {
+            return false;
         }
-        if conn.inflight >= conn.depth {
-            return;
-        }
-        let (request_id, decoded) = match split_frame_v2(&conn.read_buf) {
-            Ok(None) => return,
-            Ok(Some(frame)) => {
-                let parsed = (frame.request_id, Request::decode(frame.payload));
-                let consumed = frame.consumed;
-                conn.read_buf.drain(..consumed);
-                parsed
-            }
-            Err(wire) => {
-                conn.refuse(
-                    stats,
-                    Framing::V2(0),
-                    ErrorCode::Malformed,
-                    wire.to_string(),
-                );
-                return;
+        let (request_id, decoded) = loop {
+            match split_frame_v2(&self.buf) {
+                Ok(Some(frame)) => {
+                    let parsed = (frame.request_id, Request::decode(frame.payload));
+                    let consumed = frame.consumed;
+                    self.buf.drain(..consumed);
+                    break parsed;
+                }
+                Ok(None) => {
+                    if !self.fill() {
+                        return false;
+                    }
+                }
+                Err(wire) => {
+                    return self.refuse(Framing::V2(0), ErrorCode::Malformed, wire.to_string())
+                }
             }
         };
         let to = Framing::V2(request_id);
         let request = match decoded {
             Ok(request) => request,
-            Err(wire) => {
-                conn.refuse(stats, to, ErrorCode::Malformed, wire.to_string());
-                return;
-            }
+            Err(wire) => return self.refuse(to, ErrorCode::Malformed, wire.to_string()),
         };
+        let shared = self.shared;
+        let stats = &shared.stats;
         ServerStats::bump(&stats.requests_decoded);
         let reply = Reply {
-            worker,
-            conn: conn_id,
+            conn: Arc::clone(self.conn),
             request_id,
         };
         let event = match request {
             Request::Hello { .. } => {
-                conn.refuse(stats, to, ErrorCode::Malformed, "hello after the handshake");
-                return;
+                return self.refuse(to, ErrorCode::Malformed, "hello after the handshake");
             }
-            // Answered directly on the I/O thread: a stats probe must
-            // overtake slow queries pipelined ahead of it.
+            // Answered directly on the reader: a stats probe must overtake
+            // slow queries pipelined ahead of it.
             Request::Stats => {
-                conn.queue(request_id, &Response::Stats(shared.stats_report()).encode());
-                continue;
+                self.answer(request_id, &Response::Stats(shared.stats_report()));
+                return true;
             }
             Request::Shutdown => {
-                conn.queue(request_id, &Response::ShutdownAck.encode());
+                self.answer(request_id, &Response::ShutdownAck);
                 initiate_shutdown(shared);
-                return;
+                return false;
             }
             Request::Insert { id, points } => {
-                if !writes_admitted(conn, request_id, shared) {
-                    continue;
+                if !self.writes_admitted(request_id) {
+                    return true;
                 }
                 match Trajectory::new(points) {
                     Ok(trajectory) => Event::Ingest(reply, IngestOp::Insert { id, trajectory }),
-                    Err(e) => {
-                        conn.refuse(stats, to, ErrorCode::InvalidQuery, e.to_string());
-                        continue;
-                    }
+                    Err(e) => return self.refuse(to, ErrorCode::InvalidQuery, e.to_string()),
                 }
             }
             Request::Delete { id } => {
-                if !writes_admitted(conn, request_id, shared) {
-                    continue;
+                if !self.writes_admitted(request_id) {
+                    return true;
                 }
                 Event::Ingest(reply, IngestOp::Delete { id })
             }
             Request::Subscribe { from_lsn } => {
-                if !writes_admitted(conn, request_id, shared) {
-                    continue;
+                if !self.writes_admitted(request_id) {
+                    return true;
                 }
                 Event::Fetch(reply, from_lsn)
             }
             Request::ReplicaAck { lsn } => {
-                if !writes_admitted(conn, request_id, shared) {
-                    continue;
+                if !self.writes_admitted(request_id) {
+                    return true;
                 }
                 ServerStats::raise(&stats.repl_acked_lsn, lsn);
                 Event::Fetch(reply, lsn.saturating_add(1))
             }
             query => {
                 if shared.shutting_down.load(Ordering::SeqCst) {
-                    conn.refuse(stats, to, ErrorCode::ShuttingDown, DRAINING);
-                    continue;
+                    return self.refuse(to, ErrorCode::ShuttingDown, DRAINING);
                 }
                 let (key, query) = match build_query(query) {
                     Ok(built) => built,
-                    Err(message) => {
-                        conn.refuse(stats, to, ErrorCode::InvalidQuery, message);
-                        continue;
-                    }
+                    Err(message) => return self.refuse(to, ErrorCode::InvalidQuery, message),
                 };
                 // Read-your-writes gate: a query carrying `min_lsn` is
                 // admitted only once this server's applied watermark has
                 // reached it. Refusal is typed and immediate (never a
-                // block on the I/O thread) so the client can retry or
-                // fail over.
+                // block on the reader) so the client can retry or fail
+                // over.
                 if let Some(required) = query.options().min_lsn {
                     if !shared.watermark.reached(required) {
                         let watermark = shared.watermark.current();
@@ -643,121 +749,37 @@ fn parse_frames<I>(
                             watermark,
                         };
                         let message = "replica has not caught up to the requested LSN";
-                        conn.refuse(stats, to, code, message);
-                        continue;
+                        return self.refuse(to, code, message);
                     }
                 }
                 Event::Query { reply, key, query }
             }
         };
-        conn.inflight += 1;
+        self.conn.state().inflight += 1;
         // invariant: a send failure means the coalescer exited under a
         // forced drain; the connection is about to be torn down with it
-        let _ = events.send(event);
+        let _ = self.events.send(event);
+        true
     }
-}
 
-/// The one gate on ingest and replication frames: only a primary that is
-/// not draining forwards them to the coalescer. Every other server
-/// refuses them typed on the I/O thread, and the connection stays open.
-fn writes_admitted<I>(conn: &mut Conn, request_id: u64, shared: &Shared<I>) -> bool {
-    let (code, message) = match shared.role {
-        Role::Primary if !shared.shutting_down.load(Ordering::SeqCst) => return true,
-        Role::Primary => (ErrorCode::ShuttingDown, DRAINING),
-        Role::Replica => (
-            ErrorCode::NotPrimary,
-            "this server is a read-only replica; send writes and subscriptions to the primary",
-        ),
-        Role::ReadOnly => (
-            ErrorCode::ReadOnly,
-            "this server has no durable store: it takes no writes and has no log to ship",
-        ),
-    };
-    conn.refuse(&shared.stats, Framing::V2(request_id), code, message);
-    false
-}
-
-/// Runs the version handshake on the first complete frame. Returns false
-/// when more bytes are needed (or the connection is now closing).
-fn handshake<I>(conn: &mut Conn, shared: &Shared<I>) -> bool {
-    let stats = &shared.stats;
-    // Both protocol versions open with the same [len: u32] prefix.
-    let Some(&[a, b, c, d]) = conn.read_buf.get(..4) else {
-        return false;
-    };
-    let len = u32::from_le_bytes([a, b, c, d]);
-    if len == 0 || len > MAX_FRAME + 8 {
-        let message = WireError::Oversized(len).to_string();
-        conn.refuse(stats, Framing::V1, ErrorCode::Malformed, message);
-        return false;
-    }
-    let total = 4 + len as usize;
-    if conn.read_buf.len() < total {
-        return false;
-    }
-    match classify_first_payload(&conn.read_buf[4..total]) {
-        FirstFrame::V2Hello => {
-            let decoded = Request::decode(&conn.read_buf[12..total]);
-            conn.read_buf.drain(..total);
-            let Ok(Request::Hello {
-                min_version,
-                max_version,
-                depth,
-            }) = decoded
-            else {
-                conn.refuse(
-                    stats,
-                    Framing::V2(0),
-                    ErrorCode::Malformed,
-                    "malformed hello",
-                );
-                return false;
-            };
-            if min_version > VERSION || max_version < VERSION {
-                let code = ErrorCode::UnsupportedVersion {
-                    min: VERSION,
-                    max: VERSION,
-                };
-                let message = format!(
-                    "server speaks protocol v{VERSION}; client offered \
-                     v{min_version}..=v{max_version}"
-                );
-                conn.refuse(stats, Framing::V2(0), code, message);
-                return false;
-            }
-            ServerStats::bump(&stats.requests_decoded);
-            // Before the handshake `depth` holds the configured cap.
-            let granted = depth
-                .max(1)
-                .min(u16::try_from(conn.depth).unwrap_or(u16::MAX));
-            conn.depth = usize::from(granted);
-            conn.handshaken = true;
-            let ack = Response::HelloAck {
-                version: VERSION,
-                depth: granted,
-            };
-            conn.queue(0, &ack.encode());
-            true
-        }
-        FirstFrame::V1Request => {
-            // A legacy v1 client: answer in *its* framing with a typed
-            // error so it fails loudly, never hangs, never sees silence.
-            let code = ErrorCode::UnsupportedVersion {
-                min: VERSION,
-                max: VERSION,
-            };
-            let message = format!(
-                "this server speaks wire protocol v{VERSION}; \
-                 upgrade the client and open with a hello frame"
-            );
-            conn.refuse(stats, Framing::V1, code, message);
-            false
-        }
-        FirstFrame::Unknown => {
-            let message = "first frame is neither a v2 hello nor a v1 request";
-            conn.refuse(stats, Framing::V1, ErrorCode::Malformed, message);
-            false
-        }
+    /// The one gate on ingest and replication frames: only a primary that
+    /// is not draining forwards them to the coalescer. Every other server
+    /// refuses them typed on the reader, and the connection stays open.
+    fn writes_admitted(&self, request_id: u64) -> bool {
+        let (code, message) = match self.shared.role {
+            Role::Primary if !self.shared.shutting_down.load(Ordering::SeqCst) => return true,
+            Role::Primary => (ErrorCode::ShuttingDown, DRAINING),
+            Role::Replica => (
+                ErrorCode::NotPrimary,
+                "this server is a read-only replica; send writes and subscriptions to the primary",
+            ),
+            Role::ReadOnly => (
+                ErrorCode::ReadOnly,
+                "this server has no durable store: it takes no writes and has no log to ship",
+            ),
+        };
+        self.refuse(Framing::V2(request_id), code, message);
+        false
     }
 }
 
@@ -774,22 +796,17 @@ struct PendingExec {
 
 /// The coalescer's way out: every answer leaves through here, and so
 /// every answer is counted off `outstanding`.
-struct Outbox<'a> {
-    workers: &'a [Sender<WorkerMsg>],
+struct Outbox {
     /// Requests received and not yet answered (any path).
     outstanding: usize,
 }
 
-impl Outbox<'_> {
-    /// Sends one encoded payload to every waiter.
-    fn send(&mut self, waiters: &[Reply], payload: &Arc<Vec<u8>>) {
+impl Outbox {
+    /// Queues one encoded payload on every waiter's connection.
+    fn send(&mut self, waiters: &[Reply], payload: &[u8]) {
         self.outstanding = self.outstanding.saturating_sub(waiters.len());
         for to in waiters {
-            if let Some(tx) = self.workers.get(to.worker) {
-                // invariant: a worker gone mid-teardown drops its
-                // connections with it; the response has no reader anyway
-                let _ = tx.send(WorkerMsg::Response(*to, Arc::clone(payload)));
-            }
+            to.conn.push(Framing::V2(to.request_id), payload, true);
         }
     }
 
@@ -819,10 +836,10 @@ impl Outbox<'_> {
 /// streams into batched executor submissions and fanned-out responses.
 struct Coalescer<'a, I> {
     shared: &'a Shared<I>,
-    out: Outbox<'a>,
+    out: Outbox,
     sink: Arc<dyn OutcomeSink>,
     /// The durable write lane; present exactly when the server is a
-    /// primary, which is the only role whose workers forward writes and
+    /// primary, which is the only role whose readers forward writes and
     /// replication fetches.
     backend: Option<Box<dyn IngestBackend>>,
     pending: HashMap<u64, PendingExec>,
@@ -834,26 +851,22 @@ struct Coalescer<'a, I> {
     /// This tick's replication fetches and the first LSN each wants.
     fetches: Vec<(Reply, u64)>,
     next_token: u64,
-    drained_workers: usize,
+    /// Every reader has stopped: no request follows.
+    drained: bool,
 }
 
-/// Runs the coalescer until the drain completes, then releases the I/O
-/// workers.
+/// Runs the coalescer until the drain completes.
 pub(crate) fn coalescer_loop<I>(
     shared: &Arc<Shared<I>>,
     events: &Receiver<Event>,
     sink_tx: Sender<Event>,
-    workers: &[Sender<WorkerMsg>],
     backend: Option<Box<dyn IngestBackend>>,
 ) where
     I: KmstSubstrate + Send + 'static,
 {
     let mut c = Coalescer {
         shared,
-        out: Outbox {
-            workers,
-            outstanding: 0,
-        },
+        out: Outbox { outstanding: 0 },
         sink: Arc::new(EventSink(sink_tx)),
         backend,
         pending: HashMap::new(),
@@ -862,7 +875,7 @@ pub(crate) fn coalescer_loop<I>(
         writes: Vec::new(),
         fetches: Vec::new(),
         next_token: 0,
-        drained_workers: 0,
+        drained: false,
     };
     let mut stall = 0u32;
     loop {
@@ -894,20 +907,14 @@ pub(crate) fn coalescer_loop<I>(
         // queue-lock round-trip; the executor admits a prefix.
         c.submit_backlog();
 
-        let settled =
-            c.drained_workers >= workers.len() && c.backlog.is_empty() && c.out.outstanding == 0;
+        let settled = c.drained && c.backlog.is_empty() && c.out.outstanding == 0;
         // The stall bound is the lost-outcome backstop: a hung executor
         // must not hang the drain forever. Whatever is left gets no
-        // answer; the workers' final flush still delivers everything
+        // answer; the writers' final flush still delivers everything
         // already queued.
         if draining && (settled || stall > STALL_LIMIT) {
             break;
         }
-    }
-    for tx in workers {
-        // invariant: a worker that already exited needs no completion
-        // notice; the drain proceeds with the rest
-        let _ = tx.send(WorkerMsg::CoalescerDone);
     }
 }
 
@@ -930,7 +937,7 @@ where
                 self.fetches.push((reply, from_lsn));
             }
             Event::Done(token, outcome) => self.complete(token, outcome),
-            Event::Drained => self.drained_workers += 1,
+            Event::Drained => self.drained = true,
         }
     }
 

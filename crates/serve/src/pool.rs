@@ -72,15 +72,17 @@ impl ClientPool {
         // number of rotations: the pool never spins forever.
         let rotations = 2usize;
         for _ in 0..rotations * self.endpoints.len() {
-            let (index, client) = match self.active.take() {
+            let (index, mut client) = match self.active.take() {
                 Some(active) => active,
                 None => match self.connect_next(&mut last) {
                     Some(active) => active,
                     None => continue,
                 },
             };
-            match send_on(client, request) {
-                SendOutcome::Answered(client, response) => {
+            // A transport error drops the connection: it is in an unknown
+            // frame state.
+            match client.request(request) {
+                Ok(response) => {
                     if let Response::Error {
                         code: ErrorCode::ShuttingDown,
                         ..
@@ -94,7 +96,7 @@ impl ClientPool {
                     self.active = Some((index, client));
                     return Ok(response);
                 }
-                SendOutcome::Dead(e) => {
+                Err(e) => {
                     last = Some(e);
                     self.cursor = index + 1;
                 }
@@ -142,19 +144,5 @@ impl ClientPool {
                 None
             }
         }
-    }
-}
-
-enum SendOutcome {
-    Answered(ServeClient, Response),
-    Dead(WireError),
-}
-
-/// Runs one request on one connection; a transport error consumes the
-/// connection (it is in an unknown frame state).
-fn send_on(mut client: ServeClient, request: &Request) -> SendOutcome {
-    match client.request(request) {
-        Ok(response) => SendOutcome::Answered(client, response),
-        Err(e) => SendOutcome::Dead(e),
     }
 }

@@ -1036,7 +1036,7 @@ pub struct SplitFrame<'a> {
 }
 
 /// Carves the first complete v2 frame off `buf` — the one frame reader,
-/// shared by the server's non-blocking workers and the blocking client:
+/// shared by the server's connection readers and the client:
 /// append whatever `read` returned and call this until it reports
 /// `Ok(None)` (frame still incomplete — keep the bytes, read more; a
 /// stream that ends there ended mid-frame). A hostile length prefix fails

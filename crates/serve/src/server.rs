@@ -1,6 +1,6 @@
 //! Server lifecycle: configuration, shared state, startup, and the
-//! graceful-shutdown drain. The I/O machinery itself — acceptor handoff,
-//! non-blocking connection state machines, the cross-connection
+//! graceful-shutdown drain. The I/O machinery itself — the acceptor, a
+//! blocking reader and writer per connection, the cross-connection
 //! coalescer — lives in [`crate::mux`].
 //!
 //! # Admission control
@@ -11,8 +11,8 @@
 //!   loop answers a newcomer with one `Overloaded` frame (v2-framed at
 //!   request id 0) and closes it; nothing queues.
 //! * **Pipeline depth** — each connection may keep at most its granted
-//!   depth in flight; at its cap the server stops parsing the
-//!   connection's buffered frames and stops reading its socket, so TCP
+//!   depth in flight; at its cap the connection's reader waits for an
+//!   answer to go out before it parses or reads again, so TCP
 //!   backpressure holds the client without any per-request rejection.
 //! * **Queries** — the coalescer's backlog and the executor's bounded
 //!   queue; when the backlog overflows, the newest query answers
@@ -26,18 +26,20 @@
 //!    the transition);
 //! 2. a self-connection unblocks the accept loop, which stops accepting
 //!    and drops the listener (later connects are refused by the OS);
-//! 3. I/O workers stop reading; every query already forwarded to the
-//!    coalescer still executes and answers — admitted work is never
-//!    dropped;
-//! 4. the coalescer drains its backlog through the executor, fans out
-//!    the last responses, and signals the workers;
-//! 5. workers flush pending response bytes (bounded retries), close
-//!    their connections, and exit;
-//! 6. the accept thread joins coalescer + workers, shuts the execution
-//!    pool down, and exits; [`ServerHandle::join`] returns.
+//! 3. the accept thread shuts the read half of every live connection,
+//!    so every reader returns, joins the readers and tells the coalescer
+//!    that no request follows; every query already forwarded still
+//!    executes and answers — admitted work is never dropped;
+//! 4. the coalescer drains its backlog through the executor, queues the
+//!    last responses on their connections, and exits;
+//! 5. every writer flushes what is queued (each write bounded by the
+//!    write timeout), closes its connection, and exits;
+//! 6. the accept thread joins the coalescer and every connection thread,
+//!    shuts the execution pool down, and exits; [`ServerHandle::join`]
+//!    returns.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mst_exec::{BatchExecutor, BatchQuery, ExecHandle, ShardedDatabase};
@@ -47,7 +49,7 @@ use mst_trajectory::Trajectory;
 
 use crate::cache::{cache_key, AnswerCache};
 use crate::ingest::IngestBackend;
-use crate::mux::{self, WorkerMsg};
+use crate::mux;
 use crate::protocol::{ProfileSummary, Request, ServerStats, StatsReport};
 
 /// Errors of the serving layer.
@@ -111,10 +113,6 @@ pub struct ServerConfig {
     pub default_deadline_us: Option<u64>,
     /// Port to bind on 127.0.0.1; 0 picks an ephemeral port.
     pub port: u16,
-    /// Socket I/O worker threads (minimum 1). One suffices for loopback
-    /// serving; the knob exists for multi-core hosts with many
-    /// connections.
-    pub io_threads: usize,
     /// Cap on the pipeline depth a connection may negotiate (minimum 1).
     pub max_depth: u16,
     /// Answer-cache capacity in entries; 0 disables the cache.
@@ -129,7 +127,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             default_deadline_us: None,
             port: 0,
-            io_threads: 1,
             max_depth: 32,
             cache_capacity: 0,
         }
@@ -138,8 +135,8 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The default configuration: 2 workers, queue bound `2 x workers`,
-    /// 64 connections, no deadline, 1 I/O thread, depth cap 32, cache
-    /// disabled, ephemeral port.
+    /// 64 connections, no deadline, depth cap 32, cache disabled,
+    /// ephemeral port.
     pub fn new() -> Self {
         ServerConfig::default()
     }
@@ -175,9 +172,10 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the socket I/O worker count.
-    pub fn io_threads(mut self, threads: usize) -> Self {
-        self.io_threads = threads.max(1);
+    /// Does nothing: every connection has its own blocking reader and
+    /// writer thread (at most `2 x max_connections` in all), so there is
+    /// no I/O pool to size. Kept so existing callers still build.
+    pub fn io_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -235,24 +233,23 @@ pub(crate) enum Role {
     Replica,
 }
 
-/// State shared by the accept loop, the I/O workers, and the coalescer.
+/// State shared by the accept loop, the connection threads, and the
+/// coalescer.
 pub(crate) struct Shared<I> {
     pub(crate) exec: ExecHandle<I>,
     pub(crate) stats: ServerStats,
     /// Work profile merged from every completed query.
     pub(crate) profile: Mutex<QueryProfile>,
     pub(crate) shutting_down: AtomicBool,
-    /// Live connection count, for the accept-time cap.
-    pub(crate) live_conns: AtomicUsize,
     /// The bounded answer cache (capacity 0 = disabled).
     pub(crate) cache: AnswerCache,
     /// What the server does with writes. Only a primary forwards ingest
     /// and replication frames to the coalescer; the others refuse them on
-    /// the I/O thread.
+    /// the connection's reader.
     pub(crate) role: Role,
     /// The read-your-writes gate: every write at or below this LSN is
     /// visible to queries. Queries carrying `min_lsn` above it answer a
-    /// typed `ReplicaLagging` on the I/O thread.
+    /// typed `ReplicaLagging` on the connection's reader.
     pub(crate) watermark: mst_exec::Watermark,
     /// The bound address, for the shutdown self-connection poke.
     pub(crate) addr: SocketAddr,
@@ -443,7 +440,6 @@ where
         stats: ServerStats::default(),
         profile: Mutex::new(QueryProfile::default()),
         shutting_down: AtomicBool::new(false),
-        live_conns: AtomicUsize::new(0),
         cache: AnswerCache::new(config.cache_capacity),
         role,
         watermark: mst_exec::Watermark::at(visible_lsn),
@@ -458,52 +454,27 @@ where
         None => {}
     }
 
-    // Spawn the I/O workers and the coalescer up front so spawn
-    // failures surface here as a typed startup error, not as a
-    // half-started server.
-    let io_threads = config.io_threads.max(1);
+    // Spawn the coalescer up front so a spawn failure surfaces here as a
+    // typed startup error, not as a half-started server.
     let (event_tx, event_rx) = std::sync::mpsc::channel();
-    let mut worker_txs: Vec<std::sync::mpsc::Sender<WorkerMsg>> = Vec::new();
-    let mut worker_handles = Vec::new();
-    for w in 0..io_threads {
-        let (tx, rx) = std::sync::mpsc::channel();
-        worker_txs.push(tx);
-        let worker_shared = Arc::clone(&shared);
-        let events = event_tx.clone();
-        let max_depth = config.max_depth.max(1);
-        let handle = std::thread::Builder::new()
-            .name(format!("mst-serve-io-{w}"))
-            .spawn(move || mux::io_worker_loop(w, &worker_shared, &rx, &events, max_depth))?;
-        worker_handles.push(handle);
-    }
     let coalescer = {
         let coalescer_shared = Arc::clone(&shared);
         let sink_tx = event_tx.clone();
-        let txs = worker_txs.clone();
         std::thread::Builder::new()
             .name("mst-serve-coalesce".into())
-            .spawn(move || {
-                mux::coalescer_loop(&coalescer_shared, &event_rx, sink_tx, &txs, backend)
-            })?
+            .spawn(move || mux::coalescer_loop(&coalescer_shared, &event_rx, sink_tx, backend))?
     };
-    drop(event_tx);
 
     let accept = {
         let shared = Arc::clone(&shared);
         let max_connections = config.max_connections;
+        let max_depth = config.max_depth.max(1);
         std::thread::Builder::new()
             .name("mst-serve-accept".into())
             .spawn(move || {
-                mux::accept_loop(&shared, &listener, &worker_txs, max_connections);
-                // The drain: the coalescer exits once every forwarded
-                // query has answered, then the workers flush and exit.
-                // invariant: a panicked helper thread has already torn
-                // its state down; the drain must keep joining the rest
-                let _ = coalescer.join();
-                for handle in worker_handles {
-                    // invariant: same policy — joining must not cascade
-                    let _ = handle.join();
-                }
+                let served =
+                    mux::accept_loop(&shared, &listener, &event_tx, max_connections, max_depth);
+                mux::drain(served, event_tx, coalescer);
                 shared.exec.shutdown();
             })?
     };

@@ -3,17 +3,25 @@
 //! unread, with queries in flight — while a well-behaved client keeps
 //! querying. The server must never hang, never leak a connection slot
 //! permanently, keep answering the survivors bit-identically, and still
-//! drain to a clean shutdown afterwards.
+//! drain to a clean shutdown afterwards. Each connection has its own
+//! blocking reader and writer, so the two ways that can wedge — a peer
+//! that stops reading, a peer that stops mid-frame — are tested too.
 
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mst_datagen::fixtures::gstd_fleet;
 use mst_exec::ShardedDatabase;
 use mst_prng::Rng;
 use mst_search::QueryOptions;
-use mst_serve::{Request, Response, ServeClient, Server, ServerConfig};
-use mst_trajectory::Trajectory;
+use mst_serve::protocol::{encode_frame_v2, write_frame_v2};
+use mst_serve::{Request, Response, ServeClient, Server, ServerConfig, VERSION};
+use mst_trajectory::{Mbb, Trajectory};
+
+/// The server's cap on unflushed answer bytes per connection.
+const WRITE_BUF_CAP: usize = 8 << 20;
 
 fn kmst_request(q: &Trajectory, k: usize) -> Request {
     Request::Kmst {
@@ -171,4 +179,159 @@ fn orphaned_inflight_queries_never_hang_the_drain() {
     // Shutdown races the orphaned executions; the drain must still
     // complete (admitted work answers into the void, nothing blocks).
     server.shutdown();
+}
+
+/// A peer that pipelines large range answers and never reads them stalls
+/// only itself: a second connection keeps getting answers, and the
+/// stalled one is cut off — its writer gives up after the write timeout,
+/// or its unflushed answers pass the cap — instead of holding answers
+/// without bound. It asks for eight times the cap; what reaches it before
+/// the close is bounded by the cap plus the kernel's socket buffers.
+#[test]
+fn a_peer_that_stops_reading_stalls_only_itself() {
+    let fleet = gstd_fleet(40, 500, 61);
+    let q = fleet[5].1.clone();
+    let db = ShardedDatabase::with_rtree(2, fleet.iter().cloned()).expect("build");
+    let server = Server::start(ServerConfig::new().workers(2), Arc::new(db)).expect("start");
+    let addr = server.local_addr();
+
+    let everything = Request::Range {
+        window: Mbb::new(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9),
+        options: QueryOptions::new(),
+    };
+    let mut survivor = ServeClient::connect(addr).expect("connect survivor");
+    survivor
+        .raw_stream()
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let answer_len = match survivor.request(&everything).expect("one range answer") {
+        Response::Range { degraded, entries } => {
+            assert!(!degraded);
+            Response::Range { degraded, entries }.encode().len()
+        }
+        other => panic!("expected Range, got {other:?}"),
+    };
+    assert!(
+        answer_len > 256 << 10,
+        "a range answer of {answer_len} bytes is too small"
+    );
+    let truth = expect_kmst(survivor.request(&kmst_request(&q, 3)).expect("baseline"));
+
+    // The staller: a hello at depth 8, then every request in one write.
+    let asked = 8 * WRITE_BUF_CAP / answer_len + 1;
+    let mut staller = TcpStream::connect(addr).expect("connect staller");
+    let hello = Request::Hello {
+        min_version: VERSION,
+        max_version: VERSION,
+        depth: 8,
+    };
+    write_frame_v2(&mut staller, 0, &hello.encode()).expect("hello");
+    let mut burst = Vec::new();
+    for id in 1..=asked as u64 {
+        encode_frame_v2(&mut burst, id, &everything.encode()).expect("frame");
+    }
+    staller.write_all(&burst).expect("write burst");
+
+    // The survivor is served throughout.
+    for round in 0..20 {
+        let answer = expect_kmst(survivor.request(&kmst_request(&q, 3)).expect("survivor"));
+        assert_eq!(answer, truth, "round {round}");
+    }
+
+    // The staller now reads: whatever reached its socket, then the close.
+    // A read that times out means the server neither served nor cut it.
+    staller
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut received = 0usize;
+    let mut chunk = vec![0u8; 1 << 16];
+    let cut = loop {
+        match staller.read(&mut chunk) {
+            Ok(0) => break true,
+            Ok(n) => received += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                break false
+            }
+            Err(_) => break true,
+        }
+    };
+    assert!(
+        cut,
+        "the stalled connection was held open after {received} bytes"
+    );
+    assert!(
+        received < asked * answer_len,
+        "all {asked} answers arrived: the peer was never stalled"
+    );
+    assert_eq!(
+        expect_kmst(
+            survivor
+                .request(&kmst_request(&q, 3))
+                .expect("after the cut")
+        ),
+        truth
+    );
+    server.shutdown();
+}
+
+/// The drain does not wait on peers that went quiet: one client stops
+/// half-way through a frame with answered queries behind it, another has
+/// handshaken and sends nothing, a third never even said hello. Shutdown
+/// shuts their readers down and finishes within the drain bound, and
+/// every query the server admitted is answered.
+#[test]
+fn a_drain_with_quiet_peers_finishes_and_answers_what_it_admitted() {
+    let fleet = gstd_fleet(30, 200, 83);
+    let q = fleet[4].1.clone();
+    let db = ShardedDatabase::with_rtree(2, fleet.iter().cloned()).expect("build");
+    let config = ServerConfig::new().workers(1).queue_capacity(16);
+    let server = Server::start(config, Arc::new(db)).expect("start");
+    let addr = server.local_addr();
+
+    let decoded = |probe: &mut ServeClient| probe.stats().expect("stats").counters.requests_decoded;
+    let mut probe = ServeClient::connect(addr).expect("connect probe");
+    let before = decoded(&mut probe);
+
+    let mut halfway = ServeClient::connect_with_depth(addr, 8).expect("connect");
+    let ids: Vec<_> = (1..=6)
+        .map(|k| halfway.send(&kmst_request(&q, k)).expect("send"))
+        .collect();
+    // Wait until all six are decoded: admitted before the drain begins.
+    // Every probe counts itself too.
+    let mut probes = 0;
+    loop {
+        probes += 1;
+        if decoded(&mut probe) >= before + probes + 6 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(probe);
+    halfway
+        .raw_stream()
+        .write_all(&[100u8, 0, 0, 0, 1, 2, 3])
+        .expect("half a frame");
+    let mut idle = ServeClient::connect(addr).expect("connect idle");
+    let silent = TcpStream::connect(addr).expect("connect silent");
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(3), "the drain took {took:?}");
+
+    for (k, id) in (1..=6).zip(ids) {
+        let answer = expect_kmst(halfway.wait(id).expect("an admitted query is answered"));
+        assert_eq!(answer.len(), k, "the query at k = {k}");
+    }
+    assert!(
+        idle.stats().is_err(),
+        "the idle connection outlived the drain"
+    );
+    drop(silent);
 }

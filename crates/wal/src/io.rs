@@ -48,6 +48,11 @@ pub trait LogIo {
 
     /// Bytes appended so far (durable or not).
     fn len(&self) -> u64;
+
+    /// Whether nothing has been appended yet.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// The directory a write-ahead log lives in.

@@ -131,6 +131,18 @@ fn run_case<I: TrajectoryIndexWrite + Default + Send + KmstSubstrate>(
     what: &str,
 ) -> BatchOutcome {
     arm_all(db, config);
+    check_batch(db, fleet, period, want, workers, what)
+}
+
+/// Runs the batch on `db` as armed and checks the honesty contract.
+fn check_batch<I: TrajectoryIndexWrite + Default + Send + KmstSubstrate>(
+    db: &ShardedDatabase<I>,
+    fleet: &[(TrajectoryId, Trajectory)],
+    period: &TimeInterval,
+    want: &(Vec<Vec<MstMatch>>, Vec<NnMatch>),
+    workers: usize,
+    what: &str,
+) -> BatchOutcome {
     let outcome = BatchExecutor::new()
         .workers(workers)
         .run(db, batch_for(fleet, period));
@@ -311,6 +323,88 @@ fn chaos_sweep_is_honest_across_rates_substrates_and_shards() {
     assert!(
         degraded_total > 0,
         "the unmaskable end of the sweep never degraded anything — the injector is dead"
+    );
+}
+
+/// One of four shards fails part-way through a search: a short fault-free
+/// k = 1 kNN query for one of shard 1's objects leaves part of shard 1's
+/// tree in its buffer, then every physical read of shard 1 fails. Each query's one search over the four trees
+/// reads shard 1's cached pages, stops at its first uncached one, and is
+/// run again over the other three shards. A degraded answer must be the
+/// baseline over those shards' objects — a non-empty answer, so the
+/// survivors check compares real matches, not two empty lists. (A query
+/// that pruned shard 1 or found all it needed cached is not degraded and
+/// must equal the full baseline.)
+#[test]
+fn one_of_four_shards_failing_mid_search_leaves_the_survivors_answer() {
+    fn sweep_point<I: TrajectoryIndexWrite + Default + Send + KmstSubstrate>(
+        db: &ShardedDatabase<I>,
+        fleet: &[(TrajectoryId, Trajectory)],
+        period: &TimeInterval,
+        want: &(Vec<Vec<MstMatch>>, Vec<NnMatch>),
+        what: &str,
+    ) {
+        let failing = 1;
+        db.shards()[failing]
+            .index()
+            .with(|index| index.clear_buffer())
+            .expect("lock")
+            .expect("clear buffer");
+        let (_, own) = fleet
+            .iter()
+            .find(|(id, _)| db.shard_of(*id) == failing)
+            .expect("shard 1 holds an object");
+        let glimpse = TimeInterval::new(period.start(), period.start() + 2.0).expect("period");
+        let warm = BatchQuery::knn(Query::knn(own).k(1).during(&glimpse)).expect("knn spec");
+        BatchExecutor::new().workers(1).run(db, vec![warm]);
+        db.shards()[failing]
+            .index()
+            .with(|index| index.reset_stats())
+            .expect("lock");
+        let config = FaultConfig::quiet(401).with_read_transient(1.0);
+        db.set_fault_injection(failing, Some(config))
+            .expect("arm faults");
+        let outcome = check_batch(db, fleet, period, want, 2, what);
+        assert!(outcome.degraded_count() > 0, "{what}: nothing degraded");
+        for (q, result) in outcome.outcomes.iter().enumerate() {
+            let query = result.as_ref().expect("degraded, not failed");
+            if !query.degraded {
+                continue;
+            }
+            let failed: Vec<usize> = query.failures.iter().map(|f| f.shard).collect();
+            assert_eq!(failed, [failing], "{what} q{q}: only shard 1 fails");
+            let matches = match &query.answer {
+                QueryAnswer::Kmst(matches) => matches.len(),
+                QueryAnswer::Knn(matches) => matches.len(),
+                other => panic!("{what} q{q}: unexpected answer {other:?}"),
+            };
+            assert!(matches > 0, "{what} q{q}: the survivors' answer is empty");
+        }
+        // Part-way: the failing shard served hits before its failed read.
+        let hits = db.shards()[failing]
+            .index()
+            .with(|index| index.stats().buffer.hits)
+            .expect("lock");
+        assert!(hits > 0, "{what}: shard 1 failed before any cached read");
+    }
+
+    let fleet = lane_fleet(16, 120);
+    let period = TimeInterval::new(0.0, 119.0).expect("period");
+    let rtree_want = baseline(MovingObjectDatabase::with_rtree(), &fleet, &period, |_| {
+        true
+    });
+    let tbtree_want = baseline(MovingObjectDatabase::with_tbtree(), &fleet, &period, |_| {
+        true
+    });
+    let db = ShardedDatabase::with_rtree(4, fleet.clone()).expect("build");
+    sweep_point(&db, &fleet, &period, &rtree_want, "rtree s=4 shard 1 fails");
+    let db = ShardedDatabase::with_tbtree(4, fleet.clone()).expect("build");
+    sweep_point(
+        &db,
+        &fleet,
+        &period,
+        &tbtree_want,
+        "tbtree s=4 shard 1 fails",
     );
 }
 
