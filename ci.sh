@@ -2,7 +2,9 @@
 # Offline correctness gate for the MST reproduction.
 #
 # Runs everything a reviewer needs before merging, with no network access:
-#   1. formatting drift
+#   1. formatting drift, then clippy over every target of the workspace
+#      with warnings as errors (`cargo clippy --workspace --all-targets
+#      -- -D warnings`)
 #   2. the static-analysis framework's own test suite (lexer, rule
 #      fixtures, seeded fixture trees, the real tree — `cargo test -p xtask`)
 #   3. the zero-dependency static-analysis pass (crates/xtask: rules R1–R5,
@@ -94,6 +96,9 @@ tree_state() {
 tree_before=$(tree_state)
 
 gate "cargo fmt --check" cargo fmt --check
+
+gate "cargo clippy --workspace --all-targets -- -D warnings" \
+    cargo clippy --workspace --all-targets -- -D warnings
 
 gate "static analysis self-tests (cargo test -p xtask)" \
     cargo test -q -p xtask

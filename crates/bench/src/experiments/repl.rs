@@ -316,7 +316,7 @@ pub fn repl_bench(cfg: &ReplBenchConfig) -> ReplReport {
     // Primary: seed through the WAL, checkpoint, serve durably.
     let file_store = FileStore::open(&primary_dir).expect("open primary store");
     let mut durable =
-        DurableDatabase::<Rtree3D, FileStore>::create(file_store, wal_config.clone(), cfg.shards)
+        DurableDatabase::<Rtree3D, FileStore>::create(file_store, wal_config, cfg.shards)
             .expect("create primary store");
     let seed_ops: Vec<IngestOp> = seed_fleet
         .iter()
@@ -334,7 +334,7 @@ pub fn repl_bench(cfg: &ReplBenchConfig) -> ReplReport {
     let primary_addr = primary.local_addr();
 
     // Replica: empty store, bootstraps from the primary's snapshot.
-    let replica = start_replica(&replica_dir, primary_addr, wal_config.clone(), retry);
+    let replica = start_replica(&replica_dir, primary_addr, wal_config, retry);
     let replica_addr = replica.local_addr();
 
     // Lag phase: burst inserts on the primary, then time how long each
@@ -397,7 +397,7 @@ pub fn repl_bench(cfg: &ReplBenchConfig) -> ReplReport {
     replica.shutdown();
     let head_lsn = pipelined_inserts(&mut writer, backlog_pool);
     let (wall_ms, replica) =
-        time_ms(|| start_replica(&replica_dir, primary_addr, wal_config.clone(), retry));
+        time_ms(|| start_replica(&replica_dir, primary_addr, wal_config, retry));
     let replica_addr = replica.local_addr();
     let mut replica_stats = ServeClient::connect(replica_addr).expect("replica reconnect");
     let catch_up_converged;

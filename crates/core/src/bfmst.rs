@@ -443,12 +443,12 @@ mod tests {
     #[test]
     fn matches_linear_scan_on_rtree() {
         let store = dataset();
-        let mut idx = build(Rtree3D::new(), &store);
+        let idx = build(Rtree3D::new(), &store);
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = query();
         for k in [1usize, 3, 5] {
             let expected = scan_kmst(&store, &q, &period, k, Integration::Exact).unwrap();
-            let got = search(&mut idx, &store, &q, &period, &MstConfig::k(k)).unwrap();
+            let got = search(&idx, &store, &q, &period, &MstConfig::k(k)).unwrap();
             let e_ids: Vec<_> = expected.iter().map(|m| m.traj).collect();
             let g_ids: Vec<_> = got.iter().map(|m| m.traj).collect();
             assert_eq!(e_ids, g_ids, "k={k}");
@@ -461,11 +461,11 @@ mod tests {
     #[test]
     fn matches_linear_scan_on_tbtree() {
         let store = dataset();
-        let mut idx = build(TbTree::new(), &store);
+        let idx = build(TbTree::new(), &store);
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = query();
         let expected = scan_kmst(&store, &q, &period, 4, Integration::Exact).unwrap();
-        let got = search(&mut idx, &store, &q, &period, &MstConfig::k(4)).unwrap();
+        let got = search(&idx, &store, &q, &period, &MstConfig::k(4)).unwrap();
         let e_ids: Vec<_> = expected.iter().map(|m| m.traj).collect();
         let g_ids: Vec<_> = got.iter().map(|m| m.traj).collect();
         assert_eq!(e_ids, g_ids);
@@ -495,12 +495,12 @@ mod tests {
     #[test]
     fn subperiod_queries_agree_with_scan() {
         let store = dataset();
-        let mut idx = build(Rtree3D::new(), &store);
+        let idx = build(Rtree3D::new(), &store);
         let q = query();
         for (a, b) in [(0.0, 5.0), (3.0, 11.0), (14.5, 20.0)] {
             let period = TimeInterval::new(a, b).unwrap();
             let expected = scan_kmst(&store, &q, &period, 3, Integration::Exact).unwrap();
-            let got = search(&mut idx, &store, &q, &period, &MstConfig::k(3)).unwrap();
+            let got = search(&idx, &store, &q, &period, &MstConfig::k(3)).unwrap();
             assert_eq!(
                 got.iter().map(|m| m.traj).collect::<Vec<_>>(),
                 expected.iter().map(|m| m.traj).collect::<Vec<_>>(),
@@ -512,11 +512,11 @@ mod tests {
     #[test]
     fn query_must_cover_period() {
         let store = dataset();
-        let mut idx = build(Rtree3D::new(), &store);
+        let idx = build(Rtree3D::new(), &store);
         let q = query();
         let period = TimeInterval::new(0.0, 30.0).unwrap();
         assert!(matches!(
-            search(&mut idx, &store, &q, &period, &MstConfig::default()),
+            search(&idx, &store, &q, &period, &MstConfig::default()),
             Err(SearchError::QueryOutsidePeriod { .. })
         ));
     }
@@ -524,10 +524,10 @@ mod tests {
     #[test]
     fn k_zero_and_empty_index() {
         let store = dataset();
-        let mut idx = build(Rtree3D::new(), &store);
+        let idx = build(Rtree3D::new(), &store);
         let q = query();
         let period = TimeInterval::new(0.0, 20.0).unwrap();
-        let got = search(&mut idx, &store, &q, &period, &MstConfig::k(0)).unwrap();
+        let got = search(&idx, &store, &q, &period, &MstConfig::k(0)).unwrap();
         assert!(got.is_empty());
 
         let empty = Rtree3D::new();
@@ -563,10 +563,10 @@ mod tests {
     #[test]
     fn self_query_returns_itself_with_zero_dissim() {
         let store = dataset();
-        let mut idx = build(Rtree3D::new(), &store);
+        let idx = build(Rtree3D::new(), &store);
         let period = TimeInterval::new(0.0, 20.0).unwrap();
         let q = store.get(TrajectoryId(5)).unwrap().clone();
-        let got = search(&mut idx, &store, &q, &period, &MstConfig::k(1)).unwrap();
+        let got = search(&idx, &store, &q, &period, &MstConfig::k(1)).unwrap();
         assert_eq!(got[0].traj, TrajectoryId(5));
         assert!(got[0].dissim.abs() < 1e-9);
     }

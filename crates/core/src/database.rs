@@ -188,7 +188,8 @@ impl<I: TrajectoryIndexWrite> MovingObjectDatabase<I> {
         Ok(())
     }
 
-    /// Deletes a trajectory and all its segment entries. An unknown id is
+    /// Deletes a trajectory and all its segment entries, each found by its
+    /// box ([`TrajectoryIndexWrite::delete_segment`]). An unknown id is
     /// `Ok(false)` and touches nothing; substrates without point deletes
     /// (TB-tree, STR-tree, metric tree) surface the index's typed error and
     /// keep the trajectory.
@@ -196,8 +197,8 @@ impl<I: TrajectoryIndexWrite> MovingObjectDatabase<I> {
         let Some(existing) = self.store.get(id) else {
             return Ok(false);
         };
-        for seq in 0..existing.num_segments() {
-            self.index.delete_entry(id, seq as u32)?;
+        for entry in LeafEntry::of_trajectory(id, existing) {
+            self.index.delete_segment(&entry)?;
         }
         self.store.remove(id);
         Ok(true)

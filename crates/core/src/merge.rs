@@ -96,7 +96,7 @@ mod tests {
             entry: entry(traj, seq),
             distance,
         };
-        let shards = vec![
+        let shards = [
             vec![seg(0, 1, 2.0), seg(0, 2, 2.0)],
             vec![seg(1, 0, 1.0), seg(0, 0, 2.0)],
         ];
@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn range_merge_is_canonically_ordered() {
-        let shards = vec![vec![entry(3, 1), entry(3, 0)], vec![entry(1, 2)]];
+        let shards = [vec![entry(3, 1), entry(3, 0)], vec![entry(1, 2)]];
         let keys: Vec<(u64, u32)> = range(shards.concat())
             .iter()
             .map(|e| (e.traj.0, e.seq))

@@ -73,6 +73,6 @@ mod tests {
             share.poll_stop()
         }
         assert!(stops(&Stop));
-        assert!(!stops(&NoShare));
+        assert!(!stops(NoShare));
     }
 }

@@ -451,6 +451,17 @@ impl BufferPool {
         Ok(())
     }
 
+    /// A page's buffered bytes for an in-place edit: read as
+    /// [`BufferPool::read_traced`] reads (a quarantined page stays refused:
+    /// an edit is not fresh content) and marked dirty, so the checksum is
+    /// sealed at write-back as for [`BufferPool::write`].
+    pub fn edit(&mut self, store: &mut PageStore, id: PageId) -> Result<&mut [u8]> {
+        self.read_traced(store, id, &mut NoopSink)?;
+        let frame = self.cache.get_mut(&id).ok_or(IndexError::UnknownPage(id))?;
+        frame.dirty = true;
+        Ok(&mut frame.data)
+    }
+
     /// Structural audit of the LRU bookkeeping. Returns a description of
     /// the first violation.
     pub fn audit(&self) -> std::result::Result<(), String> {

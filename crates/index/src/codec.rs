@@ -285,24 +285,37 @@ impl Writer {
     /// Appends one leaf entry.
     #[inline]
     pub fn put_leaf_entry(&mut self, e: &LeafEntry) {
-        let (s, t) = (e.segment.start(), e.segment.end());
-        let mut b = [0u8; LEAF_ENTRY_SIZE];
-        b[..8].copy_from_slice(&e.traj.0.to_le_bytes());
-        b[8..12].copy_from_slice(&e.seq.to_le_bytes());
-        fill_f64s(&mut b[12..], [s.t, s.x, s.y, t.t, t.x, t.y]);
-        self.put_bytes(&b);
+        self.put_bytes(&leaf_entry_bytes(e));
     }
 
     /// Appends one box.
     #[inline]
     pub fn put_mbb(&mut self, m: &Mbb) {
-        let mut b = [0u8; MBB_SIZE];
-        fill_f64s(
-            &mut b,
-            [m.x_min, m.y_min, m.t_min, m.x_max, m.y_max, m.t_max],
-        );
-        self.put_bytes(&b);
+        self.put_bytes(&mbb_bytes(m));
     }
+}
+
+/// One leaf entry's bytes, as [`Writer::put_leaf_entry`] appends them.
+#[inline]
+pub(crate) fn leaf_entry_bytes(e: &LeafEntry) -> [u8; LEAF_ENTRY_SIZE] {
+    let (s, t) = (e.segment.start(), e.segment.end());
+    let mut b = [0u8; LEAF_ENTRY_SIZE];
+    b[..8].copy_from_slice(&e.traj.0.to_le_bytes());
+    b[8..12].copy_from_slice(&e.seq.to_le_bytes());
+    fill_f64s(&mut b[12..], [s.t, s.x, s.y, t.t, t.x, t.y]);
+    b
+}
+
+/// One box's bytes, as [`Writer::put_mbb`] appends them; compared whole,
+/// they tell bit-equal boxes (`-0.0` and `+0.0` differ, as on a page).
+#[inline]
+pub(crate) fn mbb_bytes(m: &Mbb) -> [u8; MBB_SIZE] {
+    let mut b = [0u8; MBB_SIZE];
+    fill_f64s(
+        &mut b,
+        [m.x_min, m.y_min, m.t_min, m.x_max, m.y_max, m.t_max],
+    );
+    b
 }
 
 /// Packs `vs` into `out`. The page encoder appends a whole entry or box

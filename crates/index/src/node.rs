@@ -27,7 +27,7 @@ use std::cmp::Ordering;
 
 use mst_trajectory::{Mbb, Segment, Trajectory, TrajectoryId};
 
-use crate::codec::{CodecError, Reader, Writer, LEAF_ENTRY_SIZE, MBB_SIZE};
+use crate::codec::{mbb_bytes, CodecError, Reader, Writer, LEAF_ENTRY_SIZE, MBB_SIZE};
 use crate::{IndexError, PageId, Result, PAGE_SIZE};
 
 const HEADER_SIZE: usize = 24;
@@ -176,6 +176,8 @@ impl Node {
 
     /// Serializes the node into a fresh `PAGE_SIZE` buffer.
     pub fn encode(&self) -> Vec<u8> {
+        #[cfg(test)]
+        tests::CODEC_CALLS.with(|c| c.set((c.get().0, c.get().1 + 1)));
         assert!(self.len() <= self.capacity(), "node overflow");
         let (node_type, owner, prev, next, entry_size) = match self {
             Node::Leaf {
@@ -206,12 +208,9 @@ impl Node {
         w.put_u32(next.unwrap_or(PageId::NONE).0);
         match self {
             Node::Leaf { entries, .. } => entries.iter().for_each(|e| w.put_leaf_entry(e)),
-            Node::Internal { entries, .. } => {
-                for e in entries {
-                    w.put_u32(e.child.0);
-                    w.put_mbb(&e.mbb);
-                }
-            }
+            Node::Internal { entries, .. } => entries
+                .iter()
+                .for_each(|e| w.put_bytes(&internal_entry_bytes(e))),
         }
         let mut buf = w.into_bytes();
         assert_eq!(
@@ -229,72 +228,158 @@ impl Node {
     /// and malformed payloads all come back as
     /// [`IndexError::CorruptNode`] — never a panic.
     pub fn decode(page: PageId, buf: &[u8]) -> Result<Node> {
+        #[cfg(test)]
+        tests::CODEC_CALLS.with(|c| c.set((c.get().0 + 1, c.get().1)));
         if buf.len() != PAGE_SIZE {
             return Err(IndexError::CorruptNode {
                 page,
                 reason: format!("page has {} bytes, expected {PAGE_SIZE}", buf.len()),
             });
         }
-        read_node(Reader::new(buf)).map_err(|e| IndexError::CorruptNode {
-            page,
-            reason: e.to_string(),
-        })
+        read_node(Reader::new(buf)).map_err(corrupt(page))
     }
 }
 
-/// Reads one node from a `PAGE_SIZE` slice. A count within capacity
-/// always fits the page (`capacities_match_layout`), so only the count,
-/// the level and the entries themselves need checking.
-fn read_node(mut r: Reader<'_>) -> std::result::Result<Node, CodecError> {
-    let node_type = r.u8()?;
-    let level = r.u8()?;
-    let count = usize::from(r.u16()?);
-    let _checksum = r.u32()?;
-    let owner = r.u64()?;
-    let prev = r.u32()?;
-    let next = r.u32()?;
+/// Maps a codec error on `page` onto [`IndexError::CorruptNode`].
+fn corrupt(page: PageId) -> impl Fn(CodecError) -> IndexError {
+    move |e| IndexError::CorruptNode {
+        page,
+        reason: e.to_string(),
+    }
+}
+
+/// Reads a header's first word, checked as every reader of a page checks
+/// it: a known node type, a count within its capacity (which always fits
+/// the page, `capacities_match_layout`) and an internal node above level 0.
+/// Returns `(is_leaf, level, count)`.
+fn read_kind(r: &mut Reader<'_>) -> std::result::Result<(bool, u8, usize), CodecError> {
+    let (node_type, level, count, _checksum) = (r.u8()?, r.u8()?, usize::from(r.u16()?), r.u32()?);
+    let invalid = |what| Err(CodecError::Invalid(what));
     match node_type {
-        TYPE_LEAF => {
-            if count > LEAF_CAPACITY {
-                return Err(CodecError::Invalid("leaf count exceeds capacity"));
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                entries.push(r.leaf_entry()?);
-            }
-            Ok(Node::Leaf {
-                entries,
-                owner: (owner != NO_OWNER).then_some(TrajectoryId(owner)),
-                prev: (prev != PageId::NONE.0).then_some(PageId(prev)),
-                next: (next != PageId::NONE.0).then_some(PageId(next)),
-            })
+        TYPE_LEAF if count > LEAF_CAPACITY => invalid("leaf count exceeds capacity"),
+        TYPE_INTERNAL if count > INTERNAL_CAPACITY => invalid("internal count exceeds capacity"),
+        TYPE_INTERNAL if level == 0 => invalid("internal node with level 0"),
+        TYPE_LEAF | TYPE_INTERNAL => Ok((node_type == TYPE_LEAF, level, count)),
+        _ => invalid("unknown node type"),
+    }
+}
+
+/// Reads one internal entry: the child page, then its checked box.
+fn read_child(r: &mut Reader<'_>) -> std::result::Result<InternalEntry, CodecError> {
+    let mut e = Reader::new(r.take(INTERNAL_ENTRY_SIZE)?);
+    let child = PageId(e.u32()?);
+    Ok(InternalEntry {
+        child,
+        mbb: e.mbb()?,
+    })
+}
+
+/// One internal entry's bytes, as a page holds them.
+pub(crate) fn internal_entry_bytes(e: &InternalEntry) -> [u8; INTERNAL_ENTRY_SIZE] {
+    let mut b = [0u8; INTERNAL_ENTRY_SIZE];
+    b[..4].copy_from_slice(&e.child.0.to_le_bytes());
+    b[4..].copy_from_slice(&mbb_bytes(&e.mbb));
+    b
+}
+
+/// Reads one node from a `PAGE_SIZE` slice.
+fn read_node(mut r: Reader<'_>) -> std::result::Result<Node, CodecError> {
+    let (leaf, level, count) = read_kind(&mut r)?;
+    let (owner, prev, next) = (r.u64()?, r.u32()?, r.u32()?);
+    if leaf {
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            entries.push(r.leaf_entry()?);
         }
-        TYPE_INTERNAL => {
-            if count > INTERNAL_CAPACITY {
-                return Err(CodecError::Invalid("internal count exceeds capacity"));
+        return Ok(Node::Leaf {
+            entries,
+            owner: (owner != NO_OWNER).then_some(TrajectoryId(owner)),
+            prev: (prev != PageId::NONE.0).then_some(PageId(prev)),
+            next: (next != PageId::NONE.0).then_some(PageId(next)),
+        });
+    }
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        entries.push(read_child(&mut r)?);
+    }
+    Ok(Node::Internal { level, entries })
+}
+
+/// The write path's view of a page it does not decode: the header checked
+/// as [`Node::decode`] checks it and entries reached by slot, with nothing
+/// allocated. Every failure is an [`IndexError::CorruptNode`].
+pub(crate) mod in_place {
+    use super::*;
+
+    /// `(is_leaf, count)` of a page.
+    pub(crate) fn head(page: PageId, buf: &[u8]) -> Result<(bool, usize)> {
+        let (leaf, _, count) = read_kind(&mut Reader::new(buf)).map_err(corrupt(page))?;
+        Ok((leaf, count))
+    }
+
+    /// The entries of an internal page in slot order, each box checked (a
+    /// leaf or a childless page is refused).
+    pub(crate) fn children(
+        page: PageId,
+        buf: &[u8],
+    ) -> Result<impl Iterator<Item = Result<InternalEntry>> + '_> {
+        let mut r = Reader::new(buf.get(HEADER_SIZE..).unwrap_or_default());
+        match head(page, buf)? {
+            (false, count) if count > 0 => {
+                Ok((0..count).map(move |_| read_child(&mut r).map_err(corrupt(page))))
             }
-            if level == 0 {
-                return Err(CodecError::Invalid("internal node with level 0"));
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let mut e = Reader::new(r.take(INTERNAL_ENTRY_SIZE)?);
-                let child = PageId(e.u32()?);
-                entries.push(InternalEntry {
-                    child,
-                    mbb: e.mbb()?,
-                });
-            }
-            Ok(Node::Internal { level, entries })
+            _ => Err(corrupt(page)(CodecError::Invalid("not a parent node"))),
         }
-        _ => Err(CodecError::Invalid("unknown node type")),
+    }
+
+    /// An internal page's box: its children's boxes folded in slot order,
+    /// as [`Node::mbb`] folds them.
+    pub(crate) fn mbb(page: PageId, buf: &[u8]) -> Result<Mbb> {
+        children(page, buf)?.try_fold(Mbb::empty(), |acc, e| Ok(acc.union(&e?.mbb)))
+    }
+
+    fn slice(page: PageId, buf: &mut [u8], at: usize, len: usize) -> Result<&mut [u8]> {
+        buf.get_mut(at..at + len)
+            .ok_or(corrupt(page)(CodecError::Short))
+    }
+
+    /// Overwrites the box of child `slot` of an internal page.
+    pub(crate) fn set_box(page: PageId, buf: &mut [u8], slot: usize, mbb: &Mbb) -> Result<()> {
+        if !matches!(head(page, buf)?, (false, count) if slot < count) {
+            return Err(corrupt(page)(CodecError::Invalid("no such child")));
+        }
+        let at = HEADER_SIZE + slot * INTERNAL_ENTRY_SIZE + 4;
+        slice(page, buf, at, MBB_SIZE)?.copy_from_slice(&mbb_bytes(mbb));
+        Ok(())
+    }
+
+    /// Writes an encoded entry (a leaf's or a child's, told by its length)
+    /// at slot `count` and bumps the count: the bytes [`Node::encode`]
+    /// writes for the node with the entry pushed.
+    pub(crate) fn push(page: PageId, buf: &mut [u8], entry: &[u8]) -> Result<()> {
+        let (leaf, count) = head(page, buf)?;
+        let size = entry.len();
+        if leaf != (size == LEAF_ENTRY_SIZE) || count >= (PAGE_SIZE - HEADER_SIZE) / size {
+            return Err(corrupt(page)(CodecError::Invalid("no room for the entry")));
+        }
+        slice(page, buf, HEADER_SIZE + count * size, size)?.copy_from_slice(entry);
+        let bumped = u16::try_from(count + 1).unwrap_or(u16::MAX);
+        slice(page, buf, 2, 2)?.copy_from_slice(&bumped.to_le_bytes());
+        Ok(())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mst_trajectory::SamplePoint;
+
+    thread_local! {
+        /// `(decodes, encodes)` of nodes on this thread: lets a test pin
+        /// that a write path decodes and encodes nothing.
+        pub(crate) static CODEC_CALLS: std::cell::Cell<(u64, u64)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
 
     fn entry(id: u64, seq: u32, t0: f64) -> LeafEntry {
         LeafEntry {

@@ -38,12 +38,18 @@ impl InsertionPolicy for RtreePolicy {
         core.insert_by_descent::<RtreePolicy>(entry)
     }
 
-    fn delete(&mut self, core: &mut TreeCore, traj: TrajectoryId, seq: u32) -> Result<bool> {
+    fn delete(
+        &mut self,
+        core: &mut TreeCore,
+        traj: TrajectoryId,
+        seq: u32,
+        guide: Option<&Mbb>,
+    ) -> Result<bool> {
         let Some(root) = core.root else {
             return Ok(false);
         };
         let mut path: Vec<(PageId, usize)> = Vec::new();
-        let Some(leaf_page) = find_leaf(core, root, traj, seq, &mut path)? else {
+        let Some(leaf_page) = find_leaf(core, root, traj, seq, guide, &mut path)? else {
             return Ok(false);
         };
 
@@ -135,6 +141,10 @@ impl Rtree3D {
     /// pages return to the store. Returns `false` when no such entry
     /// exists.
     ///
+    /// Knowing only the id, the search may read the whole tree;
+    /// [`TrajectoryIndexWrite::delete_segment`] enters only the subtrees
+    /// whose box contains the segment's.
+    ///
     /// `max_speed` is intentionally *not* recomputed — it remains a sound
     /// (if possibly loose) upper bound for the Vmax-based pruning metrics.
     pub fn delete(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
@@ -143,12 +153,15 @@ impl Rtree3D {
 }
 
 /// Depth-first search for the leaf holding `(traj, seq)`, recording the
-/// root-to-parent path of the match.
+/// root-to-parent path of the match. With a `guide` (the segment's box) it
+/// enters only children whose stored box contains the guide, as every box
+/// on the path to the entry does; without one it tries every child.
 fn find_leaf(
     core: &mut TreeCore,
     page: PageId,
     traj: TrajectoryId,
     seq: u32,
+    guide: Option<&Mbb>,
     path: &mut Vec<(PageId, usize)>,
 ) -> Result<Option<PageId>> {
     match core.fetch_node(page)? {
@@ -161,8 +174,11 @@ fn find_leaf(
         }
         Node::Internal { entries, .. } => {
             for (i, e) in entries.iter().enumerate() {
+                if guide.is_some_and(|g| e.mbb.union(g) != e.mbb) {
+                    continue;
+                }
                 path.push((page, i));
-                if let Some(found) = find_leaf(core, e.child, traj, seq, path)? {
+                if let Some(found) = find_leaf(core, e.child, traj, seq, guide, path)? {
                     return Ok(Some(found));
                 }
                 path.pop();
@@ -265,23 +281,30 @@ fn harvest(core: &mut TreeCore, node: &Node, out: &mut Vec<LeafEntry>) -> Result
 }
 
 /// Picks the child whose MBB needs the least volume enlargement to absorb
-/// `mbb` (ties broken by smaller volume, then by index for determinism).
-pub(crate) fn choose_subtree(entries: &[InternalEntry], mbb: &Mbb) -> usize {
-    let mut best = 0;
+/// `mbb` (ties broken by smaller volume, then by index for determinism),
+/// and returns its slot and entry. The children come as read, so the first
+/// that failed to read fails the choice.
+pub(crate) fn choose_subtree(
+    children: impl Iterator<Item = Result<InternalEntry>>,
+    mbb: &Mbb,
+) -> Result<(usize, InternalEntry)> {
+    let mut best = None;
     let mut best_enlargement = f64::INFINITY;
     let mut best_volume = f64::INFINITY;
-    for (i, e) in entries.iter().enumerate() {
+    for (i, e) in children.enumerate() {
+        let e = e?;
         let enlargement = e.mbb.enlargement(mbb);
         let volume = e.mbb.volume();
         if enlargement < best_enlargement
             || (enlargement == best_enlargement && volume < best_volume)
         {
-            best = i;
+            best = Some((i, e));
             best_enlargement = enlargement;
             best_volume = volume;
         }
+        best.get_or_insert((i, e));
     }
-    best
+    best.ok_or(IndexError::BadInsert("no child to descend into".into()))
 }
 
 /// One half of a quadratic split: boxed items assigned to a group.
@@ -719,5 +742,82 @@ mod tests {
         assert!(s.node_reads > 0);
         t.reset_stats();
         assert_eq!(t.stats().node_reads, 0);
+    }
+
+    #[test]
+    fn a_delete_guided_by_the_segment_box_reads_a_few_paths() {
+        // Random walks: 100 objects x 200 steps = 20 000 segments.
+        let mut x: u64 = 0x5EED_0044;
+        let mut unit = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut at: Vec<(f64, f64)> = (0..100)
+            .map(|_| (1000.0 * unit(), 1000.0 * unit()))
+            .collect();
+        let mut t = Rtree3D::new();
+        let mut all = Vec::new();
+        for seq in 0..200u32 {
+            for (id, p) in at.iter_mut().enumerate() {
+                let q = (p.0 + 10.0 * unit() - 5.0, p.1 + 10.0 * unit() - 5.0);
+                let t0 = f64::from(seq);
+                let e = LeafEntry {
+                    traj: TrajectoryId(id as u64),
+                    seq,
+                    segment: seg(t0, p.0, p.1, t0 + 1.0, q.0, q.1),
+                };
+                // Through the core: a `paranoid` audit after each of
+                // 20 000 inserts would dominate the run.
+                t.core.insert_by_descent::<RtreePolicy>(e).unwrap();
+                all.push(e);
+                *p = q;
+            }
+        }
+        let pages = t.num_pages() as u64;
+        let root = t.root().unwrap();
+        let (mut whole, mut guided, mut unguided) = (Vec::new(), 0, 0);
+        for victim in all.iter().step_by(1999) {
+            // The search for the leaf reads under 5 % of the pages ...
+            let mut path = Vec::new();
+            t.reset_stats();
+            let guide = Some(victim.mbb());
+            let found = find_leaf(
+                &mut t.core,
+                root,
+                victim.traj,
+                victim.seq,
+                guide.as_ref(),
+                &mut path,
+            );
+            let reads = t.stats().node_reads;
+            assert!(found.unwrap().is_some());
+            assert!(reads * 20 < pages, "{reads} node reads of {pages} pages");
+            guided += reads;
+            t.reset_stats();
+            find_leaf(&mut t.core, root, victim.traj, victim.seq, None, &mut path).unwrap();
+            unguided += t.stats().node_reads;
+            // ... and so does the whole delete, unless the leaf falls under
+            // its minimum fill and CondenseTree reinserts what it held.
+            t.reset_stats();
+            assert!(t.delete_segment(victim).unwrap());
+            whole.push(t.stats().node_reads);
+        }
+        whole.sort_unstable();
+        assert!(
+            whole[whole.len() / 2] * 20 < pages,
+            "delete reads: {whole:?} of {pages} pages"
+        );
+        assert!(
+            unguided > 10 * guided,
+            "searches: {guided} guided, {unguided} unguided"
+        );
+        // A segment the tree no longer holds is not found.
+        assert!(!t.delete_segment(&all[0]).unwrap());
+        // The id-only walk still finds what it is asked for.
+        assert!(t.delete(all[1].traj, all[1].seq).unwrap());
+        crate::check_invariants(&t).unwrap();
+        assert_eq!(t.num_entries(), all.len() as u64 - 12);
     }
 }

@@ -27,7 +27,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::fault::FaultConfig;
-use crate::metrics::MetricsSink;
+use crate::metrics::{MetricsSink, NoopSink};
 use crate::traits::paper_buffer_capacity;
 use crate::{BufferPool, IndexError, Node, PageId, PageStore, Rank, Ranked, Result};
 
@@ -141,6 +141,18 @@ impl PagerIo {
             sink.node_access(node.level());
         }
         decoded
+    }
+
+    /// `page`'s bytes, read through the buffer and left undecoded (one
+    /// node read, like [`PagerIo::fetch_node`]).
+    pub fn read_page(&mut self, page: PageId) -> Result<&[u8]> {
+        self.node_reads += 1;
+        self.pool.read_traced(&mut self.store, page, &mut NoopSink)
+    }
+
+    /// `page`'s buffered bytes for an in-place edit ([`BufferPool::edit`]).
+    pub fn edit_page(&mut self, page: PageId) -> Result<&mut [u8]> {
+        self.pool.edit(&mut self.store, page)
     }
 
     /// Encodes and writes `node` into `page`.

@@ -159,6 +159,13 @@ pub trait TrajectoryIndexWrite: TrajectoryIndex {
         let _ = (traj, seq);
         Err(delete_unsupported())
     }
+
+    /// [`TrajectoryIndexWrite::delete_entry`] of a segment the caller has:
+    /// the search may skip every subtree whose box does not contain the
+    /// segment's (the default ignores the segment).
+    fn delete_segment(&mut self, entry: &LeafEntry) -> Result<bool> {
+        self.delete_entry(entry.traj, entry.seq)
+    }
 }
 
 /// The typed refusal of a point delete on a substrate that has none.

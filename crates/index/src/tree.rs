@@ -11,6 +11,10 @@
 //! [`InsertionPolicy`]: a placement rule over the core's primitives plus
 //! whatever state is its own (see `rtree.rs`, `strtree.rs`, `tbtree.rs`,
 //! `metric.rs`).
+//!
+//! An insert edits only the bytes it changes: the descent reads pages in
+//! place, a leaf with room takes the entry's bytes at slot `count`, and an
+//! ancestor's box is patched only while it grows. Only a split decodes.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -18,8 +22,10 @@ use std::path::Path;
 
 use mst_trajectory::{Mbb, Trajectory, TrajectoryId};
 
+use crate::codec::{leaf_entry_bytes, mbb_bytes};
 use crate::fault::{FaultConfig, FaultStats};
 use crate::metrics::{MetricsSink, NoopSink};
+use crate::node::{in_place, internal_entry_bytes};
 use crate::persist::{Image, ImageKind};
 use crate::rtree::{choose_subtree, quadratic_split, MIN_FILL_RATIO};
 use crate::shared::Pager;
@@ -73,10 +79,10 @@ pub(crate) fn sorted_pairs<K: Copy + Ord, V: Copy + Ord>(map: &HashMap<K, V>) ->
     pairs
 }
 
-/// The two halves of an overflowing node under Guttman's quadratic split
-/// (`None` while the node fits its page). Leaf halves are plain unowned
-/// leaves: only the descent-built trees split.
-fn split_overflow(node: &Node) -> Option<(Node, Node)> {
+/// The two halves of an overflowing node under Guttman's quadratic split.
+/// Leaf halves are plain unowned leaves: only the descent-built trees
+/// split.
+fn split_halves(node: &Node) -> (Node, Node) {
     fn halves<T: Copy>(
         entries: &[T],
         capacity: usize,
@@ -88,10 +94,7 @@ fn split_overflow(node: &Node) -> Option<(Node, Node)> {
         let strip = |g: Vec<(Mbb, T)>| g.into_iter().map(|(_, e)| e).collect();
         (strip(a), strip(b))
     }
-    if node.len() <= node.capacity() {
-        return None;
-    }
-    Some(match node {
+    match node {
         Node::Leaf { entries, .. } => {
             let (a, b) = halves(entries, LEAF_CAPACITY, LeafEntry::mbb);
             let leaf = |entries| Node::Leaf {
@@ -110,7 +113,7 @@ fn split_overflow(node: &Node) -> Option<(Node, Node)> {
             };
             (internal(a), internal(b))
         }
-    })
+    }
 }
 
 impl TreeCore {
@@ -140,7 +143,8 @@ impl TreeCore {
 
     /// Guttman's insert: descend by least volume enlargement, place the
     /// entry, resolve overflows with the quadratic split on the way back
-    /// up, and grow a new root when the split reaches the top.
+    /// up, and grow a new root when the split reaches the top. Pages are
+    /// read and edited in place; only a node that splits is decoded.
     pub(crate) fn insert_by_descent<H: DescentHooks>(&mut self, entry: LeafEntry) -> Result<()> {
         self.count(&entry);
 
@@ -158,57 +162,48 @@ impl TreeCore {
             return Ok(());
         };
 
-        // Descend to the best leaf, remembering the path.
-        let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.height as usize);
+        // Descend to the best leaf, remembering each parent, the slot taken
+        // and the box stored there.
+        let mbb = entry.mbb();
+        let mut path: Vec<(PageId, usize, Mbb)> = Vec::with_capacity(usize::from(self.height));
         let mut page = root;
-        while let Node::Internal { entries, .. } = self.fetch_node(page)? {
-            let idx = choose_subtree(&entries, &entry.mbb());
-            path.push((page, idx));
-            page = entries[idx].child;
-        }
-        let mut node = self.fetch_node(page)?;
-        let Node::Leaf { entries, .. } = &mut node else {
-            return Err(IndexError::CorruptNode {
-                page,
-                reason: "descent ended on an internal node".into(),
-            });
+        let full_leaf = loop {
+            let bytes = self.pager.get_mut()?.read_page(page)?;
+            if let (true, count) = in_place::head(page, bytes)? {
+                let full = count >= LEAF_CAPACITY;
+                break full.then(|| Node::decode(page, bytes)).transpose()?;
+            }
+            let (slot, child) = choose_subtree(in_place::children(page, bytes)?, &mbb)?;
+            path.push((page, slot, child.mbb));
+            page = child.child;
         };
-        entries.push(entry);
         H::landed(self, entry.traj, page);
 
-        // Walk back up: store the modified node (splitting on overflow),
-        // then refresh its MBB in the parent and hand the parent any new
-        // sibling.
-        let split = loop {
-            let (updated_mbb, split) = match split_overflow(&node) {
-                None => {
-                    self.pager.get_mut()?.write_node(page, &node)?;
-                    (node.mbb(), None)
-                }
-                Some((node_a, node_b)) => {
-                    self.pager.get_mut()?.write_node(page, &node_a)?;
-                    let new_page = self.pager.get_mut()?.allocate_node(&node_b)?;
-                    match (&node_a, &node_b) {
-                        (Node::Internal { entries: a, .. }, Node::Internal { entries: b, .. }) => {
-                            for e in a {
-                                H::adopted(self, e.child, page);
-                            }
-                            for e in b {
-                                H::adopted(self, e.child, new_page);
-                            }
-                        }
-                        _ => H::leaf_split(self, page, &node_a, new_page, &node_b),
-                    }
-                    let sibling = InternalEntry {
-                        child: new_page,
-                        mbb: node_b.mbb(),
-                    };
-                    (node_a.mbb(), Some(sibling))
-                }
+        let Some(mut node) = full_leaf else {
+            let bytes = self.pager.get_mut()?.edit_page(page)?;
+            in_place::push(page, bytes, &leaf_entry_bytes(&entry))?;
+            // Appended last, the entry makes the leaf's box what `Node::mbb`
+            // folds: the stored box ∪ the entry's.
+            let Some(&(_, _, stored)) = path.last() else {
+                return Ok(());
             };
-            let Some((parent, child_idx)) = path.pop() else {
-                break split;
-            };
+            let mut up = path.into_iter().rev();
+            return self.adjust_ancestors(stored.union(&mbb), |_| Ok(up.next()));
+        };
+        if let Node::Leaf { entries, .. } = &mut node {
+            entries.push(entry);
+        }
+        let (mut child_mbb, mut sibling) = self.split_store::<H>(page, &node)?;
+        while let Some((parent, slot, _)) = path.pop() {
+            let bytes = self.pager.get_mut()?.edit_page(parent)?;
+            if in_place::head(parent, bytes)?.1 < INTERNAL_CAPACITY {
+                in_place::set_box(parent, bytes, slot, &child_mbb)?;
+                in_place::push(parent, bytes, &internal_entry_bytes(&sibling))?;
+                let parent_mbb = in_place::mbb(parent, bytes)?;
+                H::adopted(self, sibling.child, parent);
+                let mut up = path.into_iter().rev();
+                return self.adjust_ancestors(parent_mbb, |_| Ok(up.next()));
+            }
             node = self.fetch_node(parent)?;
             let Node::Internal { entries, .. } = &mut node else {
                 return Err(IndexError::CorruptNode {
@@ -216,34 +211,58 @@ impl TreeCore {
                     reason: "path node is not internal".into(),
                 });
             };
-            entries[child_idx].mbb = updated_mbb;
-            if let Some(sibling) = split {
-                entries.push(sibling);
-                H::adopted(self, sibling.child, parent);
-            }
-            page = parent;
-        };
+            entries[slot].mbb = child_mbb;
+            entries.push(sibling);
+            H::adopted(self, sibling.child, parent);
+            (child_mbb, sibling) = self.split_store::<H>(parent, &node)?;
+        }
 
         // Root split: grow the tree by one level.
-        if let Some(sibling) = split {
-            let old_root_mbb = self.fetch_node(root)?.mbb();
-            let new_root = Node::Internal {
-                level: self.height,
-                entries: vec![
-                    InternalEntry {
-                        child: root,
-                        mbb: old_root_mbb,
-                    },
-                    sibling,
-                ],
-            };
-            let new_root_page = self.pager.get_mut()?.allocate_node(&new_root)?;
-            H::adopted(self, root, new_root_page);
-            H::adopted(self, sibling.child, new_root_page);
-            self.root = Some(new_root_page);
-            self.height += 1;
-        }
+        let new_root = Node::Internal {
+            level: self.height,
+            entries: vec![
+                InternalEntry {
+                    child: root,
+                    mbb: child_mbb,
+                },
+                sibling,
+            ],
+        };
+        let new_root_page = self.pager.get_mut()?.allocate_node(&new_root)?;
+        H::adopted(self, root, new_root_page);
+        H::adopted(self, sibling.child, new_root_page);
+        self.root = Some(new_root_page);
+        self.height += 1;
         Ok(())
+    }
+
+    /// Splits an overflowing node: the first half stays in `page`, the
+    /// second goes to a new page and the hooks learn who moved. Returns the
+    /// first half's box and the parent entry of the second.
+    fn split_store<H: DescentHooks>(
+        &mut self,
+        page: PageId,
+        node: &Node,
+    ) -> Result<(Mbb, InternalEntry)> {
+        let (node_a, node_b) = split_halves(node);
+        self.pager.get_mut()?.write_node(page, &node_a)?;
+        let new_page = self.pager.get_mut()?.allocate_node(&node_b)?;
+        match (&node_a, &node_b) {
+            (Node::Internal { entries: a, .. }, Node::Internal { entries: b, .. }) => {
+                for e in a {
+                    H::adopted(self, e.child, page);
+                }
+                for e in b {
+                    H::adopted(self, e.child, new_page);
+                }
+            }
+            _ => H::leaf_split(self, page, &node_a, new_page, &node_b),
+        }
+        let sibling = InternalEntry {
+            child: new_page,
+            mbb: node_b.mbb(),
+        };
+        Ok((node_a.mbb(), sibling))
     }
 
     /// Trajectory preservation: appends `entry` to the leaf holding its
@@ -302,36 +321,44 @@ impl TreeCore {
         Ok((leaf, node.mbb()))
     }
 
-    /// Propagates an updated child MBB to the root via the parent map,
-    /// stopping at the first ancestor that is already tight.
-    pub(crate) fn refresh_ancestors(
-        &mut self,
-        mut child: PageId,
-        mut child_mbb: Mbb,
-    ) -> Result<()> {
-        while let Some(&parent) = self.parents.get(&child) {
-            let mut node = self.fetch_node(parent)?;
-            let Node::Internal { entries, .. } = &mut node else {
-                return Err(IndexError::CorruptNode {
-                    page: parent,
-                    reason: "parent map points at a leaf".into(),
-                });
+    /// Hands a child's new box up the parent map by the ancestor rule.
+    pub(crate) fn refresh_ancestors(&mut self, mut child: PageId, child_mbb: Mbb) -> Result<()> {
+        self.adjust_ancestors(child_mbb, |core| {
+            let Some(&parent) = core.parents.get(&child) else {
+                return Ok(None);
             };
-            let slot = entries
-                .iter_mut()
-                .find(|e| e.child == child)
-                .ok_or_else(|| IndexError::CorruptNode {
-                    page: parent,
-                    reason: "parent does not reference child".into(),
-                })?;
-            if slot.mbb == child_mbb {
+            let bytes = core.pager.get_mut()?.read_page(parent)?;
+            for (slot, e) in in_place::children(parent, bytes)?.enumerate() {
+                let e = e?;
+                if e.child == child {
+                    child = parent;
+                    return Ok(Some((parent, slot, e.mbb)));
+                }
+            }
+            Err(IndexError::CorruptNode {
+                page: parent,
+                reason: "parent does not reference child".into(),
+            })
+        })
+    }
+
+    /// The one ancestor rule: `up` yields, nearest first, each ancestor of
+    /// a child whose box became `child_mbb`. One that already stores that
+    /// box bit for bit ends the walk; any other gets its one 48-byte box
+    /// patched in place and hands its own box (folded as `Node::mbb` does)
+    /// one level up.
+    fn adjust_ancestors(
+        &mut self,
+        mut child_mbb: Mbb,
+        mut up: impl FnMut(&mut TreeCore) -> Result<Option<(PageId, usize, Mbb)>>,
+    ) -> Result<()> {
+        while let Some((parent, slot, stored)) = up(self)? {
+            if mbb_bytes(&stored) == mbb_bytes(&child_mbb) {
                 break;
             }
-            slot.mbb = child_mbb;
-            let mbb = node.mbb();
-            self.pager.get_mut()?.write_node(parent, &node)?;
-            child = parent;
-            child_mbb = mbb;
+            let bytes = self.pager.get_mut()?.edit_page(parent)?;
+            in_place::set_box(parent, bytes, slot, &child_mbb)?;
+            child_mbb = in_place::mbb(parent, bytes)?;
         }
         Ok(())
     }
@@ -364,8 +391,16 @@ pub trait InsertionPolicy: Default {
     /// Places one segment.
     fn insert(&mut self, core: &mut TreeCore, entry: LeafEntry) -> Result<()>;
 
-    /// Removes one segment, matched by trajectory id + sequence number.
-    fn delete(&mut self, _core: &mut TreeCore, _traj: TrajectoryId, _seq: u32) -> Result<bool> {
+    /// Removes one segment, matched by trajectory id + sequence number;
+    /// a `guide` (the segment's box) lets the search skip every subtree
+    /// whose box does not contain it.
+    fn delete(
+        &mut self,
+        _core: &mut TreeCore,
+        _traj: TrajectoryId,
+        _seq: u32,
+        _guide: Option<&Mbb>,
+    ) -> Result<bool> {
         Err(delete_unsupported())
     }
 
@@ -529,7 +564,16 @@ impl<P: InsertionPolicy> TrajectoryIndexWrite for PagedTree<P> {
     }
 
     fn delete_entry(&mut self, traj: TrajectoryId, seq: u32) -> Result<bool> {
-        let deleted = self.policy.delete(&mut self.core, traj, seq)?;
+        let deleted = self.policy.delete(&mut self.core, traj, seq, None)?;
+        self.paranoid_audit("delete");
+        Ok(deleted)
+    }
+
+    fn delete_segment(&mut self, entry: &LeafEntry) -> Result<bool> {
+        let guide = entry.mbb();
+        let deleted = self
+            .policy
+            .delete(&mut self.core, entry.traj, entry.seq, Some(&guide))?;
         self.paranoid_audit("delete");
         Ok(deleted)
     }
@@ -607,5 +651,197 @@ impl<P: InsertionPolicy> TrajectoryIndex for PagedTree<P> {
 
     fn audit_buffer(&self) -> std::result::Result<(), String> {
         self.core.pager.audit()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::tests::CODEC_CALLS;
+    use crate::rtree::RtreePolicy;
+    use crate::Rtree3D;
+    use mst_trajectory::{SamplePoint, Segment};
+
+    fn entry(traj: u64, seq: u32, t: f64, x: f64, y: f64) -> LeafEntry {
+        LeafEntry {
+            traj: TrajectoryId(traj),
+            seq,
+            segment: Segment::new(
+                SamplePoint::new(t, x, y),
+                SamplePoint::new(t + 1.0, x + 0.5, y + 0.25),
+            )
+            .expect("valid segment"),
+        }
+    }
+
+    /// Lanes inserted in arrival order (through the core: a `paranoid`
+    /// audit after each of thousands of inserts would dominate the run).
+    fn lanes(objects: u64, steps: u32) -> Rtree3D {
+        let mut tree = Rtree3D::new();
+        for seq in 0..steps {
+            for traj in 0..objects {
+                let (x, y) = ((traj * 37 % 1000) as f64, (traj * 91 % 1000) as f64);
+                let t = f64::from(seq);
+                let e = entry(traj, seq, t, x + t, y);
+                tree.core
+                    .insert_by_descent::<RtreePolicy>(e)
+                    .expect("insert");
+            }
+        }
+        tree
+    }
+
+    /// One insert through the descent with every page clean before it:
+    /// `(node reads, pages written back, (decodes, encodes))`, or `None`
+    /// when the insert split a node.
+    fn insert_cost(tree: &mut Rtree3D, e: LeafEntry) -> Option<(u64, u64, (u64, u64))> {
+        tree.flush().expect("flush");
+        tree.reset_stats();
+        let pages = tree.num_pages();
+        CODEC_CALLS.with(|c| c.set((0, 0)));
+        tree.core
+            .insert_by_descent::<RtreePolicy>(e)
+            .expect("insert");
+        let codec = CODEC_CALLS.with(|c| c.get());
+        tree.flush().expect("flush");
+        let stats = tree.stats();
+        (tree.num_pages() == pages).then_some((stats.node_reads, stats.buffer.writebacks, codec))
+    }
+
+    #[test]
+    fn a_non_splitting_insert_reads_its_path_once_and_writes_only_what_grew() {
+        let mut tree = lanes(40, 150);
+        let height = u64::from(tree.height());
+        assert!(height >= 3, "the lanes must grow a real directory");
+
+        // A twin of a stored segment: every box on its path already
+        // contains it, so only the leaf is written.
+        let inside = (0..40u64)
+            .find_map(|traj| {
+                let twin = entry(
+                    traj,
+                    10_000,
+                    70.0,
+                    (traj * 37 % 1000) as f64 + 70.0,
+                    (traj * 91 % 1000) as f64,
+                );
+                insert_cost(&mut tree, twin)
+            })
+            .expect("some twin lands in a leaf with room");
+        assert_eq!(inside, (height, 1, (0, 0)));
+
+        // Far past everything stored: every ancestor's box grows.
+        let outside = (0..40u32)
+            .find_map(|k| {
+                insert_cost(
+                    &mut tree,
+                    entry(7, 20_000 + k, 1e6 + f64::from(k), 5e3, 5e3),
+                )
+            })
+            .expect("some far segment lands in a leaf with room");
+        assert_eq!(outside, (height, height, (0, 0)));
+        crate::check_invariants(&tree).expect("consistent");
+    }
+
+    /// Plants bytes into a page as if the disk had held them (sealed at
+    /// write-back like any page).
+    fn plant(tree: &mut Rtree3D, page: PageId, edit: impl FnOnce(&mut [u8])) {
+        edit(
+            tree.core
+                .pager
+                .get_mut()
+                .expect("pager")
+                .edit_page(page)
+                .expect("page"),
+        );
+    }
+
+    #[test]
+    fn an_insert_meeting_a_hostile_page_fails_typed() {
+        type Plant = fn(&mut [u8]);
+        let leaf_count: Plant = |b| b[2..4].copy_from_slice(&200u16.to_le_bytes());
+        let unknown_type: Plant = |b| b[0] = 7;
+        let nan_box: Plant = |b| b[28..36].copy_from_slice(&f64::NAN.to_le_bytes());
+        let inverted_box: Plant = |b| b[28..36].copy_from_slice(&1e300f64.to_le_bytes());
+        for (what, on_leaves, edit) in [
+            ("a leaf count beyond capacity", true, leaf_count),
+            ("an unknown node type", false, unknown_type),
+            ("a NaN child box", false, nan_box),
+            ("an inverted child box", false, inverted_box),
+        ] {
+            let mut tree = lanes(8, 100);
+            let root = tree.root().expect("non-empty");
+            let Node::Internal { entries, .. } = tree.read_node(root).expect("root") else {
+                panic!("the lanes grow a directory");
+            };
+            let pages: Vec<PageId> = if on_leaves {
+                entries.iter().map(|e| e.child).collect()
+            } else {
+                vec![root]
+            };
+            for page in pages {
+                plant(&mut tree, page, edit);
+            }
+            tree.flush().expect("write back");
+            let got = tree
+                .core
+                .insert_by_descent::<RtreePolicy>(entry(3, 5_000, 50.0, 400.0, 300.0));
+            assert!(
+                matches!(got, Err(IndexError::CorruptNode { .. })),
+                "{what}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_place_appends_round_trip_to_what_decode_and_encode_build() {
+        let fill = u32::try_from(LEAF_CAPACITY).expect("small");
+        let entries: Vec<LeafEntry> = (0..=fill)
+            .map(|i| entry(u64::from(i % 3), i, f64::from(i), f64::from(i % 7), -0.0))
+            .collect();
+        let mut tree = Rtree3D::new();
+        // The decode-and-re-encode path: each append is a decoded push
+        // and a full encode.
+        let mut model = Node::empty_leaf();
+        for e in &entries[..LEAF_CAPACITY] {
+            tree.insert(*e).expect("insert");
+            if let Node::Leaf { entries, .. } = &mut model {
+                entries.push(*e);
+            }
+            model = Node::decode(PageId(0), &model.encode()).expect("round trip");
+        }
+        assert_eq!(tree.num_pages(), 1, "one leaf, filled in place");
+        let reload = |tree: &mut Rtree3D| {
+            let mut image = Vec::new();
+            tree.save(&mut image).expect("save");
+            Rtree3D::load(&image).expect("load")
+        };
+        let back = reload(&mut tree);
+        let root = back.root().expect("non-empty");
+        assert_eq!(back.read_node(root).expect("decode"), model);
+
+        // One more entry splits the full leaf into what the quadratic
+        // split makes of the model.
+        tree.insert(entries[LEAF_CAPACITY]).expect("insert");
+        if let Node::Leaf { entries: m, .. } = &mut model {
+            m.push(entries[LEAF_CAPACITY]);
+        }
+        let (a, b) = split_halves(&model);
+        let back = reload(&mut tree);
+        let Node::Internal {
+            entries: halves, ..
+        } = back.read_node(back.root().expect("root")).expect("decode")
+        else {
+            panic!("the split grows a root");
+        };
+        let got: Vec<Node> = halves
+            .iter()
+            .map(|e| back.read_node(e.child).expect("decode"))
+            .collect();
+        assert_eq!(got, [a.clone(), b.clone()]);
+        assert_eq!(
+            halves.iter().map(|e| e.mbb).collect::<Vec<_>>(),
+            [a.mbb(), b.mbb()]
+        );
     }
 }

@@ -203,11 +203,9 @@ fn mark_cfg_test(lines: &mut [Line]) {
                         skip_depth = None;
                     }
                 }
-                ';' => {
-                    if pending && skip_depth.is_none() {
-                        pending = false;
-                        in_test = true;
-                    }
+                ';' if pending && skip_depth.is_none() => {
+                    pending = false;
+                    in_test = true;
                 }
                 _ => {}
             }
