@@ -12,7 +12,9 @@
 #      the machine-readable report is archived to results/xtask_report.json
 #   4. a release build of the whole workspace
 #   5. the full test suite
-#   6. the index tests again with `paranoid` audits after every mutation
+#   6. the index tests again with `paranoid` audits after every mutation,
+#      then the pinned tree images in release (`tree_shape`: page bytes,
+#      signed zeros included, must not depend on the build profile)
 #   7. the index shootout smoke (every row — R-tree, bulk-loaded R-tree,
 #      STR-tree, TB-tree, metric tree — answers equal to the exact scan, or
 #      the bin exits nonzero)
@@ -29,8 +31,9 @@
 #      identical pipelined answers, typed refusals, depth pacing, graceful
 #      drains; seeded clients dying mid-pipeline, a peer that stops
 #      reading, a drain with peers stopped mid-frame), because races
-#      between a connection's reader, its writer and the coalescer show
-#      at release speed
+#      between a connection's reader, its writer, the executor worker
+#      that answers its query and the other readers on the write lane
+#      show at release speed
 #  10. the MINDIST bit-equality suite at its full release count (plan,
 #      stateless driver and unpruned reference agree to the bit on 240 000
 #      seeded triples; the debug run in gate 5 checks a tenth of that)
@@ -119,6 +122,9 @@ gate "cargo test --workspace" cargo test -q --workspace
 
 gate "cargo test -p mst-index --features paranoid" \
     cargo test -q -p mst-index --features paranoid
+
+gate "pinned tree images in release (page bytes independent of the build profile)" \
+    cargo test -q --release -p mst-index --test tree_shape
 
 gate "index shootout smoke (R-tree / R-tree bulk / STR-tree / TB-tree / Metric tree agree with the scan)" \
     cargo run --release -q -p mst-bench --bin index_comparison -- \

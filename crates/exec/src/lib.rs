@@ -47,11 +47,9 @@ pub use batch::{BatchExecutor, BatchOutcome, QueryOutcome};
 pub use bound::QueryControl;
 pub use clock::Stopwatch;
 pub use mst_search::{BatchQuery, QueryAnswer, ShardFailure};
-pub use queue::{BatchPush, JobQueue, TryPushError};
+pub use queue::{JobQueue, TryPushError};
 pub use shard::{IngestOp, IngestOutcome, Shard, ShardedDatabase};
-pub use submit::{
-    BatchAdmission, ExecHandle, OutcomeSink, RejectedSubmit, RoutedQuery, SubmitError, Ticket,
-};
+pub use submit::{ExecHandle, OutcomeSink, SubmitError, Ticket};
 pub use watermark::Watermark;
 
 use mst_search::SearchError;

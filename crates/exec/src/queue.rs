@@ -29,21 +29,6 @@ pub enum TryPushError<T> {
     Closed(T),
 }
 
-/// What [`JobQueue::try_push_batch`] did with a batch: the admitted
-/// prefix length, the items that did not fit (in their original order),
-/// and whether the refusal was shutdown rather than capacity.
-#[derive(Debug)]
-pub struct BatchPush<T> {
-    /// Items admitted (a prefix of the batch, order preserved).
-    pub admitted: usize,
-    /// Items handed back: the batch's tail on a full queue, the whole
-    /// batch on a closed one.
-    pub rejected: Vec<T>,
-    /// True when the queue was closed (or poisoned) — shutdown, not
-    /// backpressure.
-    pub closed: bool,
-}
-
 /// A bounded blocking MPMC queue. All methods take `&self`; share it by
 /// reference across scoped threads.
 pub struct JobQueue<T> {
@@ -108,46 +93,6 @@ impl<T> JobQueue<T> {
         drop(guard);
         self.not_empty.notify_one();
         Ok(())
-    }
-
-    /// Enqueues a prefix of `items` under **one** lock acquisition — the
-    /// batch-submission primitive: a coalescer handing over N queries pays
-    /// one lock round-trip, not N. Admits items in order until the queue
-    /// is full, then hands the remainder back. A closed (or poisoned)
-    /// queue admits nothing.
-    pub fn try_push_batch(&self, mut items: Vec<T>) -> BatchPush<T> {
-        let Ok(mut guard) = self.inner.lock() else {
-            return BatchPush {
-                admitted: 0,
-                rejected: items,
-                closed: true,
-            };
-        };
-        if guard.closed {
-            drop(guard);
-            return BatchPush {
-                admitted: 0,
-                rejected: items,
-                closed: true,
-            };
-        }
-        let room = self.capacity.saturating_sub(guard.items.len());
-        let admitted = room.min(items.len());
-        let rejected = items.split_off(admitted);
-        for item in items {
-            guard.items.push_back(item);
-        }
-        drop(guard);
-        if admitted > 0 {
-            // More than one worker may be parked; a single notify could
-            // leave admitted jobs waiting behind one woken consumer.
-            self.not_empty.notify_all();
-        }
-        BatchPush {
-            admitted,
-            rejected,
-            closed: false,
-        }
     }
 
     /// The queue's capacity bound.
@@ -282,29 +227,6 @@ mod tests {
             consumers.into_iter().map(|c| c.join().unwrap()).sum()
         });
         assert_eq!(total, 300);
-    }
-
-    #[test]
-    fn batch_push_admits_a_prefix_under_one_lock() {
-        let q = JobQueue::new(3);
-        q.push(0).unwrap();
-        let push = q.try_push_batch(vec![1, 2, 3, 4]);
-        assert_eq!(push.admitted, 2);
-        assert_eq!(push.rejected, vec![3, 4]);
-        assert!(!push.closed);
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert!(q.is_empty());
-        // An empty batch is a no-op.
-        let push = q.try_push_batch(Vec::<i32>::new());
-        assert_eq!((push.admitted, push.rejected.len()), (0, 0));
-        // A closed queue admits nothing and flags shutdown.
-        q.close();
-        let push = q.try_push_batch(vec![7, 8]);
-        assert_eq!(push.admitted, 0);
-        assert_eq!(push.rejected, vec![7, 8]);
-        assert!(push.closed);
     }
 
     #[test]

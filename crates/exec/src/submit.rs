@@ -14,7 +14,8 @@
 //! deadline, matching an SLA-from-submission service model — or returns
 //! [`SubmitError::Overloaded`] with the queue's occupancy. An admitted
 //! query yields a [`Ticket`] whose [`Ticket::wait`] blocks for the
-//! [`QueryOutcome`]. One worker runs the query over every shard with the
+//! [`QueryOutcome`]; [`ExecHandle::try_submit_to`] hands it to an
+//! [`OutcomeSink`] on the worker instead. One worker runs the query over every shard with the
 //! exact function the batch path uses (`run_query`: one search over all
 //! the shards' trees), so a submitted query's answer is bit-identical to
 //! the same query in a batch (and to the single-threaded `Query::run`).
@@ -92,75 +93,31 @@ impl Ticket {
     }
 }
 
-/// Receives the outcomes of a routed batch submission
-/// ([`ExecHandle::try_submit_batch`]) as they complete. Implementations
-/// must be cheap and non-blocking — the call runs on a pool worker, and a
-/// sink that stalls stalls the pool.
-pub trait OutcomeSink: Send + Sync + 'static {
-    /// Called exactly once per admitted query, from the worker that ran
-    /// it, with the caller's token for that query.
-    fn complete(&self, token: u64, outcome: QueryOutcome);
+/// Receives the outcome of one admitted query
+/// ([`ExecHandle::try_submit_to`]). It runs on the pool worker that ran
+/// the query, so it must be cheap and must not block: a sink that stalls
+/// stalls the pool.
+pub trait OutcomeSink: Send + 'static {
+    /// Called exactly once, from the worker that ran the query.
+    fn complete(self: Box<Self>, outcome: QueryOutcome);
 }
 
-/// Delivering outcomes through a caller-supplied channel lets every
-/// completion of a serving tick land in **one** receiver instead of N
-/// ticket channels, so a coalescer can block on a single wait point.
-impl OutcomeSink for Sender<(u64, QueryOutcome)> {
-    fn complete(&self, token: u64, outcome: QueryOutcome) {
-        // invariant: a receiver that hung up means the batch's owner
-        // abandoned its queries; dropping the outcome is the correct
-        // response (mirrors the ticket path)
-        let _ = self.send((token, outcome));
-    }
-}
-
-/// A ticket's own channel: the single-query path is a routed job whose
-/// sink has one query to hear from, so it ignores the token.
+/// A ticket's own channel: [`ExecHandle::try_submit`] is
+/// [`ExecHandle::try_submit_to`] with this sink.
 impl OutcomeSink for Sender<QueryOutcome> {
-    fn complete(&self, _token: u64, outcome: QueryOutcome) {
+    fn complete(self: Box<Self>, outcome: QueryOutcome) {
         // invariant: a receiver that hung up means the client abandoned
         // the query; dropping the outcome is the correct response
         let _ = self.send(outcome);
     }
 }
 
-/// One query of a routed batch submission: a caller-chosen token (echoed
-/// into [`OutcomeSink::complete`]) plus the query itself.
-pub struct RoutedQuery {
-    /// Opaque correlation token, chosen by the caller.
-    pub token: u64,
-    /// The query to run.
-    pub query: BatchQuery,
-}
-
-/// One refused query of a routed batch submission, handed back whole so
-/// the caller can retry it later without having kept a copy.
-pub struct RejectedSubmit {
-    /// The caller's correlation token for the refused query.
-    pub token: u64,
-    /// The query itself, returned unrun.
-    pub query: BatchQuery,
-    /// Why the queue refused it.
-    pub reason: SubmitError,
-}
-
-/// The admission report of [`ExecHandle::try_submit_batch`]: how many
-/// queries the queue took, and the per-query fate of the ones it refused.
-pub struct BatchAdmission {
-    /// Queries admitted (their outcomes will reach the sink).
-    pub admitted: usize,
-    /// Queries the queue refused — token, query, and typed reason — in
-    /// the batch's original order.
-    pub rejected: Vec<RejectedSubmit>,
-}
-
 /// One admitted query: the spec, its control (deadline clock already
-/// running), and the sink its outcome goes back to under its token.
+/// running), and the sink its outcome goes to.
 struct SubmitJob {
     query: BatchQuery,
     control: QueryControl,
-    token: u64,
-    sink: Arc<dyn OutcomeSink>,
+    sink: Box<dyn OutcomeSink>,
 }
 
 /// A long-lived, admission-controlled execution pool over a shared
@@ -230,8 +187,20 @@ where
     /// inherits the handle's default.
     pub fn try_submit(&self, query: BatchQuery) -> Result<Ticket, SubmitError> {
         let (tx, rx) = channel();
-        match self.queue.try_push(self.job(query, 0, Arc::new(tx))) {
-            Ok(()) => Ok(Ticket { rx }),
+        self.try_submit_to(query, Box::new(tx))?;
+        Ok(Ticket { rx })
+    }
+
+    /// [`ExecHandle::try_submit`] with the outcome handed to `sink` on the
+    /// worker that ran the query, instead of to a [`Ticket`]. A refused
+    /// query drops its sink unrun.
+    pub fn try_submit_to(
+        &self,
+        query: BatchQuery,
+        sink: Box<dyn OutcomeSink>,
+    ) -> Result<(), SubmitError> {
+        match self.queue.try_push(self.job(query, sink)) {
+            Ok(()) => Ok(()),
             Err(TryPushError::Full(_)) => Err(SubmitError::Overloaded {
                 queued: self.queue.len(),
                 capacity: self.queue.capacity(),
@@ -245,60 +214,19 @@ where
     /// load to). Fails only when the handle is shutting down.
     pub fn submit(&self, query: BatchQuery) -> Result<Ticket, SubmitError> {
         let (tx, rx) = channel();
-        match self.queue.push(self.job(query, 0, Arc::new(tx))) {
+        match self.queue.push(self.job(query, Box::new(tx))) {
             Ok(()) => Ok(Ticket { rx }),
             Err(_) => Err(SubmitError::ShuttingDown),
         }
     }
 
-    /// Admits a whole batch of queries under **one** queue-lock
-    /// acquisition, routing every outcome to `sink` tagged with its
-    /// query's token. Admission is prefix-shaped and in order: when the
-    /// queue has room for only M of N queries, the first M are admitted
-    /// and the rest come back in [`BatchAdmission::rejected`] with typed
-    /// reasons. Deadline clocks start at admission, exactly as in
-    /// [`ExecHandle::try_submit`].
-    pub fn try_submit_batch(
-        &self,
-        batch: Vec<RoutedQuery>,
-        sink: &Arc<dyn OutcomeSink>,
-    ) -> BatchAdmission {
-        let jobs: Vec<SubmitJob> = batch
-            .into_iter()
-            .map(|routed| self.job(routed.query, routed.token, Arc::clone(sink)))
-            .collect();
-        let push = self.queue.try_push_batch(jobs);
-        let reason = if push.closed {
-            SubmitError::ShuttingDown
-        } else {
-            SubmitError::Overloaded {
-                queued: self.queue.len(),
-                capacity: self.queue.capacity(),
-            }
-        };
-        let rejected = push
-            .rejected
-            .into_iter()
-            .map(|job| RejectedSubmit {
-                token: job.token,
-                query: job.query,
-                reason,
-            })
-            .collect();
-        BatchAdmission {
-            admitted: push.admitted,
-            rejected,
-        }
-    }
-
     /// The job of an admitted query; its deadline clock starts now.
-    fn job(&self, query: BatchQuery, token: u64, sink: Arc<dyn OutcomeSink>) -> SubmitJob {
+    fn job(&self, query: BatchQuery, sink: Box<dyn OutcomeSink>) -> SubmitJob {
         let deadline = query.options().deadline_us.or(self.default_deadline_us);
         let control = QueryControl::new(Stopwatch::start(), deadline);
         SubmitJob {
             query,
             control,
-            token,
             sink,
         }
     }
@@ -334,7 +262,7 @@ impl<I> Drop for ExecHandle<I> {
 /// path uses.
 fn run_submitted<I: KmstSubstrate>(db: &ShardedDatabase<I>, job: SubmitJob) {
     let outcome = run_query(db, &job.query, &job.control);
-    job.sink.complete(job.token, outcome);
+    job.sink.complete(outcome);
 }
 
 #[cfg(test)]
@@ -482,86 +410,6 @@ mod tests {
         // The claim is single-shot: the channel is now consumed+closed.
         assert!(ticket.try_wait().is_err());
         handle.shutdown();
-    }
-
-    #[test]
-    fn routed_batch_fans_outcomes_into_one_sink() {
-        let db = Arc::new(ShardedDatabase::with_rtree(2, lines(8, 16)).unwrap());
-        let q = db.trajectory(TrajectoryId(1)).unwrap().clone();
-        let handle = BatchExecutor::new()
-            .workers(2)
-            .queue_capacity(8)
-            .submit_handle(Arc::clone(&db))
-            .unwrap();
-        let (tx, rx) = channel::<(u64, QueryOutcome)>();
-        let sink: Arc<dyn OutcomeSink> = Arc::new(tx);
-        let batch: Vec<RoutedQuery> = (0..4u64)
-            .map(|token| RoutedQuery {
-                token: token * 10,
-                query: BatchQuery::kmst(Query::kmst(&q).k(2)).unwrap(),
-            })
-            .collect();
-        let admission = handle.try_submit_batch(batch, &sink);
-        assert_eq!(admission.admitted, 4);
-        assert!(admission.rejected.is_empty());
-        let mut tokens: Vec<u64> = (0..4)
-            .map(|_| {
-                let (token, outcome) = rx.recv().unwrap();
-                assert!(!outcome.answer.is_empty());
-                assert!(!outcome.degraded);
-                token
-            })
-            .collect();
-        tokens.sort_unstable();
-        assert_eq!(tokens, vec![0, 10, 20, 30]);
-        handle.shutdown();
-    }
-
-    #[test]
-    fn batch_overflow_rejects_the_tail_in_order_with_typed_reasons() {
-        let db = Arc::new(ShardedDatabase::with_rtree(1, lines(10, 20)).unwrap());
-        let q = db.trajectory(TrajectoryId(0)).unwrap().clone();
-        let handle = BatchExecutor::new()
-            .workers(1)
-            .queue_capacity(2)
-            .submit_handle(Arc::clone(&db))
-            .unwrap();
-        let (tx, rx) = channel::<(u64, QueryOutcome)>();
-        let sink: Arc<dyn OutcomeSink> = Arc::new(tx);
-        let batch: Vec<RoutedQuery> = (0..5u64)
-            .map(|token| RoutedQuery {
-                token,
-                query: BatchQuery::kmst(Query::kmst(&q).k(3)).unwrap(),
-            })
-            .collect();
-        // The push holds the queue lock for the whole batch, so exactly
-        // `capacity` jobs fit and the tail comes back in order.
-        let admission = handle.try_submit_batch(batch, &sink);
-        assert_eq!(admission.admitted, 2);
-        let tokens: Vec<u64> = admission.rejected.iter().map(|r| r.token).collect();
-        assert_eq!(tokens, vec![2, 3, 4]);
-        for r in &admission.rejected {
-            assert!(matches!(
-                r.reason,
-                SubmitError::Overloaded { capacity: 2, .. }
-            ));
-        }
-        // Both admitted queries resolve through the sink.
-        let mut done: Vec<u64> = (0..2).map(|_| rx.recv().unwrap().0).collect();
-        done.sort_unstable();
-        assert_eq!(done, vec![0, 1]);
-        handle.shutdown();
-        // After shutdown the whole batch is refused as ShuttingDown.
-        let admission = handle.try_submit_batch(
-            vec![RoutedQuery {
-                token: 9,
-                query: BatchQuery::kmst(Query::kmst(&q).k(1)).unwrap(),
-            }],
-            &sink,
-        );
-        assert_eq!(admission.admitted, 0);
-        assert_eq!(admission.rejected[0].token, 9);
-        assert_eq!(admission.rejected[0].reason, SubmitError::ShuttingDown);
     }
 
     #[test]

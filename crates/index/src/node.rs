@@ -338,6 +338,35 @@ pub(crate) mod in_place {
         children(page, buf)?.try_fold(Mbb::empty(), |acc, e| Ok(acc.union(&e?.mbb)))
     }
 
+    /// The entries of a leaf page from slot `from` on, each segment
+    /// checked (a parent page is refused).
+    fn leaf_entries(
+        page: PageId,
+        buf: &[u8],
+        from: usize,
+    ) -> Result<impl Iterator<Item = Result<LeafEntry>> + '_> {
+        let (true, count) = head(page, buf)? else {
+            return Err(corrupt(page)(CodecError::Invalid("not a leaf node")));
+        };
+        let mut r = Reader::new(
+            buf.get(HEADER_SIZE + from * LEAF_ENTRY_SIZE..)
+                .unwrap_or_default(),
+        );
+        Ok((from..count).map(move |_| r.leaf_entry().map_err(corrupt(page))))
+    }
+
+    /// A leaf page's last entry; `None` when it holds none.
+    pub(crate) fn last_entry(page: PageId, buf: &[u8]) -> Result<Option<LeafEntry>> {
+        let from = head(page, buf)?.1.saturating_sub(1);
+        leaf_entries(page, buf, from)?.next().transpose()
+    }
+
+    /// A leaf page's box: its entries' boxes folded in slot order, as
+    /// [`Node::mbb`] folds them.
+    pub(crate) fn leaf_mbb(page: PageId, buf: &[u8]) -> Result<Mbb> {
+        leaf_entries(page, buf, 0)?.try_fold(Mbb::empty(), |acc, e| Ok(acc.union(&e?.mbb())))
+    }
+
     fn slice(page: PageId, buf: &mut [u8], at: usize, len: usize) -> Result<&mut [u8]> {
         buf.get_mut(at..at + len)
             .ok_or(corrupt(page)(CodecError::Short))

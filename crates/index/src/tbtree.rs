@@ -36,7 +36,7 @@ impl InsertionPolicy for TbPolicy {
     const CHAINED_LEAVES: bool = true;
 
     fn insert(&mut self, core: &mut TreeCore, entry: LeafEntry) -> Result<()> {
-        let in_temporal_order = |tip: &[LeafEntry]| match tip.last() {
+        let in_temporal_order = |last: Option<&LeafEntry>| match last {
             Some(last) if last.segment.end().t > entry.segment.start().t => {
                 Err(IndexError::BadInsert(format!(
                     "TB-tree requires temporal order per trajectory: segment starts at {} \

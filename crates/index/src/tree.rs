@@ -267,33 +267,42 @@ impl TreeCore {
 
     /// Trajectory preservation: appends `entry` to the leaf holding its
     /// trajectory's previous segment when that leaf has room, and tightens
-    /// the ancestors. `admit` sees the tip's entries first and may veto
+    /// the ancestors. `admit` sees the tip's last entry first and may veto
     /// the insert. Returns the leaf and its new MBB, or `None` when the
     /// trajectory has no tip yet or the tip is full.
+    ///
+    /// The tip is edited in place: the entry's bytes go in at slot
+    /// `count`, and the leaf's new box is its parent's stored box ∪ the
+    /// entry's, as in [`TreeCore::insert_by_descent`] (a tip with no
+    /// parent folds its entries in place).
     pub(crate) fn append_to_tip(
         &mut self,
         entry: LeafEntry,
-        admit: impl FnOnce(&[LeafEntry]) -> Result<()>,
+        admit: impl FnOnce(Option<&LeafEntry>) -> Result<()>,
     ) -> Result<Option<(PageId, Mbb)>> {
         let Some(&tip) = self.tips.get(&entry.traj) else {
             return Ok(None);
         };
-        let mut node = self.fetch_node(tip)?;
-        let Node::Leaf { entries, .. } = &mut node else {
+        let bytes = self.pager.get_mut()?.read_page(tip)?;
+        let (true, count) = in_place::head(tip, bytes)? else {
             return Err(IndexError::CorruptNode {
                 page: tip,
                 reason: "tip is not a leaf".into(),
             });
         };
-        admit(entries)?;
-        if entries.len() >= LEAF_CAPACITY {
+        admit(in_place::last_entry(tip, bytes)?.as_ref())?;
+        if count >= LEAF_CAPACITY {
             return Ok(None);
         }
-        entries.push(entry);
+        let first = self.parent_entry(tip)?;
+        let bytes = self.pager.get_mut()?.edit_page(tip)?;
+        in_place::push(tip, bytes, &leaf_entry_bytes(&entry))?;
+        let mbb = match first {
+            Some((_, _, stored)) => stored.union(&entry.mbb()),
+            None => in_place::leaf_mbb(tip, bytes)?,
+        };
         self.count(&entry);
-        let mbb = node.mbb();
-        self.pager.get_mut()?.write_node(tip, &node)?;
-        self.refresh_ancestors(tip, mbb)?;
+        self.refresh_from(first, mbb)?;
         Ok(Some((tip, mbb)))
     }
 
@@ -322,23 +331,44 @@ impl TreeCore {
     }
 
     /// Hands a child's new box up the parent map by the ancestor rule.
-    pub(crate) fn refresh_ancestors(&mut self, mut child: PageId, child_mbb: Mbb) -> Result<()> {
+    pub(crate) fn refresh_ancestors(&mut self, child: PageId, child_mbb: Mbb) -> Result<()> {
+        let first = self.parent_entry(child)?;
+        self.refresh_from(first, child_mbb)
+    }
+
+    /// The ancestor rule from `first` — a child's entry in its parent, as
+    /// [`TreeCore::parent_entry`] finds it — on up the parent map.
+    fn refresh_from(&mut self, first: Option<(PageId, usize, Mbb)>, child_mbb: Mbb) -> Result<()> {
+        let mut first = Some(first);
+        let mut child = PageId::NONE;
         self.adjust_ancestors(child_mbb, |core| {
-            let Some(&parent) = core.parents.get(&child) else {
-                return Ok(None);
+            let up = match first.take() {
+                Some(up) => up,
+                None => core.parent_entry(child)?,
             };
-            let bytes = core.pager.get_mut()?.read_page(parent)?;
-            for (slot, e) in in_place::children(parent, bytes)?.enumerate() {
-                let e = e?;
-                if e.child == child {
-                    child = parent;
-                    return Ok(Some((parent, slot, e.mbb)));
-                }
+            if let Some((parent, _, _)) = up {
+                child = parent;
             }
-            Err(IndexError::CorruptNode {
-                page: parent,
-                reason: "parent does not reference child".into(),
-            })
+            Ok(up)
+        })
+    }
+
+    /// `child`'s entry in its parent — `(parent, slot, stored box)` — read
+    /// in place; `None` for the root.
+    fn parent_entry(&mut self, child: PageId) -> Result<Option<(PageId, usize, Mbb)>> {
+        let Some(&parent) = self.parents.get(&child) else {
+            return Ok(None);
+        };
+        let bytes = self.pager.get_mut()?.read_page(parent)?;
+        for (slot, e) in in_place::children(parent, bytes)?.enumerate() {
+            let e = e?;
+            if e.child == child {
+                return Ok(Some((parent, slot, e.mbb)));
+            }
+        }
+        Err(IndexError::CorruptNode {
+            page: parent,
+            reason: "parent does not reference child".into(),
         })
     }
 
@@ -741,6 +771,55 @@ mod tests {
             .expect("some far segment lands in a leaf with room");
         assert_eq!(outside, (height, height, (0, 0)));
         crate::check_invariants(&tree).expect("consistent");
+    }
+
+    /// Appends into a tip with room — below a parent and as the root, on
+    /// the STR-tree, the TB-tree and the metric tree — edit the leaf in
+    /// place: no node is decoded or encoded.
+    #[test]
+    fn a_tip_append_decodes_and_encodes_nothing() {
+        /// Inserts gap-free lanes through `P`'s policy, checks every tip
+        /// append, and counts them: `(below a parent, as the root)`.
+        fn appends<P: InsertionPolicy>(objects: u64, steps: u32) -> (u32, u32) {
+            let mut tree = PagedTree::<P>::new();
+            let mut counted = (0, 0);
+            for seq in 0..steps {
+                for traj in 0..objects {
+                    let t = f64::from(seq);
+                    let e = entry(traj, seq, t, (traj * 50) as f64 + 0.5 * t, 0.25 * t);
+                    let (tip, pages) = (tree.core.tips.get(&e.traj).copied(), tree.num_pages());
+                    CODEC_CALLS.with(|c| c.set((0, 0)));
+                    tree.policy.insert(&mut tree.core, e).expect("insert");
+                    let codec = CODEC_CALLS.with(|c| c.get());
+                    let Some(tip) = tip else { continue };
+                    if tree.core.tips.get(&e.traj) != Some(&tip) || tree.num_pages() != pages {
+                        continue;
+                    }
+                    assert_eq!(codec, (0, 0), "{} append of step {seq}", P::NAME);
+                    if tree.core.parents.contains_key(&tip) {
+                        counted.0 += 1;
+                    } else {
+                        counted.1 += 1;
+                    }
+                }
+            }
+            crate::check_invariants(&tree).expect("consistent");
+            counted
+        }
+        for counted in [
+            appends::<crate::strtree::StrPolicy>(1, 30),
+            appends::<crate::tbtree::TbPolicy>(1, 30),
+            appends::<crate::metric::MetricPolicy>(1, 30),
+        ] {
+            assert_eq!(counted, (0, 29));
+        }
+        for counted in [
+            appends::<crate::strtree::StrPolicy>(6, 60),
+            appends::<crate::tbtree::TbPolicy>(6, 60),
+            appends::<crate::metric::MetricPolicy>(6, 60),
+        ] {
+            assert!(counted.0 > 100, "{counted:?}");
+        }
     }
 
     /// Plants bytes into a page as if the disk had held them (sealed at

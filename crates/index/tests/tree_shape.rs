@@ -212,14 +212,6 @@ fn degenerate_fleet(objects: u64, steps: u32) -> Vec<LeafEntry> {
 /// [`PINNED`] for [`degenerate_fleet`], computed before the insert path
 /// learned to edit pages in place: an in-place box or entry that differs
 /// from the decode/encode round trip by a single sign bit moves a digest.
-///
-/// Pinned for the unoptimised build only. `f64::min` and `f64::max` leave
-/// the sign of a zero result unspecified; the unoptimised build always
-/// returns the first operand of a tie, but the optimised one resolves
-/// `min(-0.0, +0.0)` per call site (by what the optimiser can prove about
-/// NaNs there). Its R-tree digests for this fleet differ from these, and
-/// moving a fold from one call site to another moves them again without
-/// changing any box's value.
 const PINNED_DEGENERATE: [(&str, (u32, u32)); 6] = [
     ("rtree", (0xc489_f655, 0xc489_f655)),
     ("strtree", (0x911e_fd17, 0x911e_fd17)),
@@ -245,9 +237,7 @@ fn degenerate_geometry_builds_the_pinned_image() {
         .iter()
         .any(|e| e.segment.start().x.to_bits() == 0.0f64.to_bits()));
     let got = every_image(&fleet);
-    if cfg!(debug_assertions) {
-        assert_eq!(got, PINNED_DEGENERATE, "got {got:#x?}");
-    }
+    assert_eq!(got, PINNED_DEGENERATE, "got {got:#x?}");
 }
 
 /// Every leaf entry, in depth-first order of the tree.

@@ -1,7 +1,8 @@
 //! The seam between the serving layer and the durable store.
 //!
-//! The coalescer flushes each tick's ingest frames as **one** write
-//! batch through an [`IngestBackend`]; the backend logs the batch,
+//! The primary's write lane ([`crate::mux::WriteLane`]) flushes the
+//! ingest frames that queued while the previous commit ran as **one**
+//! write batch through an [`IngestBackend`]; the backend logs the batch,
 //! issues a single group-commit fsync, applies it to the shared shards,
 //! and reports per-operation outcomes. [`mst_wal::DurableDatabase`] is
 //! the real backend ([`DurableDatabase::apply_independent`] is exactly
@@ -33,10 +34,10 @@ pub(crate) struct WalCounters {
     pub(crate) replayed_records: u64,
 }
 
-/// A durable write lane the coalescer can flush ingest batches through.
-/// The replication accessors expose the committed log so the coalescer
-/// can also serve `Subscribe`/`ReplicaAck` streams without knowing the
-/// store's types.
+/// A durable store the write lane can flush ingest batches through. The
+/// replication accessors expose the committed log so the lane can also
+/// serve `Subscribe`/`ReplicaAck` streams without knowing the store's
+/// types.
 pub(crate) trait IngestBackend: Send {
     /// Applies one write batch: validates each operation independently,
     /// logs the valid ones, makes them durable with one fsync, applies

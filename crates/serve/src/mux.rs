@@ -1,14 +1,16 @@
-//! The serving core: a blocking acceptor, two blocking threads per
-//! connection, and one coalescer thread that batches the queries pending
-//! across **all** connections into single executor submissions.
+//! The serving core: a blocking acceptor and two blocking threads per
+//! connection. A connection's reader dispatches its own work: it answers
+//! cache hits and control frames itself, hands query misses to the
+//! executor, and runs writes and replication fetches on the primary's
+//! write lane.
 //!
 //! # Thread topology
 //!
 //! ```text
-//!             ┌▶ reader ──Event::Query──▶ coalescer ──try_submit_batch──▶ executor workers
-//! acceptor ───┤    │ direct answers         │    ▲                              │
-//! (per conn)  │    ▼                        │    └────────Event::Done───────────┘
-//!             └▶ writer ◀──── Conn queue ◀──┘ answers (Outbox)
+//!             ┌▶ reader ──try_submit_to──▶ executor worker ──┐ Execution sink:
+//! acceptor ───┤    │ hits, control, writes, fetches          │ answer, cache
+//! (per conn)  │    ▼                                         ▼
+//!             └▶ writer ◀──────────── Conn queue ◀───────────┘
 //! ```
 //!
 //! * The **acceptor** owns the listener: cap check, then one reader and
@@ -20,51 +22,50 @@
 //!   arrive, carves frames ([`crate::protocol::split_frame_v2`]), answers
 //!   `Stats`, `Shutdown`, handshakes and typed errors directly (so cheap
 //!   requests overtake slow queries — the out-of-order guarantee), and
-//!   forwards query work to the coalescer. At its pipeline depth it
-//!   waits for an answer to go out before it parses or reads again — TCP
-//!   backpressure, no bookkeeping.
+//!   dispatches the rest itself. A query is served from the answer cache,
+//!   attached to an identical execution in flight (dedup), or submitted
+//!   to the executor with one [`Execution`] sink. A write is queued on
+//!   the [`WriteLane`]; the reader commits its queued writes, or leaves
+//!   them to the lane's holder, before it waits, and sees them acked
+//!   before it dispatches anything but another write. So writes
+//!   pipelined back to back share one commit. A replication fetch runs
+//!   on the lane. At its pipeline depth the reader waits for an answer
+//!   to go out before it parses or reads again — TCP backpressure, no
+//!   bookkeeping.
+//! * An **executor worker** runs the query and then its sink, which
+//!   queues the answer on every waiter's connection and fills the cache.
 //! * A connection's **writer** blocks until answers are queued on the
 //!   connection ([`Conn`]) and writes them out. A peer that stops reading
 //!   blocks its own writer and nothing else.
-//! * The **coalescer** is the single wait point: incoming queries,
-//!   finished executions, and the drain notice all arrive on one
-//!   channel. Per tick it serves answer-cache hits, attaches duplicate
-//!   concurrent queries to one in-flight execution (dedup), and hands
-//!   the whole backlog to the executor in **one**
-//!   [`mst_exec::ExecHandle::try_submit_batch`] call.
 //!
+//! A query costs two thread wake-ups: the worker's, and the writer's.
 //! Nothing polls: `std` has no readiness API, so a thread blocked on one
 //! socket is the only way to learn of its bytes the moment they arrive.
 //! Every typed refusal is built in one place per side: `Reader::refuse`
-//! on a reader, `Outbox::respond` in the coalescer.
+//! for the reader's own answers, [`respond`] for every answer that hands
+//! a depth credit back.
 //!
 //! # Drain correctness
 //!
 //! The acceptor shuts the read half of every live socket, so each
-//! blocked reader returns, and joins every reader. Only then does it send
-//! one `Drained` event, so the coalescer has seen every forwarded query
-//! once the notice is in. The coalescer runs the backlog dry, waits for
-//! `outstanding == 0` (every forwarded query answered — admitted work is
-//! never dropped) and exits; the writers flush what is queued and close.
-//! A stall bound (consecutive empty timeouts) caps the drain if an
-//! executor outcome is lost to a bug, trading a hung shutdown for a loud
-//! one, and the write timeout caps the final flush to a peer that stopped
-//! reading.
+//! blocked reader returns, and joins every reader: from then on nothing
+//! is submitted, attached or written. `ExecHandle::shutdown` then runs
+//! every admitted job, so every execution's sink answers all its waiters
+//! — admitted work is never dropped. Last, the writers flush what is
+//! queued and close; the write timeout caps the final flush to a peer
+//! that stopped reading.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
-// The park interval and the write timeout below are scheduling inputs,
-// not measurements; no clock is ever read in this module.
+// The write timeout below is a scheduling input, not a measurement; no
+// clock is ever read in this module.
 use std::time::Duration; // invariant: no clock is read; determinism holds
 
-use mst_exec::{
-    BatchQuery, IngestOp, OutcomeSink, QueryAnswer, QueryOutcome, RoutedQuery, SubmitError,
-};
+use mst_exec::{BatchQuery, IngestOp, OutcomeSink, QueryAnswer, QueryOutcome, SubmitError};
 use mst_search::{KmstSubstrate, QueryProfile};
 use mst_trajectory::Trajectory;
 
@@ -74,14 +75,6 @@ use crate::protocol::{
     Request, Response, ServerStats, WireError, MAX_FRAME, VERSION,
 };
 use crate::server::{build_query, initiate_shutdown, Role, Shared};
-
-/// The coalescer's park interval; also the unit of its drain stall
-/// bound.
-const COALESCER_PARK: Duration = Duration::from_millis(25);
-
-/// Consecutive empty park intervals during a drain before the coalescer
-/// declares a lost outcome and force-exits (~5 s).
-const STALL_LIMIT: u32 = 200;
 
 /// Cap on unflushed response bytes per connection. A peer that stops
 /// reading while answers pile up gets disconnected instead of growing
@@ -106,50 +99,14 @@ const DRAINING: &str = "server is draining";
 
 /// Where an answer goes: the connection's queue, and the request id the
 /// answer echoes.
-#[derive(Clone)]
 pub(crate) struct Reply {
     conn: Arc<Conn>,
     request_id: u64,
 }
 
-/// Events into the coalescer — the single channel it blocks on.
-pub(crate) enum Event {
-    /// A validated query forwarded by a reader, with its answer-cache key.
-    Query {
-        reply: Reply,
-        key: Vec<u8>,
-        query: BatchQuery,
-    },
-    /// A validated ingest operation. The coalescer accumulates these into
-    /// one write batch per tick and flushes it through the durable backend
-    /// **before** submitting the tick's query backlog, so an acked write
-    /// is visible to every query admitted after its ack.
-    Ingest(Reply, IngestOp),
-    /// A replication fetch — a `Subscribe`, or the ack-doubling-as-poll
-    /// `ReplicaAck` — for the committed records from this LSN on. Served
-    /// **after** the tick's write batch flushes, so every batch reflects
-    /// the newest committed state.
-    Fetch(Reply, u64),
-    /// An execution finished (token, outcome) — delivered by the
-    /// executor workers through [`EventSink`].
-    Done(u64, QueryOutcome),
-    /// Every reader has stopped (drain has begun). Sent by the acceptor
-    /// after it joined them all, so every event a reader sent is already
-    /// in the channel ahead of it.
-    Drained,
-}
-
-/// Adapts the coalescer's event channel into the executor's
-/// [`OutcomeSink`], so completions land in the same queue as new work
-/// and the coalescer has exactly one thing to wait on.
-struct EventSink(Sender<Event>);
-
-impl OutcomeSink for EventSink {
-    fn complete(&self, token: u64, outcome: QueryOutcome) {
-        // invariant: a send failure means the coalescer already exited
-        // (forced drain); the outcome is undeliverable by design then
-        let _ = self.0.send(Event::Done(token, outcome));
-    }
+/// Locks `m`; a panicked holder does not cascade into this one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The framing a frame goes out in: v2 at a request id, or v1 for a
@@ -160,8 +117,8 @@ enum Framing {
     V2(u64),
 }
 
-/// One connection as its reader, its writer and the coalescer share it:
-/// the socket, and the answers queued for the writer.
+/// One connection as its reader, its writer and whoever answers its
+/// requests share it: the socket, and the answers queued for the writer.
 pub(crate) struct Conn {
     stream: TcpStream,
     state: Mutex<ConnState>,
@@ -176,7 +133,8 @@ struct ConnState {
     queued: Vec<u8>,
     /// Bytes the writer has taken and not finished writing.
     writing: usize,
-    /// Requests forwarded to the coalescer and not yet answered.
+    /// Requests forwarded (to the executor or the write lane) and not
+    /// yet answered.
     inflight: usize,
     /// The reader has stopped: nothing more will be forwarded.
     read_done: bool,
@@ -187,7 +145,7 @@ struct ConnState {
 
 impl Conn {
     fn state(&self) -> MutexGuard<'_, ConnState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.state)
     }
 
     fn wait<'a>(&self, state: MutexGuard<'a, ConnState>) -> MutexGuard<'a, ConnState> {
@@ -198,8 +156,8 @@ impl Conn {
 
     /// Queues one frame for the writer; an `answer` hands its request's
     /// depth credit back. Every payload that reaches a connection fits
-    /// the frame cap — the coalescer's `respond` downgrades an over-cap
-    /// answer, and the reader's own answers are small — so a frame the
+    /// the frame cap — [`respond`] downgrades an over-cap answer, and the
+    /// reader's own answers are small — so a frame the
     /// framer still refused kills the connection rather than leaving its
     /// request silently unanswered. So does a frame that takes the
     /// unflushed bytes past [`WRITE_BUF_CAP`].
@@ -240,6 +198,12 @@ impl Conn {
         self.wake.notify_all();
     }
 
+    /// Whether the reader may put one more request in flight at `depth`
+    /// without waiting.
+    fn has_credit(&self, depth: usize) -> bool {
+        self.state().inflight < depth
+    }
+
     /// Blocks until the reader may put one more request in flight at
     /// `depth`. False once the connection died or the server drains.
     fn credit<I>(&self, depth: usize, shared: &Shared<I>) -> bool {
@@ -274,9 +238,9 @@ impl Conn {
         self.wake.notify_all();
     }
 
-    /// The drain's last step, once the coalescer exited: no answer will
-    /// come for whatever is still in flight, so the writer finishes after
-    /// writing what is queued.
+    /// The drain's last step, once the executor ran every admitted job:
+    /// no answer will come for whatever is still in flight, so the writer
+    /// finishes after writing what is queued.
     fn release(&self) {
         let mut state = self.state();
         state.read_done = true;
@@ -313,7 +277,6 @@ impl Served {
 pub(crate) fn accept_loop<I>(
     shared: &Arc<Shared<I>>,
     listener: &TcpListener,
-    events: &Sender<Event>,
     max_connections: usize,
     max_depth: u16,
 ) -> Vec<Served>
@@ -342,7 +305,7 @@ where
         ServerStats::bump(&shared.stats.connections_accepted);
         // A connection whose threads could not start is dropped, which
         // closes it.
-        if let Ok(conn) = spawn_conn(shared, stream, events, max_depth, next_id) {
+        if let Ok(conn) = spawn_conn(shared, stream, max_depth, next_id) {
             served.push(conn);
         }
         next_id = next_id.wrapping_add(1);
@@ -355,7 +318,6 @@ where
 fn spawn_conn<I>(
     shared: &Arc<Shared<I>>,
     stream: TcpStream,
-    events: &Sender<Event>,
     max_depth: u16,
     id: u64,
 ) -> std::io::Result<Served>
@@ -380,11 +342,10 @@ where
     let reader = {
         let conn = Arc::clone(&conn);
         let shared = Arc::clone(shared);
-        let events = events.clone();
         std::thread::Builder::new()
             .name(format!("mst-serve-read-{id}"))
             .spawn(move || {
-                read_loop(&conn, &shared, &events, max_depth);
+                read_loop(&conn, &shared, max_depth);
                 conn.finish_reading();
             })
     };
@@ -417,10 +378,10 @@ fn reject_connection(mut stream: TcpStream, max_connections: usize) {
     let _ = write_frame_v2(&mut stream, 0, &payload);
 }
 
-/// The drain, on the accept thread once it stopped accepting: stop every
-/// reader, tell the coalescer no request will follow, let it answer
-/// everything admitted, then let every writer flush and close.
-pub(crate) fn drain(served: Vec<Served>, events: Sender<Event>, coalescer: JoinHandle<()>) {
+/// The drain, on the accept thread once it stopped accepting: stop and
+/// join every reader, run every admitted job (each execution's sink
+/// answers its waiters), then let every writer flush and close.
+pub(crate) fn drain<I>(served: Vec<Served>, shared: &Shared<I>) {
     for s in &served {
         s.conn.stop_reading();
     }
@@ -436,11 +397,7 @@ pub(crate) fn drain(served: Vec<Served>, events: Sender<Event>, coalescer: JoinH
         let _ = reader.join();
         writers.push((conn, writer));
     }
-    // invariant: a coalescer that already exited needs no notice
-    let _ = events.send(Event::Drained);
-    // invariant: a panicked coalescer answers nothing more; the writers
-    // still flush what it queued
-    let _ = coalescer.join();
+    shared.exec.shutdown();
     for (conn, _) in &writers {
         conn.release();
     }
@@ -486,37 +443,40 @@ fn write_loop(conn: &Conn) {
 
 /// A connection's reader: the handshake, then one request after another
 /// until the peer closes, breaks the protocol, or the server drains.
-fn read_loop<I>(conn: &Arc<Conn>, shared: &Shared<I>, events: &Sender<Event>, max_depth: u16)
+fn read_loop<I>(conn: &Arc<Conn>, shared: &Arc<Shared<I>>, max_depth: u16)
 where
     I: KmstSubstrate + Send + 'static,
 {
     let mut reader = Reader {
         conn,
         shared,
-        events,
         buf: Vec::new(),
         scratch: vec![0u8; READ_CHUNK],
         depth: usize::from(max_depth.max(1)),
+        queued_writes: false,
     };
     if reader.handshake() {
         while reader.next_request() {}
     }
+    reader.settle();
 }
 
 /// A reader's state: the parse buffer and the granted depth.
 struct Reader<'a, I> {
     conn: &'a Arc<Conn>,
-    shared: &'a Shared<I>,
-    events: &'a Sender<Event>,
+    shared: &'a Arc<Shared<I>>,
     /// Bytes read and not yet parsed.
     buf: Vec<u8>,
     scratch: Vec<u8>,
     /// Granted pipeline depth (the configured cap until the handshake
     /// replaces it with the grant).
     depth: usize,
+    /// Writes this reader queued on the write lane and has not seen
+    /// committed.
+    queued_writes: bool,
 }
 
-impl<I> Reader<'_, I>
+impl<'a, I> Reader<'a, I>
 where
     I: KmstSubstrate + Send + 'static,
 {
@@ -648,10 +608,33 @@ where
         }
     }
 
+    /// Before the reader waits (for a depth credit or the peer's bytes):
+    /// the writes it queued are committed now, or by whoever holds the
+    /// write lane before that one lets it go. So writes pipelined back to
+    /// back, or sent while a commit runs, share one group commit.
+    fn hand_over(&self) {
+        if let (true, Role::Primary(lane)) = (self.queued_writes, &self.shared.role) {
+            lane.try_commit(self.shared);
+        }
+    }
+
+    /// Before the reader dispatches anything but a write, and when it
+    /// ends: returns once the writes it queued are committed and acked,
+    /// so whatever the peer sent after them sees them.
+    fn settle(&mut self) {
+        if let (true, Role::Primary(lane)) = (self.queued_writes, &self.shared.role) {
+            lane.with(self.shared, |_| ());
+        }
+        self.queued_writes = false;
+    }
+
     /// Serves the next request: waits for a depth credit, reads until a
-    /// whole frame is buffered, then answers it directly or forwards it
-    /// to the coalescer. False once the connection stops reading.
+    /// whole frame is buffered, then answers or dispatches it. False once
+    /// the connection stops reading.
     fn next_request(&mut self) -> bool {
+        if !self.conn.has_credit(self.depth) {
+            self.hand_over();
+        }
         if !self.conn.credit(self.depth, self.shared) {
             return false;
         }
@@ -664,6 +647,7 @@ where
                     break parsed;
                 }
                 Ok(None) => {
+                    self.hand_over();
                     if !self.fill() {
                         return false;
                     }
@@ -681,11 +665,10 @@ where
         let shared = self.shared;
         let stats = &shared.stats;
         ServerStats::bump(&stats.requests_decoded);
-        let reply = Reply {
-            conn: Arc::clone(self.conn),
-            request_id,
-        };
-        let event = match request {
+        if !matches!(request, Request::Insert { .. } | Request::Delete { .. }) {
+            self.settle();
+        }
+        match request {
             Request::Hello { .. } => {
                 return self.refuse(to, ErrorCode::Malformed, "hello after the handshake");
             }
@@ -693,7 +676,6 @@ where
             // slow queries pipelined ahead of it.
             Request::Stats => {
                 self.answer(request_id, &Response::Stats(shared.stats_report()));
-                return true;
             }
             Request::Shutdown => {
                 self.answer(request_id, &Response::ShutdownAck);
@@ -701,32 +683,34 @@ where
                 return false;
             }
             Request::Insert { id, points } => {
-                if !self.writes_admitted(request_id) {
+                let Some(lane) = self.lane(request_id) else {
                     return true;
-                }
+                };
                 match Trajectory::new(points) {
-                    Ok(trajectory) => Event::Ingest(reply, IngestOp::Insert { id, trajectory }),
+                    Ok(trajectory) => {
+                        let op = IngestOp::Insert { id, trajectory };
+                        lane.queue(self.forward(request_id), op);
+                        self.queued_writes = true;
+                    }
                     Err(e) => return self.refuse(to, ErrorCode::InvalidQuery, e.to_string()),
                 }
             }
             Request::Delete { id } => {
-                if !self.writes_admitted(request_id) {
-                    return true;
+                if let Some(lane) = self.lane(request_id) {
+                    lane.queue(self.forward(request_id), IngestOp::Delete { id });
+                    self.queued_writes = true;
                 }
-                Event::Ingest(reply, IngestOp::Delete { id })
             }
             Request::Subscribe { from_lsn } => {
-                if !self.writes_admitted(request_id) {
-                    return true;
+                if let Some(lane) = self.lane(request_id) {
+                    lane.fetch(shared, self.forward(request_id), from_lsn);
                 }
-                Event::Fetch(reply, from_lsn)
             }
             Request::ReplicaAck { lsn } => {
-                if !self.writes_admitted(request_id) {
-                    return true;
+                if let Some(lane) = self.lane(request_id) {
+                    ServerStats::raise(&stats.repl_acked_lsn, lsn);
+                    lane.fetch(shared, self.forward(request_id), lsn.saturating_add(1));
                 }
-                ServerStats::raise(&stats.repl_acked_lsn, lsn);
-                Event::Fetch(reply, lsn.saturating_add(1))
             }
             query => {
                 if shared.shutting_down.load(Ordering::SeqCst) {
@@ -752,23 +736,31 @@ where
                         return self.refuse(to, code, message);
                     }
                 }
-                Event::Query { reply, key, query }
+                dispatch_query(shared, self.forward(request_id), key, query);
             }
-        };
-        self.conn.state().inflight += 1;
-        // invariant: a send failure means the coalescer exited under a
-        // forced drain; the connection is about to be torn down with it
-        let _ = self.events.send(event);
+        }
         true
     }
 
+    /// Takes a depth credit for a request that is answered elsewhere; the
+    /// returned reply hands it back with the answer.
+    fn forward(&self, request_id: u64) -> Reply {
+        self.conn.state().inflight += 1;
+        Reply {
+            conn: Arc::clone(self.conn),
+            request_id,
+        }
+    }
+
     /// The one gate on ingest and replication frames: only a primary that
-    /// is not draining forwards them to the coalescer. Every other server
+    /// is not draining runs them, on its write lane. Every other server
     /// refuses them typed on the reader, and the connection stays open.
-    fn writes_admitted(&self, request_id: u64) -> bool {
-        let (code, message) = match self.shared.role {
-            Role::Primary if !self.shared.shutting_down.load(Ordering::SeqCst) => return true,
-            Role::Primary => (ErrorCode::ShuttingDown, DRAINING),
+    fn lane(&self, request_id: u64) -> Option<&'a WriteLane> {
+        let (code, message) = match &self.shared.role {
+            Role::Primary(lane) if !self.shared.shutting_down.load(Ordering::SeqCst) => {
+                return Some(lane)
+            }
+            Role::Primary(_) => (ErrorCode::ShuttingDown, DRAINING),
             Role::Replica => (
                 ErrorCode::NotPrimary,
                 "this server is a read-only replica; send writes and subscriptions to the primary",
@@ -779,387 +771,288 @@ where
             ),
         };
         self.refuse(Framing::V2(request_id), code, message);
-        false
+        None
     }
 }
 
-/// One in-flight (or backlogged) execution and everyone waiting on it.
-struct PendingExec {
-    /// The dedup identity: (cache key, deadline).
-    dedup_key: (Vec<u8>, Option<u64>),
-    /// Cache generation observed at admission; guards the insert.
-    generation: u64,
-    waiters: Vec<Reply>,
-    /// The query itself, present while backlogged, taken at submission.
-    query: Option<BatchQuery>,
-}
-
-/// The coalescer's way out: every answer leaves through here, and so
-/// every answer is counted off `outstanding`.
-struct Outbox {
-    /// Requests received and not yet answered (any path).
-    outstanding: usize,
-}
-
-impl Outbox {
-    /// Queues one encoded payload on every waiter's connection.
-    fn send(&mut self, waiters: &[Reply], payload: &[u8]) {
-        self.outstanding = self.outstanding.saturating_sub(waiters.len());
-        for to in waiters {
-            to.conn.push(Framing::V2(to.request_id), payload, true);
-        }
-    }
-
-    /// Encodes one answer — a response, or a typed refusal `(code,
-    /// message)` — and sends it to every waiter: the coalescer's one way
-    /// to reply, and the only place it builds an `Error` frame. An answer
-    /// over the frame cap goes out as a typed `Internal` error instead.
-    /// Returns the payload sent.
-    fn respond(
-        &mut self,
-        waiters: &[Reply],
-        answer: Result<Response, (ErrorCode, String)>,
-    ) -> Arc<Vec<u8>> {
-        let error = |code, message| Response::Error { code, message };
-        let mut payload = answer.unwrap_or_else(|(code, m)| error(code, m)).encode();
-        if payload.len() > MAX_FRAME as usize {
-            let message = "answer exceeds the frame cap; narrow the query";
-            payload = error(ErrorCode::Internal, message.into()).encode();
-        }
-        let payload = Arc::new(payload);
-        self.send(waiters, &payload);
-        payload
+/// Queues one encoded payload on every waiter's connection, handing each
+/// its depth credit back.
+fn send(waiters: &[Reply], payload: &[u8]) {
+    for to in waiters {
+        to.conn.push(Framing::V2(to.request_id), payload, true);
     }
 }
 
-/// The coalescer: the single wait point turning per-connection request
-/// streams into batched executor submissions and fanned-out responses.
-struct Coalescer<'a, I> {
-    shared: &'a Shared<I>,
-    out: Outbox,
-    sink: Arc<dyn OutcomeSink>,
-    /// The durable write lane; present exactly when the server is a
-    /// primary, which is the only role whose readers forward writes and
-    /// replication fetches.
-    backend: Option<Box<dyn IngestBackend>>,
-    pending: HashMap<u64, PendingExec>,
-    /// Dedup identity → the execution identical queries attach to.
-    dedup: HashMap<(Vec<u8>, Option<u64>), u64>,
-    backlog: VecDeque<u64>,
-    /// This tick's ingest frames, flushed as one write batch.
-    writes: Vec<(Reply, IngestOp)>,
-    /// This tick's replication fetches and the first LSN each wants.
-    fetches: Vec<(Reply, u64)>,
-    next_token: u64,
-    /// Every reader has stopped: no request follows.
-    drained: bool,
-}
-
-/// Runs the coalescer until the drain completes.
-pub(crate) fn coalescer_loop<I>(
-    shared: &Arc<Shared<I>>,
-    events: &Receiver<Event>,
-    sink_tx: Sender<Event>,
-    backend: Option<Box<dyn IngestBackend>>,
-) where
-    I: KmstSubstrate + Send + 'static,
-{
-    let mut c = Coalescer {
-        shared,
-        out: Outbox { outstanding: 0 },
-        sink: Arc::new(EventSink(sink_tx)),
-        backend,
-        pending: HashMap::new(),
-        dedup: HashMap::new(),
-        backlog: VecDeque::new(),
-        writes: Vec::new(),
-        fetches: Vec::new(),
-        next_token: 0,
-        drained: false,
-    };
-    let mut stall = 0u32;
-    loop {
-        let draining = shared.shutting_down.load(Ordering::SeqCst);
-        match events.recv_timeout(COALESCER_PARK) {
-            Ok(event) => {
-                stall = 0;
-                c.handle(event);
-                while let Ok(event) = events.try_recv() {
-                    c.handle(event);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if draining {
-                    stall = stall.saturating_add(1);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-
-        // Durable writes first — one group commit for everything this
-        // tick — so a query admitted below sees every acked ingest.
-        c.flush_writes();
-        // Replication fetches next: they run **after** the flush so a
-        // subscriber polling right behind a write batch always ships the
-        // records that batch just committed.
-        c.serve_fetches();
-        // One batched submission per tick: the whole backlog in one
-        // queue-lock round-trip; the executor admits a prefix.
-        c.submit_backlog();
-
-        let settled = c.drained && c.backlog.is_empty() && c.out.outstanding == 0;
-        // The stall bound is the lost-outcome backstop: a hung executor
-        // must not hang the drain forever. Whatever is left gets no
-        // answer; the writers' final flush still delivers everything
-        // already queued.
-        if draining && (settled || stall > STALL_LIMIT) {
-            break;
-        }
+/// Encodes one answer — a response, or a typed refusal `(code, message)`
+/// — the only place outside `Reader::refuse` that builds an `Error`
+/// frame. An answer over the frame cap becomes a typed `Internal` error.
+fn encode(answer: Result<Response, (ErrorCode, String)>) -> Arc<Vec<u8>> {
+    let error = |code, message| Response::Error { code, message };
+    let payload = answer.unwrap_or_else(|(code, m)| error(code, m)).encode();
+    if payload.len() > MAX_FRAME as usize {
+        let message = "answer exceeds the frame cap; narrow the query";
+        return Arc::new(error(ErrorCode::Internal, message.into()).encode());
     }
+    Arc::new(payload)
 }
 
-impl<I> Coalescer<'_, I>
+/// Encodes one answer and sends it to every waiter: the one way to answer
+/// a forwarded request.
+fn respond(waiters: &[Reply], answer: Result<Response, (ErrorCode, String)>) {
+    send(waiters, &encode(answer));
+}
+
+/// What identical queries in flight share one execution by: the cache
+/// key, the deadline, and the cache generation at admission. The deadline
+/// rides in the key so a no-deadline query can never be answered by a
+/// potentially-degraded deadline-bearing execution. The generation rides
+/// in it so a query sent after a write's ack never attaches to an
+/// execution admitted before the write's invalidation: that one may have
+/// searched the old state.
+pub(crate) type DedupKey = (Vec<u8>, Option<u64>, u64);
+
+/// Executions in flight, by what their waiters share; each entry holds
+/// every request the execution will answer.
+pub(crate) type InFlight = Mutex<HashMap<DedupKey, Vec<Reply>>>;
+
+/// A query from a reader: answered from the cache, attached to an
+/// identical execution in flight, or submitted to the executor. A full
+/// executor queue answers a typed overload at once.
+fn dispatch_query<I>(shared: &Arc<Shared<I>>, reply: Reply, key: Vec<u8>, query: BatchQuery)
 where
     I: KmstSubstrate + Send + 'static,
 {
-    fn handle(&mut self, event: Event) {
-        match event {
-            Event::Query { reply, key, query } => {
-                self.out.outstanding += 1;
-                self.admit(reply, key, query);
-            }
-            Event::Ingest(reply, op) => {
-                self.out.outstanding += 1;
-                self.writes.push((reply, op));
-            }
-            Event::Fetch(reply, from_lsn) => {
-                self.out.outstanding += 1;
-                self.fetches.push((reply, from_lsn));
-            }
-            Event::Done(token, outcome) => self.complete(token, outcome),
-            Event::Drained => self.drained = true,
-        }
+    let stats = &shared.stats;
+    if let Some(hit) = shared.cache.lookup(&key) {
+        ServerStats::bump(&stats.cache_hits);
+        ServerStats::bump(&stats.queries_completed);
+        let delta = QueryProfile {
+            answer_cache_hits: 1,
+            ..QueryProfile::default()
+        };
+        lock(&shared.profile).merge(&delta);
+        send(&[reply], &hit);
+        return;
     }
-
-    /// A new query is answered from the cache, attached to an identical
-    /// execution in flight, or backlogged for the next batch — unless
-    /// the backlog is full, when the newest query answers a typed
-    /// overload.
-    fn admit(&mut self, reply: Reply, key: Vec<u8>, query: BatchQuery) {
-        let shared = self.shared;
-        if let Some(hit) = shared.cache.lookup(&key) {
-            ServerStats::bump(&shared.stats.cache_hits);
-            ServerStats::bump(&shared.stats.queries_completed);
-            let delta = QueryProfile {
-                answer_cache_hits: 1,
-                ..QueryProfile::default()
-            };
-            if let Ok(mut profile) = shared.profile.lock() {
-                profile.merge(&delta);
-            }
-            self.out.send(&[reply], &hit);
+    ServerStats::bump(&stats.cache_misses);
+    let dedup = (key, query.options().deadline_us, shared.cache.generation());
+    // The map stays locked across the submission, so the execution's sink
+    // (which takes the entry out) cannot run before the entry is in.
+    let mut inflight = lock(&shared.inflight);
+    if let Some(waiters) = inflight.get_mut(&dedup) {
+        waiters.push(reply);
+        return;
+    }
+    let sink = Box::new(Execution {
+        shared: Arc::clone(shared),
+        key: dedup.clone(),
+    });
+    let refusal = match shared.exec.try_submit_to(query, sink) {
+        Ok(()) => {
+            ServerStats::bump(&stats.queries_admitted);
+            inflight.insert(dedup, vec![reply]);
             return;
         }
-        ServerStats::bump(&shared.stats.cache_misses);
-        // Identical queries (same cache key AND same deadline class) in
-        // flight share one execution. The deadline rides in the dedup key
-        // so a no-deadline query can never be answered by a
-        // potentially-degraded deadline-bearing execution.
-        let dedup_key = (key, query.options().deadline_us);
-        if let Some(p) = self
-            .dedup
-            .get(&dedup_key)
-            .and_then(|t| self.pending.get_mut(t))
-        {
-            p.waiters.push(reply);
-            return;
-        }
-        // The backlog is bounded like the executor's queue it waits for.
-        let capacity = shared.exec.queue_capacity();
-        if self.backlog.len() >= capacity {
-            ServerStats::bump(&shared.stats.overload_rejections);
-            let queued = self.backlog.len() + shared.exec.queue_depth();
-            let overloaded = Response::Overloaded {
+        Err(SubmitError::Overloaded { queued, capacity }) => {
+            ServerStats::bump(&stats.overload_rejections);
+            Ok(Response::Overloaded {
                 queued: u32::try_from(queued).unwrap_or(u32::MAX),
                 capacity: u32::try_from(capacity).unwrap_or(u32::MAX),
-            };
-            self.out.respond(&[reply], Ok(overloaded));
-            return;
+            })
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.dedup.insert(dedup_key.clone(), token);
-        self.pending.insert(
-            token,
-            PendingExec {
-                dedup_key,
-                generation: shared.cache.generation(),
-                waiters: vec![reply],
-                query: Some(query),
-            },
-        );
-        self.backlog.push_back(token);
-    }
+        // The executor is gone (forced teardown): answer typed.
+        Err(SubmitError::ShuttingDown) => Err((ErrorCode::ShuttingDown, DRAINING.to_string())),
+    };
+    drop(inflight);
+    respond(&[reply], refusal);
+}
 
-    /// An execution finished: its answer fans out to every waiter, and a
-    /// certified one enters the cache unless an invalidation happened
-    /// since admission.
-    fn complete(&mut self, token: u64, mut outcome: QueryOutcome) {
-        let Some(entry) = self.pending.remove(&token) else {
-            return;
-        };
-        self.dedup.remove(&entry.dedup_key);
-        let stats = &self.shared.stats;
-        let waiters = entry.waiters.len() as u64;
-        ServerStats::bump_by(&stats.queries_completed, waiters);
-        if outcome.degraded {
-            ServerStats::bump_by(&stats.queries_degraded, waiters);
-        }
-        // Every waiter of this execution was a cache miss; the profile's
-        // miss count mirrors the stats counter.
-        outcome.profile.answer_cache_misses = waiters;
-        if let Ok(mut profile) = self.shared.profile.lock() {
-            profile.merge(&outcome.profile);
-        }
-        let degraded = outcome.degraded;
-        let response = match outcome.answer {
+/// One admitted execution's sink, run on the worker that ran it: the
+/// answer fans out to every waiter, and a certified one enters the cache
+/// unless an invalidation happened since admission.
+struct Execution<I> {
+    shared: Arc<Shared<I>>,
+    key: DedupKey,
+}
+
+impl<I> OutcomeSink for Execution<I>
+where
+    I: KmstSubstrate + Send + 'static,
+{
+    fn complete(self: Box<Self>, outcome: QueryOutcome) {
+        let Execution { shared, key } = *self;
+        let QueryOutcome {
+            answer,
+            mut profile,
+            degraded,
+            ..
+        } = outcome;
+        let answer = match answer {
             QueryAnswer::Kmst(matches) => Response::Kmst { degraded, matches },
             QueryAnswer::Knn(matches) => Response::Knn { degraded, matches },
             QueryAnswer::Segments(matches) => Response::Segments { degraded, matches },
             QueryAnswer::Range(entries) => Response::Range { degraded, entries },
         };
-        let payload = self.out.respond(&entry.waiters, Ok(response));
-        if !degraded {
-            let (key, _) = entry.dedup_key;
-            self.shared.cache.insert_if(key, payload, entry.generation);
+        let payload = encode(Ok(answer));
+        // Cached before the waiters leave the in-flight map: a repeat of
+        // the query from then on, or from a waiter the moment its answer
+        // arrives, finds it in the cache instead of running it again.
+        if !degraded && shared.cache.enabled() {
+            shared
+                .cache
+                .insert_if(key.0.clone(), Arc::clone(&payload), key.2);
+        }
+        let waiters = lock(&shared.inflight).remove(&key).unwrap_or_default();
+        let stats = &shared.stats;
+        let count = waiters.len() as u64;
+        ServerStats::bump_by(&stats.queries_completed, count);
+        if degraded {
+            ServerStats::bump_by(&stats.queries_degraded, count);
+        }
+        // Every waiter of this execution was a cache miss; the profile's
+        // miss count mirrors the stats counter.
+        profile.answer_cache_misses = count;
+        lock(&shared.profile).merge(&profile);
+        send(&waiters, &payload);
+    }
+}
+
+/// A primary's durable write lane: the [`IngestBackend`] behind one lock,
+/// and the writes waiting for it. Whoever takes the lock commits
+/// everything queued as one write batch (one WAL group commit), so writes
+/// that arrive while a commit runs share the next one.
+pub(crate) struct WriteLane {
+    queued: Mutex<Vec<(Reply, IngestOp)>>,
+    backend: Mutex<Box<dyn IngestBackend>>,
+}
+
+impl WriteLane {
+    pub(crate) fn new(backend: Box<dyn IngestBackend>) -> Self {
+        WriteLane {
+            queued: Mutex::new(Vec::new()),
+            backend: Mutex::new(backend),
         }
     }
 
-    /// Flushes the tick's ingest operations through the durable backend
-    /// as **one** write batch (one WAL group commit), publishes the new
-    /// committed state, invalidates the answer cache if any operation
-    /// changed state, and only then answers every writer with its own
-    /// outcome. Runs before `submit_backlog` each tick, so queries
-    /// admitted afterwards see the new state; the generation guard in
-    /// [`crate::cache::AnswerCache::insert_if`] drops any in-flight answer
-    /// computed against the old one.
-    fn flush_writes(&mut self) {
-        let Some(backend) = self.backend.as_mut() else {
-            return;
+    /// Publishes the committed state as a commit does: at startup, what
+    /// recovery left.
+    pub(crate) fn publish<I>(&self, shared: &Shared<I>) {
+        shared.publish_commit(lock(&self.backend).as_ref());
+    }
+
+    /// Queues one ingest operation for the next commit.
+    fn queue(&self, reply: Reply, op: IngestOp) {
+        lock(&self.queued).push((reply, op));
+    }
+
+    /// Runs `f` on the backend once everything queued so far is committed
+    /// and answered — by this caller, or by one that took the lane first.
+    /// On the way out it commits whatever queued meanwhile, unless another
+    /// caller took the lane (that one does it).
+    fn with<I, R>(&self, shared: &Shared<I>, f: impl FnOnce(&dyn IngestBackend) -> R) -> R {
+        let result = {
+            let mut backend = lock(&self.backend);
+            self.flush(shared, backend.as_mut());
+            f(backend.as_ref())
         };
-        if self.writes.is_empty() {
+        self.try_commit(shared);
+        result
+    }
+
+    /// Commits whatever is queued unless another caller holds the lane.
+    /// Every holder looks at the queue again after it lets the lane go,
+    /// so an operation queued while the lane was held is committed by the
+    /// holder, or by whoever took the lane after it.
+    fn try_commit<I>(&self, shared: &Shared<I>) {
+        while !lock(&self.queued).is_empty() {
+            let mut backend = match self.backend.try_lock() {
+                Ok(backend) => backend,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => return,
+            };
+            self.flush(shared, backend.as_mut());
+        }
+    }
+
+    /// Commits everything queued as one `apply_batch`; the caller holds
+    /// the lane. The new committed state is published and the answer
+    /// cache invalidated if any operation changed state, and only then is
+    /// each writer answered with its own outcome. So an acked write is
+    /// visible to every query admitted after its ack, and the generation
+    /// guard in [`crate::cache::AnswerCache::insert_if`] drops any answer
+    /// computed against the old state.
+    fn flush<I>(&self, shared: &Shared<I>, backend: &mut dyn IngestBackend) {
+        let batch = std::mem::take(&mut *lock(&self.queued));
+        if batch.is_empty() {
             return;
         }
-        let (waiters, ops): (Vec<Reply>, Vec<IngestOp>) =
-            std::mem::take(&mut self.writes).into_iter().unzip();
+        let (waiters, ops): (Vec<Reply>, Vec<IngestOp>) = batch.into_iter().unzip();
         let outcome = backend.apply_batch(&ops);
         // The watermark, the gauges and the cache settle BEFORE any ack
         // goes out: a client pipelining a stats probe or a `min_lsn` read
         // right behind its acked write must see the write.
-        self.shared.publish_commit(backend.as_ref());
+        shared.publish_commit(backend);
         let results = match outcome {
             Ok(results) => results,
             // Store-level failure: nothing was acked; every writer in the
             // batch hears the same internal error.
             Err(message) => {
-                self.out
-                    .respond(&waiters, Err((ErrorCode::Internal, message)));
+                respond(&waiters, Err((ErrorCode::Internal, message)));
                 return;
             }
         };
         let applied = results.iter().filter(|r| matches!(r, Ok((_, true))));
         let applied = applied.count() as u64;
         if applied > 0 {
-            ServerStats::bump_by(&self.shared.stats.ingest_applied, applied);
+            ServerStats::bump_by(&shared.stats.ingest_applied, applied);
             // An answer computed against the old state must never be
             // served after an ingest ack.
-            self.shared.cache.invalidate();
+            shared.cache.invalidate();
         }
         for (to, result) in waiters.into_iter().zip(results) {
             let answer = result
                 .map(|(lsn, applied)| Response::Ingested { lsn, applied })
                 .map_err(|message| (ErrorCode::InvalidQuery, message));
-            self.out.respond(&[to], answer);
+            respond(&[to], answer);
         }
     }
 
-    /// Answers the tick's replication fetches from the durable backend's
-    /// committed log. Runs right after `flush_writes`, so a poll that
-    /// raced a write batch onto the same tick ships that batch's records.
-    /// A subscriber whose `from_lsn` sits below the log floor
+    /// Answers a replication fetch from the committed log. It takes the
+    /// lane, so a poll right behind a write ships the records that write
+    /// committed. A subscriber whose `from_lsn` sits below the log floor
     /// (checkpoints truncated past it — or the bootstrap sentinel
     /// `from_lsn == 0`, since the floor is always at least 1) receives a
     /// full snapshot at the committed LSN instead of records. An empty
     /// record batch with no snapshot is the heartbeat: it still carries
     /// the primary's committed LSN, so lag gauges stay live under a
     /// write-idle primary.
-    fn serve_fetches(&mut self) {
-        let Some(backend) = self.backend.as_ref() else {
-            return;
-        };
-        let stats = &self.shared.stats;
-        let committed_lsn = backend.committed_lsn();
-        for (to, from_lsn) in std::mem::take(&mut self.fetches) {
-            let answer = backend.replication_floor().and_then(|floor| {
-                if from_lsn < floor {
-                    return Ok(Response::Replicate {
-                        committed_lsn,
-                        snapshot: Some(backend.encode_snapshot()?),
-                        records: Vec::new(),
-                    });
-                }
-                let records = backend.read_records(from_lsn, REPL_BATCH_BYTES)?;
-                if records.is_empty() {
-                    ServerStats::bump(&stats.repl_heartbeats);
-                } else {
-                    ServerStats::bump_by(&stats.repl_records_shipped, records.len() as u64);
-                }
-                Ok(Response::Replicate {
+    fn fetch<I>(&self, shared: &Shared<I>, reply: Reply, from_lsn: u64) {
+        let stats = &shared.stats;
+        let answer = self.with(shared, |backend| {
+            let committed_lsn = backend.committed_lsn();
+            let floor = backend.replication_floor()?;
+            if from_lsn < floor {
+                return Ok(Response::Replicate {
                     committed_lsn,
-                    snapshot: None,
-                    records,
-                })
-            });
-            let answer = answer.map_err(|message| (ErrorCode::Internal, message));
-            self.out.respond(&[to], answer);
-        }
-    }
-
-    /// Hands the entire backlog to the executor in one batched call. The
-    /// admitted prefix leaves the backlog; capacity rejections stay (in
-    /// order) for the next tick; shutdown rejections answer typed errors.
-    fn submit_backlog(&mut self) {
-        let mut batch: Vec<RoutedQuery> = Vec::with_capacity(self.backlog.len());
-        while let Some(token) = self.backlog.pop_front() {
-            if let Some(query) = self.pending.get_mut(&token).and_then(|p| p.query.take()) {
-                batch.push(RoutedQuery { token, query });
+                    snapshot: Some(backend.encode_snapshot()?),
+                    records: Vec::new(),
+                });
             }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        let admission = self.shared.exec.try_submit_batch(batch, &self.sink);
-        let admitted = admission.admitted as u64;
-        ServerStats::bump_by(&self.shared.stats.queries_admitted, admitted);
-        for rejected in admission.rejected {
-            match rejected.reason {
-                // Not dropped, not client-rejected: the query keeps its
-                // backlog slot and rides the next tick's batch.
-                SubmitError::Overloaded { .. } => {
-                    if let Some(entry) = self.pending.get_mut(&rejected.token) {
-                        entry.query = Some(rejected.query);
-                        self.backlog.push_back(rejected.token);
-                    }
-                }
-                // The executor is gone (forced teardown): answer typed.
-                SubmitError::ShuttingDown => {
-                    if let Some(entry) = self.pending.remove(&rejected.token) {
-                        self.dedup.remove(&entry.dedup_key);
-                        let refusal = (ErrorCode::ShuttingDown, DRAINING.to_string());
-                        self.out.respond(&entry.waiters, Err(refusal));
-                    }
-                }
+            let records = backend.read_records(from_lsn, REPL_BATCH_BYTES)?;
+            if records.is_empty() {
+                ServerStats::bump(&stats.repl_heartbeats);
+            } else {
+                ServerStats::bump_by(&stats.repl_records_shipped, records.len() as u64);
             }
-        }
+            Ok(Response::Replicate {
+                committed_lsn,
+                snapshot: None,
+                records,
+            })
+        });
+        respond(
+            &[reply],
+            answer.map_err(|message| (ErrorCode::Internal, message)),
+        );
     }
 }

@@ -46,7 +46,8 @@ use crate::server::Shared;
 const APPLIER_READ_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Pause between polls while the primary has nothing new — the replica's
-/// contribution to the poll period (the primary's coalescer tick is the
+/// contribution to the poll period (the round trip to the primary, which
+/// answers a poll as soon as no commit holds its write lane, is the
 /// other part).
 const IDLE_POLL_PAUSE: Duration = Duration::from_millis(3);
 

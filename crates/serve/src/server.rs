@@ -1,7 +1,7 @@
 //! Server lifecycle: configuration, shared state, startup, and the
 //! graceful-shutdown drain. The I/O machinery itself — the acceptor, a
-//! blocking reader and writer per connection, the cross-connection
-//! coalescer — lives in [`crate::mux`].
+//! blocking reader and writer per connection, the executions' sinks and
+//! the write lane — lives in [`crate::mux`].
 //!
 //! # Admission control
 //!
@@ -14,10 +14,10 @@
 //!   depth in flight; at its cap the connection's reader waits for an
 //!   answer to go out before it parses or reads again, so TCP
 //!   backpressure holds the client without any per-request rejection.
-//! * **Queries** — the coalescer's backlog and the executor's bounded
-//!   queue; when the backlog overflows, the newest query answers
-//!   `Overloaded` with queue occupancy. The server never queues
-//!   unboundedly and a saturated executor can never hang a connection.
+//! * **Queries** — the executor's bounded queue; a query that finds it
+//!   full answers `Overloaded` with the queue's occupancy at once. The
+//!   server never queues unboundedly and a saturated executor can never
+//!   hang a connection.
 //!
 //! # Shutdown sequence
 //!
@@ -27,16 +27,13 @@
 //! 2. a self-connection unblocks the accept loop, which stops accepting
 //!    and drops the listener (later connects are refused by the OS);
 //! 3. the accept thread shuts the read half of every live connection,
-//!    so every reader returns, joins the readers and tells the coalescer
-//!    that no request follows; every query already forwarded still
-//!    executes and answers — admitted work is never dropped;
-//! 4. the coalescer drains its backlog through the executor, queues the
-//!    last responses on their connections, and exits;
+//!    so every reader returns, and joins the readers: nothing more is
+//!    submitted, and every write a reader took is committed and acked;
+//! 4. the execution pool shuts down, which runs every admitted query, so
+//!    every forwarded query is answered — admitted work is never dropped;
 //! 5. every writer flushes what is queued (each write bounded by the
-//!    write timeout), closes its connection, and exits;
-//! 6. the accept thread joins the coalescer and every connection thread,
-//!    shuts the execution pool down, and exits; [`ServerHandle::join`]
-//!    returns.
+//!    write timeout), closes its connection, and exits; the accept thread
+//!    joins them and exits; [`ServerHandle::join`] returns.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -102,9 +99,9 @@ impl From<std::io::Error> for ServeError {
 pub struct ServerConfig {
     /// Executor worker threads (minimum 1).
     pub workers: usize,
-    /// Bound of the query admission queue; 0 means `2 x workers`. The
-    /// coalescer's backlog uses the same bound, so total buffering is at
-    /// most twice this value.
+    /// Bound of the query admission queue; 0 means `2 x workers`. It
+    /// bounds every query buffered in the server: a query that finds the
+    /// queue full is refused with `Overloaded`.
     pub queue_capacity: usize,
     /// Maximum simultaneously served connections.
     pub max_connections: usize,
@@ -219,14 +216,14 @@ impl ServerStats {
 }
 
 /// What a server does with writes, fixed at startup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Role {
     /// No durable store: ingest and replication frames answer a typed
     /// `ReadOnly`.
     ReadOnly,
-    /// A durable store behind the coalescer: ingest is group-committed
-    /// and replicas may subscribe to its log.
-    Primary,
+    /// A durable store behind the write lane: the connections' readers
+    /// group-commit ingest through it, and replicas may subscribe to its
+    /// log.
+    Primary(mux::WriteLane),
     /// Follows a primary: writes and subscriptions answer a typed
     /// `NotPrimary`, and the visibility watermark advances as the applier
     /// catches up rather than as local writes flush.
@@ -234,7 +231,7 @@ pub(crate) enum Role {
 }
 
 /// State shared by the accept loop, the connection threads, and the
-/// coalescer.
+/// executions' sinks.
 pub(crate) struct Shared<I> {
     pub(crate) exec: ExecHandle<I>,
     pub(crate) stats: ServerStats,
@@ -243,8 +240,10 @@ pub(crate) struct Shared<I> {
     pub(crate) shutting_down: AtomicBool,
     /// The bounded answer cache (capacity 0 = disabled).
     pub(crate) cache: AnswerCache,
-    /// What the server does with writes. Only a primary forwards ingest
-    /// and replication frames to the coalescer; the others refuse them on
+    /// Executions in flight and the requests each will answer (dedup).
+    pub(crate) inflight: mux::InFlight,
+    /// What the server does with writes. Only a primary runs ingest and
+    /// replication frames, on its write lane; the others refuse them on
     /// the connection's reader.
     pub(crate) role: Role,
     /// The read-your-writes gate: every write at or below this LSN is
@@ -304,8 +303,8 @@ fn profile_summary(p: &QueryProfile) -> ProfileSummary {
 pub struct Server;
 
 impl Server {
-    /// Binds `127.0.0.1:port`, spawns the execution pool, the I/O
-    /// workers, the coalescer and the accept loop, and returns the
+    /// Binds `127.0.0.1:port`, spawns the execution pool and the accept
+    /// loop (which starts each connection's threads), and returns the
     /// running server's handle. The bound address (with the resolved
     /// ephemeral port) is [`ServerHandle::local_addr`].
     ///
@@ -325,15 +324,17 @@ impl Server {
     /// Like [`Server::start`], but over a [`mst_wal::DurableDatabase`]:
     /// the server shares the durable store's in-memory shards for
     /// queries and routes `Insert`/`Delete` frames through its
-    /// write-ahead log. Each coalescer tick's ingest frames flush as one
-    /// write batch sharing a single group-commit fsync; an operation is
-    /// acked ([`crate::protocol::Response::Ingested`]) only after that
-    /// fsync returned and the in-memory shards were updated, so an acked
-    /// ingest survives any crash. The answer cache is invalidated on
-    /// every state-changing flush.
+    /// write-ahead log. The ingest frames that arrive while a commit runs
+    /// wait on the write lane and then flush as one write batch sharing a
+    /// single group-commit fsync; an operation is acked
+    /// ([`crate::protocol::Response::Ingested`]) only after that fsync
+    /// returned and the in-memory shards were updated, so an acked ingest
+    /// survives any crash. The answer cache is invalidated on every
+    /// state-changing flush.
     ///
     /// The durable database moves into the server and is dropped (its
-    /// file handles synced) when the server shuts down; recover it with
+    /// file handles synced) with the last of the server's shared state,
+    /// once the handle is dropped; recover it with
     /// [`mst_wal::DurableDatabase::open`].
     pub fn start_durable<I, S>(
         config: ServerConfig,
@@ -421,10 +422,10 @@ fn start_inner<I>(
 where
     I: KmstSubstrate + Send + 'static,
 {
-    let role = match (&backend, replica) {
-        (Some(_), _) => Role::Primary,
-        (None, true) => Role::Replica,
-        (None, false) => Role::ReadOnly,
+    let role = match backend {
+        Some(backend) => Role::Primary(mux::WriteLane::new(backend)),
+        None if replica => Role::Replica,
+        None => Role::ReadOnly,
     };
     let mut executor = BatchExecutor::new()
         .workers(config.workers)
@@ -435,35 +436,27 @@ where
     let exec = executor.submit_handle(db)?;
     let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, config.port))?;
     let local_addr = listener.local_addr()?;
+    // The LSN and WAL gauges are live from the first stats probe, not
+    // the first write: a primary publishes what recovery left it, a
+    // replica the position it resumes from.
+    let stats = ServerStats::default();
+    if replica {
+        ServerStats::set(&stats.repl_applied_lsn, visible_lsn);
+    }
     let shared = Arc::new(Shared {
         exec,
-        stats: ServerStats::default(),
+        stats,
         profile: Mutex::new(QueryProfile::default()),
         shutting_down: AtomicBool::new(false),
         cache: AnswerCache::new(config.cache_capacity),
+        inflight: Mutex::default(),
         role,
         watermark: mst_exec::Watermark::at(visible_lsn),
         addr: local_addr,
     });
-    // The LSN and WAL gauges are live from the first stats probe, not
-    // the first write: a primary publishes what recovery left it, a
-    // replica the position it resumes from.
-    match &backend {
-        Some(backend) => shared.publish_commit(backend.as_ref()),
-        None if replica => ServerStats::set(&shared.stats.repl_applied_lsn, visible_lsn),
-        None => {}
+    if let Role::Primary(lane) = &shared.role {
+        lane.publish(&shared);
     }
-
-    // Spawn the coalescer up front so a spawn failure surfaces here as a
-    // typed startup error, not as a half-started server.
-    let (event_tx, event_rx) = std::sync::mpsc::channel();
-    let coalescer = {
-        let coalescer_shared = Arc::clone(&shared);
-        let sink_tx = event_tx.clone();
-        std::thread::Builder::new()
-            .name("mst-serve-coalesce".into())
-            .spawn(move || mux::coalescer_loop(&coalescer_shared, &event_rx, sink_tx, backend))?
-    };
 
     let accept = {
         let shared = Arc::clone(&shared);
@@ -472,10 +465,8 @@ where
         std::thread::Builder::new()
             .name("mst-serve-accept".into())
             .spawn(move || {
-                let served =
-                    mux::accept_loop(&shared, &listener, &event_tx, max_connections, max_depth);
-                mux::drain(served, event_tx, coalescer);
-                shared.exec.shutdown();
+                let served = mux::accept_loop(&shared, &listener, max_connections, max_depth);
+                mux::drain(served, &shared);
             })?
     };
     Ok(ServerHandle {

@@ -4,15 +4,19 @@
 //! whole store recovered from disk between server lifetimes.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use mst_datagen::fixtures::{gstd_fleet, mixed_lifetime_fleet, twins_fleet};
 use mst_exec::IngestOp;
 use mst_index::{Rtree3D, TbTree};
 use mst_search::{scan_kmst, Integration, MstMatch, QueryOptions, TrajectoryStore};
-use mst_serve::{ErrorCode, Response, ServeClient, Server, ServerConfig, ServerHandle};
+use mst_serve::{ErrorCode, Request, Response, ServeClient, Server, ServerConfig, ServerHandle};
 use mst_trajectory::{TimeInterval, Trajectory, TrajectoryId};
-use mst_wal::{DurableDatabase, DurableSubstrate, FileStore, SimStore, WalConfig};
+use mst_wal::{
+    DurableDatabase, DurableSubstrate, FileStore, LogIo, LogStore, SimLog, SimStore, WalConfig,
+};
 
 /// Extra trajectories to ingest online, ids disjoint from any fleet.
 fn extras(count: usize, seed: u64) -> Vec<(TrajectoryId, Trajectory)> {
@@ -391,4 +395,273 @@ fn per_op_semantics_and_substrate_refusals_over_the_wire() {
     );
     assert!(applied);
     server.shutdown();
+}
+
+/// How long a test waits for something that takes milliseconds before it
+/// fails instead of hanging.
+const BOUND: Duration = Duration::from_secs(5);
+
+/// A gate a WAL fsync can be made to wait at: while it is closed, every
+/// `sync` parks (and is counted) until it opens.
+#[derive(Default)]
+struct Gate {
+    /// `(closed, syncs parked)`.
+    state: Mutex<(bool, usize)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn state(&self) -> MutexGuard<'_, (bool, usize)> {
+        self.state.lock().expect("gate lock")
+    }
+
+    fn set(&self, closed: bool) {
+        self.state().0 = closed;
+        self.changed.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut state = self.state();
+        state.1 += 1;
+        self.changed.notify_all();
+        while state.0 {
+            state = self.changed.wait(state).expect("gate wait");
+        }
+        state.1 -= 1;
+    }
+
+    /// Waits (within [`BOUND`]) until `n` syncs are parked at the gate.
+    fn wait_parked(&self, n: usize) -> bool {
+        let state = self.state();
+        let (state, _) = self
+            .changed
+            .wait_timeout_while(state, BOUND, |s| s.1 < n)
+            .expect("gate wait");
+        state.1 >= n
+    }
+}
+
+/// Opens the gate when dropped, so a failing test never leaves a commit
+/// parked in its fsync for the server's drain to wait on.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.set(false);
+    }
+}
+
+/// [`SimStore`] with its logs' fsyncs behind a [`Gate`].
+#[derive(Clone)]
+struct GatedStore {
+    inner: SimStore,
+    gate: Arc<Gate>,
+}
+
+struct GatedLog {
+    inner: SimLog,
+    gate: Arc<Gate>,
+}
+
+impl LogIo for GatedLog {
+    fn append(&mut self, bytes: &[u8]) -> mst_wal::Result<()> {
+        self.inner.append(bytes)
+    }
+
+    fn sync(&mut self) -> mst_wal::Result<()> {
+        self.gate.pass();
+        self.inner.sync()
+    }
+
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+}
+
+impl LogStore for GatedStore {
+    type Log = GatedLog;
+
+    fn create_log(&self, start_lsn: u64) -> mst_wal::Result<GatedLog> {
+        Ok(GatedLog {
+            inner: self.inner.create_log(start_lsn)?,
+            gate: Arc::clone(&self.gate),
+        })
+    }
+
+    fn read_log(&self, start_lsn: u64) -> mst_wal::Result<Vec<u8>> {
+        self.inner.read_log(start_lsn)
+    }
+
+    fn list_logs(&self) -> mst_wal::Result<Vec<u64>> {
+        self.inner.list_logs()
+    }
+
+    fn remove_log(&self, start_lsn: u64) -> mst_wal::Result<()> {
+        self.inner.remove_log(start_lsn)
+    }
+
+    fn rewrite_log(&self, start_lsn: u64, bytes: &[u8]) -> mst_wal::Result<()> {
+        self.inner.rewrite_log(start_lsn, bytes)
+    }
+
+    fn write_snapshot(&self, bytes: &[u8]) -> mst_wal::Result<()> {
+        self.inner.write_snapshot(bytes)
+    }
+
+    fn read_snapshot(&self) -> mst_wal::Result<Option<Vec<u8>>> {
+        self.inner.read_snapshot()
+    }
+}
+
+/// A durable R-tree server over a [`GatedStore`] seeded with `fleet` (the
+/// gate open), and the gate.
+fn gated_server(fleet: &[(TrajectoryId, Trajectory)]) -> (ServerHandle<Rtree3D>, Arc<Gate>) {
+    let gate = Arc::new(Gate::default());
+    let store = GatedStore {
+        inner: SimStore::new(),
+        gate: Arc::clone(&gate),
+    };
+    let mut db = DurableDatabase::<Rtree3D, GatedStore>::create(store, WalConfig::default(), 2)
+        .expect("create store");
+    let ops: Vec<IngestOp> = fleet
+        .iter()
+        .map(|(id, t)| IngestOp::Insert {
+            id: *id,
+            trajectory: t.clone(),
+        })
+        .collect();
+    db.apply(&ops).expect("seed store");
+    let server = Server::start_durable(ServerConfig::new().workers(2), db).expect("start");
+    (server, gate)
+}
+
+fn insert_request((id, t): &(TrajectoryId, Trajectory)) -> Request {
+    Request::Insert {
+        id: *id,
+        points: t.points().to_vec(),
+    }
+}
+
+/// A commit parked in its fsync holds up only the writes behind it: a
+/// k-MST on another connection comes back, equal to the exact scan over
+/// the state before the write, while the fsync still waits.
+#[test]
+fn a_query_is_answered_while_a_commit_waits_in_its_fsync() {
+    let base = gstd_fleet(20, 80, 5);
+    let (server, gate) = gated_server(&base);
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let addr = server.local_addr();
+    let mut writer = ServeClient::connect(addr).expect("connect writer");
+    let mut reader = ServeClient::connect(addr).expect("connect reader");
+
+    gate.set(true);
+    let spare = extras(1, 61);
+    let insert = writer
+        .send(&insert_request(&spare[0]))
+        .expect("send insert");
+    assert!(gate.wait_parked(1), "the insert never reached its fsync");
+
+    // The read runs on its own thread, so a read stuck behind the commit
+    // fails the test at the bound instead of hanging it.
+    let q = base[4].1.clone();
+    let (tx, rx) = mpsc::channel();
+    let probe = {
+        let q = q.clone();
+        std::thread::spawn(move || {
+            // invariant: the receiver outlives the bounded wait
+            let _ = tx.send(reader.kmst(&q, QueryOptions::new().k(3)));
+        })
+    };
+    let answer = rx.recv_timeout(BOUND);
+    gate.set(false);
+    let answer = answer.expect("the k-MST waited for another connection's fsync");
+    let matches = expect_kmst(answer.expect("kmst"));
+    assert_eq!(matches, baseline_kmst(&base, &q, 3));
+
+    let (_, applied) = expect_ingested(writer.wait(insert).expect("insert ack"));
+    assert!(applied);
+    probe.join().expect("probe thread");
+    server.shutdown();
+}
+
+/// Group commit: while the first commit waits in its fsync, connections
+/// send `pipelined[i]` inserts each, back to back; all of them are logged
+/// under one more fsync. Returns the rise in `wal_fsyncs`.
+fn fsyncs_of_inserts_queued_behind_a_commit(pipelined: &[usize]) -> u64 {
+    let base = gstd_fleet(12, 80, 8);
+    let (server, gate) = gated_server(&base);
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let addr = server.local_addr();
+    let mut probe = ServeClient::connect(addr).expect("connect probe");
+    let mut first = ServeClient::connect(addr).expect("connect first writer");
+    let mut others: Vec<ServeClient> = pipelined
+        .iter()
+        .map(|_| ServeClient::connect_with_depth(addr, 8).expect("connect writer"))
+        .collect();
+    let before = probe.stats().expect("stats").counters;
+    let queued: usize = pipelined.iter().sum();
+    let spare = extras(1 + queued, 67);
+
+    gate.set(true);
+    let first_id = first.send(&insert_request(&spare[0])).expect("send");
+    assert!(
+        gate.wait_parked(1),
+        "the first insert never reached its fsync"
+    );
+    let decoded = probe.stats().expect("stats").counters.requests_decoded;
+    let mut rest = spare[1..].iter();
+    let sent: Vec<Vec<_>> = others
+        .iter_mut()
+        .zip(pipelined)
+        .map(|(client, &n)| {
+            let ops: Vec<_> = rest.by_ref().take(n).collect();
+            ops.into_iter()
+                .map(|extra| client.send(&insert_request(extra)).expect("send"))
+                .collect()
+        })
+        .collect();
+    // Every probe counts itself as a decoded request.
+    let mut probes = 0;
+    loop {
+        probes += 1;
+        let now = probe.stats().expect("stats").counters.requests_decoded;
+        if now >= decoded + queued as u64 + probes {
+            break;
+        }
+        assert!(probes < 5_000, "the queued inserts were never decoded");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // A reader queues its write a few microseconds after it decodes it.
+    std::thread::sleep(Duration::from_millis(100));
+    gate.set(false);
+
+    let (_, applied) = expect_ingested(first.wait(first_id).expect("first ack"));
+    assert!(applied);
+    for (client, ids) in others.iter_mut().zip(sent) {
+        for id in ids {
+            let (_, applied) = expect_ingested(client.wait(id).expect("ack"));
+            assert!(applied);
+        }
+    }
+    let after = probe.stats().expect("stats").counters;
+    assert_eq!(
+        after.ingest_applied - before.ingest_applied,
+        1 + queued as u64
+    );
+    server.shutdown();
+    after.wal_fsyncs - before.wal_fsyncs
+}
+
+/// One fsync for the first insert, one for the three that queued behind
+/// it on three connections.
+#[test]
+fn inserts_queued_behind_a_commit_share_the_next_fsync() {
+    assert_eq!(fsyncs_of_inserts_queued_behind_a_commit(&[1, 1, 1]), 2);
+}
+
+/// Inserts pipelined back to back on one connection share a commit too:
+/// its reader queues every one it has decoded before it commits.
+#[test]
+fn inserts_pipelined_on_one_connection_share_one_fsync() {
+    assert_eq!(fsyncs_of_inserts_queued_behind_a_commit(&[6]), 2);
 }

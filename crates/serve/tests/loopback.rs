@@ -90,7 +90,7 @@ fn multiplexed_clients_get_bit_identical_answers() {
     };
 
     // 8 concurrent connections, each pipelining all four flavours at
-    // once — the coalescer sees them interleaved across connections and
+    // once — the server sees them interleaved across connections and
     // dedups the shared ones — then claiming the responses in reverse
     // send order (the multiplexing contract: ids route answers, not
     // arrival order).
@@ -185,7 +185,7 @@ fn multiplexed_clients_get_bit_identical_answers() {
     assert_eq!(stats.counters.malformed_frames, 0);
     assert_eq!(stats.counters.invalid_queries, 0);
     // The shared knn/segments/range queries overlap across the 8
-    // connections, so the coalescer must have executed fewer than 32.
+    // connections, so the server must have executed fewer than 32.
     assert!(stats.counters.queries_admitted <= 32);
     assert!(stats.counters.queries_admitted >= 8, "8 distinct kmst");
     assert!(stats.profile.nodes_accessed > 0, "profile merged");
@@ -250,7 +250,7 @@ fn overload_answers_typed_backpressure_never_hangs() {
     let fleet = gstd_fleet(60, 120, 3);
     let server = start_server(&fleet, 1, ServerConfig::new().workers(1).queue_capacity(1));
     let addr = server.local_addr();
-    // Every thread runs its own distinct query so the coalescer cannot
+    // Every thread runs its own distinct query so the server cannot
     // dedup the burst away — admission control must genuinely engage.
     let threads: Vec<_> = (0..8)
         .map(|i| {
@@ -287,8 +287,7 @@ fn overload_answers_typed_backpressure_never_hangs() {
 }
 
 /// An unset queue bound is the executor's own default, `2 x workers`, and
-/// the coalescer's backlog, bounded the same, refuses beyond it with that
-/// capacity.
+/// a query that finds the queue full is refused with that capacity.
 #[test]
 fn an_unset_queue_bound_is_twice_the_workers() {
     let fleet = gstd_fleet(40, 60, 5);
@@ -298,8 +297,10 @@ fn an_unset_queue_bound_is_twice_the_workers() {
     let mut client = ServeClient::connect_with_depth(server.local_addr(), 32).expect("connect");
     let burst = 20;
     // While the shard's write gate is held no query can run: three wait in
-    // the workers, six in the executor's queue and six in the backlog, so
-    // at least five of the twenty distinct queries are refused.
+    // the workers and six in the executor's queue, so at least eleven of
+    // the twenty distinct queries are refused (the bound below is the
+    // looser one from when a backlog of six more sat in front of the
+    // queue).
     db.shards()[0]
         .write(|_| {
             for (_, t) in fleet.iter().take(burst) {

@@ -1,3 +1,4 @@
+use crate::mbb::{max_first, min_first};
 use crate::{Mbb, Point, Result, SamplePoint, TimeInterval, TrajectoryError};
 
 /// A moving point between two consecutive trajectory samples.
@@ -136,14 +137,15 @@ impl Segment {
         Some(Segment { start: s, end: e })
     }
 
-    /// The 3D minimum bounding box of the segment.
+    /// The 3D minimum bounding box of the segment, its bounds chosen as
+    /// [`Mbb::union`] chooses them (the start's on a tie).
     pub fn mbb(&self) -> Mbb {
         Mbb::new(
-            self.start.x.min(self.end.x),
-            self.start.y.min(self.end.y),
+            min_first(self.start.x, self.end.x),
+            min_first(self.start.y, self.end.y),
             self.start.t,
-            self.start.x.max(self.end.x),
-            self.start.y.max(self.end.y),
+            max_first(self.start.x, self.end.x),
+            max_first(self.start.y, self.end.y),
             self.end.t,
         )
     }
